@@ -34,9 +34,10 @@ from .estimation import (
     FitProblem,
     calibrate_pn,
     fit_parameters,
+    forward_model,
     orientation,
 )
-from .gaussian_dynamics import NoiseChannels, propagate_moments, trajectory_to_csv
+from .gaussian_dynamics import trajectory_to_csv
 from .light_readout import (
     LossParams,
     apply_detection_loss,
@@ -59,9 +60,10 @@ from .records import (
     simulate_batch,
 )
 from .scenarios import SCENARIO_NAMES, run_scenario, scenario_params
-from .spin_model import ModelParams, css_state
+from .spin_model import ModelParams
 
 ARTIFACT_VERSION = 1
+MAX_GRID_POINTS = 1_000_000
 
 _USAGE_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
 _NUMERICAL_ERRORS = (StiffnessError, FitFailureError, IdentifiabilityError,
@@ -96,8 +98,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError("--grid expects t0,t1,dt")
     t0, t1, dt = (float(p) for p in parts)
-    if dt <= 0 or t1 <= t0:
-        raise ValueError("--grid requires t1 > t0 and dt > 0")
+    if not (math.isfinite(t0 + t1 + dt) and dt > 0 and t1 > t0):
+        raise ValueError("--grid requires finite t0 < t1 and dt > 0")
+    if (t1 - t0) / dt >= MAX_GRID_POINTS:
+        raise ValueError(f"--grid exceeds {MAX_GRID_POINTS} points")
     return np.arange(t0, t1 + 0.5 * dt, dt)
 
 
@@ -136,12 +140,7 @@ def _initial_pop(args) -> PopulationState:
 def _cmd_simulate(args) -> int:
     params = _load_params(args)
     grid = _parse_grid(args.grid)
-    rates = transition_rates(params)
-    pump = PumpConfig(rate=params.Gamma_pump) if args.pump else None
-    pops = propagate_populations(_initial_pop(args), rates, grid, pump=pump)
-    noise = NoiseChannels.from_params(params, pump=args.pump)
-    traj = propagate_moments(css_state(), params, noise, grid,
-                             populations=pops)
+    traj = forward_model(params, _initial_pop(args), grid, pump=args.pump)[2]
     head = _metadata_block(params, args.seed)
     _emit(args, "trajectory.csv", head + trajectory_to_csv(traj))
     return 0
@@ -277,6 +276,8 @@ def _cmd_orientation(args) -> int:
 
 def _cmd_scenario(args) -> int:
     overrides = json.loads(args.overrides) if args.overrides else None
+    if overrides is not None and not isinstance(overrides, dict):
+        raise ValueError("--overrides must be a JSON object")
     grid = _parse_grid(args.grid) if args.grid else None
     result = run_scenario(args.name, overrides=overrides, seed=args.seed,
                           grid=grid, trials=args.trials)

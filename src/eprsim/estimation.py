@@ -11,19 +11,17 @@ parameters with positivity bounds.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares, nnls
 
-from .errors import FitFailureError, IdentifiabilityError, NoInformationError
+from .errors import FitFailureError, IdentifiabilityError
 from .gaussian_dynamics import NoiseChannels, propagate_moments
 from .multilevel_rates import (
     PopulationState,
     PumpConfig,
     multilevel_xi,
-    polarization_slope,
     propagate_populations,
     transition_rates,
 )
@@ -166,8 +164,7 @@ def forward_model(params: ModelParams, initial_pop: PopulationState, times,
     noise = NoiseChannels.from_params(params, pump=pump)
     traj = propagate_moments(css_state(), params, noise, times,
                              populations=pops)
-    xi_ml = np.array([multilevel_xi(traj.xi_series[k].xi, pops.states[k])
-                      for k in range(times.size)])
+    xi_ml = multilevel_xi(traj.xi, pops)
     jx_norm = pops.jx_frac / pops.jx_frac[0]
     return xi_ml, jx_norm, traj, pops
 

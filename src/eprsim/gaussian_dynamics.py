@@ -22,12 +22,22 @@ so population loss and depolarisation throttle the entangling channel
 quasi-statically.  Local dephasing pulls every covariance entry back toward
 the CSS identity at rate Gamma_tilde.  These equations are certified against
 the exact few-spin Lindblad integrator in ``lindblad_oracle``.
+
+With g2 = 2 gamma_c and c the CSS-restoring rate (both may vary in time),
+the solution stays in the span of C0, T = C_tms and I:
+
+    C(t) = phi C0 + x T + (1 - phi - x) I,     <r>(t) = sqrt(phi) <r>(0)
+    dphi/dt = -(g2 + c) phi,                   dx/dt = -(g2 + c) x + g2
+
+so only (phi, x) are integrated.  phi, x >= 0 and phi + x <= 1 make C a
+convex mix of physical covariances, hence physical, and the witness (linear
+in C) mixes the witnesses of C0, T and I with the same weights.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -38,10 +48,11 @@ from .errors import (
     StiffnessError,
 )
 from .spin_model import (
-    EprReport,
     GaussianState,
     ModelParams,
+    css_state,
     epr_variance,
+    require_finite,
     two_mode_squeezed_cov,
 )
 
@@ -70,18 +81,18 @@ class NoiseChannels:
 
     dephasing: float = 0.0
     pump_refill: float = 0.0
-    dephasing_enabled: bool = True
     pump_enabled: bool = False
     distinguishable: bool = False
 
     def __post_init__(self):
+        require_finite(dephasing=self.dephasing, pump_refill=self.pump_refill)
         if self.dephasing < 0 or self.pump_refill < 0:
             raise InvariantViolationError("noise rates must be >= 0")
 
     @property
     def css_rate(self) -> float:
         """Rate of relaxation toward the CSS covariance (pump excluded)."""
-        return self.dephasing if self.dephasing_enabled else 0.0
+        return self.dephasing
 
     def pump_noise_rate(self, nh_frac: float = 1.0) -> float:
         """Quadrature-noise rate of the incoherent pump.
@@ -102,23 +113,44 @@ class NoiseChannels:
 
 @dataclass
 class Trajectory:
-    """Time series of Gaussian states with the EPR witness at every step."""
+    """Moments on ``times`` as C = phi C0 + x T + (1 - phi - x) I.
+
+    ``initial`` holds C0 and the means at ``times[0]``; ``target`` is T.
+    The witness arrays ``var_x_minus``, ``var_p_plus`` and ``xi`` are
+    aligned with ``times``.
+    """
 
     times: np.ndarray
-    states: list
-    xi_series: list
+    phi: np.ndarray
+    x: np.ndarray
+    initial: GaussianState
+    target: np.ndarray
     populations: object = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times, self.phi, self.x = (
+            np.asarray(a, float) for a in (self.times, self.phi, self.x))
         if np.any(np.diff(self.times) <= 0):
             raise InvariantViolationError("trajectory times must strictly increase")
-        if not (len(self.times) == len(self.states) == len(self.xi_series)):
+        if not self.times.shape == self.phi.shape == self.x.shape:
             raise InvariantViolationError("trajectory series lengths differ")
+        ends = [epr_variance(s) for s in (
+            self.initial, GaussianState(mean=np.zeros(4), cov=self.target),
+            css_state())]
+        weights = np.stack([self.phi, self.x, 1.0 - self.phi - self.x], axis=1)
+        mixed = weights @ np.array([[r.var_x_minus, r.var_p_plus, r.xi]
+                                    for r in ends])
+        self.var_x_minus, self.var_p_plus, self.xi = mixed.T
 
     @property
-    def xi(self) -> np.ndarray:
-        return np.array([r.xi for r in self.xi_series])
+    def states(self) -> list:
+        """GaussianState at every time point, built on demand."""
+        c0, m0 = self.initial.cov, self.initial.mean
+        return [GaussianState(mean=np.sqrt(p) * m0,
+                              cov=p * c0 + x * self.target
+                              + (1.0 - p - x) * np.eye(4),
+                              jx_mean=self.initial.jx_mean)
+                for p, x in zip(self.phi, self.x)]
 
 
 def relaxation_rate(params: ModelParams, p2_tilde: float = 1.0) -> float:
@@ -152,88 +184,56 @@ def moment_derivative(state: GaussianState, params: ModelParams,
     return dmean, dcov
 
 
-def _pack(mean, cov):
-    iu = np.triu_indices(4)
-    return np.concatenate([mean, cov[iu]])
-
-
-def _unpack(y):
-    mean = y[:4]
-    cov = np.zeros((4, 4))
-    iu = np.triu_indices(4)
-    cov[iu] = y[4:]
-    cov = cov + np.triu(cov, 1).T
-    return mean, cov
+# Slack on phi >= 0, x >= 0, phi + x <= 1: the covariance check's atol.
+_INVARIANT_SLACK = 1e-8
 
 
 def propagate_moments(initial: GaussianState, params: ModelParams,
-                      noise: NoiseChannels, grid, populations=None,
-                      jx_mean=None, rtol: float = 1e-10,
-                      atol: float = 1e-12) -> Trajectory:
+                      noise: NoiseChannels, grid,
+                      populations=None) -> Trajectory:
     """Integrate the moment equations over ``grid`` (ms, strictly increasing).
 
     ``populations`` may be a PopulationSeries (or anything exposing ``times``
-    and ``p2_tilde`` arrays); the collective rate then tracks N2(t) P2(t)
-    quasi-statically.  The covariance is checked for symmetry, positivity and
-    the symplectic bound at every output point.
+    and ``p2_tilde`` arrays, optionally ``nh``); the collective rate then
+    tracks N2(t) P2(t) quasi-statically.  One RK45 solve of the two scalars
+    (phi, x) covers the whole grid; see the module docstring.
     """
     grid = np.asarray(grid, dtype=float)
     initial.validate()
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-D array")
-    if grid.size == 1 or grid[-1] == grid[0]:
-        report = epr_variance(initial)
-        return Trajectory(times=grid[:1], states=[initial],
-                          xi_series=[report], populations=populations)
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must strictly increase")
+    target = dissipation_target_cov(params, noise.distinguishable)
+    if grid.size == 1:
+        return Trajectory(times=grid, phi=[1.0], x=[0.0], initial=initial,
+                          target=target, populations=populations)
 
     if populations is None:
-        p2t = lambda t: 1.0
-        nht = lambda t: 0.0
+        pt, p2, nh = grid[[0, -1]], [1.0, 1.0], [0.0, 0.0]
     else:
-        pt = np.asarray(populations.times, dtype=float)
-        pv = np.asarray(populations.p2_tilde, dtype=float)
-        p2t = lambda t: float(np.interp(t, pt, pv))
-        nh_arr = getattr(populations, "nh", None)
-        if nh_arr is None:
-            nht = lambda t: 0.0
-        else:
-            nh_arr = np.asarray(nh_arr, dtype=float)
-            nht = lambda t: float(np.interp(t, pt, nh_arr))
-
-    target_cache = {}
+        pt, p2 = populations.times, populations.p2_tilde
+        nh = getattr(populations, "nh", np.zeros(len(pt)))
 
     def rhs(t, y):
-        mean, cov = _unpack(y)
-        g2 = relaxation_rate(params, p2t(t))
-        css = noise.css_rate + noise.pump_noise_rate(nht(t))
-        key = noise.distinguishable
-        if key not in target_cache:
-            target_cache[key] = dissipation_target_cov(params, key)
-        dcov = -g2 * (cov - target_cache[key]) - css * (cov - np.eye(4))
-        dmean = -(0.5 * g2 + 0.5 * css) * mean
-        return _pack(dmean, dcov)
+        g2 = relaxation_rate(params, float(np.interp(t, pt, p2)))
+        rate = (g2 + noise.css_rate
+                + noise.pump_noise_rate(float(np.interp(t, pt, nh))))
+        return np.array([-rate * y[0], g2 - rate * y[1]])
 
-    sol = solve_ivp(rhs, (grid[0], grid[-1]), _pack(initial.mean, initial.cov),
-                    t_eval=grid, rtol=rtol, atol=atol, method="RK45")
+    sol = solve_ivp(rhs, (grid[0], grid[-1]), np.array([1.0, 0.0]),
+                    t_eval=grid, rtol=1e-10, atol=1e-12, method="RK45")
     if not sol.success:
         worst = max(relaxation_rate(params), noise.css_rate)
-        raise StiffnessError(
-            f"moment integration failed ({sol.message}); "
-            f"dominant rate {worst:.4g} ms^-1"
-        )
-
-    states, reports = [], []
-    jx = initial.jx_mean if jx_mean is None else jx_mean
-    for k in range(grid.size):
-        mean, cov = _unpack(sol.y[:, k])
-        cov = 0.5 * (cov + cov.T)
-        st = GaussianState(mean=mean, cov=cov, jx_mean=jx)
-        st.validate()
-        states.append(st)
-        reports.append(epr_variance(st))
-    return Trajectory(times=grid, states=states, xi_series=reports,
+        raise StiffnessError(f"moment integration failed ({sol.message}); "
+                             f"dominant rate {worst:.4g} ms^-1")
+    phi, x = sol.y
+    tol = _INVARIANT_SLACK
+    if not np.all((phi >= -tol) & (x >= -tol) & (phi + x <= 1.0 + tol)):
+        raise InvariantViolationError(
+            "moment weights left the simplex phi, x >= 0, phi + x <= 1")
+    return Trajectory(times=grid, phi=np.clip(phi, 0.0, 1.0),
+                      x=np.clip(x, 0.0, 1.0), initial=initial, target=target,
                       populations=populations)
 
 
@@ -242,23 +242,17 @@ def trajectory_to_csv(traj: Trajectory, stream=None) -> str:
     own = stream is None
     out = io.StringIO() if own else stream
     out.write("time_ms,var_x_minus,var_p_plus,xi,Jx_norm,N2,P2\n")
+    cols = [traj.times, traj.var_x_minus, traj.var_p_plus, traj.xi]
     pops = traj.populations
     if pops is not None:
-        pt = np.asarray(pops.times, dtype=float)
         jx0 = pops.jx_frac[0]
         if jx0 <= 0.0:
             raise DegeneratePolarizationError(
                 "initial mean spin vanishes; Jx_norm is undefined")
-    for k, t in enumerate(traj.times):
-        r = traj.xi_series[k]
-        if pops is None:
-            jxn, n2, p2 = 1.0, "", ""
-            out.write(f"{t:.17g},{r.var_x_minus:.17g},{r.var_p_plus:.17g},"
-                      f"{r.xi:.17g},{jxn:.17g},{n2},{p2}\n")
-        else:
-            jxn = float(np.interp(t, pt, pops.jx_frac)) / jx0
-            n2 = float(np.interp(t, pt, pops.n2_frac))
-            p2 = float(np.interp(t, pt, pops.p2))
-            out.write(f"{t:.17g},{r.var_x_minus:.17g},{r.var_p_plus:.17g},"
-                      f"{r.xi:.17g},{jxn:.17g},{n2:.17g},{p2:.17g}\n")
+        jx, n2, p2 = (np.interp(traj.times, pops.times, v)
+                      for v in (pops.jx_frac, pops.n2_frac, pops.p2))
+        cols += [jx / jx0, n2, p2]
+    tail = "\n" if pops is not None else ",1,,\n"
+    for row in zip(*cols):
+        out.write(",".join(f"{v:.17g}" for v in row) + tail)
     return out.getvalue() if own else ""

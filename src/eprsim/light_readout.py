@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvariantViolationError, NoInformationError
-from .spin_model import ModelParams, coupling_constants
+from .spin_model import ModelParams, coupling_constants, require_finite
 
 __all__ = [
     "LossParams",
@@ -51,6 +51,7 @@ class LossParams:
     eta: float = 1.0
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.gamma_s < 0 or self.gamma_extra < 0:
             raise InvariantViolationError("decay rates must be >= 0")
         if not 0.0 <= self.eta <= 1.0:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvariantViolationError
 from .gaussian_dynamics import NoiseChannels, propagate_moments, relaxation_rate
-from .spin_model import GaussianState, ModelParams, css_state
+from .spin_model import ModelParams, css_state
 
 __all__ = [
     "ExactState",

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DegeneratePolarizationError, InvariantViolationError, ModelViolationError
-from .spin_model import ModelParams
+from .spin_model import ModelParams, require_finite
 
 __all__ = [
     "PopulationState",
@@ -43,6 +43,17 @@ __all__ = [
 ]
 
 
+def _check_populations(n44, n43, nh, N) -> None:
+    """Fractions (scalars or aligned arrays) are finite, >= 0, sum to 1."""
+    require_finite(N=N)
+    fr = np.array([n44, n43, nh], dtype=float)
+    if N <= 0 or not np.all(np.isfinite(fr) & (fr >= -1e-12)):
+        raise InvariantViolationError(
+            "need atom number N > 0 and finite population fractions >= 0")
+    if np.any(np.abs(fr.sum(axis=0) - 1.0) > 1e-9):
+        raise InvariantViolationError("population fractions must sum to 1")
+
+
 @dataclass(frozen=True)
 class PopulationState:
     """Sublevel population fractions of one ensemble (both are symmetric)."""
@@ -53,13 +64,8 @@ class PopulationState:
     N: float = 1.0
 
     def __post_init__(self):
-        for name in ("n44", "n43", "nh"):
-            if getattr(self, name) < -1e-12:
-                raise InvariantViolationError(f"population fraction {name} < 0")
-        if abs(self.n44 + self.n43 + self.nh - 1.0) > 1e-9:
-            raise InvariantViolationError("population fractions must sum to 1")
-        if self.N <= 0:
-            raise InvariantViolationError("atom number must be positive")
+        require_finite(n44=self.n44, n43=self.n43, nh=self.nh)
+        _check_populations(self.n44, self.n43, self.nh, self.N)
 
     @property
     def n2_frac(self) -> float:
@@ -101,6 +107,7 @@ class RateSet:
     g_in: float  # hidden -> either F=4 level
 
     def __post_init__(self):
+        require_finite(**vars(self))
         for name in ("g34", "g43", "g_out", "g_in"):
             if getattr(self, name) < 0:
                 raise InvariantViolationError(f"rate {name} must be >= 0")
@@ -118,6 +125,7 @@ class PumpConfig:
     branching: float = 0.5
 
     def __post_init__(self):
+        require_finite(rate=self.rate, branching=self.branching)
         if self.rate < 0 or not 0.0 <= self.branching <= 1.0:
             raise InvariantViolationError("invalid pump configuration")
 
@@ -158,21 +166,31 @@ class PopulationSeries:
     """Population trajectory; arrays are aligned with ``times``."""
 
     times: np.ndarray
-    states: list
-    N: float
+    n44: np.ndarray
+    n43: np.ndarray
+    nh: np.ndarray
+    N: float = 1.0
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.n44 = np.array([s.n44 for s in self.states])
-        self.n43 = np.array([s.n43 for s in self.states])
-        self.nh = np.array([s.nh for s in self.states])
+        self.times, self.n44, self.n43, self.nh = (
+            np.asarray(a, dtype=float)
+            for a in (self.times, self.n44, self.n43, self.nh))
+        if not self.times.shape == self.n44.shape == self.n43.shape \
+                == self.nh.shape:
+            raise InvariantViolationError("population series lengths differ")
+        _check_populations(self.n44, self.n43, self.nh, self.N)
         self.n2_frac = self.n44 + self.n43
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self.p2 = np.where(self.n2_frac > 0,
-                               np.abs(self.n44 - self.n43) / np.where(self.n2_frac > 0, self.n2_frac, 1.0),
-                               0.0)
         self.p2_tilde = np.abs(self.n44 - self.n43)
+        self.p2 = np.divide(self.p2_tilde, self.n2_frac,
+                            out=np.zeros_like(self.n2_frac),
+                            where=self.n2_frac > 0)
         self.jx_frac = 4.0 * self.n44 + 3.0 * self.n43
+
+    @property
+    def states(self) -> list:
+        """PopulationState at every time point, built on demand."""
+        return [PopulationState(n44=a, n43=b, nh=c, N=self.N)
+                for a, b, c in zip(self.n44, self.n43, self.nh)]
 
 
 def propagate_populations(initial: PopulationState, rates: RateSet, grid,
@@ -194,10 +212,8 @@ def propagate_populations(initial: PopulationState, rates: RateSet, grid,
         )
     sol = np.clip(sol, 0.0, None)
     sol /= sol.sum(axis=0, keepdims=True)
-    states = [PopulationState(n44=sol[0, k], n43=sol[1, k], nh=sol[2, k],
-                              N=initial.N)
-              for k in range(grid.size)]
-    return PopulationSeries(times=grid, states=states, N=initial.N)
+    return PopulationSeries(times=grid, n44=sol[0], n43=sol[1], nh=sol[2],
+                            N=initial.N)
 
 
 def polarization_slope(initial: PopulationState, rates: RateSet) -> float:
@@ -242,25 +258,27 @@ def transverse_decay(jy0: float, params: ModelParams,
     return math.exp(-0.5 * rate * t) * jy0
 
 
-def multilevel_entanglement(sigma_j: float, pop: PopulationState) -> float:
+def multilevel_entanglement(sigma_j, pop):
     """xi = (Sigma_J + 14 N_{|4,+/-3>}) / (N2 (P2 + 7)).
 
     ``sigma_j`` is the EPR spin variance in extensive spin units; the
     |4,+/-3> atoms add excess noise and the denominator renormalises to the
     shrinking two-level subsystem.
     """
-    if pop.N2 <= 0:
+    n2_atoms = pop.N * pop.n2_frac
+    if np.any(n2_atoms <= 0):
         raise DegeneratePolarizationError("two-level subsystem is empty")
     n43_atoms = pop.N * pop.n43
-    return (sigma_j + 14.0 * n43_atoms) / (pop.N2 * (pop.p2 + 7.0))
+    return (sigma_j + 14.0 * n43_atoms) / (n2_atoms * (pop.p2 + 7.0))
 
 
-def multilevel_xi(xi_gauss: float, pop: PopulationState) -> float:
+def multilevel_xi(xi_gauss, pop):
     """Multilevel witness from the normalised Gaussian witness.
 
-    Uses Sigma_J = 2 |<J_x>| xi_gauss; the atom number cancels.
+    Uses Sigma_J = 2 |<J_x>| xi_gauss; the atom number cancels.  ``pop`` is
+    a PopulationState, or a PopulationSeries aligned with ``xi_gauss``.
     """
-    sigma_j = 2.0 * pop.Jx * xi_gauss
+    sigma_j = 2.0 * (pop.N * pop.jx_frac) * xi_gauss
     return multilevel_entanglement(sigma_j, pop)
 
 

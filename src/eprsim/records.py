@@ -33,7 +33,6 @@ __all__ = [
     "LightRecord",
     "RecordBatch",
     "ModeFunctional",
-    "FeedbackConfig",
     "simulate_batch",
     "synthesize_record",
     "integrate_mode",
@@ -89,7 +88,6 @@ class RecordBatch:
     omega: float
     master_seed: int
     sx_norm: float = 1.0
-    atomic_final: np.ndarray | None = None  # (trials, 2), for diagnostics
 
     @property
     def n_trials(self) -> int:
@@ -150,22 +148,6 @@ class ModeFunctional:
         else:
             raw = raw / self.norm
         return idx, raw
-
-
-@dataclass(frozen=True)
-class FeedbackConfig:
-    """Hybrid-scheme timing and gain."""
-
-    alpha: float
-    gamma_m: float
-    T: float
-    t_probe: float
-
-    def __post_init__(self):
-        if self.t_probe <= 0:
-            raise ValueError("t_probe must be > 0")
-        if self.T < 0:
-            raise ValueError("handover time must be >= 0")
 
 
 def _trial_noise(master_seed: int, n_trials: int, nbins: int):
@@ -230,7 +212,7 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
         out[:, n, :] = s_n
         u = e1[n] * u - s2 * kappa_tau[n] * w + anoise[n] * f
     return RecordBatch(dt=dt, samples=out, omega=omega,
-                       master_seed=master_seed, atomic_final=u)
+                       master_seed=master_seed)
 
 
 def synthesize_record(trajectory, params, dt: float, seed: int,

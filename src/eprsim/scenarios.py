@@ -25,7 +25,6 @@ from .gaussian_dynamics import (
 from .light_readout import LossParams
 from .multilevel_rates import (
     PopulationState,
-    PumpConfig,
     multilevel_xi,
     propagate_populations,
     transition_rates,
@@ -38,7 +37,7 @@ from .records import (
     optimize_gain,
     simulate_batch,
 )
-from .spin_model import ModelParams, bogoliubov_amplitudes, css_state
+from .spin_model import ModelParams, bogoliubov_amplitudes
 
 __all__ = [
     "ScenarioResult",
@@ -110,20 +109,14 @@ def _sub_unity_window(times, xi):
     return float(t_enter), float(t_exit), float(t_exit - t_enter)
 
 
-def _xi_series_csv(times, xi):
+def _xi_csv(times, xi):
     lines = ["time_ms,xi"]
     lines += [f"{t:.17g},{x:.17g}" for t, x in zip(times, xi)]
     return "\n".join(lines) + "\n"
 
 
-def _forward(params, grid, pump):
-    xi_ml, jx_norm, traj, pops = forward_model(params, _INITIAL_POP, grid,
-                                               pump=pump)
-    return xi_ml, jx_norm, traj, pops
-
-
 def _run_fig2a(params, grid, seed):
-    xi_ml, _, traj, pops = _forward(params, grid, pump=False)
+    xi_ml, _, traj, pops = forward_model(params, _INITIAL_POP, grid)
     window = _sub_unity_window(grid, xi_ml)
     report = {
         "xi_min": float(xi_ml.min()),
@@ -132,25 +125,25 @@ def _run_fig2a(params, grid, seed):
     }
     arts = {
         "trajectory.csv": trajectory_to_csv(traj),
-        "xi_multilevel.csv": _xi_series_csv(grid, xi_ml),
+        "xi_multilevel.csv": _xi_csv(grid, xi_ml),
     }
     return report, arts, {"trajectory": traj, "populations": pops,
                           "xi_ml": xi_ml, "grid": grid}
 
 
 def _run_fig2b(params, grid, seed):
-    xi_on, _, traj_on, _ = _forward(params, grid, pump=False)
+    xi_on = forward_model(params, _INITIAL_POP, grid)[0]
     # Drive off: no engineered dissipation, rate model loses the drive terms.
     dark = params.replace(Gamma=0.0)
-    xi_off, _, traj_off, _ = _forward(dark, grid, pump=False)
+    xi_off = forward_model(dark, _INITIAL_POP, grid)[0]
     report = {
         "xi_min_drive_on": float(xi_on.min()),
         "xi_min_drive_off": float(xi_off.min()),
         "drive_off_entangled": bool((xi_off < 1.0).any()),
     }
     arts = {
-        "xi_drive_on.csv": _xi_series_csv(grid, xi_on),
-        "xi_drive_off.csv": _xi_series_csv(grid, xi_off),
+        "xi_drive_on.csv": _xi_csv(grid, xi_on),
+        "xi_drive_off.csv": _xi_csv(grid, xi_off),
     }
     return report, arts, {"xi_on": xi_on, "xi_off": xi_off, "grid": grid}
 
@@ -159,13 +152,10 @@ def _dark_decay(params, state0, pop0, horizon=8.0, dt=0.05):
     """Drive switched off after generation: relax under dark dephasing."""
     dark = params.replace(Gamma=0.0, Gamma_tilde=_DARK_DEPHASING)
     grid = np.arange(0.0, horizon + 0.5 * dt, dt)
-    rates = transition_rates(dark)
-    pops = propagate_populations(pop0, rates, grid)
+    pops = propagate_populations(pop0, transition_rates(dark), grid)
     noise = NoiseChannels.from_params(dark)
     traj = propagate_moments(state0, dark, noise, grid, populations=pops)
-    xi_ml = np.array([multilevel_xi(traj.xi_series[k].xi, pops.states[k])
-                      for k in range(grid.size)])
-    return grid, xi_ml
+    return grid, multilevel_xi(traj.xi, pops)
 
 
 def _deficit_efold_time(times, xi):
@@ -183,8 +173,9 @@ def _deficit_efold_time(times, xi):
 
 
 def _run_fig2c(params, grid, seed):
-    xi_pump, _, traj, pops = _forward(params, grid, pump=True)
-    xi_nopump, _, _, _ = _forward(params, grid, pump=False)
+    xi_pump, _, traj, pops = forward_model(params, _INITIAL_POP, grid,
+                                           pump=True)
+    xi_nopump = forward_model(params, _INITIAL_POP, grid)[0]
     w_pump = _sub_unity_window(grid, xi_pump)
     w_nopump = _sub_unity_window(grid, xi_nopump)
     # Inset: stop the drive at the witness minimum and watch the decay.
@@ -203,9 +194,9 @@ def _run_fig2c(params, grid, seed):
             if (xi_dark >= 1.0).any() else None),
     }
     arts = {
-        "xi_pump.csv": _xi_series_csv(grid, xi_pump),
-        "xi_no_pump.csv": _xi_series_csv(grid, xi_nopump),
-        "xi_dark_decay.csv": _xi_series_csv(t_dark, xi_dark),
+        "xi_pump.csv": _xi_csv(grid, xi_pump),
+        "xi_no_pump.csv": _xi_csv(grid, xi_nopump),
+        "xi_dark_decay.csv": _xi_csv(t_dark, xi_dark),
     }
     return report, arts, {"xi_pump": xi_pump, "xi_nopump": xi_nopump,
                           "dark": (t_dark, xi_dark), "grid": grid}

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "symplectic_check",
     "two_mode_squeezed_cov",
     "css_state",
+    "require_finite",
 ]
 
 # Symplectic form for (X_I, P_I, X_II, P_II) with [X, P] = 2i.
@@ -67,6 +69,24 @@ _JSON_REQUIRED = (
 # Calibration scale for gamma_s; the proportionality constant is not fixed by
 # the physics, so it travels with the parameter set but is optional in JSON.
 _JSON_OPTIONAL = ("gamma_s_scale",)
+
+
+def require_finite(**values) -> None:
+    """Raise InvariantViolationError unless every value is a finite real."""
+    for name, v in values.items():
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or not math.isfinite(v)):
+            raise InvariantViolationError(
+                f"{name} must be a finite number, got {v!r}")
+
+
+def _check_keys(doc: dict, required=()) -> None:
+    """Reject parameter keys ModelParams does not know (and missing ones)."""
+    known = set(_JSON_REQUIRED + _JSON_OPTIONAL)
+    for what, bad in (("unknown", set(doc) - known),
+                      ("missing", set(required) - set(doc))):
+        if bad:
+            raise ValueError(f"{what} parameter keys: {sorted(bad)}")
 
 
 def bogoliubov_amplitudes(squeeze: float) -> tuple[float, float]:
@@ -104,6 +124,7 @@ class ModelParams:
     gamma_s_scale: float = 1.0
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.d < 0:
             raise InvariantViolationError("optical depth d must be >= 0")
         for name in ("Gamma", "Gamma_col", "Gamma_tilde", "Gamma_pump",
@@ -129,9 +150,8 @@ class ModelParams:
         return (self.mu - self.nu) ** 2
 
     def replace(self, **kwargs) -> "ModelParams":
-        merged = asdict(self)
-        merged.update(kwargs)
-        return ModelParams(**merged)
+        _check_keys(kwargs)
+        return ModelParams(**{**asdict(self), **kwargs})
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -141,13 +161,7 @@ class ModelParams:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("parameter document must be a JSON object")
-        allowed = set(_JSON_REQUIRED) | set(_JSON_OPTIONAL)
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        missing = set(_JSON_REQUIRED) - set(doc)
-        if missing:
-            raise ValueError(f"missing parameter keys: {sorted(missing)}")
+        _check_keys(doc, required=_JSON_REQUIRED)
         return cls(**doc)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,3 +134,36 @@ class TestArtifacts:
         doc = json.loads((tmp_path / "fig2b_report.json").read_text())
         assert doc["report"]["drive_off_entangled"] is False
         assert doc["report"]["xi_min_drive_on"] < 1.0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["scenario", "fig2a", "--overrides", '{"Gamma_tilde": NaN}'], 4),
+    (["scenario", "fig2a", "--overrides", '{"Gamma_tilde": Infinity}'], 4),
+    (["scenario", "fig2a", "--overrides", '{"d": "x"}'], 4),
+    (["scenario", "fig2a", "--overrides", '{"foo": 1}'], 2),
+    (["scenario", "fig2a", "--overrides", "[1]"], 2),
+    (["simulate", "--pops", "nan,0,1"], 4),
+    (["simulate", "--pops", "inf,0,1"], 4),
+    (["simulate", "--grid", "0,1e9,0.001"], 2),
+    (["simulate", "--grid", "0,inf,1"], 2),
+    (["simulate", "--grid", "nan,1,0.5"], 2),
+], ids=["overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
+        "overrides-list", "pops-nan", "pops-inf", "grid-huge", "grid-inf",
+        "grid-nan"])
+def test_bad_input_exit_code(argv, code, tmp_path):
+    # a fresh interpreter per input: a hang fails the test at the timeout
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eprsim.cli", *argv, "--out",
+             str(tmp_path)], env=env, capture_output=True, text=True,
+            timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{argv} did not finish within 60 s")
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -154,5 +154,58 @@ class TestTrajectoryCsv:
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(InvariantViolationError):
-            Trajectory(times=np.array([0.0, 1.0]), states=[css_state()],
-                       xi_series=[epr_variance(css_state())])
+            Trajectory(times=np.array([0.0, 1.0]), phi=np.array([1.0]),
+                       x=np.array([0.0]), initial=css_state(),
+                       target=np.eye(4))
+
+
+class TestTimeVaryingRates:
+    @pytest.mark.parametrize("distinguishable", [False, True])
+    def test_matches_full_moment_solve(self, distinguishable):
+        # pumped populations make both p2_tilde(t) and nh(t) vary; the
+        # reference integrates moment_derivative on the full mean and
+        # covariance
+        from scipy.integrate import solve_ivp
+
+        from eprsim.multilevel_rates import (
+            PopulationState,
+            PumpConfig,
+            propagate_populations,
+            transition_rates,
+        )
+
+        params = make_params(Gamma_pump=0.168)
+        grid = np.linspace(0.0, 20.0, 21)
+        pops = propagate_populations(
+            PopulationState(n44=0.6, n43=0.2, nh=0.2),
+            transition_rates(params), grid, pump=PumpConfig(rate=0.168))
+        assert np.ptp(pops.p2_tilde) > 0.1 and np.ptp(pops.nh) > 0.03
+        noise = NoiseChannels(dephasing=0.1, pump_refill=0.5,
+                              pump_enabled=True,
+                              distinguishable=distinguishable)
+        st0 = GaussianState(mean=np.array([0.4, -0.3, 0.2, 0.5]),
+                            cov=two_mode_squeezed_cov(params.mu, params.nu))
+
+        def rhs(t, y):
+            st = GaussianState(mean=y[:4], cov=y[4:].reshape(4, 4))
+            dm, dc = moment_derivative(
+                st, params, noise,
+                p2_tilde=float(np.interp(t, pops.times, pops.p2_tilde)),
+                nh_frac=float(np.interp(t, pops.times, pops.nh)))
+            return np.concatenate([dm, dc.ravel()])
+
+        ref = solve_ivp(rhs, (grid[0], grid[-1]),
+                        np.concatenate([st0.mean, st0.cov.ravel()]),
+                        t_eval=grid, rtol=1e-11, atol=1e-13)
+        traj = propagate_moments(st0, params, noise, grid, populations=pops)
+        for k, st in enumerate(traj.states):
+            np.testing.assert_allclose(st.mean, ref.y[:4, k], atol=1e-7)
+            np.testing.assert_allclose(st.cov, ref.y[4:, k].reshape(4, 4),
+                                       atol=1e-7)
+            want = epr_variance(GaussianState(mean=ref.y[:4, k],
+                                              cov=ref.y[4:, k].reshape(4, 4)))
+            assert traj.xi[k] == pytest.approx(want.xi, abs=1e-7)
+            assert traj.var_x_minus[k] == pytest.approx(want.var_x_minus,
+                                                        abs=1e-7)
+            assert traj.var_p_plus[k] == pytest.approx(want.var_p_plus,
+                                                       abs=1e-7)

@@ -184,3 +184,21 @@ class TestCsv:
         row = lines[1].split(",")
         assert row[1] == row[2] == row[3] == ""
         assert float(row[4]) == pytest.approx(1.0)
+
+
+class TestSeriesArrays:
+    def test_vectorised_witness_matches_per_state(self):
+        s = propagate_populations(POP0, RATES, np.linspace(0.0, 30.0, 16),
+                                  pump=PumpConfig(rate=0.1))
+        xi = np.linspace(0.2, 1.5, s.times.size)
+        np.testing.assert_array_equal(
+            multilevel_xi(xi, s),
+            [multilevel_xi(x, st) for x, st in zip(xi, s.states)])
+        np.testing.assert_array_equal(s.p2, [st.p2 for st in s.states])
+
+    @pytest.mark.parametrize("n44", [np.nan, np.inf, -0.1, 0.5])
+    def test_bad_fractions_rejected(self, n44):
+        from eprsim.multilevel_rates import PopulationSeries
+        with pytest.raises(InvariantViolationError):
+            PopulationSeries(times=[0.0, 1.0], n44=[1.0, n44],
+                             n43=[0.0, 0.0], nh=[0.0, 0.0])

@@ -174,3 +174,33 @@ class TestCouplingConstants:
         g1, _ = coupling_constants(p, jx=4.0, T=1.0)
         g2, _ = coupling_constants(p.replace(Phi=2.0), jx=4.0, T=1.0)
         assert g2 == pytest.approx(2.0 * g1)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x",
+                                     None, True])
+    def test_domain_types_reject(self, bad):
+        from eprsim.gaussian_dynamics import NoiseChannels
+        from eprsim.light_readout import LossParams
+        from eprsim.multilevel_rates import PopulationState, PumpConfig, \
+            RateSet
+        builders = [
+            lambda v: make_params(Gamma_tilde=v),
+            lambda v: make_params(N=v),
+            lambda v: PopulationState(n44=v, n43=0.0, nh=0.0),
+            lambda v: PopulationState(n44=1.0, n43=0.0, nh=0.0, N=v),
+            lambda v: RateSet(g34=v, g43=0.0, g_out=0.0, g_in=0.0),
+            lambda v: PumpConfig(rate=v),
+            lambda v: PumpConfig(rate=0.1, branching=v),
+            lambda v: NoiseChannels(dephasing=v),
+            lambda v: NoiseChannels(pump_refill=v),
+            lambda v: LossParams(gamma_s=v, gamma_extra=0.0),
+            lambda v: LossParams(gamma_s=0.1, gamma_extra=0.0, eta=v),
+        ]
+        for build in builders:
+            with pytest.raises(InvariantViolationError):
+                build(bad)
+
+    def test_replace_rejects_unknown_key(self):
+        with pytest.raises(ValueError, match="unknown"):
+            make_params().replace(bogus=1.0)

@@ -93,15 +93,22 @@ def _load_params(args) -> ModelParams:
     return ModelParams.from_json(Path(args.params).read_text())
 
 
+def _check_range(start: float, stop: float, step: float, flag: str):
+    """Raise ValueError on non-finite bounds, a step <= 0 or too many points."""
+    if not (math.isfinite(start + stop + step) and step > 0):
+        raise ValueError(f"{flag} requires finite bounds and a step > 0")
+    if (stop - start) / step >= MAX_GRID_POINTS:
+        raise ValueError(f"{flag} exceeds {MAX_GRID_POINTS} points")
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(",")
     if len(parts) != 3:
         raise ValueError("--grid expects t0,t1,dt")
     t0, t1, dt = (float(p) for p in parts)
-    if not (math.isfinite(t0 + t1 + dt) and dt > 0 and t1 > t0):
-        raise ValueError("--grid requires finite t0 < t1 and dt > 0")
-    if (t1 - t0) / dt >= MAX_GRID_POINTS:
-        raise ValueError(f"--grid exceeds {MAX_GRID_POINTS} points")
+    _check_range(t0, t1, dt, "--grid")
+    if not t1 > t0:
+        raise ValueError("--grid requires t0 < t1")
     return np.arange(t0, t1 + 0.5 * dt, dt)
 
 
@@ -200,6 +207,8 @@ def _cmd_conditional(args) -> int:
                       eta=params.eta)
     mu_nu = (params.mu, params.nu)
     T, probe, dt = args.handover_ms, args.probe_ms, args.dt_ms
+    _check_range(args.gm_min, args.gm_max, args.gm_step,
+                 "--gm-min/--gm-max/--gm-step")
     duration = T + probe
     batch = simulate_batch(args.trials, duration, dt, loss, mu_nu, args.seed)
     readout_c = ModeFunctional(phase="cos", exponent_rate=loss.gamma,

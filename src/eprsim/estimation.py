@@ -205,8 +205,9 @@ def fit_parameters(problem: FitProblem) -> FitResult:
     hi = np.array([1e4 if n == "d" else 10.0 for n in problem.free])
     x0 = np.clip(x0, lo + 1e-6, hi - 1e-6)
 
-    # diff_step well above the ODE-solver tolerance keeps the forward
-    # finite differences out of the integrator's noise floor.
+    # Relative step of the forward-difference Jacobian.  The forward model
+    # is exact to rounding, so no solver noise floor forces this value; the
+    # fit's iterates, and so its results, depend on it.
     sol = least_squares(residuals, x0, bounds=(lo, hi), xtol=1e-15,
                         ftol=1e-15, gtol=1e-15, diff_step=1e-5,
                         x_scale=np.maximum(np.abs(x0), 1e-3))

@@ -27,11 +27,15 @@ With g2 = 2 gamma_c and c the CSS-restoring rate (both may vary in time),
 the solution stays in the span of C0, T = C_tms and I:
 
     C(t) = phi C0 + x T + (1 - phi - x) I,     <r>(t) = sqrt(phi) <r>(0)
-    dphi/dt = -(g2 + c) phi,                   dx/dt = -(g2 + c) x + g2
+    dphi/dt = -rate phi,    dx/dt = -rate x + g2,    rate = g2 + c
 
-so only (phi, x) are integrated.  phi, x >= 0 and phi + x <= 1 make C a
-convex mix of physical covariances, hence physical, and the witness (linear
-in C) mixes the witnesses of C0, T and I with the same weights.
+The rates are linear between population times, so over each such interval
+[a, b] the solution is exact: phi_b = phi_a e^-dR with dR = int_a^b rate, and
+x_b = x_a e^-dR + int_{e^-dR}^1 q du, with q = g2 / rate in [0, 1] taken at
+the root s(u) of the quadratic int_s^b rate = -ln u; a fixed Gauss-Legendre
+rule integrates this bounded, smooth q, however stiff the rates.  phi, x >= 0
+and phi + x <= 1 make C a convex mix of physical covariances, hence physical,
+and the witness (linear in C) mixes the witnesses of C0, T and I alike.
 """
 
 from __future__ import annotations
@@ -40,13 +44,9 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401 (perfbench/tracer.py wraps it)
 
-from .errors import (
-    DegeneratePolarizationError,
-    InvariantViolationError,
-    StiffnessError,
-)
+from .errors import DegeneratePolarizationError, InvariantViolationError
 from .spin_model import (
     GaussianState,
     ModelParams,
@@ -65,6 +65,9 @@ __all__ = [
     "propagate_moments",
     "trajectory_to_csv",
 ]
+
+# Gauss-Legendre rule on [-1, 1] for the x increment of one interval
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ class NoiseChannels:
         """
         if not self.pump_enabled:
             return 0.0
-        return self.pump_refill * max(0.0, nh_frac)
+        return self.pump_refill * np.maximum(0.0, nh_frac)
 
     @classmethod
     def from_params(cls, params: ModelParams, pump: bool = False) -> "NoiseChannels":
@@ -184,19 +187,14 @@ def moment_derivative(state: GaussianState, params: ModelParams,
     return dmean, dcov
 
 
-# Slack on phi >= 0, x >= 0, phi + x <= 1: the covariance check's atol.
-_INVARIANT_SLACK = 1e-8
-
-
 def propagate_moments(initial: GaussianState, params: ModelParams,
                       noise: NoiseChannels, grid,
                       populations=None) -> Trajectory:
-    """Integrate the moment equations over ``grid`` (ms, strictly increasing).
+    """Evolve the moments exactly over ``grid`` (ms, strictly increasing).
 
-    ``populations`` may be a PopulationSeries (or anything exposing ``times``
-    and ``p2_tilde`` arrays, optionally ``nh``); the collective rate then
-    tracks N2(t) P2(t) quasi-statically.  One RK45 solve of the two scalars
-    (phi, x) covers the whole grid; see the module docstring.
+    ``populations`` may be a PopulationSeries (or anything with ``times`` and
+    ``p2_tilde`` arrays, optionally ``nh``) whose N2(t) P2(t) throttles the
+    collective rate quasi-statically; see the module docstring.
     """
     grid = np.asarray(grid, dtype=float)
     initial.validate()
@@ -204,34 +202,36 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
         raise ValueError("grid must be a nonempty 1-D array")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must strictly increase")
-    target = dissipation_target_cov(params, noise.distinguishable)
-    if grid.size == 1:
-        return Trajectory(times=grid, phi=[1.0], x=[0.0], initial=initial,
-                          target=target, populations=populations)
-
     if populations is None:
-        pt, p2, nh = grid[[0, -1]], [1.0, 1.0], [0.0, 0.0]
+        pt, p2, nh = grid[[0, -1]], np.ones(2), np.zeros(2)
     else:
-        pt, p2 = populations.times, populations.p2_tilde
+        pt, p2 = np.asarray(populations.times, float), populations.p2_tilde
         nh = getattr(populations, "nh", np.zeros(len(pt)))
-
-    def rhs(t, y):
-        g2 = relaxation_rate(params, float(np.interp(t, pt, p2)))
-        rate = (g2 + noise.css_rate
-                + noise.pump_noise_rate(float(np.interp(t, pt, nh))))
-        return np.array([-rate * y[0], g2 - rate * y[1]])
-
-    sol = solve_ivp(rhs, (grid[0], grid[-1]), np.array([1.0, 0.0]),
-                    t_eval=grid, rtol=1e-10, atol=1e-12, method="RK45")
-    if not sol.success:
-        worst = max(relaxation_rate(params), noise.css_rate)
-        raise StiffnessError(f"moment integration failed ({sol.message}); "
-                             f"dominant rate {worst:.4g} ms^-1")
-    phi, x = sol.y
-    tol = _INVARIANT_SLACK
+    nodes = np.union1d(grid, pt[(pt > grid[0]) & (pt < grid[-1])])
+    g2 = relaxation_rate(params, np.interp(nodes, pt, p2))
+    rate = g2 + noise.css_rate + noise.pump_noise_rate(np.interp(nodes, pt, nh))
+    dR = 0.5 * np.diff(nodes) * (rate[:-1] + rate[1:])
+    inc = np.zeros_like(dR)
+    live = dR > 0  # a zero-rate interval leaves x unchanged
+    width = -np.expm1(-dR[live])
+    # v = -ln(u) / dR at the rule's nodes u = 1 - width (1 - z) / 2
+    v = -np.log1p(-0.5 * np.outer(width, 1.0 - _GL_NODES)) / dR[live, None]
+    ga, gb = g2[:-1, None][live], g2[1:, None][live]
+    ra, rb = rate[:-1, None][live], rate[1:, None][live]
+    # rate(s)^2 = v ra^2 + (1 - v) rb^2 at the root s = b - f (b - a)
+    rs = np.hypot(np.sqrt(v) * ra, np.sqrt(1.0 - v) * rb)
+    f = v * (ra + rb) / (rb + rs)
+    inc[live] = 0.5 * width * (((gb + f * (ga - gb)) / rs) @ _GL_WEIGHTS)
+    phi, x = np.ones_like(nodes), np.zeros_like(nodes)
+    for k, (e, dx) in enumerate(zip(np.exp(-dR), inc)):
+        phi[k + 1], x[k + 1] = phi[k] * e, x[k] * e + dx
+    at = np.searchsorted(nodes, grid)
+    phi, x = phi[at], x[at]
+    tol = 1e-8  # slack on the simplex: the covariance check's atol
     if not np.all((phi >= -tol) & (x >= -tol) & (phi + x <= 1.0 + tol)):
         raise InvariantViolationError(
             "moment weights left the simplex phi, x >= 0, phi + x <= 1")
+    target = dissipation_target_cov(params, noise.distinguishable)
     return Trajectory(times=grid, phi=np.clip(phi, 0.0, 1.0),
                       x=np.clip(x, 0.0, 1.0), initial=initial, target=target,
                       populations=populations)

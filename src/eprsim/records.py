@@ -22,6 +22,7 @@ Trial i of a batch uses the seed ``master_seed XOR i``.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ __all__ = [
     "generate_carrier_signal",
     "lock_in_demodulate",
 ]
+
+# Cap on trials x bins per batch: the noise tensor takes 64 bytes per
+# trial-bin, so this is 1.6 GB, enough for fig2d at 10^5 trials of 250 bins.
+MAX_TRIAL_BINS = 25_000_000
 
 
 @dataclass
@@ -174,9 +179,15 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    if not (math.isfinite(duration) and math.isfinite(dt) and duration > 0
+            and dt > 0 and math.isfinite(duration / dt)):
+        raise ValueError("duration and dt must be finite and positive")
     nbins = int(round(duration / dt))
     if nbins < 1:
         raise ValueError("duration shorter than one bin")
+    if n_trials * nbins > MAX_TRIAL_BINS:
+        raise ValueError(f"{n_trials} trials x {nbins} bins exceeds "
+                         f"{MAX_TRIAL_BINS} trial-bins")
     if dt * loss.gamma > 0.2:
         raise ValueError(
             f"dt={dt} too coarse for gamma={loss.gamma} (aliasing)"

@@ -150,9 +150,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     (["simulate", "--grid", "0,1e9,0.001"], 2),
     (["simulate", "--grid", "0,inf,1"], 2),
     (["simulate", "--grid", "nan,1,0.5"], 2),
+    (["conditional", "--handover-ms", "inf"], 2),
+    (["reconstruct", "--probe-ms", "inf", "--trials", "2"], 2),
+    (["conditional", "--trials", "100000000"], 2),
+    (["reconstruct", "--dt-ms", "1e-9", "--trials", "2"], 2),
+    (["conditional", "--gm-step", "0"], 2),
+    (["conditional", "--gm-step", "1e-12"], 2),
+    (["scenario", "fig2a", "--overrides", '{"d": 1e12}'], 0),
 ], ids=["overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
         "overrides-list", "pops-nan", "pops-inf", "grid-huge", "grid-inf",
-        "grid-nan"])
+        "grid-nan", "handover-inf", "probe-inf", "trials-huge", "dt-tiny",
+        "gm-step-zero", "gm-step-tiny", "overrides-stiff"])
 def test_bad_input_exit_code(argv, code, tmp_path):
     # a fresh interpreter per input: a hang fails the test at the timeout
     env = dict(os.environ)

@@ -209,3 +209,87 @@ class TestTimeVaryingRates:
                                                         abs=1e-7)
             assert traj.var_p_plus[k] == pytest.approx(want.var_p_plus,
                                                        abs=1e-7)
+
+
+class TestExactEngine:
+    def test_matches_per_interval_reference(self):
+        # population times off the moment grid, p2_tilde and nh both varying;
+        # the rates are linear between the union of the two sets of times, so
+        # a tight DOP853 solve of the (phi, x) ODE per interval is the
+        # reference
+        from scipy.integrate import solve_ivp
+
+        from eprsim.multilevel_rates import (
+            PopulationState,
+            PumpConfig,
+            propagate_populations,
+            transition_rates,
+        )
+
+        params = make_params(Gamma_pump=0.168)
+        pops = propagate_populations(
+            PopulationState(n44=0.6, n43=0.2, nh=0.2),
+            transition_rates(params), np.linspace(0.0, 20.0, 13),
+            pump=PumpConfig(rate=0.168))
+        assert np.ptp(pops.p2_tilde) > 0.1 and np.ptp(pops.nh) > 0.03
+        noise = NoiseChannels(dephasing=0.1, pump_refill=0.5,
+                              pump_enabled=True)
+        grid = np.linspace(0.5, 19.0, 17)
+        traj = propagate_moments(css_state(), params, noise, grid,
+                                 populations=pops)
+
+        def rhs(t, y):
+            g2 = relaxation_rate(
+                params, np.interp(t, pops.times, pops.p2_tilde))
+            rate = g2 + noise.css_rate + noise.pump_noise_rate(
+                np.interp(t, pops.times, pops.nh))
+            return [-rate * y[0], g2 - rate * y[1]]
+
+        inner = pops.times[(pops.times > grid[0]) & (pops.times < grid[-1])]
+        nodes = np.union1d(grid, inner)
+        ref = [np.array([1.0, 0.0])]
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            ref.append(solve_ivp(rhs, (a, b), ref[-1], method="DOP853",
+                                 rtol=1e-13, atol=1e-15).y[:, -1])
+        ref = np.array(ref)[np.isin(nodes, grid)]
+        np.testing.assert_allclose(traj.phi, ref[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.x, ref[:, 1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [55.0, 1e12], ids=["fixture", "stiff"])
+    def test_constant_rates_closed_form(self, d):
+        params = make_params(d=d)
+        noise = NoiseChannels(dephasing=0.193)
+        grid = np.linspace(0.0, 40.0, 81)
+        traj = propagate_moments(css_state(), params, noise, grid)
+        g2 = relaxation_rate(params)
+        rate = g2 + noise.css_rate
+        np.testing.assert_allclose(traj.phi, np.exp(-rate * grid),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(traj.x, -g2 / rate * np.expm1(-rate * grid),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_rate_leaves_weights_fixed(self):
+        traj = propagate_moments(css_state(), make_params(Gamma=0.0),
+                                 NoiseChannels(), np.linspace(0.0, 30.0, 31))
+        assert np.all(traj.phi == 1.0) and np.all(traj.x == 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rate_vanishing_at_nodes(self):
+        # p2_tilde stays 0, rises and falls back to 0; with no CSS-restoring
+        # rate q = 1, so x = 1 - phi and phi = exp(-int rate) exactly
+        params = make_params()
+        grid = np.linspace(0.0, 20.0, 21)
+
+        class Series:
+            times = np.array([0.0, 5.0, 10.0, 20.0])
+            p2_tilde = np.array([0.0, 0.0, 1.0, 0.0])
+
+        traj = propagate_moments(css_state(), params, NoiseChannels(), grid,
+                                 populations=Series())
+        rate = relaxation_rate(params, np.interp(grid, Series.times,
+                                                 Series.p2_tilde))
+        decay = np.exp(-0.5 * np.diff(grid) * (rate[:-1] + rate[1:]))
+        phi = np.concatenate([[1.0], np.cumprod(decay)])
+        np.testing.assert_allclose(traj.phi, phi, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(traj.x, 1.0 - phi, rtol=0, atol=1e-13)

@@ -16,8 +16,7 @@ from .gaussian_dynamics import NoiseChannels, Trajectory, propagate_moments
 from .multilevel_rates import PopulationState, RateSet, propagate_populations
 from .light_readout import LossParams, apply_io, apply_io_lossy, \
     reconstruct_atomic_variance
-from .records import LightRecord, ModeFunctional, synthesize_record, \
-    integrate_mode, conditional_variance, optimize_gain
+from .records import ModeFunctional, conditional_variance, optimize_gain
 from .estimation import FitProblem, fit_parameters, calibrate_pn, orientation
 from .scenarios import run_scenario, scenario_params
 
@@ -26,8 +25,7 @@ __all__ = [
     "epr_variance", "css_state", "NoiseChannels", "Trajectory",
     "propagate_moments", "PopulationState", "RateSet",
     "propagate_populations", "LossParams", "apply_io", "apply_io_lossy",
-    "reconstruct_atomic_variance", "LightRecord", "ModeFunctional",
-    "synthesize_record", "integrate_mode", "conditional_variance",
+    "reconstruct_atomic_variance", "ModeFunctional", "conditional_variance",
     "optimize_gain", "FitProblem", "fit_parameters", "calibrate_pn",
     "orientation", "run_scenario", "scenario_params",
 ]

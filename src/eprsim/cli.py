@@ -42,7 +42,9 @@ from .light_readout import (
     LossParams,
     apply_detection_loss,
     apply_io_lossy,
-    reconstruct_atomic_variance,
+    closed_form_calibration,
+    invert_readout,
+    readout_kappa_sq,
 )
 from .multilevel_rates import (
     PopulationState,
@@ -51,15 +53,13 @@ from .multilevel_rates import (
     propagate_populations,
     transition_rates,
 )
-from .records import (
-    ModeFunctional,
-    integrate_mode_batch,
-    optimize_gain,
-    reconstruct_conditional_xi,
-    conditional_variance,
-    simulate_batch,
+from .records import hybrid_readout, simulate_batch
+from .scenarios import (
+    SCENARIO_NAMES,
+    inclusive_range,
+    run_scenario,
+    scenario_params,
 )
-from .scenarios import SCENARIO_NAMES, run_scenario, scenario_params
 from .spin_model import ModelParams
 
 ARTIFACT_VERSION = 1
@@ -93,12 +93,14 @@ def _load_params(args) -> ModelParams:
     return ModelParams.from_json(Path(args.params).read_text())
 
 
-def _check_range(start: float, stop: float, step: float, flag: str):
-    """Raise ValueError on non-finite bounds, a step <= 0 or too many points."""
+def _range(start: float, stop: float, step: float, flag: str) -> np.ndarray:
+    """inclusive_range after rejecting non-finite bounds, a step <= 0 or too
+    many points (ValueError)."""
     if not (math.isfinite(start + stop + step) and step > 0):
         raise ValueError(f"{flag} requires finite bounds and a step > 0")
     if (stop - start) / step >= MAX_GRID_POINTS:
         raise ValueError(f"{flag} exceeds {MAX_GRID_POINTS} points")
+    return inclusive_range(start, stop, step)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -106,10 +108,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError("--grid expects t0,t1,dt")
     t0, t1, dt = (float(p) for p in parts)
-    _check_range(t0, t1, dt, "--grid")
+    grid = _range(t0, t1, dt, "--grid")
     if not t1 > t0:
         raise ValueError("--grid requires t0 < t1")
-    return np.arange(t0, t1 + 0.5 * dt, dt)
+    return grid
 
 
 def _emit(args, name: str, text: str):
@@ -170,33 +172,19 @@ def _cmd_reconstruct(args) -> int:
                       eta=params.eta)
     mu_nu = (params.mu, params.nu)
     T = args.probe_ms
-    report = {}
+    kappa_sq = readout_kappa_sq(loss, mu_nu, T)
+    slope, floor = closed_form_calibration(kappa_sq, mu_nu, params.eta)
+    report = {"kappa_sq": kappa_sq}
     for label, v in (("css", 1.0), ("steady", params.squeeze_sq)):
         snap = apply_io_lossy((v, v), 1.0, loss, mu_nu, T)
-        y = tuple(apply_detection_loss(yv, params.eta) for yv in snap.y_out)
-        rec = [reconstruct_atomic_variance(yv, snap.kappa_sq, mu_nu,
-                                           eta=params.eta) for yv in y]
-        report[f"xi_{label}"] = 0.5 * (rec[0].value + rec[1].value)
+        y = [apply_detection_loss(yv, params.eta) for yv in snap.y_out]
+        report[f"xi_{label}"] = invert_readout(y, slope, floor)
         report[f"xi_{label}_true"] = v
-    report["kappa_sq"] = apply_io_lossy((1.0, 1.0), 1.0, loss, mu_nu,
-                                        T).kappa_sq
-    if args.trials > 1:
-        duration = T
-        dt = args.dt_ms
-        mode_c = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
-                                direction="falling", window=(0.0, duration))
-        mode_s = ModeFunctional(phase="sin", exponent_rate=loss.gamma,
-                                direction="falling", window=(0.0, duration))
-        for label, v in (("css", 1.0), ("steady", params.squeeze_sq)):
-            batch = simulate_batch(args.trials, duration, dt, loss, mu_nu,
+        if args.trials > 1:
+            batch = simulate_batch(args.trials, T, args.dt_ms, loss, mu_nu,
                                    args.seed, initial_var=(v, v))
-            vc = float(np.var(integrate_mode_batch(batch, mode_c), ddof=1))
-            vs = float(np.var(integrate_mode_batch(batch, mode_s), ddof=1))
-            rc = reconstruct_atomic_variance(vc, report["kappa_sq"], mu_nu,
-                                             eta=params.eta)
-            rs = reconstruct_atomic_variance(vs, report["kappa_sq"], mu_nu,
-                                             eta=params.eta)
-            report[f"xi_{label}_mc"] = 0.5 * (rc.value + rs.value)
+            var = hybrid_readout(batch, (0.0, T), loss.gamma).unconditional
+            report[f"xi_{label}_mc"] = invert_readout(var, slope, floor)
     _emit_report(args, "reconstruct", report, params, args.seed)
     return 0
 
@@ -206,32 +194,21 @@ def _cmd_conditional(args) -> int:
     loss = LossParams(gamma_s=args.gamma_s, gamma_extra=args.gamma_extra,
                       eta=params.eta)
     mu_nu = (params.mu, params.nu)
-    T, probe, dt = args.handover_ms, args.probe_ms, args.dt_ms
-    _check_range(args.gm_min, args.gm_max, args.gm_step,
-                 "--gm-min/--gm-max/--gm-step")
-    duration = T + probe
-    batch = simulate_batch(args.trials, duration, dt, loss, mu_nu, args.seed)
-    readout_c = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
-                               direction="falling", window=(T, duration))
-    readout_s = ModeFunctional(phase="sin", exponent_rate=loss.gamma,
-                               direction="falling", window=(T, duration))
-    grid = np.arange(args.gm_min, args.gm_max + 1e-12, args.gm_step)
-    alpha, gamma_m, cv_cos = optimize_gain(batch, readout_c, grid)
-    feed_s = ModeFunctional(phase="sin", exponent_rate=gamma_m,
-                            direction="rising", window=(0.0, T))
-    cv_sin = conditional_variance(batch, readout_s, feed_s, alpha)
-    s = params.mu - params.nu
-    kappa_sq = ((1.0 - loss.epsilon_sq)
-                * -math.expm1(-2.0 * loss.gamma * probe) / s**2)
-    xi_cond = reconstruct_conditional_xi(cv_cos, cv_sin, kappa_sq, mu_nu,
-                                         eta=loss.eta)
+    T, probe = args.handover_ms, args.probe_ms
+    grid = _range(args.gm_min, args.gm_max, args.gm_step,
+                  "--gm-min/--gm-max/--gm-step")
+    batch = simulate_batch(args.trials, T + probe, args.dt_ms, loss, mu_nu,
+                           args.seed)
+    r = hybrid_readout(batch, (T, T + probe), loss.gamma, grid)
+    kappa_sq = readout_kappa_sq(loss, mu_nu, probe)
+    slope, floor = closed_form_calibration(kappa_sq, mu_nu, loss.eta)
     report = {
-        "alpha_star": alpha,
-        "gamma_m_star": gamma_m,
-        "conditional_var_cos": cv_cos,
-        "conditional_var_sin": cv_sin,
+        "alpha_star": r.alpha_star,
+        "gamma_m_star": r.gamma_m_star,
+        "conditional_var_cos": r.conditional[0],
+        "conditional_var_sin": r.conditional[1],
         "kappa_sq": kappa_sq,
-        "xi_conditional": xi_cond,
+        "xi_conditional": invert_readout(r.conditional, slope, floor),
     }
     _emit_report(args, "conditional", report, params, args.seed)
     return 0

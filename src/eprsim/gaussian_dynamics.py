@@ -40,13 +40,13 @@ and the witness (linear in C) mixes the witnesses of C0, T and I alike.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401 (perfbench/tracer.py wraps it)
 
-from .errors import DegeneratePolarizationError, InvariantViolationError
+from .errors import InvariantViolationError
+from .multilevel_rates import series_to_csv
 from .spin_model import (
     GaussianState,
     ModelParams,
@@ -237,22 +237,7 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
                       populations=populations)
 
 
-def trajectory_to_csv(traj: Trajectory, stream=None) -> str:
+def trajectory_to_csv(traj: Trajectory) -> str:
     """Serialize a trajectory to CSV (shared schema with population series)."""
-    own = stream is None
-    out = io.StringIO() if own else stream
-    out.write("time_ms,var_x_minus,var_p_plus,xi,Jx_norm,N2,P2\n")
-    cols = [traj.times, traj.var_x_minus, traj.var_p_plus, traj.xi]
-    pops = traj.populations
-    if pops is not None:
-        jx0 = pops.jx_frac[0]
-        if jx0 <= 0.0:
-            raise DegeneratePolarizationError(
-                "initial mean spin vanishes; Jx_norm is undefined")
-        jx, n2, p2 = (np.interp(traj.times, pops.times, v)
-                      for v in (pops.jx_frac, pops.n2_frac, pops.p2))
-        cols += [jx / jx0, n2, p2]
-    tail = "\n" if pops is not None else ",1,,\n"
-    for row in zip(*cols):
-        out.write(",".join(f"{v:.17g}" for v in row) + tail)
-    return out.getvalue() if own else ""
+    return series_to_csv(traj.times, (traj.var_x_minus, traj.var_p_plus,
+                                      traj.xi), traj.populations)

@@ -38,6 +38,9 @@ __all__ = [
     "apply_io",
     "apply_io_lossy",
     "apply_detection_loss",
+    "readout_kappa_sq",
+    "closed_form_calibration",
+    "invert_readout",
     "reconstruct_atomic_variance",
 ]
 
@@ -145,7 +148,7 @@ def apply_io_lossy(atomic_in, y_in_var: float, loss: LossParams,
     s2 = (mu - nu) ** 2
     eps_sq = loss.epsilon_sq
     decay_sq = math.exp(-2.0 * loss.gamma * T)
-    kappa_sq = (1.0 - eps_sq) * (1.0 - decay_sq) / s2
+    kappa_sq = readout_kappa_sq(loss, mu_nu, T)
     atomic_out, y_out = _io_variances(tuple(atomic_in), y_in_var,
                                       decay_sq, kappa_sq, s2, eps_sq)
     return IoSnapshot(atomic_in=tuple(atomic_in), atomic_out=atomic_out,
@@ -159,22 +162,48 @@ def apply_detection_loss(y_var: float, eta: float) -> float:
     return eta * y_var + (1.0 - eta)
 
 
-def reconstruct_atomic_variance(y_out_var: float, kappa_sq: float,
-                                mu_nu: tuple, sigma_in_sq: float = 1.0,
-                                eta: float = 1.0) -> ReconstructedVariance:
-    """Invert detection loss and the IO map to recover the atomic variance.
+def readout_kappa_sq(loss: LossParams, mu_nu: tuple, T: float) -> float:
+    """kappa^2 = (1 - epsilon^2)(1 - exp(-2 gamma T)) / (mu - nu)^2."""
+    mu, nu = mu_nu
+    return ((1.0 - loss.epsilon_sq) * -math.expm1(-2.0 * loss.gamma * T)
+            / (mu - nu) ** 2)
 
-    var_atomic = (var(y) - sigma_in^2 (1 - kappa^2 (mu-nu)^2)) / kappa^2
-    after undoing the eta beam splitter.  Statistically negative results are
-    reported with ``below_floor=True`` -- clamping would bias the witness
-    toward entanglement.
+
+def closed_form_calibration(kappa_sq: float, mu_nu: tuple,
+                            eta: float) -> tuple:
+    """(slope, floor) of var(y) = slope * var_atomic + floor in closed form.
+
+    The IO map with vacuum input gives var(y) = kappa^2 var_atomic + 1 -
+    kappa^2 (mu-nu)^2, and the eta beam splitter scales that by eta and
+    adds 1 - eta.
     """
     if kappa_sq <= 0:
         raise NoInformationError("kappa^2 = 0 carries no atomic information")
     if eta <= 0 or eta > 1:
         raise ValueError("eta must lie in (0, 1]")
     mu, nu = mu_nu
-    s2 = (mu - nu) ** 2
-    y_corr = (y_out_var - (1.0 - eta) * sigma_in_sq) / eta
-    value = (y_corr - sigma_in_sq * (1.0 - kappa_sq * s2)) / kappa_sq
+    floor = eta * (1.0 - kappa_sq * (mu - nu) ** 2) + 1.0 - eta
+    return eta * kappa_sq, floor
+
+
+def invert_readout(variances, slope: float, floor: float) -> float:
+    """Mean over ``variances`` of the affine inverse (v - floor) / slope.
+
+    For the (cos, sin) pair of readout variances this is the EPR witness xi
+    of the atomic state at the start of the readout window.
+    """
+    return sum((v - floor) / slope for v in variances) / len(variances)
+
+
+def reconstruct_atomic_variance(y_out_var: float, kappa_sq: float,
+                                mu_nu: tuple,
+                                eta: float = 1.0) -> ReconstructedVariance:
+    """Invert detection loss and the IO map to recover the atomic variance.
+
+    var_atomic = (var(y) - floor) / slope with the closed-form constants.
+    Statistically negative results are reported with ``below_floor=True``
+    -- clamping would bias the witness toward entanglement.
+    """
+    slope, floor = closed_form_calibration(kappa_sq, mu_nu, eta)
+    value = invert_readout((y_out_var,), slope, floor)
     return ReconstructedVariance(value=value, below_floor=bool(value < 0.0))

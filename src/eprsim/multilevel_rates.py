@@ -15,7 +15,6 @@ with P2_tilde = P2 N2 / N.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -39,6 +38,8 @@ __all__ = [
     "transverse_decay",
     "multilevel_entanglement",
     "multilevel_xi",
+    "columns_to_csv",
+    "series_to_csv",
     "populations_to_csv",
 ]
 
@@ -282,13 +283,38 @@ def multilevel_xi(xi_gauss, pop):
     return multilevel_entanglement(sigma_j, pop)
 
 
-def populations_to_csv(series: PopulationSeries, stream=None) -> str:
-    """CSV export sharing the trajectory schema (N2, P2 columns)."""
-    own = stream is None
-    out = io.StringIO() if own else stream
-    out.write("time_ms,var_x_minus,var_p_plus,xi,Jx_norm,N2,P2\n")
-    jx0 = series.jx_frac[0] if series.jx_frac[0] > 0 else 1.0
-    for k, t in enumerate(series.times):
-        out.write(f"{t:.17g},,,,{series.jx_frac[k] / jx0:.17g},"
-                  f"{series.n2_frac[k]:.17g},{series.p2[k]:.17g}\n")
-    return out.getvalue() if own else ""
+def columns_to_csv(header, columns) -> str:
+    """CSV with one row per index and every value written as %.17g; a column
+    given as None is left empty."""
+    n = len(next(c for c in columns if c is not None))
+    cells = [[""] * n if c is None else [f"{v:.17g}" for v in c]
+             for c in columns]
+    rows = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    return "\n".join(rows) + "\n"
+
+
+def series_to_csv(times, witness=None, pops: PopulationSeries | None = None
+                  ) -> str:
+    """Shared time-series schema of trajectories and population series.
+
+    ``witness`` holds the (var_x_minus, var_p_plus, xi) columns; ``pops`` is
+    interpolated onto ``times``.  Jx_norm is <J_x> over its initial value
+    (1 without populations), which must be positive.
+    """
+    cols = [times, *(witness or (None, None, None)), np.ones(len(times)),
+            None, None]
+    if pops is not None:
+        jx0 = pops.jx_frac[0]
+        if jx0 <= 0.0:
+            raise DegeneratePolarizationError(
+                "initial mean spin vanishes; Jx_norm is undefined")
+        jx, n2, p2 = (np.interp(times, pops.times, v)
+                      for v in (pops.jx_frac, pops.n2_frac, pops.p2))
+        cols[4:] = [jx / jx0, n2, p2]
+    return columns_to_csv(("time_ms", "var_x_minus", "var_p_plus", "xi",
+                           "Jx_norm", "N2", "P2"), cols)
+
+
+def populations_to_csv(series: PopulationSeries) -> str:
+    """CSV export in the trajectory schema, witness columns empty."""
+    return series_to_csv(series.times, pops=series)

@@ -22,19 +22,18 @@ from .gaussian_dynamics import (
     propagate_moments,
     trajectory_to_csv,
 )
-from .light_readout import LossParams
+from .light_readout import LossParams, invert_readout
 from .multilevel_rates import (
     PopulationState,
+    columns_to_csv,
     multilevel_xi,
     propagate_populations,
     transition_rates,
 )
 from .records import (
     ModeFunctional,
-    conditional_variance,
     discrete_calibration,
-    integrate_mode_batch,
-    optimize_gain,
+    hybrid_readout,
     simulate_batch,
 )
 from .spin_model import ModelParams, bogoliubov_amplitudes
@@ -43,10 +42,22 @@ __all__ = [
     "ScenarioResult",
     "scenario_params",
     "run_scenario",
+    "inclusive_range",
     "SCENARIO_NAMES",
 ]
 
 SCENARIO_NAMES = ("fig2a", "fig2b", "fig2c", "fig2d")
+
+
+def inclusive_range(start: float, stop: float, step: float) -> np.ndarray:
+    """The points of ``np.arange(start, ..., step)`` up to ``stop`` included.
+
+    A point counts as within ``stop`` if it exceeds it by less than 1e-9 of
+    a step (the rounding of the arange arithmetic); no point lies further.
+    """
+    grid = np.arange(start, stop + 0.5 * step, step)
+    return grid[grid <= stop + 1e-9 * step]
+
 
 _MU, _NU = bogoliubov_amplitudes(0.4)  # (mu - nu)^2 = 0.16
 
@@ -90,7 +101,6 @@ class ScenarioResult:
     params: ModelParams
     report: dict
     artifacts: dict = field(default_factory=dict)
-    objects: dict = field(default_factory=dict)
 
 
 def _sub_unity_window(times, xi):
@@ -110,13 +120,11 @@ def _sub_unity_window(times, xi):
 
 
 def _xi_csv(times, xi):
-    lines = ["time_ms,xi"]
-    lines += [f"{t:.17g},{x:.17g}" for t, x in zip(times, xi)]
-    return "\n".join(lines) + "\n"
+    return columns_to_csv(("time_ms", "xi"), (times, xi))
 
 
-def _run_fig2a(params, grid, seed):
-    xi_ml, _, traj, pops = forward_model(params, _INITIAL_POP, grid)
+def _run_fig2a(params, grid):
+    xi_ml, _, traj, _ = forward_model(params, _INITIAL_POP, grid)
     window = _sub_unity_window(grid, xi_ml)
     report = {
         "xi_min": float(xi_ml.min()),
@@ -127,11 +135,10 @@ def _run_fig2a(params, grid, seed):
         "trajectory.csv": trajectory_to_csv(traj),
         "xi_multilevel.csv": _xi_csv(grid, xi_ml),
     }
-    return report, arts, {"trajectory": traj, "populations": pops,
-                          "xi_ml": xi_ml, "grid": grid}
+    return report, arts
 
 
-def _run_fig2b(params, grid, seed):
+def _run_fig2b(params, grid):
     xi_on = forward_model(params, _INITIAL_POP, grid)[0]
     # Drive off: no engineered dissipation, rate model loses the drive terms.
     dark = params.replace(Gamma=0.0)
@@ -145,13 +152,13 @@ def _run_fig2b(params, grid, seed):
         "xi_drive_on.csv": _xi_csv(grid, xi_on),
         "xi_drive_off.csv": _xi_csv(grid, xi_off),
     }
-    return report, arts, {"xi_on": xi_on, "xi_off": xi_off, "grid": grid}
+    return report, arts
 
 
 def _dark_decay(params, state0, pop0, horizon=8.0, dt=0.05):
     """Drive switched off after generation: relax under dark dephasing."""
     dark = params.replace(Gamma=0.0, Gamma_tilde=_DARK_DEPHASING)
-    grid = np.arange(0.0, horizon + 0.5 * dt, dt)
+    grid = inclusive_range(0.0, horizon, dt)
     pops = propagate_populations(pop0, transition_rates(dark), grid)
     noise = NoiseChannels.from_params(dark)
     traj = propagate_moments(state0, dark, noise, grid, populations=pops)
@@ -172,7 +179,7 @@ def _deficit_efold_time(times, xi):
                            [times[k], times[k - 1]]))
 
 
-def _run_fig2c(params, grid, seed):
+def _run_fig2c(params, grid):
     xi_pump, _, traj, pops = forward_model(params, _INITIAL_POP, grid,
                                            pump=True)
     xi_nopump = forward_model(params, _INITIAL_POP, grid)[0]
@@ -198,8 +205,7 @@ def _run_fig2c(params, grid, seed):
         "xi_no_pump.csv": _xi_csv(grid, xi_nopump),
         "xi_dark_decay.csv": _xi_csv(t_dark, xi_dark),
     }
-    return report, arts, {"xi_pump": xi_pump, "xi_nopump": xi_nopump,
-                          "dark": (t_dark, xi_dark), "grid": grid}
+    return report, arts
 
 
 # Hybrid-scheme fixture values.  gamma = 0.27 ms^-1 is the published total
@@ -208,62 +214,42 @@ _F2D_LOSS = LossParams(gamma_s=0.19, gamma_extra=0.08, eta=0.84)
 _F2D_T = 20.0  # handover time, ms (>= 5/gamma for steady state)
 _F2D_TPROBE = 5.0  # verification window, ms
 _F2D_DT = 0.1  # bin width, ms
-_F2D_GRID = np.arange(0.10, 1.501, 0.05)  # gamma_m scan, ms^-1
+_F2D_GRID = inclusive_range(0.10, 1.5, 0.05)  # gamma_m scan, ms^-1
 
 
-def _run_fig2d(params, grid, seed, trials=2000):
+def _run_fig2d(params, seed, trials):
     loss = _F2D_LOSS
-    s = params.mu - params.nu
-    duration = _F2D_T + _F2D_TPROBE
-    readout = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
-                             direction="falling",
-                             window=(_F2D_T, duration))
-    readout_sin = ModeFunctional(phase="sin", exponent_rate=loss.gamma,
-                                 direction="falling",
-                                 window=(_F2D_T, duration))
+    mu_nu = (params.mu, params.nu)
+    window = (_F2D_T, _F2D_T + _F2D_TPROBE)
     # Exact affine calibration of the readout-mode variance against the
     # atomic variance at handover (probe window referred to its own start);
     # both branches and both statistics go through this same inverse.
     probe_mode = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
                                 direction="falling",
                                 window=(0.0, _F2D_TPROBE))
-    slope, floor = discrete_calibration(loss, (params.mu, params.nu),
-                                        _F2D_DT, _F2D_TPROBE, probe_mode)
+    slope, floor = discrete_calibration(loss, mu_nu, _F2D_DT, _F2D_TPROBE,
+                                        probe_mode)
 
-    initial_states = {"css": (1.0, 1.0), "anti_squeezed": (4.0, 4.0)}
+    initial_var = {"css": 1.0, "anti_squeezed": 4.0}
     # Common random numbers across the two branches: the batches share every
     # noise stream and differ only in the initial atomic draw, so the
     # branch-to-branch difference isolates the initial-state dependence.
-    report, objects = {}, {}
-    for label, (vx, vp) in initial_states.items():
-        batch = simulate_batch(trials, duration, _F2D_DT, loss,
-                               (params.mu, params.nu), seed,
-                               initial_var=(vx, vp), omega=params.Omega)
-        alpha, gamma_m, min_var_cos = optimize_gain(batch, readout,
-                                                    _F2D_GRID)
-        feed_sin = ModeFunctional(phase="sin", exponent_rate=gamma_m,
-                                  direction="rising", window=(0.0, _F2D_T))
-        cv_sin = conditional_variance(batch, readout_sin, feed_sin, alpha)
-        y_cos = integrate_mode_batch(batch, readout)
-        y_sin = integrate_mode_batch(batch, readout_sin)
-        var_cos = float(np.var(y_cos, ddof=1))
-        var_sin = float(np.var(y_sin, ddof=1))
-        invert = lambda v: (v - floor) / slope
-        xi_uncond = 0.5 * (invert(var_cos) + invert(var_sin))
-        xi_cond = 0.5 * (invert(min_var_cos) + invert(cv_sin))
+    report = {}
+    for label, v in initial_var.items():
+        r = hybrid_readout(simulate_batch(trials, window[1], _F2D_DT, loss,
+                                          mu_nu, seed, initial_var=(v, v)),
+                           window, loss.gamma, _F2D_GRID)
         # standard error of a variance estimate, pushed through the
         # (linear) inversion
-        se_var = 0.5 * math.hypot(min_var_cos, cv_sin) * math.sqrt(
+        se_var = 0.5 * math.hypot(*r.conditional) * math.sqrt(
             2.0 / (trials - 1))
-        se_xi = se_var / slope
         report[label] = {
-            "alpha_star": alpha,
-            "gamma_m_star": gamma_m,
-            "xi_unconditional": xi_uncond,
-            "xi_conditional": xi_cond,
-            "xi_conditional_se": se_xi,
+            "alpha_star": r.alpha_star,
+            "gamma_m_star": r.gamma_m_star,
+            "xi_unconditional": invert_readout(r.unconditional, slope, floor),
+            "xi_conditional": invert_readout(r.conditional, slope, floor),
+            "xi_conditional_se": se_var / slope,
         }
-        objects[label] = batch
     report["gamma_total"] = loss.gamma
     report["calibration_slope"] = slope
     report["calibration_floor"] = floor
@@ -275,7 +261,7 @@ def _run_fig2d(params, grid, seed, trials=2000):
     report["initial_state_gap_se"] = se
     lines = ["initial_state,alpha_star,gamma_m_star,xi_unconditional,"
              "xi_conditional,xi_conditional_se"]
-    for label in initial_states:
+    for label in initial_var:
         r = report[label]
         lines.append(",".join([
             label,
@@ -284,7 +270,7 @@ def _run_fig2d(params, grid, seed, trials=2000):
                                        "xi_conditional_se")),
         ]))
     arts = {"hybrid_summary.csv": "\n".join(lines) + "\n"}
-    return report, arts, objects
+    return report, arts
 
 
 def run_scenario(name: str, overrides: dict | None = None, seed: int = 0,
@@ -297,18 +283,12 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0,
     if overrides:
         params = params.replace(**overrides)
     if grid is None:
-        grid = np.arange(0.0, 45.0 + 1e-9, 0.25)
+        grid = inclusive_range(0.0, 45.0, 0.25)
+    grid = np.asarray(grid, dtype=float)
+    if name == "fig2d":  # record Monte Carlo: no time grid
+        report, arts = _run_fig2d(params, seed, trials)
     else:
-        grid = np.asarray(grid, dtype=float)
-
-    if name == "fig2a":
-        report, arts, objects = _run_fig2a(params, grid, seed)
-    elif name == "fig2b":
-        report, arts, objects = _run_fig2b(params, grid, seed)
-    elif name == "fig2c":
-        report, arts, objects = _run_fig2c(params, grid, seed)
-    else:
-        report, arts, objects = _run_fig2d(params, grid, seed,
-                                           trials=trials)
+        run = {"fig2a": _run_fig2a, "fig2b": _run_fig2b, "fig2c": _run_fig2c}
+        report, arts = run[name](params, grid)
     return ScenarioResult(name=name, params=params, report=report,
-                          artifacts=arts, objects=objects)
+                          artifacts=arts)

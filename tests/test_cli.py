@@ -6,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from eprsim.cli import main
+from eprsim import scenarios
+from eprsim.cli import _parse_grid, main
 from eprsim.estimation import forward_model
 from eprsim.multilevel_rates import PopulationState
-from eprsim.scenarios import scenario_params
+from eprsim.scenarios import inclusive_range, scenario_params
 
 
 def run(argv):
@@ -64,6 +67,14 @@ class TestDeterminism:
         assert (a / "reconstruct.json").read_bytes() == \
             (b / "reconstruct.json").read_bytes()
 
+    def test_conditional_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["conditional", "--trials", "200", "--seed", "7"]
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
+        assert (a / "conditional.csv").read_bytes() == \
+            (b / "conditional.csv").read_bytes()
+
     def test_seed_changes_mc_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(["reconstruct", "--trials", "200", "--seed", "1",
@@ -72,6 +83,39 @@ class TestDeterminism:
              "--out", str(b)])
         assert (a / "reconstruct.csv").read_text() != \
             (b / "reconstruct.csv").read_text()
+
+
+class TestInclusiveRange:
+    def test_grid_stops_at_t1(self, tmp_path):
+        assert run(["simulate", "--grid", "0,1,0.6",
+                    "--out", str(tmp_path)]) == 0
+        rows = [ln for ln in
+                (tmp_path / "trajectory.csv").read_text().splitlines()
+                if not ln.startswith(("#", "time_ms"))]
+        assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.6]
+
+    def test_default_grids_unchanged(self):
+        # the np.arange padding each site used before, bit for bit
+        np.testing.assert_array_equal(_parse_grid("0,45,0.25"),
+                                      np.arange(0.0, 45.125, 0.25))
+        assert _parse_grid("0,45,0.25").size == 181
+        np.testing.assert_array_equal(inclusive_range(0.0, 45.0, 0.25),
+                                      np.arange(0.0, 45.0 + 1e-9, 0.25))
+        gm = inclusive_range(0.1, 1.5, 0.01)
+        np.testing.assert_array_equal(gm, np.arange(0.1, 1.5 + 1e-12, 0.01))
+        assert gm.size == 141
+        f2d = scenarios._F2D_GRID
+        np.testing.assert_array_equal(f2d, np.arange(0.10, 1.501, 0.05))
+        assert f2d.size == 29 and f2d[-1] == 1.5000000000000004
+        np.testing.assert_array_equal(inclusive_range(0.0, 8.0, 0.05),
+                                      np.arange(0.0, 8.025, 0.05))
+
+    def test_never_past_stop(self):
+        for start, stop, step in ((0.0, 1.0, 0.6), (0.0, 1.0, 0.3),
+                                  (0.1, 1.5, 0.05), (-2.0, 3.0, 0.7)):
+            grid = inclusive_range(start, stop, step)
+            assert grid[-1] <= stop + 1e-9 * step
+            assert grid[-1] + step > stop
 
 
 class TestArtifacts:
@@ -157,10 +201,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     (["conditional", "--gm-step", "0"], 2),
     (["conditional", "--gm-step", "1e-12"], 2),
     (["scenario", "fig2a", "--overrides", '{"d": 1e12}'], 0),
+    (["conditional", "--gm-step", "0.0001"], 2),
+    (["reconstruct", "--trials", "2", "--dt-ms", "1e-4"], 2),
+    (["populations", "--pops", "0,0,1"], 4),
 ], ids=["overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
         "overrides-list", "pops-nan", "pops-inf", "grid-huge", "grid-inf",
         "grid-nan", "handover-inf", "probe-inf", "trials-huge", "dt-tiny",
-        "gm-step-zero", "gm-step-tiny", "overrides-stiff"])
+        "gm-step-zero", "gm-step-tiny", "overrides-stiff", "gm-scan-huge",
+        "bins-huge", "populations-degenerate"])
 def test_bad_input_exit_code(argv, code, tmp_path):
     # a fresh interpreter per input: a hang fails the test at the timeout
     env = dict(os.environ)
@@ -175,3 +223,39 @@ def test_bad_input_exit_code(argv, code, tmp_path):
         pytest.fail(f"{argv} did not finish within 60 s")
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "-1e300",
+                            "1e300", "1e-300"])
+
+
+def _value(lo, hi):
+    return st.one_of(_SPECIAL, st.floats(lo, hi).map(repr))
+
+
+_FLAGS = {  # flag: finite range small enough for a fast run
+    "--gamma-s": (0.0, 1.0),
+    "--gamma-extra": (0.0, 1.0),
+    "--probe-ms": (0.0, 10.0),
+    "--handover-ms": (0.0, 30.0),
+    "--dt-ms": (0.01, 1.0),
+    "--gm-min": (0.0, 2.0),
+    "--gm-max": (0.0, 2.0),
+    "--gm-step": (1e-3, 1.0),
+}
+_RECONSTRUCT_FLAGS = ("--gamma-s", "--gamma-extra", "--probe-ms", "--dt-ms")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["reconstruct", "conditional"]),
+       values=st.fixed_dictionaries(
+           {}, optional={f: _value(*r) for f, r in _FLAGS.items()}),
+       trials=st.integers(-1, 20))
+def test_record_commands_fuzz(tmp_path_factory, command, values, trials):
+    # every numeric input ends in a documented exit code, never a traceback
+    argv = [command, "--trials", str(trials), "--seed", "5",
+            "--out", str(tmp_path_factory.getbasetemp() / "fuzz")]
+    argv += [f"{flag}={v}" for flag, v in values.items()
+             if command == "conditional" or flag in _RECONSTRUCT_FLAGS]
+    assert main(argv) in (0, 2, 3, 4)

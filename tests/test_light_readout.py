@@ -9,6 +9,9 @@ from eprsim.light_readout import (
     apply_detection_loss,
     apply_io,
     apply_io_lossy,
+    closed_form_calibration,
+    invert_readout,
+    readout_kappa_sq,
     reconstruct_atomic_variance,
 )
 
@@ -81,14 +84,31 @@ class TestDetectionLoss:
         assert apply_detection_loss(1.0, 0.3) == pytest.approx(1.0)
 
 
+def _affine_inverse(y_pair, loss, T, eta):
+    """Closed-form constants through the shared (cos, sin) inversion."""
+    slope, floor = closed_form_calibration(
+        readout_kappa_sq(loss, MU_NU, T), MU_NU, eta)
+    return invert_readout(y_pair, slope, floor)
+
+
 class TestReconstruction:
-    @pytest.mark.parametrize("v", [0.16, 0.5, 1.0, 2.7])
-    def test_round_trip_exact(self, v):
+    @pytest.mark.parametrize("v, inversion", [
+        *(pytest.param(v, "reconstruct", id=str(v))
+          for v in (0.16, 0.5, 1.0, 2.7)),
+        *(pytest.param(v, "affine", id=f"affine-{v}")
+          for v in (0.16, 0.5, 1.0, 2.7)),
+    ])
+    def test_round_trip_exact(self, v, inversion):
         # criterion: deterministic variance-level round trip to 1e-12
         loss = LossParams(gamma_s=0.19, gamma_extra=0.08, eta=1.0)
         snap = apply_io_lossy((v, v), 1.0, loss, MU_NU, 5.0)
-        y = apply_detection_loss(snap.y_out[0], 0.84)
-        rec = reconstruct_atomic_variance(y, snap.kappa_sq, MU_NU, eta=0.84)
+        y = [apply_detection_loss(yv, 0.84) for yv in snap.y_out]
+        if inversion == "affine":
+            assert _affine_inverse(y, loss, 5.0, 0.84) == pytest.approx(
+                v, abs=1e-12)
+            return
+        rec = reconstruct_atomic_variance(y[0], snap.kappa_sq, MU_NU,
+                                          eta=0.84)
         assert rec.value == pytest.approx(v, abs=1e-12)
         assert not rec.below_floor
 

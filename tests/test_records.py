@@ -3,29 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from eprsim.errors import NoInformationError, StatisticsError
-from eprsim.gaussian_dynamics import NoiseChannels, propagate_moments
+from eprsim.errors import StatisticsError
 from eprsim.light_readout import LossParams, apply_io_lossy
 from eprsim.records import (
-    LightRecord,
+    MAX_BINS,
+    MAX_TRIAL_BINS,
     ModeFunctional,
     RecordBatch,
     conditional_variance,
     discrete_calibration,
     exact_mode_variance,
-    generate_carrier_signal,
-    integrate_mode,
+    hybrid_readout,
     integrate_mode_batch,
-    lock_in_demodulate,
     optimize_gain,
-    record_from_csv,
-    record_to_csv,
     simulate_batch,
-    synthesize_record,
 )
-from eprsim.spin_model import css_state
-
-from test_spin_model import make_params
 
 MU_NU = (1.45, 1.05)
 VACUUM = LossParams(gamma_s=0.0, gamma_extra=0.0)
@@ -65,19 +57,19 @@ class TestModeFunctional:
         np.testing.assert_allclose(y, ref, atol=1e-12)
 
     def test_zero_record_integrates_to_zero(self):
-        rec = LightRecord(dt=0.1, samples=np.zeros((50, 2)), omega=0.0,
-                          seed=0)
+        rec = RecordBatch(dt=0.1, samples=np.zeros((1, 50, 2)),
+                          master_seed=0)
         mode = ModeFunctional(phase="sin", exponent_rate=0.27,
                               direction="falling", window=(0.0, 5.0))
-        assert integrate_mode(rec, mode) == 0.0
+        assert integrate_mode_batch(rec, mode)[0] == 0.0
 
     def test_window_overflow(self):
-        rec = LightRecord(dt=0.1, samples=np.zeros((10, 2)), omega=0.0,
-                          seed=0)
+        rec = RecordBatch(dt=0.1, samples=np.zeros((1, 10, 2)),
+                          master_seed=0)
         mode = ModeFunctional(phase="cos", exponent_rate=0.1,
                               direction="falling", window=(0.0, 5.0))
         with pytest.raises(ValueError):
-            integrate_mode(rec, mode)
+            integrate_mode_batch(rec, mode)
 
     def test_invalid_shape_params(self):
         with pytest.raises(ValueError):
@@ -86,6 +78,14 @@ class TestModeFunctional:
         with pytest.raises(ValueError):
             ModeFunctional(phase="cos", exponent_rate=0.1,
                            direction="falling", window=(1.0, 1.0))
+
+
+    def test_overflowing_envelope_rejected(self):
+        # rate x window length overflows: the weights would be NaN
+        for rate in (1e307, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ModeFunctional(phase="cos", exponent_rate=rate,
+                               direction="rising", window=(0.0, 20.0))
 
 
 class TestSynthesisMoments:
@@ -163,24 +163,19 @@ class TestSynthesisMoments:
             simulate_batch(2, 50.0, 5.0, LOSSY, MU_NU, 0)
 
     def test_seed_splitting_rule(self):
-        batch = simulate_batch(4, 1.0, 0.1, VACUUM, MU_NU, 12)
-        assert [batch.record(i).seed for i in range(4)] == [
-            12 ^ 0, 12 ^ 1, 12 ^ 2, 12 ^ 3]
+        # trial i of a batch is the one-trial batch drawn with master ^ i
+        batch = simulate_batch(4, 1.0, 0.1, LOSSY, MU_NU, 12,
+                               initial_var=(0.5, 2.0))
+        for i in range(4):
+            single = simulate_batch(1, 1.0, 0.1, LOSSY, MU_NU, 12 ^ i,
+                                    initial_var=(0.5, 2.0))
+            np.testing.assert_array_equal(batch.samples[i],
+                                          single.samples[0])
 
     def test_determinism(self):
         a = simulate_batch(8, 2.0, 0.1, LOSSY, MU_NU, 21)
         b = simulate_batch(8, 2.0, 0.1, LOSSY, MU_NU, 21)
         np.testing.assert_array_equal(a.samples, b.samples)
-
-    def test_synthesize_from_trajectory(self):
-        params = make_params()
-        traj = propagate_moments(css_state(), params,
-                                 NoiseChannels(dephasing=0.193),
-                                 np.linspace(0.0, 10.0, 21))
-        rec = synthesize_record(traj, params, dt=0.1, seed=4)
-        assert rec.nbins == 100
-        assert rec.omega == params.Omega
-        assert np.all(np.isfinite(rec.samples))
 
 
 class TestConditionalVariance:
@@ -253,35 +248,43 @@ class TestConditionalVariance:
             optimize_gain(self.batch(trials=10), self.READ, [])
 
 
-class TestCsvRoundTrip:
-    def test_bit_exact(self):
-        batch = simulate_batch(1, 2.0, 0.1, LOSSY, MU_NU, 99,
-                               omega=2023.1856689118267)
-        rec = batch.record(0)
-        text = record_to_csv(rec)
-        back = record_from_csv(text)
-        assert back.dt == rec.dt
-        assert back.omega == rec.omega
-        assert back.seed == rec.seed
-        assert back.sx_norm == rec.sx_norm
-        np.testing.assert_array_equal(back.samples, rec.samples)
-        assert record_to_csv(back) == text
+class TestHybridReadout:
+    READ = TestConditionalVariance.READ
+    GRID = np.arange(0.2, 1.2, 0.1)
 
-    def test_comment_lines_ignored(self):
-        rec = vacuum_batch(trials=1, duration=1.0).record(0)
-        text = "# meta=1\n" + record_to_csv(rec)
-        back = record_from_csv(text)
-        np.testing.assert_array_equal(back.samples, rec.samples)
+    def test_matches_scan_and_conditional_variance(self):
+        b = simulate_batch(3000, 15.0, 0.1, LOSSY, MU_NU, 41)
+        r = hybrid_readout(b, self.READ.window, self.READ.exponent_rate,
+                           self.GRID)
+        alpha, gm, cv_cos = optimize_gain(b, self.READ, self.GRID)
+        read_sin = ModeFunctional(phase="sin", exponent_rate=0.27,
+                                  direction="falling", window=(10.0, 15.0))
+        feed_sin = ModeFunctional(phase="sin", exponent_rate=gm,
+                                  direction="rising", window=(0.0, 10.0))
+        assert (r.alpha_star, r.gamma_m_star) == (alpha, gm)
+        assert r.conditional == (
+            cv_cos, conditional_variance(b, read_sin, feed_sin, alpha))
+        assert r.unconditional == tuple(
+            float(np.var(integrate_mode_batch(b, m), ddof=1))
+            for m in (self.READ, read_sin))
 
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            record_from_csv("nope\n1,2\n")
+    def test_without_grid_is_unconditional_only(self):
+        b = simulate_batch(50, 5.0, 0.1, LOSSY, MU_NU, 2)
+        r = hybrid_readout(b, (0.0, 5.0), 0.27)
+        assert r.conditional is r.alpha_star is r.gamma_m_star is None
+        assert len(r.unconditional) == 2
 
+    def test_scan_size_capped_before_integration(self):
+        # MAX_TRIAL_BINS one-bin trials (a zero-copy view) and two grid
+        # points: integrating them would fail on the window, so the cap
+        # must trip first
+        b = RecordBatch(dt=0.1, master_seed=0, samples=np.broadcast_to(
+            0.0, (MAX_TRIAL_BINS, 1, 2)))
+        with pytest.raises(ValueError, match="gamma_m points"):
+            optimize_gain(b, self.READ, [0.5, 0.6])
 
-class TestCarrierCrossCheck:
-    def test_demodulation_recovers_displacement(self):
-        omega, dt = 2023.0, 2.0 * math.pi / 2023.0 / 64.0
-        sig = generate_carrier_signal(1.3, -0.7, omega, dt, 1.0)
-        base = lock_in_demodulate(sig, omega, dt, bin_len=64)
-        np.testing.assert_allclose(base[:, 0], 1.3, atol=1e-6)
-        np.testing.assert_allclose(base[:, 1], -0.7, atol=1e-6)
+    def test_bins_per_batch_capped(self):
+        with pytest.raises(ValueError, match="bins per batch"):
+            simulate_batch(1, (MAX_BINS + 1) * 1e-3, 1e-3, LOSSY, MU_NU, 0)
+        assert simulate_batch(1, MAX_BINS * 1e-3, 1e-3, LOSSY, MU_NU,
+                              0).nbins == MAX_BINS

@@ -16,7 +16,15 @@ Per bin of width tau, channel pair (u couples to cos, v to sin):
               + eps sqrt(1-exp(-2 gamma tau)) f_n
 
 with kappa_tau^2 = (1-eps^2)(1-exp(-2 gamma tau))/s^2, s = mu - nu.
-Trial i of a batch uses the seed ``master_seed XOR i``.
+Trial i of a batch uses the seed ``master_seed XOR i`` and draws, in this
+order, its two initial atomic values and its (nbins, 2, 4) noise.
+
+Layout: the sampler writes a batch into one (2, nbins, trials) float64
+buffer, and ``RecordBatch.samples`` is its (trials, nbins, 2) transposed
+view, so one channel over a mode's window is a (trials, bins) slice whose
+trial axis is contiguous.  The noise is drawn TRIAL_BLOCK trials at a time
+and copied to bin-major order BIN_CHUNK bins at a time, so besides the
+records (16 bytes per trial-bin) the sampler holds one block's noise.
 """
 
 from __future__ import annotations
@@ -41,15 +49,25 @@ __all__ = [
     "hybrid_readout",
 ]
 
-# Cap on trials x bins per batch: the noise tensor takes 64 bytes per
-# trial-bin, so this is 1.6 GB, enough for fig2d at 10^5 trials of 250 bins.
-# The gamma_m scan integrates every trial once per grid point, so trials x
-# grid points is held to the same cap.
+# Cap on trials x bins per batch: the records take 16 bytes per trial-bin,
+# so this is 400 MB, enough for fig2d at 10^5 trials of 250 bins.  The
+# gamma_m scan integrates every trial once per grid point, so trials x grid
+# points is held to the same cap.
 MAX_TRIAL_BINS = 25_000_000
-# Cap on bins per batch: the sampler steps bin by bin at about 17-28 us per
-# bin even for two trials (measured on a 2-core x86 host), so 2 x 10^4 bins
-# take well under a second; larger batches are bounded by MAX_TRIAL_BINS.
+# Cap on bins per batch: the sampler steps bin by bin at about 5 us per bin
+# for a few trials (measured on a 2-core x86 host), so 2 x 10^4 bins take
+# about 0.1 s; larger batches are bounded by MAX_TRIAL_BINS.
 MAX_BINS = 20_000
+# Cap on gamma_m scan points: each point builds a feed mode and integrates
+# every trial (about 90 us even for two trials), so 10^4 points take about
+# a second.
+MAX_GAIN_POINTS = 10_000
+# Trials whose noise the sampler draws at a time: it holds one block's
+# (trials, nbins, 2, 4) noise, 64 bytes per trial-bin (8 MB at fig2d's 250
+# bins), besides the records.
+TRIAL_BLOCK = 512
+# Bins per bin-major copy of a block's noise (2 MB per 512 trials).
+BIN_CHUNK = 64
 
 
 @dataclass
@@ -97,27 +115,18 @@ class ModeFunctional:
             raise ValueError("exponent rate must be >= 0 and finite")
 
     def weights(self, dt: float, nbins: int):
-        """Discrete weights (bin indices, weights) over the record grid."""
+        """Discrete weights over the record grid: (slice of the window's
+        bins, weights)."""
         t0, t1 = self.window
         times = (np.arange(nbins) + 0.5) * dt
         idx = np.nonzero((times >= t0) & (times < t1))[0]
         if idx.size == 0:
             raise ValueError("mode window overlaps no record bins")
+        bins = slice(idx[0], idx[-1] + 1)  # bin times increase: one run
         sgn = -1.0 if self.direction == "falling" else 1.0
-        arg = sgn * self.exponent_rate * (times[idx] - t0)
+        arg = sgn * self.exponent_rate * (times[bins] - t0)
         raw = np.exp(arg - arg.max())  # overflow-safe; renormalised below
-        return idx, raw / np.sqrt(np.sum(raw**2))
-
-
-def _trial_noise(master_seed: int, n_trials: int, nbins: int):
-    """Per-trial noise tensors; trial i uses seed master_seed XOR i."""
-    init = np.empty((n_trials, 2))
-    noise = np.empty((n_trials, nbins, 2, 4))
-    for i in range(n_trials):
-        rng = np.random.default_rng((master_seed ^ i) & 0xFFFFFFFFFFFFFFFF)
-        init[i] = rng.standard_normal(2)
-        noise[i] = rng.standard_normal((nbins, 2, 4))
-    return init, noise
+        return bins, raw / np.sqrt(np.sum(raw**2))
 
 
 def simulate_batch(n_trials: int, duration: float, dt: float,
@@ -150,27 +159,52 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
     s2 = s**2
     eps_sq = loss.epsilon_sq
     eta = loss.eta
-
-    init, noise = _trial_noise(master_seed, n_trials, nbins)
-    u = init * np.sqrt(np.asarray(initial_var))
+    init_sd = np.sqrt(np.asarray(initial_var)).reshape(-1, 1)
+    sqrt_eta, sqrt_vac = np.sqrt(eta), np.sqrt(1.0 - eta)
 
     e2 = np.exp(-2.0 * loss.gamma * dt)
     e1 = np.exp(-loss.gamma * dt)
     kappa_tau = np.sqrt((1.0 - eps_sq) * (1.0 - e2)) / s
     anoise = np.sqrt(eps_sq * (1.0 - e2))
 
-    out = np.empty((n_trials, nbins, 2))
-    for n in range(nbins):
-        w = noise[:, n, :, 0]
-        f = noise[:, n, :, 1]
-        g = noise[:, n, :, 2]
-        h = noise[:, n, :, 3]
-        s_n = e1 * w + kappa_tau * u + anoise * g
-        if eta < 1.0:
-            s_n = np.sqrt(eta) * s_n + np.sqrt(1.0 - eta) * h
-        out[:, n, :] = s_n
-        u = e1 * u - s2 * kappa_tau * w + anoise * f
-    return RecordBatch(dt=dt, samples=out, master_seed=master_seed)
+    out = np.empty((2, nbins, n_trials))
+    for b0 in range(0, n_trials, TRIAL_BLOCK):
+        b1 = min(b0 + TRIAL_BLOCK, n_trials)
+        u = np.empty((2, b1 - b0))
+        noise = np.empty((b1 - b0, nbins, 2, 4))
+        for j in range(b1 - b0):
+            rng = np.random.default_rng((master_seed ^ (b0 + j))
+                                        & 0xFFFFFFFFFFFFFFFF)
+            u[:, j] = rng.standard_normal(2)
+            rng.standard_normal(out=noise[j])
+        u *= init_sd
+        for n0 in range(0, nbins, BIN_CHUNK):
+            # bin-major (4, bins, 2, trials): each bin's rows are contiguous
+            w, f, g, h = np.ascontiguousarray(
+                noise[:, n0:n0 + BIN_CHUNK].transpose(3, 1, 2, 0))
+            # the noise terms of the update below, scaled up front; the
+            # recursion adds them in the same order, so values are unchanged
+            feed = (s2 * kappa_tau) * w
+            w *= e1
+            f *= anoise
+            g *= anoise
+            if eta < 1.0:
+                h *= sqrt_vac
+            for n in range(len(feed)):
+                s_n = out[:, n0 + n, b0:b1]
+                # s_n = e1 w + kappa_tau u + anoise g, then detection loss
+                np.multiply(kappa_tau, u, out=s_n)
+                s_n += w[n]
+                s_n += g[n]
+                if eta < 1.0:
+                    s_n *= sqrt_eta
+                    s_n += h[n]
+                # u = e1 u - s^2 kappa_tau w + anoise f
+                u *= e1
+                u -= feed[n]
+                u += f[n]
+    return RecordBatch(dt=dt, samples=out.transpose(2, 1, 0),
+                       master_seed=master_seed)
 
 
 def integrate_mode_batch(batch: RecordBatch, mode: ModeFunctional) -> np.ndarray:
@@ -178,9 +212,9 @@ def integrate_mode_batch(batch: RecordBatch, mode: ModeFunctional) -> np.ndarray
     t0, t1 = mode.window
     if t0 < -1e-12 or t1 > batch.nbins * batch.dt + 1e-9:
         raise ValueError("mode window exceeds record span")
-    idx, w = mode.weights(batch.dt, batch.nbins)
+    bins, w = mode.weights(batch.dt, batch.nbins)
     col = 0 if mode.phase == "cos" else 1
-    return batch.samples[:, idx, col] @ w
+    return batch.samples[:, bins, col] @ w
 
 
 def _check_disjoint(readout_mode: ModeFunctional, feed_mode: ModeFunctional):
@@ -213,6 +247,9 @@ def optimize_gain(batch: RecordBatch, readout_mode: ModeFunctional,
     grid = np.atleast_1d(np.asarray(gamma_m_grid, dtype=float))
     if grid.size == 0:
         raise ValueError("gamma_m grid must be nonempty")
+    if grid.size > MAX_GAIN_POINTS:
+        raise ValueError(f"{grid.size} gamma_m points exceeds "
+                         f"{MAX_GAIN_POINTS}")
     if batch.n_trials * grid.size > MAX_TRIAL_BINS:
         raise ValueError(f"{batch.n_trials} trials x {grid.size} gamma_m "
                          f"points exceeds {MAX_TRIAL_BINS}")
@@ -289,9 +326,9 @@ def exact_mode_variance(loss: LossParams, mu_nu: tuple, dt: float,
     kt = np.sqrt((1.0 - loss.epsilon_sq) * (1.0 - e2)) / (mu - nu)
     a2 = loss.epsilon_sq * (1.0 - e2)
 
-    idx, w = mode.weights(dt, nbins)
+    bins, w = mode.weights(dt, nbins)
     weights = np.zeros(nbins)
-    weights[idx] = w
+    weights[bins] = w
 
     var_u, var_y, cov = float(initial_var), 0.0, 0.0
     for wn in weights:

@@ -204,11 +204,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     (["conditional", "--gm-step", "0.0001"], 2),
     (["reconstruct", "--trials", "2", "--dt-ms", "1e-4"], 2),
     (["populations", "--pops", "0,0,1"], 4),
+    (["conditional", "--trials", "2", "--gm-step", "2e-6"], 2),
 ], ids=["overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
         "overrides-list", "pops-nan", "pops-inf", "grid-huge", "grid-inf",
         "grid-nan", "handover-inf", "probe-inf", "trials-huge", "dt-tiny",
         "gm-step-zero", "gm-step-tiny", "overrides-stiff", "gm-scan-huge",
-        "bins-huge", "populations-degenerate"])
+        "bins-huge", "populations-degenerate", "gm-scan-long"])
 def test_bad_input_exit_code(argv, code, tmp_path):
     # a fresh interpreter per input: a hang fails the test at the timeout
     env = dict(os.environ)

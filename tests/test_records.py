@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from eprsim.errors import StatisticsError
 from eprsim.light_readout import LossParams, apply_io_lossy
 from eprsim.records import (
     MAX_BINS,
+    MAX_GAIN_POINTS,
     MAX_TRIAL_BINS,
+    TRIAL_BLOCK,
     ModeFunctional,
     RecordBatch,
     conditional_variance,
@@ -162,11 +165,16 @@ class TestSynthesisMoments:
         with pytest.raises(ValueError, match="aliasing"):
             simulate_batch(2, 50.0, 5.0, LOSSY, MU_NU, 0)
 
-    def test_seed_splitting_rule(self):
+    @pytest.mark.parametrize("trials, checked", [
+        (4, range(4)),
+        # across the sampler's first block boundary
+        (TRIAL_BLOCK + 2, range(TRIAL_BLOCK - 1, TRIAL_BLOCK + 2)),
+    ], ids=["one-block", "block-boundary"])
+    def test_seed_splitting_rule(self, trials, checked):
         # trial i of a batch is the one-trial batch drawn with master ^ i
-        batch = simulate_batch(4, 1.0, 0.1, LOSSY, MU_NU, 12,
+        batch = simulate_batch(trials, 1.0, 0.1, LOSSY, MU_NU, 12,
                                initial_var=(0.5, 2.0))
-        for i in range(4):
+        for i in checked:
             single = simulate_batch(1, 1.0, 0.1, LOSSY, MU_NU, 12 ^ i,
                                     initial_var=(0.5, 2.0))
             np.testing.assert_array_equal(batch.samples[i],
@@ -176,6 +184,35 @@ class TestSynthesisMoments:
         a = simulate_batch(8, 2.0, 0.1, LOSSY, MU_NU, 21)
         b = simulate_batch(8, 2.0, 0.1, LOSSY, MU_NU, 21)
         np.testing.assert_array_equal(a.samples, b.samples)
+
+    def test_sampler_memory_bounded(self):
+        # the noise is held one block of trials at a time, so the peak stays
+        # within twice the 40 MB of records; noise for the whole batch would
+        # take 160 MB
+        tracemalloc.start()
+        try:
+            batch = simulate_batch(10_000, 25.0, 0.1, LOSSY, MU_NU, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.samples.nbytes == 40_000_000
+        assert peak < 2 * batch.samples.nbytes
+
+    @pytest.mark.parametrize("window", [(0.0, 10.0), (10.0, 15.0)],
+                             ids=["feed-from-0", "readout-mid-record"])
+    @pytest.mark.parametrize("phase", ["cos", "sin"])
+    def test_integration_independent_of_layout(self, window, phase):
+        # a hand-built C-ordered batch integrates like the sampler's own;
+        # the two layouts may sum in another order, so an integral that
+        # cancels to near zero differs by rounding of its O(1) terms (atol)
+        batch = simulate_batch(300, 15.0, 0.1, LOSSY, MU_NU, 17)
+        c_order = RecordBatch(dt=batch.dt, master_seed=batch.master_seed,
+                              samples=np.ascontiguousarray(batch.samples))
+        mode = ModeFunctional(phase=phase, exponent_rate=0.4,
+                              direction="rising", window=window)
+        np.testing.assert_allclose(integrate_mode_batch(c_order, mode),
+                                   integrate_mode_batch(batch, mode),
+                                   rtol=1e-13, atol=1e-13)
 
 
 class TestConditionalVariance:
@@ -282,6 +319,14 @@ class TestHybridReadout:
             0.0, (MAX_TRIAL_BINS, 1, 2)))
         with pytest.raises(ValueError, match="gamma_m points"):
             optimize_gain(b, self.READ, [0.5, 0.6])
+
+    def test_scan_points_capped_before_integration(self):
+        # a one-bin record cannot hold the readout window, so integrating
+        # would fail on the window: the points cap must trip first
+        b = RecordBatch(dt=0.1, master_seed=0, samples=np.zeros((2, 1, 2)))
+        with pytest.raises(ValueError, match="gamma_m points"):
+            optimize_gain(b, self.READ,
+                          np.linspace(0.1, 1.5, MAX_GAIN_POINTS + 1))
 
     def test_bins_per_batch_capped(self):
         with pytest.raises(ValueError, match="bins per batch"):

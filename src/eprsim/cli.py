@@ -27,7 +27,6 @@ from .errors import (
     DegeneratePolarizationError,
     NoInformationError,
     StatisticsError,
-    StiffnessError,
 )
 from .estimation import (
     CalibrationPoint,
@@ -53,7 +52,7 @@ from .multilevel_rates import (
     propagate_populations,
     transition_rates,
 )
-from .records import hybrid_readout, simulate_batch
+from .records import check_gain_scan, hybrid_readout, simulate_batch
 from .scenarios import (
     SCENARIO_NAMES,
     inclusive_range,
@@ -66,11 +65,21 @@ ARTIFACT_VERSION = 1
 MAX_GRID_POINTS = 1_000_000
 
 _USAGE_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
-_NUMERICAL_ERRORS = (StiffnessError, FitFailureError, IdentifiabilityError,
-                     StatisticsError, NoInformationError,
-                     ZeroDivisionError, FloatingPointError)
+_NUMERICAL_ERRORS = (FitFailureError, IdentifiabilityError, StatisticsError,
+                     NoInformationError, ZeroDivisionError, FloatingPointError)
 _INVARIANT_ERRORS = (InvariantViolationError, ModelViolationError,
                      DegeneratePolarizationError)
+
+# Options several subcommands share (``--<name>``).  Each subcommand takes
+# only the ones it reads, so an option it would ignore is a usage error.
+_SHARED_OPTIONS = {
+    "params": dict(help="model parameter JSON file"),
+    "seed": dict(type=int, default=0),
+    "out": dict(help="output directory (default: stdout)"),
+    "grid": dict(default="0,45,0.25", help="time grid t0,t1,dt in ms"),
+    "trials": dict(type=int, default=2000),
+    "format": dict(choices=("csv", "json"), default="csv"),
+}
 
 
 def _metadata_block(params: ModelParams | None, seed: int | None,
@@ -197,6 +206,7 @@ def _cmd_conditional(args) -> int:
     T, probe = args.handover_ms, args.probe_ms
     grid = _range(args.gm_min, args.gm_max, args.gm_step,
                   "--gm-min/--gm-max/--gm-step")
+    check_gain_scan(args.trials, grid.size)
     batch = simulate_batch(args.trials, T + probe, args.dt_ms, loss, mu_nu,
                            args.seed)
     r = hybrid_readout(batch, (T, T + probe), loss.gamma, grid)
@@ -284,30 +294,25 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, grid_default="0,45,0.25"):
-        p.add_argument("--params", help="model parameter JSON file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output directory (default: stdout)")
-        p.add_argument("--grid", default=grid_default,
-                       help="time grid t0,t1,dt in ms")
-        p.add_argument("--trials", type=int, default=2000)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def shared(p, *names):
+        for name in names:
+            p.add_argument(f"--{name}", **_SHARED_OPTIONS[name])
 
     p = sub.add_parser("simulate", help="moment-equation trajectory")
-    common(p)
+    shared(p, "params", "seed", "out", "grid")
     p.add_argument("--pops", default="0.99,0.01,0.0",
                    help="initial populations n44,n43,nh")
     p.add_argument("--pump", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("populations", help="three-level rate model")
-    common(p)
+    shared(p, "params", "seed", "out", "grid")
     p.add_argument("--pops", default="0.99,0.01,0.0")
     p.add_argument("--pump", action="store_true")
     p.set_defaults(func=_cmd_populations)
 
     p = sub.add_parser("reconstruct", help="readout round trip")
-    common(p)
+    shared(p, "params", "seed", "out", "trials", "format")
     p.add_argument("--gamma-s", type=float, default=0.19, dest="gamma_s")
     p.add_argument("--gamma-extra", type=float, default=0.08,
                    dest="gamma_extra")
@@ -316,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("conditional", help="hybrid conditional variance")
-    common(p)
+    shared(p, "params", "seed", "out", "trials", "format")
     p.add_argument("--gamma-s", type=float, default=0.19, dest="gamma_s")
     p.add_argument("--gamma-extra", type=float, default=0.08,
                    dest="gamma_extra")
@@ -330,12 +335,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_conditional)
 
     p = sub.add_parser("calibrate", help="projection-noise calibration")
-    common(p)
+    shared(p, "out", "format")
     p.add_argument("points", help="CSV of theta,xi0[,weight]")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("fit", help="rate/dephasing parameter fit")
-    common(p)
+    shared(p, "params", "seed", "out", "format")
     p.add_argument("observed", help="CSV of t,xi,xi_err,jx_norm,jx_err")
     p.add_argument("--free", nargs="+", default=["d", "Gamma_col",
                                                  "Gamma_tilde"])
@@ -347,12 +352,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("orientation", help="orientation from populations")
-    common(p)
+    shared(p, "out", "format")
     p.add_argument("populations", help="nine comma-separated p_m, m=-4..4")
     p.set_defaults(func=_cmd_orientation)
 
     p = sub.add_parser("scenario", help="end-to-end fixture")
-    common(p, grid_default=None)
+    shared(p, "seed", "out", "trials", "format")
+    p.add_argument("--grid", help="time grid t0,t1,dt in ms "
+                   "(default: the scenario's own)")
     p.add_argument("name", choices=SCENARIO_NAMES)
     p.add_argument("--overrides", help="JSON object of parameter overrides")
     p.set_defaults(func=_cmd_scenario)

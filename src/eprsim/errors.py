@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: usage errors -> 2, numerical failures
-(fitting, stiffness) -> 3, invariant violations -> 4.
+(fitting, statistics) -> 3, invariant violations -> 4.
 """
 
 
@@ -15,10 +15,6 @@ class InvariantViolationError(EprSimError):
 
 class DegeneratePolarizationError(EprSimError):
     """Macroscopic spin vanished; canonical variables are undefined."""
-
-
-class StiffnessError(EprSimError):
-    """Adaptive integrator underflowed its step size."""
 
 
 class ModelViolationError(EprSimError):

@@ -92,11 +92,6 @@ class NoiseChannels:
         if self.dephasing < 0 or self.pump_refill < 0:
             raise InvariantViolationError("noise rates must be >= 0")
 
-    @property
-    def css_rate(self) -> float:
-        """Rate of relaxation toward the CSS covariance (pump excluded)."""
-        return self.dephasing
-
     def pump_noise_rate(self, nh_frac: float = 1.0) -> float:
         """Quadrature-noise rate of the incoherent pump.
 
@@ -151,8 +146,7 @@ class Trajectory:
         c0, m0 = self.initial.cov, self.initial.mean
         return [GaussianState(mean=np.sqrt(p) * m0,
                               cov=p * c0 + x * self.target
-                              + (1.0 - p - x) * np.eye(4),
-                              jx_mean=self.initial.jx_mean)
+                              + (1.0 - p - x) * np.eye(4))
                 for p, x in zip(self.phi, self.x)]
 
 
@@ -180,7 +174,7 @@ def moment_derivative(state: GaussianState, params: ModelParams,
     limit.  ``nh_frac`` feeds the pump noise channel when enabled.
     """
     g2 = relaxation_rate(params, p2_tilde)
-    css = noise.css_rate + noise.pump_noise_rate(nh_frac)
+    css = noise.dephasing + noise.pump_noise_rate(nh_frac)
     target = dissipation_target_cov(params, noise.distinguishable)
     dmean = -(0.5 * g2 + 0.5 * css) * state.mean
     dcov = -g2 * (state.cov - target) - css * (state.cov - np.eye(4))
@@ -209,7 +203,7 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
         nh = getattr(populations, "nh", np.zeros(len(pt)))
     nodes = np.union1d(grid, pt[(pt > grid[0]) & (pt < grid[-1])])
     g2 = relaxation_rate(params, np.interp(nodes, pt, p2))
-    rate = g2 + noise.css_rate + noise.pump_noise_rate(np.interp(nodes, pt, nh))
+    rate = g2 + noise.dephasing + noise.pump_noise_rate(np.interp(nodes, pt, nh))
     dR = 0.5 * np.diff(nodes) * (rate[:-1] + rate[1:])
     inc = np.zeros_like(dR)
     live = dR > 0  # a zero-rate interval leaves x unchanged

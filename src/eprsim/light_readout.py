@@ -29,13 +29,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvariantViolationError, NoInformationError
-from .spin_model import ModelParams, coupling_constants, require_finite
+from .spin_model import require_finite
 
 __all__ = [
     "LossParams",
     "IoSnapshot",
     "ReconstructedVariance",
-    "apply_io",
     "apply_io_lossy",
     "apply_detection_loss",
     "readout_kappa_sq",
@@ -112,36 +111,10 @@ def _io_variances(atomic_in, y_in_var, decay_sq, kappa_sq, s2, eps_sq):
     return atomic_out, y_out
 
 
-def apply_io(atomic_in, y_in_var: float, params: ModelParams, T: float,
-             jx: float | None = None,
-             gamma_s: float | None = None) -> IoSnapshot:
-    """Lossless input-output map at the variance level.
-
-    ``atomic_in`` is the (cos, sin) pair of nonlocal atomic variances (both
-    normalised to CSS = 1); the light mode is the matching exponential mode
-    with vacuum variance ``y_in_var`` = 1 for shot-noise-limited input.
-    """
-    if T < 0:
-        raise ValueError("interaction time must be >= 0")
-    if gamma_s is None:
-        if jx is None:
-            jx = 4.0 * params.N
-        gamma_s, _ = coupling_constants(params, jx, 1.0)
-    s2 = params.squeeze_sq
-    decay_sq = math.exp(-2.0 * gamma_s * T)
-    kappa_sq = (1.0 - decay_sq) / s2
-    atomic_out, y_out = _io_variances(tuple(atomic_in), y_in_var,
-                                      decay_sq, kappa_sq, s2, 0.0)
-    return IoSnapshot(atomic_in=tuple(atomic_in), atomic_out=atomic_out,
-                      y_in=y_in_var, y_out=y_out, kappa_sq=kappa_sq)
-
-
 def apply_io_lossy(atomic_in, y_in_var: float, loss: LossParams,
                    mu_nu: tuple, T: float) -> IoSnapshot:
-    """Input-output map with extra atomic decay toward the CSS.
-
-    Reduces exactly to :func:`apply_io` for gamma_extra = 0.
-    """
+    """Input-output map with extra atomic decay toward the CSS; lossless
+    for gamma_extra = 0."""
     if T < 0:
         raise ValueError("interaction time must be >= 0")
     mu, nu = mu_nu

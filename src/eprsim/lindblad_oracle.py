@@ -105,10 +105,9 @@ def jump_operators(params: ModelParams, noise: NoiseChannels, n: int,
     if rate > 0:
         ops.append(root * (params.mu * a1 - params.nu * a2.conj().T))
         ops.append(root * (params.mu * a2 - params.nu * a1.conj().T))
-    css = noise.css_rate
-    if css > 0:
+    if noise.dephasing > 0:
         for z in sz:
-            ops.append(np.sqrt(css / 4.0) * z)
+            ops.append(np.sqrt(noise.dephasing / 4.0) * z)
     return ops
 
 
@@ -121,16 +120,11 @@ def _rhs(rho, ops):
     return out
 
 
-def exact_lindblad_step(state: ExactState, params: ModelParams,
-                        noise: NoiseChannels, dt: float,
-                        rate: float | None = None,
-                        _ops=None) -> ExactState:
-    """One fourth-order (RK4) step of the Lindblad equation."""
+def exact_lindblad_step(state: ExactState, ops, dt: float) -> ExactState:
+    """One fourth-order (RK4) step of the Lindblad equation with jump
+    operators ``ops`` (see :func:`jump_operators`)."""
     if dt == 0.0:
         return state
-    ops = _ops if _ops is not None else jump_operators(params, noise,
-                                                       state.n_per_ensemble,
-                                                       rate=rate)
     rho = state.rho
     k1 = _rhs(rho, ops)
     k2 = _rhs(rho + 0.5 * dt * k1, ops)
@@ -150,7 +144,7 @@ def integrate_exact(state: ExactState, params: ModelParams,
     ops = jump_operators(params, noise, state.n_per_ensemble, rate=rate)
     # RK4 substep small enough that dt * max(rate) stays << 1.
     rates = [rate if rate is not None else relaxation_rate(params),
-             noise.css_rate]
+             noise.dephasing]
     dt_max = 0.02 / max(max(rates), 1e-12)
     out = [state]
     for t0, t1 in zip(times[:-1], times[1:]):
@@ -159,7 +153,7 @@ def integrate_exact(state: ExactState, params: ModelParams,
         dt = span / nsub
         cur = out[-1]
         for _ in range(nsub):
-            cur = exact_lindblad_step(cur, params, noise, dt, _ops=ops)
+            cur = exact_lindblad_step(cur, ops, dt)
         out.append(cur)
     return out
 

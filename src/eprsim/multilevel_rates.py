@@ -15,7 +15,6 @@ with P2_tilde = P2 N2 / N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,7 @@ __all__ = [
     "rate_matrix",
     "propagate_populations",
     "polarization_slope",
-    "variance_slope",
     "sm_variance_drift",
-    "transverse_decay",
     "multilevel_entanglement",
     "multilevel_xi",
     "columns_to_csv",
@@ -203,10 +200,10 @@ def propagate_populations(initial: PopulationState, rates: RateSet, grid,
     a = rate_matrix(rates, pump)
     n0 = np.array([initial.n44, initial.n43, initial.nh])
     t_rel = grid - grid[0]
-    # matrix exponential per point: exact and safe for defective generators
-    # (an eigendecomposition breaks down when pump degeneracies make the
-    # rate matrix non-diagonalizable)
-    sol = np.stack([expm(a * t) @ n0 for t in t_rel], axis=1)
+    # one batched matrix exponential over the grid: exact and safe for
+    # defective generators (an eigendecomposition breaks down when pump
+    # degeneracies make the rate matrix non-diagonalizable)
+    sol = (expm(a * t_rel[:, None, None]) @ n0).T
     if sol.min() < -1e-8:
         raise ModelViolationError(
             f"population went negative ({sol.min():.3e}); rates are unphysical"
@@ -226,37 +223,17 @@ def polarization_slope(initial: PopulationState, rates: RateSet) -> float:
     return num / initial.jx_frac
 
 
-def variance_slope(initial: PopulationState, params: ModelParams,
-                   rates: RateSet) -> float:
-    """Initial slope of the normalised variance in the simplified rate model.
-
-    Evaluates the small-time expansion used for the slope constraints, with
-    populations as fractions (per-atom normalisation).  The collective term
-    vanishes exactly at P2(0) = (mu - nu)^2.
-    """
-    return sm_variance_drift(initial, params, rates)
-
-
 def sm_variance_drift(pop: PopulationState, params: ModelParams,
                       rates: RateSet) -> float:
-    """Drift term of the rate-model variance series at a given population."""
+    """Drift of the normalised rate-model variance; at the initial
+    populations it is the small-time slope the slope constraints use.  The
+    collective term vanishes exactly at P2 = (mu - nu)^2."""
     s2 = params.squeeze_sq
     p2 = pop.p2
     collective = -4.0 * params.d * params.Gamma * p2 * (1.0 - p2 / s2)
     refill = 7.0 * rates.g_in * p2
     leak = -7.0 * (rates.g_out + rates.g34 - rates.g43) * pop.n43
     return collective + refill + leak
-
-
-def transverse_decay(jy0: float, params: ModelParams,
-                     pop_series: PopulationSeries, t: float) -> float:
-    """<J_y(t)> = exp(-(Gamma_tilde + d Gamma P2_tilde(t)) t / 2) <J_y(0)>."""
-    times = pop_series.times
-    if t < times[0] or t > times[-1]:
-        raise ValueError(f"t={t} outside population series span")
-    p2t = float(np.interp(t, times, pop_series.p2_tilde))
-    rate = params.Gamma_tilde + params.d * params.Gamma * p2t
-    return math.exp(-0.5 * rate * t) * jy0
 
 
 def multilevel_entanglement(sigma_j, pop):

@@ -235,6 +235,19 @@ def conditional_variance(batch: RecordBatch, readout_mode: ModeFunctional,
     return float(np.var(y_read - alpha * y_feed, ddof=1))
 
 
+def check_gain_scan(n_trials: int, n_points: int) -> None:
+    """ValueError unless a gamma_m scan of ``n_points`` over ``n_trials``
+    trials is nonempty and within the caps; callable before sampling."""
+    if n_points == 0:
+        raise ValueError("gamma_m grid must be nonempty")
+    if n_points > MAX_GAIN_POINTS:
+        raise ValueError(f"{n_points} gamma_m points exceeds "
+                         f"{MAX_GAIN_POINTS}")
+    if n_trials * n_points > MAX_TRIAL_BINS:
+        raise ValueError(f"{n_trials} trials x {n_points} gamma_m "
+                         f"points exceeds {MAX_TRIAL_BINS}")
+
+
 def optimize_gain(batch: RecordBatch, readout_mode: ModeFunctional,
                   gamma_m_grid):
     """Optimise feedback gain and feed-mode time constant.
@@ -245,14 +258,7 @@ def optimize_gain(batch: RecordBatch, readout_mode: ModeFunctional,
     gamma_m_star, min_variance).
     """
     grid = np.atleast_1d(np.asarray(gamma_m_grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("gamma_m grid must be nonempty")
-    if grid.size > MAX_GAIN_POINTS:
-        raise ValueError(f"{grid.size} gamma_m points exceeds "
-                         f"{MAX_GAIN_POINTS}")
-    if batch.n_trials * grid.size > MAX_TRIAL_BINS:
-        raise ValueError(f"{batch.n_trials} trials x {grid.size} gamma_m "
-                         f"points exceeds {MAX_TRIAL_BINS}")
+    check_gain_scan(batch.n_trials, grid.size)
     feed_window = (0.0, readout_mode.window[0])
     y_read = integrate_mode_batch(batch, readout_mode)
     if y_read.size < 2:

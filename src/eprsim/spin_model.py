@@ -25,14 +25,13 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DegeneratePolarizationError, InvariantViolationError
+from .errors import InvariantViolationError
 
 __all__ = [
     "ModelParams",
     "GaussianState",
     "EprReport",
     "bogoliubov_amplitudes",
-    "holstein_primakoff",
     "epr_variance",
     "coupling_constants",
     "symplectic_eigenvalues",
@@ -171,7 +170,6 @@ class GaussianState:
 
     mean: np.ndarray
     cov: np.ndarray
-    jx_mean: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -211,29 +209,11 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 def symplectic_check(cov: np.ndarray, atol: float = 1e-7) -> None:
     """Raise if the covariance violates the Heisenberg (symplectic) bound."""
-    nus = np.abs(np.linalg.eigvals(1j * SYMPLECTIC_FORM @ np.asarray(cov, float)))
-    if nus.min() < 1.0 - atol:
+    nu_min = symplectic_eigenvalues(cov)[0]
+    if nu_min < 1.0 - atol:
         raise InvariantViolationError(
-            f"symplectic eigenvalue {nus.min():.6f} below the Heisenberg bound"
+            f"symplectic eigenvalue {nu_min:.6f} below the Heisenberg bound"
         )
-
-
-def holstein_primakoff(jy: float, jz: float, jx_mag: float, ensemble: str):
-    """Map collective spin components onto canonical quadratures.
-
-    X = J_y / sqrt(|<J_x>|); P = +J_z / sqrt(|<J_x>|) for ensemble I and
-    -J_z / sqrt(|<J_x>|) for ensemble II (the sign folds the opposite
-    macroscopic orientation of the second ensemble into P).
-    """
-    if jx_mag <= 0:
-        raise DegeneratePolarizationError(
-            "macroscopic spin magnitude must be positive"
-        )
-    if ensemble not in ("I", "II"):
-        raise ValueError("ensemble must be 'I' or 'II'")
-    root = math.sqrt(jx_mag)
-    sign = 1.0 if ensemble == "I" else -1.0
-    return jy / root, sign * jz / root
 
 
 def epr_variance(state: GaussianState) -> EprReport:
@@ -287,6 +267,6 @@ def two_mode_squeezed_cov(mu: float, nu: float) -> np.ndarray:
     )
 
 
-def css_state(jx_mean: float = 0.0) -> GaussianState:
+def css_state() -> GaussianState:
     """Coherent spin state: zero means, identity covariance."""
-    return GaussianState(mean=np.zeros(4), cov=np.eye(4), jx_mean=jx_mean)
+    return GaussianState(mean=np.zeros(4), cov=np.eye(4))

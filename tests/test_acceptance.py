@@ -39,7 +39,6 @@ from eprsim.multilevel_rates import (
     propagate_populations,
     rate_matrix,
     sm_variance_drift,
-    variance_slope,
 )
 from eprsim.records import (
     ModeFunctional,
@@ -183,8 +182,6 @@ def test_criterion_7_rate_model_closed_forms():
         params = make_params()
         drift0 = sm_variance_drift(POP0, params, rates)
         drift1 = sm_variance_drift(s.states[1], params, rates)
-        assert variance_slope(POP0, params, rates) == pytest.approx(
-            drift0, abs=1e-12)
         assert abs(drift1 - drift0) < 1e-4  # slope is first-order accurate
 
 

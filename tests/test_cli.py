@@ -205,11 +205,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     (["reconstruct", "--trials", "2", "--dt-ms", "1e-4"], 2),
     (["populations", "--pops", "0,0,1"], 4),
     (["conditional", "--trials", "2", "--gm-step", "2e-6"], 2),
+    (["orientation", "--trials", "5", "0,0,0,0,0,0,0,0.008,0.992"], 2),
+    (["scenario", "fig2a", "--params", "p.json"], 2),
+    (["simulate", "--format", "json"], 2),
 ], ids=["overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
         "overrides-list", "pops-nan", "pops-inf", "grid-huge", "grid-inf",
         "grid-nan", "handover-inf", "probe-inf", "trials-huge", "dt-tiny",
         "gm-step-zero", "gm-step-tiny", "overrides-stiff", "gm-scan-huge",
-        "bins-huge", "populations-degenerate", "gm-scan-long"])
+        "bins-huge", "populations-degenerate", "gm-scan-long",
+        "orientation-trials", "scenario-params", "simulate-format"])
 def test_bad_input_exit_code(argv, code, tmp_path):
     # a fresh interpreter per input: a hang fails the test at the timeout
     env = dict(os.environ)
@@ -224,6 +228,18 @@ def test_bad_input_exit_code(argv, code, tmp_path):
         pytest.fail(f"{argv} did not finish within 60 s")
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--trials", "2", "--gm-step", "2e-6"],  # 700 001 points > the cap
+    ["--trials", "20000", "--gm-step", "1e-3"],  # 1401 x 2e4 trial-points
+], ids=["points", "trial-points"])
+def test_conditional_scan_checked_before_sampling(argv, monkeypatch, tmp_path):
+    # an over-long gamma_m scan is refused before any record is simulated
+    def fail(*args, **kwargs):
+        raise AssertionError("simulate_batch called")
+    monkeypatch.setattr("eprsim.cli.simulate_batch", fail)
+    assert main(["conditional", *argv, "--out", str(tmp_path)]) == 2
 
 
 _SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "-1e300",

@@ -24,7 +24,7 @@ from test_spin_model import make_params
 def analytic_cov(c0, params, noise, t, nh_frac=0.0):
     """Closed-form solution for constant rates: uniform affine relaxation."""
     g2 = relaxation_rate(params)
-    css = noise.css_rate + noise.pump_noise_rate(nh_frac)
+    css = noise.dephasing + noise.pump_noise_rate(nh_frac)
     total = g2 + css
     target = (g2 * dissipation_target_cov(params, noise.distinguishable)
               + css * np.eye(4)) / total
@@ -90,7 +90,7 @@ class TestPropagateMoments:
                            cov=np.eye(4))
         t = 3.0
         traj = propagate_moments(st, params, noise, np.array([0.0, t]))
-        rate = 0.5 * (relaxation_rate(params) + noise.css_rate)
+        rate = 0.5 * (relaxation_rate(params) + noise.dephasing)
         np.testing.assert_allclose(traj.states[-1].mean,
                                    st.mean * np.exp(-rate * t), rtol=1e-7)
 
@@ -241,7 +241,7 @@ class TestExactEngine:
         def rhs(t, y):
             g2 = relaxation_rate(
                 params, np.interp(t, pops.times, pops.p2_tilde))
-            rate = g2 + noise.css_rate + noise.pump_noise_rate(
+            rate = g2 + noise.dephasing + noise.pump_noise_rate(
                 np.interp(t, pops.times, pops.nh))
             return [-rate * y[0], g2 - rate * y[1]]
 
@@ -262,7 +262,7 @@ class TestExactEngine:
         grid = np.linspace(0.0, 40.0, 81)
         traj = propagate_moments(css_state(), params, noise, grid)
         g2 = relaxation_rate(params)
-        rate = g2 + noise.css_rate
+        rate = g2 + noise.dephasing
         np.testing.assert_allclose(traj.phi, np.exp(-rate * grid),
                                    rtol=0, atol=1e-13)
         np.testing.assert_allclose(traj.x, -g2 / rate * np.expm1(-rate * grid),

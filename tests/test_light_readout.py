@@ -7,7 +7,6 @@ from eprsim.errors import InvariantViolationError, NoInformationError
 from eprsim.light_readout import (
     LossParams,
     apply_detection_loss,
-    apply_io,
     apply_io_lossy,
     closed_form_calibration,
     invert_readout,
@@ -15,7 +14,6 @@ from eprsim.light_readout import (
     reconstruct_atomic_variance,
 )
 
-from test_spin_model import make_params
 
 MU_NU = (1.45, 1.05)
 
@@ -35,10 +33,11 @@ class TestLossParams:
 
 
 class TestLosslessIo:
+    # gamma_extra = 0: the map is the lossless input-output relation
     def test_hand_computed_variances(self):
-        params = make_params()
         T, gamma_s = 5.0, 0.27
-        snap = apply_io((1.0, 1.0), 1.0, params, T, gamma_s=gamma_s)
+        snap = apply_io_lossy((1.0, 1.0), 1.0, LossParams(gamma_s, 0.0),
+                              MU_NU, T)
         e2 = math.exp(-2.0 * gamma_s * T)
         k2 = (1.0 - e2) / 0.16
         assert snap.kappa_sq == pytest.approx(k2)
@@ -48,28 +47,18 @@ class TestLosslessIo:
 
     def test_steady_state_output_is_shot_noise(self):
         # atoms at the dissipative floor leave the light at vacuum level
-        params = make_params()
-        snap = apply_io((0.16, 0.16), 1.0, params, 5.0, gamma_s=0.27)
+        snap = apply_io_lossy((0.16, 0.16), 1.0, LossParams(0.27, 0.0),
+                              MU_NU, 5.0)
         assert snap.y_out[0] == pytest.approx(1.0, abs=1e-12)
         assert snap.y_out[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_qnd_limit_bookkeeping(self):
         # weak squeezing: var(y_out) -> 1 + kappa^2 for CSS atoms
         s = 0.01
-        mu = 0.5 * (s + 1.0 / s)
-        nu = 0.5 * (1.0 / s - s)
-        params = make_params(mu=mu, nu=nu)
-        snap = apply_io((1.0, 1.0), 1.0, params, 1.0, gamma_s=1e-4)
+        mu_nu = (0.5 * (s + 1.0 / s), 0.5 * (1.0 / s - s))
+        snap = apply_io_lossy((1.0, 1.0), 1.0, LossParams(1e-4, 0.0),
+                              mu_nu, 1.0)
         assert snap.y_out[0] == pytest.approx(1.0 + snap.kappa_sq, rel=1e-3)
-
-    def test_lossy_reduces_to_lossless(self):
-        params = make_params()
-        loss = LossParams(gamma_s=0.27, gamma_extra=0.0)
-        a = apply_io((0.7, 1.3), 1.0, params, 4.0, gamma_s=0.27)
-        b = apply_io_lossy((0.7, 1.3), 1.0, loss, MU_NU, 4.0)
-        assert a.kappa_sq == pytest.approx(b.kappa_sq)
-        np.testing.assert_allclose(a.y_out, b.y_out, atol=1e-14)
-        np.testing.assert_allclose(a.atomic_out, b.atomic_out, atol=1e-14)
 
 
 class TestDetectionLoss:

@@ -15,8 +15,6 @@ from eprsim.multilevel_rates import (
     rate_matrix,
     sm_variance_drift,
     transition_rates,
-    transverse_decay,
-    variance_slope,
 )
 
 from test_spin_model import make_params
@@ -69,6 +67,19 @@ class TestPropagation:
             ref = expm(a * t) @ n0
             got = np.array([series.n44[k], series.n43[k], series.nh[k]])
             np.testing.assert_allclose(got, ref, atol=1e-8)
+
+    def test_defective_generator(self):
+        # the pump alone: double eigenvalue -p with a single eigenvector
+        p, b = 0.168, 0.3
+        pop0 = PopulationState(n44=0.2, n43=0.3, nh=0.5)
+        grid = np.linspace(0.0, 40.0, 21)
+        s = propagate_populations(pop0, RateSet(0.0, 0.0, 0.0, 0.0), grid,
+                                  PumpConfig(rate=p, branching=b))
+        decay = np.exp(-p * grid)
+        np.testing.assert_allclose(s.nh, pop0.nh * decay, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            s.n43, decay * (pop0.n43 + (1.0 - b) * p * grid * pop0.nh),
+            rtol=0, atol=1e-12)
 
     def test_conservation(self):
         grid = np.linspace(0.0, 100.0, 41)
@@ -123,7 +134,7 @@ class TestSlopes:
         sol = solve_ivp(rhs, (0.0, grid[-1]), [1.0], t_eval=grid,
                         rtol=1e-10, atol=1e-12)
         fd = (sol.y[0, 1] - sol.y[0, 0]) / (grid[1] - grid[0])
-        assert variance_slope(POP0, params, RATES) == pytest.approx(
+        assert sm_variance_drift(POP0, params, RATES) == pytest.approx(
             fd, rel=1e-3)
 
     def test_collective_term_vanishes_at_squeeze_floor(self):
@@ -134,23 +145,6 @@ class TestSlopes:
         no_coll = (7.0 * RATES.g_in * pop.p2
                    - 7.0 * (RATES.g_out + RATES.g34 - RATES.g43) * pop.n43)
         assert drift == pytest.approx(no_coll, abs=1e-12)
-
-
-class TestTransverseDecay:
-    def test_formula(self):
-        params = make_params()
-        grid = np.linspace(0.0, 10.0, 5)
-        s = propagate_populations(POP0, RATES, grid)
-        t = 5.0
-        p2t = float(np.interp(t, grid, s.p2_tilde))
-        expected = np.exp(-0.5 * (params.Gamma_tilde
-                                  + params.d * params.Gamma * p2t) * t) * 2.0
-        assert transverse_decay(2.0, params, s, t) == pytest.approx(expected)
-
-    def test_out_of_range(self):
-        s = propagate_populations(POP0, RATES, np.linspace(0.0, 10.0, 5))
-        with pytest.raises(ValueError):
-            transverse_decay(1.0, make_params(), s, 11.0)
 
 
 class TestMultilevelWitness:

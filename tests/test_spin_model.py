@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from eprsim.errors import DegeneratePolarizationError, InvariantViolationError
+from eprsim.errors import InvariantViolationError
 from eprsim.spin_model import (
     GaussianState,
     ModelParams,
@@ -12,7 +12,6 @@ from eprsim.spin_model import (
     coupling_constants,
     css_state,
     epr_variance,
-    holstein_primakoff,
     symplectic_check,
     symplectic_eigenvalues,
     two_mode_squeezed_cov,
@@ -144,19 +143,6 @@ class TestSymplectic:
 
     def test_squeezed_but_physical_passes(self):
         symplectic_check(np.diag([0.5, 2.0, 1.0, 1.0]))
-
-
-class TestHolsteinPrimakoff:
-    def test_ensemble_sign_convention(self):
-        x1, p1 = holstein_primakoff(2.0, 3.0, 4.0, "I")
-        x2, p2 = holstein_primakoff(2.0, 3.0, 4.0, "II")
-        assert x1 == x2 == pytest.approx(1.0)
-        assert p1 == pytest.approx(1.5)
-        assert p2 == pytest.approx(-1.5)
-
-    def test_degenerate_polarisation(self):
-        with pytest.raises(DegeneratePolarizationError):
-            holstein_primakoff(1.0, 1.0, 0.0, "I")
 
 
 class TestCouplingConstants:

@@ -184,14 +184,17 @@ def _cmd_reconstruct(args) -> int:
     kappa_sq = readout_kappa_sq(loss, mu_nu, T)
     slope, floor = closed_form_calibration(kappa_sq, mu_nu, params.eta)
     report = {"kappa_sq": kappa_sq}
+    batch = None  # drawn once, re-targeted for the second branch
     for label, v in (("css", 1.0), ("steady", params.squeeze_sq)):
         snap = apply_io_lossy((v, v), 1.0, loss, mu_nu, T)
         y = [apply_detection_loss(yv, params.eta) for yv in snap.y_out]
         report[f"xi_{label}"] = invert_readout(y, slope, floor)
         report[f"xi_{label}_true"] = v
         if args.trials > 1:
-            batch = simulate_batch(args.trials, T, args.dt_ms, loss, mu_nu,
-                                   args.seed, initial_var=(v, v))
+            if batch is None:
+                batch = simulate_batch(args.trials, T, args.dt_ms, loss,
+                                       mu_nu, args.seed, initial_var=(v, v))
+            batch.retarget((v, v))
             var = hybrid_readout(batch, (0.0, T), loss.gamma).unconditional
             report[f"xi_{label}_mc"] = invert_readout(var, slope, floor)
     _emit_report(args, "reconstruct", report, params, args.seed)
@@ -362,7 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "(default: the scenario's own)")
     p.add_argument("name", choices=SCENARIO_NAMES)
     p.add_argument("--overrides", help="JSON object of parameter overrides")
-    p.set_defaults(func=_cmd_scenario)
+    # None tells an explicit --trials, which only fig2d takes, from none
+    p.set_defaults(func=_cmd_scenario, trials=None)
     return ap
 
 

@@ -140,14 +140,17 @@ class Trajectory:
                                     for r in ends])
         self.var_x_minus, self.var_p_plus, self.xi = mixed.T
 
+    def state(self, k: int) -> GaussianState:
+        """GaussianState at ``times[k]``."""
+        p, x = self.phi[k], self.x[k]
+        return GaussianState(mean=np.sqrt(p) * self.initial.mean,
+                             cov=p * self.initial.cov + x * self.target
+                             + (1.0 - p - x) * np.eye(4))
+
     @property
     def states(self) -> list:
         """GaussianState at every time point, built on demand."""
-        c0, m0 = self.initial.cov, self.initial.mean
-        return [GaussianState(mean=np.sqrt(p) * m0,
-                              cov=p * c0 + x * self.target
-                              + (1.0 - p - x) * np.eye(4))
-                for p, x in zip(self.phi, self.x)]
+        return [self.state(k) for k in range(self.times.size)]
 
 
 def relaxation_rate(params: ModelParams, p2_tilde: float = 1.0) -> float:

@@ -184,11 +184,15 @@ class PopulationSeries:
                             where=self.n2_frac > 0)
         self.jx_frac = 4.0 * self.n44 + 3.0 * self.n43
 
+    def state(self, k: int) -> PopulationState:
+        """PopulationState at ``times[k]``."""
+        return PopulationState(n44=self.n44[k], n43=self.n43[k],
+                               nh=self.nh[k], N=self.N)
+
     @property
     def states(self) -> list:
         """PopulationState at every time point, built on demand."""
-        return [PopulationState(n44=a, n43=b, nh=c, N=self.N)
-                for a, b, c in zip(self.n44, self.n43, self.nh)]
+        return [self.state(k) for k in range(self.times.size)]
 
 
 def propagate_populations(initial: PopulationState, rates: RateSet, grid,

@@ -17,7 +17,8 @@ Per bin of width tau, channel pair (u couples to cos, v to sin):
 
 with kappa_tau^2 = (1-eps^2)(1-exp(-2 gamma tau))/s^2, s = mu - nu.
 Trial i of a batch uses the seed ``master_seed XOR i`` and draws, in this
-order, its two initial atomic values and its (nbins, 2, 4) noise.
+order, its two unit initial values z and its (nbins, 2, 4) noise; the
+initial atomic values are u_0 = sqrt(initial_var) z.
 
 Layout: the sampler writes a batch into one (2, nbins, trials) float64
 buffer, and ``RecordBatch.samples`` is its (trials, nbins, 2) transposed
@@ -25,6 +26,12 @@ view, so one channel over a mode's window is a (trials, bins) slice whose
 trial axis is contiguous.  The noise is drawn TRIAL_BLOCK trials at a time
 and copied to bin-major order BIN_CHUNK bins at a time, so besides the
 records (16 bytes per trial-bin) the sampler holds one block's noise.
+
+The record is linear in u_0, which reaches bin n only as r_n u_0 with
+r_n = kappa_tau exp(-gamma tau n) (times sqrt(eta) under detection loss).
+A batch keeps z and r, and ``RecordBatch.retarget`` adds (sqrt(v') -
+sqrt(v)) z r_n bin by bin: branches that differ only in the initial variance
+share one draw per seed, and no (trials, nbins) temporary is made.
 """
 
 from __future__ import annotations
@@ -58,10 +65,13 @@ MAX_TRIAL_BINS = 25_000_000
 # for a few trials (measured on a 2-core x86 host), so 2 x 10^4 bins take
 # about 0.1 s; larger batches are bounded by MAX_TRIAL_BINS.
 MAX_BINS = 20_000
-# Cap on gamma_m scan points: each point builds a feed mode and integrates
-# every trial (about 90 us even for two trials), so 10^4 points take about
-# a second.
+# Cap on gamma_m scan points: the scan weights every feed bin and integrates
+# every trial per point, in matrix products (about 2 us per point for two
+# trials of 200 feed bins, 50 us at 2500 trials, on a 2-core x86 host), so
+# 10^4 points take 0.02-0.5 s.
 MAX_GAIN_POINTS = 10_000
+# Trial-points, and bin-points, per matrix product of the gamma_m scan (2 MB).
+GAIN_CHUNK = 1 << 18
 # Trials whose noise the sampler draws at a time: it holds one block's
 # (trials, nbins, 2, 4) noise, 64 bytes per trial-bin (8 MB at fig2d's 250
 # bins), besides the records.
@@ -78,6 +88,11 @@ class RecordBatch:
     dt: float
     samples: np.ndarray  # shape (trials, nbins, 2): (cos, sin) per bin
     master_seed: int
+    # kept by the sampler for retarget: (cos, sin) variances, the unit
+    # initial draws z (trials, 2) and the unit-u_0 response r (nbins,)
+    initial_var: np.ndarray | None = None
+    initial_draws: np.ndarray | None = None
+    initial_response: np.ndarray | None = None
 
     @property
     def n_trials(self) -> int:
@@ -86,6 +101,22 @@ class RecordBatch:
     @property
     def nbins(self) -> int:
         return self.samples.shape[1]
+
+    def retarget(self, initial_var) -> None:
+        """Move the batch in place to the (cos, sin) ``initial_var``: the
+        records become those of the same seeds drawn at ``initial_var``, up
+        to rounding.  ValueError for a batch without initial draws."""
+        if self.initial_draws is None:
+            raise ValueError("batch keeps no initial draws to re-target")
+        new = np.broadcast_to(np.asarray(initial_var, dtype=float), (2,))
+        if np.array_equal(new, self.initial_var):
+            return
+        z = self.initial_draws.T * (np.sqrt(new)
+                                    - np.sqrt(self.initial_var))[:, None]
+        out = self.samples.transpose(2, 1, 0)  # (2, nbins, trials)
+        for n, r_n in enumerate(self.initial_response):
+            out[:, n] += r_n * z
+        self.initial_var = new
 
 
 @dataclass(frozen=True)
@@ -117,16 +148,24 @@ class ModeFunctional:
     def weights(self, dt: float, nbins: int):
         """Discrete weights over the record grid: (slice of the window's
         bins, weights)."""
-        t0, t1 = self.window
-        times = (np.arange(nbins) + 0.5) * dt
-        idx = np.nonzero((times >= t0) & (times < t1))[0]
-        if idx.size == 0:
-            raise ValueError("mode window overlaps no record bins")
-        bins = slice(idx[0], idx[-1] + 1)  # bin times increase: one run
         sgn = -1.0 if self.direction == "falling" else 1.0
-        arg = sgn * self.exponent_rate * (times[bins] - t0)
-        raw = np.exp(arg - arg.max())  # overflow-safe; renormalised below
-        return bins, raw / np.sqrt(np.sum(raw**2))
+        bins, w = _envelopes(dt, nbins, self.window,
+                             [sgn * self.exponent_rate])
+        return bins, w[:, 0]
+
+
+def _envelopes(dt: float, nbins: int, window: tuple, rates):
+    """Unit-norm envelopes exp(rate (t - t0)) on the window's record bins,
+    one column per rate: (slice of the window's bins, (bins, rates))."""
+    t0, t1 = window
+    times = (np.arange(nbins) + 0.5) * dt
+    idx = np.nonzero((times >= t0) & (times < t1))[0]
+    if idx.size == 0:
+        raise ValueError("mode window overlaps no record bins")
+    bins = slice(idx[0], idx[-1] + 1)  # bin times increase: one run
+    arg = np.multiply.outer(times[bins] - t0, rates)
+    raw = np.exp(arg - arg.max(axis=0))  # overflow-safe; renormalised below
+    return bins, raw / np.sqrt(np.sum(raw**2, axis=0))
 
 
 def simulate_batch(n_trials: int, duration: float, dt: float,
@@ -159,25 +198,30 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
     s2 = s**2
     eps_sq = loss.epsilon_sq
     eta = loss.eta
-    init_sd = np.sqrt(np.asarray(initial_var)).reshape(-1, 1)
+    init_var = np.broadcast_to(np.asarray(initial_var, dtype=float), (2,))
+    init_sd = np.sqrt(init_var).reshape(-1, 1)
     sqrt_eta, sqrt_vac = np.sqrt(eta), np.sqrt(1.0 - eta)
 
     e2 = np.exp(-2.0 * loss.gamma * dt)
     e1 = np.exp(-loss.gamma * dt)
     kappa_tau = np.sqrt((1.0 - eps_sq) * (1.0 - e2)) / s
     anoise = np.sqrt(eps_sq * (1.0 - e2))
+    # bin n's response to a unit initial atomic value (module docstring)
+    response = kappa_tau * e1 ** np.arange(nbins)
+    if eta < 1.0:
+        response *= sqrt_eta
 
     out = np.empty((2, nbins, n_trials))
+    z = np.empty((2, n_trials))
     for b0 in range(0, n_trials, TRIAL_BLOCK):
         b1 = min(b0 + TRIAL_BLOCK, n_trials)
-        u = np.empty((2, b1 - b0))
         noise = np.empty((b1 - b0, nbins, 2, 4))
-        for j in range(b1 - b0):
-            rng = np.random.default_rng((master_seed ^ (b0 + j))
+        for j in range(b0, b1):
+            rng = np.random.default_rng((master_seed ^ j)
                                         & 0xFFFFFFFFFFFFFFFF)
-            u[:, j] = rng.standard_normal(2)
-            rng.standard_normal(out=noise[j])
-        u *= init_sd
+            z[:, j] = rng.standard_normal(2)
+            rng.standard_normal(out=noise[j - b0])
+        u = z[:, b0:b1] * init_sd
         for n0 in range(0, nbins, BIN_CHUNK):
             # bin-major (4, bins, 2, trials): each bin's rows are contiguous
             w, f, g, h = np.ascontiguousarray(
@@ -204,7 +248,8 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
                 u -= feed[n]
                 u += f[n]
     return RecordBatch(dt=dt, samples=out.transpose(2, 1, 0),
-                       master_seed=master_seed)
+                       master_seed=master_seed, initial_var=init_var,
+                       initial_draws=z.T, initial_response=response)
 
 
 def integrate_mode_batch(batch: RecordBatch, mode: ModeFunctional) -> np.ndarray:
@@ -255,26 +300,35 @@ def optimize_gain(batch: RecordBatch, readout_mode: ModeFunctional,
     For each gamma_m in the grid a rising-exponential feed mode is built
     from t = 0 up to the readout window and the closed-form optimal gain
     alpha* = cov(y_read, y_feed)/var(y_feed) is used.  Returns (alpha_star,
-    gamma_m_star, min_variance).
+    gamma_m_star, min_variance); the first grid point wins a tie.
     """
     grid = np.atleast_1d(np.asarray(gamma_m_grid, dtype=float))
     check_gain_scan(batch.n_trials, grid.size)
     feed_window = (0.0, readout_mode.window[0])
+    for gm in (grid.min(), grid.max()):  # the feed modes' own checks
+        ModeFunctional(phase=readout_mode.phase, exponent_rate=gm,
+                       direction="rising", window=feed_window)
     y_read = integrate_mode_batch(batch, readout_mode)
     if y_read.size < 2:
         raise StatisticsError("need at least two records")
+    col = 0 if readout_mode.phase == "cos" else 1
+    # grid points per matrix product
+    step = max(1, GAIN_CHUNK // max(batch.n_trials, batch.nbins))
+    read_dev = y_read - y_read.mean()
     best = None
-    for gm in grid:
-        mode = ModeFunctional(phase=readout_mode.phase, exponent_rate=gm,
-                              direction="rising", window=feed_window)
-        y_feed = integrate_mode_batch(batch, mode)
-        var_feed = np.var(y_feed, ddof=1)
-        if var_feed <= 0:
+    for k0 in range(0, grid.size, step):
+        bins, w = _envelopes(batch.dt, batch.nbins, feed_window,
+                             grid[k0:k0 + step])
+        y_feed = w.T @ batch.samples[:, bins, col].T  # (points, trials)
+        var_feed = np.var(y_feed, axis=1, ddof=1)
+        if np.any(var_feed <= 0):
             raise NoInformationError("feedback mode variance is degenerate")
-        alpha = float(np.cov(y_read, y_feed, ddof=1)[0, 1] / var_feed)
-        v = float(np.var(y_read - alpha * y_feed, ddof=1))
-        if best is None or v < best[2]:
-            best = (alpha, float(gm), v)
+        cov = (y_feed - y_feed.mean(axis=1, keepdims=True)) @ read_dev
+        alpha = cov / (y_read.size - 1) / var_feed
+        v = np.var(y_read - alpha[:, None] * y_feed, axis=1, ddof=1)
+        k = int(np.argmin(v))
+        if best is None or v[k] < best[2]:
+            best = (float(alpha[k]), float(grid[k0 + k]), float(v[k]))
     return best
 
 

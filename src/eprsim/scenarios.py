@@ -187,8 +187,8 @@ def _run_fig2c(params, grid):
     w_nopump = _sub_unity_window(grid, xi_nopump)
     # Inset: stop the drive at the witness minimum and watch the decay.
     k_min = int(np.argmin(xi_pump))
-    t_dark, xi_dark = _dark_decay(params, traj.states[k_min],
-                                  pops.states[k_min])
+    t_dark, xi_dark = _dark_decay(params, traj.state(k_min),
+                                  pops.state(k_min))
     efold = (_deficit_efold_time(t_dark, xi_dark)
              if xi_dark[0] < 1.0 else None)
     report = {
@@ -215,6 +215,7 @@ _F2D_T = 20.0  # handover time, ms (>= 5/gamma for steady state)
 _F2D_TPROBE = 5.0  # verification window, ms
 _F2D_DT = 0.1  # bin width, ms
 _F2D_GRID = inclusive_range(0.10, 1.5, 0.05)  # gamma_m scan, ms^-1
+_F2D_TRIALS = 2000  # default record trials
 
 
 def _run_fig2d(params, seed, trials):
@@ -231,14 +232,15 @@ def _run_fig2d(params, seed, trials):
                                         probe_mode)
 
     initial_var = {"css": 1.0, "anti_squeezed": 4.0}
-    # Common random numbers across the two branches: the batches share every
-    # noise stream and differ only in the initial atomic draw, so the
-    # branch-to-branch difference isolates the initial-state dependence.
+    # Common random numbers across the two branches: one batch, re-targeted,
+    # shares every noise sample and only the initial variance differs, so
+    # the branch-to-branch difference isolates the initial-state dependence.
+    batch = simulate_batch(trials, window[1], _F2D_DT, loss, mu_nu, seed,
+                           initial_var=(1.0, 1.0))
     report = {}
     for label, v in initial_var.items():
-        r = hybrid_readout(simulate_batch(trials, window[1], _F2D_DT, loss,
-                                          mu_nu, seed, initial_var=(v, v)),
-                           window, loss.gamma, _F2D_GRID)
+        batch.retarget((v, v))
+        r = hybrid_readout(batch, window, loss.gamma, _F2D_GRID)
         # standard error of a variance estimate, pushed through the
         # (linear) inversion
         se_var = 0.5 * math.hypot(*r.conditional) * math.sqrt(
@@ -274,11 +276,16 @@ def _run_fig2d(params, seed, trials):
 
 
 def run_scenario(name: str, overrides: dict | None = None, seed: int = 0,
-                 grid=None, trials: int = 2000) -> ScenarioResult:
-    """Deterministic end-to-end pipeline for a named scenario."""
+                 grid=None, trials: int | None = None) -> ScenarioResult:
+    """Deterministic end-to-end pipeline for a named scenario; ``trials``
+    (default 2000) is fig2d's only and ``grid`` the others' (ValueError)."""
     if name not in SCENARIO_NAMES:
         raise ValueError(f"unknown scenario {name!r}; "
                          f"choose from {SCENARIO_NAMES}")
+    if name == "fig2d" and grid is not None:
+        raise ValueError("fig2d samples records and takes no time grid")
+    if name != "fig2d" and trials is not None:
+        raise ValueError(f"{name} samples no records and takes no trials")
     params = scenario_params(name)
     if overrides:
         params = params.replace(**overrides)
@@ -286,7 +293,8 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0,
         grid = inclusive_range(0.0, 45.0, 0.25)
     grid = np.asarray(grid, dtype=float)
     if name == "fig2d":  # record Monte Carlo: no time grid
-        report, arts = _run_fig2d(params, seed, trials)
+        report, arts = _run_fig2d(params, seed,
+                                  _F2D_TRIALS if trials is None else trials)
     else:
         run = {"fig2a": _run_fig2a, "fig2b": _run_fig2b, "fig2c": _run_fig2c}
         report, arts = run[name](params, grid)

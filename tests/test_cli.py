@@ -13,6 +13,7 @@ from eprsim import scenarios
 from eprsim.cli import _parse_grid, main
 from eprsim.estimation import forward_model
 from eprsim.multilevel_rates import PopulationState
+from eprsim.records import simulate_batch
 from eprsim.scenarios import inclusive_range, scenario_params
 
 
@@ -74,6 +75,16 @@ class TestDeterminism:
         assert run(args + ["--out", str(b)]) == 0
         assert (a / "conditional.csv").read_bytes() == \
             (b / "conditional.csv").read_bytes()
+
+    def test_fig2d_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["scenario", "fig2d", "--trials", "200", "--seed", "5"]
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
+        names = sorted(f.name for f in a.iterdir())
+        assert names == ["fig2d_report.csv", "hybrid_summary.csv"]
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_seed_changes_mc_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -208,12 +219,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     (["orientation", "--trials", "5", "0,0,0,0,0,0,0,0.008,0.992"], 2),
     (["scenario", "fig2a", "--params", "p.json"], 2),
     (["simulate", "--format", "json"], 2),
+    (["scenario", "fig2a", "--trials", "7"], 2),
+    (["scenario", "fig2d", "--grid", "0,1,0.5"], 2),
 ], ids=["overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
         "overrides-list", "pops-nan", "pops-inf", "grid-huge", "grid-inf",
         "grid-nan", "handover-inf", "probe-inf", "trials-huge", "dt-tiny",
         "gm-step-zero", "gm-step-tiny", "overrides-stiff", "gm-scan-huge",
         "bins-huge", "populations-degenerate", "gm-scan-long",
-        "orientation-trials", "scenario-params", "simulate-format"])
+        "orientation-trials", "scenario-params", "simulate-format",
+        "scenario-trials", "scenario-grid"])
 def test_bad_input_exit_code(argv, code, tmp_path):
     # a fresh interpreter per input: a hang fails the test at the timeout
     env = dict(os.environ)
@@ -240,6 +254,23 @@ def test_conditional_scan_checked_before_sampling(argv, monkeypatch, tmp_path):
         raise AssertionError("simulate_batch called")
     monkeypatch.setattr("eprsim.cli.simulate_batch", fail)
     assert main(["conditional", *argv, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "fig2d", "--trials", "50"],
+    ["reconstruct", "--trials", "50"],
+], ids=["fig2d", "reconstruct"])
+def test_branches_share_one_batch(argv, monkeypatch, tmp_path):
+    # both initial-variance branches come from one draw per seed
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate_batch(*args, **kwargs)
+    monkeypatch.setattr("eprsim.cli.simulate_batch", counted)
+    monkeypatch.setattr("eprsim.scenarios.simulate_batch", counted)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 _SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "-1e300",

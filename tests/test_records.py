@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eprsim.errors import StatisticsError
+from eprsim import records
+from eprsim.errors import NoInformationError, StatisticsError
 from eprsim.light_readout import LossParams, apply_io_lossy
 from eprsim.records import (
     MAX_BINS,
@@ -65,6 +66,9 @@ class TestModeFunctional:
         mode = ModeFunctional(phase="sin", exponent_rate=0.27,
                               direction="falling", window=(0.0, 5.0))
         assert integrate_mode_batch(rec, mode)[0] == 0.0
+        # a hand-built batch keeps no initial draws to re-target
+        with pytest.raises(ValueError, match="initial draws"):
+            rec.retarget((4.0, 4.0))
 
     def test_window_overflow(self):
         rec = RecordBatch(dt=0.1, samples=np.zeros((1, 10, 2)),
@@ -215,6 +219,37 @@ class TestSynthesisMoments:
                                    rtol=1e-13, atol=1e-13)
 
 
+class TestRetarget:
+    @pytest.mark.parametrize("eta", [1.0, 0.84])
+    @pytest.mark.parametrize("start, target", [
+        ((0.5, 2.0), (2.0, 0.5)),
+        ((0.0, 0.0), (0.5, 2.0)),
+        ((0.5, 2.0), (0.0, 0.0)),
+    ], ids=["unequal", "from-zero", "to-zero"])
+    def test_matches_fresh_draw(self, eta, start, target):
+        # the same seeds drawn at the target variance, across a block
+        # boundary of the sampler
+        loss = LossParams(gamma_s=0.19, gamma_extra=0.08, eta=eta)
+        batch = simulate_batch(TRIAL_BLOCK + 2, 25.0, 0.1, loss, MU_NU, 12,
+                               initial_var=start)
+        batch.retarget(target)
+        fresh = simulate_batch(TRIAL_BLOCK + 2, 25.0, 0.1, loss, MU_NU, 12,
+                               initial_var=target)
+        np.testing.assert_allclose(batch.samples, fresh.samples,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_memory_bounded(self):
+        # bin by bin: no (trials, nbins) temporary
+        batch = simulate_batch(4000, 10.0, 0.1, LOSSY, MU_NU, 3)
+        tracemalloc.start()
+        try:
+            batch.retarget((4.0, 4.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < batch.samples.nbytes / 10
+
+
 class TestConditionalVariance:
     READ = ModeFunctional(phase="cos", exponent_rate=0.27,
                           direction="falling", window=(10.0, 15.0))
@@ -279,6 +314,43 @@ class TestConditionalVariance:
         assert gm == 0.6
         assert best == pytest.approx(
             conditional_variance(b, self.READ, self.FEED, alpha))
+
+    @pytest.mark.parametrize("chunk", [records.GAIN_CHUNK, 15_000],
+                             ids=["one-product", "chunked"])
+    def test_optimize_gain_matches_point_loop(self, chunk, monkeypatch):
+        # one feed mode and one variance per point, as the scan did before
+        # it was batched; the sums differ only in order (rel 1e-12)
+        monkeypatch.setattr(records, "GAIN_CHUNK", chunk)
+        b = self.batch()
+        grid = np.arange(0.2, 1.2, 0.05)
+        y_read = integrate_mode_batch(b, self.READ)
+        ref = None
+        for g in grid:
+            mode = ModeFunctional(phase="cos", exponent_rate=g,
+                                  direction="rising", window=(0.0, 10.0))
+            y_feed = integrate_mode_batch(b, mode)
+            alpha = float(np.cov(y_read, y_feed, ddof=1)[0, 1]
+                          / np.var(y_feed, ddof=1))
+            v = float(np.var(y_read - alpha * y_feed, ddof=1))
+            if ref is None or v < ref[2]:
+                ref = (alpha, float(g), v)
+        alpha, gm, best = optimize_gain(b, self.READ, grid)
+        assert gm == ref[1]
+        assert alpha == pytest.approx(ref[0], rel=1e-12)
+        assert best == pytest.approx(ref[2], rel=1e-12)
+
+    def test_degenerate_feed_mode(self):
+        # an empty feed record carries no information at any point
+        samples = np.zeros((20, 150, 2))
+        samples[:, 100:, 0] = np.arange(20.0)[:, None]
+        rec = RecordBatch(dt=0.1, samples=samples, master_seed=0)
+        with pytest.raises(NoInformationError):
+            optimize_gain(rec, self.READ, [0.3, 0.6])
+
+    @pytest.mark.parametrize("grid", [[0.5, -0.1], [0.5, math.nan]])
+    def test_bad_rates_rejected(self, grid):
+        with pytest.raises(ValueError, match="exponent rate"):
+            optimize_gain(self.batch(trials=10), self.READ, grid)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

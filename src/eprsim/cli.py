@@ -181,6 +181,8 @@ def _cmd_reconstruct(args) -> int:
                       eta=params.eta)
     mu_nu = (params.mu, params.nu)
     T = args.probe_ms
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     kappa_sq = readout_kappa_sq(loss, mu_nu, T)
     slope, floor = closed_form_calibration(kappa_sq, mu_nu, params.eta)
     report = {"kappa_sq": kappa_sq}
@@ -209,7 +211,9 @@ def _cmd_conditional(args) -> int:
     T, probe = args.handover_ms, args.probe_ms
     grid = _range(args.gm_min, args.gm_max, args.gm_step,
                   "--gm-min/--gm-max/--gm-step")
-    check_gain_scan(args.trials, grid.size)
+    # the feed modes span the record before the readout window
+    check_gain_scan(args.trials, grid.size,
+                    T / args.dt_ms if args.dt_ms > 0 else 0.0)
     batch = simulate_batch(args.trials, T + probe, args.dt_ms, loss, mu_nu,
                            args.seed)
     r = hybrid_readout(batch, (T, T + probe), loss.gamma, grid)

@@ -3,35 +3,51 @@ integration and the conditional-variance (hybrid) scheme.
 
 Records are generated at baseband in the frame rotating at the Larmor
 frequency: each time bin carries the (cos, sin) quadrature pair of S2, one
-independent vacuum mode pair per bin with unit variance.  The per-bin update
-is the differential form of the input-output relations, so mode-functional
+independent vacuum mode pair per bin with unit variance.  The record model is
+the differential form of the input-output relations, so mode-functional
 integrals have exactly the first and second moments predicted by the
 closed-form relations in :mod:`eprsim.light_readout` (the aggregated signal
 coefficient telescopes to the continuous kappa for any bin width).
 
-Per bin of width tau, channel pair (u couples to cos, v to sin):
+Per bin of width tau and channel (u couples to cos, v to sin), the physical
+update draws four vacuum normals w, f, g, h:
 
-    s_n = exp(-gamma tau) w_n + kappa_tau u_n + eps sqrt(1-exp(-2 gamma tau)) g_n
-    u_(n+1) = exp(-gamma tau) u_n - s^2 kappa_tau w_n
-              + eps sqrt(1-exp(-2 gamma tau)) f_n
+    s_n = sqrt(eta) (e1 w_n + kappa_tau u_n + a g_n) + sqrt(1-eta) h_n
+    u_(n+1) = e1 u_n - s^2 kappa_tau w_n + a f_n
 
-with kappa_tau^2 = (1-eps^2)(1-exp(-2 gamma tau))/s^2, s = mu - nu.
+with e1 = exp(-gamma tau), a^2 = eps^2 (1-e1^2),
+kappa_tau^2 = (1-eps^2)(1-e1^2)/s^2 and s = mu - nu.  This is a scalar state
+u observed as s_n = H u_n + v_n, H = sqrt(eta) kappa_tau, with measurement
+noise variance R = eta (e1^2 + a^2) + 1 - eta, process noise variance
+Q = s^4 kappa_tau^2 + a^2 and cross-covariance C = -sqrt(eta) e1 s^2
+kappa_tau.  The sampler draws the same law in innovations form, one normal
+eps_n per bin and channel: the Kalman/Riccati recursion from P_0 = 0,
+
+    S_n = H^2 P_n + R,  K_n = (e1 P_n H + C) / S_n,
+    P_(n+1) = max(0, e1^2 P_n + Q - K_n^2 S_n),
+
+runs once per batch, and each trial steps its predicted state x from
+x_0 = u_0:
+
+    s_n = H x_n + sqrt(S_n) eps_n,  x_(n+1) = e1 x_n + K_n sqrt(S_n) eps_n.
+
 Trial i of a batch uses the seed ``master_seed XOR i`` and draws, in this
-order, its two unit initial values z and its (nbins, 2, 4) noise; the
-initial atomic values are u_0 = sqrt(initial_var) z.
+order, its two unit initial values z and its (nbins, 2) noise; the initial
+atomic values are u_0 = sqrt(initial_var) z.  :func:`exact_mode_variance`
+keeps the four-noise moment recursion as the referee.
 
 Layout: the sampler writes a batch into one (2, nbins, trials) float64
 buffer, and ``RecordBatch.samples`` is its (trials, nbins, 2) transposed
 view, so one channel over a mode's window is a (trials, bins) slice whose
 trial axis is contiguous.  The noise is drawn TRIAL_BLOCK trials at a time
-and copied to bin-major order BIN_CHUNK bins at a time, so besides the
-records (16 bytes per trial-bin) the sampler holds one block's noise.
+and written to bin-major order in the records buffer, so besides the records
+(16 bytes per trial-bin) the sampler holds one block's noise.
 
 The record is linear in u_0, which reaches bin n only as r_n u_0 with
-r_n = kappa_tau exp(-gamma tau n) (times sqrt(eta) under detection loss).
-A batch keeps z and r, and ``RecordBatch.retarget`` adds (sqrt(v') -
-sqrt(v)) z r_n bin by bin: branches that differ only in the initial variance
-share one draw per seed, and no (trials, nbins) temporary is made.
+r_n = H e1^n.  A batch keeps z and r, and ``RecordBatch.retarget`` adds
+(sqrt(v') - sqrt(v)) z r_n bin by bin: branches that differ only in the
+initial variance share one draw per seed, and no (trials, nbins) temporary
+is made.
 """
 
 from __future__ import annotations
@@ -61,23 +77,31 @@ __all__ = [
 # gamma_m scan integrates every trial once per grid point, so trials x grid
 # points is held to the same cap.
 MAX_TRIAL_BINS = 25_000_000
-# Cap on bins per batch: the sampler steps bin by bin at about 5 us per bin
+# Cap on bins per batch: the sampler steps bin by bin at about 10 us per bin
 # for a few trials (measured on a 2-core x86 host), so 2 x 10^4 bins take
-# about 0.1 s; larger batches are bounded by MAX_TRIAL_BINS.
+# about 0.2 s; larger batches are bounded by MAX_TRIAL_BINS.
 MAX_BINS = 20_000
 # Cap on gamma_m scan points: the scan weights every feed bin and integrates
 # every trial per point, in matrix products (about 2 us per point for two
 # trials of 200 feed bins, 50 us at 2500 trials, on a 2-core x86 host), so
 # 10^4 points take 0.02-0.5 s.
 MAX_GAIN_POINTS = 10_000
+# Cap on trials x gamma_m points x feed bins: the scan's matrix products take
+# 0.2-0.4 ns per unit, and building the feed-mode envelopes 30-50 ns per
+# point and feed bin, as much as GAIN_ENVELOPE_TRIALS more trials (2000
+# trials x 141 points x 200 feed bins, the conditional defaults, in 13 ms;
+# 100 trials x 1000 points x 19 950 feed bins in 1.4 s; 2 trials x 10^4
+# points x 19 950 feed bins in 6.5 s; 2-core x86 host, one BLAS thread).  So
+# the cap holds a scan to about half a second and admits fig2d at
+# MAX_TRIAL_BINS (10^5 trials x 29 points x 200 feed bins).
+MAX_GAIN_WORK = 1_000_000_000
+GAIN_ENVELOPE_TRIALS = 100
 # Trial-points, and bin-points, per matrix product of the gamma_m scan (2 MB).
 GAIN_CHUNK = 1 << 18
 # Trials whose noise the sampler draws at a time: it holds one block's
-# (trials, nbins, 2, 4) noise, 64 bytes per trial-bin (8 MB at fig2d's 250
+# (trials, nbins, 2) noise, 16 bytes per trial-bin (2 MB at fig2d's 250
 # bins), besides the records.
 TRIAL_BLOCK = 512
-# Bins per bin-major copy of a block's noise (2 MB per 512 trials).
-BIN_CHUNK = 64
 
 
 @dataclass
@@ -168,6 +192,16 @@ def _envelopes(dt: float, nbins: int, window: tuple, rates):
     return bins, raw / np.sqrt(np.sum(raw**2, axis=0))
 
 
+def _bin_constants(loss: LossParams, mu_nu: tuple, dt: float) -> tuple:
+    """(e1, kappa_tau, a^2, s^2) of the four-noise update over one bin of
+    width ``dt`` (module docstring)."""
+    mu, nu = mu_nu
+    e2 = np.exp(-2.0 * loss.gamma * dt)
+    e1 = np.exp(-loss.gamma * dt)
+    kappa_tau = np.sqrt((1.0 - loss.epsilon_sq) * (1.0 - e2)) / (mu - nu)
+    return e1, kappa_tau, loss.epsilon_sq * (1.0 - e2), (mu - nu) ** 2
+
+
 def simulate_batch(n_trials: int, duration: float, dt: float,
                    loss: LossParams, mu_nu: tuple, master_seed: int,
                    initial_var=(1.0, 1.0)) -> RecordBatch:
@@ -181,11 +215,13 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
     if not (math.isfinite(duration) and math.isfinite(dt) and duration > 0
             and dt > 0 and math.isfinite(duration / dt)):
         raise ValueError("duration and dt must be finite and positive")
+    # compared as a float first: a huge count is never made an integer
+    if duration / dt > MAX_BINS + 0.5:
+        raise ValueError(f"{duration / dt:.4g} bins exceeds {MAX_BINS} "
+                         f"bins per batch")
     nbins = int(round(duration / dt))
     if nbins < 1:
         raise ValueError("duration shorter than one bin")
-    if nbins > MAX_BINS:
-        raise ValueError(f"{nbins} bins exceeds {MAX_BINS} bins per batch")
     if n_trials * nbins > MAX_TRIAL_BINS:
         raise ValueError(f"{n_trials} trials x {nbins} bins exceeds "
                          f"{MAX_TRIAL_BINS} trial-bins")
@@ -193,60 +229,48 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
         raise ValueError(
             f"dt={dt} too coarse for gamma={loss.gamma} (aliasing)"
         )
-    mu, nu = mu_nu
-    s = mu - nu
-    s2 = s**2
-    eps_sq = loss.epsilon_sq
-    eta = loss.eta
     init_var = np.broadcast_to(np.asarray(initial_var, dtype=float), (2,))
     init_sd = np.sqrt(init_var).reshape(-1, 1)
-    sqrt_eta, sqrt_vac = np.sqrt(eta), np.sqrt(1.0 - eta)
 
-    e2 = np.exp(-2.0 * loss.gamma * dt)
-    e1 = np.exp(-loss.gamma * dt)
-    kappa_tau = np.sqrt((1.0 - eps_sq) * (1.0 - e2)) / s
-    anoise = np.sqrt(eps_sq * (1.0 - e2))
-    # bin n's response to a unit initial atomic value (module docstring)
-    response = kappa_tau * e1 ** np.arange(nbins)
-    if eta < 1.0:
-        response *= sqrt_eta
+    # innovations form of the four-noise update (module docstring)
+    e1, kappa_tau, a2, s2 = map(float, _bin_constants(loss, mu_nu, dt))
+    eta = loss.eta
+    H = math.sqrt(eta) * kappa_tau
+    R = eta * (e1**2 + a2) + 1.0 - eta
+    Q = s2**2 * kappa_tau**2 + a2
+    C = -math.sqrt(eta) * e1 * s2 * kappa_tau
+    innov_sd = np.empty(nbins)  # sqrt(S_n)
+    gain = np.empty(nbins)  # K_n
+    P = 0.0
+    for n in range(nbins):
+        S = H**2 * P + R
+        K = (e1 * P * H + C) / S
+        gain[n], innov_sd[n] = K, math.sqrt(S)
+        P = max(0.0, e1**2 * P + Q - K**2 * S)
+    # bin n's response to a unit initial atomic value
+    response = H * e1 ** np.arange(nbins)
 
     out = np.empty((2, nbins, n_trials))
     z = np.empty((2, n_trials))
     for b0 in range(0, n_trials, TRIAL_BLOCK):
         b1 = min(b0 + TRIAL_BLOCK, n_trials)
-        noise = np.empty((b1 - b0, nbins, 2, 4))
+        noise = np.empty((b1 - b0, nbins, 2))
         for j in range(b0, b1):
             rng = np.random.default_rng((master_seed ^ j)
                                         & 0xFFFFFFFFFFFFFFFF)
             z[:, j] = rng.standard_normal(2)
             rng.standard_normal(out=noise[j - b0])
-        u = z[:, b0:b1] * init_sd
-        for n0 in range(0, nbins, BIN_CHUNK):
-            # bin-major (4, bins, 2, trials): each bin's rows are contiguous
-            w, f, g, h = np.ascontiguousarray(
-                noise[:, n0:n0 + BIN_CHUNK].transpose(3, 1, 2, 0))
-            # the noise terms of the update below, scaled up front; the
-            # recursion adds them in the same order, so values are unchanged
-            feed = (s2 * kappa_tau) * w
-            w *= e1
-            f *= anoise
-            g *= anoise
-            if eta < 1.0:
-                h *= sqrt_vac
-            for n in range(len(feed)):
-                s_n = out[:, n0 + n, b0:b1]
-                # s_n = e1 w + kappa_tau u + anoise g, then detection loss
-                np.multiply(kappa_tau, u, out=s_n)
-                s_n += w[n]
-                s_n += g[n]
-                if eta < 1.0:
-                    s_n *= sqrt_eta
-                    s_n += h[n]
-                # u = e1 u - s^2 kappa_tau w + anoise f
-                u *= e1
-                u -= feed[n]
-                u += f[n]
+        # the innovations sqrt(S_n) eps_n, bin-major in the records buffer
+        block = out[:, :, b0:b1]
+        np.multiply(noise.transpose(2, 1, 0), innov_sd[:, None], out=block)
+        x = z[:, b0:b1] * init_sd
+        step = np.empty_like(x)
+        for n in range(nbins):
+            s_n = block[:, n]
+            np.multiply(gain[n], s_n, out=step)
+            s_n += H * x
+            x *= e1
+            x += step
     return RecordBatch(dt=dt, samples=out.transpose(2, 1, 0),
                        master_seed=master_seed, initial_var=init_var,
                        initial_draws=z.T, initial_response=response)
@@ -280,9 +304,12 @@ def conditional_variance(batch: RecordBatch, readout_mode: ModeFunctional,
     return float(np.var(y_read - alpha * y_feed, ddof=1))
 
 
-def check_gain_scan(n_trials: int, n_points: int) -> None:
+def check_gain_scan(n_trials: int, n_points: int,
+                    n_feed_bins: float) -> None:
     """ValueError unless a gamma_m scan of ``n_points`` over ``n_trials``
-    trials is nonempty and within the caps; callable before sampling."""
+    trials, with feed modes of about ``n_feed_bins`` bins (the readout
+    window's start over the bin width), is nonempty and within the caps;
+    callable before sampling."""
     if n_points == 0:
         raise ValueError("gamma_m grid must be nonempty")
     if n_points > MAX_GAIN_POINTS:
@@ -291,6 +318,12 @@ def check_gain_scan(n_trials: int, n_points: int) -> None:
     if n_trials * n_points > MAX_TRIAL_BINS:
         raise ValueError(f"{n_trials} trials x {n_points} gamma_m "
                          f"points exceeds {MAX_TRIAL_BINS}")
+    if ((n_trials + GAIN_ENVELOPE_TRIALS) * n_points * n_feed_bins
+            > MAX_GAIN_WORK):
+        raise ValueError(f"{n_trials} trials (+{GAIN_ENVELOPE_TRIALS} for "
+                         f"the envelopes) x {n_points} gamma_m points x "
+                         f"{n_feed_bins:.4g} feed bins exceeds "
+                         f"{MAX_GAIN_WORK:.4g}")
 
 
 def optimize_gain(batch: RecordBatch, readout_mode: ModeFunctional,
@@ -303,8 +336,8 @@ def optimize_gain(batch: RecordBatch, readout_mode: ModeFunctional,
     gamma_m_star, min_variance); the first grid point wins a tie.
     """
     grid = np.atleast_1d(np.asarray(gamma_m_grid, dtype=float))
-    check_gain_scan(batch.n_trials, grid.size)
     feed_window = (0.0, readout_mode.window[0])
+    check_gain_scan(batch.n_trials, grid.size, feed_window[1] / batch.dt)
     for gm in (grid.min(), grid.max()):  # the feed modes' own checks
         ModeFunctional(phase=readout_mode.phase, exponent_rate=gm,
                        direction="rising", window=feed_window)
@@ -379,12 +412,7 @@ def exact_mode_variance(loss: LossParams, mu_nu: tuple, dt: float,
     omits the within-window atomic noise, so its floor is lower).
     """
     nbins = int(round(duration / dt))
-    mu, nu = mu_nu
-    s2 = (mu - nu) ** 2
-    e2 = np.exp(-2.0 * loss.gamma * dt)
-    e1 = np.exp(-loss.gamma * dt)
-    kt = np.sqrt((1.0 - loss.epsilon_sq) * (1.0 - e2)) / (mu - nu)
-    a2 = loss.epsilon_sq * (1.0 - e2)
+    e1, kt, a2, s2 = _bin_constants(loss, mu_nu, dt)
 
     bins, w = mode.weights(dt, nbins)
     weights = np.zeros(nbins)

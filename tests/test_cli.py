@@ -221,13 +221,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     (["simulate", "--format", "json"], 2),
     (["scenario", "fig2a", "--trials", "7"], 2),
     (["scenario", "fig2d", "--grid", "0,1,0.5"], 2),
+    (["reconstruct", "--trials", "0"], 2),
+    (["reconstruct", "--trials", "-5"], 2),
 ], ids=["overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
         "overrides-list", "pops-nan", "pops-inf", "grid-huge", "grid-inf",
         "grid-nan", "handover-inf", "probe-inf", "trials-huge", "dt-tiny",
         "gm-step-zero", "gm-step-tiny", "overrides-stiff", "gm-scan-huge",
         "bins-huge", "populations-degenerate", "gm-scan-long",
         "orientation-trials", "scenario-params", "simulate-format",
-        "scenario-trials", "scenario-grid"])
+        "scenario-trials", "scenario-grid", "reconstruct-trials-zero",
+        "reconstruct-trials-negative"])
 def test_bad_input_exit_code(argv, code, tmp_path):
     # a fresh interpreter per input: a hang fails the test at the timeout
     env = dict(os.environ)
@@ -247,13 +250,30 @@ def test_bad_input_exit_code(argv, code, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--trials", "2", "--gm-step", "2e-6"],  # 700 001 points > the cap
     ["--trials", "20000", "--gm-step", "1e-3"],  # 1401 x 2e4 trial-points
-], ids=["points", "trial-points"])
+    # 100 trials x 9334 points x 19 950 feed bins: within the other caps
+    ["--trials", "100", "--handover-ms", "1995", "--dt-ms", "0.1",
+     "--gm-step", "0.00015"],
+    # two trials: the 9930 feed-mode envelopes alone take seconds
+    ["--trials", "2", "--handover-ms", "1995", "--gm-step", "0.000141"],
+], ids=["points", "trial-points", "scan-work", "scan-envelopes"])
 def test_conditional_scan_checked_before_sampling(argv, monkeypatch, tmp_path):
     # an over-long gamma_m scan is refused before any record is simulated
     def fail(*args, **kwargs):
         raise AssertionError("simulate_batch called")
     monkeypatch.setattr("eprsim.cli.simulate_batch", fail)
     assert main(["conditional", *argv, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["conditional", "--trials", "2", "--dt-ms", "1e-300"],
+    ["reconstruct", "--trials", "2", "--dt-ms", "1e-300"],
+], ids=["conditional", "reconstruct"])
+def test_oversized_bin_count_message_short(argv, capsys, tmp_path):
+    # 2e301 bins: the count is reported in float form, not as 300 digits
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds" in err
+    assert len(err) < 200, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from eprsim.records import (
     TRIAL_BLOCK,
     ModeFunctional,
     RecordBatch,
+    check_gain_scan,
     conditional_variance,
     discrete_calibration,
     exact_mode_variance,
@@ -190,9 +192,9 @@ class TestSynthesisMoments:
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_sampler_memory_bounded(self):
-        # the noise is held one block of trials at a time, so the peak stays
-        # within twice the 40 MB of records; noise for the whole batch would
-        # take 160 MB
+        # the noise, one normal per bin and channel, is held one block of
+        # trials at a time (2 MB), so the peak stays within 1.25 times the
+        # 40 MB of records; noise for the whole batch would take 40 MB more
         tracemalloc.start()
         try:
             batch = simulate_batch(10_000, 25.0, 0.1, LOSSY, MU_NU, 4)
@@ -200,7 +202,7 @@ class TestSynthesisMoments:
         finally:
             tracemalloc.stop()
         assert batch.samples.nbytes == 40_000_000
-        assert peak < 2 * batch.samples.nbytes
+        assert peak < 1.25 * batch.samples.nbytes
 
     @pytest.mark.parametrize("window", [(0.0, 10.0), (10.0, 15.0)],
                              ids=["feed-from-0", "readout-mid-record"])
@@ -217,6 +219,80 @@ class TestSynthesisMoments:
         np.testing.assert_allclose(integrate_mode_batch(c_order, mode),
                                    integrate_mode_batch(batch, mode),
                                    rtol=1e-13, atol=1e-13)
+
+
+def four_noise_covariance(loss, dt, nbins, initial_var):
+    """Record covariance of one channel under the physical per-bin update,
+    from its linear map over u_0 and the four vacuum normals w, f, g, h of
+    every bin:
+
+        s_n = sqrt(eta) (e1 w + kappa_tau u_n + a g) + sqrt(1-eta) h
+        u_(n+1) = e1 u_n - s^2 kappa_tau w + a f
+    """
+    e1 = math.exp(-loss.gamma * dt)
+    s = MU_NU[0] - MU_NU[1]
+    kt = math.sqrt((1.0 - loss.epsilon_sq) * (1.0 - e1**2)) / s
+    a = math.sqrt(loss.epsilon_sq * (1.0 - e1**2))
+    eye = np.eye(1 + 4 * nbins)
+    u = math.sqrt(initial_var) * eye[0]
+    rows = []
+    for n in range(nbins):
+        w, f, g, h = eye[1 + 4 * n:5 + 4 * n]
+        rows.append(math.sqrt(loss.eta) * (e1 * w + kt * u + a * g)
+                    + math.sqrt(1.0 - loss.eta) * h)
+        u = e1 * u - s**2 * kt * w + a * f
+    m = np.array(rows)
+    return m @ m.T
+
+
+class _BasisGenerator:
+    """Stands in for trial j's generator: its draws, in order, are row j of
+    the identity, so trial j of a batch is column j of the sampler's linear
+    map from (z, noise) to the record."""
+
+    def __init__(self, eye, seed):
+        self.draws = iter(eye[seed])
+
+    def standard_normal(self, size=None, out=None):
+        target = np.empty(size) if out is None else out
+        target.flat[:] = [next(self.draws) for _ in range(target.size)]
+        return target
+
+
+class TestExactLaw:
+    NBINS = 60
+    DT = 0.1
+
+    def sampler_covariance(self, loss, initial_var, monkeypatch):
+        # trial j's inputs are the j-th unit vector of (z, (nbins, 2) noise)
+        eye = np.eye(2 + 2 * self.NBINS)
+        monkeypatch.setattr(records.np.random, "default_rng",
+                            lambda seed: _BasisGenerator(eye, seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = simulate_batch(len(eye), self.NBINS * self.DT, self.DT,
+                                   loss, MU_NU, 0,
+                                   initial_var=(initial_var, initial_var))
+        m = batch.samples.reshape(len(eye), -1).T  # rows (bin, channel)
+        assert np.all(np.isfinite(m))
+        return m @ m.T
+
+    @pytest.mark.parametrize("initial_var", [0.0, 1.0, 4.0])
+    @pytest.mark.parametrize("loss", [
+        LossParams(gamma_s=0.19, gamma_extra=ge, eta=eta)
+        for eta in (1.0, 0.84) for ge in (0.0, 0.08, 0.3)
+    ] + [
+        LossParams(gamma_s=0.0, gamma_extra=0.0),  # gamma = 0
+        LossParams(gamma_s=0.19, gamma_extra=0.08, eta=0.0),
+        LossParams(gamma_s=0.0, gamma_extra=0.3, eta=0.84),  # kappa = 0
+    ], ids=lambda p: f"gs{p.gamma_s}-ge{p.gamma_extra}-eta{p.eta}")
+    def test_covariance_matches_four_noise_update(self, loss, initial_var,
+                                                  monkeypatch):
+        got = self.sampler_covariance(loss, initial_var, monkeypatch)
+        ref = four_noise_covariance(loss, self.DT, self.NBINS, initial_var)
+        # channels are independent copies of the one-channel law
+        want = np.kron(ref, np.eye(2))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestRetarget:
@@ -391,6 +467,16 @@ class TestHybridReadout:
             0.0, (MAX_TRIAL_BINS, 1, 2)))
         with pytest.raises(ValueError, match="gamma_m points"):
             optimize_gain(b, self.READ, [0.5, 0.6])
+
+    def test_scan_work_capped(self):
+        # conditional's defaults and fig2d at MAX_TRIAL_BINS pass; a long
+        # feed record scanned finely does not, even over two trials, whose
+        # feed-mode envelopes alone take seconds
+        check_gain_scan(2000, 141, 200.0)
+        check_gain_scan(MAX_TRIAL_BINS // 250, 29, 200.0)
+        for trials in (100, 2):
+            with pytest.raises(ValueError, match="feed bins"):
+                check_gain_scan(trials, 9334, 19_950.0)
 
     def test_scan_points_capped_before_integration(self):
         # a one-bin record cannot hold the readout window, so integrating

@@ -79,6 +79,10 @@ _SHARED_OPTIONS = {
     "grid": dict(default="0,45,0.25", help="time grid t0,t1,dt in ms"),
     "trials": dict(type=int, default=2000),
     "format": dict(choices=("csv", "json"), default="csv"),
+    "gamma-s": dict(type=float, default=0.19, dest="gamma_s"),
+    "gamma-extra": dict(type=float, default=0.08, dest="gamma_extra"),
+    "probe-ms": dict(type=float, default=5.0, dest="probe_ms"),
+    "dt-ms": dict(type=float, default=0.1, dest="dt_ms"),
 }
 
 
@@ -188,7 +192,7 @@ def _cmd_reconstruct(args) -> int:
     report = {"kappa_sq": kappa_sq}
     batch = None  # drawn once, re-targeted for the second branch
     for label, v in (("css", 1.0), ("steady", params.squeeze_sq)):
-        snap = apply_io_lossy((v, v), 1.0, loss, mu_nu, T)
+        snap = apply_io_lossy((v, v), loss, mu_nu, T)
         y = [apply_detection_loss(yv, params.eta) for yv in snap.y_out]
         report[f"xi_{label}"] = invert_readout(y, slope, floor)
         report[f"xi_{label}_true"] = v
@@ -319,23 +323,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_populations)
 
     p = sub.add_parser("reconstruct", help="readout round trip")
-    shared(p, "params", "seed", "out", "trials", "format")
-    p.add_argument("--gamma-s", type=float, default=0.19, dest="gamma_s")
-    p.add_argument("--gamma-extra", type=float, default=0.08,
-                   dest="gamma_extra")
-    p.add_argument("--probe-ms", type=float, default=5.0, dest="probe_ms")
-    p.add_argument("--dt-ms", type=float, default=0.1, dest="dt_ms")
+    shared(p, "params", "seed", "out", "trials", "format", "gamma-s",
+           "gamma-extra", "probe-ms", "dt-ms")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("conditional", help="hybrid conditional variance")
-    shared(p, "params", "seed", "out", "trials", "format")
-    p.add_argument("--gamma-s", type=float, default=0.19, dest="gamma_s")
-    p.add_argument("--gamma-extra", type=float, default=0.08,
-                   dest="gamma_extra")
+    shared(p, "params", "seed", "out", "trials", "format", "gamma-s",
+           "gamma-extra")
     p.add_argument("--handover-ms", type=float, default=20.0,
                    dest="handover_ms")
-    p.add_argument("--probe-ms", type=float, default=5.0, dest="probe_ms")
-    p.add_argument("--dt-ms", type=float, default=0.1, dest="dt_ms")
+    shared(p, "probe-ms", "dt-ms")
     p.add_argument("--gm-min", type=float, default=0.1, dest="gm_min")
     p.add_argument("--gm-max", type=float, default=1.5, dest="gm_max")
     p.add_argument("--gm-step", type=float, default=0.01, dest="gm_step")

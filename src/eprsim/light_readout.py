@@ -43,6 +43,8 @@ __all__ = [
     "reconstruct_atomic_variance",
 ]
 
+_VACUUM = 1.0  # variance of the vacuum input light (shot-noise units)
+
 
 @dataclass(frozen=True)
 class LossParams:
@@ -75,17 +77,16 @@ class IoSnapshot:
 
     ``atomic_in``/``atomic_out`` hold the (cos, sin) channel pair, i.e. the
     nonlocal X- and P-type combinations; ``y_out`` is the matching pair of
-    output light-mode variances for the common input variance ``y_in``.
+    output light-mode variances for vacuum input light (variance 1).
     """
 
     atomic_in: tuple
     atomic_out: tuple
-    y_in: float
     y_out: tuple
     kappa_sq: float
 
     def __post_init__(self):
-        vals = (*self.atomic_in, *self.atomic_out, self.y_in, *self.y_out)
+        vals = (*self.atomic_in, *self.atomic_out, *self.y_out)
         if any(v < 0 for v in vals):
             raise InvariantViolationError("variances must be >= 0")
 
@@ -97,24 +98,24 @@ class ReconstructedVariance(NamedTuple):
     below_floor: bool
 
 
-def _io_variances(atomic_in, y_in_var, decay_sq, kappa_sq, s2, eps_sq):
-    """Variance-level IO map for both channels, zero input cross-correlation."""
+def _io_variances(atomic_in, decay_sq, kappa_sq, s2, eps_sq):
+    """Vacuum-input variance IO map for both channels, no cross-correlation."""
     noise_sq = eps_sq * (1.0 - decay_sq)
-    atomic_out = tuple(decay_sq * v + s2**2 * kappa_sq * y_in_var + noise_sq
+    atomic_out = tuple(decay_sq * v + s2**2 * kappa_sq * _VACUUM + noise_sq
                        for v in atomic_in)
     # Light-side noise admixture preserves the commutator budget:
     # 1 - kappa^2 s2 - decay_sq = eps^2 (1 - decay_sq) >= 0.  It is exactly
     # this term that makes the reconstruction formula an exact inverse.
     zeta_sq = max(0.0, 1.0 - kappa_sq * s2 - decay_sq)
-    y_out = tuple(decay_sq * y_in_var + kappa_sq * v + zeta_sq
+    y_out = tuple(decay_sq * _VACUUM + kappa_sq * v + zeta_sq
                   for v in atomic_in)
     return atomic_out, y_out
 
 
-def apply_io_lossy(atomic_in, y_in_var: float, loss: LossParams,
-                   mu_nu: tuple, T: float) -> IoSnapshot:
-    """Input-output map with extra atomic decay toward the CSS; lossless
-    for gamma_extra = 0."""
+def apply_io_lossy(atomic_in, loss: LossParams, mu_nu: tuple,
+                   T: float) -> IoSnapshot:
+    """Input-output map for vacuum input light, with extra atomic decay
+    toward the CSS; lossless for gamma_extra = 0."""
     if T < 0:
         raise ValueError("interaction time must be >= 0")
     mu, nu = mu_nu
@@ -122,10 +123,10 @@ def apply_io_lossy(atomic_in, y_in_var: float, loss: LossParams,
     eps_sq = loss.epsilon_sq
     decay_sq = math.exp(-2.0 * loss.gamma * T)
     kappa_sq = readout_kappa_sq(loss, mu_nu, T)
-    atomic_out, y_out = _io_variances(tuple(atomic_in), y_in_var,
-                                      decay_sq, kappa_sq, s2, eps_sq)
+    atomic_out, y_out = _io_variances(tuple(atomic_in), decay_sq, kappa_sq,
+                                      s2, eps_sq)
     return IoSnapshot(atomic_in=tuple(atomic_in), atomic_out=atomic_out,
-                      y_in=y_in_var, y_out=y_out, kappa_sq=kappa_sq)
+                      y_out=y_out, kappa_sq=kappa_sq)
 
 
 def apply_detection_loss(y_var: float, eta: float) -> float:

@@ -97,14 +97,14 @@ def test_criterion_3_round_trip_reconstruction():
         # deterministic variance-level round trip, exact to 1e-12
         loss_det = LossParams(gamma_s=0.19, gamma_extra=0.08)
         for v in (1.0, 0.16):
-            snap = apply_io_lossy((v, v), 1.0, loss_det, MU_NU, 5.0)
+            snap = apply_io_lossy((v, v), loss_det, MU_NU, 5.0)
             y = apply_detection_loss(snap.y_out[0], eta)
             rec = reconstruct_atomic_variance(y, snap.kappa_sq, MU_NU,
                                               eta=eta)
             assert rec.value == pytest.approx(v, abs=1e-12)
         # Monte Carlo round trip over simulated records
         loss = LossParams(gamma_s=0.27, gamma_extra=0.0, eta=eta)
-        kappa_sq = apply_io_lossy((1.0, 1.0), 1.0, loss, MU_NU, 5.0).kappa_sq
+        kappa_sq = apply_io_lossy((1.0, 1.0), loss, MU_NU, 5.0).kappa_sq
         mode = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
                               direction="falling", window=(0.0, 5.0))
         trials = 10_000

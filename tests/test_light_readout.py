@@ -36,7 +36,7 @@ class TestLosslessIo:
     # gamma_extra = 0: the map is the lossless input-output relation
     def test_hand_computed_variances(self):
         T, gamma_s = 5.0, 0.27
-        snap = apply_io_lossy((1.0, 1.0), 1.0, LossParams(gamma_s, 0.0),
+        snap = apply_io_lossy((1.0, 1.0), LossParams(gamma_s, 0.0),
                               MU_NU, T)
         e2 = math.exp(-2.0 * gamma_s * T)
         k2 = (1.0 - e2) / 0.16
@@ -47,7 +47,7 @@ class TestLosslessIo:
 
     def test_steady_state_output_is_shot_noise(self):
         # atoms at the dissipative floor leave the light at vacuum level
-        snap = apply_io_lossy((0.16, 0.16), 1.0, LossParams(0.27, 0.0),
+        snap = apply_io_lossy((0.16, 0.16), LossParams(0.27, 0.0),
                               MU_NU, 5.0)
         assert snap.y_out[0] == pytest.approx(1.0, abs=1e-12)
         assert snap.y_out[1] == pytest.approx(1.0, abs=1e-12)
@@ -56,7 +56,7 @@ class TestLosslessIo:
         # weak squeezing: var(y_out) -> 1 + kappa^2 for CSS atoms
         s = 0.01
         mu_nu = (0.5 * (s + 1.0 / s), 0.5 * (1.0 / s - s))
-        snap = apply_io_lossy((1.0, 1.0), 1.0, LossParams(1e-4, 0.0),
+        snap = apply_io_lossy((1.0, 1.0), LossParams(1e-4, 0.0),
                               mu_nu, 1.0)
         assert snap.y_out[0] == pytest.approx(1.0 + snap.kappa_sq, rel=1e-3)
 
@@ -90,7 +90,7 @@ class TestReconstruction:
     def test_round_trip_exact(self, v, inversion):
         # criterion: deterministic variance-level round trip to 1e-12
         loss = LossParams(gamma_s=0.19, gamma_extra=0.08, eta=1.0)
-        snap = apply_io_lossy((v, v), 1.0, loss, MU_NU, 5.0)
+        snap = apply_io_lossy((v, v), loss, MU_NU, 5.0)
         y = [apply_detection_loss(yv, 0.84) for yv in snap.y_out]
         if inversion == "affine":
             assert _affine_inverse(y, loss, 5.0, 0.84) == pytest.approx(
@@ -115,7 +115,7 @@ class TestReconstruction:
         rng = np.random.default_rng(5)
         loss = LossParams(gamma_s=0.19, gamma_extra=0.08)
         v = 0.16
-        snap = apply_io_lossy((v, v), 1.0, loss, MU_NU, 5.0)
+        snap = apply_io_lossy((v, v), loss, MU_NU, 5.0)
         n = 200_000
         draws = rng.normal(scale=math.sqrt(snap.y_out[0]), size=n)
         rec = reconstruct_atomic_variance(float(np.var(draws, ddof=1)),
@@ -130,7 +130,7 @@ class TestInvariants:
         for ge in (0.0, 0.05, 0.2):
             loss = LossParams(gamma_s=0.19, gamma_extra=ge)
             for T in (0.1, 1.0, 10.0):
-                snap = apply_io_lossy((1.0, 1.0), 1.0, loss, MU_NU, T)
+                snap = apply_io_lossy((1.0, 1.0), loss, MU_NU, T)
                 e2 = math.exp(-2.0 * loss.gamma * T)
                 zeta = 1.0 - snap.kappa_sq * 0.16 - e2
                 assert zeta == pytest.approx(

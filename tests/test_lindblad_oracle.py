@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,8 @@ class TestExactState:
             st.validate()
 
     def test_size_limit(self):
+        with pytest.raises(InvariantViolationError):
+            ExactState.css(3)
         with pytest.raises(InvariantViolationError):
             ExactState.css(4)
 
@@ -69,6 +73,44 @@ class TestSteadyState:
         psi = psi / np.linalg.norm(psi)
         target = np.outer(psi, psi)
         np.testing.assert_allclose(states[-1].rho, target, atol=1e-6)
+
+
+class TestExactIntegration:
+    def test_pure_dephasing_closed_form(self):
+        # sigma_z dephasing keeps the populations and damps the (pp, ff)
+        # coherence at Gamma_tilde: two spins flip sign, each at rate
+        # Gamma_tilde / 2.
+        params = make_params(d=0.0)
+        deph = 0.193
+        psi = np.zeros(4)
+        psi[0] = 1.0
+        psi[3] = params.nu / params.mu
+        psi = psi / np.linalg.norm(psi)
+        rho0 = np.outer(psi, psi)
+        states = integrate_exact(ExactState(rho=rho0, n_per_ensemble=1),
+                                 params, NoiseChannels(dephasing=deph),
+                                 np.array([0.0, 5.0]))
+        rho = states[-1].rho
+        np.testing.assert_allclose(np.diag(rho).real, np.diag(rho0),
+                                   rtol=0, atol=1e-12)
+        assert abs(rho[0, 3] - rho0[0, 3] * np.exp(-deph * 5.0)) < 1e-12
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 0.5], [0.0, np.nan]])
+    def test_bad_grid_rejected(self, times):
+        with pytest.raises(ValueError):
+            integrate_exact(ExactState.css(1), make_params(),
+                            NoiseChannels(dephasing=0.0), times)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf])
+    def test_bad_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError):
+            validate_against_oracle(make_params(), horizon)
+
+    def test_cost_independent_of_horizon(self):
+        t0 = time.perf_counter()
+        validate_against_oracle(make_params(), 1e4,
+                                NoiseChannels(dephasing=0.0))
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestOracleAgreement:

@@ -106,7 +106,7 @@ class TestSynthesisMoments:
             mode = ModeFunctional(phase="cos", exponent_rate=LOSSLESS.gamma,
                                   direction="falling", window=(0.0, 5.0))
             y = integrate_mode_batch(batch, mode)
-            snap = apply_io_lossy((v0, v0), 1.0, LOSSLESS, MU_NU, 5.0)
+            snap = apply_io_lossy((v0, v0), LOSSLESS, MU_NU, 5.0)
             se = snap.y_out[0] * math.sqrt(2.0 / (len(y) - 1))
             assert np.var(y, ddof=1) == pytest.approx(snap.y_out[0],
                                                       abs=3 * se)
@@ -121,8 +121,8 @@ class TestSynthesisMoments:
                               direction="falling", window=(0.0, 5.0))
         v_css = np.var(integrate_mode_batch(css, mode), ddof=1)
         v_sq = np.var(integrate_mode_batch(sq, mode), ddof=1)
-        snap_css = apply_io_lossy((1.0, 1.0), 1.0, LOSSLESS, MU_NU, 5.0)
-        snap_sq = apply_io_lossy((0.16, 0.16), 1.0, LOSSLESS, MU_NU, 5.0)
+        snap_css = apply_io_lossy((1.0, 1.0), LOSSLESS, MU_NU, 5.0)
+        snap_sq = apply_io_lossy((0.16, 0.16), LOSSLESS, MU_NU, 5.0)
         assert v_sq < v_css
         assert v_sq / v_css == pytest.approx(
             snap_sq.y_out[0] / snap_css.y_out[0], rel=0.05)
@@ -144,14 +144,14 @@ class TestSynthesisMoments:
         for v0 in (1.0, 0.16, 4.0):
             ex = exact_mode_variance(LOSSLESS, MU_NU, 0.05, 5.0, mode,
                                      initial_var=v0)
-            snap = apply_io_lossy((v0, v0), 1.0, LOSSLESS, MU_NU, 5.0)
+            snap = apply_io_lossy((v0, v0), LOSSLESS, MU_NU, 5.0)
             assert ex == pytest.approx(snap.y_out[0], rel=1e-6)
 
     def test_calibration_slope_equals_kappa_sq(self):
         mode = ModeFunctional(phase="cos", exponent_rate=LOSSY.gamma,
                               direction="falling", window=(0.0, 5.0))
         slope, floor = discrete_calibration(LOSSY, MU_NU, 0.05, 5.0, mode)
-        snap = apply_io_lossy((1.0, 1.0), 1.0, LOSSY, MU_NU, 5.0)
+        snap = apply_io_lossy((1.0, 1.0), LOSSY, MU_NU, 5.0)
         assert slope == pytest.approx(snap.kappa_sq, rel=1e-6)
         assert floor > 0.0
 

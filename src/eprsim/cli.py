@@ -83,6 +83,10 @@ _SHARED_OPTIONS = {
     "gamma-extra": dict(type=float, default=0.08, dest="gamma_extra"),
     "probe-ms": dict(type=float, default=5.0, dest="probe_ms"),
     "dt-ms": dict(type=float, default=0.1, dest="dt_ms"),
+    "pump": dict(action="store_true",
+                 help="add the incoherent pump at rate Gamma_pump; the "
+                      "default parameters have Gamma_pump = 0, so this "
+                      "needs --params with a nonzero Gamma_pump"),
 }
 
 
@@ -313,13 +317,13 @@ def _build_parser() -> argparse.ArgumentParser:
     shared(p, "params", "seed", "out", "grid")
     p.add_argument("--pops", default="0.99,0.01,0.0",
                    help="initial populations n44,n43,nh")
-    p.add_argument("--pump", action="store_true")
+    shared(p, "pump")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("populations", help="three-level rate model")
     shared(p, "params", "seed", "out", "grid")
     p.add_argument("--pops", default="0.99,0.01,0.0")
-    p.add_argument("--pump", action="store_true")
+    shared(p, "pump")
     p.set_defaults(func=_cmd_populations)
 
     p = sub.add_parser("reconstruct", help="readout round trip")
@@ -349,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--free", nargs="+", default=["d", "Gamma_col",
                                                  "Gamma_tilde"])
     p.add_argument("--pops", default="0.99,0.01,0.0")
-    p.add_argument("--pump", action="store_true")
+    shared(p, "pump")
     p.add_argument("--slope-constraint", action="store_true",
                    dest="slope_constraint")
     p.add_argument("--slope-obs", type=float, default=0.0, dest="slope_obs")

@@ -11,7 +11,7 @@ parameters with positivity bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares, nnls
@@ -22,6 +22,7 @@ from .multilevel_rates import (
     PopulationState,
     PumpConfig,
     multilevel_xi,
+    polarization_slope,
     propagate_populations,
     transition_rates,
 )
@@ -140,12 +141,9 @@ def _resolve_gamma_l_out(problem: FitProblem, trial: dict) -> float:
     """Invert the linear t = 0 polarisation-slope identity for Gamma_L_out."""
     p = problem.fixed.replace(**{k: v for k, v in trial.items()
                                  if k != "Gamma_L_out"})
-    # slope * jx = -g43 n44 + g34 n43 - g_out jx, linear in g_out.
-    r = transition_rates(p)
-    pop = problem.initial_pop
-    jx = pop.jx_frac
-    g_out = (-r.g43 * pop.n44 + r.g34 * pop.n43
-             - problem.slope_obs * jx) / jx
+    # the slope falls by exactly g_out from its value at g_out = 0
+    rates = replace(transition_rates(p), g_out=0.0)
+    g_out = polarization_slope(problem.initial_pop, rates) - problem.slope_obs
     gl = g_out - p.Gamma_col
     if gl < 0:
         raise FitFailureError(

@@ -75,16 +75,16 @@ class NoiseChannels:
     """Local (single-ensemble) noise processes on top of the engineered bath.
 
     ``dephasing`` drives every quadrature variance back toward the CSS level;
-    ``pump_refill`` is the quadrature-noise side of the incoherent pump and
-    has the same CSS-restoring structure.  ``distinguishable`` models emitters
-    whose forward-scattered photons carry which-path information: the
-    nonlocal interference is lost and each ensemble is damped toward a local
-    thermal state instead of the joint EPR state.
+    ``pump_refill`` is the quadrature-noise side of the incoherent pump (0
+    without a pump) and has the same CSS-restoring structure.
+    ``distinguishable`` models emitters whose forward-scattered photons carry
+    which-path information: the nonlocal interference is lost and each
+    ensemble is damped toward a local thermal state instead of the joint EPR
+    state.
     """
 
     dephasing: float = 0.0
     pump_refill: float = 0.0
-    pump_enabled: bool = False
     distinguishable: bool = False
 
     def __post_init__(self):
@@ -99,14 +99,12 @@ class NoiseChannels:
         so the noise injection scales with the refill flux, i.e. with the
         hidden-level fraction -- not with the bare pump rate.
         """
-        if not self.pump_enabled:
-            return 0.0
         return self.pump_refill * np.maximum(0.0, nh_frac)
 
     @classmethod
     def from_params(cls, params: ModelParams, pump: bool = False) -> "NoiseChannels":
-        return cls(dephasing=params.Gamma_tilde, pump_refill=params.Gamma_pump,
-                   pump_enabled=pump)
+        return cls(dephasing=params.Gamma_tilde,
+                   pump_refill=params.Gamma_pump if pump else 0.0)
 
 
 @dataclass
@@ -174,7 +172,7 @@ def moment_derivative(state: GaussianState, params: ModelParams,
 
     ``p2_tilde`` = N2 P2 / N throttles the collective rate when the
     population model is coupled in; 1.0 is the fully polarised two-level
-    limit.  ``nh_frac`` feeds the pump noise channel when enabled.
+    limit.  ``nh_frac`` feeds the pump noise channel.
     """
     g2 = relaxation_rate(params, p2_tilde)
     css = noise.dephasing + noise.pump_noise_rate(nh_frac)
@@ -195,8 +193,8 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     """
     grid = np.asarray(grid, dtype=float)
     initial.validate()
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty 1-D array")
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be a nonempty 1-D array of finite values")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must strictly increase")
     if populations is None:

@@ -33,8 +33,14 @@ x_0 = u_0:
 
 Trial i of a batch uses the seed ``master_seed XOR i`` and draws, in this
 order, its two unit initial values z and its (nbins, 2) noise; the initial
-atomic values are u_0 = sqrt(initial_var) z.  :func:`exact_mode_variance`
-keeps the four-noise moment recursion as the referee.
+atomic values are u_0 = sqrt(initial_var) z.
+
+:func:`discrete_calibration` is one backward pass over the same law: a mode
+integral y = sum_n w_n s_n is (w . r) u_0 + sum_m sqrt(S_m) (w_m + K_m b_m)
+eps_m, with r_n = H e1^n and b_(m-1) = H w_m + e1 b_m from the window's
+last bin down (b = 0 there), so var(y) = (w . r)^2 var(u_0) + sum_m S_m
+(w_m + K_m b_m)^2.  The referee of the whole law is the four-noise update
+itself, built as a dense linear map in the tests (``TestExactLaw``).
 
 Layout: the sampler writes a batch into one (2, nbins, trials) float64
 buffer, and ``RecordBatch.samples`` is its (trials, nbins, 2) transposed
@@ -171,7 +177,10 @@ class ModeFunctional:
 
     def weights(self, dt: float, nbins: int):
         """Discrete weights over the record grid: (slice of the window's
-        bins, weights)."""
+        bins, weights).  ValueError for a window past the record's span."""
+        t0, t1 = self.window
+        if t0 < -1e-12 or t1 > nbins * dt + 1e-9:
+            raise ValueError("mode window exceeds record span")
         sgn = -1.0 if self.direction == "falling" else 1.0
         bins, w = _envelopes(dt, nbins, self.window,
                              [sgn * self.exponent_rate])
@@ -192,26 +201,15 @@ def _envelopes(dt: float, nbins: int, window: tuple, rates):
     return bins, raw / np.sqrt(np.sum(raw**2, axis=0))
 
 
-def _bin_constants(loss: LossParams, mu_nu: tuple, dt: float) -> tuple:
-    """(e1, kappa_tau, a^2, s^2) of the four-noise update over one bin of
-    width ``dt`` (module docstring)."""
-    mu, nu = mu_nu
-    e2 = np.exp(-2.0 * loss.gamma * dt)
-    e1 = np.exp(-loss.gamma * dt)
-    kappa_tau = np.sqrt((1.0 - loss.epsilon_sq) * (1.0 - e2)) / (mu - nu)
-    return e1, kappa_tau, loss.epsilon_sq * (1.0 - e2), (mu - nu) ** 2
+def _record_law(loss: LossParams, mu_nu: tuple, duration: float,
+                dt: float, n_trials: int = 1) -> tuple:
+    """Innovations form of one channel's record law (module docstring):
+    (e1, H, K_n, sqrt(S_n), r_n = H e1^n) over the record's bins.
 
-
-def simulate_batch(n_trials: int, duration: float, dt: float,
-                   loss: LossParams, mu_nu: tuple, master_seed: int,
-                   initial_var=(1.0, 1.0)) -> RecordBatch:
-    """Simulate a batch of baseband S2 records.
-
-    ``initial_var`` sets the (cos, sin) variances of the zero-mean Gaussian
-    atomic start; detection loss ``loss.eta`` applies to every bin.
+    ValueError unless ``duration`` and ``dt`` are finite and positive, the
+    record has 1..MAX_BINS bins, ``n_trials`` x bins is within
+    MAX_TRIAL_BINS and dt gamma <= 0.2 (aliasing).
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
     if not (math.isfinite(duration) and math.isfinite(dt) and duration > 0
             and dt > 0 and math.isfinite(duration / dt)):
         raise ValueError("duration and dt must be finite and positive")
@@ -229,12 +227,14 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
         raise ValueError(
             f"dt={dt} too coarse for gamma={loss.gamma} (aliasing)"
         )
-    init_var = np.broadcast_to(np.asarray(initial_var, dtype=float), (2,))
-    init_sd = np.sqrt(init_var).reshape(-1, 1)
-
-    # innovations form of the four-noise update (module docstring)
-    e1, kappa_tau, a2, s2 = map(float, _bin_constants(loss, mu_nu, dt))
+    mu, nu = mu_nu
     eta = loss.eta
+    e2 = np.exp(-2.0 * loss.gamma * dt)
+    e1, kappa_tau, a2 = map(float, (
+        np.exp(-loss.gamma * dt),
+        np.sqrt((1.0 - loss.epsilon_sq) * (1.0 - e2)) / (mu - nu),
+        loss.epsilon_sq * (1.0 - e2)))
+    s2 = (mu - nu) ** 2
     H = math.sqrt(eta) * kappa_tau
     R = eta * (e1**2 + a2) + 1.0 - eta
     Q = s2**2 * kappa_tau**2 + a2
@@ -248,7 +248,24 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
         gain[n], innov_sd[n] = K, math.sqrt(S)
         P = max(0.0, e1**2 * P + Q - K**2 * S)
     # bin n's response to a unit initial atomic value
-    response = H * e1 ** np.arange(nbins)
+    return e1, H, gain, innov_sd, H * e1 ** np.arange(nbins)
+
+
+def simulate_batch(n_trials: int, duration: float, dt: float,
+                   loss: LossParams, mu_nu: tuple, master_seed: int,
+                   initial_var=(1.0, 1.0)) -> RecordBatch:
+    """Simulate a batch of baseband S2 records.
+
+    ``initial_var`` sets the (cos, sin) variances of the zero-mean Gaussian
+    atomic start; detection loss ``loss.eta`` applies to every bin.
+    """
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
+    e1, H, gain, innov_sd, response = _record_law(loss, mu_nu, duration, dt,
+                                                  n_trials)
+    nbins = gain.size
+    init_var = np.broadcast_to(np.asarray(initial_var, dtype=float), (2,))
+    init_sd = np.sqrt(init_var).reshape(-1, 1)
 
     out = np.empty((2, nbins, n_trials))
     z = np.empty((2, n_trials))
@@ -278,9 +295,6 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
 
 def integrate_mode_batch(batch: RecordBatch, mode: ModeFunctional) -> np.ndarray:
     """Mode integrals for every trial of a batch."""
-    t0, t1 = mode.window
-    if t0 < -1e-12 or t1 > batch.nbins * batch.dt + 1e-9:
-        raise ValueError("mode window exceeds record span")
     bins, w = mode.weights(batch.dt, batch.nbins)
     col = 0 if mode.phase == "cos" else 1
     return batch.samples[:, bins, col] @ w
@@ -400,48 +414,22 @@ def hybrid_readout(batch: RecordBatch, window: tuple, gamma: float,
     return HybridReadout(unconditional, conditional, alpha, gamma_m)
 
 
-def exact_mode_variance(loss: LossParams, mu_nu: tuple, dt: float,
-                        duration: float, mode: ModeFunctional,
-                        initial_var: float = 1.0) -> float:
-    """Exact var(integrate_mode_batch) of the discrete model, no sampling.
-
-    Propagates the joint second moments of (atomic quadrature, partial mode
-    sum) bin by bin; the result is what a Monte Carlo estimate converges to.
-    Serves both as a test oracle and as the calibration for unbiased
-    inversion of record statistics (the published two-parameter closed form
-    omits the within-window atomic noise, so its floor is lower).
-    """
-    nbins = int(round(duration / dt))
-    e1, kt, a2, s2 = _bin_constants(loss, mu_nu, dt)
-
-    bins, w = mode.weights(dt, nbins)
-    weights = np.zeros(nbins)
-    weights[bins] = w
-
-    var_u, var_y, cov = float(initial_var), 0.0, 0.0
-    for wn in weights:
-        # y += wn * s_n with s_n = e1 w + kt u + a g
-        var_y += wn**2 * (e1**2 + kt**2 * var_u + a2) + 2.0 * wn * kt * cov
-        # u' = e1 u - s2 kt w + a f; cov(u', y') with y' = y + wn s_n
-        cov = e1 * cov + wn * (e1 * kt * var_u - s2 * kt * e1)
-        var_u = e1**2 * var_u + s2**2 * kt**2 + a2
-    if loss.eta < 1.0:
-        # per-bin detection: s -> sqrt(eta) s + sqrt(1-eta) vac, and the
-        # mode weights are unit-norm, so the vacuum admixture adds 1 - eta
-        var_y = loss.eta * var_y + (1.0 - loss.eta)
-    return float(var_y)
-
-
 def discrete_calibration(loss: LossParams, mu_nu: tuple, dt: float,
                          duration: float, mode: ModeFunctional) -> tuple:
     """(slope, floor) of var(y) = slope * var_atomic_in + floor.
 
     Exact affine calibration of the discrete record model for the given
-    mode, detection loss included; inverting with these constants recovers
-    the atomic variance at the start of the record without bias.
+    mode, detection loss included: one backward pass over the sampler's law
+    (module docstring), under the sampler's checks on ``duration`` and
+    ``dt``.  Inverting with these constants recovers the atomic variance at
+    the start of the record without bias.
     """
-    floor = exact_mode_variance(loss, mu_nu, dt, duration, mode,
-                                initial_var=0.0)
-    at_one = exact_mode_variance(loss, mu_nu, dt, duration, mode,
-                                 initial_var=1.0)
-    return at_one - floor, floor
+    e1, H, gain, innov_sd, response = _record_law(loss, mu_nu, duration, dt)
+    bins, w = mode.weights(dt, gain.size)
+    weights = np.zeros(bins.stop)  # no bin after the window carries weight
+    weights[bins] = w
+    b = np.zeros(bins.stop)  # b_m = sum_(n>m) H w_n e1^(n-1-m)
+    for m in range(bins.stop - 1, 0, -1):
+        b[m - 1] = H * weights[m] + e1 * b[m]
+    coeff = innov_sd[:bins.stop] * (weights + gain[:bins.stop] * b)
+    return float(w @ response[bins]) ** 2, float(coeff @ coeff)

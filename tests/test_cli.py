@@ -50,6 +50,18 @@ class TestExitCodes:
         assert code == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize("extra", [[], ["--slope-constraint"]],
+                             ids=["unconstrained", "slope-constrained"])
+    def test_fit_zero_polarization(self, extra, tmp_path, capsys):
+        # a zero initial <J_x> is an invariant violation, also where the
+        # slope constraint divides by it
+        obs = tmp_path / "observed.csv"
+        obs.write_text("t,xi,xi_err,jx_norm,jx_err\n"
+                       "0,1,0.01,1,0.005\n10,0.8,0.01,0.9,0.005\n")
+        assert run(["fit", str(obs), "--free", "d", "--pops", "0,0,1",
+                    *extra, "--out", str(tmp_path / "out")]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_simulate_byte_identical(self, tmp_path):

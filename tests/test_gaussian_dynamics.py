@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,16 @@ class TestPropagateMoments:
             propagate_moments(css_state(), make_params(), NoiseChannels(),
                               np.array([0.0, 2.0, 1.0]))
 
+    @pytest.mark.parametrize("grid", [[0.0, math.inf], [math.nan],
+                                      [0.0, math.nan]],
+                             ids=["inf", "nan", "zero-nan"])
+    def test_non_finite_grid_rejected(self, grid):
+        # [0, inf] and [nan] used to return a witness, [0, nan] to fail the
+        # simplex invariant
+        with pytest.raises(ValueError, match="finite"):
+            propagate_moments(css_state(), make_params(), NoiseChannels(),
+                              np.array(grid))
+
     def test_symplectic_bound_along_trajectory(self):
         params = make_params()
         noise = NoiseChannels(dephasing=0.193)
@@ -181,7 +193,6 @@ class TestTimeVaryingRates:
             transition_rates(params), grid, pump=PumpConfig(rate=0.168))
         assert np.ptp(pops.p2_tilde) > 0.1 and np.ptp(pops.nh) > 0.03
         noise = NoiseChannels(dephasing=0.1, pump_refill=0.5,
-                              pump_enabled=True,
                               distinguishable=distinguishable)
         st0 = GaussianState(mean=np.array([0.4, -0.3, 0.2, 0.5]),
                             cov=two_mode_squeezed_cov(params.mu, params.nu))
@@ -232,8 +243,7 @@ class TestExactEngine:
             transition_rates(params), np.linspace(0.0, 20.0, 13),
             pump=PumpConfig(rate=0.168))
         assert np.ptp(pops.p2_tilde) > 0.1 and np.ptp(pops.nh) > 0.03
-        noise = NoiseChannels(dephasing=0.1, pump_refill=0.5,
-                              pump_enabled=True)
+        noise = NoiseChannels(dephasing=0.1, pump_refill=0.5)
         grid = np.linspace(0.5, 19.0, 17)
         traj = propagate_moments(css_state(), params, noise, grid,
                                  populations=pops)

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -18,7 +19,6 @@ from eprsim.records import (
     check_gain_scan,
     conditional_variance,
     discrete_calibration,
-    exact_mode_variance,
     hybrid_readout,
     integrate_mode_batch,
     optimize_gain,
@@ -132,8 +132,8 @@ class TestSynthesisMoments:
                               direction="falling", window=(0.0, 5.0))
         batch = simulate_batch(40_000, 5.0, 0.05, LOSSY, MU_NU, 7,
                                initial_var=(0.7, 0.7))
-        ex = exact_mode_variance(LOSSY, MU_NU, 0.05, 5.0, mode,
-                                 initial_var=0.7)
+        slope, floor = discrete_calibration(LOSSY, MU_NU, 0.05, 5.0, mode)
+        ex = slope * 0.7 + floor
         y = integrate_mode_batch(batch, mode)
         se = ex * math.sqrt(2.0 / (len(y) - 1))
         assert np.var(y, ddof=1) == pytest.approx(ex, abs=3 * se)
@@ -141,9 +141,9 @@ class TestSynthesisMoments:
     def test_exact_propagator_lossless_closed_form(self):
         mode = ModeFunctional(phase="cos", exponent_rate=LOSSLESS.gamma,
                               direction="falling", window=(0.0, 5.0))
+        slope, floor = discrete_calibration(LOSSLESS, MU_NU, 0.05, 5.0, mode)
         for v0 in (1.0, 0.16, 4.0):
-            ex = exact_mode_variance(LOSSLESS, MU_NU, 0.05, 5.0, mode,
-                                     initial_var=v0)
+            ex = slope * v0 + floor
             snap = apply_io_lossy((v0, v0), LOSSLESS, MU_NU, 5.0)
             assert ex == pytest.approx(snap.y_out[0], rel=1e-6)
 
@@ -293,6 +293,86 @@ class TestExactLaw:
         # channels are independent copies of the one-channel law
         want = np.kron(ref, np.eye(2))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+# TestExactLaw's loss cases: eta 1 and 0.84 at three extra decays, gamma = 0,
+# eta = 0 and kappa = 0
+LAW_LOSSES = [
+    LossParams(gamma_s=0.19, gamma_extra=ge, eta=eta)
+    for eta in (1.0, 0.84) for ge in (0.0, 0.08, 0.3)
+] + [
+    LossParams(gamma_s=0.0, gamma_extra=0.0),
+    LossParams(gamma_s=0.19, gamma_extra=0.08, eta=0.0),
+    LossParams(gamma_s=0.0, gamma_extra=0.3, eta=0.84),
+]
+
+
+class TestCalibration:
+    NBINS = TestExactLaw.NBINS
+    DT = TestExactLaw.DT
+
+    @pytest.mark.parametrize("initial_var", [0.0, 1.0, 4.0])
+    @pytest.mark.parametrize("mode", [
+        ModeFunctional(phase="cos", exponent_rate=0.27, direction="falling",
+                       window=(4.0, 6.0)),
+        ModeFunctional(phase="sin", exponent_rate=0.6, direction="rising",
+                       window=(0.0, 4.0)),
+    ], ids=["readout", "feed"])
+    @pytest.mark.parametrize("loss", LAW_LOSSES, ids=lambda p: (
+        f"gs{p.gamma_s}-ge{p.gamma_extra}-eta{p.eta}"))
+    def test_matches_four_noise_update(self, loss, mode, initial_var):
+        # slope v + floor is w^T Sigma w under the physical update
+        bins, w = mode.weights(self.DT, self.NBINS)
+        weights = np.zeros(self.NBINS)
+        weights[bins] = w
+        sigma = four_noise_covariance(loss, self.DT, self.NBINS, initial_var)
+        slope, floor = discrete_calibration(loss, MU_NU, self.DT,
+                                            self.NBINS * self.DT, mode)
+        assert slope * initial_var + floor == pytest.approx(
+            weights @ sigma @ weights, rel=0.0, abs=1e-12)
+
+    def test_slope_of_a_late_window(self):
+        # the initial value reaches the (20, 25) ms window damped by
+        # exp(-gamma 20 ms) ~ 6e-5: the slope is eta kappa_tau^2 (w . e1^n)^2
+        # to rounding, with no cancellation against the floor
+        loss = LossParams(gamma_s=0.19, gamma_extra=0.3, eta=0.84)
+        dt, nbins = 0.05, 500
+        mode = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
+                              direction="falling", window=(20.0, 25.0))
+        bins, w = mode.weights(dt, nbins)
+        e1 = math.exp(-loss.gamma * dt)
+        kt_sq = ((1.0 - loss.epsilon_sq) * (1.0 - e1**2)
+                 / (MU_NU[0] - MU_NU[1]) ** 2)
+        want = loss.eta * kt_sq * float(
+            w @ e1 ** np.arange(bins.start, bins.stop)) ** 2
+        slope, _ = discrete_calibration(loss, MU_NU, dt, nbins * dt, mode)
+        assert slope == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_window_past_the_record_rejected(self):
+        # the integrator refuses this mode, so a calibration of it would
+        # describe a shorter, renormalised mode
+        mode = ModeFunctional(phase="cos", exponent_rate=LOSSY.gamma,
+                              direction="falling", window=(4.0, 10.0))
+        with pytest.raises(ValueError, match="record span"):
+            discrete_calibration(LOSSY, MU_NU, 0.1, 5.0, mode)
+
+    @pytest.mark.parametrize("dt, duration, match", [
+        (0.1, math.inf, "finite"),
+        (math.nan, 5.0, "finite"),
+        (5e-5, 5.0, "bins per batch"),
+        (1.0, 5.0, "aliasing"),
+    ], ids=["inf-duration", "nan-dt", "too-many-bins", "aliasing"])
+    def test_refuses_what_the_sampler_refuses(self, dt, duration, match):
+        mode = ModeFunctional(phase="cos", exponent_rate=LOSSLESS.gamma,
+                              direction="falling", window=(0.0, 5.0))
+        for call in (lambda: simulate_batch(1, duration, dt, LOSSLESS,
+                                            MU_NU, 0),
+                     lambda: discrete_calibration(LOSSLESS, MU_NU, dt,
+                                                  duration, mode)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=match):
+                call()
+            assert time.perf_counter() - start < 0.5
 
 
 class TestRetarget:

@@ -1,6 +1,6 @@
 """Parameter estimation: rate/dephasing fits to xi(t) and J_x(t) series,
-projection-noise calibration, and orientation estimation from quantum-beat
-signals.
+projection-noise calibration, and the orientation of a sublevel
+distribution.
 
 The forward model couples the three-level population dynamics to the
 Gaussian moment engine: the populations throttle the collective rate and
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 from .errors import FitFailureError, IdentifiabilityError
 from .gaussian_dynamics import NoiseChannels, propagate_moments
@@ -32,22 +31,17 @@ __all__ = [
     "FitProblem",
     "FitResult",
     "CalibrationPoint",
-    "BeatModel",
     "FITTABLE",
     "forward_model",
     "fit_parameters",
     "calibrate_pn",
     "orientation",
-    "simulate_beat",
-    "estimate_orientation",
 ]
 
 FITTABLE = ("d", "Gamma_col", "Gamma_tilde", "Gamma_L_out", "Gamma_pump")
 
-# F = 4 magnetic sublevels and the ladder coefficients sqrt(F(F+1)-m(m+1))
-# weighting each adjacent-level coherence.
+# the F = 4 magnetic sublevels
 _M_VALUES = np.arange(-4, 5)
-_LADDER = np.sqrt(4.0 * 5.0 - _M_VALUES[:-1] * (_M_VALUES[:-1] + 1.0))
 
 
 @dataclass(frozen=True)
@@ -119,24 +113,6 @@ class CalibrationPoint:
             raise ValueError("weight must be positive")
 
 
-@dataclass(frozen=True)
-class BeatModel:
-    """Sublevel populations and the second-order Zeeman splitting."""
-
-    populations: tuple  # p_m for m = -4..4
-    zeeman_split: float = 20.0  # Hz
-    duration: float = 100.0  # ms
-
-    def __post_init__(self):
-        p = np.asarray(self.populations, dtype=float)
-        if p.shape != (9,):
-            raise ValueError("need nine sublevel populations (m = -4..4)")
-        if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("populations must be a distribution")
-        if self.zeeman_split <= 0 or self.duration <= 0:
-            raise ValueError("splitting and duration must be positive")
-
-
 def _resolve_gamma_l_out(problem: FitProblem, trial: dict) -> float:
     """Invert the linear t = 0 polarisation-slope identity for Gamma_L_out."""
     p = problem.fixed.replace(**{k: v for k, v in trial.items()
@@ -165,6 +141,17 @@ def forward_model(params: ModelParams, initial_pop: PopulationState, times,
     xi_ml = multilevel_xi(traj.xi, pops)
     jx_norm = pops.jx_frac / pops.jx_frac[0]
     return xi_ml, jx_norm, traj, pops
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first fit.
+
+    ``fit_parameters`` calls it through this module global, so a wrapper
+    bound here (perfbench/tracer.py counts ``nfev`` and ``njev`` this way)
+    sees every solve.
+    """
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 def fit_parameters(problem: FitProblem) -> FitResult:
@@ -258,61 +245,3 @@ def orientation(populations) -> float:
     if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("populations must be a distribution")
     return float(_M_VALUES @ p) / 4.0
-
-
-def _beat_amplitudes(populations) -> np.ndarray:
-    """Coherence amplitude per adjacent-level transition m <-> m+1."""
-    p = np.asarray(populations, dtype=float)
-    return _LADDER * 0.5 * (p[:-1] + p[1:])
-
-
-def simulate_beat(model: BeatModel, dt: float):
-    """Transverse-spin beat signal in the frame of the m=3<->4 transition.
-
-    Each transition m <-> m+1 is offset by (3 - m) times the second-order
-    splitting; adjacent-level populations weight the component amplitudes.
-    Returns (times_ms, X, P) with X(t) = sum_m A_m cos(w_m t) and
-    P(t) = sum_m A_m sin(w_m t).
-    """
-    if dt <= 0 or dt > 1.0:
-        raise ValueError("dt must lie in (0, 1] ms to resolve the beat")
-    t = np.arange(int(round(model.duration / dt))) * dt
-    amps = _beat_amplitudes(model.populations)
-    # splitting in cycles/ms; offsets k = 3 - m for m = -4..3
-    delta = model.zeeman_split * 1e-3
-    k = 3.0 - _M_VALUES[:-1]
-    phases = 2.0 * np.pi * delta * np.outer(k, t)
-    x = amps @ np.cos(phases)
-    p = amps @ np.sin(phases)
-    return t, x, p
-
-
-def estimate_orientation(signal, model: BeatModel) -> float:
-    """Recover the orientation from a beat signal.
-
-    ``signal`` is (times, X, P) as produced by :func:`simulate_beat`; the
-    template model supplies splitting and the frequency layout.  Component
-    amplitudes come from a linear fit, populations from the bidiagonal
-    amplitude ladder plus normalisation (non-negative least squares).
-    """
-    t, x, p = (np.asarray(a, dtype=float) for a in signal)
-    if np.max(np.abs(x)) + np.max(np.abs(p)) < 1e-12:
-        raise FitFailureError("signal is identically zero; "
-                              "orientation is undefined")
-    delta = model.zeeman_split * 1e-3
-    k = 3.0 - _M_VALUES[:-1]
-    phases = 2.0 * np.pi * delta * np.outer(k, t)
-    design = np.concatenate([np.cos(phases), np.sin(phases)], axis=1).T
-    target = np.concatenate([x, p])
-    amps, *_ = np.linalg.lstsq(design, target, rcond=None)
-    # A_m = c_m (p_m + p_{m+1}) / 2 plus sum p = 1: a square ladder system.
-    ladder = np.zeros((9, 9))
-    for i in range(8):
-        ladder[i, i] = ladder[i, i + 1] = 0.5 * _LADDER[i]
-    ladder[8, :] = 1.0
-    rhs = np.concatenate([amps, [1.0]])
-    pops, _ = nnls(ladder, rhs)
-    total = pops.sum()
-    if total <= 0:
-        raise FitFailureError("population recovery collapsed to zero")
-    return orientation(pops / total)

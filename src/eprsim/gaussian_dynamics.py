@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401 (perfbench/tracer.py wraps it)
 
 from .errors import InvariantViolationError
 from .multilevel_rates import series_to_csv
@@ -65,6 +64,18 @@ __all__ = [
     "propagate_moments",
     "trajectory_to_csv",
 ]
+
+
+def __getattr__(name):
+    # The engine is closed-form and never calls solve_ivp; the name stays
+    # only because perfbench/tracer.py wraps it as a layer.  It loads on
+    # access, since scipy.integrate alone adds 0.3-0.8 s to start-up.  The
+    # shim goes away with ROADMAP item 2, which retires those metrics.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Gauss-Legendre rule on [-1, 1] for the x increment of one interval
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)

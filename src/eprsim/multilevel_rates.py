@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DegeneratePolarizationError, InvariantViolationError, ModelViolationError
 from .spin_model import ModelParams, require_finite
@@ -198,6 +197,8 @@ class PopulationSeries:
 def propagate_populations(initial: PopulationState, rates: RateSet, grid,
                           pump: PumpConfig | None = None) -> PopulationSeries:
     """Exact propagation of the linear population system over ``grid``."""
+    from scipy.linalg import expm  # loaded on first use: costly at start-up
+
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-D array")

@@ -259,6 +259,34 @@ def test_bad_input_exit_code(argv, code, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+_IMPORT_PROBE = """
+import json, sys
+def loaded(*names):
+    return sorted(m for m in sys.modules
+                  if m in names or m.split(".")[0] in names)
+import eprsim.cli
+at_import = loaded("scipy", "eprsim.lindblad_oracle")
+code = eprsim.cli.main(["populations", "--out", sys.argv[1]])
+print(json.dumps({"at_import": at_import, "code": code,
+                  "after": loaded("scipy.linalg", "scipy.optimize")}))
+"""
+
+
+def test_cli_import_defers_scipy(tmp_path):
+    # structural, not timed: scipy loads on the first call that needs it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["at_import"] == []
+    assert probe["code"] == 0
+    assert probe["after"] == ["scipy.linalg"]
+
+
 @pytest.mark.parametrize("argv", [
     ["--trials", "2", "--gm-step", "2e-6"],  # 700 001 points > the cap
     ["--trials", "20000", "--gm-step", "1e-3"],  # 1401 x 2e4 trial-points

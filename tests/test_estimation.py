@@ -3,15 +3,12 @@ import pytest
 
 from eprsim.errors import FitFailureError, IdentifiabilityError
 from eprsim.estimation import (
-    BeatModel,
     CalibrationPoint,
     FitProblem,
     calibrate_pn,
-    estimate_orientation,
     fit_parameters,
     forward_model,
     orientation,
-    simulate_beat,
 )
 from eprsim.multilevel_rates import (
     PopulationState,
@@ -63,6 +60,23 @@ class TestFitParameters:
                                                        rel=1e-5)
         assert res.covariance.shape == (1, 1)
         assert res.covariance[0, 0] > 0.0
+
+    def test_solver_called_through_module_global(self, monkeypatch):
+        # a wrapper bound at eprsim.estimation.least_squares sees every
+        # solve; a function-local scipy import would bypass it
+        from eprsim import estimation
+        solve, results = estimation.least_squares, []
+
+        def counted(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(estimation, "least_squares", counted)
+        truth = make_params()
+        fit_parameters(synthetic_problem(truth,
+                                         truth.replace(Gamma_tilde=0.12),
+                                         free=("Gamma_tilde",)))
+        assert len(results) == 1 and results[0].nfev > 0
 
     def test_slope_constraint_recovers_loss_rate(self):
         truth = make_params()  # Gamma_L_out = 0.025
@@ -191,55 +205,3 @@ class TestOrientation:
             orientation(np.full(9, 0.5))
         with pytest.raises(ValueError):
             orientation(np.zeros(5))
-
-
-class TestBeatSignal:
-    def test_stretched_state_is_single_tone(self):
-        # only the m = 3 <-> 4 coherence survives; it sits at zero offset
-        model = BeatModel(populations=(0,) * 7 + (0.0, 1.0))
-        t, x, p = simulate_beat(model, dt=0.5)
-        amp = 0.5 * np.sqrt(20.0 - 3.0 * 4.0)
-        np.testing.assert_allclose(x, amp, atol=1e-12)
-        np.testing.assert_allclose(p, 0.0, atol=1e-12)
-
-    def test_two_tone_beat_period(self):
-        # equal weight in two adjacent transitions beats at the splitting
-        model = BeatModel(populations=(0,) * 6 + (0.2, 0.4, 0.4),
-                          zeeman_split=20.0, duration=100.0)
-        t, x, p = simulate_beat(model, dt=0.1)
-        env = np.hypot(x, p)
-        # envelope period = 1/delta = 50 ms
-        np.testing.assert_allclose(env[t >= 50.0], env[t < 50.0], atol=1e-9)
-
-    def test_bad_dt(self):
-        model = BeatModel(populations=(0,) * 8 + (1.0,))
-        with pytest.raises(ValueError):
-            simulate_beat(model, dt=0.0)
-        with pytest.raises(ValueError):
-            simulate_beat(model, dt=2.0)
-
-    def test_invalid_populations(self):
-        with pytest.raises(ValueError):
-            BeatModel(populations=(0.5,) * 9)
-
-
-class TestEstimateOrientation:
-    def test_round_trip_stretched(self):
-        model = BeatModel(populations=(0,) * 8 + (1.0,))
-        sig = simulate_beat(model, dt=0.2)
-        assert estimate_orientation(sig, model) == pytest.approx(1.0,
-                                                                 abs=1e-9)
-
-    def test_round_trip_partial(self):
-        pops = (0,) * 7 + (0.08, 0.92)
-        model = BeatModel(populations=pops)
-        sig = simulate_beat(model, dt=0.2)
-        est = estimate_orientation(sig, model)
-        assert est == pytest.approx(orientation(pops), abs=3e-3)
-
-    def test_zero_signal(self):
-        model = BeatModel(populations=(0,) * 8 + (1.0,))
-        t = np.arange(0.0, 100.0, 0.2)
-        with pytest.raises(FitFailureError):
-            estimate_orientation((t, np.zeros_like(t), np.zeros_like(t)),
-                                 model)

@@ -47,7 +47,6 @@ from .light_readout import (
 )
 from .multilevel_rates import (
     PopulationState,
-    PumpConfig,
     populations_to_csv,
     propagate_populations,
     transition_rates,
@@ -175,9 +174,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_populations(args) -> int:
     params = _load_params(args)
     grid = _parse_grid(args.grid)
-    rates = transition_rates(params)
-    pump = PumpConfig(rate=params.Gamma_pump) if args.pump else None
-    series = propagate_populations(_initial_pop(args), rates, grid, pump=pump)
+    rates = transition_rates(params, pump=args.pump)
+    series = propagate_populations(_initial_pop(args), rates, grid)
     head = _metadata_block(params, args.seed)
     _emit(args, "populations.csv", head + populations_to_csv(series))
     return 0

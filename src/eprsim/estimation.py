@@ -19,7 +19,6 @@ from .errors import FitFailureError, IdentifiabilityError
 from .gaussian_dynamics import NoiseChannels, propagate_moments
 from .multilevel_rates import (
     PopulationState,
-    PumpConfig,
     multilevel_xi,
     polarization_slope,
     propagate_populations,
@@ -50,9 +49,11 @@ class FitProblem:
 
     ``observed`` is a structured record of aligned 1-D arrays: t (ms), xi,
     xi_err, jx_norm, jx_err; entries of jx_norm may be NaN where only the
-    witness was measured (they are skipped).  ``slope_constraint`` eliminates
-    Gamma_L_out through the measured t = 0 polarisation slope
-    ``slope_obs`` (ms^-1), reducing the free-parameter count.
+    witness was measured (they are skipped).  Times and xi must be finite,
+    and every error that weights a residual finite and > 0 (ValueError).
+    ``slope_constraint`` eliminates Gamma_L_out through the measured t = 0
+    polarisation slope ``slope_obs`` (ms^-1), reducing the free-parameter
+    count.
     """
 
     times: np.ndarray
@@ -77,6 +78,13 @@ class FitProblem:
         for name in ("xi", "xi_err", "jx_norm", "jx_err"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must be aligned with times")
+        if not np.all(np.isfinite(self.times) & np.isfinite(self.xi)):
+            raise ValueError("observed times and xi must be finite")
+        # xi_err weights every row, jx_err only the rows with a jx_norm
+        errs = np.concatenate(
+            [self.xi_err, self.jx_err[np.isfinite(self.jx_norm)]])
+        if not np.all(np.isfinite(errs) & (errs > 0)):
+            raise ValueError("observed errors must be finite and > 0")
         unknown = set(self.free) - set(FITTABLE)
         if unknown:
             raise ValueError(f"not fittable: {sorted(unknown)}")
@@ -107,6 +115,9 @@ class CalibrationPoint:
     weight: float = 1.0
 
     def __post_init__(self):
+        if not all(map(np.isfinite, (self.theta, self.xi0, self.weight))):
+            raise ValueError("calibration theta, xi0 and weight must be "
+                             "finite")
         if self.theta <= 0:
             raise ValueError("Faraday angle must be positive")
         if self.weight <= 0:
@@ -132,9 +143,8 @@ def forward_model(params: ModelParams, initial_pop: PopulationState, times,
                   pump: bool = False):
     """Predicted (xi_multilevel, jx_norm) series for a parameter set."""
     times = np.asarray(times, dtype=float)
-    rates = transition_rates(params)
-    pcfg = PumpConfig(rate=params.Gamma_pump) if pump else None
-    pops = propagate_populations(initial_pop, rates, times, pump=pcfg)
+    pops = propagate_populations(initial_pop, transition_rates(params, pump),
+                                 times)
     noise = NoiseChannels.from_params(params, pump=pump)
     traj = propagate_moments(css_state(), params, noise, times,
                              populations=pops)
@@ -242,6 +252,8 @@ def orientation(populations) -> float:
     p = np.asarray(populations, dtype=float)
     if p.shape != (9,):
         raise ValueError("need nine sublevel populations (m = -4..4)")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("populations must be finite")
     if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("populations must be a distribution")
     return float(_M_VALUES @ p) / 4.0

@@ -59,7 +59,6 @@ __all__ = [
     "NoiseChannels",
     "Trajectory",
     "relaxation_rate",
-    "dissipation_target_cov",
     "moment_derivative",
     "propagate_moments",
     "trajectory_to_csv",
@@ -87,23 +86,20 @@ class NoiseChannels:
 
     ``dephasing`` drives every quadrature variance back toward the CSS level;
     ``pump_refill`` is the quadrature-noise side of the incoherent pump (0
-    without a pump) and has the same CSS-restoring structure.
-    ``distinguishable`` models emitters whose forward-scattered photons carry
-    which-path information: the nonlocal interference is lost and each
-    ensemble is damped toward a local thermal state instead of the joint EPR
-    state.
+    without a pump) and has the same CSS-restoring structure.  The two
+    ensembles are indistinguishable emitters, so the engineered bath always
+    drives them toward the joint two-mode-squeezed state.
     """
 
     dephasing: float = 0.0
     pump_refill: float = 0.0
-    distinguishable: bool = False
 
     def __post_init__(self):
         require_finite(dephasing=self.dephasing, pump_refill=self.pump_refill)
         if self.dephasing < 0 or self.pump_refill < 0:
             raise InvariantViolationError("noise rates must be >= 0")
 
-    def pump_noise_rate(self, nh_frac: float = 1.0) -> float:
+    def pump_noise_rate(self, nh_frac) -> float:
         """Quadrature-noise rate of the incoherent pump.
 
         Refilled atoms re-enter the collective mode in a random spin state,
@@ -156,24 +152,10 @@ class Trajectory:
                              cov=p * self.initial.cov + x * self.target
                              + (1.0 - p - x) * np.eye(4))
 
-    @property
-    def states(self) -> list:
-        """GaussianState at every time point, built on demand."""
-        return [self.state(k) for k in range(self.times.size)]
-
 
 def relaxation_rate(params: ModelParams, p2_tilde: float = 1.0) -> float:
     """Covariance relaxation rate 2*gamma_c of the engineered dissipation."""
     return params.d * params.Gamma * p2_tilde
-
-
-def dissipation_target_cov(params: ModelParams, distinguishable: bool = False):
-    """Fixed-point covariance of the engineered-dissipation channel alone."""
-    if distinguishable:
-        # Which-path information removes the nonlocal interference: the same
-        # local heating/cooling rates act independently on each ensemble.
-        return (params.mu**2 + params.nu**2) * np.eye(4)
-    return two_mode_squeezed_cov(params.mu, params.nu)
 
 
 def moment_derivative(state: GaussianState, params: ModelParams,
@@ -187,7 +169,7 @@ def moment_derivative(state: GaussianState, params: ModelParams,
     """
     g2 = relaxation_rate(params, p2_tilde)
     css = noise.dephasing + noise.pump_noise_rate(nh_frac)
-    target = dissipation_target_cov(params, noise.distinguishable)
+    target = two_mode_squeezed_cov(params.mu, params.nu)
     dmean = -(0.5 * g2 + 0.5 * css) * state.mean
     dcov = -g2 * (state.cov - target) - css * (state.cov - np.eye(4))
     return dmean, dcov
@@ -237,7 +219,7 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     if not np.all((phi >= -tol) & (x >= -tol) & (phi + x <= 1.0 + tol)):
         raise InvariantViolationError(
             "moment weights left the simplex phi, x >= 0, phi + x <= 1")
-    target = dissipation_target_cov(params, noise.distinguishable)
+    target = two_mode_squeezed_cov(params.mu, params.nu)
     return Trajectory(times=grid, phi=np.clip(phi, 0.0, 1.0),
                       x=np.clip(x, 0.0, 1.0), initial=initial, target=target,
                       populations=populations)

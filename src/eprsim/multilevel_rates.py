@@ -3,14 +3,16 @@ the multilevel entanglement formula.
 
 Atoms live in |4,+/-4> (fraction n44), |4,+/-3> (n43) and a hidden level
 |3,+/-3> (nh); both ensembles are treated symmetrically so one state serves
-both.  All transitions are linear, so the population dynamics is a 3x3
-linear ODE solved exactly by matrix exponential.  Summing pairs of equations
-recovers the textbook forms
+both.  Every quantity is a fraction of the atom number, which cancels from
+all outputs.  All transitions are linear, so the population dynamics is a
+3x3 linear ODE solved exactly by matrix exponential.  Summing pairs of
+equations recovers the textbook forms
 
-    dN2/dt       = -(G_out + 2 G_in) N2 + 2 N G_in
-    dP2_tilde/dt = -(G_34 + G_43 + G_out) P2_tilde + (G_34 - G_43) N2 / N
+    dn2/dt       = -(G_out + 2 G_in) n2 + 2 G_in
+    dP2_tilde/dt = -(G_34 + G_43 + G_out) P2_tilde + (G_34 - G_43) n2
 
-with P2_tilde = P2 N2 / N.
+with n2 = n44 + n43 and P2_tilde = P2 n2.  The optional incoherent pump
+(``RateSet.pump``) refills the hidden level into F=4 and repolarises.
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ from .spin_model import ModelParams, require_finite
 __all__ = [
     "PopulationState",
     "RateSet",
-    "PumpConfig",
     "PopulationSeries",
     "transition_rates",
     "rate_matrix",
     "propagate_populations",
     "polarization_slope",
     "sm_variance_drift",
-    "multilevel_entanglement",
     "multilevel_xi",
     "columns_to_csv",
     "series_to_csv",
@@ -40,13 +40,17 @@ __all__ = [
 ]
 
 
-def _check_populations(n44, n43, nh, N) -> None:
+# Fraction of pump-refilled atoms landing in |4,+/-4>; the split is not
+# pinned down by the physics, so it is an equal split.
+_PUMP_BRANCHING = 0.5
+
+
+def _check_populations(n44, n43, nh) -> None:
     """Fractions (scalars or aligned arrays) are finite, >= 0, sum to 1."""
-    require_finite(N=N)
     fr = np.array([n44, n43, nh], dtype=float)
-    if N <= 0 or not np.all(np.isfinite(fr) & (fr >= -1e-12)):
+    if not np.all(np.isfinite(fr) & (fr >= -1e-12)):
         raise InvariantViolationError(
-            "need atom number N > 0 and finite population fractions >= 0")
+            "population fractions must be finite and >= 0")
     if np.any(np.abs(fr.sum(axis=0) - 1.0) > 1e-9):
         raise InvariantViolationError("population fractions must sum to 1")
 
@@ -58,19 +62,14 @@ class PopulationState:
     n44: float
     n43: float
     nh: float
-    N: float = 1.0
 
     def __post_init__(self):
         require_finite(n44=self.n44, n43=self.n43, nh=self.nh)
-        _check_populations(self.n44, self.n43, self.nh, self.N)
+        _check_populations(self.n44, self.n43, self.nh)
 
     @property
     def n2_frac(self) -> float:
         return self.n44 + self.n43
-
-    @property
-    def N2(self) -> float:
-        return self.N * self.n2_frac
 
     @property
     def p2(self) -> float:
@@ -81,7 +80,7 @@ class PopulationState:
 
     @property
     def p2_tilde(self) -> float:
-        """P2 N2 / N, the polarisation weighted by two-level occupancy."""
+        """P2 n2, the polarisation weighted by two-level occupancy."""
         return abs(self.n44 - self.n43)
 
     @property
@@ -89,55 +88,41 @@ class PopulationState:
         """<J_x>/N from the magnetic quantum numbers 4 and 3."""
         return 4.0 * self.n44 + 3.0 * self.n43
 
-    @property
-    def Jx(self) -> float:
-        return self.N * self.jx_frac
-
 
 @dataclass(frozen=True)
 class RateSet:
-    """Transition rates of the three-level model (ms^-1)."""
+    """Transition rates of the three-level model (ms^-1).
+
+    ``pump`` is the incoherent pump: it moves |4,+/-3> atoms to |4,+/-4>
+    and refills the hidden level into F=4, half into each level.
+    """
 
     g34: float  # |4,+/-3> -> |4,+/-4>  (driving-field cooling + collisions)
     g43: float  # |4,+/-4> -> |4,+/-3>  (heating + collisions)
     g_out: float  # either F=4 level -> hidden
     g_in: float  # hidden -> either F=4 level
+    pump: float = 0.0  # incoherent pump rate; 0 without a pump
 
     def __post_init__(self):
         require_finite(**vars(self))
-        for name in ("g34", "g43", "g_out", "g_in"):
-            if getattr(self, name) < 0:
+        for name, v in vars(self).items():
+            if v < 0:
                 raise InvariantViolationError(f"rate {name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class PumpConfig:
-    """Incoherent pump: refills the hidden level into F=4 and repolarises.
-
-    ``branching`` is the fraction of refilled atoms landing in |4,+/-4>;
-    the split is not pinned down by the physics, equal split is the default.
-    """
-
-    rate: float
-    branching: float = 0.5
-
-    def __post_init__(self):
-        require_finite(rate=self.rate, branching=self.branching)
-        if self.rate < 0 or not 0.0 <= self.branching <= 1.0:
-            raise InvariantViolationError("invalid pump configuration")
-
-
-def transition_rates(params: ModelParams) -> RateSet:
-    """Rates from the model parameters; collisions feed every transition."""
+def transition_rates(params: ModelParams, pump: bool = False) -> RateSet:
+    """Rates from the model parameters; collisions feed every transition and
+    ``pump`` adds the incoherent pump at Gamma_pump."""
     return RateSet(
         g34=params.mu**2 * params.Gamma + params.Gamma_col,
         g43=params.nu**2 * params.Gamma + params.Gamma_col,
         g_out=params.Gamma_L_out + params.Gamma_col,
         g_in=params.Gamma_col,
+        pump=params.Gamma_pump if pump else 0.0,
     )
 
 
-def rate_matrix(rates: RateSet, pump: PumpConfig | None = None) -> np.ndarray:
+def rate_matrix(rates: RateSet) -> np.ndarray:
     """Generator of the linear population system, ordered (n44, n43, nh)."""
     a = np.array(
         [
@@ -146,8 +131,8 @@ def rate_matrix(rates: RateSet, pump: PumpConfig | None = None) -> np.ndarray:
             [rates.g_out, rates.g_out, -2.0 * rates.g_in],
         ]
     )
-    if pump is not None and pump.rate > 0:
-        p, b = pump.rate, pump.branching
+    if rates.pump > 0:
+        p, b = rates.pump, _PUMP_BRANCHING
         a += np.array(
             [
                 [0.0, p, b * p],
@@ -166,7 +151,6 @@ class PopulationSeries:
     n44: np.ndarray
     n43: np.ndarray
     nh: np.ndarray
-    N: float = 1.0
 
     def __post_init__(self):
         self.times, self.n44, self.n43, self.nh = (
@@ -175,7 +159,7 @@ class PopulationSeries:
         if not self.times.shape == self.n44.shape == self.n43.shape \
                 == self.nh.shape:
             raise InvariantViolationError("population series lengths differ")
-        _check_populations(self.n44, self.n43, self.nh, self.N)
+        _check_populations(self.n44, self.n43, self.nh)
         self.n2_frac = self.n44 + self.n43
         self.p2_tilde = np.abs(self.n44 - self.n43)
         self.p2 = np.divide(self.p2_tilde, self.n2_frac,
@@ -186,23 +170,18 @@ class PopulationSeries:
     def state(self, k: int) -> PopulationState:
         """PopulationState at ``times[k]``."""
         return PopulationState(n44=self.n44[k], n43=self.n43[k],
-                               nh=self.nh[k], N=self.N)
-
-    @property
-    def states(self) -> list:
-        """PopulationState at every time point, built on demand."""
-        return [self.state(k) for k in range(self.times.size)]
+                               nh=self.nh[k])
 
 
-def propagate_populations(initial: PopulationState, rates: RateSet, grid,
-                          pump: PumpConfig | None = None) -> PopulationSeries:
+def propagate_populations(initial: PopulationState, rates: RateSet,
+                          grid) -> PopulationSeries:
     """Exact propagation of the linear population system over ``grid``."""
     from scipy.linalg import expm  # loaded on first use: costly at start-up
 
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty 1-D array")
-    a = rate_matrix(rates, pump)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be a nonempty 1-D array of finite values")
+    a = rate_matrix(rates)
     n0 = np.array([initial.n44, initial.n43, initial.nh])
     t_rel = grid - grid[0]
     # one batched matrix exponential over the grid: exact and safe for
@@ -215,13 +194,12 @@ def propagate_populations(initial: PopulationState, rates: RateSet, grid,
         )
     sol = np.clip(sol, 0.0, None)
     sol /= sol.sum(axis=0, keepdims=True)
-    return PopulationSeries(times=grid, n44=sol[0], n43=sol[1], nh=sol[2],
-                            N=initial.N)
+    return PopulationSeries(times=grid, n44=sol[0], n43=sol[1], nh=sol[2])
 
 
 def polarization_slope(initial: PopulationState, rates: RateSet) -> float:
     """d/dt of P = <J_x(t)>/<J_x(0)> at t = 0 from the rate model."""
-    if initial.Jx <= 0:
+    if initial.jx_frac <= 0:
         raise DegeneratePolarizationError("macroscopic spin must be positive")
     num = (-(rates.g43 + 4.0 * rates.g_out) * initial.n44
            + (rates.g34 - 3.0 * rates.g_out) * initial.n43)
@@ -241,28 +219,20 @@ def sm_variance_drift(pop: PopulationState, params: ModelParams,
     return collective + refill + leak
 
 
-def multilevel_entanglement(sigma_j, pop):
-    """xi = (Sigma_J + 14 N_{|4,+/-3>}) / (N2 (P2 + 7)).
-
-    ``sigma_j`` is the EPR spin variance in extensive spin units; the
-    |4,+/-3> atoms add excess noise and the denominator renormalises to the
-    shrinking two-level subsystem.
-    """
-    n2_atoms = pop.N * pop.n2_frac
-    if np.any(n2_atoms <= 0):
-        raise DegeneratePolarizationError("two-level subsystem is empty")
-    n43_atoms = pop.N * pop.n43
-    return (sigma_j + 14.0 * n43_atoms) / (n2_atoms * (pop.p2 + 7.0))
-
-
 def multilevel_xi(xi_gauss, pop):
-    """Multilevel witness from the normalised Gaussian witness.
+    """Multilevel witness xi = (Sigma_J + 14 n43) / (n2 (P2 + 7)) from the
+    normalised Gaussian witness.
 
-    Uses Sigma_J = 2 |<J_x>| xi_gauss; the atom number cancels.  ``pop`` is
-    a PopulationState, or a PopulationSeries aligned with ``xi_gauss``.
+    Sigma_J = 2 <J_x> xi_gauss is the EPR spin variance; the |4,+/-3> atoms
+    add excess noise and the denominator renormalises to the shrinking
+    two-level subsystem.  Everything is per atom, since the atom number
+    cancels.  ``pop`` is a PopulationState, or a PopulationSeries aligned
+    with ``xi_gauss``.
     """
-    sigma_j = 2.0 * (pop.N * pop.jx_frac) * xi_gauss
-    return multilevel_entanglement(sigma_j, pop)
+    if np.any(pop.n2_frac <= 0):
+        raise DegeneratePolarizationError("two-level subsystem is empty")
+    sigma_j = 2.0 * pop.jx_frac * xi_gauss
+    return (sigma_j + 14.0 * pop.n43) / (pop.n2_frac * (pop.p2 + 7.0))
 
 
 def columns_to_csv(header, columns) -> str:

@@ -177,15 +177,15 @@ class GaussianState:
         if self.mean.shape != (4,) or self.cov.shape != (4, 4):
             raise InvariantViolationError("mean must be (4,), cov must be (4, 4)")
 
-    def validate(self, atol: float = 1e-8) -> "GaussianState":
-        if not np.allclose(self.cov, self.cov.T, atol=atol):
+    def validate(self) -> "GaussianState":
+        if not np.allclose(self.cov, self.cov.T, atol=1e-8):
             raise InvariantViolationError("covariance is not symmetric")
         eigs = np.linalg.eigvalsh(0.5 * (self.cov + self.cov.T))
-        if eigs.min() < -atol:
+        if eigs.min() < -1e-8:
             raise InvariantViolationError(
                 f"covariance is not PSD (min eigenvalue {eigs.min():.3e})"
             )
-        symplectic_check(self.cov, atol=max(atol, 1e-7))
+        symplectic_check(self.cov)
         return self
 
 
@@ -207,10 +207,11 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return vals[::2]
 
 
-def symplectic_check(cov: np.ndarray, atol: float = 1e-7) -> None:
-    """Raise if the covariance violates the Heisenberg (symplectic) bound."""
+def symplectic_check(cov: np.ndarray) -> None:
+    """Raise if the covariance violates the Heisenberg (symplectic) bound
+    by more than 1e-7."""
     nu_min = symplectic_eigenvalues(cov)[0]
-    if nu_min < 1.0 - atol:
+    if nu_min < 1.0 - 1e-7:
         raise InvariantViolationError(
             f"symplectic eigenvalue {nu_min:.6f} below the Heisenberg bound"
         )

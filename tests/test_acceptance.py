@@ -181,7 +181,7 @@ def test_criterion_7_rate_model_closed_forms():
         assert polarization_slope(POP0, rates) == pytest.approx(fd, abs=1e-6)
         params = make_params()
         drift0 = sm_variance_drift(POP0, params, rates)
-        drift1 = sm_variance_drift(s.states[1], params, rates)
+        drift1 = sm_variance_drift(s.state(1), params, rates)
         assert abs(drift1 - drift0) < 1e-4  # slope is first-order accurate
 
 
@@ -235,8 +235,8 @@ def test_criterion_9_property_suite(tmp_path):
         traj = propagate_moments(css_state(), make_params(),
                                  NoiseChannels(dephasing=0.193),
                                  np.linspace(0.0, 40.0, 41))
-        for state in traj.states:
-            state.validate()
+        for k in range(traj.times.size):
+            traj.state(k).validate()
 
         # unit vacuum variance for every mode shape
         vac = simulate_batch(10_000, 5.0, 0.1, LossParams(0.0, 0.0), MU_NU, 0)

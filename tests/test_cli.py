@@ -206,6 +206,22 @@ class TestArtifacts:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _run_fresh(argv, out):
+    """Run the CLI on ``argv`` in a fresh interpreter: a hang fails the test
+    at the timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eprsim.cli", *argv, "--out",
+             str(out)], env=env, capture_output=True, text=True,
+            timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{argv} did not finish within 60 s")
+    return proc
+
+
 @pytest.mark.parametrize("argv, code", [
     (["scenario", "fig2a", "--overrides", '{"Gamma_tilde": NaN}'], 4),
     (["scenario", "fig2a", "--overrides", '{"Gamma_tilde": Infinity}'], 4),
@@ -235,6 +251,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     (["scenario", "fig2d", "--grid", "0,1,0.5"], 2),
     (["reconstruct", "--trials", "0"], 2),
     (["reconstruct", "--trials", "-5"], 2),
+    (["orientation", "nan,0,0,0,0,0,0,0,1"], 2),
 ], ids=["overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
         "overrides-list", "pops-nan", "pops-inf", "grid-huge", "grid-inf",
         "grid-nan", "handover-inf", "probe-inf", "trials-huge", "dt-tiny",
@@ -242,21 +259,36 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         "bins-huge", "populations-degenerate", "gm-scan-long",
         "orientation-trials", "scenario-params", "simulate-format",
         "scenario-trials", "scenario-grid", "reconstruct-trials-zero",
-        "reconstruct-trials-negative"])
+        "reconstruct-trials-negative", "orientation-nan"])
 def test_bad_input_exit_code(argv, code, tmp_path):
-    # a fresh interpreter per input: a hang fails the test at the timeout
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "eprsim.cli", *argv, "--out",
-             str(tmp_path)], env=env, capture_output=True, text=True,
-            timeout=60)
-    except subprocess.TimeoutExpired:
-        pytest.fail(f"{argv} did not finish within 60 s")
+    proc = _run_fresh(argv, tmp_path)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
+
+
+@pytest.mark.parametrize("command, rows", [
+    ("calibrate", "theta,xi0\n1,nan\n2,2.016\n4,4.064\n"),
+    ("calibrate", "theta,xi0\nnan,1.004\n2,2.016\n4,4.064\n"),
+    ("calibrate", "theta,xi0,weight\n1,1.004,inf\n2,2.016,1\n4,4.064,1\n"),
+    ("fit", _FIT_HEAD + "0,1,-0.01,1,0.005\n10,0.8,0.01,0.9,0.005\n"),
+    ("fit", _FIT_HEAD + "0,1,0,1,0.005\n10,0.8,0.01,0.9,0.005\n"),
+    ("fit", _FIT_HEAD + "nan,1,0.01,1,0.005\n10,0.8,0.01,0.9,0.005\n"),
+], ids=["calibrate-xi0-nan", "calibrate-theta-nan", "calibrate-weight-inf",
+        "fit-err-negative", "fit-err-zero", "fit-time-nan"])
+def test_bad_input_file_exit_code(command, rows, tmp_path):
+    # each used to exit 0 with a meaningless result, or 3 or 4 with a
+    # message about something else
+    data = tmp_path / "input.csv"
+    data.write_text(rows)
+    extra = ["--free", "d"] if command == "fit" else []
+    proc = _run_fresh([command, str(data), *extra], tmp_path / "out")
+    assert proc.returncode == 2, proc.stderr
+    assert "finite" in proc.stderr  # its own message, not a solver's
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 _IMPORT_PROBE = """

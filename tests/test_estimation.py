@@ -142,6 +142,31 @@ class TestFitParameters:
         res = fit_parameters(prob)
         assert res.residuals.size == GRID.size + GRID.size // 2 + 1
 
+    @pytest.mark.parametrize("name, value", [
+        ("times", np.nan), ("times", np.inf), ("xi", np.nan),
+        ("xi_err", 0.0), ("xi_err", -0.01), ("xi_err", np.nan),
+        ("jx_err", 0.0), ("jx_err", np.inf)])
+    def test_bad_observed_series_rejected(self, name, value):
+        # a negative error used to fit, a zero one to leak a RuntimeWarning
+        # and a NaN time to fail as a population invariant
+        truth = make_params()
+        xi, jx, _, _ = forward_model(truth, POP0, GRID)
+        obs = dict(times=GRID.copy(), xi=xi, xi_err=np.full_like(xi, 0.01),
+                   jx_norm=jx, jx_err=np.full_like(jx, 0.005))
+        obs[name][1] = value
+        with pytest.raises(ValueError):
+            FitProblem(**obs, free=("d",), fixed=truth, initial_pop=POP0)
+
+    def test_unused_jx_err_not_checked(self):
+        # jx_err is read only where jx_norm was measured
+        truth = make_params()
+        xi, jx, _, _ = forward_model(truth, POP0, GRID)
+        jx, jx_err = jx.copy(), np.full_like(jx, 0.005)
+        jx[1], jx_err[1] = np.nan, np.nan
+        FitProblem(times=GRID, xi=xi, xi_err=np.full_like(xi, 0.01),
+                   jx_norm=jx, jx_err=jx_err, free=("d",), fixed=truth,
+                   initial_pop=POP0)
+
 
 class TestCalibratePn:
     def test_exact_quadratic(self):
@@ -184,6 +209,13 @@ class TestCalibratePn:
         with pytest.raises(ValueError):
             CalibrationPoint(1.0, 1.0, weight=0.0)
 
+    @pytest.mark.parametrize("theta, xi0, weight", [
+        (np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.inf),
+        (np.inf, 1.0, 1.0), (1.0, -np.inf, 1.0), (1.0, 1.0, np.nan)])
+    def test_non_finite_points(self, theta, xi0, weight):
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationPoint(theta, xi0, weight=weight)
+
 
 class TestOrientation:
     def test_stretched_state(self):
@@ -205,3 +237,10 @@ class TestOrientation:
             orientation(np.full(9, 0.5))
         with pytest.raises(ValueError):
             orientation(np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_populations(self, bad):
+        p = np.zeros(9)
+        p[0], p[-1] = bad, 1.0
+        with pytest.raises(ValueError, match="finite"):
+            orientation(p)

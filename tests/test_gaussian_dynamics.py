@@ -7,7 +7,6 @@ from eprsim.errors import InvariantViolationError
 from eprsim.gaussian_dynamics import (
     NoiseChannels,
     Trajectory,
-    dissipation_target_cov,
     moment_derivative,
     propagate_moments,
     relaxation_rate,
@@ -28,7 +27,7 @@ def analytic_cov(c0, params, noise, t, nh_frac=0.0):
     g2 = relaxation_rate(params)
     css = noise.dephasing + noise.pump_noise_rate(nh_frac)
     total = g2 + css
-    target = (g2 * dissipation_target_cov(params, noise.distinguishable)
+    target = (g2 * two_mode_squeezed_cov(params.mu, params.nu)
               + css * np.eye(4)) / total
     return target + np.exp(-total * t) * (c0 - target)
 
@@ -47,8 +46,8 @@ class TestMomentDerivative:
         h = 1e-5
         grid = np.array([0.0, h, 2 * h])
         traj = propagate_moments(st, params, noise, grid)
-        fd_mean = (traj.states[2].mean - traj.states[0].mean) / (2 * h)
-        fd_cov = (traj.states[2].cov - traj.states[0].cov) / (2 * h)
+        fd_mean = (traj.state(2).mean - traj.state(0).mean) / (2 * h)
+        fd_cov = (traj.state(2).cov - traj.state(0).cov) / (2 * h)
         np.testing.assert_allclose(dm, fd_mean, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(dc, fd_cov, rtol=1e-5, atol=1e-8)
 
@@ -74,9 +73,10 @@ class TestPropagateMoments:
         noise = NoiseChannels(dephasing=0.193)
         grid = np.linspace(0.0, 20.0, 9)
         traj = propagate_moments(css_state(), params, noise, grid)
-        for t, st in zip(grid, traj.states):
+        for k, t in enumerate(grid):
             np.testing.assert_allclose(
-                st.cov, analytic_cov(np.eye(4), params, noise, t), atol=1e-8)
+                traj.state(k).cov, analytic_cov(np.eye(4), params, noise, t),
+                atol=1e-8)
 
     def test_steady_state_witness(self):
         params = make_params(d=1000.0, Gamma=0.01)
@@ -93,17 +93,8 @@ class TestPropagateMoments:
         t = 3.0
         traj = propagate_moments(st, params, noise, np.array([0.0, t]))
         rate = 0.5 * (relaxation_rate(params) + noise.dephasing)
-        np.testing.assert_allclose(traj.states[-1].mean,
+        np.testing.assert_allclose(traj.state(-1).mean,
                                    st.mean * np.exp(-rate * t), rtol=1e-7)
-
-    def test_distinguishable_never_entangles(self):
-        params = make_params()
-        noise = NoiseChannels(dephasing=0.0, distinguishable=True)
-        traj = propagate_moments(css_state(), params, noise,
-                                 np.linspace(0.0, 200.0, 41))
-        assert np.all(traj.xi >= 1.0 - 1e-9)
-        steady = params.mu**2 + params.nu**2
-        assert traj.xi[-1] == pytest.approx(steady, rel=1e-6)
 
     def test_population_throttling(self):
         params = make_params()
@@ -119,13 +110,13 @@ class TestPropagateMoments:
         fast = propagate_moments(css_state(), params, noise,
                                  np.array([0.0, 0.5 * t]))
         # halved rate over t equals full rate over t/2
-        np.testing.assert_allclose(slow.states[-1].cov, fast.states[-1].cov,
+        np.testing.assert_allclose(slow.state(-1).cov, fast.state(-1).cov,
                                    atol=1e-8)
 
     def test_single_point_grid(self):
         traj = propagate_moments(css_state(), make_params(),
                                  NoiseChannels(), np.array([0.0]))
-        assert len(traj.states) == 1
+        assert traj.times.size == traj.xi.size == 1
         assert traj.xi[0] == pytest.approx(1.0)
 
     def test_decreasing_grid_rejected(self):
@@ -148,8 +139,8 @@ class TestPropagateMoments:
         noise = NoiseChannels(dephasing=0.193)
         traj = propagate_moments(css_state(), params, noise,
                                  np.linspace(0.0, 40.0, 41))
-        for st in traj.states:
-            st.validate()  # raises if the bound is violated
+        for k in range(traj.times.size):
+            traj.state(k).validate()  # raises if the bound is violated
 
 
 class TestTrajectoryCsv:
@@ -172,8 +163,7 @@ class TestTrajectoryCsv:
 
 
 class TestTimeVaryingRates:
-    @pytest.mark.parametrize("distinguishable", [False, True])
-    def test_matches_full_moment_solve(self, distinguishable):
+    def test_matches_full_moment_solve(self):
         # pumped populations make both p2_tilde(t) and nh(t) vary; the
         # reference integrates moment_derivative on the full mean and
         # covariance
@@ -181,7 +171,6 @@ class TestTimeVaryingRates:
 
         from eprsim.multilevel_rates import (
             PopulationState,
-            PumpConfig,
             propagate_populations,
             transition_rates,
         )
@@ -190,10 +179,9 @@ class TestTimeVaryingRates:
         grid = np.linspace(0.0, 20.0, 21)
         pops = propagate_populations(
             PopulationState(n44=0.6, n43=0.2, nh=0.2),
-            transition_rates(params), grid, pump=PumpConfig(rate=0.168))
+            transition_rates(params, pump=True), grid)
         assert np.ptp(pops.p2_tilde) > 0.1 and np.ptp(pops.nh) > 0.03
-        noise = NoiseChannels(dephasing=0.1, pump_refill=0.5,
-                              distinguishable=distinguishable)
+        noise = NoiseChannels(dephasing=0.1, pump_refill=0.5)
         st0 = GaussianState(mean=np.array([0.4, -0.3, 0.2, 0.5]),
                             cov=two_mode_squeezed_cov(params.mu, params.nu))
 
@@ -209,7 +197,8 @@ class TestTimeVaryingRates:
                         np.concatenate([st0.mean, st0.cov.ravel()]),
                         t_eval=grid, rtol=1e-11, atol=1e-13)
         traj = propagate_moments(st0, params, noise, grid, populations=pops)
-        for k, st in enumerate(traj.states):
+        for k in range(grid.size):
+            st = traj.state(k)
             np.testing.assert_allclose(st.mean, ref.y[:4, k], atol=1e-7)
             np.testing.assert_allclose(st.cov, ref.y[4:, k].reshape(4, 4),
                                        atol=1e-7)
@@ -232,7 +221,6 @@ class TestExactEngine:
 
         from eprsim.multilevel_rates import (
             PopulationState,
-            PumpConfig,
             propagate_populations,
             transition_rates,
         )
@@ -240,8 +228,7 @@ class TestExactEngine:
         params = make_params(Gamma_pump=0.168)
         pops = propagate_populations(
             PopulationState(n44=0.6, n43=0.2, nh=0.2),
-            transition_rates(params), np.linspace(0.0, 20.0, 13),
-            pump=PumpConfig(rate=0.168))
+            transition_rates(params, pump=True), np.linspace(0.0, 20.0, 13))
         assert np.ptp(pops.p2_tilde) > 0.1 and np.ptp(pops.nh) > 0.03
         noise = NoiseChannels(dephasing=0.1, pump_refill=0.5)
         grid = np.linspace(0.5, 19.0, 17)

@@ -19,29 +19,27 @@ from test_spin_model import make_params
 
 class TestExactState:
     def test_css_is_valid(self):
-        ExactState.css(1).validate()
-        ExactState.css(2).validate()
+        ExactState.css().validate()
 
     def test_css_witness_is_unity(self):
-        assert xi_exact(ExactState.css(1)) == pytest.approx(1.0, abs=1e-12)
-        assert xi_exact(ExactState.css(2)) == pytest.approx(1.0, abs=1e-12)
+        assert xi_exact(ExactState.css()) == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_trace_rejected(self):
-        st = ExactState.css(1)
+        st = ExactState.css()
         st.rho = 2.0 * st.rho
         with pytest.raises(InvariantViolationError):
             st.validate()
 
     def test_size_limit(self):
-        with pytest.raises(InvariantViolationError):
-            ExactState.css(3)
-        with pytest.raises(InvariantViolationError):
-            ExactState.css(4)
+        # one spin per ensemble: only a 4 x 4 density matrix is accepted
+        for dim in (2, 16):
+            with pytest.raises(InvariantViolationError):
+                ExactState(rho=np.eye(dim) / dim)
 
 
 class TestOperators:
     def test_collective_annihilator_action(self):
-        a1, a2, sz = ensemble_operators(1)
+        a1, a2, sz = ensemble_operators()
         # a |flipped> = |pumped> within ensemble I
         flipped = np.zeros(4)
         flipped[2] = 1.0  # index 2 = |f>|p| in the 2-spin register
@@ -51,9 +49,9 @@ class TestOperators:
 
     def test_jump_operator_count(self):
         params = make_params()
-        ops = jump_operators(params, NoiseChannels(dephasing=0.1), 1)
+        ops = jump_operators(params, NoiseChannels(dephasing=0.1))
         assert len(ops) == 4  # two nonlocal + one dephasing per spin
-        ops = jump_operators(params, NoiseChannels(dephasing=0.0), 1)
+        ops = jump_operators(params, NoiseChannels(dephasing=0.0))
         assert len(ops) == 2
 
 
@@ -64,7 +62,7 @@ class TestSteadyState:
         params = make_params()
         noise = NoiseChannels(dephasing=0.0)
         horizon = 80.0 / relaxation_rate(params)
-        states = integrate_exact(ExactState.css(1), params, noise,
+        states = integrate_exact(ExactState.css(), params, noise,
                                  np.array([0.0, horizon]))
         lam = params.nu / params.mu
         psi = np.zeros(4)
@@ -87,7 +85,7 @@ class TestExactIntegration:
         psi[3] = params.nu / params.mu
         psi = psi / np.linalg.norm(psi)
         rho0 = np.outer(psi, psi)
-        states = integrate_exact(ExactState(rho=rho0, n_per_ensemble=1),
+        states = integrate_exact(ExactState(rho=rho0),
                                  params, NoiseChannels(dephasing=deph),
                                  np.array([0.0, 5.0]))
         rho = states[-1].rho
@@ -98,7 +96,7 @@ class TestExactIntegration:
     @pytest.mark.parametrize("times", [[0.0, 1.0, 0.5], [0.0, np.nan]])
     def test_bad_grid_rejected(self, times):
         with pytest.raises(ValueError):
-            integrate_exact(ExactState.css(1), make_params(),
+            integrate_exact(ExactState.css(), make_params(),
                             NoiseChannels(dephasing=0.0), times)
 
     @pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf])

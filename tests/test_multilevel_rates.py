@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,9 +8,7 @@ from scipy.linalg import expm
 from eprsim.errors import DegeneratePolarizationError, InvariantViolationError
 from eprsim.multilevel_rates import (
     PopulationState,
-    PumpConfig,
     RateSet,
-    multilevel_entanglement,
     multilevel_xi,
     polarization_slope,
     populations_to_csv,
@@ -21,6 +22,7 @@ from test_spin_model import make_params
 
 POP0 = PopulationState(n44=0.99, n43=0.01, nh=0.0)
 RATES = RateSet(g34=0.005, g43=0.0042, g_out=0.027, g_in=0.002)
+PUMPED = replace(RATES, pump=0.168)
 
 
 class TestPopulationState:
@@ -44,7 +46,7 @@ class TestRateMatrix:
     def test_columns_sum_to_zero(self):
         a = rate_matrix(RATES)
         np.testing.assert_allclose(a.sum(axis=0), 0.0, atol=1e-15)
-        a = rate_matrix(RATES, PumpConfig(rate=0.168, branching=0.3))
+        a = rate_matrix(PUMPED)
         np.testing.assert_allclose(a.sum(axis=0), 0.0, atol=1e-15)
 
     def test_transition_rates_from_params(self):
@@ -54,6 +56,9 @@ class TestRateMatrix:
         assert r.g43 == pytest.approx(p.nu**2 * p.Gamma + p.Gamma_col)
         assert r.g_out == pytest.approx(p.Gamma_L_out + p.Gamma_col)
         assert r.g_in == pytest.approx(p.Gamma_col)
+        assert r.pump == 0.0
+        assert transition_rates(p.replace(Gamma_pump=0.168),
+                                pump=True).pump == 0.168
 
 
 class TestPropagation:
@@ -69,12 +74,13 @@ class TestPropagation:
             np.testing.assert_allclose(got, ref, atol=1e-8)
 
     def test_defective_generator(self):
-        # the pump alone: double eigenvalue -p with a single eigenvector
-        p, b = 0.168, 0.3
+        # the pump alone: double eigenvalue -p with a single eigenvector;
+        # half of the refilled atoms land in |4,+/-3>
+        p, b = 0.168, 0.5
         pop0 = PopulationState(n44=0.2, n43=0.3, nh=0.5)
         grid = np.linspace(0.0, 40.0, 21)
-        s = propagate_populations(pop0, RateSet(0.0, 0.0, 0.0, 0.0), grid,
-                                  PumpConfig(rate=p, branching=b))
+        s = propagate_populations(pop0, RateSet(0.0, 0.0, 0.0, 0.0, pump=p),
+                                  grid)
         decay = np.exp(-p * grid)
         np.testing.assert_allclose(s.nh, pop0.nh * decay, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
@@ -83,8 +89,7 @@ class TestPropagation:
 
     def test_conservation(self):
         grid = np.linspace(0.0, 100.0, 41)
-        s = propagate_populations(POP0, RATES, grid,
-                                  PumpConfig(rate=0.168))
+        s = propagate_populations(POP0, PUMPED, grid)
         np.testing.assert_allclose(s.n44 + s.n43 + s.nh, 1.0, atol=1e-9)
 
     def test_closed_form_n2(self):
@@ -99,10 +104,17 @@ class TestPropagation:
     def test_pump_maintains_polarisation(self):
         grid = np.linspace(0.0, 40.0, 21)
         plain = propagate_populations(POP0, RATES, grid)
-        pumped = propagate_populations(POP0, RATES, grid,
-                                       PumpConfig(rate=0.168))
+        pumped = propagate_populations(POP0, PUMPED, grid)
         assert pumped.p2_tilde[-1] > plain.p2_tilde[-1]
         assert pumped.n2_frac[-1] > plain.n2_frac[-1]
+
+    @pytest.mark.parametrize("grid", [[0.0, math.inf], [math.nan],
+                                      [0.0, math.nan]],
+                             ids=["inf", "nan", "zero-nan"])
+    def test_non_finite_grid_rejected(self, grid):
+        # each used to fail the population invariant ("need atom number N")
+        with pytest.raises(ValueError, match="finite"):
+            propagate_populations(POP0, RATES, np.array(grid))
 
 
 class TestSlopes:
@@ -128,8 +140,8 @@ class TestSlopes:
 
         def rhs(t, v):
             k = np.searchsorted(grid, t)
-            k = min(k, len(pops.states) - 1)
-            return [sm_variance_drift(pops.states[k], params, RATES)]
+            k = min(k, pops.times.size - 1)
+            return [sm_variance_drift(pops.state(k), params, RATES)]
 
         sol = solve_ivp(rhs, (0.0, grid[-1]), [1.0], t_eval=grid,
                         rtol=1e-10, atol=1e-12)
@@ -157,17 +169,17 @@ class TestMultilevelWitness:
         pop = PopulationState(n44=0.95, n43=0.05, nh=0.0)
         assert multilevel_xi(1.0, pop) > 1.0
 
-    def test_extensive_form(self):
-        pop = PopulationState(n44=0.9, n43=0.05, nh=0.05, N=100.0)
-        sigma_j = 2.0 * pop.Jx * 0.5
-        expected = (sigma_j + 14.0 * pop.N * pop.n43) / (
-            pop.N2 * (pop.p2 + 7.0))
-        assert multilevel_entanglement(sigma_j, pop) == pytest.approx(expected)
+    def test_closed_form(self):
+        # xi = (Sigma_J + 14 n43) / (n2 (P2 + 7)), Sigma_J = 2 <J_x> xi_gauss
+        pop = PopulationState(n44=0.9, n43=0.05, nh=0.05)
+        sigma_j = 2.0 * (4.0 * 0.9 + 3.0 * 0.05) * 0.5
+        expected = (sigma_j + 14.0 * 0.05) / (0.95 * (0.85 / 0.95 + 7.0))
+        assert multilevel_xi(0.5, pop) == pytest.approx(expected, rel=1e-14)
 
     def test_empty_subsystem(self):
         pop = PopulationState(n44=0.0, n43=0.0, nh=1.0)
         with pytest.raises(DegeneratePolarizationError):
-            multilevel_entanglement(1.0, pop)
+            multilevel_xi(1.0, pop)
 
 
 class TestCsv:
@@ -182,13 +194,14 @@ class TestCsv:
 
 class TestSeriesArrays:
     def test_vectorised_witness_matches_per_state(self):
-        s = propagate_populations(POP0, RATES, np.linspace(0.0, 30.0, 16),
-                                  pump=PumpConfig(rate=0.1))
+        s = propagate_populations(POP0, replace(RATES, pump=0.1),
+                                  np.linspace(0.0, 30.0, 16))
         xi = np.linspace(0.2, 1.5, s.times.size)
+        states = [s.state(k) for k in range(s.times.size)]
         np.testing.assert_array_equal(
             multilevel_xi(xi, s),
-            [multilevel_xi(x, st) for x, st in zip(xi, s.states)])
-        np.testing.assert_array_equal(s.p2, [st.p2 for st in s.states])
+            [multilevel_xi(x, st) for x, st in zip(xi, states)])
+        np.testing.assert_array_equal(s.p2, [st.p2 for st in states])
 
     @pytest.mark.parametrize("n44", [np.nan, np.inf, -0.1, 0.5])
     def test_bad_fractions_rejected(self, n44):

@@ -9,7 +9,6 @@ from eprsim.estimation import orientation
 from eprsim.gaussian_dynamics import NoiseChannels, propagate_moments
 from eprsim.multilevel_rates import (
     PopulationState,
-    PumpConfig,
     RateSet,
     propagate_populations,
 )
@@ -42,8 +41,8 @@ class TestMomentInvariants:
         noise = NoiseChannels(dephasing=gt)
         traj = propagate_moments(css_state(), params, noise,
                                  np.linspace(0.0, 30.0, 7))
-        for state in traj.states:
-            state.validate()
+        for k in range(traj.times.size):
+            traj.state(k).validate()
 
     @settings(max_examples=30, deadline=None)
     @given(s=squeeze_st, d=st.floats(min_value=0.0, max_value=200.0))
@@ -65,10 +64,9 @@ class TestPopulationInvariants:
         rest = 1.0 - n44
         pop0 = PopulationState(n44=n44, n43=rest * split,
                                nh=rest * (1.0 - split))
-        rates = RateSet(g34=g34, g43=g43, g_out=g_out, g_in=g_in)
-        cfg = PumpConfig(rate=pump) if pump > 0 else None
+        rates = RateSet(g34=g34, g43=g43, g_out=g_out, g_in=g_in, pump=pump)
         series = propagate_populations(pop0, rates,
-                                       np.linspace(0.0, 50.0, 11), pump=cfg)
+                                       np.linspace(0.0, 50.0, 11))
         total = series.n44 + series.n43 + series.nh
         np.testing.assert_allclose(total, 1.0, atol=1e-8)
         assert series.n44.min() >= -1e-9

@@ -168,16 +168,14 @@ class TestNonFiniteInputs:
     def test_domain_types_reject(self, bad):
         from eprsim.gaussian_dynamics import NoiseChannels
         from eprsim.light_readout import LossParams
-        from eprsim.multilevel_rates import PopulationState, PumpConfig, \
-            RateSet
+        from eprsim.multilevel_rates import PopulationState, RateSet
         builders = [
             lambda v: make_params(Gamma_tilde=v),
             lambda v: make_params(N=v),
             lambda v: PopulationState(n44=v, n43=0.0, nh=0.0),
-            lambda v: PopulationState(n44=1.0, n43=0.0, nh=0.0, N=v),
             lambda v: RateSet(g34=v, g43=0.0, g_out=0.0, g_in=0.0),
-            lambda v: PumpConfig(rate=v),
-            lambda v: PumpConfig(rate=0.1, branching=v),
+            lambda v: RateSet(g34=0.0, g43=0.0, g_out=0.0, g_in=0.0,
+                              pump=v),
             lambda v: NoiseChannels(dephasing=v),
             lambda v: NoiseChannels(pump_refill=v),
             lambda v: LossParams(gamma_s=v, gamma_extra=0.0),

@@ -157,6 +157,17 @@ def _emit_report(args, name: str, report: dict, params=None, seed=None):
         _emit(args, name + ".csv", head + "\n".join(lines) + "\n")
 
 
+def _read_rows(path: str, header: str, widths: tuple, usage: str) -> list:
+    """Numeric rows of a CSV file past its ``#`` and ``header`` lines, empty
+    cells NaN; no rows, or a row length not in ``widths``, is a ValueError."""
+    rows = [[float(c) if c else math.nan for c in ln.split(",")]
+            for ln in Path(path).read_text().splitlines()
+            if ln.strip() and not ln.startswith(("#", header))]
+    if not rows or any(len(r) not in widths for r in rows):
+        raise ValueError(f"{path} needs rows of {usage}")
+    return rows
+
+
 def _initial_pop(args) -> PopulationState:
     n44, n43, nh = (float(x) for x in args.pops.split(","))
     return PopulationState(n44=n44, n43=n43, nh=nh)
@@ -238,12 +249,8 @@ def _cmd_conditional(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    rows = [ln.split(",") for ln in
-            Path(args.points).read_text().splitlines()
-            if ln.strip() and not ln.startswith(("#", "theta"))]
-    points = [CalibrationPoint(theta=float(r[0]), xi0=float(r[1]),
-                               weight=float(r[2]) if len(r) > 2 else 1.0)
-              for r in rows]
+    rows = _read_rows(args.points, "theta", (2, 3), "theta,xi0[,weight]")
+    points = [CalibrationPoint(*r) for r in rows]
     a, b, frac = calibrate_pn(points)
     _emit_report(args, "calibrate",
                  {"linear_coeff": a, "quad_coeff": b, "quad_fraction": frac})
@@ -252,17 +259,12 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_fit(args) -> int:
     params = _load_params(args)
-    rows = [ln.split(",") for ln in
-            Path(args.observed).read_text().splitlines()
-            if ln.strip() and not ln.startswith(("#", "t"))]
-    data = np.array([[float(c) if c else math.nan for c in r] for r in rows])
-    if data.shape[1] != 5:
-        raise ValueError("observed CSV needs t,xi,xi_err,jx_norm,jx_err")
+    data = np.array(_read_rows(args.observed, "t", (5,),
+                               "t,xi,xi_err,jx_norm,jx_err"))
     problem = FitProblem(times=data[:, 0], xi=data[:, 1], xi_err=data[:, 2],
                          jx_norm=data[:, 3], jx_err=data[:, 4],
                          free=tuple(args.free), fixed=params,
                          initial_pop=_initial_pop(args), pump=args.pump,
-                         slope_constraint=args.slope_constraint,
                          slope_obs=args.slope_obs)
     result = fit_parameters(problem)
     report = {
@@ -352,9 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                                  "Gamma_tilde"])
     p.add_argument("--pops", default="0.99,0.01,0.0")
     shared(p, "pump")
-    p.add_argument("--slope-constraint", action="store_true",
-                   dest="slope_constraint")
-    p.add_argument("--slope-obs", type=float, default=0.0, dest="slope_obs")
+    p.add_argument("--slope-obs", type=float, dest="slope_obs",
+                   help="observed t = 0 polarisation slope (ms^-1); pins "
+                        "Gamma_L_out, which then cannot be --free")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("orientation", help="orientation from populations")

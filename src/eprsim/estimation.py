@@ -51,9 +51,8 @@ class FitProblem:
     xi_err, jx_norm, jx_err; entries of jx_norm may be NaN where only the
     witness was measured (they are skipped).  Times and xi must be finite,
     and every error that weights a residual finite and > 0 (ValueError).
-    ``slope_constraint`` eliminates Gamma_L_out through the measured t = 0
-    polarisation slope ``slope_obs`` (ms^-1), reducing the free-parameter
-    count.
+    A finite ``slope_obs`` (ms^-1), the measured t = 0 polarisation slope,
+    pins Gamma_L_out, which then cannot be free; None leaves it unpinned.
     """
 
     times: np.ndarray
@@ -65,8 +64,7 @@ class FitProblem:
     fixed: ModelParams
     initial_pop: PopulationState
     pump: bool = False
-    slope_constraint: bool = False
-    slope_obs: float = 0.0
+    slope_obs: float | None = None
 
     def __post_init__(self):
         for name in ("times", "xi", "xi_err", "jx_norm", "jx_err"):
@@ -90,11 +88,11 @@ class FitProblem:
             raise ValueError(f"not fittable: {sorted(unknown)}")
         if len(set(self.free)) != len(self.free):
             raise ValueError("duplicate free parameters")
-        if self.slope_constraint and "Gamma_L_out" in self.free:
-            raise ValueError(
-                "Gamma_L_out is determined by the slope constraint; "
-                "remove it from the free set"
-            )
+        if self.slope_obs is not None and not np.isfinite(self.slope_obs):
+            raise ValueError("slope_obs must be finite")
+        if self.slope_obs is not None and "Gamma_L_out" in self.free:
+            raise ValueError("Gamma_L_out is determined by the slope "
+                             "constraint; remove it from the free set")
 
 
 @dataclass
@@ -129,7 +127,7 @@ def _resolve_gamma_l_out(problem: FitProblem, trial: dict) -> float:
     p = problem.fixed.replace(**{k: v for k, v in trial.items()
                                  if k != "Gamma_L_out"})
     # the slope falls by exactly g_out from its value at g_out = 0
-    rates = replace(transition_rates(p), g_out=0.0)
+    rates = replace(transition_rates(p, problem.pump), g_out=0.0)
     g_out = polarization_slope(problem.initial_pop, rates) - problem.slope_obs
     gl = g_out - p.Gamma_col
     if gl < 0:
@@ -171,7 +169,7 @@ def fit_parameters(problem: FitProblem) -> FitResult:
 
     def build(x):
         trial = dict(zip(problem.free, x))
-        if problem.slope_constraint:
+        if problem.slope_obs is not None:
             trial["Gamma_L_out"] = _resolve_gamma_l_out(problem, trial)
         return problem.fixed.replace(**trial)
 

@@ -1,5 +1,5 @@
-"""Three-level rate model: populations, polarisation, slope constraints and
-the multilevel entanglement formula.
+"""Three-level rate model: populations, polarisation, the t = 0 polarisation
+slope and the multilevel entanglement formula.
 
 Atoms live in |4,+/-4> (fraction n44), |4,+/-3> (n43) and a hidden level
 |3,+/-3> (nh); both ensembles are treated symmetrically so one state serves
@@ -32,7 +32,6 @@ __all__ = [
     "rate_matrix",
     "propagate_populations",
     "polarization_slope",
-    "sm_variance_drift",
     "multilevel_xi",
     "columns_to_csv",
     "series_to_csv",
@@ -43,6 +42,9 @@ __all__ = [
 # Fraction of pump-refilled atoms landing in |4,+/-4>; the split is not
 # pinned down by the physics, so it is an equal split.
 _PUMP_BRANCHING = 0.5
+
+# <J_x>/N carried by each level (n44, n43, nh): m = 4, 3 and none
+_JX_WEIGHTS = np.array([4.0, 3.0, 0.0])
 
 
 def _check_populations(n44, n43, nh) -> None:
@@ -66,27 +68,6 @@ class PopulationState:
     def __post_init__(self):
         require_finite(n44=self.n44, n43=self.n43, nh=self.nh)
         _check_populations(self.n44, self.n43, self.nh)
-
-    @property
-    def n2_frac(self) -> float:
-        return self.n44 + self.n43
-
-    @property
-    def p2(self) -> float:
-        n2 = self.n2_frac
-        if n2 == 0.0:
-            return 0.0
-        return abs(self.n44 - self.n43) / n2
-
-    @property
-    def p2_tilde(self) -> float:
-        """P2 n2, the polarisation weighted by two-level occupancy."""
-        return abs(self.n44 - self.n43)
-
-    @property
-    def jx_frac(self) -> float:
-        """<J_x>/N from the magnetic quantum numbers 4 and 3."""
-        return 4.0 * self.n44 + 3.0 * self.n43
 
 
 @dataclass(frozen=True)
@@ -198,25 +179,15 @@ def propagate_populations(initial: PopulationState, rates: RateSet,
 
 
 def polarization_slope(initial: PopulationState, rates: RateSet) -> float:
-    """d/dt of P = <J_x(t)>/<J_x(0)> at t = 0 from the rate model."""
-    if initial.jx_frac <= 0:
+    """d/dt of P = <J_x(t)>/<J_x(0)> at t = 0, read off the generator:
+    w A n0 / (w n0) with A = rate_matrix(rates) and w = (4, 3, 0) the
+    <J_x>/N weight of each level.  Every transition counts, the hidden-level
+    refill and the pump included, and the slope falls by exactly g_out."""
+    n0 = np.array([initial.n44, initial.n43, initial.nh])
+    jx0 = _JX_WEIGHTS @ n0
+    if jx0 <= 0:
         raise DegeneratePolarizationError("macroscopic spin must be positive")
-    num = (-(rates.g43 + 4.0 * rates.g_out) * initial.n44
-           + (rates.g34 - 3.0 * rates.g_out) * initial.n43)
-    return num / initial.jx_frac
-
-
-def sm_variance_drift(pop: PopulationState, params: ModelParams,
-                      rates: RateSet) -> float:
-    """Drift of the normalised rate-model variance; at the initial
-    populations it is the small-time slope the slope constraints use.  The
-    collective term vanishes exactly at P2 = (mu - nu)^2."""
-    s2 = params.squeeze_sq
-    p2 = pop.p2
-    collective = -4.0 * params.d * params.Gamma * p2 * (1.0 - p2 / s2)
-    refill = 7.0 * rates.g_in * p2
-    leak = -7.0 * (rates.g_out + rates.g34 - rates.g43) * pop.n43
-    return collective + refill + leak
+    return float(_JX_WEIGHTS @ rate_matrix(rates) @ n0 / jx0)
 
 
 def multilevel_xi(xi_gauss, pop):
@@ -226,8 +197,7 @@ def multilevel_xi(xi_gauss, pop):
     Sigma_J = 2 <J_x> xi_gauss is the EPR spin variance; the |4,+/-3> atoms
     add excess noise and the denominator renormalises to the shrinking
     two-level subsystem.  Everything is per atom, since the atom number
-    cancels.  ``pop`` is a PopulationState, or a PopulationSeries aligned
-    with ``xi_gauss``.
+    cancels.  ``pop`` is a PopulationSeries aligned with ``xi_gauss``.
     """
     if np.any(pop.n2_frac <= 0):
         raise DegeneratePolarizationError("two-level subsystem is empty")

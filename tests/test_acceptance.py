@@ -38,7 +38,6 @@ from eprsim.multilevel_rates import (
     polarization_slope,
     propagate_populations,
     rate_matrix,
-    sm_variance_drift,
 )
 from eprsim.records import (
     ModeFunctional,
@@ -173,16 +172,12 @@ def test_criterion_7_rate_model_closed_forms():
             ref = expm(a * t) @ n0
             got = np.array([series.n44[k], series.n43[k], series.nh[k]])
             np.testing.assert_allclose(got, ref, atol=1e-8)
-        # slope closed forms vs first-order finite differences
+        # slope read off the generator vs a central difference
         h = 1e-4
         s = propagate_populations(POP0, rates, np.array([0.0, h, 2 * h]))
         jx = s.jx_frac / s.jx_frac[0]
         fd = (jx[2] - jx[0]) / (2 * h)
         assert polarization_slope(POP0, rates) == pytest.approx(fd, abs=1e-6)
-        params = make_params()
-        drift0 = sm_variance_drift(POP0, params, rates)
-        drift1 = sm_variance_drift(s.state(1), params, rates)
-        assert abs(drift1 - drift0) < 1e-4  # slope is first-order accurate
 
 
 def test_criterion_8_fit_recovery():

@@ -50,7 +50,7 @@ class TestExitCodes:
         assert code == 4
         capsys.readouterr()
 
-    @pytest.mark.parametrize("extra", [[], ["--slope-constraint"]],
+    @pytest.mark.parametrize("extra", [[], ["--slope-obs", "0"]],
                              ids=["unconstrained", "slope-constrained"])
     def test_fit_zero_polarization(self, extra, tmp_path, capsys):
         # a zero initial <J_x> is an invariant violation, also where the
@@ -289,6 +289,41 @@ def test_bad_input_file_exit_code(command, rows, tmp_path):
     assert "finite" in proc.stderr  # its own message, not a solver's
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+_CAL_HEAD = "theta,xi0\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("calibrate", ""),
+    ("calibrate", _CAL_HEAD),
+    ("calibrate", _CAL_HEAD + "1\n2,2.016\n4,4.064\n"),
+    ("calibrate", _CAL_HEAD + "1,1.004,1,9\n2,2.016\n4,4.064\n"),
+    ("calibrate", _CAL_HEAD + "1,x\n2,2.016\n4,4.064\n"),
+    ("fit", ""),
+    ("fit", _FIT_HEAD),
+    ("fit", _FIT_HEAD + "0,1,0.01,1\n10,0.8,0.01,0.9\n"),
+    ("fit", _FIT_HEAD + "0,1,0.01,1,0.005,7\n10,0.8,0.01,0.9,0.005,7\n"),
+    ("fit", _FIT_HEAD + "0,1,0.01,x,0.005\n10,0.8,0.01,0.9,0.005\n"),
+    ("orientation", ""),
+    ("orientation", "0,0,0,0,0,0,0.008,0.992"),
+    ("orientation", "0,0,0,0,0,0,0,0,0.008,0.992"),
+    ("orientation", "0,0,0,0,0,0,0,x,1"),
+], ids=["calibrate-empty", "calibrate-header-only", "calibrate-short-row",
+        "calibrate-long-row", "calibrate-non-numeric", "fit-empty",
+        "fit-header-only", "fit-short-row", "fit-long-row",
+        "fit-non-numeric", "orientation-empty", "orientation-short",
+        "orientation-long", "orientation-non-numeric"])
+def test_malformed_input_exit_code(command, text, tmp_path):
+    # calibrate and fit read a file; orientation reads its one argument
+    if command == "orientation":
+        argv = [command, text]
+    else:
+        (tmp_path / "input.csv").write_text(text)
+        argv = [command, str(tmp_path / "input.csv")]
+    proc = _run_fresh(argv, tmp_path / "out")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 _IMPORT_PROBE = """

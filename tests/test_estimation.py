@@ -82,15 +82,31 @@ class TestFitParameters:
         truth = make_params()  # Gamma_L_out = 0.025
         slope = polarization_slope(POP0, transition_rates(truth))
         start = truth.replace(Gamma_L_out=0.1)
-        prob = synthetic_problem(truth, start, free=(),
-                                 slope_constraint=True, slope_obs=slope)
+        prob = synthetic_problem(truth, start, free=(), slope_obs=slope)
         res = fit_parameters(prob)
         assert res.params.Gamma_L_out == pytest.approx(0.025, rel=1e-9)
 
+    def test_slope_constraint_with_pump_and_hidden_atoms(self):
+        # the slope counts the hidden-level refill and the pump, so the
+        # pumped fit from a partly hidden start recovers the loss rate
+        truth = make_params(Gamma_pump=0.168)  # Gamma_L_out = 0.025
+        pop0 = PopulationState(n44=0.8, n43=0.1, nh=0.1)
+        slope = polarization_slope(pop0, transition_rates(truth, pump=True))
+        xi, jx, _, _ = forward_model(truth, pop0, GRID, pump=True)
+        prob = FitProblem(times=GRID, xi=xi, xi_err=np.full_like(xi, 0.01),
+                          jx_norm=jx, jx_err=np.full_like(jx, 0.005),
+                          free=("Gamma_tilde",), initial_pop=pop0, pump=True,
+                          fixed=truth.replace(Gamma_L_out=0.1,
+                                              Gamma_tilde=0.12),
+                          slope_obs=slope)
+        res = fit_parameters(prob)
+        assert res.params.Gamma_L_out == pytest.approx(0.025, abs=1e-9)
+        assert res.params.Gamma_tilde == pytest.approx(truth.Gamma_tilde,
+                                                       rel=1e-5)
+
     def test_slope_constraint_rejects_negative_rate(self):
         truth = make_params()
-        prob = synthetic_problem(truth, truth, free=(),
-                                 slope_constraint=True, slope_obs=0.05)
+        prob = synthetic_problem(truth, truth, free=(), slope_obs=0.05)
         with pytest.raises(FitFailureError):
             fit_parameters(prob)
 
@@ -129,7 +145,13 @@ class TestFitParameters:
     def test_slope_constraint_excludes_gamma_l_out(self):
         with pytest.raises(ValueError):
             synthetic_problem(make_params(), make_params(),
-                              free=("Gamma_L_out",), slope_constraint=True)
+                              free=("Gamma_L_out",), slope_obs=0.0)
+
+    @pytest.mark.parametrize("slope", [np.nan, np.inf])
+    def test_slope_obs_must_be_finite(self, slope):
+        with pytest.raises(ValueError, match="finite"):
+            synthetic_problem(make_params(), make_params(), free=(),
+                              slope_obs=slope)
 
     def test_nan_jx_entries_skipped(self):
         truth = make_params()

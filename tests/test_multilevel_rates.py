@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from eprsim.errors import DegeneratePolarizationError, InvariantViolationError
 from eprsim.multilevel_rates import (
+    PopulationSeries,
     PopulationState,
     RateSet,
     multilevel_xi,
@@ -14,9 +15,9 @@ from eprsim.multilevel_rates import (
     populations_to_csv,
     propagate_populations,
     rate_matrix,
-    sm_variance_drift,
     transition_rates,
 )
+from eprsim.scenarios import scenario_params
 
 from test_spin_model import make_params
 
@@ -25,9 +26,14 @@ RATES = RateSet(g34=0.005, g43=0.0042, g_out=0.027, g_in=0.002)
 PUMPED = replace(RATES, pump=0.168)
 
 
+def one_point(n44, n43, nh):
+    """A one-point PopulationSeries: the derived fractions live there."""
+    return PopulationSeries(times=[0.0], n44=[n44], n43=[n43], nh=[nh])
+
+
 class TestPopulationState:
     def test_derived_quantities(self):
-        p = PopulationState(n44=0.8, n43=0.1, nh=0.1)
+        p = one_point(0.8, 0.1, 0.1)
         assert p.n2_frac == pytest.approx(0.9)
         assert p.p2 == pytest.approx(0.7 / 0.9)
         assert p.p2_tilde == pytest.approx(0.7)
@@ -98,7 +104,7 @@ class TestPropagation:
         s = propagate_populations(POP0, RATES, grid)
         lam = RATES.g_out + 2.0 * RATES.g_in
         n2_inf = 2.0 * RATES.g_in / lam
-        ref = n2_inf + (POP0.n2_frac - n2_inf) * np.exp(-lam * grid)
+        ref = n2_inf + (POP0.n44 + POP0.n43 - n2_inf) * np.exp(-lam * grid)
         np.testing.assert_allclose(s.n2_frac, ref, atol=1e-10)
 
     def test_pump_maintains_polarisation(self):
@@ -118,66 +124,45 @@ class TestPropagation:
 
 
 class TestSlopes:
-    def test_polarization_slope_matches_fd(self):
-        h = 1e-4
-        s = propagate_populations(POP0, RATES, np.array([0.0, h, 2 * h]))
+    @pytest.mark.parametrize("pump", [False, True], ids=["no-pump", "pump"])
+    @pytest.mark.parametrize("pops", [(0.99, 0.01, 0.0), (0.8, 0.1, 0.1)],
+                             ids=["pop0", "hidden"])
+    def test_polarization_slope_matches_fd(self, pops, pump):
+        # the hidden-level refill and the pump move the slope too
+        # (fig2c: -0.028028, -0.027607, -0.027384, -0.005784)
+        pop0 = PopulationState(*pops)
+        rates = transition_rates(scenario_params("fig2c"), pump=pump)
+        h = 1e-5
+        s = propagate_populations(pop0, rates, np.array([0.0, h, 2 * h]))
         jx = s.jx_frac / s.jx_frac[0]
         fd = (jx[2] - jx[0]) / (2 * h)
-        assert polarization_slope(POP0, RATES) == pytest.approx(fd, abs=1e-6)
+        assert polarization_slope(pop0, rates) == pytest.approx(fd, abs=1e-6)
 
     def test_polarization_slope_degenerate(self):
         empty = PopulationState(n44=0.0, n43=0.0, nh=1.0)
         with pytest.raises(DegeneratePolarizationError):
             polarization_slope(empty, RATES)
 
-    def test_variance_slope_matches_own_drift_series(self):
-        # integrate the drift expression along the population flow and
-        # compare its t=0 finite difference with the closed form
-        from scipy.integrate import solve_ivp
-        params = make_params()
-        grid = np.linspace(0.0, 0.02, 5)
-        pops = propagate_populations(POP0, RATES, grid)
-
-        def rhs(t, v):
-            k = np.searchsorted(grid, t)
-            k = min(k, pops.times.size - 1)
-            return [sm_variance_drift(pops.state(k), params, RATES)]
-
-        sol = solve_ivp(rhs, (0.0, grid[-1]), [1.0], t_eval=grid,
-                        rtol=1e-10, atol=1e-12)
-        fd = (sol.y[0, 1] - sol.y[0, 0]) / (grid[1] - grid[0])
-        assert sm_variance_drift(POP0, params, RATES) == pytest.approx(
-            fd, rel=1e-3)
-
-    def test_collective_term_vanishes_at_squeeze_floor(self):
-        params = make_params()
-        s2 = params.squeeze_sq
-        pop = PopulationState(n44=(1 + s2) / 2, n43=(1 - s2) / 2, nh=0.0)
-        drift = sm_variance_drift(pop, params, RATES)
-        no_coll = (7.0 * RATES.g_in * pop.p2
-                   - 7.0 * (RATES.g_out + RATES.g34 - RATES.g43) * pop.n43)
-        assert drift == pytest.approx(no_coll, abs=1e-12)
-
 
 class TestMultilevelWitness:
     def test_fully_polarised_reduces_to_gaussian(self):
-        pop = PopulationState(n44=1.0, n43=0.0, nh=0.0)
+        pop = one_point(1.0, 0.0, 0.0)
         for xi_g in (0.16, 0.5, 1.0, 2.0):
             assert multilevel_xi(xi_g, pop) == pytest.approx(xi_g, abs=1e-12)
 
     def test_n43_noise_raises_witness(self):
-        pop = PopulationState(n44=0.95, n43=0.05, nh=0.0)
+        pop = one_point(0.95, 0.05, 0.0)
         assert multilevel_xi(1.0, pop) > 1.0
 
     def test_closed_form(self):
         # xi = (Sigma_J + 14 n43) / (n2 (P2 + 7)), Sigma_J = 2 <J_x> xi_gauss
-        pop = PopulationState(n44=0.9, n43=0.05, nh=0.05)
+        pop = one_point(0.9, 0.05, 0.05)
         sigma_j = 2.0 * (4.0 * 0.9 + 3.0 * 0.05) * 0.5
         expected = (sigma_j + 14.0 * 0.05) / (0.95 * (0.85 / 0.95 + 7.0))
         assert multilevel_xi(0.5, pop) == pytest.approx(expected, rel=1e-14)
 
     def test_empty_subsystem(self):
-        pop = PopulationState(n44=0.0, n43=0.0, nh=1.0)
+        pop = one_point(0.0, 0.0, 1.0)
         with pytest.raises(DegeneratePolarizationError):
             multilevel_xi(1.0, pop)
 
@@ -193,19 +178,8 @@ class TestCsv:
 
 
 class TestSeriesArrays:
-    def test_vectorised_witness_matches_per_state(self):
-        s = propagate_populations(POP0, replace(RATES, pump=0.1),
-                                  np.linspace(0.0, 30.0, 16))
-        xi = np.linspace(0.2, 1.5, s.times.size)
-        states = [s.state(k) for k in range(s.times.size)]
-        np.testing.assert_array_equal(
-            multilevel_xi(xi, s),
-            [multilevel_xi(x, st) for x, st in zip(xi, states)])
-        np.testing.assert_array_equal(s.p2, [st.p2 for st in states])
-
     @pytest.mark.parametrize("n44", [np.nan, np.inf, -0.1, 0.5])
     def test_bad_fractions_rejected(self, n44):
-        from eprsim.multilevel_rates import PopulationSeries
         with pytest.raises(InvariantViolationError):
             PopulationSeries(times=[0.0, 1.0], n44=[1.0, n44],
                              n43=[0.0, 0.0], nh=[0.0, 0.0])

@@ -137,9 +137,10 @@ class Trajectory:
             raise InvariantViolationError("trajectory times must strictly increase")
         if not self.times.shape == self.phi.shape == self.x.shape:
             raise InvariantViolationError("trajectory series lengths differ")
-        ends = [epr_variance(s) for s in (
-            self.initial, GaussianState(mean=np.zeros(4), cov=self.target),
-            css_state())]
+        # the target and the CSS are physical by construction
+        ends = [epr_variance(self.initial)] + [
+            epr_variance(s, validate=False) for s in (
+                GaussianState(mean=np.zeros(4), cov=self.target), css_state())]
         weights = np.stack([self.phi, self.x, 1.0 - self.phi - self.x], axis=1)
         mixed = weights @ np.array([[r.var_x_minus, r.var_p_plus, r.xi]
                                     for r in ends])
@@ -182,10 +183,10 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
 
     ``populations`` may be a PopulationSeries (or anything with ``times`` and
     ``p2_tilde`` arrays, optionally ``nh``) whose N2(t) P2(t) throttles the
-    collective rate quasi-statically; see the module docstring.
+    collective rate quasi-statically; see the module docstring.  ``initial``
+    is checked once, when the Trajectory reads its witness.
     """
     grid = np.asarray(grid, dtype=float)
-    initial.validate()
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must be a nonempty 1-D array of finite values")
     if np.any(np.diff(grid) <= 0):

@@ -217,12 +217,15 @@ def symplectic_check(cov: np.ndarray) -> None:
         )
 
 
-def epr_variance(state: GaussianState) -> EprReport:
+def epr_variance(state: GaussianState, validate: bool = True) -> EprReport:
     """Evaluate the EPR witness xi for a Gaussian two-ensemble state.
 
     xi < 1 certifies inseparability; the CSS sits exactly at xi = 1.
+    ``validate=False`` skips the physicality check, for states that are
+    physical by construction (the CSS, the two-mode-squeezed target).
     """
-    state.validate()
+    if validate:
+        state.validate()
     c = state.cov
     m = state.mean
     # var((X_I - X_II)/2): quadrature indices 0 and 2.

@@ -305,6 +305,8 @@ _CAL_HEAD = "theta,xi0\n"
     ("fit", _FIT_HEAD + "0,1,0.01,1\n10,0.8,0.01,0.9\n"),
     ("fit", _FIT_HEAD + "0,1,0.01,1,0.005,7\n10,0.8,0.01,0.9,0.005,7\n"),
     ("fit", _FIT_HEAD + "0,1,0.01,x,0.005\n10,0.8,0.01,0.9,0.005\n"),
+    ("fit", _FIT_HEAD + "10,0.8,0.01,0.9,0.005\n0,1,0.01,1,0.005\n"
+     "5,0.9,0.01,0.95,0.005\n"),
     ("orientation", ""),
     ("orientation", "0,0,0,0,0,0,0.008,0.992"),
     ("orientation", "0,0,0,0,0,0,0,0,0.008,0.992"),
@@ -312,8 +314,8 @@ _CAL_HEAD = "theta,xi0\n"
 ], ids=["calibrate-empty", "calibrate-header-only", "calibrate-short-row",
         "calibrate-long-row", "calibrate-non-numeric", "fit-empty",
         "fit-header-only", "fit-short-row", "fit-long-row",
-        "fit-non-numeric", "orientation-empty", "orientation-short",
-        "orientation-long", "orientation-non-numeric"])
+        "fit-non-numeric", "fit-unsorted-times", "orientation-empty",
+        "orientation-short", "orientation-long", "orientation-non-numeric"])
 def test_malformed_input_exit_code(command, text, tmp_path):
     # calibrate and fit read a file; orientation reads its one argument
     if command == "orientation":
@@ -333,25 +335,53 @@ def loaded(*names):
                   if m in names or m.split(".")[0] in names)
 import eprsim.cli
 at_import = loaded("scipy", "eprsim.lindblad_oracle")
-code = eprsim.cli.main(["populations", "--out", sys.argv[1]])
+if sys.argv[1] == "forward_model":
+    from eprsim.estimation import forward_model
+    from eprsim.multilevel_rates import PopulationState
+    from eprsim.scenarios import scenario_params
+    forward_model(scenario_params("fig2a"),
+                  PopulationState(n44=0.99, n43=0.01, nh=0.0),
+                  [0.0, 10.0, 20.0])
+    code = 0
+else:
+    code = eprsim.cli.main(["populations", "--out", sys.argv[1]])
 print(json.dumps({"at_import": at_import, "code": code,
-                  "after": loaded("scipy.linalg", "scipy.optimize")}))
+                  "after": loaded("scipy")}))
 """
 
 
-def test_cli_import_defers_scipy(tmp_path):
-    # structural, not timed: scipy loads on the first call that needs it
+def _import_probe(arg):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                           str(tmp_path)], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, arg],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["at_import"] == []
     assert probe["code"] == 0
-    assert probe["after"] == ["scipy.linalg"]
+    return probe["after"]
+
+
+def test_cli_import_defers_scipy(tmp_path):
+    # structural, not timed: scipy loads on the first call that needs it,
+    # and the population propagator is numpy only
+    assert _import_probe(str(tmp_path)) == []
+
+
+def test_forward_model_loads_no_scipy():
+    # the fit's unit of work: populations plus moments, numpy only
+    assert _import_probe("forward_model") == []
+
+
+def test_extreme_horizon_refused_without_warnings(tmp_path):
+    # more squarings than rounding allows: the points are NaN, and the
+    # population check refuses them (exit 4) without overflow warnings
+    proc = _run_fresh(["populations", "--grid", "0,1e300,1e299"], tmp_path)
+    assert proc.returncode == 4, proc.stderr
+    assert "population fractions must be finite" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

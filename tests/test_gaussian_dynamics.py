@@ -134,6 +134,26 @@ class TestPropagateMoments:
             propagate_moments(css_state(), make_params(), NoiseChannels(),
                               np.array(grid))
 
+    def test_initial_state_validated_once(self, monkeypatch):
+        # the two-mode-squeezed target and the CSS are physical by
+        # construction; only the initial state is checked
+        calls = []
+        check = GaussianState.validate
+
+        def counted(state):
+            calls.append(state)
+            return check(state)
+        monkeypatch.setattr(GaussianState, "validate", counted)
+        propagate_moments(css_state(), make_params(), NoiseChannels(),
+                          np.linspace(0.0, 5.0, 6))
+        assert len(calls) == 1
+
+    def test_unphysical_initial_state_rejected(self):
+        bad = GaussianState(mean=np.zeros(4), cov=0.5 * np.eye(4))
+        with pytest.raises(InvariantViolationError, match="symplectic"):
+            propagate_moments(bad, make_params(), NoiseChannels(),
+                              np.linspace(0.0, 5.0, 6))
+
     def test_symplectic_bound_along_trajectory(self):
         params = make_params()
         noise = NoiseChannels(dephasing=0.193)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +79,61 @@ class TestPropagation:
             ref = expm(a * t) @ n0
             got = np.array([series.n44[k], series.n43[k], series.nh[k]])
             np.testing.assert_allclose(got, ref, atol=1e-8)
+
+    @pytest.mark.parametrize("pump", [False, True], ids=["no-pump", "pump"])
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c"])
+    def test_matches_scipy_on_scenario_grids(self, name, pump):
+        # the scenarios' own generators and 0-45 ms grid, against the
+        # independent scipy matrix exponential
+        rates = transition_rates(scenario_params(name), pump=pump)
+        grid = np.arange(0.0, 45.125, 0.25)
+        s = propagate_populations(POP0, rates, grid)
+        n0 = np.array([POP0.n44, POP0.n43, POP0.nh])
+        ref = expm(rate_matrix(rates) * grid[:, None, None]) @ n0
+        np.testing.assert_allclose(np.stack([s.n44, s.n43, s.nh], axis=1),
+                                   ref, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("horizon, atol", [(3.0, 1e-14), (1e3, 1e-11)],
+                             ids=["short", "long"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scipy_on_random_generators(self, seed, horizon, atol):
+        # every column of exp(A t), out to t ||A||_1 = horizon; the long
+        # horizon takes about 11 squarings, the short one tests the Taylor
+        # polynomial itself
+        rng = np.random.default_rng(seed)
+        rates = RateSet(*rng.uniform(0.0, 1.0, 4),
+                        pump=rng.uniform(0.0, 1.0) if seed % 2 else 0.0)
+        a = rate_matrix(rates)
+        grid = np.linspace(0.0, horizon / np.abs(a).sum(axis=0).max(), 41)
+        ref = expm(a * grid[:, None, None])
+        for j, n0 in enumerate(np.eye(3)):
+            s = propagate_populations(PopulationState(*n0), rates, grid)
+            np.testing.assert_allclose(np.stack([s.n44, s.n43, s.nh], axis=1),
+                                       ref[:, :, j], rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("rates", [RATES, PUMPED], ids=["plain", "pump"])
+    def test_start_is_exact(self, rates):
+        # exp(0) is the identity; fractions summing to 1 in floating point
+        # also pass the renormalisation unchanged
+        pop0 = PopulationState(n44=0.625, n43=0.25, nh=0.125)
+        s = propagate_populations(pop0, rates, np.array([3.0, 4.0]))
+        assert (s.n44[0], s.n43[0], s.nh[0]) == (0.625, 0.25, 0.125)
+
+    @pytest.mark.parametrize("grid", [[0.0, 10.0, 5.0], [0.0, 1.0, 1.0],
+                                      [10.0, 0.0]],
+                             ids=["unsorted", "repeated", "backwards"])
+    def test_grid_must_increase(self, grid):
+        # a backwards step used to run the rates backwards in time
+        with pytest.raises(ValueError, match="strictly increase"):
+            propagate_populations(POP0, RATES, np.array(grid))
+
+    def test_unrepresentable_horizon_is_nan(self):
+        # past the squaring cap the points are NaN, which the population
+        # check refuses; no overflow on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolationError, match="finite"):
+                propagate_populations(POP0, RATES, np.array([0.0, 1e300]))
 
     def test_defective_generator(self):
         # the pump alone: double eigenvalue -p with a single eigenvector;

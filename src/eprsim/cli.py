@@ -69,11 +69,24 @@ _NUMERICAL_ERRORS = (FitFailureError, IdentifiabilityError, StatisticsError,
 _INVARIANT_ERRORS = (InvariantViolationError, ModelViolationError,
                      DegeneratePolarizationError)
 
+
+def _seed(text: str) -> int:
+    """``--seed``: an integer in [0, 2**64), the record sampler's range;
+    argparse turns the ArgumentTypeError into exit code 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"{value} outside [0, 2**64)")
+    return value
+
+
 # Options several subcommands share (``--<name>``).  Each subcommand takes
 # only the ones it reads, so an option it would ignore is a usage error.
 _SHARED_OPTIONS = {
     "params": dict(help="model parameter JSON file"),
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=_seed, default=0),
     "out": dict(help="output directory (default: stdout)"),
     "grid": dict(default="0,45,0.25", help="time grid t0,t1,dt in ms"),
     "trials": dict(type=int, default=2000),

@@ -31,9 +31,15 @@ x_0 = u_0:
 
     s_n = H x_n + sqrt(S_n) eps_n,  x_(n+1) = e1 x_n + K_n sqrt(S_n) eps_n.
 
-Trial i of a batch uses the seed ``master_seed XOR i`` and draws, in this
-order, its two unit initial values z and its (nbins, 2) noise; the initial
-atomic values are u_0 = sqrt(initial_var) z.
+Trial i of a batch uses the seed ``master_seed XOR i`` (master_seed in
+[0, 2^64)) and draws, in this order, its two unit initial values z and its
+(nbins, 2) noise; the initial atomic values are u_0 = sqrt(initial_var) z.
+The draws are those of ``np.random.default_rng(master_seed ^ i)``, bit for
+bit, but no generator is built per trial: one pass over a block's uint32
+seed words computes every trial's ``SeedSequence`` state words (NumPy's
+hash, fixed by its stream-compatibility policy NEP 19), PCG's seeding turns
+each into a PCG64 state, and one reused generator, set to that state, draws
+the trial's z and noise in one call.  The tests pin both to NumPy's own.
 
 :func:`discrete_calibration` is one backward pass over the same law: a mode
 integral y = sum_n w_n s_n is (w . r) u_0 + sum_m sqrt(S_m) (w_m + K_m b_m)
@@ -45,9 +51,12 @@ itself, built as a dense linear map in the tests (``TestExactLaw``).
 Layout: the sampler writes a batch into one (2, nbins, trials) float64
 buffer, and ``RecordBatch.samples`` is its (trials, nbins, 2) transposed
 view, so one channel over a mode's window is a (trials, bins) slice whose
-trial axis is contiguous.  The noise is drawn TRIAL_BLOCK trials at a time
-and written to bin-major order in the records buffer, so besides the records
-(16 bytes per trial-bin) the sampler holds one block's noise.
+trial axis is contiguous.  The draws are made TRIAL_BLOCK trials at a time
+into one (trials, nbins + 1, 2) block, z in row 0, and the scaled noise is
+written to bin-major order in the records buffer, so besides the records
+(16 bytes per trial-bin) the sampler holds one block's draws.  The block is
+freed before the innovations recursion, which then runs once over the whole
+batch.
 
 The record is linear in u_0, which reaches bin n only as r_n u_0 with
 r_n = H e1^n.  A batch keeps z and r, and ``RecordBatch.retarget`` adds
@@ -59,6 +68,7 @@ is made.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,9 +93,10 @@ __all__ = [
 # gamma_m scan integrates every trial once per grid point, so trials x grid
 # points is held to the same cap.
 MAX_TRIAL_BINS = 25_000_000
-# Cap on bins per batch: the sampler steps bin by bin at about 10 us per bin
-# for a few trials (measured on a 2-core x86 host), so 2 x 10^4 bins take
-# about 0.2 s; larger batches are bounded by MAX_TRIAL_BINS.
+# Cap on bins per batch: the record law and the sampler's innovations
+# recursion, run once per batch, step bin by bin at about 10 us per bin for
+# a few trials (measured on a 2-core x86 host), so 2 x 10^4 bins take about
+# 0.2 s; larger batches are bounded by MAX_TRIAL_BINS.
 MAX_BINS = 20_000
 # Cap on gamma_m scan points: the scan weights every feed bin and integrates
 # every trial per point, in matrix products (about 2 us per point for two
@@ -104,9 +115,9 @@ MAX_GAIN_WORK = 1_000_000_000
 GAIN_ENVELOPE_TRIALS = 100
 # Trial-points, and bin-points, per matrix product of the gamma_m scan (2 MB).
 GAIN_CHUNK = 1 << 18
-# Trials whose noise the sampler draws at a time: it holds one block's
-# (trials, nbins, 2) noise, 16 bytes per trial-bin (2 MB at fig2d's 250
-# bins), besides the records.
+# Trials whose draws the sampler makes at a time: it holds one block's
+# (trials, nbins + 1, 2) draws, z and the noise, 16 bytes per trial-bin (2 MB
+# at fig2d's 250 bins), and the block's seed words, besides the records.
 TRIAL_BLOCK = 512
 
 
@@ -196,8 +207,12 @@ def _envelopes(dt: float, nbins: int, window: tuple, rates):
     if idx.size == 0:
         raise ValueError("mode window overlaps no record bins")
     bins = slice(idx[0], idx[-1] + 1)  # bin times increase: one run
+    rates = np.asarray(rates, dtype=float)
     arg = np.multiply.outer(times[bins] - t0, rates)
-    raw = np.exp(arg - arg.max(axis=0))  # overflow-safe; renormalised below
+    # overflow-safe, renormalised below: arg is monotone in the bin, so a
+    # column's maximum is its last row for a rising envelope, else its first
+    arg -= np.where(rates > 0, arg[-1], arg[0])
+    raw = np.exp(arg, out=arg)
     return bins, raw / np.sqrt(np.sum(raw**2, axis=0))
 
 
@@ -251,6 +266,66 @@ def _record_law(loss: LossParams, mu_nu: tuple, duration: float,
     return e1, H, gain, innov_sd, H * e1 ** np.arange(nbins)
 
 
+# PCG64's 128-bit LCG multiplier, and the mask of its state
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for every
+    seed s of the uint64 array ``seeds``, as a (seeds, 4) uint64 array.
+
+    NumPy's pool-4 hash (fixed by its stream-compatibility policy, NEP 19)
+    over all seeds at once: the entropy is the seed's low and high 32-bit
+    words (a missing high word hashes like a zero one).
+    """
+    m32 = 0xFFFFFFFF
+    hash_a = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal hash_a
+        v = v ^ np.uint32(hash_a)
+        hash_a = hash_a * 0x931E8875 & m32
+        v = v * np.uint32(hash_a)
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return r ^ r >> 16
+
+    zero = np.zeros(seeds.shape, np.uint32)
+    pool = [hashmix(w) for w in ((seeds & m32).astype(np.uint32),
+                                (seeds >> 32).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_b = 0x8B51F9DD
+    words = []
+    for k in range(8):
+        v = pool[k % 4] ^ np.uint32(hash_b)
+        hash_b = hash_b * 0x58F38DED & m32
+        v = v * np.uint32(hash_b)
+        words.append(v ^ v >> 16)
+    words = np.stack(words, axis=-1).astype(np.uint64)
+    return words[..., ::2] | words[..., 1::2] << 32  # little-endian pairs
+
+
+def _draw_normals(seeds: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out[k]`` with the first standard normals of
+    ``np.random.default_rng(seeds[k])`` for every uint64 seed: one generator,
+    its PCG64 state set from the seed words by PCG's "setseq" seeding."""
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(_seed_words(seeds).tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=out[k])
+
+
 def simulate_batch(n_trials: int, duration: float, dt: float,
                    loss: LossParams, mu_nu: tuple, master_seed: int,
                    initial_var=(1.0, 1.0)) -> RecordBatch:
@@ -261,6 +336,8 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 <= operator.index(master_seed) < 1 << 64:
+        raise ValueError(f"master seed {master_seed} outside [0, 2**64)")
     e1, H, gain, innov_sd, response = _record_law(loss, mu_nu, duration, dt,
                                                   n_trials)
     nbins = gain.size
@@ -269,25 +346,26 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
 
     out = np.empty((2, nbins, n_trials))
     z = np.empty((2, n_trials))
+    noise = np.empty((min(n_trials, TRIAL_BLOCK), nbins + 1, 2))
     for b0 in range(0, n_trials, TRIAL_BLOCK):
         b1 = min(b0 + TRIAL_BLOCK, n_trials)
-        noise = np.empty((b1 - b0, nbins, 2))
-        for j in range(b0, b1):
-            rng = np.random.default_rng((master_seed ^ j)
-                                        & 0xFFFFFFFFFFFFFFFF)
-            z[:, j] = rng.standard_normal(2)
-            rng.standard_normal(out=noise[j - b0])
+        block = noise[:b1 - b0]  # per trial: z in row 0, then the noise
+        _draw_normals(np.uint64(master_seed)
+                      ^ np.arange(b0, b1, dtype=np.uint64), block)
+        z[:, b0:b1] = block[:, 0].T
         # the innovations sqrt(S_n) eps_n, bin-major in the records buffer
-        block = out[:, :, b0:b1]
-        np.multiply(noise.transpose(2, 1, 0), innov_sd[:, None], out=block)
-        x = z[:, b0:b1] * init_sd
-        step = np.empty_like(x)
-        for n in range(nbins):
-            s_n = block[:, n]
-            np.multiply(gain[n], s_n, out=step)
-            s_n += H * x
-            x *= e1
-            x += step
+        np.multiply(block[:, 1:].transpose(2, 1, 0), innov_sd[:, None],
+                    out=out[:, :, b0:b1])
+    del noise, block
+    x = z * init_sd
+    hx, step = np.empty_like(x), np.empty_like(x)
+    for n in range(nbins):
+        s_n = out[:, n]
+        np.multiply(gain[n], s_n, out=step)
+        np.multiply(H, x, out=hx)
+        s_n += hx
+        x *= e1
+        x += step
     return RecordBatch(dt=dt, samples=out.transpose(2, 1, 0),
                        master_seed=master_seed, initial_var=init_var,
                        initial_draws=z.T, initial_response=response)

@@ -108,6 +108,22 @@ class TestDeterminism:
             (b / "reconstruct.csv").read_text()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+def test_seed_outside_64_bits_rejected(seed, capsys, tmp_path):
+    # masked to 64 bits these would repeat another seed's trials while the
+    # artifact records this one
+    assert main(["reconstruct", "--trials", "3", "--seed", seed,
+                 "--out", str(tmp_path)]) == 2
+    assert "outside [0, 2**64)" in capsys.readouterr().err
+    assert not tmp_path.joinpath("reconstruct.csv").exists()
+
+
+def test_largest_seed_accepted(tmp_path):
+    assert main(["reconstruct", "--trials", "3", "--seed", str(2**64 - 1),
+                 "--out", str(tmp_path)]) == 0
+    assert f"# seed={2**64 - 1}\n" in (
+        tmp_path / "reconstruct.csv").read_text()
+
 class TestInclusiveRange:
     def test_grid_stops_at_t1(self, tmp_path):
         assert run(["simulate", "--grid", "0,1,0.6",
@@ -344,17 +360,17 @@ if sys.argv[1] == "forward_model":
                   [0.0, 10.0, 20.0])
     code = 0
 else:
-    code = eprsim.cli.main(["populations", "--out", sys.argv[1]])
+    code = eprsim.cli.main(sys.argv[1:])
 print(json.dumps({"at_import": at_import, "code": code,
                   "after": loaded("scipy")}))
 """
 
 
-def _import_probe(arg):
+def _import_probe(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, arg],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                           env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -367,13 +383,24 @@ def _import_probe(arg):
 def test_cli_import_defers_scipy(tmp_path):
     # structural, not timed: scipy loads on the first call that needs it,
     # and the population propagator is numpy only
-    assert _import_probe(str(tmp_path)) == []
+    assert _import_probe("populations", "--out", str(tmp_path)) == []
 
 
 def test_forward_model_loads_no_scipy():
     # the fit's unit of work: populations plus moments, numpy only
     assert _import_probe("forward_model") == []
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "fig2d", "--trials", "600"],
+    ["conditional", "--trials", "600"],
+    ["reconstruct", "--trials", "600"],
+], ids=["fig2d", "conditional", "reconstruct"])
+def test_record_commands_load_no_scipy(argv, tmp_path):
+    # the record sampler, its seeding included, is numpy only; 600 trials
+    # span two of the sampler's trial blocks
+    assert _import_probe(*argv, "--out", str(tmp_path)) == []
 
 def test_extreme_horizon_refused_without_warnings(tmp_path):
     # more squarings than rounding allows: the points are NaN, and the

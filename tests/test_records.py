@@ -35,6 +35,28 @@ def vacuum_batch(trials=10_000, duration=5.0, dt=0.1, seed=0):
     return simulate_batch(trials, duration, dt, VACUUM, MU_NU, seed)
 
 
+def reference_batch(trials, duration, dt, loss, master,
+                    initial_var=(1.0, 1.0)):
+    """The sampler with one ``default_rng(master ^ i)`` per trial i, each
+    drawing its two initial normals z, then its (nbins, 2) noise:
+    (samples (trials, nbins, 2), z (trials, 2))."""
+    e1, H, gain, innov_sd, _ = records._record_law(loss, MU_NU, duration,
+                                                    dt, trials)
+    noise = np.empty((trials, gain.size, 2))
+    z = np.empty((trials, 2))
+    for i in range(trials):
+        rng = np.random.default_rng((master ^ i) & (2**64 - 1))
+        z[i] = rng.standard_normal(2)
+        rng.standard_normal(out=noise[i])
+    out = noise.transpose(2, 1, 0) * innov_sd[:, None]
+    x = z.T * np.sqrt(np.asarray(initial_var, dtype=float))[:, None]
+    for n in range(gain.size):
+        step = gain[n] * out[:, n]
+        out[:, n] += H * x
+        x = e1 * x + step
+    return out.transpose(2, 1, 0), z
+
+
 class TestModeFunctional:
     @pytest.mark.parametrize("phase", ["cos", "sin"])
     @pytest.mark.parametrize("rate,direction", [
@@ -79,6 +101,17 @@ class TestModeFunctional:
                               direction="falling", window=(0.0, 5.0))
         with pytest.raises(ValueError):
             integrate_mode_batch(rec, mode)
+
+    @pytest.mark.parametrize("rates", [
+        [0.4, 2.0, 1e3], [-0.4, -2.0, -1e3], [0.0, -0.0], [-1.5, 0.0, 1.5],
+    ], ids=["rising", "falling", "zero", "mixed"])
+    def test_envelopes_match_max_formula(self, rates):
+        # the column maximum taken from one row is the same bits as max()
+        bins, w = records._envelopes(0.1, 250, (1.0, 21.0), rates)
+        times = (np.arange(250) + 0.5) * 0.1
+        arg = np.multiply.outer(times[bins] - 1.0, rates)
+        raw = np.exp(arg - arg.max(axis=0))
+        assert w.tobytes() == (raw / np.sqrt(np.sum(raw**2, axis=0))).tobytes()
 
     def test_invalid_shape_params(self):
         with pytest.raises(ValueError):
@@ -191,6 +224,32 @@ class TestSynthesisMoments:
         b = simulate_batch(8, 2.0, 0.1, LOSSY, MU_NU, 21)
         np.testing.assert_array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("trials, seed", [
+        (40, 0), (40, 2**32 - 1), (40, 2**32), (40, 2**63 + 12345),
+        (40, 2**64 - 1), (TRIAL_BLOCK + 2, 2**40 + 5),
+    ])
+    def test_streams_pinned_to_numpy(self, trials, seed):
+        # every record and initial draw is the per-trial default_rng's
+        batch = simulate_batch(trials, 3.0, 0.1, LOSSY, MU_NU, seed,
+                               initial_var=(0.5, 2.0))
+        samples, z = reference_batch(trials, 3.0, 0.1, LOSSY, seed,
+                                     initial_var=(0.5, 2.0))
+        assert batch.samples.tobytes() == samples.tobytes()
+        assert batch.initial_draws.tobytes() == z.tobytes()
+
+    def test_seed_words_are_numpys(self):
+        seeds = np.random.default_rng(3).integers(
+            0, 2**64, size=1000, dtype=np.uint64, endpoint=False)
+        want = [np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
+                for s in seeds]
+        np.testing.assert_array_equal(records._seed_words(seeds), want)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_out_of_range_rejected(self, seed):
+        # not masked to 64 bits: that would repeat another seed's trials
+        with pytest.raises(ValueError, match="outside"):
+            simulate_batch(2, 1.0, 0.1, LOSSY, MU_NU, seed)
+
     def test_sampler_memory_bounded(self):
         # the noise, one normal per bin and channel, is held one block of
         # trials at a time (2 MB), so the peak stays within 1.25 times the
@@ -245,29 +304,19 @@ def four_noise_covariance(loss, dt, nbins, initial_var):
     return m @ m.T
 
 
-class _BasisGenerator:
-    """Stands in for trial j's generator: its draws, in order, are row j of
-    the identity, so trial j of a batch is column j of the sampler's linear
-    map from (z, noise) to the record."""
-
-    def __init__(self, eye, seed):
-        self.draws = iter(eye[seed])
-
-    def standard_normal(self, size=None, out=None):
-        target = np.empty(size) if out is None else out
-        target.flat[:] = [next(self.draws) for _ in range(target.size)]
-        return target
-
-
 class TestExactLaw:
     NBINS = 60
     DT = 0.1
 
     def sampler_covariance(self, loss, initial_var, monkeypatch):
-        # trial j's inputs are the j-th unit vector of (z, (nbins, 2) noise)
+        # trial j's draws, in order, are row j of the identity, so trial j
+        # of the batch is column j of the sampler's linear map from
+        # (z, (nbins, 2) noise) to the record
         eye = np.eye(2 + 2 * self.NBINS)
-        monkeypatch.setattr(records.np.random, "default_rng",
-                            lambda seed: _BasisGenerator(eye, seed))
+
+        def basis_draws(seeds, out):
+            out.reshape(len(seeds), -1)[:] = eye[seeds]
+        monkeypatch.setattr(records, "_draw_normals", basis_draws)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             batch = simulate_batch(len(eye), self.NBINS * self.DT, self.DT,

@@ -10,6 +10,7 @@ the artifact version, so identical invocations yield byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -314,7 +315,12 @@ def _cmd_scenario(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one.
+
+    Handlers are bound at that build, so tests patch module globals such as
+    ``cli.simulate_batch``, never ``cli._cmd_*``; no default is mutable."""
     ap = argparse.ArgumentParser(
         prog="eprsim",
         description="Two-ensemble dissipative entanglement simulator",
@@ -363,8 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="rate/dephasing parameter fit")
     shared(p, "params", "seed", "out", "format")
     p.add_argument("observed", help="CSV of t,xi,xi_err,jx_norm,jx_err")
-    p.add_argument("--free", nargs="+", default=["d", "Gamma_col",
-                                                 "Gamma_tilde"])
+    p.add_argument("--free", nargs="+", default=("d", "Gamma_col",
+                                                 "Gamma_tilde"))
     p.add_argument("--pops", default="0.99,0.01,0.0")
     shared(p, "pump")
     p.add_argument("--slope-obs", type=float, dest="slope_obs",

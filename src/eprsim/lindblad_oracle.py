@@ -43,6 +43,9 @@ _SZ = np.diag([1.0, -1.0])
 _A = np.array([[0.0, 1.0], [0.0, 0.0]])  # |pumped><flipped|
 _I2 = np.eye(2)
 _DIM = 4  # spin I (x) spin II
+# operators on spin I (x) spin II: built once, read-only (frozen below)
+_A1, _A2 = np.kron(_A, _I2), np.kron(_I2, _A)
+_SZ1, _SZ2 = np.kron(_SZ, _I2), np.kron(_I2, _SZ)
 
 
 @dataclass
@@ -76,8 +79,7 @@ class ExactState:
 
 def ensemble_operators():
     """Annihilators (a_I, a_II) and the sigma_z of spin I and spin II."""
-    a1, a2 = np.kron(_A, _I2), np.kron(_I2, _A)
-    return a1, a2, [np.kron(_SZ, _I2), np.kron(_I2, _SZ)]
+    return _A1, _A2, [_SZ1, _SZ2]
 
 
 def jump_operators(params: ModelParams, noise: NoiseChannels):
@@ -135,13 +137,12 @@ def integrate_exact(state: ExactState, params: ModelParams,
     return out
 
 
-def _collective_operators():
+def _collective_operators(a1, a2):
     """Transverse spin components and the macroscopic component.
 
     Per ensemble: Y = sigma_x / 2, Z = sigma_y / 2 (transverse) and
     X = sigma_z / 2 = [a, a^dag] / 2 (the pumping axis in this basis).
     """
-    a1, a2, _ = ensemble_operators()
     y1 = 0.5 * (a1 + a1.conj().T)
     y2 = 0.5 * (a2 + a2.conj().T)
     z1 = 0.5j * (a1.conj().T - a1)
@@ -149,6 +150,11 @@ def _collective_operators():
     x1 = 0.5 * (a1 @ a1.conj().T - a1.conj().T @ a1)
     x2 = 0.5 * (a2 @ a2.conj().T - a2.conj().T @ a2)
     return (y1, z1, x1), (y2, z2, x2)
+
+
+_COLLECTIVE = _collective_operators(_A1, _A2)
+for _op in (_A1, _A2, _SZ1, _SZ2, *_COLLECTIVE[0], *_COLLECTIVE[1]):
+    _op.flags.writeable = False
 
 
 def xi_exact(state: ExactState) -> float:
@@ -160,7 +166,7 @@ def xi_exact(state: ExactState) -> float:
     the fully polarised limit and stays meaningful as the small exact system
     depolarises.
     """
-    (y1, z1, x1), (y2, z2, x2) = _collective_operators()
+    (y1, z1, x1), (y2, z2, x2) = _COLLECTIVE
     rho = state.rho
 
     def _var(op):

@@ -240,10 +240,10 @@ def multilevel_xi(xi_gauss, pop):
 def columns_to_csv(header, columns) -> str:
     """CSV with one row per index and every value written as %.17g; a column
     given as None is left empty."""
-    n = len(next(c for c in columns if c is not None))
-    cells = [[""] * n if c is None else [f"{v:.17g}" for v in c]
-             for c in columns]
-    rows = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    fmt = ",".join("" if c is None else "%.17g" for c in columns)
+    values = np.column_stack([c for c in columns if c is not None])
+    rows = [",".join(header)] + [fmt % tuple(r)
+                                 for r in values.astype(float).tolist()]
     return "\n".join(rows) + "\n"
 
 

@@ -18,6 +18,7 @@ Unit conventions used throughout the package:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -150,7 +151,7 @@ class ModelParams:
 
     def replace(self, **kwargs) -> "ModelParams":
         _check_keys(kwargs)
-        return ModelParams(**{**asdict(self), **kwargs})
+        return dataclasses.replace(self, **kwargs)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eprsim import scenarios
-from eprsim.cli import _parse_grid, main
+from eprsim.cli import _build_parser, _parse_grid, main
 from eprsim.estimation import forward_model
 from eprsim.multilevel_rates import PopulationState
 from eprsim.records import simulate_batch
@@ -219,6 +219,45 @@ class TestArtifacts:
         assert doc["report"]["xi_min_drive_on"] < 1.0
 
 
+class TestSharedParser:
+    """main() builds its parser once per process; no call may leave state
+    in it for the next."""
+
+    def test_usage_error_leaves_no_state(self, tmp_path, capsys):
+        _build_parser.cache_clear()
+        argv = ["simulate", "--grid", "0,10,0.5", "--out"]
+        assert run([*argv, str(tmp_path / "first")]) == 0
+        assert run(["simulate", "--grid"]) == 2
+        assert run(["simulate", "--grid", "0,10,0.5", "--pops"]) == 2
+        assert run([*argv, str(tmp_path / "again")]) == 0
+        assert _build_parser.cache_info().misses == 1
+        assert (tmp_path / "first" / "trajectory.csv").read_bytes() == \
+            (tmp_path / "again" / "trajectory.csv").read_bytes()
+        capsys.readouterr()
+
+    def test_default_free_list_unchanged_by_fit(self, tmp_path):
+        truth = scenario_params("fig2a")
+        grid = np.linspace(0.0, 30.0, 7)
+        xi, jx, _, _ = forward_model(
+            truth, PopulationState(n44=0.99, n43=0.01, nh=0.0), grid)
+        obs = tmp_path / "observed.csv"
+        obs.write_text("t,xi,xi_err,jx_norm,jx_err\n" + "\n".join(
+            f"{t},{x},0.01,{j},0.005" for t, x, j in zip(grid, xi, jx)))
+        assert run(["fit", str(obs), "--out", str(tmp_path / "out")]) == 0
+        assert _build_parser().parse_args(["fit", "x"]).free == \
+            ("d", "Gamma_col", "Gamma_tilde")
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"], ["simulate", "--help"], ["fit", "--help"],
+        ["scenario", "--help"],
+    ])
+    def test_exit_zero_after_parser_built(self, argv, capsys):
+        _build_parser()
+        assert run(argv) == 0
+        assert run(argv) == 0
+        assert capsys.readouterr().out
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -351,45 +390,66 @@ def loaded(*names):
                   if m in names or m.split(".")[0] in names)
 import eprsim.cli
 at_import = loaded("scipy", "eprsim.lindblad_oracle")
-if sys.argv[1] == "forward_model":
-    from eprsim.estimation import forward_model
-    from eprsim.multilevel_rates import PopulationState
-    from eprsim.scenarios import scenario_params
-    forward_model(scenario_params("fig2a"),
-                  PopulationState(n44=0.99, n43=0.01, nh=0.0),
-                  [0.0, 10.0, 20.0])
-    code = 0
-else:
-    code = eprsim.cli.main(sys.argv[1:])
-print(json.dumps({"at_import": at_import, "code": code,
+parsers_at_import = eprsim.cli._build_parser.cache_info().currsize
+codes = []
+for argv in json.loads(sys.argv[1]):
+    if argv == ["forward_model"]:
+        from eprsim.estimation import forward_model
+        from eprsim.multilevel_rates import PopulationState
+        from eprsim.scenarios import scenario_params
+        forward_model(scenario_params("fig2a"),
+                      PopulationState(n44=0.99, n43=0.01, nh=0.0),
+                      [0.0, 10.0, 20.0])
+        codes.append(0)
+    else:
+        codes.append(eprsim.cli.main(argv))
+print(json.dumps({"at_import": at_import,
+                  "parsers_at_import": parsers_at_import, "codes": codes,
+                  "parser_builds": eprsim.cli._build_parser.cache_info().misses,
                   "after": loaded("scipy")}))
 """
 
 
-def _import_probe(*argv):
+def _import_probe(*argvs):
+    """Run each argv through ``main`` (``["forward_model"]``: one forward
+    model call) in one fresh interpreter; returns the probe's report after
+    checking that importing the CLI loads no scipy and builds no parser."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           json.dumps(argvs)],
                           env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["at_import"] == []
-    assert probe["code"] == 0
-    return probe["after"]
+    assert probe["parsers_at_import"] == 0
+    return probe
 
 
 def test_cli_import_defers_scipy(tmp_path):
     # structural, not timed: scipy loads on the first call that needs it,
     # and the population propagator is numpy only
-    assert _import_probe("populations", "--out", str(tmp_path)) == []
+    probe = _import_probe(["populations", "--out", str(tmp_path)])
+    assert probe["codes"] == [0]
+    assert probe["after"] == []
 
 
 def test_forward_model_loads_no_scipy():
     # the fit's unit of work: populations plus moments, numpy only
-    assert _import_probe("forward_model") == []
+    assert _import_probe(["forward_model"])["after"] == []
 
+
+def test_one_parser_per_process(tmp_path):
+    # the first main() builds the parser, later calls reuse it, a usage
+    # error included
+    probe = _import_probe(["populations", "--out", str(tmp_path / "p")],
+                          ["scenario", "fig2a", "--out", str(tmp_path / "s")],
+                          ["populations", "--bogus"])
+    assert probe["codes"] == [0, 0, 2]
+    assert probe["parser_builds"] == 1
+    assert probe["after"] == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -400,7 +460,10 @@ def test_forward_model_loads_no_scipy():
 def test_record_commands_load_no_scipy(argv, tmp_path):
     # the record sampler, its seeding included, is numpy only; 600 trials
     # span two of the sampler's trial blocks
-    assert _import_probe(*argv, "--out", str(tmp_path)) == []
+    probe = _import_probe([*argv, "--out", str(tmp_path)])
+    assert probe["codes"] == [0]
+    assert probe["after"] == []
+
 
 def test_extreme_horizon_refused_without_warnings(tmp_path):
     # more squarings than rounding allows: the points are NaN, and the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eprsim.errors import InvariantViolationError
+from eprsim import lindblad_oracle
 from eprsim.gaussian_dynamics import NoiseChannels, relaxation_rate
 from eprsim.lindblad_oracle import (
     ExactState,
@@ -13,6 +14,8 @@ from eprsim.lindblad_oracle import (
     validate_against_oracle,
     xi_exact,
 )
+
+from eprsim.scenarios import scenario_params
 
 from test_spin_model import make_params
 
@@ -46,6 +49,25 @@ class TestOperators:
         out = a1 @ flipped
         assert out[0] == pytest.approx(1.0)
         assert np.linalg.norm(a1 @ np.eye(4)[:, 0]) == 0.0
+
+    def test_constants_match_kron_construction(self):
+        sz, i2 = np.diag([1.0, -1.0]), np.eye(2)
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        a1, a2 = np.kron(a, i2), np.kron(i2, a)
+        got = ensemble_operators()
+        want = (a1, a2, [np.kron(sz, i2), np.kron(i2, sz)])
+        for g, w in zip([*got[:2], *got[2]], [*want[:2], *want[2]]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        collective = [0.5 * (a1 + a1.conj().T), 0.5j * (a1.conj().T - a1),
+                      0.5 * (a1 @ a1.conj().T - a1.conj().T @ a1),
+                      0.5 * (a2 + a2.conj().T), 0.5j * (a2.conj().T - a2),
+                      0.5 * (a2 @ a2.conj().T - a2.conj().T @ a2)]
+        for g, w in zip([*lindblad_oracle._COLLECTIVE[0],
+                         *lindblad_oracle._COLLECTIVE[1]], collective):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert not g.flags.writeable
+        for op in [*got[:2], *got[2]]:
+            assert not op.flags.writeable
 
     def test_jump_operator_count(self):
         params = make_params()
@@ -124,6 +146,14 @@ class TestOracleAgreement:
         diff = validate_against_oracle(params, 5.0,
                                        NoiseChannels(dephasing=0.193))
         assert diff < 1e-6
+
+    def test_fig2a_value_unchanged(self):
+        # criterion 2's set-up at fig2a: the value the operators gave when
+        # they were rebuilt by np.kron on every call, bit for bit
+        p = scenario_params("fig2a")
+        diff = validate_against_oracle(p, 0.1 / (p.d * p.Gamma),
+                                       NoiseChannels(dephasing=0.0))
+        assert diff == 0.04630793251586629
 
     def test_zero_horizon(self):
         assert validate_against_oracle(make_params(), 0.0) == 0.0

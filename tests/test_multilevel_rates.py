@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from eprsim.errors import DegeneratePolarizationError, InvariantViolationError
@@ -11,6 +14,7 @@ from eprsim.multilevel_rates import (
     PopulationSeries,
     PopulationState,
     RateSet,
+    columns_to_csv,
     multilevel_xi,
     polarization_slope,
     populations_to_csv,
@@ -231,6 +235,47 @@ class TestCsv:
         row = lines[1].split(",")
         assert row[1] == row[2] == row[3] == ""
         assert float(row[4]) == pytest.approx(1.0)
+
+
+def reference_csv(header, columns):
+    """The per-cell writer columns_to_csv replaced: one f-string per value."""
+    n = len(next(c for c in columns if c is not None))
+    cells = [[""] * n if c is None else [f"{v:.17g}" for v in c]
+             for c in columns]
+    rows = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    return "\n".join(rows) + "\n"
+
+
+_EDGE_VALUES = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                         1.7976931348623157e308, 0.1 + 0.2])
+
+
+class TestWriterReferee:
+    @pytest.mark.parametrize("columns", [
+        [_EDGE_VALUES, _EDGE_VALUES[::-1]],
+        [np.arange(7), np.ones(7), np.array([2**53 + 1, -3, 0, 7, 1, 10**17,
+                                             -(2**62)])],
+        [None, _EDGE_VALUES, np.ones(7)],
+        [_EDGE_VALUES, None, None, np.ones(7)],
+        [np.ones(7), _EDGE_VALUES, None],
+        [np.array([0.25]), None, np.array([-1.5])],
+    ], ids=["edge-values", "integer-valued", "none-first", "none-middle",
+            "none-last", "one-row"])
+    def test_matches_per_cell_writer(self, columns):
+        header = [f"c{k}" for k in range(len(columns))]
+        assert columns_to_csv(header, columns) == \
+            reference_csv(header, columns)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                   max_side=6)),
+           st.integers(0, 6))
+    def test_matches_per_cell_writer_property(self, values, none_at):
+        columns = list(values.T)
+        columns.insert(min(none_at, len(columns)), None)
+        header = [f"c{k}" for k in range(len(columns))]
+        assert columns_to_csv(header, columns) == \
+            reference_csv(header, columns)
 
 
 class TestSeriesArrays:

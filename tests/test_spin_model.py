@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -188,3 +189,16 @@ class TestNonFiniteInputs:
     def test_replace_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown"):
             make_params().replace(bogus=1.0)
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"Gamma_tilde": 0.12},
+        {"d": 40.0, "Gamma_col": 0.004, "Gamma_tilde": 0.15},
+        {"mu": 1.25, "nu": 0.75, "gamma_s_scale": 2.0},
+    ])
+    def test_replace_matches_rebuild(self, kw):
+        p = make_params()
+        assert p.replace(**kw) == ModelParams(**{**asdict(p), **kw})
+
+    def test_replace_still_validates(self):
+        with pytest.raises(InvariantViolationError):
+            make_params().replace(Gamma_tilde=-0.1)

@@ -10,6 +10,7 @@ the artifact version, so identical invocations yield byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -109,7 +110,7 @@ def _metadata_block(params: ModelParams | None, seed: int | None,
     if seed is not None:
         lines.append(f"# seed={seed}")
     if params is not None:
-        compact = json.dumps(json.loads(params.to_json()), sort_keys=True,
+        compact = json.dumps(dataclasses.asdict(params), sort_keys=True,
                              separators=(",", ":"))
         lines.append(f"# params={compact}")
     for k, v in (extra or {}).items():
@@ -159,7 +160,7 @@ def _emit_report(args, name: str, report: dict, params=None, seed=None):
         if seed is not None:
             doc["seed"] = seed
         if params is not None:
-            doc["params"] = json.loads(params.to_json())
+            doc["params"] = dataclasses.asdict(params)
         _emit(args, name + ".json", json.dumps(doc, indent=2,
                                                sort_keys=True) + "\n")
     else:

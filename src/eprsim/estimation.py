@@ -7,6 +7,11 @@ Gaussian moment engine: the populations throttle the collective rate and
 supply the multilevel correction to the witness.  Fitting is weighted least
 squares (finite-difference Gauss-Newton via scipy) on at most five physical
 parameters with positivity bounds.
+
+A fit keeps the population series of its last len(free) + 1 rate sets,
+keyed on the exact ``RateSet``, which d and Gamma_tilde do not enter: a
+Jacobian pass propagates its base point's populations once for all such
+columns, and the residuals are bit for bit those of propagating every time.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ class FitProblem:
     ``observed`` is a structured record of aligned 1-D arrays: t (ms), xi,
     xi_err, jx_norm, jx_err; entries of jx_norm may be NaN where only the
     witness was measured (they are skipped).  Times and xi must be finite,
-    and every error that weights a residual finite and > 0 (ValueError).
+    and every error that weights a residual finite, > 0 and of finite 1/err^2
+    (ValueError).
     A finite ``slope_obs`` (ms^-1), the measured t = 0 polarisation slope,
     pins Gamma_L_out, which then cannot be free; None leaves it unpinned.
     """
@@ -79,10 +85,13 @@ class FitProblem:
         if not np.all(np.isfinite(self.times) & np.isfinite(self.xi)):
             raise ValueError("observed times and xi must be finite")
         # xi_err weights every row, jx_err only the rows with a jx_norm
-        errs = np.concatenate(
-            [self.xi_err, self.jx_err[np.isfinite(self.jx_norm)]])
-        if not np.all(np.isfinite(errs) & (errs > 0)):
-            raise ValueError("observed errors must be finite and > 0")
+        for name, err in (("xi_err", self.xi_err),
+                          ("jx_err", self.jx_err[np.isfinite(self.jx_norm)])):
+            with np.errstate(divide="ignore", over="ignore"):
+                ok = np.isfinite(err) & (err > 0) & np.isfinite(err ** -2.0)
+            if not ok.all():
+                raise ValueError(f"{name} must be finite and > 0 with a "
+                                 f"finite weight 1/{name}^2")
         unknown = set(self.free) - set(FITTABLE)
         if unknown:
             raise ValueError(f"not fittable: {sorted(unknown)}")
@@ -138,11 +147,13 @@ def _resolve_gamma_l_out(problem: FitProblem, trial: dict) -> float:
 
 
 def forward_model(params: ModelParams, initial_pop: PopulationState, times,
-                  pump: bool = False):
-    """Predicted (xi_multilevel, jx_norm) series for a parameter set."""
+                  pump: bool = False, *, pops=None):
+    """Predicted (xi_multilevel, jx_norm) series for a parameter set;
+    ``pops``, if given, is its rates' population series on ``times``."""
     times = np.asarray(times, dtype=float)
-    pops = propagate_populations(initial_pop, transition_rates(params, pump),
-                                 times)
+    if pops is None:
+        pops = propagate_populations(initial_pop,
+                                     transition_rates(params, pump), times)
     noise = NoiseChannels.from_params(params, pump=pump)
     traj = propagate_moments(css_state(), params, noise, times,
                              populations=pops)
@@ -164,8 +175,9 @@ def least_squares(*args, **kwargs):
 
 def fit_parameters(problem: FitProblem) -> FitResult:
     """Weighted least squares over the coupled rate + moment forward model."""
-    n_obs = problem.times.size + np.count_nonzero(
-        np.isfinite(problem.jx_norm))
+    mask = np.isfinite(problem.jx_norm)  # rows with a measured J_x
+    n_obs = problem.times.size + np.count_nonzero(mask)
+    memo = {}  # RateSet -> PopulationSeries; see the module docstring
 
     def build(x):
         trial = dict(zip(problem.free, x))
@@ -175,10 +187,16 @@ def fit_parameters(problem: FitProblem) -> FitResult:
 
     def residuals(x):
         p = build(x)
+        rates = transition_rates(p, problem.pump)
+        if rates not in memo:
+            if len(memo) > len(problem.free):
+                del memo[next(iter(memo))]
+            memo[rates] = propagate_populations(problem.initial_pop, rates,
+                                                problem.times)
         xi_m, jx_m, _, _ = forward_model(p, problem.initial_pop,
-                                         problem.times, pump=problem.pump)
+                                         problem.times, pump=problem.pump,
+                                         pops=memo[rates])
         res = [(xi_m - problem.xi) / problem.xi_err]
-        mask = np.isfinite(problem.jx_norm)
         if mask.any():
             res.append((jx_m[mask] - problem.jx_norm[mask])
                        / problem.jx_err[mask])

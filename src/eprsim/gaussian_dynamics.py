@@ -20,8 +20,10 @@ toward (mu + nu)^2.  The collective rate is
 
 so population loss and depolarisation throttle the entangling channel
 quasi-statically.  Local dephasing pulls every covariance entry back toward
-the CSS identity at rate Gamma_tilde.  These equations are certified against
-the exact few-spin Lindblad integrator in ``lindblad_oracle``.
+the CSS identity at rate Gamma_tilde.  ``lindblad_oracle`` checks these
+equations against one spin per ensemble, only early on: within 0.05 up to
+t = 0.1 / (d Gamma) of pure engineered dissipation (acceptance criterion 2)
+and 1e-6 under pure dephasing; the steady state is unchecked (ROADMAP 6).
 
 With g2 = 2 gamma_c and c the CSS-restoring rate (both may vary in time),
 the solution stays in the span of C0, T = C_tms and I:
@@ -49,8 +51,8 @@ from .multilevel_rates import series_to_csv
 from .spin_model import (
     GaussianState,
     ModelParams,
-    css_state,
     epr_variance,
+    epr_witness,
     require_finite,
     two_mode_squeezed_cov,
 )
@@ -137,14 +139,12 @@ class Trajectory:
             raise InvariantViolationError("trajectory times must strictly increase")
         if not self.times.shape == self.phi.shape == self.x.shape:
             raise InvariantViolationError("trajectory series lengths differ")
-        # the target and the CSS are physical by construction
-        ends = [epr_variance(self.initial)] + [
-            epr_variance(s, validate=False) for s in (
-                GaussianState(mean=np.zeros(4), cov=self.target), css_state())]
+        # only C0 is checked; T and the CSS are physical by construction
+        r0 = epr_variance(self.initial)
+        corners = np.array([(r0.var_x_minus, r0.var_p_plus, r0.xi),
+                            epr_witness(self.target), epr_witness(np.eye(4))])
         weights = np.stack([self.phi, self.x, 1.0 - self.phi - self.x], axis=1)
-        mixed = weights @ np.array([[r.var_x_minus, r.var_p_plus, r.xi]
-                                    for r in ends])
-        self.var_x_minus, self.var_p_plus, self.xi = mixed.T
+        self.var_x_minus, self.var_p_plus, self.xi = (weights @ corners).T
 
     def state(self, k: int) -> GaussianState:
         """GaussianState at ``times[k]``."""
@@ -192,13 +192,17 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must strictly increase")
     if populations is None:
-        pt, p2, nh = grid[[0, -1]], np.ones(2), np.zeros(2)
+        pt, p2, nh = grid, np.ones(grid.size), np.zeros(grid.size)
     else:
         pt, p2 = np.asarray(populations.times, float), populations.p2_tilde
         nh = getattr(populations, "nh", np.zeros(len(pt)))
-    nodes = np.union1d(grid, pt[(pt > grid[0]) & (pt < grid[-1])])
-    g2 = relaxation_rate(params, np.interp(nodes, pt, p2))
-    rate = g2 + noise.dephasing + noise.pump_noise_rate(np.interp(nodes, pt, nh))
+    nodes, at = grid, slice(None)
+    if not np.array_equal(pt, grid):
+        nodes = np.union1d(grid, pt[(pt > grid[0]) & (pt < grid[-1])])
+        p2, nh = np.interp(nodes, pt, p2), np.interp(nodes, pt, nh)
+        at = np.searchsorted(nodes, grid)
+    g2 = relaxation_rate(params, p2)
+    rate = g2 + noise.dephasing + noise.pump_noise_rate(nh)
     dR = 0.5 * np.diff(nodes) * (rate[:-1] + rate[1:])
     inc = np.zeros_like(dR)
     live = dR > 0  # a zero-rate interval leaves x unchanged
@@ -211,11 +215,11 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     rs = np.hypot(np.sqrt(v) * ra, np.sqrt(1.0 - v) * rb)
     f = v * (ra + rb) / (rb + rs)
     inc[live] = 0.5 * width * (((gb + f * (ga - gb)) / rs) @ _GL_WEIGHTS)
-    phi, x = np.ones_like(nodes), np.zeros_like(nodes)
-    for k, (e, dx) in enumerate(zip(np.exp(-dR), inc)):
-        phi[k + 1], x[k + 1] = phi[k] * e, x[k] * e + dx
-    at = np.searchsorted(nodes, grid)
-    phi, x = phi[at], x[at]
+    phi, x = [1.0], [0.0]
+    for e, dx in zip(np.exp(-dR).tolist(), inc.tolist()):
+        phi.append(phi[-1] * e)
+        x.append(x[-1] * e + dx)
+    phi, x = np.array(phi)[at], np.array(x)[at]
     tol = 1e-8  # slack on the simplex: the covariance check's atol
     if not np.all((phi >= -tol) & (x >= -tol) & (phi + x <= 1.0 + tol)):
         raise InvariantViolationError(

@@ -34,6 +34,7 @@ __all__ = [
     "EprReport",
     "bogoliubov_amplitudes",
     "epr_variance",
+    "epr_witness",
     "coupling_constants",
     "symplectic_eigenvalues",
     "symplectic_check",
@@ -179,7 +180,12 @@ class GaussianState:
             raise InvariantViolationError("mean must be (4,), cov must be (4, 4)")
 
     def validate(self) -> "GaussianState":
-        if not np.allclose(self.cov, self.cov.T, atol=1e-8):
+        # np.allclose(cov, cov.T, atol=1e-8), NaN and infinities included
+        c, ct = self.cov, self.cov.T
+        with np.errstate(invalid="ignore"):
+            close = ((np.abs(c - ct) <= 1e-8 + 1e-5 * np.abs(ct))
+                     & np.isfinite(ct) | (c == ct))
+        if not close.all():
             raise InvariantViolationError("covariance is not symmetric")
         eigs = np.linalg.eigvalsh(0.5 * (self.cov + self.cov.T))
         if eigs.min() < -1e-8:
@@ -218,25 +224,25 @@ def symplectic_check(cov: np.ndarray) -> None:
         )
 
 
-def epr_variance(state: GaussianState, validate: bool = True) -> EprReport:
-    """Evaluate the EPR witness xi for a Gaussian two-ensemble state.
-
-    xi < 1 certifies inseparability; the CSS sits exactly at xi = 1.
-    ``validate=False`` skips the physicality check, for states that are
-    physical by construction (the CSS, the two-mode-squeezed target).
-    """
-    if validate:
-        state.validate()
-    c = state.cov
-    m = state.mean
+def epr_witness(c) -> tuple:
+    """(var((X_I - X_II)/2), var((P_I + P_II)/2), xi) of a covariance c."""
     # var((X_I - X_II)/2): quadrature indices 0 and 2.
     var_xm = 0.25 * (c[0, 0] + c[2, 2] - 2.0 * c[0, 2])
     # var((P_I + P_II)/2): quadrature indices 1 and 3.
     var_pp = 0.25 * (c[1, 1] + c[3, 3] + 2.0 * c[1, 3])
+    return var_xm, var_pp, var_xm + var_pp
+
+
+def epr_variance(state: GaussianState) -> EprReport:
+    """Evaluate the EPR witness xi for a Gaussian state, validated first.
+
+    xi < 1 certifies inseparability; the CSS sits exactly at xi = 1.
+    """
+    state.validate()
     # Means contribute nothing to the witness but guard against silent NaNs.
-    if not np.all(np.isfinite(m)):
+    if not np.all(np.isfinite(state.mean)):
         raise InvariantViolationError("state means are not finite")
-    xi = var_xm + var_pp
+    var_xm, var_pp, xi = epr_witness(state.cov)
     return EprReport(var_x_minus=var_xm, var_p_plus=var_pp, xi=xi,
                      entangled=bool(xi < 1.0))
 

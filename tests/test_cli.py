@@ -219,6 +219,34 @@ class TestArtifacts:
         assert doc["report"]["xi_min_drive_on"] < 1.0
 
 
+_EXTREME_VALUES = dict(Gamma_col=0.1 + 0.2, Gamma_tilde=1e-300,
+                       Gamma_pump=5e-324, d=1.7976931348623157e308,
+                       Gamma_L_out=np.float64(0.025))
+
+
+@pytest.mark.parametrize("params", [
+    *(scenario_params(name) for name in ("fig2a", "fig2b", "fig2c", "fig2d")),
+    scenario_params("fig2a").replace(**_EXTREME_VALUES)],
+    ids=["fig2a", "fig2b", "fig2c", "fig2d", "extreme-values"])
+def test_params_json_built_once(params, tmp_path):
+    # the parameter JSON of every artifact is dumped from the fields in one
+    # step; it must read exactly as the to_json -> loads -> dumps round trip
+    import argparse
+
+    from eprsim.cli import ARTIFACT_VERSION, _emit_report, _metadata_block
+
+    doc = json.loads(params.to_json())
+    compact = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert _metadata_block(params, 5).splitlines()[2] == f"# params={compact}"
+    report = {"cost": 0.1 + 0.2}
+    _emit_report(argparse.Namespace(format="json", out=str(tmp_path)),
+                 "fit", report, params, 5)
+    want = {"artifact_version": ARTIFACT_VERSION, "report": report,
+            "seed": 5, "params": doc}
+    assert (tmp_path / "fit.json").read_text() == json.dumps(
+        want, indent=2, sort_keys=True) + "\n"
+
+
 class TestSharedParser:
     """main() builds its parser once per process; no call may leave state
     in it for the next."""
@@ -362,6 +390,9 @@ _CAL_HEAD = "theta,xi0\n"
     ("fit", _FIT_HEAD + "0,1,0.01,x,0.005\n10,0.8,0.01,0.9,0.005\n"),
     ("fit", _FIT_HEAD + "10,0.8,0.01,0.9,0.005\n0,1,0.01,1,0.005\n"
      "5,0.9,0.01,0.95,0.005\n"),
+    ("fit", _FIT_HEAD + "0,1,1e-300,1,0.005\n10,0.8,0.01,0.9,0.005\n"),
+    ("fit", _FIT_HEAD + "0,1,1e-320,1,0.005\n10,0.8,0.01,0.9,0.005\n"),
+    ("fit", _FIT_HEAD + "0,1,0.01,1,0.005\n10,0.8,0.01,0.9,1e-300\n"),
     ("orientation", ""),
     ("orientation", "0,0,0,0,0,0,0.008,0.992"),
     ("orientation", "0,0,0,0,0,0,0,0,0.008,0.992"),
@@ -369,7 +400,8 @@ _CAL_HEAD = "theta,xi0\n"
 ], ids=["calibrate-empty", "calibrate-header-only", "calibrate-short-row",
         "calibrate-long-row", "calibrate-non-numeric", "fit-empty",
         "fit-header-only", "fit-short-row", "fit-long-row",
-        "fit-non-numeric", "fit-unsorted-times", "orientation-empty",
+        "fit-non-numeric", "fit-unsorted-times", "fit-xi-err-1e-300",
+        "fit-xi-err-1e-320", "fit-jx-err-1e-300", "orientation-empty",
         "orientation-short", "orientation-long", "orientation-non-numeric"])
 def test_malformed_input_exit_code(command, text, tmp_path):
     # calibrate and fit read a file; orientation reads its one argument
@@ -381,6 +413,7 @@ def test_malformed_input_exit_code(command, text, tmp_path):
     proc = _run_fresh(argv, tmp_path / "out")
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 _IMPORT_PROBE = """

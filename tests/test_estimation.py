@@ -13,6 +13,7 @@ from eprsim.estimation import (
 from eprsim.multilevel_rates import (
     PopulationState,
     polarization_slope,
+    propagate_populations,
     transition_rates,
 )
 
@@ -167,7 +168,8 @@ class TestFitParameters:
     @pytest.mark.parametrize("name, value", [
         ("times", np.nan), ("times", np.inf), ("xi", np.nan),
         ("xi_err", 0.0), ("xi_err", -0.01), ("xi_err", np.nan),
-        ("jx_err", 0.0), ("jx_err", np.inf)])
+        ("jx_err", 0.0), ("jx_err", np.inf), ("xi_err", 1e-300),
+        ("xi_err", 1e-320), ("jx_err", 1e-300), ("jx_err", -1e-320)])
     def test_bad_observed_series_rejected(self, name, value):
         # a negative error used to fit, a zero one to leak a RuntimeWarning
         # and a NaN time to fail as a population invariant
@@ -176,7 +178,7 @@ class TestFitParameters:
         obs = dict(times=GRID.copy(), xi=xi, xi_err=np.full_like(xi, 0.01),
                    jx_norm=jx, jx_err=np.full_like(jx, 0.005))
         obs[name][1] = value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=name):
             FitProblem(**obs, free=("d",), fixed=truth, initial_pop=POP0)
 
     def test_unused_jx_err_not_checked(self):
@@ -188,6 +190,84 @@ class TestFitParameters:
         FitProblem(times=GRID, xi=xi, xi_err=np.full_like(xi, 0.01),
                    jx_norm=jx, jx_err=jx_err, free=("d",), fixed=truth,
                    initial_pop=POP0)
+
+
+def _noisy_problem(free=("d", "Gamma_col", "Gamma_tilde"), **kwargs):
+    """Criterion 8's noisy set-up: 5 % noise on 201 points, fig2a-like
+    truth, the free rates moved off it."""
+    truth = make_params(**kwargs.pop("truth", {}))
+    pop0, pump = kwargs.pop("initial_pop", POP0), kwargs.get("pump", False)
+    grid = np.linspace(0.0, 40.0, 201)
+    xi, jx, _, _ = forward_model(truth, pop0, grid, pump=pump)
+    rng = np.random.default_rng(1)
+    xi_n = xi * (1.0 + 0.05 * rng.standard_normal(xi.size))
+    jx_n = jx * (1.0 + 0.05 * rng.standard_normal(jx.size))
+    start = kwargs.pop("start", truth.replace(d=40.0, Gamma_col=0.004,
+                                              Gamma_tilde=0.15))
+    return FitProblem(times=grid, xi=xi_n, xi_err=0.05 * xi, jx_norm=jx_n,
+                      jx_err=0.05 * jx, free=free, fixed=start,
+                      initial_pop=pop0, **kwargs)
+
+
+_SLOPE = polarization_slope(POP0, transition_rates(make_params()))
+_PUMP_POP0 = PopulationState(n44=0.8, n43=0.1, nh=0.1)
+
+MEMO_SETUPS = {
+    "criterion-8-noisy": {},
+    "slope-constrained": dict(slope_obs=_SLOPE, start=make_params(
+        d=40.0, Gamma_col=0.004, Gamma_tilde=0.15, Gamma_L_out=0.1)),
+    "pumped": dict(free=("Gamma_pump",), pump=True, initial_pop=_PUMP_POP0,
+                   truth=dict(Gamma_pump=0.168),
+                   start=make_params(Gamma_pump=0.1)),
+}
+
+
+class TestPopulationMemo:
+    @pytest.mark.parametrize("setup", MEMO_SETUPS)
+    def test_fit_matches_propagating_every_evaluation(self, setup,
+                                                      monkeypatch):
+        from eprsim import estimation
+
+        problem = _noisy_problem(**MEMO_SETUPS[setup])
+        got = fit_parameters(problem)
+
+        def referee(params, initial_pop, times, pump=False, *, pops=None):
+            return forward_model(params, initial_pop, times, pump)
+
+        monkeypatch.setattr(estimation, "forward_model", referee)
+        want = fit_parameters(problem)
+        assert got.free == want.free
+        assert got.params == want.params
+        assert np.array_equal(got.covariance, want.covariance)
+        assert got.cost == want.cost
+        assert np.array_equal(got.residuals, want.residuals)
+
+    @pytest.mark.parametrize("setup", MEMO_SETUPS)
+    def test_one_propagation_per_distinct_rate_set(self, setup,
+                                                   monkeypatch):
+        from eprsim import estimation
+
+        problem = _noisy_problem(**MEMO_SETUPS[setup])
+        propagated, evaluated = [], []
+
+        def counted_propagation(initial_pop, rates, grid):
+            propagated.append(rates)
+            return propagate_populations(initial_pop, rates, grid)
+
+        def counted_model(params, initial_pop, times, pump=False, **kw):
+            evaluated.append(transition_rates(params, pump))
+            return forward_model(params, initial_pop, times, pump, **kw)
+
+        monkeypatch.setattr(estimation, "propagate_populations",
+                            counted_propagation)
+        monkeypatch.setattr(estimation, "forward_model", counted_model)
+        fit_parameters(problem)
+        assert len(propagated) == len(set(propagated))
+        assert set(propagated) == set(evaluated)
+        # only d and Gamma_tilde leave the rates alone, so only a fit that
+        # frees one of them evaluates a rate set twice
+        shared = {"d", "Gamma_tilde"} & set(problem.free)
+        assert (len(evaluated) > len(propagated)) == bool(shared)
 
 
 class TestCalibratePn:

@@ -181,8 +181,54 @@ class TestTrajectoryCsv:
                        x=np.array([0.0]), initial=css_state(),
                        target=np.eye(4))
 
+    def test_corner_rows_are_the_witness_of_target_and_css(self):
+        # phi = 0 reads the target row, phi = x = 0 the CSS row, exactly
+        params = make_params()
+        target = two_mode_squeezed_cov(params.mu, params.nu)
+        traj = Trajectory(times=np.array([0.0, 1.0, 2.0]),
+                          phi=np.array([1.0, 0.0, 0.0]),
+                          x=np.array([0.0, 1.0, 0.0]), initial=css_state(),
+                          target=target)
+        rows = np.stack([traj.var_x_minus, traj.var_p_plus, traj.xi], axis=1)
+        for k, state in ((1, GaussianState(mean=np.zeros(4), cov=target)),
+                         (2, css_state())):
+            r = epr_variance(state)
+            assert rows[k].tolist() == [r.var_x_minus, r.var_p_plus, r.xi]
+
 
 class TestTimeVaryingRates:
+    def test_grid_aligned_populations_match_interpolated_path(self):
+        # population times equal to the grid take no interpolation pass;
+        # one extra time past the grid's end forces that pass and leaves
+        # every bit of the result unchanged
+        from eprsim.multilevel_rates import (
+            PopulationSeries,
+            PopulationState,
+            propagate_populations,
+            transition_rates,
+        )
+
+        params = make_params(Gamma_pump=0.168)
+        grid = np.linspace(0.0, 20.0, 21)
+        rates = transition_rates(params, pump=True)
+        start = PopulationState(n44=0.6, n43=0.2, nh=0.2)
+        on_grid = propagate_populations(start, rates, grid)
+        past = propagate_populations(start, rates, np.append(grid, 25.0))
+        noise = NoiseChannels(dephasing=0.1, pump_refill=0.5)
+        a, b = (propagate_moments(css_state(), params, noise, grid,
+                                  populations=pops)
+                for pops in (on_grid, past))
+        assert np.array_equal(on_grid.p2_tilde, past.p2_tilde[:-1])
+        for name in ("phi", "x", "xi", "var_x_minus", "var_p_plus"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        # without populations: the same as constant ones on the end points
+        ends = PopulationSeries(times=grid[[0, -1]], n44=np.ones(2),
+                                n43=np.zeros(2), nh=np.zeros(2))
+        plain, const = (propagate_moments(css_state(), params, noise, grid,
+                                          populations=pops)
+                        for pops in (None, ends))
+        assert np.array_equal(plain.xi, const.xi)
+
     def test_matches_full_moment_solve(self):
         # pumped populations make both p2_tilde(t) and nh(t) vary; the
         # reference integrates moment_derivative on the full mean and

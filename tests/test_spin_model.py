@@ -13,6 +13,7 @@ from eprsim.spin_model import (
     coupling_constants,
     css_state,
     epr_variance,
+    epr_witness,
     symplectic_check,
     symplectic_eigenvalues,
     two_mode_squeezed_cov,
@@ -122,6 +123,62 @@ class TestEprVariance:
         cov[0, 1] = 0.5
         with pytest.raises(InvariantViolationError):
             epr_variance(GaussianState(mean=np.zeros(4), cov=cov))
+
+    def test_report_is_the_shared_witness(self):
+        mu, nu = bogoliubov_amplitudes(0.4)
+        for cov in (np.eye(4), two_mode_squeezed_cov(mu, nu)):
+            r = epr_variance(GaussianState(mean=np.zeros(4), cov=cov))
+            assert (r.var_x_minus, r.var_p_plus, r.xi) == epr_witness(cov)
+
+
+def _symmetry_rejected(cov) -> bool:
+    """Whether validate refuses ``cov`` for its symmetry; the later PSD
+    and symplectic checks may refuse what passes it."""
+    try:
+        GaussianState(mean=np.zeros(4), cov=cov).validate()
+    except InvariantViolationError as e:
+        return "not symmetric" in str(e)
+    except np.linalg.LinAlgError:  # non-finite entries reach eigvalsh
+        pass
+    return False
+
+
+class TestSymmetryCheck:
+    """validate's symmetry check accepts exactly what
+    np.allclose(cov, cov.T, atol=1e-8) accepts."""
+
+    @staticmethod
+    def _cov(upper, lower, i=0, j=2):
+        cov = np.array([[1.5, 0.0, 0.3, 0.0], [0.0, 1.5, 0.0, -0.3],
+                        [0.3, 0.0, 1.5, 0.0], [0.0, -0.3, 0.0, 1.5]])
+        cov[i, j], cov[j, i] = upper, lower
+        return cov
+
+    def test_tolerance_edge(self):
+        outcomes = set()
+        for b in (0.3, -0.3, 0.0, 1e-3, 2.0):
+            edge = 1e-8 + 1e-5 * abs(b)
+            for a in (b + edge, b - edge, b + 2 * edge, b - 2 * edge,
+                      b + edge / 2):
+                for step in (-1, 0, 1):
+                    a_k = a
+                    for _ in range(abs(step)):
+                        a_k = np.nextafter(a_k, step * np.inf)
+                    for cov in (self._cov(a_k, b), self._cov(b, a_k)):
+                        want = not np.allclose(cov, cov.T, atol=1e-8)
+                        assert _symmetry_rejected(cov) == want
+                        outcomes.add(want)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("upper, lower", [
+        (np.nan, np.nan), (np.nan, 0.3), (np.inf, np.inf),
+        (-np.inf, -np.inf), (np.inf, -np.inf), (np.inf, 0.3),
+        (0.3, -np.inf), (np.inf, np.nan)])
+    def test_non_finite_pairs(self, upper, lower):
+        for i, j in ((0, 2), (1, 1)):
+            cov = self._cov(upper, lower, i, j)
+            want = not np.allclose(cov, cov.T, atol=1e-8)
+            assert _symmetry_rejected(cov) == want
 
 
 class TestSymplectic:

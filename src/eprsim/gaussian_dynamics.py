@@ -63,6 +63,7 @@ __all__ = [
     "relaxation_rate",
     "moment_derivative",
     "propagate_moments",
+    "moment_tangents",
     "trajectory_to_csv",
 ]
 
@@ -176,6 +177,43 @@ def moment_derivative(state: GaussianState, params: ModelParams,
     return dmean, dcov
 
 
+def _increments(h, g2, rate, partials=False):
+    """Per interval of widths ``h``: dR, the integral of the rate, and the x
+    increment, from g2 and the rate at the interval ends (see the module
+    docstring).  ``partials`` adds the increment's derivatives with respect
+    to (rate_a, rate_b, g2_a, g2_b), the values at each interval's two ends,
+    shape (4, len(h)), taken through the same terms; dR's are h / 2."""
+    dR = 0.5 * h * (rate[:-1] + rate[1:])
+    inc = np.zeros_like(dR)
+    live = dR > 0  # a zero-rate interval leaves x unchanged
+    width = -np.expm1(-dR[live])
+    # v = -ln(u) / dR at the rule's nodes u = 1 - width (1 - z) / 2
+    u = -0.5 * np.outer(width, 1.0 - _GL_NODES)
+    v = -np.log1p(u) / dR[live, None]
+    ga, gb = g2[:-1, None][live], g2[1:, None][live]
+    ra, rb = rate[:-1, None][live], rate[1:, None][live]
+    # rate(s)^2 = v ra^2 + (1 - v) rb^2 at the root s = b - f (b - a)
+    rs = np.hypot(np.sqrt(v) * ra, np.sqrt(1.0 - v) * rb)
+    f = v * (ra + rb) / (rb + rs)
+    q = (gb + f * (ga - gb)) / rs
+    inc[live] = 0.5 * width * (q @ _GL_WEIGHTS)
+    if not partials:
+        return dR, inc
+    # d/d rate_a and d/d rate_b: each moves dR by h / 2
+    d_width = (1.0 - width) * 0.5 * h[live]
+    d_v = (0.5 * (1.0 - _GL_NODES) * d_width[:, None] / (1.0 + u)
+           - 0.5 * h[live, None] * v) / dR[live, None]
+    d_rs = (0.5 * d_v * (ra**2 - rb**2) + np.array([v * ra, (1.0 - v) * rb])
+            ) / rs
+    d_f = (d_v * (ra + rb) + v
+           - f * (d_rs + np.array([0.0, 1.0])[:, None, None])) / (rb + rs)
+    d_q = [*((d_f * (ga - gb) - q * d_rs) / rs), f / rs, (1.0 - f) / rs]
+    parts = np.zeros((4, h.size))
+    parts[:, live] = 0.5 * width * (np.array(d_q) @ _GL_WEIGHTS)
+    parts[:2, live] += 0.5 * d_width * (q @ _GL_WEIGHTS)
+    return dR, inc, parts
+
+
 def propagate_moments(initial: GaussianState, params: ModelParams,
                       noise: NoiseChannels, grid,
                       populations=None) -> Trajectory:
@@ -203,18 +241,7 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
         at = np.searchsorted(nodes, grid)
     g2 = relaxation_rate(params, p2)
     rate = g2 + noise.dephasing + noise.pump_noise_rate(nh)
-    dR = 0.5 * np.diff(nodes) * (rate[:-1] + rate[1:])
-    inc = np.zeros_like(dR)
-    live = dR > 0  # a zero-rate interval leaves x unchanged
-    width = -np.expm1(-dR[live])
-    # v = -ln(u) / dR at the rule's nodes u = 1 - width (1 - z) / 2
-    v = -np.log1p(-0.5 * np.outer(width, 1.0 - _GL_NODES)) / dR[live, None]
-    ga, gb = g2[:-1, None][live], g2[1:, None][live]
-    ra, rb = rate[:-1, None][live], rate[1:, None][live]
-    # rate(s)^2 = v ra^2 + (1 - v) rb^2 at the root s = b - f (b - a)
-    rs = np.hypot(np.sqrt(v) * ra, np.sqrt(1.0 - v) * rb)
-    f = v * (ra + rb) / (rb + rs)
-    inc[live] = 0.5 * width * (((gb + f * (ga - gb)) / rs) @ _GL_WEIGHTS)
+    dR, inc = _increments(np.diff(nodes), g2, rate)
     phi, x = [1.0], [0.0]
     for e, dx in zip(np.exp(-dR).tolist(), inc.tolist()):
         phi.append(phi[-1] * e)
@@ -228,6 +255,51 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     return Trajectory(times=grid, phi=np.clip(phi, 0.0, 1.0),
                       x=np.clip(x, 0.0, 1.0), initial=initial, target=target,
                       populations=populations)
+
+
+def moment_tangents(traj: Trajectory, params: ModelParams,
+                    noise: NoiseChannels, d_rates, d_pops=None) -> np.ndarray:
+    """Derivatives (P, len(times)) of ``traj.xi`` along P directions, for
+    ``traj = propagate_moments(initial, params, noise, times, populations)``
+    with the populations, if any, on ``times``.
+
+    ``d_rates`` (P, 3) holds d(d, dephasing, pump_refill) per direction and
+    ``d_pops`` (3, P, len(times)) the populations' derivatives, as from
+    ``population_tangents`` (None holds them fixed).  The tangents go
+    through dR, the Gauss-Legendre terms and the phi/x recursion.
+    """
+    pops, n = traj.populations, traj.times.size
+    d_p2 = d_nh = 0.0
+    if pops is None:
+        p2, nh = np.ones(n), np.zeros(n)
+    elif np.array_equal(pops.times, traj.times):
+        p2, nh = pops.p2_tilde, pops.nh
+        if d_pops is not None:
+            d44, d43, d_nh = d_pops
+            d_p2 = np.sign(pops.n44 - pops.n43) * (d44 - d43)
+    else:
+        raise ValueError("tangents need the populations on the "
+                         "trajectory's times")
+    dd, d_deph, d_refill = np.reshape(d_rates, (-1, 3)).T[:, :, None]
+    g2 = relaxation_rate(params, p2)
+    rate = g2 + noise.dephasing + noise.pump_noise_rate(nh)
+    d_g2 = params.Gamma * (dd * p2 + params.d * d_p2)
+    d_rate = (d_g2 + d_deph + d_refill * np.maximum(0.0, nh)
+              + noise.pump_refill * (nh > 0) * d_nh)
+    h = np.diff(traj.times)
+    dR, _, parts = _increments(h, g2, rate, partials=True)
+    d_dR = 0.5 * h * (d_rate[:, :-1] + d_rate[:, 1:])
+    d_inc = (parts[0] * d_rate[:, :-1] + parts[1] * d_rate[:, 1:]
+             + parts[2] * d_g2[:, :-1] + parts[3] * d_g2[:, 1:])
+    d_phi = -traj.phi * np.cumsum(np.pad(d_dR, ((0, 0), (1, 0))), axis=1)
+    rows = [[0.0] * len(d_dR)]  # d_x, one list of P per time
+    for e, xk, a, b in zip(np.exp(-dR).tolist(), traj.x.tolist(),
+                           d_dR.T.tolist(), d_inc.T.tolist()):
+        rows.append([(y - xk * da) * e + di
+                     for y, da, di in zip(rows[-1], a, b)])
+    xi0, xi_t, xi_css = (epr_witness(c)[2] for c in (
+        traj.initial.cov, traj.target, np.eye(4)))
+    return d_phi * (xi0 - xi_css) + np.transpose(rows) * (xi_t - xi_css)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

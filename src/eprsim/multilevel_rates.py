@@ -6,7 +6,8 @@ Atoms live in |4,+/-4> (fraction n44), |4,+/-3> (n43) and a hidden level
 both.  Every quantity is a fraction of the atom number, which cancels from
 all outputs.  All transitions are linear, so the population dynamics is a
 3x3 linear ODE solved exactly by the matrix exponential exp(A t), computed
-in numpy by Taylor scaling and squaring for the whole time grid at once.
+in numpy by Taylor scaling and squaring for the whole time grid at once;
+the same routine gives its derivatives with respect to the rates.
 Summing pairs of equations recovers the textbook forms
 
     dn2/dt       = -(G_out + 2 G_in) n2 + 2 G_in
@@ -32,6 +33,7 @@ __all__ = [
     "transition_rates",
     "rate_matrix",
     "propagate_populations",
+    "population_tangents",
     "polarization_slope",
     "multilevel_xi",
     "columns_to_csv",
@@ -106,15 +108,22 @@ def transition_rates(params: ModelParams, pump: bool = False) -> RateSet:
 
 def rate_matrix(rates: RateSet) -> np.ndarray:
     """Generator of the linear population system, ordered (n44, n43, nh)."""
+    return _generator(rates.g34, rates.g43, rates.g_out, rates.g_in,
+                      rates.pump)
+
+
+def _generator(g34, g43, g_out, g_in, pump) -> np.ndarray:
+    """``rate_matrix`` of plain numbers: linear in them, so a rate tangent
+    (any sign) gives the generator's tangent."""
     a = np.array(
         [
-            [-(rates.g43 + rates.g_out), rates.g34, rates.g_in],
-            [rates.g43, -(rates.g34 + rates.g_out), rates.g_in],
-            [rates.g_out, rates.g_out, -2.0 * rates.g_in],
+            [-(g43 + g_out), g34, g_in],
+            [g43, -(g34 + g_out), g_in],
+            [g_out, g_out, -2.0 * g_in],
         ]
     )
-    if rates.pump > 0:
-        p, b = rates.pump, _PUMP_BRANCHING
+    if pump != 0:
+        p, b = pump, _PUMP_BRANCHING
         a += np.array(
             [
                 [0.0, p, b * p],
@@ -210,6 +219,37 @@ def propagate_populations(initial: PopulationState, rates: RateSet,
     return PopulationSeries(times=grid, n44=sol[0], n43=sol[1], nh=sol[2])
 
 
+def population_tangents(initial: PopulationState, rates: RateSet,
+                        series: PopulationSeries, d_rates) -> np.ndarray:
+    """Derivatives of ``series = propagate_populations(initial, rates,
+    grid)`` along P rate directions, shape (3, P, len(grid)) for (n44, n43,
+    nh).
+
+    ``d_rates`` (P, 5) holds d(g34, g43, g_out, g_in, pump) per direction.
+    The derivative of exp(A t) along E is the upper-right block of
+    exp([[A, E], [0, A]] t) (Van Loan 1978).  The directions with E != 0
+    share one ``_expm_grid`` call on [[A, E_1 .. E_k], [0, diag(A .. A)]],
+    each E_i scaled to the 1-norm of A so the scaling step is that of A.
+    """
+    a = rate_matrix(rates)
+    d_a = np.array([_generator(*d) for d in np.reshape(d_rates, (-1, 5))])
+    norm = np.abs(d_a).sum(axis=1).max(axis=1)  # 1-norm of each E_i
+    live, t = norm > 0, series.times - series.times[0]
+    n0 = np.array([initial.n44, initial.n43, initial.nh])
+    d_sol = np.zeros((3, len(d_a), t.size))
+    if live.any():
+        k = np.count_nonzero(live)
+        scale = (np.abs(a).sum(axis=0).max() or 1.0) / norm[live]
+        block = np.kron(np.eye(k + 1), a)
+        block[:3, 3:] = np.hstack(d_a[live] * scale[:, None, None])
+        e = _expm_grid(block, t)[:, :3, 3:].reshape(t.size, 3, k, 3)
+        d_sol[:, live] = np.moveaxis(e @ n0 / scale, 0, -1)
+    # the propagator's renormalisation, differentiated; the columns of A
+    # sum to zero, so the raw sum is that of n0 at every time
+    sol = np.array([series.n44, series.n43, series.nh])[:, None]
+    return (d_sol - sol * d_sol.sum(axis=0)) / n0.sum()
+
+
 def polarization_slope(initial: PopulationState, rates: RateSet) -> float:
     """d/dt of P = <J_x(t)>/<J_x(0)> at t = 0, read off the generator:
     w A n0 / (w n0) with A = rate_matrix(rates) and w = (4, 3, 0) the
@@ -222,7 +262,7 @@ def polarization_slope(initial: PopulationState, rates: RateSet) -> float:
     return float(_JX_WEIGHTS @ rate_matrix(rates) @ n0 / jx0)
 
 
-def multilevel_xi(xi_gauss, pop):
+def multilevel_xi(xi_gauss, pop, tangents=None):
     """Multilevel witness xi = (Sigma_J + 14 n43) / (n2 (P2 + 7)) from the
     normalised Gaussian witness.
 
@@ -230,11 +270,23 @@ def multilevel_xi(xi_gauss, pop):
     add excess noise and the denominator renormalises to the shrinking
     two-level subsystem.  Everything is per atom, since the atom number
     cancels.  ``pop`` is a PopulationSeries aligned with ``xi_gauss``.
+    ``tangents``, the derivatives (d_xi_gauss (P, n), d_pop (3, P, n) as
+    from ``population_tangents``) along P directions, makes it return
+    (xi, d_xi) with d_xi of shape (P, n).
     """
     if np.any(pop.n2_frac <= 0):
         raise DegeneratePolarizationError("two-level subsystem is empty")
     sigma_j = 2.0 * pop.jx_frac * xi_gauss
-    return (sigma_j + 14.0 * pop.n43) / (pop.n2_frac * (pop.p2 + 7.0))
+    den = pop.n2_frac * (pop.p2 + 7.0)
+    xi = (sigma_j + 14.0 * pop.n43) / den
+    if tangents is None:
+        return xi
+    d_xi_gauss, (d44, d43, _) = tangents
+    # den = |n44 - n43| + 7 n2
+    d_den = np.sign(pop.n44 - pop.n43) * (d44 - d43) + 7.0 * (d44 + d43)
+    d_num = (2.0 * (4.0 * d44 + 3.0 * d43) * xi_gauss
+             + 2.0 * pop.jx_frac * d_xi_gauss + 14.0 * d43)
+    return xi, (d_num - xi * d_den) / den
 
 
 def columns_to_csv(header, columns) -> str:

@@ -187,6 +187,9 @@ class GaussianState:
                      & np.isfinite(ct) | (c == ct))
         if not close.all():
             raise InvariantViolationError("covariance is not symmetric")
+        # equal infinities pass the symmetry check; eigvalsh cannot take them
+        if not np.all(np.isfinite(c)):
+            raise InvariantViolationError("covariance must be finite")
         eigs = np.linalg.eigvalsh(0.5 * (self.cov + self.cov.T))
         if eigs.min() < -1e-8:
             raise InvariantViolationError(

@@ -427,12 +427,16 @@ parsers_at_import = eprsim.cli._build_parser.cache_info().currsize
 codes = []
 for argv in json.loads(sys.argv[1]):
     if argv == ["forward_model"]:
-        from eprsim.estimation import forward_model
+        import numpy as np
+        from eprsim.estimation import forward_model, forward_tangents
         from eprsim.multilevel_rates import PopulationState
         from eprsim.scenarios import scenario_params
-        forward_model(scenario_params("fig2a"),
-                      PopulationState(n44=0.99, n43=0.01, nh=0.0),
-                      [0.0, 10.0, 20.0])
+        params = scenario_params("fig2a").replace(Gamma_pump=0.1)
+        pop0 = PopulationState(n44=0.99, n43=0.01, nh=0.0)
+        for pump in (False, True):
+            _, _, traj, pops = forward_model(params, pop0, [0.0, 10.0, 20.0],
+                                             pump=pump)
+            forward_tangents(params, pop0, traj, pops, np.eye(5), pump=pump)
         codes.append(0)
     else:
         codes.append(eprsim.cli.main(argv))
@@ -444,8 +448,9 @@ print(json.dumps({"at_import": at_import,
 
 
 def _import_probe(*argvs):
-    """Run each argv through ``main`` (``["forward_model"]``: one forward
-    model call) in one fresh interpreter; returns the probe's report after
+    """Run each argv through ``main`` (``["forward_model"]``: forward model
+    calls, with the pump off and on, and their Jacobians over every fittable
+    parameter) in one fresh interpreter; returns the probe's report after
     checking that importing the CLI loads no scipy and builds no parser."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -470,7 +475,8 @@ def test_cli_import_defers_scipy(tmp_path):
 
 
 def test_forward_model_loads_no_scipy():
-    # the fit's unit of work: populations plus moments, numpy only
+    # the fit's unit of work: populations plus moments and their exact
+    # derivatives (the block exponential included), numpy only
     assert _import_probe(["forward_model"])["after"] == []
 
 

@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from eprsim import estimation
 from eprsim.errors import FitFailureError, IdentifiabilityError
 from eprsim.estimation import (
+    FITTABLE,
     CalibrationPoint,
     FitProblem,
     calibrate_pn,
     fit_parameters,
     forward_model,
+    forward_tangents,
     orientation,
 )
 from eprsim.multilevel_rates import (
@@ -197,9 +202,9 @@ def _noisy_problem(free=("d", "Gamma_col", "Gamma_tilde"), **kwargs):
     truth, the free rates moved off it."""
     truth = make_params(**kwargs.pop("truth", {}))
     pop0, pump = kwargs.pop("initial_pop", POP0), kwargs.get("pump", False)
-    grid = np.linspace(0.0, 40.0, 201)
+    grid = kwargs.pop("grid", np.linspace(0.0, 40.0, 201))
     xi, jx, _, _ = forward_model(truth, pop0, grid, pump=pump)
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(kwargs.pop("seed", 1))
     xi_n = xi * (1.0 + 0.05 * rng.standard_normal(xi.size))
     jx_n = jx * (1.0 + 0.05 * rng.standard_normal(jx.size))
     start = kwargs.pop("start", truth.replace(d=40.0, Gamma_col=0.004,
@@ -223,18 +228,22 @@ MEMO_SETUPS = {
 
 
 class TestPopulationMemo:
+    """The Jacobian reuses the population series and trajectory that the
+    residuals computed at the same x."""
+
     @pytest.mark.parametrize("setup", MEMO_SETUPS)
     def test_fit_matches_propagating_every_evaluation(self, setup,
                                                       monkeypatch):
-        from eprsim import estimation
-
         problem = _noisy_problem(**MEMO_SETUPS[setup])
         got = fit_parameters(problem)
 
-        def referee(params, initial_pop, times, pump=False, *, pops=None):
-            return forward_model(params, initial_pop, times, pump)
+        def referee(params, initial_pop, traj, pops, directions, pump=False):
+            _, _, traj, pops = forward_model(params, initial_pop, traj.times,
+                                             pump)
+            return forward_tangents(params, initial_pop, traj, pops,
+                                    directions, pump=pump)
 
-        monkeypatch.setattr(estimation, "forward_model", referee)
+        monkeypatch.setattr(estimation, "forward_tangents", referee)
         want = fit_parameters(problem)
         assert got.free == want.free
         assert got.params == want.params
@@ -243,10 +252,9 @@ class TestPopulationMemo:
         assert np.array_equal(got.residuals, want.residuals)
 
     @pytest.mark.parametrize("setup", MEMO_SETUPS)
-    def test_one_propagation_per_distinct_rate_set(self, setup,
-                                                   monkeypatch):
-        from eprsim import estimation
-
+    def test_one_propagation_per_evaluation(self, setup, monkeypatch):
+        # one forward model and one propagation per residual evaluation;
+        # the Jacobian runs neither
         problem = _noisy_problem(**MEMO_SETUPS[setup])
         propagated, evaluated = [], []
 
@@ -254,20 +262,150 @@ class TestPopulationMemo:
             propagated.append(rates)
             return propagate_populations(initial_pop, rates, grid)
 
-        def counted_model(params, initial_pop, times, pump=False, **kw):
+        def counted_model(params, initial_pop, times, pump=False):
             evaluated.append(transition_rates(params, pump))
-            return forward_model(params, initial_pop, times, pump, **kw)
+            return forward_model(params, initial_pop, times, pump)
 
         monkeypatch.setattr(estimation, "propagate_populations",
                             counted_propagation)
         monkeypatch.setattr(estimation, "forward_model", counted_model)
-        fit_parameters(problem)
-        assert len(propagated) == len(set(propagated))
-        assert set(propagated) == set(evaluated)
-        # only d and Gamma_tilde leave the rates alone, so only a fit that
-        # frees one of them evaluates a rate set twice
-        shared = {"d", "Gamma_tilde"} & set(problem.free)
-        assert (len(evaluated) > len(propagated)) == bool(shared)
+        _, sol = _solve(problem, monkeypatch)
+        assert propagated == evaluated
+        assert len(evaluated) == sol.nfev and sol.njev > 0
+
+
+class _Captured(Exception):
+    """Raised in place of the solve, once its arguments are seen."""
+
+
+def _objective(problem, monkeypatch):
+    """(residuals, jacobian, x0) that fit_parameters hands the solver."""
+    got = {}
+
+    def capture(fun, x0, jac, **kwargs):
+        got.update(fun=fun, jac=jac, x0=x0)
+        raise _Captured
+
+    with monkeypatch.context() as m:
+        m.setattr(estimation, "least_squares", capture)
+        with pytest.raises(_Captured):
+            fit_parameters(problem)
+    return got["fun"], got["jac"], got["x0"]
+
+
+def _solve(problem, monkeypatch):
+    """The fit and the solver's result."""
+    solve, sols = estimation.least_squares, []
+
+    def kept(*args, **kwargs):
+        sols.append(solve(*args, **kwargs))
+        return sols[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(estimation, "least_squares", kept)
+        res = fit_parameters(problem)
+    return res, sols[0]
+
+
+_PUMPED = dict(pump=True, initial_pop=_PUMP_POP0,
+               truth=dict(Gamma_pump=0.168))
+_START = make_params(d=40.0, Gamma_col=0.004, Gamma_tilde=0.15,
+                     Gamma_pump=0.1, Gamma_L_out=0.03)
+JACOBIAN_SETUPS = {
+    "pump-off": dict(free=FITTABLE, start=_START),
+    "pump-on": dict(free=FITTABLE, start=_START, **_PUMPED),
+    "slope-constrained": dict(
+        free=("d", "Gamma_col", "Gamma_tilde", "Gamma_pump"), start=_START,
+        slope_obs=polarization_slope(_PUMP_POP0, transition_rates(
+            make_params(Gamma_pump=0.168), pump=True)), **_PUMPED),
+}
+# criterion 8's noise-free grid and its 201-point noisy one
+JACOBIAN_GRIDS = {"16-points": np.linspace(0.0, 30.0, 16),
+                  "201-points": np.linspace(0.0, 40.0, 201)}
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("grid", JACOBIAN_GRIDS)
+    @pytest.mark.parametrize("setup", JACOBIAN_SETUPS)
+    def test_matches_central_differences(self, setup, grid, monkeypatch):
+        problem = _noisy_problem(grid=JACOBIAN_GRIDS[grid],
+                                 **JACOBIAN_SETUPS[setup])
+        fun, jac, x0 = _objective(problem, monkeypatch)
+        got = jac(x0)
+        assert got.shape == (fun(x0).size, len(problem.free))
+        for k, name in enumerate(problem.free):
+            step = np.zeros_like(x0)
+            step[k] = 1e-5 * x0[k]
+            want = (fun(x0 + step) - fun(x0 - step)) / (2.0 * step[k])
+            if name == "Gamma_pump" and not problem.pump:
+                # the pump-off rate enters nothing, so its column is zero
+                assert not got[:, k].any() and not want.any()
+                continue
+            scale = np.abs(got[:, k]).max()
+            assert scale > 0
+            assert np.abs(got[:, k] - want).max() <= 1e-7 * scale, name
+
+    def test_jacobian_at_an_unevaluated_point(self, monkeypatch):
+        # asked at an x it has not evaluated, it evaluates it first
+        fun, jac, x0 = _objective(_noisy_problem(), monkeypatch)
+        x1 = x0 * 1.01
+        want = jac(x1)
+        fun(x0)
+        assert np.array_equal(jac(x1), want)
+
+
+def _criterion_8(noisy):
+    """Criterion 8's noise-free (16 points) or noisy (201 points) fit."""
+    if noisy:
+        return _noisy_problem()
+    truth = make_params()
+    grid = np.linspace(0.0, 30.0, 16)
+    xi, jx, _, _ = forward_model(truth, POP0, grid)
+    return FitProblem(times=grid, xi=xi, xi_err=np.full_like(xi, 0.01),
+                      jx_norm=jx, jx_err=np.full_like(jx, 0.005),
+                      free=("d", "Gamma_col", "Gamma_tilde"),
+                      fixed=truth.replace(d=40.0, Gamma_col=0.004,
+                                          Gamma_tilde=0.15),
+                      initial_pop=POP0)
+
+
+class TestStop:
+    @pytest.mark.parametrize("noisy", [False, True],
+                             ids=["noise-free", "noisy"])
+    def test_stop_independent_of_rounding(self, noisy, monkeypatch):
+        # observations moved by 1e-13 relative change only rounding, so
+        # the solver takes the same steps and stops at the same place
+        problem = _criterion_8(noisy)
+        moved = dataclasses.replace(problem, xi=problem.xi * (1 + 1e-13),
+                                    jx_norm=problem.jx_norm * (1 + 1e-13))
+        res, sol = _solve(problem, monkeypatch)
+        res_m, sol_m = _solve(moved, monkeypatch)
+        assert (sol_m.nfev, sol_m.njev) == (sol.nfev, sol.njev)
+        for name in problem.free:
+            assert getattr(res_m.params, name) == pytest.approx(
+                getattr(res.params, name), rel=1e-9, abs=0.0)
+
+
+# replicates of criterion 8's noisy fit; the bounds are 4 standard errors
+COVERAGE_REPLICATES = 64
+
+
+def test_covariance_coverage():
+    # pulls (estimate - truth) / sigma are standard normal when the
+    # covariance is calibrated
+    truth = make_params()
+    free = ("d", "Gamma_col", "Gamma_tilde")
+    n = COVERAGE_REPLICATES
+    pulls = []
+    for k in range(n):
+        res = fit_parameters(_noisy_problem(seed=(k + 1) * 2**20))
+        sigma = np.sqrt(np.diag(res.covariance))
+        pulls.append([(getattr(res.params, name) - getattr(truth, name))
+                      / s for name, s in zip(free, sigma)])
+    pulls = np.array(pulls)
+    assert np.all(np.abs(pulls.mean(axis=0)) <= 4.0 / np.sqrt(n))
+    assert np.all(np.abs(pulls.std(axis=0, ddof=1) - 1.0)
+                  <= 4.0 / np.sqrt(2 * n))
 
 
 class TestCalibratePn:

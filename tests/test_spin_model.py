@@ -124,6 +124,19 @@ class TestEprVariance:
         with pytest.raises(InvariantViolationError):
             epr_variance(GaussianState(mean=np.zeros(4), cov=cov))
 
+    @pytest.mark.parametrize("cells, value", [
+        ([(1, 1)], np.inf), ([(1, 1)], -np.inf), ([(0, 2), (2, 0)], np.inf)],
+        ids=["diagonal-inf", "diagonal-minus-inf", "pair-inf"])
+    def test_non_finite_cov_rejected(self, cells, value):
+        # equal infinities pass the symmetry check; they used to reach
+        # eigvalsh, which raised numpy's LinAlgError
+        cov = np.eye(4)
+        for i, j in cells:
+            cov[i, j] = value
+        with pytest.raises(InvariantViolationError,
+                           match="covariance must be finite"):
+            GaussianState(mean=np.zeros(4), cov=cov).validate()
+
     def test_report_is_the_shared_witness(self):
         mu, nu = bogoliubov_amplitudes(0.4)
         for cov in (np.eye(4), two_mode_squeezed_cov(mu, nu)):
@@ -138,8 +151,6 @@ def _symmetry_rejected(cov) -> bool:
         GaussianState(mean=np.zeros(4), cov=cov).validate()
     except InvariantViolationError as e:
         return "not symmetric" in str(e)
-    except np.linalg.LinAlgError:  # non-finite entries reach eigvalsh
-        pass
     return False
 
 

@@ -53,7 +53,7 @@ from .multilevel_rates import (
     propagate_populations,
     transition_rates,
 )
-from .records import check_gain_scan, hybrid_readout, simulate_batch
+from .records import hybrid_readout
 from .scenarios import (
     SCENARIO_NAMES,
     inclusive_range,
@@ -184,7 +184,11 @@ def _read_rows(path: str, header: str, widths: tuple, usage: str) -> list:
 
 
 def _initial_pop(args) -> PopulationState:
-    n44, n43, nh = (float(x) for x in args.pops.split(","))
+    values = args.pops.split(",")
+    if len(values) != 3:
+        raise ValueError(f"--pops expects n44,n43,nh (3 values); got "
+                         f"{len(values)}")
+    n44, n43, nh = (float(x) for x in values)
     return PopulationState(n44=n44, n43=n43, nh=nh)
 
 
@@ -217,20 +221,21 @@ def _cmd_reconstruct(args) -> int:
         raise ValueError("--trials must be at least 1")
     kappa_sq = readout_kappa_sq(loss, mu_nu, T)
     slope, floor = closed_form_calibration(kappa_sq, mu_nu, params.eta)
+    branches = {"css": 1.0, "steady": params.squeeze_sq}
     report = {"kappa_sq": kappa_sq}
-    batch = None  # drawn once, re-targeted for the second branch
-    for label, v in (("css", 1.0), ("steady", params.squeeze_sq)):
+    readouts = None  # both branches from one draw per seed
+    for k, (label, v) in enumerate(branches.items()):
         snap = apply_io_lossy((v, v), loss, mu_nu, T)
         y = [apply_detection_loss(yv, params.eta) for yv in snap.y_out]
         report[f"xi_{label}"] = invert_readout(y, slope, floor)
         report[f"xi_{label}_true"] = v
         if args.trials > 1:
-            if batch is None:
-                batch = simulate_batch(args.trials, T, args.dt_ms, loss,
-                                       mu_nu, args.seed, initial_var=(v, v))
-            batch.retarget((v, v))
-            var = hybrid_readout(batch, (0.0, T), loss.gamma).unconditional
-            report[f"xi_{label}_mc"] = invert_readout(var, slope, floor)
+            if readouts is None:
+                readouts = hybrid_readout(
+                    args.trials, loss, mu_nu, args.dt_ms, (0.0, T),
+                    args.seed, initial_vars=tuple(branches.values()))
+            report[f"xi_{label}_mc"] = invert_readout(
+                readouts[k].unconditional, slope, floor)
     _emit_report(args, "reconstruct", report, params, args.seed)
     return 0
 
@@ -243,12 +248,9 @@ def _cmd_conditional(args) -> int:
     T, probe = args.handover_ms, args.probe_ms
     grid = _range(args.gm_min, args.gm_max, args.gm_step,
                   "--gm-min/--gm-max/--gm-step")
-    # the feed modes span the record before the readout window
-    check_gain_scan(args.trials, grid.size,
-                    T / args.dt_ms if args.dt_ms > 0 else 0.0)
-    batch = simulate_batch(args.trials, T + probe, args.dt_ms, loss, mu_nu,
-                           args.seed)
-    r = hybrid_readout(batch, (T, T + probe), loss.gamma, grid)
+    # the exact gamma_m scan is checked and run before any draw
+    r, = hybrid_readout(args.trials, loss, mu_nu, args.dt_ms, (T, T + probe),
+                        args.seed, gamma_m_grid=grid)
     kappa_sq = readout_kappa_sq(loss, mu_nu, probe)
     slope, floor = closed_form_calibration(kappa_sq, mu_nu, loss.eta)
     report = {
@@ -321,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and reused by every later one.
 
     Handlers are bound at that build, so tests patch module globals such as
-    ``cli.simulate_batch``, never ``cli._cmd_*``; no default is mutable."""
+    ``cli.hybrid_readout``, never ``cli._cmd_*``; no default is mutable."""
     ap = argparse.ArgumentParser(
         prog="eprsim",
         description="Two-ensemble dissipative entanglement simulator",

@@ -173,8 +173,10 @@ _MAX_SQUARINGS = 52
 
 
 def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(a t_k) for every t_k >= 0, shape (len(t), n, n), by Taylor
-    scaling and squaring (Al-Mohy & Higham 2009) batched over the grid.
+    """exp(a t_k) for every t_k >= 0 of the nondecreasing ``t``, shape
+    (len(t), n, n), by Taylor scaling and squaring (Al-Mohy & Higham 2009)
+    batched over the grid; NaN where more than _MAX_SQUARINGS squarings are
+    needed.
 
     No eigendecomposition, so defective generators are as exact as any.
     """
@@ -192,10 +194,13 @@ def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     h = np.where(ok, np.ldexp(tau, -s), 0.0)
     e = (h[:, None] ** np.arange(_TAYLOR_DEGREE + 1)
          @ np.reshape(terms, (_TAYLOR_DEGREE + 1, n * n))).reshape(-1, n, n)
+    # t is nondecreasing, so s is too: the finite points are a prefix, and
+    # those squared an (i + 1)-th time a suffix of it, squared in place
+    n_ok = np.count_nonzero(ok)
     for i in range(s.max()):
-        sq = s > i
-        e[sq] = e[sq] @ e[sq]
-    e[~ok] = np.nan
+        tail = e[np.searchsorted(s[:n_ok], i, side="right"):n_ok]
+        np.matmul(tail, tail, out=tail)
+    e[n_ok:] = np.nan
     return e
 
 

@@ -41,28 +41,42 @@ hash, fixed by its stream-compatibility policy NEP 19), PCG's seeding turns
 each into a PCG64 state, and one reused generator, set to that state, draws
 the trial's z and noise in one call.  The tests pin both to NumPy's own.
 
-:func:`discrete_calibration` is one backward pass over the same law: a mode
-integral y = sum_n w_n s_n is (w . r) u_0 + sum_m sqrt(S_m) (w_m + K_m b_m)
-eps_m, with r_n = H e1^n and b_(m-1) = H w_m + e1 b_m from the window's
-last bin down (b = 0 there), so var(y) = (w . r)^2 var(u_0) + sum_m S_m
-(w_m + K_m b_m)^2.  The referee of the whole law is the four-noise update
-itself, built as a dense linear map in the tests (``TestExactLaw``).
+Mode integrals in closed form: a mode integral y = sum_n w_n s_n is
+(w . r) u_0 + sum_m C_m eps_m with C_m = sqrt(S_m) (w_m + K_m b_m),
+r_n = H e1^n and b_(m-1) = H w_m + e1 b_m from the window's last bin down
+(b = 0 there).  One backward pass gives C and rho = w . r for K modes at
+once; :func:`discrete_calibration` is its one-mode case, var(y) =
+rho^2 var(u_0) + C . C.  The referee of the whole law is the four-noise
+update itself, built as a dense linear map in the tests (``TestExactLaw``).
 
-Layout: the sampler writes a batch into one (2, nbins, trials) float64
-buffer, and ``RecordBatch.samples`` is its (trials, nbins, 2) transposed
-view, so one channel over a mode's window is a (trials, bins) slice whose
-trial axis is contiguous.  The draws are made TRIAL_BLOCK trials at a time
-into one (trials, nbins + 1, 2) block, z in row 0, and the scaled noise is
-written to bin-major order in the records buffer, so besides the records
-(16 bytes per trial-bin) the sampler holds one block's draws.  The block is
-freed before the innovations recursion, which then runs once over the whole
-batch.
+Gain selection is exact.  Two modes x and y have covariance Sigma_xy =
+rho_x rho_y var(u_0) + C_x . C_y.  For the readout mode r and the rising
+feed mode f(gamma_m) on the record before it, :func:`optimize_gain` runs
+the same backward recursion over the feed bins with one vector across the
+gamma_m grid per quantity, accumulating Sigma_rf and Sigma_ff bin by bin
+without a (bins, points) matrix.  It returns alpha* = Sigma_rf / Sigma_ff
+at the gamma_m that minimises the conditional variance Sigma_rr - alpha*
+Sigma_rf.  Monte Carlo only evaluates that pair.
 
-The record is linear in u_0, which reaches bin n only as r_n u_0 with
-r_n = H e1^n.  A batch keeps z and r, and ``RecordBatch.retarget`` adds
-(sqrt(v') - sqrt(v)) z r_n bin by bin: branches that differ only in the
-initial variance share one draw per seed, and no (trials, nbins) temporary
-is made.
+:func:`hybrid_readout` never builds a record: it draws TRIAL_BLOCK trials at
+a time into one (trials, nbins + 1, 2) block, z in row 0, and multiplies the
+block's noise by the coefficients of the readout and feed modes on both
+channels; each initial variance v adds sqrt(v) z rho and folds the block's
+moments into running ones.  Its working memory is one block (16 bytes per
+bin and trial of the block, 2 MB at fig2d's 250 bins) whatever the trial
+count.
+
+:func:`simulate_batch` keeps the record-level API: it writes a batch into
+one (2, nbins, trials) float64 buffer, and ``RecordBatch.samples`` is its
+(trials, nbins, 2) transposed view, so one channel over a mode's window is a
+(trials, bins) slice whose trial axis is contiguous.  It draws the same
+blocks, writes the scaled noise to bin-major order in the records buffer
+(16 bytes per trial-bin), frees the block and runs the innovations
+recursion once over the whole batch.  The record is linear in u_0, which
+reaches bin n only as r_n u_0: a batch keeps z and r, and
+``RecordBatch.retarget`` adds (sqrt(v') - sqrt(v)) z r_n bin by bin, so a
+batch moves to another initial variance without a (trials, nbins)
+temporary.
 """
 
 from __future__ import annotations
@@ -74,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoInformationError, StatisticsError
+from .errors import StatisticsError
 from .light_readout import LossParams
 
 __all__ = [
@@ -88,36 +102,26 @@ __all__ = [
     "hybrid_readout",
 ]
 
-# Cap on trials x bins per batch: the records take 16 bytes per trial-bin,
-# so this is 400 MB, enough for fig2d at 10^5 trials of 250 bins.  The
-# gamma_m scan integrates every trial once per grid point, so trials x grid
-# points is held to the same cap.
+# Cap on trials x bins per batch: drawing takes about 80 ns per trial-bin
+# (2-core x86 host), so this is about 2 s, fig2d at 10^5 trials of 250
+# bins.  simulate_batch's records take 16 bytes per trial-bin (400 MB here);
+# hybrid_readout holds one block of draws whatever the trial count.
 MAX_TRIAL_BINS = 25_000_000
 # Cap on bins per batch: the record law and the sampler's innovations
 # recursion, run once per batch, step bin by bin at about 10 us per bin for
 # a few trials (measured on a 2-core x86 host), so 2 x 10^4 bins take about
 # 0.2 s; larger batches are bounded by MAX_TRIAL_BINS.
 MAX_BINS = 20_000
-# Cap on gamma_m scan points: the scan weights every feed bin and integrates
-# every trial per point, in matrix products (about 2 us per point for two
-# trials of 200 feed bins, 50 us at 2500 trials, on a 2-core x86 host), so
-# 10^4 points take 0.02-0.5 s.
+# Caps on the exact gamma_m scan, checked before any draw: grid points, and
+# grid points x feed bins.  The scan's backward pass steps through the feed
+# bins in vector operations over the grid, about 25 us per feed bin plus
+# 10 ns per point and feed bin (2-core x86 host), so the largest accepted
+# scans take up to 0.75 s (501 points over 19 950 feed bins).
 MAX_GAIN_POINTS = 10_000
-# Cap on trials x gamma_m points x feed bins: the scan's matrix products take
-# 0.2-0.4 ns per unit, and building the feed-mode envelopes 30-50 ns per
-# point and feed bin, as much as GAIN_ENVELOPE_TRIALS more trials (2000
-# trials x 141 points x 200 feed bins, the conditional defaults, in 13 ms;
-# 100 trials x 1000 points x 19 950 feed bins in 1.4 s; 2 trials x 10^4
-# points x 19 950 feed bins in 6.5 s; 2-core x86 host, one BLAS thread).  So
-# the cap holds a scan to about half a second and admits fig2d at
-# MAX_TRIAL_BINS (10^5 trials x 29 points x 200 feed bins).
-MAX_GAIN_WORK = 1_000_000_000
-GAIN_ENVELOPE_TRIALS = 100
-# Trial-points, and bin-points, per matrix product of the gamma_m scan (2 MB).
-GAIN_CHUNK = 1 << 18
-# Trials whose draws the sampler makes at a time: it holds one block's
-# (trials, nbins + 1, 2) draws, z and the noise, 16 bytes per trial-bin (2 MB
-# at fig2d's 250 bins), and the block's seed words, besides the records.
+MAX_SCAN_POINT_BINS = 10_000_000
+# Trials whose draws are made at a time: one block holds (trials, nbins + 1,
+# 2) draws, z and the noise, 16 bytes per trial-bin (2 MB at fig2d's 250
+# bins), and the block's seed words.
 TRIAL_BLOCK = 512
 
 
@@ -192,28 +196,18 @@ class ModeFunctional:
         t0, t1 = self.window
         if t0 < -1e-12 or t1 > nbins * dt + 1e-9:
             raise ValueError("mode window exceeds record span")
-        sgn = -1.0 if self.direction == "falling" else 1.0
-        bins, w = _envelopes(dt, nbins, self.window,
-                             [sgn * self.exponent_rate])
-        return bins, w[:, 0]
-
-
-def _envelopes(dt: float, nbins: int, window: tuple, rates):
-    """Unit-norm envelopes exp(rate (t - t0)) on the window's record bins,
-    one column per rate: (slice of the window's bins, (bins, rates))."""
-    t0, t1 = window
-    times = (np.arange(nbins) + 0.5) * dt
-    idx = np.nonzero((times >= t0) & (times < t1))[0]
-    if idx.size == 0:
-        raise ValueError("mode window overlaps no record bins")
-    bins = slice(idx[0], idx[-1] + 1)  # bin times increase: one run
-    rates = np.asarray(rates, dtype=float)
-    arg = np.multiply.outer(times[bins] - t0, rates)
-    # overflow-safe, renormalised below: arg is monotone in the bin, so a
-    # column's maximum is its last row for a rising envelope, else its first
-    arg -= np.where(rates > 0, arg[-1], arg[0])
-    raw = np.exp(arg, out=arg)
-    return bins, raw / np.sqrt(np.sum(raw**2, axis=0))
+        times = (np.arange(nbins) + 0.5) * dt
+        idx = np.nonzero((times >= t0) & (times < t1))[0]
+        if idx.size == 0:
+            raise ValueError("mode window overlaps no record bins")
+        bins = slice(idx[0], idx[-1] + 1)  # bin times increase: one run
+        rate = (self.exponent_rate if self.direction == "rising"
+                else -self.exponent_rate)
+        arg = (times[bins] - t0) * rate
+        # overflow-safe, renormalised below: arg is monotone in the bin, so
+        # its maximum is the last bin's for a rising envelope, else the first
+        raw = np.exp(arg - (arg[-1] if rate > 0 else arg[0]))
+        return bins, raw / np.sqrt(np.sum(raw**2))
 
 
 def _record_law(loss: LossParams, mu_nu: tuple, duration: float,
@@ -326,6 +320,27 @@ def _draw_normals(seeds: np.ndarray, out: np.ndarray) -> None:
         rng.standard_normal(out=out[k])
 
 
+def _check_draws(n_trials: int, master_seed: int) -> None:
+    """ValueError unless there is a trial and the seed is in [0, 2^64)."""
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
+    if not 0 <= operator.index(master_seed) < 1 << 64:
+        raise ValueError(f"master seed {master_seed} outside [0, 2**64)")
+
+
+def _draw_blocks(n_trials: int, nbins: int, master_seed: int):
+    """Yield (first trial, draws) per TRIAL_BLOCK trials: draws[k] holds
+    trial (first + k)'s z in row 0, then its (nbins, 2) noise.  Every block
+    reuses one buffer."""
+    noise = np.empty((min(n_trials, TRIAL_BLOCK), nbins + 1, 2))
+    for b0 in range(0, n_trials, TRIAL_BLOCK):
+        block = noise[:min(TRIAL_BLOCK, n_trials - b0)]
+        _draw_normals(np.uint64(master_seed)
+                      ^ np.arange(b0, b0 + len(block), dtype=np.uint64),
+                      block)
+        yield b0, block
+
+
 def simulate_batch(n_trials: int, duration: float, dt: float,
                    loss: LossParams, mu_nu: tuple, master_seed: int,
                    initial_var=(1.0, 1.0)) -> RecordBatch:
@@ -334,10 +349,7 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
     ``initial_var`` sets the (cos, sin) variances of the zero-mean Gaussian
     atomic start; detection loss ``loss.eta`` applies to every bin.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
-    if not 0 <= operator.index(master_seed) < 1 << 64:
-        raise ValueError(f"master seed {master_seed} outside [0, 2**64)")
+    _check_draws(n_trials, master_seed)
     e1, H, gain, innov_sd, response = _record_law(loss, mu_nu, duration, dt,
                                                   n_trials)
     nbins = gain.size
@@ -346,17 +358,13 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
 
     out = np.empty((2, nbins, n_trials))
     z = np.empty((2, n_trials))
-    noise = np.empty((min(n_trials, TRIAL_BLOCK), nbins + 1, 2))
-    for b0 in range(0, n_trials, TRIAL_BLOCK):
-        b1 = min(b0 + TRIAL_BLOCK, n_trials)
-        block = noise[:b1 - b0]  # per trial: z in row 0, then the noise
-        _draw_normals(np.uint64(master_seed)
-                      ^ np.arange(b0, b1, dtype=np.uint64), block)
+    for b0, block in _draw_blocks(n_trials, nbins, master_seed):
+        b1 = b0 + len(block)
         z[:, b0:b1] = block[:, 0].T
         # the innovations sqrt(S_n) eps_n, bin-major in the records buffer
         np.multiply(block[:, 1:].transpose(2, 1, 0), innov_sd[:, None],
                     out=out[:, :, b0:b1])
-    del noise, block
+    del block  # the last view keeps the draws alive
     x = z * init_sd
     hx, step = np.empty_like(x), np.empty_like(x)
     for n in range(nbins):
@@ -396,70 +404,88 @@ def conditional_variance(batch: RecordBatch, readout_mode: ModeFunctional,
     return float(np.var(y_read - alpha * y_feed, ddof=1))
 
 
-def check_gain_scan(n_trials: int, n_points: int,
-                    n_feed_bins: float) -> None:
-    """ValueError unless a gamma_m scan of ``n_points`` over ``n_trials``
-    trials, with feed modes of about ``n_feed_bins`` bins (the readout
-    window's start over the bin width), is nonempty and within the caps;
-    callable before sampling."""
-    if n_points == 0:
-        raise ValueError("gamma_m grid must be nonempty")
-    if n_points > MAX_GAIN_POINTS:
-        raise ValueError(f"{n_points} gamma_m points exceeds "
-                         f"{MAX_GAIN_POINTS}")
-    if n_trials * n_points > MAX_TRIAL_BINS:
-        raise ValueError(f"{n_trials} trials x {n_points} gamma_m "
-                         f"points exceeds {MAX_TRIAL_BINS}")
-    if ((n_trials + GAIN_ENVELOPE_TRIALS) * n_points * n_feed_bins
-            > MAX_GAIN_WORK):
-        raise ValueError(f"{n_trials} trials (+{GAIN_ENVELOPE_TRIALS} for "
-                         f"the envelopes) x {n_points} gamma_m points x "
-                         f"{n_feed_bins:.4g} feed bins exceeds "
-                         f"{MAX_GAIN_WORK:.4g}")
+def _mode_coefficients(law: tuple, weights: np.ndarray) -> tuple:
+    """Mode integrals over the innovations (module docstring): for (n, K)
+    ``weights`` on the record's first n bins, (C, rho) with y_k = rho_k u_0
+    + sum_m C[m, k] eps_m, one backward pass for all K modes."""
+    e1, H, gain, innov_sd, response = law
+    n = weights.shape[0]
+    b = np.zeros_like(weights)  # b_m = sum_(n>m) H w_n e1^(n-1-m)
+    for m in range(n - 1, 0, -1):
+        b[m - 1] = H * weights[m] + e1 * b[m]
+    coeff = innov_sd[:n, None] * (weights + gain[:n, None] * b)
+    return coeff, response[:n] @ weights
 
 
-def optimize_gain(batch: RecordBatch, readout_mode: ModeFunctional,
-                  gamma_m_grid):
-    """Optimise feedback gain and feed-mode time constant.
+def _mode_weights(modes, dt: float, nbins: int) -> np.ndarray:
+    """(bins, modes) weights of ``modes`` up to the last bin any of them
+    covers."""
+    spans = [mode.weights(dt, nbins) for mode in modes]
+    weights = np.zeros((max(bins.stop for bins, _ in spans), len(spans)))
+    for k, (bins, w) in enumerate(spans):
+        weights[bins, k] = w
+    return weights
 
-    For each gamma_m in the grid a rising-exponential feed mode is built
-    from t = 0 up to the readout window and the closed-form optimal gain
-    alpha* = cov(y_read, y_feed)/var(y_feed) is used.  Returns (alpha_star,
-    gamma_m_star, min_variance); the first grid point wins a tie.
+
+def optimize_gain(loss: LossParams, mu_nu: tuple, dt: float,
+                  readout_mode: ModeFunctional, *, gamma_m_grid,
+                  initial_var: float = 1.0) -> tuple:
+    """Exact feedback gain and feed-mode rate for ``readout_mode``.
+
+    For each gamma_m in the grid the feed mode is a rising exponential from
+    t = 0 up to the readout window, on the record law of ``loss`` and bin
+    width ``dt`` with initial atomic variance ``initial_var``.  Returns
+    (alpha*, gamma_m*, conditional variance), exact (module docstring); the
+    first grid point wins a tie.  ValueError for an empty grid, one over
+    MAX_GAIN_POINTS or MAX_SCAN_POINT_BINS, or a record the sampler
+    refuses; nothing is drawn.
     """
     grid = np.atleast_1d(np.asarray(gamma_m_grid, dtype=float))
-    feed_window = (0.0, readout_mode.window[0])
-    check_gain_scan(batch.n_trials, grid.size, feed_window[1] / batch.dt)
+    if grid.size == 0:
+        raise ValueError("gamma_m grid must be nonempty")
+    if grid.size > MAX_GAIN_POINTS:
+        raise ValueError(f"{grid.size} gamma_m points exceeds "
+                         f"{MAX_GAIN_POINTS}")
+    t0, t1 = readout_mode.window
+    law = _record_law(loss, mu_nu, t1, dt)
+    e1, H, gain, innov_sd, response = law
     for gm in (grid.min(), grid.max()):  # the feed modes' own checks
-        ModeFunctional(phase=readout_mode.phase, exponent_rate=gm,
-                       direction="rising", window=feed_window)
-    y_read = integrate_mode_batch(batch, readout_mode)
-    if y_read.size < 2:
-        raise StatisticsError("need at least two records")
-    col = 0 if readout_mode.phase == "cos" else 1
-    # grid points per matrix product
-    step = max(1, GAIN_CHUNK // max(batch.n_trials, batch.nbins))
-    read_dev = y_read - y_read.mean()
-    best = None
-    for k0 in range(0, grid.size, step):
-        bins, w = _envelopes(batch.dt, batch.nbins, feed_window,
-                             grid[k0:k0 + step])
-        y_feed = w.T @ batch.samples[:, bins, col].T  # (points, trials)
-        var_feed = np.var(y_feed, axis=1, ddof=1)
-        if np.any(var_feed <= 0):
-            raise NoInformationError("feedback mode variance is degenerate")
-        cov = (y_feed - y_feed.mean(axis=1, keepdims=True)) @ read_dev
-        alpha = cov / (y_read.size - 1) / var_feed
-        v = np.var(y_read - alpha[:, None] * y_feed, axis=1, ddof=1)
-        k = int(np.argmin(v))
-        if best is None or v[k] < best[2]:
-            best = (float(alpha[k]), float(grid[k0 + k]), float(v[k]))
-    return best
+        feed, _ = ModeFunctional(phase=readout_mode.phase, exponent_rate=gm,
+                                 direction="rising",
+                                 window=(0.0, t0)).weights(dt, gain.size)
+    if grid.size * feed.stop > MAX_SCAN_POINT_BINS:
+        raise ValueError(f"{grid.size} gamma_m points x {feed.stop} feed "
+                         f"bins exceeds {MAX_SCAN_POINT_BINS:.4g}")
+    coeff, rho = _mode_coefficients(
+        law, _mode_weights([readout_mode], dt, gain.size))
+    c_read, rho_read = coeff[:, 0], float(rho[0])
+    # feed bins from the last down: the unnormalised envelope u (1 at the
+    # last bin), b and the sums, one grid-long vector each
+    decay = np.exp(-grid * dt)
+    u, b = np.ones(grid.size), np.zeros(grid.size)
+    s_rf, s_ff, norm, rho_feed = (np.zeros(grid.size) for _ in range(4))
+    for m in range(feed.stop - 1, -1, -1):
+        c = innov_sd[m] * (u + gain[m] * b)
+        s_rf += c_read[m] * c
+        s_ff += c * c
+        norm += u * u
+        rho_feed += response[m] * u
+        b = H * u + e1 * b
+        u *= decay
+    scale = 1.0 / np.sqrt(norm)
+    v = float(initial_var)
+    rho_feed *= scale
+    sigma_rf = rho_read * rho_feed * v + s_rf * scale
+    sigma_ff = rho_feed**2 * v + s_ff * scale**2
+    alpha = sigma_rf / sigma_ff
+    cond = rho_read**2 * v + float(c_read @ c_read) - alpha * sigma_rf
+    k = int(np.argmin(cond))
+    return float(alpha[k]), float(grid[k]), float(cond[k])
 
 
 class HybridReadout(NamedTuple):
-    """(cos, sin) readout-mode variances of a batch, before and after
-    conditioning on the earlier record."""
+    """(cos, sin) readout-mode variances, before and after conditioning on
+    the earlier record with the gain alpha* on the feed mode gamma_m*."""
 
     unconditional: tuple
     conditional: tuple | None
@@ -467,29 +493,71 @@ class HybridReadout(NamedTuple):
     gamma_m_star: float | None
 
 
-def hybrid_readout(batch: RecordBatch, window: tuple, gamma: float,
-                   gamma_m_grid=None) -> HybridReadout:
-    """Readout statistics of the (cos, sin) falling-exponential modes with
-    rate ``gamma`` on ``window``.
+def _fold_moments(acc: list, x: np.ndarray) -> None:
+    """Fold the rows of ``x`` into acc = [count, column means, column sums
+    of squared deviations] (Chan, Golub and LeVeque's pairwise update)."""
+    n_b, mean_b = len(x), x.mean(axis=0)
+    dev = x - mean_b
+    m2_b = np.einsum("ij,ij->j", dev, dev)
+    n_a, mean_a, m2_a = acc
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    acc[:] = [n, mean_a + delta * (n_b / n),
+              m2_a + m2_b + delta**2 * (n_a * n_b / n)]
 
-    With a ``gamma_m_grid`` the cos channel picks the gain and feed-mode rate
-    (:func:`optimize_gain` on the record before the window) and the sin
-    channel is conditioned with the same pair; without one only the
-    unconditional variances are computed.
+
+def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
+                   window: tuple, master_seed: int, *, initial_vars=(1.0,),
+                   gamma_m_grid=None) -> tuple:
+    """Readout statistics of the (cos, sin) falling-exponential modes with
+    rate ``loss.gamma`` on ``window``, over ``n_trials`` records of
+    ``window[1]`` ms in ``dt`` bins: one HybridReadout per initial atomic
+    variance in ``initial_vars``, all from the same draws (trial i seeds
+    ``master_seed ^ i``, as in :func:`simulate_batch`).
+
+    With a ``gamma_m_grid`` each variance gets its exact (alpha*, gamma_m*)
+    (:func:`optimize_gain`, checked before any draw), and the conditional
+    variances are those of both channels at that pair; without one only
+    the unconditional variances are computed.  No record is built
+    (module docstring).
     """
-    cos, sin = (ModeFunctional(phase=ph, exponent_rate=gamma,
-                               direction="falling", window=window)
-                for ph in ("cos", "sin"))
-    conditional = alpha = gamma_m = None
-    if gamma_m_grid is not None:
-        alpha, gamma_m, cv_cos = optimize_gain(batch, cos, gamma_m_grid)
-        feed_sin = ModeFunctional(phase="sin", exponent_rate=gamma_m,
-                                  direction="rising", window=(0.0, window[0]))
-        conditional = (cv_cos, conditional_variance(batch, sin, feed_sin,
-                                                    alpha))
-    unconditional = tuple(float(np.var(integrate_mode_batch(batch, m),
-                                       ddof=1)) for m in (cos, sin))
-    return HybridReadout(unconditional, conditional, alpha, gamma_m)
+    read = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
+                          direction="falling", window=window)
+    pairs = [optimize_gain(loss, mu_nu, dt, read, gamma_m_grid=gamma_m_grid,
+                           initial_var=v)[:2]
+             for v in initial_vars] if gamma_m_grid is not None else []
+    _check_draws(n_trials, master_seed)
+    law = _record_law(loss, mu_nu, window[1], dt, n_trials)
+    if n_trials < 2:
+        raise StatisticsError("need at least two records for a variance")
+    feeds = [ModeFunctional(phase="cos", exponent_rate=gm,
+                            direction="rising", window=(0.0, window[0]))
+             for _, gm in pairs]
+    coeff, rho = _mode_coefficients(
+        law, _mode_weights([read, *feeds], dt, law[2].size))
+    # column 2k + channel: mode k (the readout, then each feed mode) on the
+    # cos (0) or sin (1) channel; row 2n + channel is that channel's bin n
+    n = coeff.shape[0]
+    c2 = np.zeros((2 * n, 2 * coeff.shape[1]))
+    c2[0::2, 0::2] = coeff
+    c2[1::2, 1::2] = coeff
+    acc = [[0, 0.0, 0.0] for _ in initial_vars]
+    for _, block in _draw_blocks(n_trials, law[2].size, master_seed):
+        y = block[:, 1:n + 1].reshape(len(block), -1) @ c2
+        z = block[:, 0]
+        for j, v in enumerate(initial_vars):
+            u0 = math.sqrt(v) * z
+            read_y = y[:, :2] + rho[0] * u0
+            if pairs:
+                feed_y = y[:, 2 * j + 2:2 * j + 4] + rho[j + 1] * u0
+                read_y = np.hstack([read_y, read_y - pairs[j][0] * feed_y])
+            _fold_moments(acc[j], read_y)
+    out = []
+    for j, (count, _, m2) in enumerate(acc):
+        var = tuple(float(x) for x in m2 / (count - 1))
+        out.append(HybridReadout(var[:2], var[2:], *pairs[j]) if pairs
+                   else HybridReadout(var, None, None, None))
+    return tuple(out)
 
 
 def discrete_calibration(loss: LossParams, mu_nu: tuple, dt: float,
@@ -497,17 +565,13 @@ def discrete_calibration(loss: LossParams, mu_nu: tuple, dt: float,
     """(slope, floor) of var(y) = slope * var_atomic_in + floor.
 
     Exact affine calibration of the discrete record model for the given
-    mode, detection loss included: one backward pass over the sampler's law
-    (module docstring), under the sampler's checks on ``duration`` and
-    ``dt``.  Inverting with these constants recovers the atomic variance at
-    the start of the record without bias.
+    mode, detection loss included: the one-mode case of the backward pass
+    over the sampler's law (module docstring), under the sampler's checks on
+    ``duration`` and ``dt``.  Inverting with these constants recovers the
+    atomic variance at the start of the record without bias.
     """
-    e1, H, gain, innov_sd, response = _record_law(loss, mu_nu, duration, dt)
-    bins, w = mode.weights(dt, gain.size)
-    weights = np.zeros(bins.stop)  # no bin after the window carries weight
-    weights[bins] = w
-    b = np.zeros(bins.stop)  # b_m = sum_(n>m) H w_n e1^(n-1-m)
-    for m in range(bins.stop - 1, 0, -1):
-        b[m - 1] = H * weights[m] + e1 * b[m]
-    coeff = innov_sd[:bins.stop] * (weights + gain[:bins.stop] * b)
-    return float(w @ response[bins]) ** 2, float(coeff @ coeff)
+    law = _record_law(loss, mu_nu, duration, dt)
+    coeff, rho = _mode_coefficients(law, _mode_weights([mode], dt,
+                                                       law[2].size))
+    c = coeff[:, 0]
+    return float(rho[0]) ** 2, float(c @ c)

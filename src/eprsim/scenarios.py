@@ -34,7 +34,6 @@ from .records import (
     ModeFunctional,
     discrete_calibration,
     hybrid_readout,
-    simulate_batch,
 )
 from .spin_model import ModelParams, bogoliubov_amplitudes
 
@@ -232,15 +231,14 @@ def _run_fig2d(params, seed, trials):
                                         probe_mode)
 
     initial_var = {"css": 1.0, "anti_squeezed": 4.0}
-    # Common random numbers across the two branches: one batch, re-targeted,
-    # shares every noise sample and only the initial variance differs, so
-    # the branch-to-branch difference isolates the initial-state dependence.
-    batch = simulate_batch(trials, window[1], _F2D_DT, loss, mu_nu, seed,
-                           initial_var=(1.0, 1.0))
+    # Common random numbers across the two branches: one draw per seed, and
+    # only the initial variance differs, so the branch-to-branch difference
+    # isolates the initial-state dependence.
+    readouts = hybrid_readout(trials, loss, mu_nu, _F2D_DT, window, seed,
+                              initial_vars=tuple(initial_var.values()),
+                              gamma_m_grid=_F2D_GRID)
     report = {}
-    for label, v in initial_var.items():
-        batch.retarget((v, v))
-        r = hybrid_readout(batch, window, loss.gamma, _F2D_GRID)
+    for label, r in zip(initial_var, readouts):
         # standard error of a variance estimate, pushed through the
         # (linear) inversion
         se_var = 0.5 * math.hypot(*r.conditional) * math.sqrt(

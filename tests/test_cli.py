@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eprsim import scenarios
+from eprsim import records, scenarios
 from eprsim.cli import _build_parser, _parse_grid, main
 from eprsim.estimation import forward_model
 from eprsim.multilevel_rates import PopulationState
-from eprsim.records import simulate_batch
 from eprsim.scenarios import inclusive_range, scenario_params
 
 
@@ -217,6 +217,20 @@ class TestArtifacts:
         doc = json.loads((tmp_path / "fig2b_report.json").read_text())
         assert doc["report"]["drive_off_entangled"] is False
         assert doc["report"]["xi_min_drive_on"] < 1.0
+
+
+@pytest.mark.parametrize("command", ["simulate", "populations", "fit"])
+@pytest.mark.parametrize("pops", ["0.99,0.01", "0.5,0.25,0.25,0"])
+def test_pops_value_count_named(command, pops, tmp_path, capsys):
+    # a wrong number of --pops values is a usage error that names the
+    # option and its form, not Python's unpacking message
+    obs = tmp_path / "observed.csv"
+    obs.write_text("t,xi,xi_err,jx_norm,jx_err\n0,1,0.01,1,0.005\n")
+    argv = [command, "--pops", pops, "--out", str(tmp_path)]
+    assert run(argv + [str(obs)] * (command == "fit")) == 2
+    err = capsys.readouterr().err
+    assert "--pops expects n44,n43,nh" in err
+    assert "unpack" not in err
 
 
 _EXTREME_VALUES = dict(Gamma_col=0.1 + 0.2, Gamma_tilde=1e-300,
@@ -513,21 +527,32 @@ def test_extreme_horizon_refused_without_warnings(tmp_path):
     assert "Warning" not in proc.stderr
 
 
+def _no_draws(*args, **kwargs):
+    raise AssertionError("records drawn")
+
+
 @pytest.mark.parametrize("argv", [
     ["--trials", "2", "--gm-step", "2e-6"],  # 700 001 points > the cap
-    ["--trials", "20000", "--gm-step", "1e-3"],  # 1401 x 2e4 trial-points
-    # 100 trials x 9334 points x 19 950 feed bins: within the other caps
+    # 9334 points x 19 950 feed bins over 100 trials
     ["--trials", "100", "--handover-ms", "1995", "--dt-ms", "0.1",
      "--gm-step", "0.00015"],
-    # two trials: the 9930 feed-mode envelopes alone take seconds
+    # 9930 points x 19 950 feed bins over two trials
     ["--trials", "2", "--handover-ms", "1995", "--gm-step", "0.000141"],
-], ids=["points", "trial-points", "scan-work", "scan-envelopes"])
+], ids=["points", "scan-work", "scan-envelopes"])
 def test_conditional_scan_checked_before_sampling(argv, monkeypatch, tmp_path):
-    # an over-long gamma_m scan is refused before any record is simulated
-    def fail(*args, **kwargs):
-        raise AssertionError("simulate_batch called")
-    monkeypatch.setattr("eprsim.cli.simulate_batch", fail)
+    # an over-long gamma_m scan is refused before any record is drawn
+    monkeypatch.setattr("eprsim.records._draw_normals", _no_draws)
     assert main(["conditional", *argv, "--out", str(tmp_path)]) == 2
+
+
+def test_conditional_fine_scan_over_many_trials(tmp_path):
+    # the exact scan does not grow with the trial count: 1401 points over
+    # 2 x 10^4 trials, once refused as too many trial-points, is accepted
+    argv = ["conditional", "--trials", "20000", "--gm-step", "1e-3",
+            "--format", "json", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "conditional.json").read_text())["report"]
+    assert report["gamma_m_star"] == pytest.approx(0.58, abs=0.0105)
 
 
 @pytest.mark.parametrize("argv", [
@@ -543,20 +568,37 @@ def test_oversized_bin_count_message_short(argv, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["scenario", "fig2d", "--trials", "50"],
-    ["reconstruct", "--trials", "50"],
+    ["scenario", "fig2d", "--trials", "50", "--seed", "3145728"],
+    ["reconstruct", "--trials", "50", "--seed", "3145728"],
 ], ids=["fig2d", "reconstruct"])
 def test_branches_share_one_batch(argv, monkeypatch, tmp_path):
     # both initial-variance branches come from one draw per seed
-    calls = []
+    seeds = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return simulate_batch(*args, **kwargs)
-    monkeypatch.setattr("eprsim.cli.simulate_batch", counted)
-    monkeypatch.setattr("eprsim.scenarios.simulate_batch", counted)
+    def counted(block_seeds, out):
+        seeds.extend(block_seeds.tolist())
+        return draw(block_seeds, out)
+    draw = records._draw_normals
+    monkeypatch.setattr("eprsim.records._draw_normals", counted)
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
+    assert sorted(seeds) == sorted(int(argv[-1]) ^ i for i in range(50))
+
+
+def test_fig2d_memory_one_block(tmp_path):
+    # no record buffer: the traced peak is about one sampler block of draws
+    # (2 MB at fig2d's 250 bins) and does not grow with the trial count
+    main(["scenario", "fig2d", "--trials", "20", "--out", str(tmp_path)])
+    peaks = []
+    for trials in (10_000, 40_000):
+        tracemalloc.start()
+        try:
+            assert main(["scenario", "fig2d", "--trials", str(trials),
+                         "--out", str(tmp_path)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 8e6
+    assert peaks[1] - peaks[0] < 1e6
 
 
 _SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "-1e300",

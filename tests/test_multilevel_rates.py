@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
+from eprsim import multilevel_rates as mr
+from eprsim.cli import main
 from eprsim.errors import DegeneratePolarizationError, InvariantViolationError
 from eprsim.multilevel_rates import (
     PopulationSeries,
@@ -181,6 +184,74 @@ class TestPropagation:
         # each used to fail the population invariant ("need atom number N")
         with pytest.raises(ValueError, match="finite"):
             propagate_populations(POP0, RATES, np.array(grid))
+
+
+def mask_loop_expm_grid(a, t):
+    """_expm_grid with its squarings done through boolean masks, one copy
+    of the squared points per squaring: the referee of the in-place
+    suffix squaring."""
+    n = a.shape[0]
+    norm = np.abs(a).sum(axis=0).max()
+    b = a / norm if norm > 0 else a
+    terms = [np.eye(n)]
+    for j in range(1, mr._TAYLOR_DEGREE + 1):
+        terms.append(terms[-1] @ b / j)
+    tau = t * norm
+    s = np.maximum(np.frexp(2.0 * tau)[1], 0)
+    ok = s <= mr._MAX_SQUARINGS
+    s = np.where(ok, s, 0)
+    h = np.where(ok, np.ldexp(tau, -s), 0.0)
+    e = (h[:, None] ** np.arange(mr._TAYLOR_DEGREE + 1)
+         @ np.reshape(terms, (mr._TAYLOR_DEGREE + 1, n * n))).reshape(-1, n, n)
+    for i in range(s.max()):
+        sq = s > i
+        e[sq] = e[sq] @ e[sq]
+    e[~ok] = np.nan
+    return e
+
+
+def _van_loan_block():
+    # the 6x6 generator population_tangents exponentiates
+    block = np.kron(np.eye(2), rate_matrix(PUMPED))
+    block[:3, 3:] = rate_matrix(RATES)
+    return block
+
+
+class TestExpmGrid:
+    @pytest.mark.parametrize("a", [rate_matrix(PUMPED), _van_loan_block()],
+                             ids=["3x3", "6x6"])
+    @pytest.mark.parametrize("squarings", range(6))
+    def test_suffix_squaring_matches_mask_loop(self, a, squarings):
+        norm = np.abs(a).sum(axis=0).max()
+        # 2 tau just below 2^squarings at the last point
+        t = np.linspace(0.0, (2.0**squarings - 0.01) / (2.0 * norm), 37)
+        assert np.frexp(2.0 * t[-1] * norm)[1] == squarings
+        assert mr._expm_grid(a, t).tobytes() == \
+            mask_loop_expm_grid(a, t).tobytes()
+
+    def test_nan_tail_matches_mask_loop(self):
+        # past 2^52 squarings the points are NaN, after finite ones that
+        # need from 0 to 50 squarings
+        a = rate_matrix(PUMPED)
+        t = np.concatenate([np.geomspace(1e-3, 1e15, 60), [1e300, 1e301]])
+        got = mr._expm_grid(a, t)
+        assert np.isnan(got[-2:]).all() and np.isfinite(got[:-2]).all()
+        assert got.tobytes() == mask_loop_expm_grid(a, t).tobytes()
+
+    def test_artifacts_unchanged(self, monkeypatch, tmp_path):
+        # populations and fig2a-fig2c write the same bytes as under the
+        # mask loop
+        runs = [["populations", "--grid", "0,100,0.01"],
+                *(["scenario", name] for name in ("fig2a", "fig2b", "fig2c"))]
+
+        def digests(out):
+            for k, argv in enumerate(runs):
+                assert main([*argv, "--out", str(out / str(k))]) == 0
+            return {f.relative_to(out): hashlib.sha256(f.read_bytes())
+                    .hexdigest() for f in sorted(out.rglob("*.*"))}
+        new = digests(tmp_path / "new")
+        monkeypatch.setattr(mr, "_expm_grid", mask_loop_expm_grid)
+        assert digests(tmp_path / "mask") == new
 
 
 class TestSlopes:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eprsim import records
-from eprsim.errors import NoInformationError, StatisticsError
+from eprsim.errors import StatisticsError
 from eprsim.light_readout import LossParams, apply_io_lossy
 from eprsim.records import (
     MAX_BINS,
@@ -16,7 +16,6 @@ from eprsim.records import (
     TRIAL_BLOCK,
     ModeFunctional,
     RecordBatch,
-    check_gain_scan,
     conditional_variance,
     discrete_calibration,
     hybrid_readout,
@@ -24,6 +23,7 @@ from eprsim.records import (
     optimize_gain,
     simulate_batch,
 )
+from eprsim.scenarios import _F2D_GRID, inclusive_range
 
 MU_NU = (1.45, 1.05)
 VACUUM = LossParams(gamma_s=0.0, gamma_extra=0.0)
@@ -106,12 +106,17 @@ class TestModeFunctional:
         [0.4, 2.0, 1e3], [-0.4, -2.0, -1e3], [0.0, -0.0], [-1.5, 0.0, 1.5],
     ], ids=["rising", "falling", "zero", "mixed"])
     def test_envelopes_match_max_formula(self, rates):
-        # the column maximum taken from one row is the same bits as max()
-        bins, w = records._envelopes(0.1, 250, (1.0, 21.0), rates)
+        # the maximum taken from one end is the same bits as max()
         times = (np.arange(250) + 0.5) * 0.1
-        arg = np.multiply.outer(times[bins] - 1.0, rates)
-        raw = np.exp(arg - arg.max(axis=0))
-        assert w.tobytes() == (raw / np.sqrt(np.sum(raw**2, axis=0))).tobytes()
+        for rate in rates:
+            mode = ModeFunctional(phase="cos", exponent_rate=abs(rate),
+                                  direction="rising" if math.copysign(
+                                      1.0, rate) > 0 else "falling",
+                                  window=(1.0, 21.0))
+            bins, w = mode.weights(0.1, 250)
+            arg = (times[bins] - 1.0) * rate
+            raw = np.exp(arg - arg.max())
+            assert w.tobytes() == (raw / np.sqrt(np.sum(raw**2))).tobytes()
 
     def test_invalid_shape_params(self):
         with pytest.raises(ValueError):
@@ -356,6 +361,20 @@ LAW_LOSSES = [
 ]
 
 
+def exact_pair_covariance(loss, dt, read, gamma_m, initial_var):
+    """(Sigma_rr, Sigma_rf, Sigma_ff) of ``read`` and the rising feed mode
+    at ``gamma_m`` before it, from the dense four-noise covariance."""
+    nbins = int(round(read.window[1] / dt))
+    feed = ModeFunctional(phase=read.phase, exponent_rate=gamma_m,
+                          direction="rising", window=(0.0, read.window[0]))
+    w = np.zeros((2, nbins))
+    for row, mode in zip(w, (read, feed)):
+        bins, wm = mode.weights(dt, nbins)
+        row[bins] = wm
+    cov = w @ four_noise_covariance(loss, dt, nbins, initial_var) @ w.T
+    return cov[0, 0], cov[0, 1], cov[1, 1]
+
+
 class TestCalibration:
     NBINS = TestExactLaw.NBINS
     DT = TestExactLaw.DT
@@ -502,64 +521,73 @@ class TestConditionalVariance:
             conditional_variance(b, self.READ, self.FEED, 0.0)
 
     def test_optimize_gain_contract(self):
-        b = self.batch()
+        # the returned minimum is the exact conditional variance at its
+        # pair and beats every scanned (alpha, gamma_m) node
         grid = np.arange(0.2, 1.2, 0.1)
-        alpha, gm, best = optimize_gain(b, self.READ, grid)
-        # returned minimum beats every scanned (alpha, gamma_m) node
+        alpha, gm, best = optimize_gain(LOSSY, MU_NU, 0.1, self.READ,
+                                        gamma_m_grid=grid)
         for g in grid:
-            mode = ModeFunctional(phase="cos", exponent_rate=g,
-                                  direction="rising", window=(0.0, 10.0))
+            s_rr, s_rf, s_ff = exact_pair_covariance(LOSSY, 0.1, self.READ,
+                                                     g, 1.0)
+            if g == gm:
+                assert best == pytest.approx(
+                    s_rr - 2 * alpha * s_rf + alpha**2 * s_ff, rel=1e-12)
             for a in np.arange(-1.0, 1.0, 0.05):
-                assert best <= conditional_variance(b, self.READ, mode, a) \
-                    + 1e-12
+                assert best <= s_rr - 2 * a * s_rf + a**2 * s_ff + 1e-12
 
     def test_optimize_gain_single_node(self):
-        b = self.batch()
-        alpha, gm, best = optimize_gain(b, self.READ, [0.6])
+        alpha, gm, best = optimize_gain(LOSSY, MU_NU, 0.1, self.READ,
+                                        gamma_m_grid=[0.6])
         assert gm == 0.6
-        assert best == pytest.approx(
-            conditional_variance(b, self.READ, self.FEED, alpha))
+        s_rr, s_rf, s_ff = exact_pair_covariance(LOSSY, 0.1, self.READ, 0.6,
+                                                 1.0)
+        assert alpha == pytest.approx(s_rf / s_ff, rel=1e-12)
+        assert best == pytest.approx(s_rr - s_rf**2 / s_ff, rel=1e-12)
 
-    @pytest.mark.parametrize("chunk", [records.GAIN_CHUNK, 15_000],
-                             ids=["one-product", "chunked"])
-    def test_optimize_gain_matches_point_loop(self, chunk, monkeypatch):
-        # one feed mode and one variance per point, as the scan did before
-        # it was batched; the sums differ only in order (rel 1e-12)
-        monkeypatch.setattr(records, "GAIN_CHUNK", chunk)
-        b = self.batch()
+    @pytest.mark.parametrize("initial_var", [0.0, 1.0, 4.0])
+    @pytest.mark.parametrize("loss", LAW_LOSSES, ids=lambda p: (
+        f"gs{p.gamma_s}-ge{p.gamma_extra}-eta{p.eta}"))
+    def test_optimize_gain_matches_point_loop(self, loss, initial_var):
+        # one feed mode and one dense w^T Sigma w per point under the
+        # four-noise update; the first of equal points wins
         grid = np.arange(0.2, 1.2, 0.05)
-        y_read = integrate_mode_batch(b, self.READ)
         ref = None
         for g in grid:
-            mode = ModeFunctional(phase="cos", exponent_rate=g,
-                                  direction="rising", window=(0.0, 10.0))
-            y_feed = integrate_mode_batch(b, mode)
-            alpha = float(np.cov(y_read, y_feed, ddof=1)[0, 1]
-                          / np.var(y_feed, ddof=1))
-            v = float(np.var(y_read - alpha * y_feed, ddof=1))
-            if ref is None or v < ref[2]:
-                ref = (alpha, float(g), v)
-        alpha, gm, best = optimize_gain(b, self.READ, grid)
+            s_rr, s_rf, s_ff = exact_pair_covariance(loss, 0.1, self.READ, g,
+                                                     initial_var)
+            v = s_rr - s_rf**2 / s_ff
+            if ref is None or v < ref[2] - 1e-12:
+                ref = (s_rf / s_ff, float(g), v)
+        alpha, gm, best = optimize_gain(loss, MU_NU, 0.1, self.READ,
+                                        gamma_m_grid=grid,
+                                        initial_var=initial_var)
         assert gm == ref[1]
-        assert alpha == pytest.approx(ref[0], rel=1e-12)
+        assert alpha == pytest.approx(ref[0], rel=1e-12, abs=1e-15)
         assert best == pytest.approx(ref[2], rel=1e-12)
 
     def test_degenerate_feed_mode(self):
-        # an empty feed record carries no information at any point
-        samples = np.zeros((20, 150, 2))
-        samples[:, 100:, 0] = np.arange(20.0)[:, None]
-        rec = RecordBatch(dt=0.1, samples=samples, master_seed=0)
-        with pytest.raises(NoInformationError):
-            optimize_gain(rec, self.READ, [0.3, 0.6])
+        # without coupling (kappa = 0) the feed record carries no atomic
+        # information: zero gain, the first point, the unconditional value
+        loss = LossParams(gamma_s=0.0, gamma_extra=0.3, eta=0.84)
+        alpha, gm, best = optimize_gain(loss, MU_NU, 0.1, self.READ,
+                                        gamma_m_grid=[0.3, 0.6])
+        slope, floor = discrete_calibration(loss, MU_NU, 0.1, 15.0,
+                                            self.READ)
+        assert (alpha, gm) == (0.0, 0.3)
+        assert best == pytest.approx(slope + floor, rel=1e-12)
 
     @pytest.mark.parametrize("grid", [[0.5, -0.1], [0.5, math.nan]])
     def test_bad_rates_rejected(self, grid):
         with pytest.raises(ValueError, match="exponent rate"):
-            optimize_gain(self.batch(trials=10), self.READ, grid)
+            optimize_gain(LOSSY, MU_NU, 0.1, self.READ, gamma_m_grid=grid)
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            optimize_gain(self.batch(trials=10), self.READ, [])
+        with pytest.raises(ValueError, match="nonempty"):
+            optimize_gain(LOSSY, MU_NU, 0.1, self.READ, gamma_m_grid=[])
+
+
+def _no_draws(seeds, out):
+    raise AssertionError("records drawn")
 
 
 class TestHybridReadout:
@@ -567,53 +595,131 @@ class TestHybridReadout:
     GRID = np.arange(0.2, 1.2, 0.1)
 
     def test_matches_scan_and_conditional_variance(self):
-        b = simulate_batch(3000, 15.0, 0.1, LOSSY, MU_NU, 41)
-        r = hybrid_readout(b, self.READ.window, self.READ.exponent_rate,
-                           self.GRID)
-        alpha, gm, cv_cos = optimize_gain(b, self.READ, self.GRID)
-        read_sin = ModeFunctional(phase="sin", exponent_rate=0.27,
-                                  direction="falling", window=(10.0, 15.0))
-        feed_sin = ModeFunctional(phase="sin", exponent_rate=gm,
-                                  direction="rising", window=(0.0, 10.0))
+        # the streamed variances are the record path's at the exact pair
+        r, = hybrid_readout(3000, LOSSY, MU_NU, 0.1, self.READ.window, 41,
+                            gamma_m_grid=self.GRID)
+        alpha, gm, _ = optimize_gain(LOSSY, MU_NU, 0.1, self.READ,
+                                     gamma_m_grid=self.GRID)
         assert (r.alpha_star, r.gamma_m_star) == (alpha, gm)
-        assert r.conditional == (
-            cv_cos, conditional_variance(b, read_sin, feed_sin, alpha))
-        assert r.unconditional == tuple(
-            float(np.var(integrate_mode_batch(b, m), ddof=1))
-            for m in (self.READ, read_sin))
+        b = simulate_batch(3000, 15.0, 0.1, LOSSY, MU_NU, 41)
+        read, feed = ({ph: ModeFunctional(phase=ph, exponent_rate=rate,
+                                          direction=d, window=w)
+                       for ph in ("cos", "sin")}
+                      for rate, d, w in ((0.27, "falling", (10.0, 15.0)),
+                                         (gm, "rising", (0.0, 10.0))))
+        np.testing.assert_allclose(r.conditional, [
+            conditional_variance(b, read[ph], feed[ph], alpha)
+            for ph in ("cos", "sin")], rtol=1e-12)
+        np.testing.assert_allclose(r.unconditional, [
+            np.var(integrate_mode_batch(b, read[ph]), ddof=1)
+            for ph in ("cos", "sin")], rtol=1e-12)
+
+    @pytest.mark.parametrize("initial_var", [1.0, 4.0])
+    @pytest.mark.parametrize("loss", [
+        LossParams(gamma_s=0.19, gamma_extra=ge, eta=eta)
+        for eta in (1.0, 0.84) for ge in (0.0, 0.08, 0.3)
+    ], ids=lambda p: f"ge{p.gamma_extra}-eta{p.eta}")
+    def test_streamed_integrals_match_records(self, loss, initial_var,
+                                              monkeypatch):
+        # every trial's readout and conditioned integrals, over two sampler
+        # blocks, are the record path's on the same seeds to 1e-12 of their
+        # spread (rounding of sums taken in another order)
+        trials, seed = TRIAL_BLOCK + 40, 7 << 20
+        rows = []
+
+        def keep(acc, x):
+            rows.append(x.copy())
+            fold(acc, x)
+        fold = records._fold_moments
+        monkeypatch.setattr(records, "_fold_moments", keep)
+        r, = hybrid_readout(trials, loss, MU_NU, 0.1, self.READ.window, seed,
+                            initial_vars=(initial_var,),
+                            gamma_m_grid=self.GRID)
+        got = np.vstack(rows)
+        b = simulate_batch(trials, 15.0, 0.1, loss, MU_NU, seed,
+                           initial_var=(initial_var, initial_var))
+        y = [integrate_mode_batch(b, ModeFunctional(
+            phase=ph, exponent_rate=rate, direction=d, window=w))
+             for rate, d, w in ((loss.gamma, "falling", (10.0, 15.0)),
+                                (r.gamma_m_star, "rising", (0.0, 10.0)))
+             for ph in ("cos", "sin")]
+        want = np.column_stack([y[0], y[1], y[0] - r.alpha_star * y[2],
+                                y[1] - r.alpha_star * y[3]])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * want.std(axis=0))
+
+    def test_monte_carlo_within_error_of_exact(self):
+        # the conditional variances at the exact pair scatter about the
+        # exact value with the standard error of a variance
+        trials = 4000
+        for v in (1.0, 4.0):
+            r, = hybrid_readout(trials, LOSSY, MU_NU, 0.1, (20.0, 25.0),
+                                3 << 20, initial_vars=(v,),
+                                gamma_m_grid=_F2D_GRID)
+            read = ModeFunctional(phase="cos", exponent_rate=LOSSY.gamma,
+                                  direction="falling", window=(20.0, 25.0))
+            *_, exact = optimize_gain(LOSSY, MU_NU, 0.1, read,
+                                      gamma_m_grid=_F2D_GRID, initial_var=v)
+            se = exact * math.sqrt(2.0 / (trials - 1))
+            for cv in r.conditional:
+                assert abs(cv - exact) < 5 * se
+
+    @pytest.mark.parametrize("grid, handover, gm, alpha", [
+        (_F2D_GRID, 20.0, 0.60, 0.3787),
+        (inclusive_range(0.1, 1.5, 0.01), 20.0, 0.58, 0.3765),
+    ], ids=["fig2d", "conditional"])
+    def test_exact_pairs(self, grid, handover, gm, alpha):
+        # fig2d's 29-point and conditional's 141-point scans at their
+        # defaults (gamma_s 0.19, gamma_extra 0.08, eta 0.84, 0.1 ms bins)
+        loss = LossParams(gamma_s=0.19, gamma_extra=0.08, eta=0.84)
+        read = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
+                              direction="falling",
+                              window=(handover, handover + 5.0))
+        a, g, _ = optimize_gain(loss, MU_NU, 0.1, read, gamma_m_grid=grid)
+        assert round(g, 2) == gm
+        assert round(a, 4) == alpha
 
     def test_without_grid_is_unconditional_only(self):
-        b = simulate_batch(50, 5.0, 0.1, LOSSY, MU_NU, 2)
-        r = hybrid_readout(b, (0.0, 5.0), 0.27)
+        r, = hybrid_readout(50, LOSSY, MU_NU, 0.1, (0.0, 5.0), 2)
         assert r.conditional is r.alpha_star is r.gamma_m_star is None
         assert len(r.unconditional) == 2
 
-    def test_scan_size_capped_before_integration(self):
-        # MAX_TRIAL_BINS one-bin trials (a zero-copy view) and two grid
-        # points: integrating them would fail on the window, so the cap
-        # must trip first
-        b = RecordBatch(dt=0.1, master_seed=0, samples=np.broadcast_to(
-            0.0, (MAX_TRIAL_BINS, 1, 2)))
+    def test_one_trial_has_no_variance(self, monkeypatch):
+        monkeypatch.setattr(records, "_draw_normals", _no_draws)
+        with pytest.raises(StatisticsError):
+            hybrid_readout(1, LOSSY, MU_NU, 0.1, (0.0, 5.0), 2)
+
+    def test_scan_size_capped_before_integration(self, monkeypatch):
+        # a scan over the caps is refused before any draw, whatever the
+        # trial count
+        monkeypatch.setattr(records, "_draw_normals", _no_draws)
         with pytest.raises(ValueError, match="gamma_m points"):
-            optimize_gain(b, self.READ, [0.5, 0.6])
+            hybrid_readout(MAX_TRIAL_BINS // 150, LOSSY, MU_NU, 0.1,
+                           self.READ.window, 0,
+                           gamma_m_grid=np.linspace(0.1, 1.5, 20_000))
 
     def test_scan_work_capped(self):
-        # conditional's defaults and fig2d at MAX_TRIAL_BINS pass; a long
-        # feed record scanned finely does not, even over two trials, whose
-        # feed-mode envelopes alone take seconds
-        check_gain_scan(2000, 141, 200.0)
-        check_gain_scan(MAX_TRIAL_BINS // 250, 29, 200.0)
-        for trials in (100, 2):
-            with pytest.raises(ValueError, match="feed bins"):
-                check_gain_scan(trials, 9334, 19_950.0)
+        # conditional's defaults pass; a long feed record scanned finely
+        # is refused at once
+        read = ModeFunctional(phase="cos", exponent_rate=LOSSY.gamma,
+                              direction="falling", window=(20.0, 25.0))
+        optimize_gain(LOSSY, MU_NU, 0.1, read,
+                      gamma_m_grid=inclusive_range(0.1, 1.5, 0.01))
+        long_read = ModeFunctional(phase="cos", exponent_rate=LOSSY.gamma,
+                                   direction="falling",
+                                   window=(1995.0, 2000.0))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="feed bins"):
+            optimize_gain(LOSSY, MU_NU, 0.1, long_read,
+                          gamma_m_grid=np.linspace(0.1, 1.5, 9334))
+        assert time.perf_counter() - start < 0.5
 
     def test_scan_points_capped_before_integration(self):
-        # a one-bin record cannot hold the readout window, so integrating
-        # would fail on the window: the points cap must trip first
-        b = RecordBatch(dt=0.1, master_seed=0, samples=np.zeros((2, 1, 2)))
+        # refused before the record law is built
         with pytest.raises(ValueError, match="gamma_m points"):
-            optimize_gain(b, self.READ,
-                          np.linspace(0.1, 1.5, MAX_GAIN_POINTS + 1))
+            optimize_gain(LOSSY, MU_NU, math.nan, self.READ,
+                          gamma_m_grid=np.linspace(0.1, 1.5,
+                                                   MAX_GAIN_POINTS + 1))
 
     def test_bins_per_batch_capped(self):
         with pytest.raises(ValueError, match="bins per batch"):

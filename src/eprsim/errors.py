@@ -29,6 +29,10 @@ class StatisticsError(EprSimError):
     """Insufficient samples for the requested estimate."""
 
 
+class WorkerError(EprSimError):
+    """A worker process ended before sending all of its results."""
+
+
 class FitFailureError(EprSimError):
     """Optimizer did not converge; carries the best iterate."""
 

@@ -61,10 +61,15 @@ Sigma_rf.  Monte Carlo only evaluates that pair.
 :func:`hybrid_readout` never builds a record: it draws TRIAL_BLOCK trials at
 a time into one (trials, nbins + 1, 2) block, z in row 0, and multiplies the
 block's noise by the coefficients of the readout and feed modes on both
-channels; each initial variance v adds sqrt(v) z rho and folds the block's
-moments into running ones.  Its working memory is one block (16 bytes per
-bin and trial of the block, 2 MB at fig2d's 250 bins) whatever the trial
-count.
+channels; each initial variance v adds sqrt(v) z rho and takes the block's
+count, column means and sums of squared deviations.  With W processes (one
+per CPU the caller may run on, at most one per block) the caller computes
+blocks k = 0 (mod W) and each of W - 1 forked workers blocks k = w (mod W),
+sending every block's moments through its own pipe.  The caller merges the
+blocks' moments into running ones in block order (Chan, Golub and
+LeVeque's pairwise update), so the results are the same bits whatever W
+is.  Each process holds one block (16 bytes per bin and trial of the block,
+2 MB at fig2d's 250 bins) whatever the trial count.
 
 :func:`simulate_batch` keeps the record-level API: it writes a batch into
 one (2, nbins, trials) float64 buffer, and ``RecordBatch.samples`` is its
@@ -88,7 +93,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StatisticsError
+from .errors import StatisticsError, WorkerError
 from .light_readout import LossParams
 
 __all__ = [
@@ -103,9 +108,11 @@ __all__ = [
 ]
 
 # Cap on trials x bins per batch: drawing takes about 80 ns per trial-bin
-# (2-core x86 host), so this is about 2 s, fig2d at 10^5 trials of 250
-# bins.  simulate_batch's records take 16 bytes per trial-bin (400 MB here);
-# hybrid_readout holds one block of draws whatever the trial count.
+# on one core (2-core x86 host), so this is about 2 s, fig2d at 10^5 trials
+# of 250 bins; hybrid_readout draws its blocks on every CPU, which divides
+# that by up to the CPU count.  simulate_batch's records take 16 bytes per
+# trial-bin (400 MB here); hybrid_readout holds one block of draws per
+# process whatever the trial count.
 MAX_TRIAL_BINS = 25_000_000
 # Cap on bins per batch: the record law and the sampler's innovations
 # recursion, run once per batch, step bin by bin at about 10 us per bin for
@@ -121,7 +128,8 @@ MAX_GAIN_POINTS = 10_000
 MAX_SCAN_POINT_BINS = 10_000_000
 # Trials whose draws are made at a time: one block holds (trials, nbins + 1,
 # 2) draws, z and the noise, 16 bytes per trial-bin (2 MB at fig2d's 250
-# bins), and the block's seed words.
+# bins), and the block's seed words.  It is also hybrid_readout's unit of
+# work per process: blocks are dealt to the processes round robin.
 TRIAL_BLOCK = 512
 
 
@@ -328,12 +336,24 @@ def _check_draws(n_trials: int, master_seed: int) -> None:
         raise ValueError(f"master seed {master_seed} outside [0, 2**64)")
 
 
-def _draw_blocks(n_trials: int, nbins: int, master_seed: int):
-    """Yield (first trial, draws) per TRIAL_BLOCK trials: draws[k] holds
-    trial (first + k)'s z in row 0, then its (nbins, 2) noise.  Every block
+def _check_initial_var(v) -> float:
+    """``v`` as a float; ValueError unless it is finite and >= 0."""
+    v = float(v)
+    if not (math.isfinite(v) and v >= 0.0):
+        raise ValueError(f"initial variance {v} must be finite and >= 0")
+    return v
+
+
+def _draw_blocks(n_trials: int, nbins: int, master_seed: int,
+                 blocks=None):
+    """Yield (first trial, draws) per TRIAL_BLOCK trials, for the block
+    indices ``blocks`` in order (default: all): draws[k] holds trial
+    (first + k)'s z in row 0, then its (nbins, 2) noise.  Every block
     reuses one buffer."""
     noise = np.empty((min(n_trials, TRIAL_BLOCK), nbins + 1, 2))
-    for b0 in range(0, n_trials, TRIAL_BLOCK):
+    if blocks is None:
+        blocks = range(-(-n_trials // TRIAL_BLOCK))
+    for b0 in (k * TRIAL_BLOCK for k in blocks):
         block = noise[:min(TRIAL_BLOCK, n_trials - b0)]
         _draw_normals(np.uint64(master_seed)
                       ^ np.arange(b0, b0 + len(block), dtype=np.uint64),
@@ -436,10 +456,11 @@ def optimize_gain(loss: LossParams, mu_nu: tuple, dt: float,
     t = 0 up to the readout window, on the record law of ``loss`` and bin
     width ``dt`` with initial atomic variance ``initial_var``.  Returns
     (alpha*, gamma_m*, conditional variance), exact (module docstring); the
-    first grid point wins a tie.  ValueError for an empty grid, one over
-    MAX_GAIN_POINTS or MAX_SCAN_POINT_BINS, or a record the sampler
-    refuses; nothing is drawn.
+    first grid point wins a tie.  ValueError for a negative or non-finite
+    ``initial_var``, an empty grid, one over MAX_GAIN_POINTS or
+    MAX_SCAN_POINT_BINS, or a record the sampler refuses; nothing is drawn.
     """
+    v = _check_initial_var(initial_var)
     grid = np.atleast_1d(np.asarray(gamma_m_grid, dtype=float))
     if grid.size == 0:
         raise ValueError("gamma_m grid must be nonempty")
@@ -473,7 +494,6 @@ def optimize_gain(loss: LossParams, mu_nu: tuple, dt: float,
         b = H * u + e1 * b
         u *= decay
     scale = 1.0 / np.sqrt(norm)
-    v = float(initial_var)
     rho_feed *= scale
     sigma_rf = rho_read * rho_feed * v + s_rf * scale
     sigma_ff = rho_feed**2 * v + s_ff * scale**2
@@ -493,17 +513,110 @@ class HybridReadout(NamedTuple):
     gamma_m_star: float | None
 
 
-def _fold_moments(acc: list, x: np.ndarray) -> None:
-    """Fold the rows of ``x`` into acc = [count, column means, column sums
-    of squared deviations] (Chan, Golub and LeVeque's pairwise update)."""
-    n_b, mean_b = len(x), x.mean(axis=0)
-    dev = x - mean_b
-    m2_b = np.einsum("ij,ij->j", dev, dev)
+def _block_moments(x: np.ndarray) -> np.ndarray:
+    """[count, column means, column sums of squared deviations] of the rows
+    of ``x``, as one float row."""
+    mean = x.mean(axis=0)
+    dev = x - mean
+    return np.concatenate([[len(x)], mean, np.einsum("ij,ij->j", dev, dev)])
+
+
+def _merge_moments(acc: list, moments: np.ndarray) -> None:
+    """Merge a block's :func:`_block_moments` into acc = [count, column
+    means, column sums of squared deviations] (Chan, Golub and LeVeque's
+    pairwise update)."""
+    cols = (len(moments) - 1) // 2
+    n_b = int(moments[0])
+    mean_b, m2_b = moments[1:cols + 1], moments[cols + 1:]
     n_a, mean_a, m2_a = acc
     n = n_a + n_b
     delta = mean_b - mean_a
     acc[:] = [n, mean_a + delta * (n_b / n),
               m2_a + m2_b + delta**2 * (n_a * n_b / n)]
+
+
+def _worker_count(n_blocks: int) -> int:
+    """Processes that draw ``n_blocks`` blocks: one per CPU this process may
+    run on, at most one per block, and 1 without os.fork or
+    os.sched_getaffinity."""
+    import os
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_blocks)
+
+
+def _fold_blocks(n_trials: int, nbins: int, master_seed: int, reduce,
+                 shape: tuple, fold) -> None:
+    """Call ``fold(reduce(draws))`` for every block of :func:`_draw_blocks`,
+    in block order; ``reduce`` returns a float64 array of ``shape``.
+
+    With W = :func:`_worker_count` processes, the caller reduces blocks
+    k = 0 (mod W) and a forked worker w the blocks k = w (mod W), writing
+    each result's bytes to its own pipe; the caller reads the pipes in block
+    order, so ``fold`` sees the same values whatever W is.  A worker that
+    cannot be forked leaves its blocks to the caller.  WorkerError if a
+    worker ends before sending all its blocks.  On return or on any
+    exception every worker has been reaped (and killed first on an
+    exception); workers leave by os._exit, without flushing stdio.
+    """
+    import os
+    n_blocks = -(-n_trials // TRIAL_BLOCK)
+    n_workers = _worker_count(n_blocks)
+    nbytes = 8 * math.prod(shape)
+    workers = {}  # w -> (pid, read end of its pipe)
+    try:
+        for w in range(1, n_workers):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                continue
+            if pid == 0:  # the worker: never returns into the caller
+                status = 1
+                try:
+                    os.close(r)
+                    for _, pipe in workers.values():
+                        pipe.close()
+                    for _, block in _draw_blocks(
+                            n_trials, nbins, master_seed,
+                            range(w, n_blocks, n_workers)):
+                        data = memoryview(reduce(block).tobytes())
+                        while data:
+                            data = data[os.write(wr, data):]
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wr)
+            workers[w] = (pid, open(r, "rb"))
+        own = _draw_blocks(n_trials, nbins, master_seed,
+                           [k for k in range(n_blocks)
+                            if k % n_workers not in workers])
+        for k in range(n_blocks):
+            w = k % n_workers
+            if w not in workers:
+                fold(reduce(next(own)[1]))
+                continue
+            data = workers[w][1].read(nbytes)
+            if len(data) < nbytes:
+                pid, pipe = workers.pop(w)
+                pipe.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise WorkerError(
+                    f"sampler worker {pid} ended "
+                    f"{'with exit status' if code >= 0 else 'by signal'} "
+                    f"{abs(code)} before sending block {k}")
+            fold(np.frombuffer(data).reshape(shape))
+    except BaseException:
+        import signal
+        for pid, _ in workers.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in workers.values():
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
@@ -518,9 +631,15 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
     With a ``gamma_m_grid`` each variance gets its exact (alpha*, gamma_m*)
     (:func:`optimize_gain`, checked before any draw), and the conditional
     variances are those of both channels at that pair; without one only
-    the unconditional variances are computed.  No record is built
-    (module docstring).
+    the unconditional variances are computed.  No record is built, and the
+    blocks of trials are drawn on every CPU with the same results as on one
+    (module docstring).  ValueError for no initial variance or one that is
+    negative or not finite, before any scan or draw; WorkerError if a
+    worker process fails.
     """
+    initial_vars = tuple(map(_check_initial_var, initial_vars))
+    if not initial_vars:
+        raise ValueError("need at least one initial variance")
     read = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
                           direction="falling", window=window)
     pairs = [optimize_gain(loss, mu_nu, dt, read, gamma_m_grid=gamma_m_grid,
@@ -541,17 +660,30 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
     c2 = np.zeros((2 * n, 2 * coeff.shape[1]))
     c2[0::2, 0::2] = coeff
     c2[1::2, 1::2] = coeff
-    acc = [[0, 0.0, 0.0] for _ in initial_vars]
-    for _, block in _draw_blocks(n_trials, law[2].size, master_seed):
+    # per initial variance: count, then means and sums of squared deviations
+    # of the readout (cos, sin) and, with pairs, the conditioned (cos, sin)
+    shape = (len(initial_vars), 1 + 2 * (4 if pairs else 2))
+
+    def moments(block):
         y = block[:, 1:n + 1].reshape(len(block), -1) @ c2
         z = block[:, 0]
+        out = np.empty(shape)
         for j, v in enumerate(initial_vars):
             u0 = math.sqrt(v) * z
             read_y = y[:, :2] + rho[0] * u0
             if pairs:
                 feed_y = y[:, 2 * j + 2:2 * j + 4] + rho[j + 1] * u0
                 read_y = np.hstack([read_y, read_y - pairs[j][0] * feed_y])
-            _fold_moments(acc[j], read_y)
+            out[j] = _block_moments(read_y)
+        return out
+
+    acc = [[0, 0.0, 0.0] for _ in initial_vars]
+
+    def fold(block_moments):
+        for a, m in zip(acc, block_moments):
+            _merge_moments(a, m)
+
+    _fold_blocks(n_trials, law[2].size, master_seed, moments, shape, fold)
     out = []
     for j, (count, _, m2) in enumerate(acc):
         var = tuple(float(x) for x in m2 / (count - 1))

@@ -584,6 +584,45 @@ def test_branches_share_one_batch(argv, monkeypatch, tmp_path):
     assert sorted(seeds) == sorted(int(argv[-1]) ^ i for i in range(50))
 
 
+@pytest.mark.parametrize("argv", [
+    ["scenario", "fig2d", "--trials", "2000", "--seed", "3145728"],
+    ["conditional", "--trials", "2000", "--seed", "3145728"],
+    ["reconstruct", "--trials", "2000", "--seed", "7"],
+], ids=["fig2d", "conditional", "reconstruct"])
+def test_artifacts_same_for_any_worker_count(argv, monkeypatch, tmp_path):
+    # four sampler blocks, drawn by one process or dealt to two
+    written = []
+    for workers in (1, 2):
+        monkeypatch.setattr(records, "_worker_count",
+                            lambda n_blocks: workers)
+        out = tmp_path / str(workers)
+        assert main([*argv, "--out", str(out)]) == 0
+        written.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert written[0] == written[1]
+    assert written[0]
+
+
+def test_dead_worker_exits_3(monkeypatch, capsys, tmp_path):
+    # one line naming the worker's exit status, no traceback, exit 3 and
+    # no child left behind
+    caller = os.getpid()
+
+    def draw(seeds, out):
+        if os.getpid() != caller:
+            os._exit(5)
+        real_draw(seeds, out)
+    real_draw = records._draw_normals
+    monkeypatch.setattr(records, "_draw_normals", draw)
+    monkeypatch.setattr(records, "_worker_count", lambda n_blocks: 2)
+    assert main(["scenario", "fig2d", "--trials", "2000",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exit status 5" in err, err
+    assert "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_fig2d_memory_one_block(tmp_path):
     # no record buffer: the traced peak is about one sampler block of draws
     # (2 MB at fig2d's 250 bins) and does not grow with the trial count

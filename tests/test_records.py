@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -7,7 +11,7 @@ import numpy as np
 import pytest
 
 from eprsim import records
-from eprsim.errors import StatisticsError
+from eprsim.errors import StatisticsError, WorkerError
 from eprsim.light_readout import LossParams, apply_io_lossy
 from eprsim.records import (
     MAX_BINS,
@@ -590,6 +594,10 @@ def _no_draws(seeds, out):
     raise AssertionError("records drawn")
 
 
+def _not_called(*args, **kwargs):
+    raise AssertionError("called")
+
+
 class TestHybridReadout:
     READ = TestConditionalVariance.READ
     GRID = np.arange(0.2, 1.2, 0.1)
@@ -623,15 +631,18 @@ class TestHybridReadout:
                                               monkeypatch):
         # every trial's readout and conditioned integrals, over two sampler
         # blocks, are the record path's on the same seeds to 1e-12 of their
-        # spread (rounding of sums taken in another order)
+        # spread (rounding of sums taken in another order); the rows are
+        # kept by the process that reduces the block, so one process
+        # reduces them all
         trials, seed = TRIAL_BLOCK + 40, 7 << 20
         rows = []
 
-        def keep(acc, x):
+        def keep(x):
             rows.append(x.copy())
-            fold(acc, x)
-        fold = records._fold_moments
-        monkeypatch.setattr(records, "_fold_moments", keep)
+            return moments(x)
+        moments = records._block_moments
+        monkeypatch.setattr(records, "_block_moments", keep)
+        monkeypatch.setattr(records, "_worker_count", lambda n_blocks: 1)
         r, = hybrid_readout(trials, loss, MU_NU, 0.1, self.READ.window, seed,
                             initial_vars=(initial_var,),
                             gamma_m_grid=self.GRID)
@@ -684,6 +695,27 @@ class TestHybridReadout:
         assert r.conditional is r.alpha_star is r.gamma_m_star is None
         assert len(r.unconditional) == 2
 
+    @pytest.mark.parametrize("initial_vars", [
+        (), (math.nan,), (math.inf,), (1.0, -1.0)],
+        ids=["empty", "nan", "inf", "negative"])
+    def test_bad_initial_variances_refused_first(self, initial_vars,
+                                                 monkeypatch):
+        # before the gamma_m scan, any draw or any worker
+        for name in ("optimize_gain", "_draw_normals", "_worker_count"):
+            monkeypatch.setattr(records, name, _not_called)
+        with pytest.raises(ValueError, match="initial variance"):
+            hybrid_readout(2000, LOSSY, MU_NU, 0.1, self.READ.window, 0,
+                           initial_vars=initial_vars,
+                           gamma_m_grid=self.GRID)
+
+    @pytest.mark.parametrize("initial_var", [math.nan, math.inf, -1.0])
+    def test_optimize_gain_refuses_bad_initial_variance(self, initial_var,
+                                                        monkeypatch):
+        monkeypatch.setattr(records, "_record_law", _not_called)
+        with pytest.raises(ValueError, match="initial variance"):
+            optimize_gain(LOSSY, MU_NU, 0.1, self.READ,
+                          gamma_m_grid=self.GRID, initial_var=initial_var)
+
     def test_one_trial_has_no_variance(self, monkeypatch):
         monkeypatch.setattr(records, "_draw_normals", _no_draws)
         with pytest.raises(StatisticsError):
@@ -726,3 +758,114 @@ class TestHybridReadout:
             simulate_batch(1, (MAX_BINS + 1) * 1e-3, 1e-3, LOSSY, MU_NU, 0)
         assert simulate_batch(1, MAX_BINS * 1e-3, 1e-3, LOSSY, MU_NU,
                               0).nbins == MAX_BINS
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Stop(Exception):
+    pass
+
+
+class TestBlockWorkers:
+    """hybrid_readout with its blocks dealt to forked workers."""
+
+    READ = TestConditionalVariance.READ
+    GRID = TestHybridReadout.GRID
+    TRIALS = 3 * TRIAL_BLOCK + 7  # four blocks, the last one short
+
+    def readout(self, monkeypatch, workers, trials=TRIALS, grid=GRID):
+        monkeypatch.setattr(records, "_worker_count",
+                            lambda n_blocks: workers)
+        return hybrid_readout(trials, LOSSY, MU_NU, 0.1, self.READ.window,
+                              5 << 20, initial_vars=(1.0, 4.0),
+                              gamma_m_grid=grid)
+
+    @pytest.mark.parametrize("grid", [None, GRID], ids=["no-grid", "grid"])
+    @pytest.mark.parametrize("trials", [300, TRIAL_BLOCK + 40, TRIALS],
+                             ids=["1-block", "2-blocks", "4-blocks"])
+    def test_same_results_for_any_worker_count(self, trials, grid,
+                                               monkeypatch):
+        one = self.readout(monkeypatch, 1, trials, grid)
+        for workers in (2, 3):
+            assert self.readout(monkeypatch, workers, trials, grid) == one
+        assert_no_children()
+
+    def test_one_worker_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", _not_called)
+        self.readout(monkeypatch, 1)
+
+    def test_worker_count_follows_affinity(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert records._worker_count(1) == 1
+        assert records._worker_count(1000) == min(cpus, 1000)
+
+    def test_unforked_worker_left_to_caller(self, monkeypatch):
+        # the first fork fails: the caller draws that worker's blocks
+        want = self.readout(monkeypatch, 1)
+        forks = []
+
+        def fork():
+            forks.append(len(forks))
+            if len(forks) == 1:
+                raise OSError("fork refused")
+            return real_fork()
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", fork)
+        assert self.readout(monkeypatch, 3) == want
+        assert forks == [0, 1]
+        assert_no_children()
+
+    def test_workers_reaped_when_caller_raises(self, monkeypatch):
+        # the third merge is block 1's, sent by a worker
+        merges = []
+
+        def merge(acc, moments):
+            merges.append(1)
+            if len(merges) == 3:
+                raise Stop
+            real_merge(acc, moments)
+        real_merge = records._merge_moments
+        monkeypatch.setattr(records, "_merge_moments", merge)
+        with pytest.raises(Stop):
+            self.readout(monkeypatch, 3)
+        assert_no_children()
+
+    @pytest.mark.parametrize("death, status", [
+        (lambda: os._exit(7), "exit status 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+    ], ids=["exit", "killed"])
+    def test_dead_worker_reported(self, death, status, monkeypatch):
+        caller = os.getpid()
+
+        def draw(seeds, out):
+            if os.getpid() != caller:
+                death()
+            real_draw(seeds, out)
+        real_draw = records._draw_normals
+        monkeypatch.setattr(records, "_draw_normals", draw)
+        with pytest.raises(WorkerError, match=status):
+            self.readout(monkeypatch, 2)
+        assert_no_children()
+
+    def test_workers_do_not_flush_inherited_stdio(self):
+        # text buffered in the caller's stdout before the fork is written
+        # once, by the caller
+        script = (
+            "import sys\n"
+            "from eprsim import records\n"
+            "from eprsim.light_readout import LossParams\n"
+            "records._worker_count = lambda n_blocks: 3\n"
+            "sys.stdout.write('buffered')\n"
+            "records.hybrid_readout(2000, LossParams(0.19, 0.08), "
+            "(1.45, 1.05), 0.1, (10.0, 15.0), 1)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(records.__file__))]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "buffered"

@@ -5,11 +5,15 @@ fit, orientation, scenario.  Exit codes: 0 success, 2 usage error,
 3 numerical failure, 4 invariant violation.  Every artifact starts with a
 metadata comment block (# key=value) recording the parameters, the seed and
 the artifact version, so identical invocations yield byte-identical files.
+
+The library returns named columns and report dicts; ``_write_csv`` is the
+one place they become CSV text.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -38,7 +42,7 @@ from .estimation import (
     forward_model,
     orientation,
 )
-from .gaussian_dynamics import trajectory_to_csv
+from .gaussian_dynamics import series_columns, trajectory_to_csv
 from .light_readout import (
     LossParams,
     apply_detection_loss,
@@ -49,7 +53,6 @@ from .light_readout import (
 )
 from .multilevel_rates import (
     PopulationState,
-    populations_to_csv,
     propagate_populations,
     transition_rates,
 )
@@ -64,6 +67,9 @@ from .spin_model import ModelParams
 
 ARTIFACT_VERSION = 1
 MAX_GRID_POINTS = 1_000_000
+# CSV rows formatted and written at a time: the text held at once is one
+# block, about 0.3 MB for the 7-column time series
+ROWS_PER_BLOCK = 4096
 
 _USAGE_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
 _NUMERICAL_ERRORS = (FitFailureError, IdentifiabilityError, StatisticsError,
@@ -145,13 +151,34 @@ def _parse_grid(spec: str) -> np.ndarray:
     return grid
 
 
-def _emit(args, name: str, text: str):
+def _open(args, name: str):
+    """The stream of artifact ``name``: ``--out/<name>``, or stdout (left
+    open)."""
     if args.out is None:
-        sys.stdout.write(text)
-    else:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text)
+        return contextlib.nullcontext(sys.stdout)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return open(out / name, "w")
+
+
+def _write_csv(args, name: str, head: str, columns: dict):
+    """Write ``columns`` (header -> equal-length values) as CSV artifact
+    ``name`` after the metadata ``head``.
+
+    Numbers are written as %.17g, strings as they are and a None column as
+    empty cells, with one ``%`` per row.  Rows are formatted ROWS_PER_BLOCK
+    at a time and each block is written before the next is formatted, so the
+    whole text is never held.
+    """
+    cols = [None if c is None else np.asarray(c) for c in columns.values()]
+    fmt = ",".join("" if c is None else "%s" if c.dtype.kind == "U"
+                   else "%.17g" for c in cols) + "\n"
+    cols = [c for c in cols if c is not None]
+    with _open(args, name) as f:
+        f.write(head + ",".join(columns) + "\n")
+        for i in range(0, len(cols[0]), ROWS_PER_BLOCK):
+            rows = zip(*[c[i:i + ROWS_PER_BLOCK].tolist() for c in cols])
+            f.write("".join([fmt % r for r in rows]))
 
 
 def _emit_report(args, name: str, report: dict, params=None, seed=None):
@@ -161,15 +188,14 @@ def _emit_report(args, name: str, report: dict, params=None, seed=None):
             doc["seed"] = seed
         if params is not None:
             doc["params"] = dataclasses.asdict(params)
-        _emit(args, name + ".json", json.dumps(doc, indent=2,
-                                               sort_keys=True) + "\n")
+        with _open(args, name + ".json") as f:
+            f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        head = _metadata_block(params, seed)
-        lines = ["key,value"]
-        for k, v in sorted(report.items()):
-            lines.append(f"{k},{json.dumps(v)}" if isinstance(v, (dict, list, tuple))
-                         else f"{k},{v}")
-        _emit(args, name + ".csv", head + "\n".join(lines) + "\n")
+        keys = sorted(report)
+        values = [json.dumps(v) if isinstance(v, (dict, list, tuple))
+                  else f"{v}" for v in map(report.get, keys)]
+        _write_csv(args, name + ".csv", _metadata_block(params, seed),
+                   {"key": keys, "value": values})
 
 
 def _read_rows(path: str, header: str, widths: tuple, usage: str) -> list:
@@ -196,8 +222,8 @@ def _cmd_simulate(args) -> int:
     params = _load_params(args)
     grid = _parse_grid(args.grid)
     traj = forward_model(params, _initial_pop(args), grid, pump=args.pump)[2]
-    head = _metadata_block(params, args.seed)
-    _emit(args, "trajectory.csv", head + trajectory_to_csv(traj))
+    _write_csv(args, "trajectory.csv", _metadata_block(params, args.seed),
+               trajectory_to_csv(traj))
     return 0
 
 
@@ -206,8 +232,8 @@ def _cmd_populations(args) -> int:
     grid = _parse_grid(args.grid)
     rates = transition_rates(params, pump=args.pump)
     series = propagate_populations(_initial_pop(args), rates, grid)
-    head = _metadata_block(params, args.seed)
-    _emit(args, "populations.csv", head + populations_to_csv(series))
+    _write_csv(args, "populations.csv", _metadata_block(params, args.seed),
+               series_columns(series.times, pops=series))
     return 0
 
 
@@ -311,8 +337,8 @@ def _cmd_scenario(args) -> int:
                           grid=grid, trials=args.trials)
     head = _metadata_block(result.params, args.seed,
                            {"scenario": result.name})
-    for fname, text in result.artifacts.items():
-        _emit(args, fname, head + text)
+    for fname, columns in result.artifacts.items():
+        _write_csv(args, fname, head, columns)
     _emit_report(args, f"{result.name}_report", result.report,
                  result.params, args.seed)
     return 0

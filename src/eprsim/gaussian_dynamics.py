@@ -46,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError
-from .multilevel_rates import series_to_csv
+from .errors import DegeneratePolarizationError, InvariantViolationError
 from .spin_model import (
     GaussianState,
     ModelParams,
@@ -64,6 +63,7 @@ __all__ = [
     "moment_derivative",
     "propagate_moments",
     "moment_tangents",
+    "series_columns",
     "trajectory_to_csv",
 ]
 
@@ -302,7 +302,33 @@ def moment_tangents(traj: Trajectory, params: ModelParams,
     return d_phi * (xi0 - xi_css) + np.transpose(rows) * (xi_t - xi_css)
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """Serialize a trajectory to CSV (shared schema with population series)."""
-    return series_to_csv(traj.times, (traj.var_x_minus, traj.var_p_plus,
-                                      traj.xi), traj.populations)
+def series_columns(times, witness=None, pops=None) -> dict:
+    """The time-series artifact schema as named columns: time_ms,
+    var_x_minus, var_p_plus, xi, Jx_norm, N2, P2.
+
+    ``witness`` holds the (var_x_minus, var_p_plus, xi) arrays, None leaves
+    those columns empty; ``pops``, a PopulationSeries, is interpolated onto
+    ``times``, and without it Jx_norm is 1 and N2, P2 are empty.  Jx_norm is
+    <J_x> over its initial value, which must be positive
+    (DegeneratePolarizationError).
+    """
+    cols = [times, *(witness or (None, None, None)), np.ones(len(times)),
+            None, None]
+    if pops is not None:
+        jx0 = pops.jx_frac[0]
+        if jx0 <= 0.0:
+            raise DegeneratePolarizationError(
+                "initial mean spin vanishes; Jx_norm is undefined")
+        jx, n2, p2 = (np.interp(times, pops.times, v)
+                      for v in (pops.jx_frac, pops.n2_frac, pops.p2))
+        cols[4:] = [jx / jx0, n2, p2]
+    return dict(zip(("time_ms", "var_x_minus", "var_p_plus", "xi", "Jx_norm",
+                     "N2", "P2"), cols))
+
+
+def trajectory_to_csv(traj: Trajectory) -> dict:
+    """The trajectory's columns in the ``series_columns`` schema; the CLI
+    writes them as CSV.  The name stays because perfbench/tracer.py times
+    it as a layer, until the run manifest replaces that (ROADMAP item 4)."""
+    return series_columns(traj.times, (traj.var_x_minus, traj.var_p_plus,
+                                       traj.xi), traj.populations)

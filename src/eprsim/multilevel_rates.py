@@ -36,9 +36,6 @@ __all__ = [
     "population_tangents",
     "polarization_slope",
     "multilevel_xi",
-    "columns_to_csv",
-    "series_to_csv",
-    "populations_to_csv",
 ]
 
 
@@ -292,40 +289,3 @@ def multilevel_xi(xi_gauss, pop, tangents=None):
     d_num = (2.0 * (4.0 * d44 + 3.0 * d43) * xi_gauss
              + 2.0 * pop.jx_frac * d_xi_gauss + 14.0 * d43)
     return xi, (d_num - xi * d_den) / den
-
-
-def columns_to_csv(header, columns) -> str:
-    """CSV with one row per index and every value written as %.17g; a column
-    given as None is left empty."""
-    fmt = ",".join("" if c is None else "%.17g" for c in columns)
-    values = np.column_stack([c for c in columns if c is not None])
-    rows = [",".join(header)] + [fmt % tuple(r)
-                                 for r in values.astype(float).tolist()]
-    return "\n".join(rows) + "\n"
-
-
-def series_to_csv(times, witness=None, pops: PopulationSeries | None = None
-                  ) -> str:
-    """Shared time-series schema of trajectories and population series.
-
-    ``witness`` holds the (var_x_minus, var_p_plus, xi) columns; ``pops`` is
-    interpolated onto ``times``.  Jx_norm is <J_x> over its initial value
-    (1 without populations), which must be positive.
-    """
-    cols = [times, *(witness or (None, None, None)), np.ones(len(times)),
-            None, None]
-    if pops is not None:
-        jx0 = pops.jx_frac[0]
-        if jx0 <= 0.0:
-            raise DegeneratePolarizationError(
-                "initial mean spin vanishes; Jx_norm is undefined")
-        jx, n2, p2 = (np.interp(times, pops.times, v)
-                      for v in (pops.jx_frac, pops.n2_frac, pops.p2))
-        cols[4:] = [jx / jx0, n2, p2]
-    return columns_to_csv(("time_ms", "var_x_minus", "var_p_plus", "xi",
-                           "Jx_norm", "N2", "P2"), cols)
-
-
-def populations_to_csv(series: PopulationSeries) -> str:
-    """CSV export in the trajectory schema, witness columns empty."""
-    return series_to_csv(series.times, pops=series)

@@ -4,8 +4,9 @@ panels they correspond to).
 
 Every number in a fixture is either a published value (comment gives the
 source quantity) or marked "assumption" where the publication leaves it
-open.  Scenario outputs are plain CSV plus a flat report dict so the CLI
-can serialise them without further knowledge of the physics.
+open.  A scenario returns a report dict and, per artifact file, named
+columns (arrays, or strings for a label column), so the CLI can write them
+without further knowledge of the physics.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .gaussian_dynamics import (
 from .light_readout import LossParams, invert_readout
 from .multilevel_rates import (
     PopulationState,
-    columns_to_csv,
     multilevel_xi,
     propagate_populations,
     transition_rates,
@@ -96,6 +96,8 @@ _DARK_DEPHASING = 0.5
 
 @dataclass
 class ScenarioResult:
+    """``artifacts`` maps each file name to its columns (header -> values)."""
+
     name: str
     params: ModelParams
     report: dict
@@ -118,10 +120,6 @@ def _sub_unity_window(times, xi):
     return float(t_enter), float(t_exit), float(t_exit - t_enter)
 
 
-def _xi_csv(times, xi):
-    return columns_to_csv(("time_ms", "xi"), (times, xi))
-
-
 def _run_fig2a(params, grid):
     xi_ml, _, traj, _ = forward_model(params, _INITIAL_POP, grid)
     window = _sub_unity_window(grid, xi_ml)
@@ -132,7 +130,7 @@ def _run_fig2a(params, grid):
     }
     arts = {
         "trajectory.csv": trajectory_to_csv(traj),
-        "xi_multilevel.csv": _xi_csv(grid, xi_ml),
+        "xi_multilevel.csv": {"time_ms": grid, "xi": xi_ml},
     }
     return report, arts
 
@@ -148,8 +146,8 @@ def _run_fig2b(params, grid):
         "drive_off_entangled": bool((xi_off < 1.0).any()),
     }
     arts = {
-        "xi_drive_on.csv": _xi_csv(grid, xi_on),
-        "xi_drive_off.csv": _xi_csv(grid, xi_off),
+        "xi_drive_on.csv": {"time_ms": grid, "xi": xi_on},
+        "xi_drive_off.csv": {"time_ms": grid, "xi": xi_off},
     }
     return report, arts
 
@@ -200,9 +198,9 @@ def _run_fig2c(params, grid):
             if (xi_dark >= 1.0).any() else None),
     }
     arts = {
-        "xi_pump.csv": _xi_csv(grid, xi_pump),
-        "xi_no_pump.csv": _xi_csv(grid, xi_nopump),
-        "xi_dark_decay.csv": _xi_csv(t_dark, xi_dark),
+        "xi_pump.csv": {"time_ms": grid, "xi": xi_pump},
+        "xi_no_pump.csv": {"time_ms": grid, "xi": xi_nopump},
+        "xi_dark_decay.csv": {"time_ms": t_dark, "xi": xi_dark},
     }
     return report, arts
 
@@ -259,17 +257,11 @@ def _run_fig2d(params, seed, trials):
                     report["anti_squeezed"]["xi_conditional_se"])
     report["initial_state_gap"] = d
     report["initial_state_gap_se"] = se
-    lines = ["initial_state,alpha_star,gamma_m_star,xi_unconditional,"
-             "xi_conditional,xi_conditional_se"]
-    for label in initial_var:
-        r = report[label]
-        lines.append(",".join([
-            label,
-            *(f"{r[k]:.17g}" for k in ("alpha_star", "gamma_m_star",
-                                       "xi_unconditional", "xi_conditional",
-                                       "xi_conditional_se")),
-        ]))
-    arts = {"hybrid_summary.csv": "\n".join(lines) + "\n"}
+    summary = {"initial_state": list(initial_var)}
+    for k in ("alpha_star", "gamma_m_star", "xi_unconditional",
+              "xi_conditional", "xi_conditional_se"):
+        summary[k] = [report[label][k] for label in initial_var]
+    arts = {"hybrid_summary.csv": summary}
     return report, arts
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from eprsim import records, scenarios
+from eprsim import cli, records, scenarios
 from eprsim.cli import _build_parser, _parse_grid, main
 from eprsim.estimation import forward_model
 from eprsim.multilevel_rates import PopulationState
@@ -245,8 +247,6 @@ _EXTREME_VALUES = dict(Gamma_col=0.1 + 0.2, Gamma_tilde=1e-300,
 def test_params_json_built_once(params, tmp_path):
     # the parameter JSON of every artifact is dumped from the fields in one
     # step; it must read exactly as the to_json -> loads -> dumps round trip
-    import argparse
-
     from eprsim.cli import ARTIFACT_VERSION, _emit_report, _metadata_block
 
     doc = json.loads(params.to_json())
@@ -259,6 +259,94 @@ def test_params_json_built_once(params, tmp_path):
             "seed": 5, "params": doc}
     assert (tmp_path / "fit.json").read_text() == json.dumps(
         want, indent=2, sort_keys=True) + "\n"
+
+
+def reference_csv(header, columns):
+    """The per-cell writer the block writer replaced: one f-string per
+    value, %.17g for numbers."""
+    n = len(next(c for c in columns if c is not None))
+    cells = [[""] * n if c is None else
+             [v if isinstance(v, str) else f"{v:.17g}" for v in c]
+             for c in columns]
+    rows = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    return "\n".join(rows) + "\n"
+
+
+def written(columns, tmp_path, head="# h=1\n"):
+    """Text of ``columns`` (a list, headers c0, c1, ...) as _write_csv
+    writes it to ``--out``, less ``head``."""
+    header = [f"c{k}" for k in range(len(columns))]
+    cli._write_csv(argparse.Namespace(out=str(tmp_path)), "t.csv", head,
+                   dict(zip(header, columns)))
+    text = (tmp_path / "t.csv").read_text()
+    assert text.startswith(head)
+    return header, text[len(head):]
+
+
+_EDGE_VALUES = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                         1.7976931348623157e308, 0.1 + 0.2])
+
+
+class TestWriterReferee:
+    @pytest.mark.parametrize("columns", [
+        [_EDGE_VALUES, _EDGE_VALUES[::-1]],
+        [np.arange(7), np.ones(7), np.array([2**53 + 1, -3, 0, 7, 1, 10**17,
+                                             -(2**62)])],
+        [None, _EDGE_VALUES, np.ones(7)],
+        [_EDGE_VALUES, None, None, np.ones(7)],
+        [np.ones(7), _EDGE_VALUES, None],
+        [np.array([0.25]), None, np.array([-1.5])],
+        [["css", "anti_squeezed"], [0.1 + 0.2, 5e-324], None],
+    ], ids=["edge-values", "integer-valued", "none-first", "none-middle",
+            "none-last", "one-row", "label-column"])
+    def test_matches_per_cell_writer(self, columns, tmp_path):
+        header, text = written(columns, tmp_path)
+        assert text == reference_csv(header, columns)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=hnp.arrays(np.float64, hnp.array_shapes(
+               min_dims=2, max_dims=2, max_side=6)),
+           none_at=st.integers(0, 6))
+    def test_matches_per_cell_writer_property(self, tmp_path, values,
+                                              none_at):
+        columns = list(values.T)
+        columns.insert(min(none_at, len(columns)), None)
+        header, text = written(columns, tmp_path)
+        assert text == reference_csv(header, columns)
+
+    @pytest.mark.parametrize("extra", [1 - cli.ROWS_PER_BLOCK, 0, 1],
+                             ids=["one-row", "one-block",
+                                  "one-block-plus-one"])
+    def test_block_boundaries(self, extra, tmp_path, capsys):
+        n = cli.ROWS_PER_BLOCK + extra
+        rng = np.random.default_rng(n)
+        columns = [rng.standard_normal(n), None, [f"r{k}" for k in range(n)],
+                   np.arange(n)]
+        header, text = written(columns, tmp_path)
+        assert text == reference_csv(header, columns)
+        assert text.count("\n") == n + 1
+        # stdout gets the same bytes
+        cli._write_csv(argparse.Namespace(out=None), "t.csv", "",
+                       dict(zip(header, columns)))
+        assert capsys.readouterr().out == text
+
+    def test_memory_bounded_by_one_block(self, tmp_path):
+        # a 32-block table: the traced peak is about one block's text and
+        # cells, far below the 4 MB file
+        n = 32 * cli.ROWS_PER_BLOCK
+        columns = {"t": np.linspace(0.0, 1.0, n), "x": None,
+                   "y": np.random.default_rng(0).standard_normal(n)}
+        args = argparse.Namespace(out=str(tmp_path))
+        tracemalloc.start()
+        try:
+            cli._write_csv(args, "big.csv", "", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "big.csv").stat().st_size
+        assert size > 3e6
+        assert peak < size / 4, (peak, size)
 
 
 class TestSharedParser:

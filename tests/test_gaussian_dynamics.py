@@ -168,12 +168,14 @@ class TestTrajectoryCsv:
         traj = propagate_moments(css_state(), make_params(),
                                  NoiseChannels(dephasing=0.193),
                                  np.linspace(0.0, 2.0, 3))
-        text = trajectory_to_csv(traj)
-        lines = text.strip().splitlines()
-        assert lines[0] == "time_ms,var_x_minus,var_p_plus,xi,Jx_norm,N2,P2"
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0
-        assert float(first[3]) == pytest.approx(1.0)
+        cols = trajectory_to_csv(traj)
+        assert list(cols) == ["time_ms", "var_x_minus", "var_p_plus", "xi",
+                              "Jx_norm", "N2", "P2"]
+        assert cols["time_ms"][0] == 0.0
+        assert cols["xi"][0] == pytest.approx(1.0)
+        assert cols["xi"] is traj.xi
+        np.testing.assert_array_equal(cols["Jx_norm"], 1.0)
+        assert cols["N2"] is cols["P2"] is None
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(InvariantViolationError):

@@ -690,6 +690,40 @@ def test_artifacts_same_for_any_worker_count(argv, monkeypatch, tmp_path):
     assert written[0]
 
 
+_BLAS_PROBE = """
+import sys
+from eprsim.cli import main
+for argv in (["scenario", "fig2d", "--trials", "2000", "--seed", "7"],
+             ["conditional", "--trials", "2000", "--seed", "3145728"]):
+    assert main([*argv, "--out", sys.argv[1]]) == 0
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU: OpenBLAS runs one thread by default "
+                           "too, so the comparison would be vacuous")
+def test_artifacts_same_for_any_blas_thread_count(tmp_path):
+    # fresh interpreters, since OpenBLAS reads its thread count at load;
+    # 2000 trials are four sampler blocks, three of them full
+    written = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k not in (
+            "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / str(threads)
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(out)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(written[0]) == ["conditional.csv", "fig2d_report.csv",
+                                  "hybrid_summary.csv"]
+    assert written[0] == written[1]
+
+
 def test_dead_worker_exits_3(monkeypatch, capsys, tmp_path):
     # one line naming the worker's exit status, no traceback, exit 3 and
     # no child left behind

@@ -5,9 +5,6 @@ fit, orientation, scenario.  Exit codes: 0 success, 2 usage error,
 3 numerical failure, 4 invariant violation.  Every artifact starts with a
 metadata comment block (# key=value) recording the parameters, the seed and
 the artifact version, so identical invocations yield byte-identical files.
-
-The library returns named columns and report dicts; ``_write_csv`` is the
-one place they become CSV text.
 """
 
 from __future__ import annotations

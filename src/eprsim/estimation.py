@@ -68,8 +68,8 @@ class FitProblem:
     ``observed`` is a structured record of aligned 1-D arrays: t (ms), xi,
     xi_err, jx_norm, jx_err; entries of jx_norm may be NaN where only the
     witness was measured (they are skipped).  Times and xi must be finite,
-    and every error that weights a residual finite, > 0 and of finite 1/err^2
-    (ValueError).
+    and every error that weights a residual finite, > 0 and of finite 1/err^2,
+    with the value it weights finite over it (ValueError).
     A finite ``slope_obs`` (ms^-1), the measured t = 0 polarisation slope,
     pins Gamma_L_out, which then cannot be free; None leaves it unpinned.
     """
@@ -98,13 +98,19 @@ class FitProblem:
         if not np.all(np.isfinite(self.times) & np.isfinite(self.xi)):
             raise ValueError("observed times and xi must be finite")
         # xi_err weights every row, jx_err only the rows with a jx_norm
-        for name, err in (("xi_err", self.xi_err),
-                          ("jx_err", self.jx_err[np.isfinite(self.jx_norm)])):
+        has_jx = np.isfinite(self.jx_norm)
+        for value, name, x, err in (
+                ("xi", "xi_err", self.xi, self.xi_err),
+                ("jx_norm", "jx_err", self.jx_norm[has_jx],
+                 self.jx_err[has_jx])):
             with np.errstate(divide="ignore", over="ignore"):
                 ok = np.isfinite(err) & (err > 0) & np.isfinite(err ** -2.0)
+                scaled = np.isfinite(x / err)
             if not ok.all():
                 raise ValueError(f"{name} must be finite and > 0 with a "
                                  f"finite weight 1/{name}^2")
+            if not scaled.all():
+                raise ValueError(f"{value}/{name} must be finite")
         unknown = set(self.free) - set(FITTABLE)
         if unknown:
             raise ValueError(f"not fittable: {sorted(unknown)}")
@@ -312,7 +318,10 @@ def calibrate_pn(points) -> tuple:
     theta = np.array([p.theta for p in points])
     xi0 = np.array([p.xi0 for p in points])
     w = np.sqrt(np.array([p.weight for p in points]))
-    design = np.stack([theta, theta**2], axis=1) * w[:, None]
+    with np.errstate(over="ignore"):
+        design = np.stack([theta, theta**2], axis=1) * w[:, None]
+    if not np.all(np.isfinite(design)):
+        raise ValueError("calibration theta^2 times weight must be finite")
     if np.linalg.matrix_rank(design, tol=1e-12 * np.abs(design).max()) < 2:
         raise FitFailureError("calibration points are collinear in "
                               "(theta, theta^2)")
@@ -328,8 +337,9 @@ def orientation(populations) -> float:
     p = np.asarray(populations, dtype=float)
     if p.shape != (9,):
         raise ValueError("need nine sublevel populations (m = -4..4)")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("populations must be finite")
+    with np.errstate(over="ignore"):
+        if not (np.all(np.isfinite(p)) and np.isfinite(p.sum())):
+            raise ValueError("populations and their sum must be finite")
     if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("populations must be a distribution")
     return float(_M_VALUES @ p) / 4.0

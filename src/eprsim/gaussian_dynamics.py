@@ -303,15 +303,11 @@ def moment_tangents(traj: Trajectory, params: ModelParams,
 
 
 def series_columns(times, witness=None, pops=None) -> dict:
-    """The time-series artifact schema as named columns: time_ms,
-    var_x_minus, var_p_plus, xi, Jx_norm, N2, P2.
-
-    ``witness`` holds the (var_x_minus, var_p_plus, xi) arrays, None leaves
-    those columns empty; ``pops``, a PopulationSeries, is interpolated onto
-    ``times``, and without it Jx_norm is 1 and N2, P2 are empty.  Jx_norm is
-    <J_x> over its initial value, which must be positive
-    (DegeneratePolarizationError).
-    """
+    """The time-series schema as named columns: time_ms, then ``witness``
+    (var_x_minus, var_p_plus, xi; None: empty), then Jx_norm, N2 and P2 of
+    the PopulationSeries ``pops`` interpolated onto ``times`` (None: 1, empty,
+    empty).  Jx_norm is <J_x> over its initial value, which must be positive
+    (DegeneratePolarizationError)."""
     cols = [times, *(witness or (None, None, None)), np.ones(len(times)),
             None, None]
     if pops is not None:

@@ -68,10 +68,10 @@ blocks k = 0 (mod W) and each of W - 1 forked workers blocks k = w (mod W),
 sending every block's moments through its own pipe.  The caller merges the
 blocks' moments into running ones in block order (Chan, Golub and
 LeVeque's pairwise update), so the results are the same bits whatever W
-is.  The block product runs PRODUCT_ROWS trials per matrix product, a size
-OpenBLAS does not split in a way that changes its rounding, so the bits do
-not follow the BLAS thread count either.  Each process holds one block (16 bytes per bin and trial of the block,
-2 MB at fig2d's 250 bins) whatever the trial count.
+is; each matrix product takes PRODUCT_ROWS trials, so they do not follow
+the BLAS thread count either.  Each process holds one block (16 bytes per
+bin and trial of the block, 2 MB at fig2d's 250 bins) whatever the trial
+count.
 
 :func:`simulate_batch` keeps the record-level API: it writes a batch into
 one (2, nbins, trials) float64 buffer, and ``RecordBatch.samples`` is its
@@ -133,11 +133,9 @@ MAX_SCAN_POINT_BINS = 10_000_000
 # bins), and the block's seed words.  It is also hybrid_readout's unit of
 # work per process: blocks are dealt to the processes round robin.
 TRIAL_BLOCK = 512
-# Trials per matrix product within a block: OpenBLAS splits a product of a
-# whole block over its threads and the split changes the rounding, but the
-# products of 128 trials came out the same bits for 1 to 8 threads on the
-# SkylakeX, Haswell and Zen kernels at 2 to 6 mode columns and 50 to 20 000
-# bins (and take less time per block than one product on one thread).
+# Trials per matrix product in a block: OpenBLAS's thread split of a whole
+# block changes the rounding, while 128 trials gave the same bits for 1 to 8
+# threads on its SkylakeX, Haswell and Zen kernels, 50 to 20 000 bins.
 PRODUCT_ROWS = 128
 
 

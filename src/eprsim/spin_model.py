@@ -35,7 +35,6 @@ __all__ = [
     "bogoliubov_amplitudes",
     "epr_variance",
     "epr_witness",
-    "coupling_constants",
     "symplectic_eigenvalues",
     "symplectic_check",
     "two_mode_squeezed_cov",
@@ -248,23 +247,6 @@ def epr_variance(state: GaussianState) -> EprReport:
     var_xm, var_pp, xi = epr_witness(state.cov)
     return EprReport(var_x_minus=var_xm, var_p_plus=var_pp, xi=xi,
                      entangled=bool(xi < 1.0))
-
-
-def coupling_constants(params: ModelParams, jx: float, T: float):
-    """Collective measurement rate gamma_s and coupling kappa^2 at time T.
-
-    gamma_s = scale * (mu - nu)^2 * J_x * Phi (the proportionality constant
-    is a calibration input carried by the parameter set) and
-    kappa^2 = (1 - exp(-2 gamma_s T)) / (mu - nu)^2.
-    """
-    if T < 0:
-        raise ValueError("interaction time must be >= 0")
-    s = params.mu - params.nu
-    if s == 0.0:
-        raise ZeroDivisionError("mu - nu = 0: coupling is undefined")
-    gamma_s = params.gamma_s_scale * s**2 * jx * params.Phi
-    kappa_sq = -math.expm1(-2.0 * gamma_s * T) / s**2
-    return gamma_s, kappa_sq
 
 
 def two_mode_squeezed_cov(mu: float, nu: float) -> np.ndarray:

@@ -391,23 +391,16 @@ class TestSharedParser:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_fresh(argv, out):
-    """Run the CLI on ``argv`` in a fresh interpreter: a hang fails the test
-    at the timeout."""
-    env = dict(os.environ)
+def _fresh_env(drop=()):
+    """Environment of a fresh interpreter that imports eprsim from ``src``,
+    without the variables named in ``drop``."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "eprsim.cli", *argv, "--out",
-             str(out)], env=env, capture_output=True, text=True,
-            timeout=60)
-    except subprocess.TimeoutExpired:
-        pytest.fail(f"{argv} did not finish within 60 s")
-    return proc
+    return env
 
 
-@pytest.mark.parametrize("argv, code", [
+_BAD_INPUT = [
     (["scenario", "fig2a", "--overrides", '{"Gamma_tilde": NaN}'], 4),
     (["scenario", "fig2a", "--overrides", '{"Gamma_tilde": Infinity}'], 4),
     (["scenario", "fig2a", "--overrides", '{"d": "x"}'], 4),
@@ -437,49 +430,40 @@ def _run_fresh(argv, out):
     (["reconstruct", "--trials", "0"], 2),
     (["reconstruct", "--trials", "-5"], 2),
     (["orientation", "nan,0,0,0,0,0,0,0,1"], 2),
-], ids=["overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
-        "overrides-list", "pops-nan", "pops-inf", "grid-huge", "grid-inf",
-        "grid-nan", "handover-inf", "probe-inf", "trials-huge", "dt-tiny",
-        "gm-step-zero", "gm-step-tiny", "overrides-stiff", "gm-scan-huge",
-        "bins-huge", "populations-degenerate", "gm-scan-long",
-        "orientation-trials", "scenario-params", "simulate-format",
-        "scenario-trials", "scenario-grid", "reconstruct-trials-zero",
-        "reconstruct-trials-negative", "orientation-nan"])
-def test_bad_input_exit_code(argv, code, tmp_path):
-    proc = _run_fresh(argv, tmp_path)
-    assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
-
+]
+_BAD_INPUT_IDS = [
+    "overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
+    "overrides-list", "pops-nan", "pops-inf", "grid-huge", "grid-inf",
+    "grid-nan", "handover-inf", "probe-inf", "trials-huge", "dt-tiny",
+    "gm-step-zero", "gm-step-tiny", "overrides-stiff", "gm-scan-huge",
+    "bins-huge", "populations-degenerate", "gm-scan-long",
+    "orientation-trials", "scenario-params", "simulate-format",
+    "scenario-trials", "scenario-grid", "reconstruct-trials-zero",
+    "reconstruct-trials-negative", "orientation-nan"]
 
 _FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
 
-
-@pytest.mark.parametrize("command, rows", [
+_BAD_FILE = [
     ("calibrate", "theta,xi0\n1,nan\n2,2.016\n4,4.064\n"),
     ("calibrate", "theta,xi0\nnan,1.004\n2,2.016\n4,4.064\n"),
     ("calibrate", "theta,xi0,weight\n1,1.004,inf\n2,2.016,1\n4,4.064,1\n"),
     ("fit", _FIT_HEAD + "0,1,-0.01,1,0.005\n10,0.8,0.01,0.9,0.005\n"),
     ("fit", _FIT_HEAD + "0,1,0,1,0.005\n10,0.8,0.01,0.9,0.005\n"),
     ("fit", _FIT_HEAD + "nan,1,0.01,1,0.005\n10,0.8,0.01,0.9,0.005\n"),
-], ids=["calibrate-xi0-nan", "calibrate-theta-nan", "calibrate-weight-inf",
-        "fit-err-negative", "fit-err-zero", "fit-time-nan"])
-def test_bad_input_file_exit_code(command, rows, tmp_path):
-    # each used to exit 0 with a meaningless result, or 3 or 4 with a
-    # message about something else
-    data = tmp_path / "input.csv"
-    data.write_text(rows)
-    extra = ["--free", "d"] if command == "fit" else []
-    proc = _run_fresh([command, str(data), *extra], tmp_path / "out")
-    assert proc.returncode == 2, proc.stderr
-    assert "finite" in proc.stderr  # its own message, not a solver's
-    assert "Traceback" not in proc.stderr
-    assert "Warning" not in proc.stderr
-
+    ("calibrate", "theta,xi0\n1e200,1\n2e200,2\n3e200,3\n"),
+    ("fit", _FIT_HEAD + "0,1e308,0.01,1,0.005\n10,0.8,0.01,0.9,0.005\n"),
+    ("fit", _FIT_HEAD + "0,1,0.01,1e308,0.005\n10,0.8,0.01,0.9,0.005\n"),
+    ("orientation", "1e308,1e308,0,0,0,0,0,0,0"),
+]
+_BAD_FILE_IDS = [
+    "calibrate-xi0-nan", "calibrate-theta-nan", "calibrate-weight-inf",
+    "fit-err-negative", "fit-err-zero", "fit-time-nan",
+    "calibrate-theta-overflow", "fit-xi-overflow", "fit-jx-overflow",
+    "orientation-sum-overflow"]
 
 _CAL_HEAD = "theta,xi0\n"
 
-
-@pytest.mark.parametrize("command, text", [
+_MALFORMED = [
     ("calibrate", ""),
     ("calibrate", _CAL_HEAD),
     ("calibrate", _CAL_HEAD + "1\n2,2.016\n4,4.064\n"),
@@ -499,23 +483,115 @@ _CAL_HEAD = "theta,xi0\n"
     ("orientation", "0,0,0,0,0,0,0.008,0.992"),
     ("orientation", "0,0,0,0,0,0,0,0,0.008,0.992"),
     ("orientation", "0,0,0,0,0,0,0,x,1"),
-], ids=["calibrate-empty", "calibrate-header-only", "calibrate-short-row",
-        "calibrate-long-row", "calibrate-non-numeric", "fit-empty",
-        "fit-header-only", "fit-short-row", "fit-long-row",
-        "fit-non-numeric", "fit-unsorted-times", "fit-xi-err-1e-300",
-        "fit-xi-err-1e-320", "fit-jx-err-1e-300", "orientation-empty",
-        "orientation-short", "orientation-long", "orientation-non-numeric"])
-def test_malformed_input_exit_code(command, text, tmp_path):
-    # calibrate and fit read a file; orientation reads its one argument
+]
+_MALFORMED_IDS = [
+    "calibrate-empty", "calibrate-header-only", "calibrate-short-row",
+    "calibrate-long-row", "calibrate-non-numeric", "fit-empty",
+    "fit-header-only", "fit-short-row", "fit-long-row", "fit-non-numeric",
+    "fit-unsorted-times", "fit-xi-err-1e-300", "fit-xi-err-1e-320",
+    "fit-jx-err-1e-300", "orientation-empty", "orientation-short",
+    "orientation-long", "orientation-non-numeric"]
+
+# Runs each case's argv through cli.main in this one interpreter, as a fresh
+# `python -m eprsim.cli` would: each under its own alarm, its own copy of
+# the start-up warning filters (catch_warnings also forgets which warnings
+# an earlier case showed) and its own stderr; an escaping exception prints
+# its traceback and counts as exit code 1, as it would at the top level.
+_MATRIX_CHILD = """
+import contextlib, io, json, signal, sys, traceback, warnings
+from eprsim.cli import main
+
+class Hang(Exception):
+    pass
+
+def hang(signum, frame):
+    raise Hang
+
+signal.signal(signal.SIGALRM, hang)
+rows = {}
+for case, argv in json.loads(sys.stdin.read()):
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \\
+            contextlib.redirect_stdout(io.StringIO()):
+        signal.alarm(60)
+        try:
+            code = main(argv)
+        except Hang:
+            code = "did not finish within 60 s"
+        except Exception:
+            traceback.print_exc()
+            code = 1
+        finally:
+            signal.alarm(0)
+    rows[case] = {"code": code, "stderr": err.getvalue()}
+print(json.dumps(rows))
+"""
+
+
+def _input_argv(command, text, where):
+    """argv of ``command`` on ``text``: orientation takes it as its one
+    argument, calibrate and fit as a file written under ``where``."""
     if command == "orientation":
-        argv = [command, text]
-    else:
-        (tmp_path / "input.csv").write_text(text)
-        argv = [command, str(tmp_path / "input.csv")]
-    proc = _run_fresh(argv, tmp_path / "out")
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "Warning" not in proc.stderr
+        return [command, text]
+    where.mkdir(parents=True)
+    (where / "input.csv").write_text(text)
+    return [command, str(where / "input.csv")]
+
+
+@pytest.fixture(scope="module")
+def matrix(tmp_path_factory):
+    """Exit code and stderr of every exit-code matrix case, keyed
+    "<kind>:<id>", and of the extreme-horizon case, from one child
+    interpreter."""
+    base = tmp_path_factory.mktemp("matrix")
+    cases = []
+    for (argv, _), case in zip(_BAD_INPUT, _BAD_INPUT_IDS):
+        cases.append((f"argv:{case}",
+                      [*argv, "--out", str(base / "argv" / case)]))
+    for (command, rows), case in zip(_BAD_FILE, _BAD_FILE_IDS):
+        argv = _input_argv(command, rows, base / "file" / case)
+        extra = ["--free", "d"] if command == "fit" else []
+        cases.append((f"file:{case}", [*argv, *extra, "--out",
+                                       str(base / "file" / case / "out")]))
+    for (command, text), case in zip(_MALFORMED, _MALFORMED_IDS):
+        argv = _input_argv(command, text, base / "malformed" / case)
+        cases.append((f"malformed:{case}", [
+            *argv, "--out", str(base / "malformed" / case / "out")]))
+    cases.append(("extreme-horizon", ["populations", "--grid",
+                                      "0,1e300,1e299", "--out", str(base)]))
+    proc = subprocess.run([sys.executable, "-c", _MATRIX_CHILD],
+                          input=json.dumps(cases), env=_fresh_env(),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv, code", _BAD_INPUT, ids=_BAD_INPUT_IDS)
+def test_bad_input_exit_code(argv, code, matrix, request):
+    row = matrix[f"argv:{request.node.callspec.id}"]
+    assert row["code"] == code, row["stderr"]
+    assert "Traceback" not in row["stderr"]
+
+
+@pytest.mark.parametrize("command, rows", _BAD_FILE, ids=_BAD_FILE_IDS)
+def test_bad_input_file_exit_code(command, rows, matrix, request):
+    # each used to exit 0 with a meaningless result, or 3 or 4 with a
+    # message about something else, or after overflow warnings
+    row = matrix[f"file:{request.node.callspec.id}"]
+    assert row["code"] == 2, row["stderr"]
+    assert "finite" in row["stderr"]  # its own message, not a solver's
+    assert row["stderr"].count("\n") == 1, row["stderr"]
+    assert "Traceback" not in row["stderr"]
+    assert "Warning" not in row["stderr"]
+
+
+@pytest.mark.parametrize("command, text", _MALFORMED, ids=_MALFORMED_IDS)
+def test_malformed_input_exit_code(command, text, matrix, request):
+    # calibrate and fit read a file; orientation reads its one argument
+    row = matrix[f"malformed:{request.node.callspec.id}"]
+    assert row["code"] == 2, row["stderr"]
+    assert "Traceback" not in row["stderr"]
+    assert "Warning" not in row["stderr"]
 
 
 _IMPORT_PROBE = """
@@ -554,12 +630,9 @@ def _import_probe(*argvs):
     calls, with the pump off and on, and their Jacobians over every fittable
     parameter) in one fresh interpreter; returns the probe's report after
     checking that importing the CLI loads no scipy and builds no parser."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                            json.dumps(argvs)],
-                          env=env, capture_output=True, text=True,
+                          env=_fresh_env(), capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
@@ -606,13 +679,13 @@ def test_record_commands_load_no_scipy(argv, tmp_path):
     assert probe["after"] == []
 
 
-def test_extreme_horizon_refused_without_warnings(tmp_path):
+def test_extreme_horizon_refused_without_warnings(matrix):
     # more squarings than rounding allows: the points are NaN, and the
     # population check refuses them (exit 4) without overflow warnings
-    proc = _run_fresh(["populations", "--grid", "0,1e300,1e299"], tmp_path)
-    assert proc.returncode == 4, proc.stderr
-    assert "population fractions must be finite" in proc.stderr
-    assert "Warning" not in proc.stderr
+    row = matrix["extreme-horizon"]
+    assert row["code"] == 4, row["stderr"]
+    assert "population fractions must be finite" in row["stderr"]
+    assert "Warning" not in row["stderr"]
 
 
 def _no_draws(*args, **kwargs):
@@ -707,10 +780,8 @@ def test_artifacts_same_for_any_blas_thread_count(tmp_path):
     # 2000 trials are four sampler blocks, three of them full
     written = []
     for threads in (None, "1"):
-        env = {k: v for k, v in os.environ.items() if k not in (
-            "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        env = _fresh_env(drop=("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                               "OMP_NUM_THREADS"))
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
         out = tmp_path / str(threads)

@@ -10,7 +10,6 @@ from eprsim.spin_model import (
     GaussianState,
     ModelParams,
     bogoliubov_amplitudes,
-    coupling_constants,
     css_state,
     epr_variance,
     epr_witness,
@@ -212,23 +211,6 @@ class TestSymplectic:
 
     def test_squeezed_but_physical_passes(self):
         symplectic_check(np.diag([0.5, 2.0, 1.0, 1.0]))
-
-
-class TestCouplingConstants:
-    def test_zero_time_zero_kappa(self):
-        _, k2 = coupling_constants(make_params(), jx=4.0, T=0.0)
-        assert k2 == 0.0
-
-    def test_long_time_saturation(self):
-        p = make_params()
-        _, k2 = coupling_constants(p, jx=4.0, T=1e6)
-        assert k2 == pytest.approx(1.0 / p.squeeze_sq)
-
-    def test_gamma_s_linear_in_flux(self):
-        p = make_params()
-        g1, _ = coupling_constants(p, jx=4.0, T=1.0)
-        g2, _ = coupling_constants(p.replace(Phi=2.0), jx=4.0, T=1.0)
-        assert g2 == pytest.approx(2.0 * g1)
 
 
 class TestNonFiniteInputs:

@@ -234,12 +234,22 @@ def _cmd_populations(args) -> int:
     return 0
 
 
+def _check_record_options(args) -> None:
+    """ValueError unless ``--probe-ms`` and ``--dt-ms`` are finite and
+    positive."""
+    for flag, value in (("--probe-ms", args.probe_ms),
+                        ("--dt-ms", args.dt_ms)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and positive")
+
+
 def _cmd_reconstruct(args) -> int:
     params = _load_params(args)
     loss = LossParams(gamma_s=args.gamma_s, gamma_extra=args.gamma_extra,
                       eta=params.eta)
     mu_nu = (params.mu, params.nu)
     T = args.probe_ms
+    _check_record_options(args)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     kappa_sq = readout_kappa_sq(loss, mu_nu, T)
@@ -269,13 +279,14 @@ def _cmd_conditional(args) -> int:
                       eta=params.eta)
     mu_nu = (params.mu, params.nu)
     T, probe = args.handover_ms, args.probe_ms
+    _check_record_options(args)
     grid = _range(args.gm_min, args.gm_max, args.gm_step,
                   "--gm-min/--gm-max/--gm-step")
+    kappa_sq = readout_kappa_sq(loss, mu_nu, probe)
+    slope, floor = closed_form_calibration(kappa_sq, mu_nu, loss.eta)
     # the exact gamma_m scan is checked and run before any draw
     r, = hybrid_readout(args.trials, loss, mu_nu, args.dt_ms, (T, T + probe),
                         args.seed, gamma_m_grid=grid)
-    kappa_sq = readout_kappa_sq(loss, mu_nu, probe)
-    slope, floor = closed_form_calibration(kappa_sq, mu_nu, loss.eta)
     report = {
         "alpha_star": r.alpha_star,
         "gamma_m_star": r.gamma_m_star,

@@ -186,14 +186,16 @@ def _directions(problem: FitProblem) -> np.ndarray:
 
 
 def forward_model(params: ModelParams, initial_pop: PopulationState, times,
-                  pump: bool = False):
+                  pump: bool = False, initial_state=None):
     """Predicted (xi_multilevel, jx_norm) series for a parameter set, with
-    the trajectory and population series they come from."""
+    the trajectory and population series they come from; the moments start
+    from the GaussianState ``initial_state`` (None: the CSS)."""
     times = np.asarray(times, dtype=float)
     pops = propagate_populations(initial_pop, transition_rates(params, pump),
                                  times)
     noise = NoiseChannels.from_params(params, pump=pump)
-    traj = propagate_moments(css_state(), params, noise, times,
+    traj = propagate_moments(css_state() if initial_state is None
+                             else initial_state, params, noise, times,
                              populations=pops)
     xi_ml = multilevel_xi(traj.xi, pops)
     jx_norm = pops.jx_frac / pops.jx_frac[0]

@@ -31,8 +31,9 @@ the solution stays in the span of C0, T = C_tms and I:
     C(t) = phi C0 + x T + (1 - phi - x) I,     <r>(t) = sqrt(phi) <r>(0)
     dphi/dt = -rate phi,    dx/dt = -rate x + g2,    rate = g2 + c
 
-The rates are linear between population times, so over each such interval
-[a, b] the solution is exact: phi_b = phi_a e^-dR with dR = int_a^b rate, and
+The populations are given on the moment grid itself and the rates are
+linear between grid points, so over each grid interval [a, b] the solution
+is exact: phi_b = phi_a e^-dR with dR = int_a^b rate, and
 x_b = x_a e^-dR + int_{e^-dR}^1 q du, with q = g2 / rate in [0, 1] taken at
 the root s(u) of the quadratic int_s^b rate = -ln u; a fixed Gauss-Legendre
 rule integrates this bounded, smooth q, however stiff the rates.  phi, x >= 0
@@ -214,39 +215,40 @@ def _increments(h, g2, rate, partials=False):
     return dR, inc, parts
 
 
+def _population_rates(populations, times: np.ndarray) -> tuple:
+    """(p2_tilde, nh) of the PopulationSeries ``populations`` on ``times``
+    (None: 1 and 0); ValueError for populations on other times."""
+    if populations is None:
+        return np.ones(times.size), np.zeros(times.size)
+    if not np.array_equal(populations.times, times):
+        raise ValueError("the populations must be on the trajectory's times")
+    return populations.p2_tilde, populations.nh
+
+
 def propagate_moments(initial: GaussianState, params: ModelParams,
                       noise: NoiseChannels, grid,
                       populations=None) -> Trajectory:
     """Evolve the moments exactly over ``grid`` (ms, strictly increasing).
 
-    ``populations`` may be a PopulationSeries (or anything with ``times`` and
-    ``p2_tilde`` arrays, optionally ``nh``) whose N2(t) P2(t) throttles the
-    collective rate quasi-statically; see the module docstring.  ``initial``
-    is checked once, when the Trajectory reads its witness.
+    ``populations``, a PopulationSeries on ``grid`` itself (ValueError
+    otherwise), throttles the collective rate quasi-statically by its
+    N2(t) P2(t); see the module docstring.  ``initial`` is checked once,
+    when the Trajectory reads its witness.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must be a nonempty 1-D array of finite values")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must strictly increase")
-    if populations is None:
-        pt, p2, nh = grid, np.ones(grid.size), np.zeros(grid.size)
-    else:
-        pt, p2 = np.asarray(populations.times, float), populations.p2_tilde
-        nh = getattr(populations, "nh", np.zeros(len(pt)))
-    nodes, at = grid, slice(None)
-    if not np.array_equal(pt, grid):
-        nodes = np.union1d(grid, pt[(pt > grid[0]) & (pt < grid[-1])])
-        p2, nh = np.interp(nodes, pt, p2), np.interp(nodes, pt, nh)
-        at = np.searchsorted(nodes, grid)
+    p2, nh = _population_rates(populations, grid)
     g2 = relaxation_rate(params, p2)
     rate = g2 + noise.dephasing + noise.pump_noise_rate(nh)
-    dR, inc = _increments(np.diff(nodes), g2, rate)
+    dR, inc = _increments(np.diff(grid), g2, rate)
     phi, x = [1.0], [0.0]
     for e, dx in zip(np.exp(-dR).tolist(), inc.tolist()):
         phi.append(phi[-1] * e)
         x.append(x[-1] * e + dx)
-    phi, x = np.array(phi)[at], np.array(x)[at]
+    phi, x = np.array(phi), np.array(x)
     tol = 1e-8  # slack on the simplex: the covariance check's atol
     if not np.all((phi >= -tol) & (x >= -tol) & (phi + x <= 1.0 + tol)):
         raise InvariantViolationError(
@@ -261,25 +263,19 @@ def moment_tangents(traj: Trajectory, params: ModelParams,
                     noise: NoiseChannels, d_rates, d_pops=None) -> np.ndarray:
     """Derivatives (P, len(times)) of ``traj.xi`` along P directions, for
     ``traj = propagate_moments(initial, params, noise, times, populations)``
-    with the populations, if any, on ``times``.
+    (ValueError for populations on other times).
 
     ``d_rates`` (P, 3) holds d(d, dephasing, pump_refill) per direction and
     ``d_pops`` (3, P, len(times)) the populations' derivatives, as from
     ``population_tangents`` (None holds them fixed).  The tangents go
     through dR, the Gauss-Legendre terms and the phi/x recursion.
     """
-    pops, n = traj.populations, traj.times.size
+    pops = traj.populations
+    p2, nh = _population_rates(pops, traj.times)
     d_p2 = d_nh = 0.0
-    if pops is None:
-        p2, nh = np.ones(n), np.zeros(n)
-    elif np.array_equal(pops.times, traj.times):
-        p2, nh = pops.p2_tilde, pops.nh
-        if d_pops is not None:
-            d44, d43, d_nh = d_pops
-            d_p2 = np.sign(pops.n44 - pops.n43) * (d44 - d43)
-    else:
-        raise ValueError("tangents need the populations on the "
-                         "trajectory's times")
+    if pops is not None and d_pops is not None:
+        d44, d43, d_nh = d_pops
+        d_p2 = np.sign(pops.n44 - pops.n43) * (d44 - d43)
     dd, d_deph, d_refill = np.reshape(d_rates, (-1, 3)).T[:, :, None]
     g2 = relaxation_rate(params, p2)
     rate = g2 + noise.dephasing + noise.pump_noise_rate(nh)

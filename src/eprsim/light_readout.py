@@ -149,7 +149,9 @@ def closed_form_calibration(kappa_sq: float, mu_nu: tuple,
 
     The IO map with vacuum input gives var(y) = kappa^2 var_atomic + 1 -
     kappa^2 (mu-nu)^2, and the eta beam splitter scales that by eta and
-    adds 1 - eta.
+    adds 1 - eta.  NoInformationError for kappa^2 = 0, or a slope that
+    vanishes against the floor in double precision (floor + slope ==
+    floor): the inverse would only scale rounding.
     """
     if kappa_sq <= 0:
         raise NoInformationError("kappa^2 = 0 carries no atomic information")
@@ -157,6 +159,10 @@ def closed_form_calibration(kappa_sq: float, mu_nu: tuple,
         raise ValueError("eta must lie in (0, 1]")
     mu, nu = mu_nu
     floor = eta * (1.0 - kappa_sq * (mu - nu) ** 2) + 1.0 - eta
+    if floor + eta * kappa_sq == floor:
+        raise NoInformationError(
+            f"kappa^2 = {kappa_sq:.3g} vanishes against the floor "
+            f"{floor:.6g} and carries no atomic information")
     return eta * kappa_sq, floor
 
 

@@ -167,13 +167,17 @@ _TAYLOR_DEGREE = 18
 # Each squaring about doubles the relative rounding error; past 52 of them
 # (2^52 eps ~ 1) the result is noise, so such points come back NaN
 _MAX_SQUARINGS = 52
+# Grid points evaluated at a time, which bounds the Taylor powers and
+# squaring copies held at once; a power of two keeps the BLAS kernel's row
+# groups aligned, so each point rounds as in one whole-grid product
+_CHUNK_POINTS = 1 << 16
 
 
 def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(a t_k) for every t_k >= 0 of the nondecreasing ``t``, shape
     (len(t), n, n), by Taylor scaling and squaring (Al-Mohy & Higham 2009)
-    batched over the grid; NaN where more than _MAX_SQUARINGS squarings are
-    needed.
+    batched over _CHUNK_POINTS points at a time; NaN where more than
+    _MAX_SQUARINGS squarings are needed.
 
     No eigendecomposition, so defective generators are as exact as any.
     """
@@ -183,20 +187,27 @@ def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     terms = [np.eye(n)]  # B^j / j!
     for j in range(1, _TAYLOR_DEGREE + 1):
         terms.append(terms[-1] @ b / j)
+    terms = np.reshape(terms, (_TAYLOR_DEGREE + 1, n * n))
     tau = t * norm
     # 2 tau = m 2^s with m in [0.5, 1), so tau / 2^s < 1/2
     s = np.maximum(np.frexp(2.0 * tau)[1], 0)
     ok = s <= _MAX_SQUARINGS
     s = np.where(ok, s, 0)
     h = np.where(ok, np.ldexp(tau, -s), 0.0)
-    e = (h[:, None] ** np.arange(_TAYLOR_DEGREE + 1)
-         @ np.reshape(terms, (_TAYLOR_DEGREE + 1, n * n))).reshape(-1, n, n)
     # t is nondecreasing, so s is too: the finite points are a prefix, and
-    # those squared an (i + 1)-th time a suffix of it, squared in place
+    # those of a chunk squared an (i + 1)-th time a suffix of its part of
+    # that prefix, squared in place
     n_ok = np.count_nonzero(ok)
-    for i in range(s.max()):
-        tail = e[np.searchsorted(s[:n_ok], i, side="right"):n_ok]
-        np.matmul(tail, tail, out=tail)
+    e = np.empty((t.size, n, n))
+    for c in range(0, t.size, _CHUNK_POINTS):
+        chunk = e[c:c + _CHUNK_POINTS]
+        np.matmul(h[c:c + _CHUNK_POINTS, None]
+                  ** np.arange(_TAYLOR_DEGREE + 1), terms,
+                  out=chunk.reshape(-1, n * n))
+        s_ok = s[c:min(c + _CHUNK_POINTS, n_ok)]
+        for i in range(s_ok.max(initial=0)):
+            tail = chunk[np.searchsorted(s_ok, i, side="right"):s_ok.size]
+            np.matmul(tail, tail, out=tail)
     e[n_ok:] = np.nan
     return e
 

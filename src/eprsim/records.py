@@ -79,11 +79,7 @@ one (2, nbins, trials) float64 buffer, and ``RecordBatch.samples`` is its
 (trials, bins) slice whose trial axis is contiguous.  It draws the same
 blocks, writes the scaled noise to bin-major order in the records buffer
 (16 bytes per trial-bin), frees the block and runs the innovations
-recursion once over the whole batch.  The record is linear in u_0, which
-reaches bin n only as r_n u_0: a batch keeps z and r, and
-``RecordBatch.retarget`` adds (sqrt(v') - sqrt(v)) z r_n bin by bin, so a
-batch moves to another initial variance without a (trials, nbins)
-temporary.
+recursion once over the whole batch.
 """
 
 from __future__ import annotations
@@ -147,11 +143,6 @@ class RecordBatch:
     dt: float
     samples: np.ndarray  # shape (trials, nbins, 2): (cos, sin) per bin
     master_seed: int
-    # kept by the sampler for retarget: (cos, sin) variances, the unit
-    # initial draws z (trials, 2) and the unit-u_0 response r (nbins,)
-    initial_var: np.ndarray | None = None
-    initial_draws: np.ndarray | None = None
-    initial_response: np.ndarray | None = None
 
     @property
     def n_trials(self) -> int:
@@ -160,22 +151,6 @@ class RecordBatch:
     @property
     def nbins(self) -> int:
         return self.samples.shape[1]
-
-    def retarget(self, initial_var) -> None:
-        """Move the batch in place to the (cos, sin) ``initial_var``: the
-        records become those of the same seeds drawn at ``initial_var``, up
-        to rounding.  ValueError for a batch without initial draws."""
-        if self.initial_draws is None:
-            raise ValueError("batch keeps no initial draws to re-target")
-        new = np.broadcast_to(np.asarray(initial_var, dtype=float), (2,))
-        if np.array_equal(new, self.initial_var):
-            return
-        z = self.initial_draws.T * (np.sqrt(new)
-                                    - np.sqrt(self.initial_var))[:, None]
-        out = self.samples.transpose(2, 1, 0)  # (2, nbins, trials)
-        for n, r_n in enumerate(self.initial_response):
-            out[:, n] += r_n * z
-        self.initial_var = new
 
 
 @dataclass(frozen=True)
@@ -376,11 +351,11 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
     atomic start; detection loss ``loss.eta`` applies to every bin.
     """
     _check_draws(n_trials, master_seed)
-    e1, H, gain, innov_sd, response = _record_law(loss, mu_nu, duration, dt,
-                                                  n_trials)
+    e1, H, gain, innov_sd, _ = _record_law(loss, mu_nu, duration, dt,
+                                           n_trials)
     nbins = gain.size
-    init_var = np.broadcast_to(np.asarray(initial_var, dtype=float), (2,))
-    init_sd = np.sqrt(init_var).reshape(-1, 1)
+    init_sd = np.sqrt(np.broadcast_to(np.asarray(initial_var, dtype=float),
+                                      (2,))).reshape(-1, 1)
 
     out = np.empty((2, nbins, n_trials))
     z = np.empty((2, n_trials))
@@ -401,8 +376,7 @@ def simulate_batch(n_trials: int, duration: float, dt: float,
         x *= e1
         x += step
     return RecordBatch(dt=dt, samples=out.transpose(2, 1, 0),
-                       master_seed=master_seed, initial_var=init_var,
-                       initial_draws=z.T, initial_response=response)
+                       master_seed=master_seed)
 
 
 def integrate_mode_batch(batch: RecordBatch, mode: ModeFunctional) -> np.ndarray:
@@ -552,14 +526,16 @@ def _worker_count(n_blocks: int) -> int:
 
 
 def _fold_blocks(n_trials: int, nbins: int, master_seed: int, reduce,
-                 shape: tuple, fold) -> None:
-    """Call ``fold(reduce(draws))`` for every block of :func:`_draw_blocks`,
-    in block order; ``reduce`` returns a float64 array of ``shape``.
+                 shape: tuple) -> list:
+    """Merge ``reduce(draws)``, a float64 array of ``shape`` whose rows are
+    :func:`_block_moments`, over the blocks of :func:`_draw_blocks` in block
+    order; returns [count, column means, column sums of squared deviations]
+    per row.
 
     With W = :func:`_worker_count` processes, the caller reduces blocks
     k = 0 (mod W) and a forked worker w the blocks k = w (mod W), writing
     each result's bytes to its own pipe; the caller reads the pipes in block
-    order, so ``fold`` sees the same values whatever W is.  A worker that
+    order, so the merge sees the same values whatever W is.  A worker that
     cannot be forked leaves its blocks to the caller.  WorkerError if a
     worker ends before sending all its blocks.  On return or on any
     exception every worker has been reaped (and killed first on an
@@ -569,6 +545,7 @@ def _fold_blocks(n_trials: int, nbins: int, master_seed: int, reduce,
     n_blocks = -(-n_trials // TRIAL_BLOCK)
     n_workers = _worker_count(n_blocks)
     nbytes = 8 * math.prod(shape)
+    acc = [[0, 0.0, 0.0] for _ in range(shape[0])]
     workers = {}  # w -> (pid, read end of its pipe)
     try:
         for w in range(1, n_workers):
@@ -602,18 +579,20 @@ def _fold_blocks(n_trials: int, nbins: int, master_seed: int, reduce,
         for k in range(n_blocks):
             w = k % n_workers
             if w not in workers:
-                fold(reduce(next(own)[1]))
-                continue
-            data = workers[w][1].read(nbytes)
-            if len(data) < nbytes:
-                pid, pipe = workers.pop(w)
-                pipe.close()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise WorkerError(
-                    f"sampler worker {pid} ended "
-                    f"{'with exit status' if code >= 0 else 'by signal'} "
-                    f"{abs(code)} before sending block {k}")
-            fold(np.frombuffer(data).reshape(shape))
+                moments = reduce(next(own)[1])
+            else:
+                data = workers[w][1].read(nbytes)
+                if len(data) < nbytes:
+                    pid, pipe = workers.pop(w)
+                    pipe.close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    raise WorkerError(
+                        f"sampler worker {pid} ended "
+                        f"{'with exit status' if code >= 0 else 'by signal'}"
+                        f" {abs(code)} before sending block {k}")
+                moments = np.frombuffer(data).reshape(shape)
+            for a, m in zip(acc, moments):
+                _merge_moments(a, m)
     except BaseException:
         import signal
         for pid, _ in workers.values():
@@ -623,6 +602,7 @@ def _fold_blocks(n_trials: int, nbins: int, master_seed: int, reduce,
         for pid, pipe in workers.values():
             pipe.close()
             os.waitpid(pid, 0)
+    return acc
 
 
 def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
@@ -685,15 +665,9 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
             out[j] = _block_moments(read_y)
         return out
 
-    acc = [[0, 0.0, 0.0] for _ in initial_vars]
-
-    def fold(block_moments):
-        for a, m in zip(acc, block_moments):
-            _merge_moments(a, m)
-
-    _fold_blocks(n_trials, law[2].size, master_seed, moments, shape, fold)
     out = []
-    for j, (count, _, m2) in enumerate(acc):
+    for j, (count, _, m2) in enumerate(_fold_blocks(
+            n_trials, law[2].size, master_seed, moments, shape)):
         var = tuple(float(x) for x in m2 / (count - 1))
         out.append(HybridReadout(var[:2], var[2:], *pairs[j]) if pairs
                    else HybridReadout(var, None, None, None))

@@ -18,18 +18,9 @@ import numpy as np
 
 from .errors import EprSimError
 from .estimation import forward_model
-from .gaussian_dynamics import (
-    NoiseChannels,
-    propagate_moments,
-    trajectory_to_csv,
-)
+from .gaussian_dynamics import trajectory_to_csv
 from .light_readout import LossParams, invert_readout
-from .multilevel_rates import (
-    PopulationState,
-    multilevel_xi,
-    propagate_populations,
-    transition_rates,
-)
+from .multilevel_rates import PopulationState
 from .records import (
     ModeFunctional,
     discrete_calibration,
@@ -156,10 +147,7 @@ def _dark_decay(params, state0, pop0, horizon=8.0, dt=0.05):
     """Drive switched off after generation: relax under dark dephasing."""
     dark = params.replace(Gamma=0.0, Gamma_tilde=_DARK_DEPHASING)
     grid = inclusive_range(0.0, horizon, dt)
-    pops = propagate_populations(pop0, transition_rates(dark), grid)
-    noise = NoiseChannels.from_params(dark)
-    traj = propagate_moments(state0, dark, noise, grid, populations=pops)
-    return grid, multilevel_xi(traj.xi, pops)
+    return grid, forward_model(dark, pop0, grid, initial_state=state0)[0]
 
 
 def _deficit_efold_time(times, xi):

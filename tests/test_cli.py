@@ -430,6 +430,15 @@ _BAD_INPUT = [
     (["reconstruct", "--trials", "0"], 2),
     (["reconstruct", "--trials", "-5"], 2),
     (["orientation", "nan,0,0,0,0,0,0,0,1"], 2),
+    (["reconstruct", "--probe-ms", "0"], 2),
+    (["reconstruct", "--probe-ms", "-1"], 2),
+    (["reconstruct", "--dt-ms", "-1", "--trials", "1"], 2),
+    (["reconstruct", "--dt-ms", "nan", "--trials", "1"], 2),
+    (["conditional", "--gamma-s", "1e-300", "--gamma-extra", "0",
+      "--trials", "200"], 3),
+    (["reconstruct", "--gamma-s", "1e-300", "--gamma-extra", "0",
+      "--trials", "2000"], 3),
+    (["reconstruct", "--probe-ms", "1e-300", "--trials", "1"], 3),
 ]
 _BAD_INPUT_IDS = [
     "overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
@@ -439,7 +448,9 @@ _BAD_INPUT_IDS = [
     "bins-huge", "populations-degenerate", "gm-scan-long",
     "orientation-trials", "scenario-params", "simulate-format",
     "scenario-trials", "scenario-grid", "reconstruct-trials-zero",
-    "reconstruct-trials-negative", "orientation-nan"]
+    "reconstruct-trials-negative", "orientation-nan", "probe-zero",
+    "probe-negative", "dt-negative", "dt-nan", "conditional-slope-vanishes",
+    "reconstruct-slope-vanishes", "probe-slope-vanishes"]
 
 _FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
 

@@ -48,6 +48,45 @@ class TestForwardModel:
         _, jx, _, _ = forward_model(make_params(), POP0, GRID)
         assert jx[0] == 1.0
 
+    def test_initial_state_is_the_hand_composed_chain(self):
+        # fig2c's dark decay: the drive stops at the pumped witness minimum,
+        # and the dark run starts from the Gaussian state and populations
+        # there; every output is the chain's own, bit for bit
+        from eprsim.gaussian_dynamics import NoiseChannels, propagate_moments
+        from eprsim.multilevel_rates import multilevel_xi
+        from eprsim.scenarios import (
+            _DARK_DEPHASING,
+            _INITIAL_POP,
+            inclusive_range,
+            scenario_params,
+        )
+
+        params = scenario_params("fig2c")
+        grid = inclusive_range(0.0, 45.0, 0.25)
+        xi, _, traj, pops = forward_model(params, _INITIAL_POP, grid,
+                                          pump=True)
+        k = int(np.argmin(xi))
+        state0, pop0 = traj.state(k), pops.state(k)
+        assert traj.xi[k] < 1.0  # entangled: not the default CSS
+        dark = params.replace(Gamma=0.0, Gamma_tilde=_DARK_DEPHASING)
+        t = inclusive_range(0.0, 8.0, 0.05)
+        got_xi, got_jx, got_traj, got_pops = forward_model(
+            dark, pop0, t, initial_state=state0)
+        want_pops = propagate_populations(pop0, transition_rates(dark), t)
+        want_traj = propagate_moments(state0, dark,
+                                      NoiseChannels.from_params(dark), t,
+                                      populations=want_pops)
+        assert got_xi.tobytes() == multilevel_xi(want_traj.xi,
+                                                 want_pops).tobytes()
+        assert got_jx.tobytes() == (want_pops.jx_frac
+                                    / want_pops.jx_frac[0]).tobytes()
+        for name in ("phi", "x", "xi", "var_x_minus", "var_p_plus"):
+            assert (getattr(got_traj, name).tobytes()
+                    == getattr(want_traj, name).tobytes())
+        for name in ("n44", "n43", "nh"):
+            assert (getattr(got_pops, name).tobytes()
+                    == getattr(want_pops, name).tobytes())
+
 
 class TestFitParameters:
     def test_zero_free_path(self):

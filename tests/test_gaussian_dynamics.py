@@ -8,10 +8,12 @@ from eprsim.gaussian_dynamics import (
     NoiseChannels,
     Trajectory,
     moment_derivative,
+    moment_tangents,
     propagate_moments,
     relaxation_rate,
     trajectory_to_csv,
 )
+from eprsim.multilevel_rates import PopulationSeries
 from eprsim.spin_model import (
     GaussianState,
     css_state,
@@ -99,14 +101,12 @@ class TestPropagateMoments:
     def test_population_throttling(self):
         params = make_params()
         noise = NoiseChannels(dephasing=0.0)
-
-        class Series:
-            times = np.array([0.0, 100.0])
-            p2_tilde = np.array([0.5, 0.5])
-
         t = 4.0
+        half = PopulationSeries(times=[0.0, t], n44=[0.75, 0.75],
+                                n43=[0.25, 0.25], nh=[0.0, 0.0])
+        assert np.all(half.p2_tilde == 0.5)
         slow = propagate_moments(css_state(), params, noise,
-                                 np.array([0.0, t]), populations=Series())
+                                 np.array([0.0, t]), populations=half)
         fast = propagate_moments(css_state(), params, noise,
                                  np.array([0.0, 0.5 * t]))
         # halved rate over t equals full rate over t/2
@@ -199,38 +199,6 @@ class TestTrajectoryCsv:
 
 
 class TestTimeVaryingRates:
-    def test_grid_aligned_populations_match_interpolated_path(self):
-        # population times equal to the grid take no interpolation pass;
-        # one extra time past the grid's end forces that pass and leaves
-        # every bit of the result unchanged
-        from eprsim.multilevel_rates import (
-            PopulationSeries,
-            PopulationState,
-            propagate_populations,
-            transition_rates,
-        )
-
-        params = make_params(Gamma_pump=0.168)
-        grid = np.linspace(0.0, 20.0, 21)
-        rates = transition_rates(params, pump=True)
-        start = PopulationState(n44=0.6, n43=0.2, nh=0.2)
-        on_grid = propagate_populations(start, rates, grid)
-        past = propagate_populations(start, rates, np.append(grid, 25.0))
-        noise = NoiseChannels(dephasing=0.1, pump_refill=0.5)
-        a, b = (propagate_moments(css_state(), params, noise, grid,
-                                  populations=pops)
-                for pops in (on_grid, past))
-        assert np.array_equal(on_grid.p2_tilde, past.p2_tilde[:-1])
-        for name in ("phi", "x", "xi", "var_x_minus", "var_p_plus"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-        # without populations: the same as constant ones on the end points
-        ends = PopulationSeries(times=grid[[0, -1]], n44=np.ones(2),
-                                n43=np.zeros(2), nh=np.zeros(2))
-        plain, const = (propagate_moments(css_state(), params, noise, grid,
-                                          populations=pops)
-                        for pops in (None, ends))
-        assert np.array_equal(plain.xi, const.xi)
-
     def test_matches_full_moment_solve(self):
         # pumped populations make both p2_tilde(t) and nh(t) vary; the
         # reference integrates moment_derivative on the full mean and
@@ -281,10 +249,9 @@ class TestTimeVaryingRates:
 
 class TestExactEngine:
     def test_matches_per_interval_reference(self):
-        # population times off the moment grid, p2_tilde and nh both varying;
-        # the rates are linear between the union of the two sets of times, so
-        # a tight DOP853 solve of the (phi, x) ODE per interval is the
-        # reference
+        # p2_tilde and nh both varying on the moment grid; the rates are
+        # linear between grid points, so a tight DOP853 solve of the
+        # (phi, x) ODE per interval is the reference
         from scipy.integrate import solve_ivp
 
         from eprsim.multilevel_rates import (
@@ -294,12 +261,12 @@ class TestExactEngine:
         )
 
         params = make_params(Gamma_pump=0.168)
+        grid = np.linspace(0.5, 19.0, 17)
         pops = propagate_populations(
             PopulationState(n44=0.6, n43=0.2, nh=0.2),
-            transition_rates(params, pump=True), np.linspace(0.0, 20.0, 13))
+            transition_rates(params, pump=True), grid)
         assert np.ptp(pops.p2_tilde) > 0.1 and np.ptp(pops.nh) > 0.03
         noise = NoiseChannels(dephasing=0.1, pump_refill=0.5)
-        grid = np.linspace(0.5, 19.0, 17)
         traj = propagate_moments(css_state(), params, noise, grid,
                                  populations=pops)
 
@@ -310,13 +277,11 @@ class TestExactEngine:
                 np.interp(t, pops.times, pops.nh))
             return [-rate * y[0], g2 - rate * y[1]]
 
-        inner = pops.times[(pops.times > grid[0]) & (pops.times < grid[-1])]
-        nodes = np.union1d(grid, inner)
         ref = [np.array([1.0, 0.0])]
-        for a, b in zip(nodes[:-1], nodes[1:]):
+        for a, b in zip(grid[:-1], grid[1:]):
             ref.append(solve_ivp(rhs, (a, b), ref[-1], method="DOP853",
                                  rtol=1e-13, atol=1e-15).y[:, -1])
-        ref = np.array(ref)[np.isin(nodes, grid)]
+        ref = np.array(ref)
         np.testing.assert_allclose(traj.phi, ref[:, 0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(traj.x, ref[:, 1], rtol=0, atol=1e-12)
 
@@ -345,16 +310,50 @@ class TestExactEngine:
         # rate q = 1, so x = 1 - phi and phi = exp(-int rate) exactly
         params = make_params()
         grid = np.linspace(0.0, 20.0, 21)
-
-        class Series:
-            times = np.array([0.0, 5.0, 10.0, 20.0])
-            p2_tilde = np.array([0.0, 0.0, 1.0, 0.0])
-
+        p2 = np.interp(grid, [0.0, 5.0, 10.0, 20.0], [0.0, 0.0, 1.0, 0.0])
+        pops = PopulationSeries(times=grid, n44=0.5 + 0.5 * p2,
+                                n43=0.5 - 0.5 * p2, nh=np.zeros(grid.size))
+        assert np.all(pops.p2_tilde[[0, 5, 20]] == 0.0)
         traj = propagate_moments(css_state(), params, NoiseChannels(), grid,
-                                 populations=Series())
-        rate = relaxation_rate(params, np.interp(grid, Series.times,
-                                                 Series.p2_tilde))
+                                 populations=pops)
+        rate = relaxation_rate(params, pops.p2_tilde)
         decay = np.exp(-0.5 * np.diff(grid) * (rate[:-1] + rate[1:]))
         phi = np.concatenate([[1.0], np.cumprod(decay)])
         np.testing.assert_allclose(traj.phi, phi, rtol=0, atol=1e-13)
         np.testing.assert_allclose(traj.x, 1.0 - phi, rtol=0, atol=1e-13)
+
+
+class TestPopulationsOnGrid:
+    GRID = np.linspace(0.0, 20.0, 21)
+
+    @staticmethod
+    def full(times):
+        n = len(times)
+        return PopulationSeries(times=times, n44=np.ones(n), n43=np.zeros(n),
+                                nh=np.zeros(n))
+
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.0, 20.0, 13), np.linspace(0.0, 25.0, 26),
+        np.linspace(0.0, 20.0, 21)[:-1], np.array([0.0, 20.0])],
+        ids=["coarser", "longer", "shorter", "ends"])
+    def test_other_times_refused(self, times):
+        # propagate_moments and moment_tangents read the populations the
+        # same way: on the trajectory's own times or not at all
+        params = make_params()
+        noise = NoiseChannels(dephasing=0.1)
+        with pytest.raises(ValueError, match="trajectory's times"):
+            propagate_moments(css_state(), params, noise, self.GRID,
+                              populations=self.full(times))
+        traj = propagate_moments(css_state(), params, noise, self.GRID)
+        traj.populations = self.full(times)
+        with pytest.raises(ValueError, match="trajectory's times"):
+            moment_tangents(traj, params, noise, np.ones((1, 3)))
+
+    def test_full_polarisation_is_no_populations(self):
+        # p2_tilde = 1 and nh = 0 on the grid: the same bits as None
+        params = make_params()
+        noise = NoiseChannels(dephasing=0.1, pump_refill=0.5)
+        plain, full = (propagate_moments(css_state(), params, noise,
+                                         self.GRID, populations=pops)
+                       for pops in (None, self.full(self.GRID)))
+        assert plain.xi.tobytes() == full.xi.tobytes()

@@ -110,6 +110,14 @@ class TestReconstruction:
         with pytest.raises(NoInformationError):
             reconstruct_atomic_variance(1.0, 0.0, MU_NU)
 
+    @pytest.mark.parametrize("eta", [1.0, 0.84])
+    def test_slope_lost_in_floor_rejected(self, eta):
+        # floor + slope == floor: the inverse would only scale rounding
+        with pytest.raises(NoInformationError, match="vanishes"):
+            closed_form_calibration(1e-300, MU_NU, eta)
+        slope, floor = closed_form_calibration(1e-15, MU_NU, eta)
+        assert floor + slope != floor
+
     def test_monte_carlo_round_trip(self):
         # sampled light variances invert back within statistical error
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from eprsim.multilevel_rates import (
     rate_matrix,
     transition_rates,
 )
-from eprsim.scenarios import scenario_params
+from eprsim.scenarios import inclusive_range, scenario_params
 
 from test_spin_model import make_params
 
@@ -235,6 +236,32 @@ class TestExpmGrid:
         got = mr._expm_grid(a, t)
         assert np.isnan(got[-2:]).all() and np.isfinite(got[:-2]).all()
         assert got.tobytes() == mask_loop_expm_grid(a, t).tobytes()
+
+    @pytest.mark.parametrize("a", [rate_matrix(PUMPED), _van_loan_block()],
+                             ids=["3x3", "6x6"])
+    def test_chunks_match_whole_grid(self, a, monkeypatch):
+        # two chunks of 32 points: squaring counts change inside both and
+        # the NaN tail ends the second, and the bits are the whole grid's
+        t = np.concatenate([[0.0], np.geomspace(1e-3, 1e15, 60),
+                            [1e300, 1e301]])
+        monkeypatch.setattr(mr, "_CHUNK_POINTS", 32)
+        got = mr._expm_grid(a, t)
+        assert np.isnan(got[-2:]).all() and np.isfinite(got[:-2]).all()
+        assert got.tobytes() == mask_loop_expm_grid(a, t).tobytes()
+
+    def test_memory_bounded_on_long_grid(self):
+        # a million points: the output and the series dominate; whole-grid
+        # Taylor powers and squaring copies peaked at 241-253 MB
+        grid = inclusive_range(0.0, 40.0, 4.0001e-5)
+        assert grid.size == 999_976
+        tracemalloc.start()
+        try:
+            series = propagate_populations(POP0, PUMPED, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(series.n44).all()
+        assert peak < 160e6
 
     def test_artifacts_unchanged(self, monkeypatch, tmp_path):
         # populations and fig2a-fig2c write the same bytes as under the

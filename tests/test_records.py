@@ -94,9 +94,6 @@ class TestModeFunctional:
         mode = ModeFunctional(phase="sin", exponent_rate=0.27,
                               direction="falling", window=(0.0, 5.0))
         assert integrate_mode_batch(rec, mode)[0] == 0.0
-        # a hand-built batch keeps no initial draws to re-target
-        with pytest.raises(ValueError, match="initial draws"):
-            rec.retarget((4.0, 4.0))
 
     def test_window_overflow(self):
         rec = RecordBatch(dt=0.1, samples=np.zeros((1, 10, 2)),
@@ -244,7 +241,11 @@ class TestSynthesisMoments:
         samples, z = reference_batch(trials, 3.0, 0.1, LOSSY, seed,
                                      initial_var=(0.5, 2.0))
         assert batch.samples.tobytes() == samples.tobytes()
-        assert batch.initial_draws.tobytes() == z.tobytes()
+        # row 0 of every block holds its trials' initial normals
+        drawn = np.concatenate([block[:, 0].copy() for _, block in
+                                records._draw_blocks(trials, batch.nbins,
+                                                     seed)])
+        assert drawn.tobytes() == z.tobytes()
 
     def test_seed_words_are_numpys(self):
         seeds = np.random.default_rng(3).integers(
@@ -445,37 +446,6 @@ class TestCalibration:
             with pytest.raises(ValueError, match=match):
                 call()
             assert time.perf_counter() - start < 0.5
-
-
-class TestRetarget:
-    @pytest.mark.parametrize("eta", [1.0, 0.84])
-    @pytest.mark.parametrize("start, target", [
-        ((0.5, 2.0), (2.0, 0.5)),
-        ((0.0, 0.0), (0.5, 2.0)),
-        ((0.5, 2.0), (0.0, 0.0)),
-    ], ids=["unequal", "from-zero", "to-zero"])
-    def test_matches_fresh_draw(self, eta, start, target):
-        # the same seeds drawn at the target variance, across a block
-        # boundary of the sampler
-        loss = LossParams(gamma_s=0.19, gamma_extra=0.08, eta=eta)
-        batch = simulate_batch(TRIAL_BLOCK + 2, 25.0, 0.1, loss, MU_NU, 12,
-                               initial_var=start)
-        batch.retarget(target)
-        fresh = simulate_batch(TRIAL_BLOCK + 2, 25.0, 0.1, loss, MU_NU, 12,
-                               initial_var=target)
-        np.testing.assert_allclose(batch.samples, fresh.samples,
-                                   rtol=0.0, atol=1e-12)
-
-    def test_memory_bounded(self):
-        # bin by bin: no (trials, nbins) temporary
-        batch = simulate_batch(4000, 10.0, 0.1, LOSSY, MU_NU, 3)
-        tracemalloc.start()
-        try:
-            batch.retarget((4.0, 4.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < batch.samples.nbytes / 10
 
 
 class TestConditionalVariance:

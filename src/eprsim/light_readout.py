@@ -149,9 +149,9 @@ def closed_form_calibration(kappa_sq: float, mu_nu: tuple,
 
     The IO map with vacuum input gives var(y) = kappa^2 var_atomic + 1 -
     kappa^2 (mu-nu)^2, and the eta beam splitter scales that by eta and
-    adds 1 - eta.  NoInformationError for kappa^2 = 0, or a slope that
-    vanishes against the floor in double precision (floor + slope ==
-    floor): the inverse would only scale rounding.
+    adds 1 - eta.  NoInformationError for kappa^2 = 0, or a slope that the
+    floor's rounding swamps (ulp(floor) > 1e-6 slope): rounding alone would
+    move the inverse, and so xi, by more than a part per million.
     """
     if kappa_sq <= 0:
         raise NoInformationError("kappa^2 = 0 carries no atomic information")
@@ -159,11 +159,12 @@ def closed_form_calibration(kappa_sq: float, mu_nu: tuple,
         raise ValueError("eta must lie in (0, 1]")
     mu, nu = mu_nu
     floor = eta * (1.0 - kappa_sq * (mu - nu) ** 2) + 1.0 - eta
-    if floor + eta * kappa_sq == floor:
+    slope = eta * kappa_sq
+    if math.ulp(floor) > 1e-6 * slope:
         raise NoInformationError(
-            f"kappa^2 = {kappa_sq:.3g} vanishes against the floor "
-            f"{floor:.6g} and carries no atomic information")
-    return eta * kappa_sq, floor
+            f"kappa^2 = {kappa_sq:.3g} vanishes against the rounding of the "
+            f"floor {floor:.6g} and carries no atomic information")
+    return slope, floor
 
 
 def invert_readout(variances, slope: float, floor: float) -> float:

@@ -37,9 +37,12 @@ Trial i of a batch uses the seed ``master_seed XOR i`` (master_seed in
 The draws are those of ``np.random.default_rng(master_seed ^ i)``, bit for
 bit, but no generator is built per trial: one pass over a block's uint32
 seed words computes every trial's ``SeedSequence`` state words (NumPy's
-hash, fixed by its stream-compatibility policy NEP 19), PCG's seeding turns
-each into a PCG64 state, and one reused generator, set to that state, draws
-the trial's z and noise in one call.  The tests pin both to NumPy's own.
+hash, fixed by its stream-compatibility policy NEP 19), one pass in uint64
+words turns them into PCG64 states by PCG's seeding, and one generator per
+block, its state words overwritten in place for each trial, draws the
+trial's z and noise in one call.  The words' order in the generator's
+memory is read back from one trial set through NumPy's public state setter,
+never assumed.  The tests pin all of it to NumPy's own.
 
 Mode integrals in closed form: a mode integral y = sum_n w_n s_n is
 (w . r) u_0 + sum_m C_m eps_m with C_m = sqrt(S_m) (w_m + K_m b_m),
@@ -84,6 +87,7 @@ recursion once over the whole batch.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
 from dataclasses import dataclass
@@ -91,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StatisticsError, WorkerError
+from .errors import InvariantViolationError, StatisticsError, WorkerError
 from .light_readout import LossParams
 
 __all__ = [
@@ -105,10 +109,11 @@ __all__ = [
     "hybrid_readout",
 ]
 
-# Cap on trials x bins per batch: drawing takes about 80 ns per trial-bin
-# on one core (2-core x86 host), so this is about 2 s, fig2d at 10^5 trials
-# of 250 bins; hybrid_readout draws its blocks on every CPU, which divides
-# that by up to the CPU count.  simulate_batch's records take 16 bytes per
+# Cap on trials x bins per batch: drawing takes about 40 ns per trial-bin
+# on one core (2-core x86 host, 250 bins; simulate_batch about 50 ns in
+# all), so this is about 1 s, fig2d at 10^5 trials of 250 bins;
+# hybrid_readout draws its blocks on every CPU, which divides that by up to
+# the CPU count.  simulate_batch's records take 16 bytes per
 # trial-bin (400 MB here); hybrid_readout holds one block of draws per
 # process whatever the trial count.
 MAX_TRIAL_BINS = 25_000_000
@@ -294,19 +299,77 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     return words[..., ::2] | words[..., 1::2] << 32  # little-endian pairs
 
 
+def _pcg_state(words) -> tuple:
+    """PCG64 (state, inc) as Python ints from one row of seed words
+    (initstate high, low, initseq high, low): PCG's "setseq" seeding."""
+    s_hi, s_lo, i_hi, i_lo = map(int, words)
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    return ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _pcg_states(words: np.ndarray) -> np.ndarray:
+    """:func:`_pcg_state` for every row of the (n, 4) uint64 seed words, as
+    (n, 4) uint64 words (state high, low, inc high, low): the 128-bit sums
+    and the product by _PCG_MULT in 64-bit words, the high half of the
+    64 x 64-bit product from 32-bit limbs."""
+    one, w32, w63, m32 = (np.uint64(c) for c in (1, 32, 63, 0xFFFFFFFF))
+    m_hi, m_lo = (np.uint64(c) for c in divmod(_PCG_MULT, 1 << 64))
+    s_hi, s_lo, i_hi, i_lo = words.T
+    inc_hi, inc_lo = i_hi << one | i_lo >> w63, i_lo << one | one
+    x_lo = inc_lo + s_lo
+    x_hi = inc_hi + s_hi + (x_lo < inc_lo)
+    a0, a1, b0, b1 = x_lo & m32, x_lo >> w32, m_lo & m32, m_lo >> w32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> w32) + (p01 & m32) + (p10 & m32)
+    lo_hi = a1 * b1 + (p01 >> w32) + (p10 >> w32) + (mid >> w32)
+    y_lo = x_lo * m_lo + inc_lo
+    y_hi = lo_hi + x_lo * m_hi + x_hi * m_lo + inc_hi + (y_lo < inc_lo)
+    return np.stack([y_hi, y_lo, inc_hi, inc_lo], axis=-1)
+
+
+def _word_order(found, expected) -> list:
+    """Positions of the words ``found`` in ``expected``: order[j] is the
+    index of expected's word found at j.  InvariantViolationError unless
+    ``found`` is exactly a permutation of four pairwise distinct
+    ``expected`` words (a trial's words repeat one another with
+    probability about 2^-62; their order cannot be read off them)."""
+    expected = list(expected)
+    order = [expected.index(w) if w in expected else -1 for w in found]
+    if sorted(order) != [0, 1, 2, 3]:
+        raise InvariantViolationError(
+            "PCG64 state words read back are not a permutation of the "
+            "seeded ones: NumPy's PCG64 state layout is not the one assumed")
+    return order
+
+
 def _draw_normals(seeds: np.ndarray, out: np.ndarray) -> None:
     """Fill ``out[k]`` with the first standard normals of
-    ``np.random.default_rng(seeds[k])`` for every uint64 seed: one generator,
-    its PCG64 state set from the seed words by PCG's "setseq" seeding."""
+    ``np.random.default_rng(seeds[k])`` for every uint64 seed: one generator
+    per call, its PCG64 state words written in place for each trial.
+
+    PCG64's ``ctypes.state_address`` holds a pointer to its (state, inc)
+    words.  Their order in memory (native or emulated 128-bit integers) is
+    read off the first trial, set through the public ``state`` setter and
+    its words read back, which also checks :func:`_pcg_states` against
+    :func:`_pcg_state`.  InvariantViolationError if they disagree
+    (:func:`_word_order`), before any trial is drawn.
+    """
+    seed_words = _seed_words(seeds)
+    states = _pcg_states(seed_words)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(_seed_words(seeds).tolist()):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64",
-                        "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        rng.standard_normal(out=out[k])
+    state, inc = _pcg_state(seed_words[0])
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(
+        bitgen.ctypes.state_address).value)
+    order = _word_order(list(words), states[0].tolist())
+    rows = memoryview(np.ascontiguousarray(states[:, order])).cast("B")
+    mem = memoryview(words).cast("B")
+    for lo, trial in zip(range(0, len(rows), 32), out):
+        mem[:] = rows[lo:lo + 32]
+        rng.standard_normal(out=trial)
 
 
 def _check_draws(n_trials: int, master_seed: int) -> None:
@@ -427,29 +490,28 @@ def _mode_weights(modes, dt: float, nbins: int) -> np.ndarray:
     return weights
 
 
-def optimize_gain(loss: LossParams, mu_nu: tuple, dt: float,
-                  readout_mode: ModeFunctional, *, gamma_m_grid,
-                  initial_var: float = 1.0) -> tuple:
-    """Exact feedback gain and feed-mode rate for ``readout_mode``.
-
-    For each gamma_m in the grid the feed mode is a rising exponential from
-    t = 0 up to the readout window, on the record law of ``loss`` and bin
-    width ``dt`` with initial atomic variance ``initial_var``.  Returns
-    (alpha*, gamma_m*, conditional variance), exact (module docstring); the
-    first grid point wins a tie.  ValueError for a negative or non-finite
-    ``initial_var``, an empty grid, one over MAX_GAIN_POINTS or
-    MAX_SCAN_POINT_BINS, or a record the sampler refuses; nothing is drawn.
-    """
-    v = _check_initial_var(initial_var)
+def _check_grid(gamma_m_grid) -> np.ndarray:
+    """The gamma_m grid as a float array; ValueError if it is empty or over
+    MAX_GAIN_POINTS."""
     grid = np.atleast_1d(np.asarray(gamma_m_grid, dtype=float))
     if grid.size == 0:
         raise ValueError("gamma_m grid must be nonempty")
     if grid.size > MAX_GAIN_POINTS:
         raise ValueError(f"{grid.size} gamma_m points exceeds "
                          f"{MAX_GAIN_POINTS}")
-    t0, t1 = readout_mode.window
-    law = _record_law(loss, mu_nu, t1, dt)
+    return grid
+
+
+def _gain_scan(law: tuple, dt: float, readout_mode: ModeFunctional,
+               grid: np.ndarray):
+    """The exact gamma_m scan of :func:`optimize_gain` on the record
+    ``law``, whose last bin ends ``readout_mode``'s window: one backward
+    pass over the feed bins, which do not depend on the initial variance.
+    Returns pick(v) = (alpha*, gamma_m*, conditional variance) at initial
+    atomic variance v.  ValueError for a feed mode that ModeFunctional
+    refuses or a scan over MAX_SCAN_POINT_BINS, before the pass."""
     e1, H, gain, innov_sd, response = law
+    t0, _ = readout_mode.window
     for gm in (grid.min(), grid.max()):  # the feed modes' own checks
         feed, _ = ModeFunctional(phase=readout_mode.phase, exponent_rate=gm,
                                  direction="rising",
@@ -475,12 +537,37 @@ def optimize_gain(loss: LossParams, mu_nu: tuple, dt: float,
         u *= decay
     scale = 1.0 / np.sqrt(norm)
     rho_feed *= scale
-    sigma_rf = rho_read * rho_feed * v + s_rf * scale
-    sigma_ff = rho_feed**2 * v + s_ff * scale**2
-    alpha = sigma_rf / sigma_ff
-    cond = rho_read**2 * v + float(c_read @ c_read) - alpha * sigma_rf
-    k = int(np.argmin(cond))
-    return float(alpha[k]), float(grid[k]), float(cond[k])
+    rho_rf, rho_ff = rho_read * rho_feed, rho_feed**2
+    s_rf *= scale
+    s_ff *= scale**2
+    rho_rr, c_rr = rho_read**2, float(c_read @ c_read)
+
+    def pick(v: float) -> tuple:
+        sigma_rf = rho_rf * v + s_rf
+        alpha = sigma_rf / (rho_ff * v + s_ff)
+        cond = rho_rr * v + c_rr - alpha * sigma_rf
+        k = int(np.argmin(cond))
+        return float(alpha[k]), float(grid[k]), float(cond[k])
+    return pick
+
+
+def optimize_gain(loss: LossParams, mu_nu: tuple, dt: float,
+                  readout_mode: ModeFunctional, *, gamma_m_grid,
+                  initial_var: float = 1.0) -> tuple:
+    """Exact feedback gain and feed-mode rate for ``readout_mode``.
+
+    For each gamma_m in the grid the feed mode is a rising exponential from
+    t = 0 up to the readout window, on the record law of ``loss`` and bin
+    width ``dt`` with initial atomic variance ``initial_var``.  Returns
+    (alpha*, gamma_m*, conditional variance), exact (module docstring); the
+    first grid point wins a tie.  ValueError for a negative or non-finite
+    ``initial_var``, an empty grid, one over MAX_GAIN_POINTS or
+    MAX_SCAN_POINT_BINS, or a record the sampler refuses; nothing is drawn.
+    """
+    v = _check_initial_var(initial_var)
+    grid = _check_grid(gamma_m_grid)
+    law = _record_law(loss, mu_nu, readout_mode.window[1], dt)
+    return _gain_scan(law, dt, readout_mode, grid)(v)
 
 
 class HybridReadout(NamedTuple):
@@ -615,7 +702,8 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
     ``master_seed ^ i``, as in :func:`simulate_batch`).
 
     With a ``gamma_m_grid`` each variance gets its exact (alpha*, gamma_m*)
-    (:func:`optimize_gain`, checked before any draw), and the conditional
+    (:func:`optimize_gain`'s, from one scan for all variances, checked
+    before any draw), and the conditional
     variances are those of both channels at that pair; without one only
     the unconditional variances are computed.  No record is built, and the
     blocks of trials are drawn on every CPU with the same results as on one
@@ -628,11 +716,13 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
         raise ValueError("need at least one initial variance")
     read = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
                           direction="falling", window=window)
-    pairs = [optimize_gain(loss, mu_nu, dt, read, gamma_m_grid=gamma_m_grid,
-                           initial_var=v)[:2]
-             for v in initial_vars] if gamma_m_grid is not None else []
+    grid = None if gamma_m_grid is None else _check_grid(gamma_m_grid)
     _check_draws(n_trials, master_seed)
     law = _record_law(loss, mu_nu, window[1], dt, n_trials)
+    pairs = []
+    if grid is not None:
+        pick = _gain_scan(law, dt, read, grid)
+        pairs = [pick(v)[:2] for v in initial_vars]
     if n_trials < 2:
         raise StatisticsError("need at least two records for a variance")
     feeds = [ModeFunctional(phase="cos", exponent_rate=gm,

@@ -439,6 +439,11 @@ _BAD_INPUT = [
     (["reconstruct", "--gamma-s", "1e-300", "--gamma-extra", "0",
       "--trials", "2000"], 3),
     (["reconstruct", "--probe-ms", "1e-300", "--trials", "1"], 3),
+    # rounding of the floor alone would move xi by 0.06, 0.007 and 1e-4
+    (["reconstruct", "--probe-ms", "1e-15", "--trials", "1"], 3),
+    (["reconstruct", "--probe-ms", "1e-14", "--trials", "1"], 3),
+    (["reconstruct", "--probe-ms", "1e-12", "--trials", "1"], 3),
+    (["conditional", "--probe-ms", "1e-12", "--trials", "2"], 3),
 ]
 _BAD_INPUT_IDS = [
     "overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
@@ -450,7 +455,9 @@ _BAD_INPUT_IDS = [
     "scenario-trials", "scenario-grid", "reconstruct-trials-zero",
     "reconstruct-trials-negative", "orientation-nan", "probe-zero",
     "probe-negative", "dt-negative", "dt-nan", "conditional-slope-vanishes",
-    "reconstruct-slope-vanishes", "probe-slope-vanishes"]
+    "reconstruct-slope-vanishes", "probe-slope-vanishes",
+    "probe-1e-15-rounding", "probe-1e-14-rounding", "probe-1e-12-rounding",
+    "conditional-probe-rounding"]
 
 _FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
 
@@ -825,6 +832,19 @@ def test_dead_worker_exits_3(monkeypatch, capsys, tmp_path):
     assert "Traceback" not in err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_state_words_mismatch_exits_4(monkeypatch, capsys, tmp_path):
+    # PCG64 state words read back that the seeding does not explain: one
+    # line and exit 4, before any trial is drawn
+    real = records._pcg_states
+    monkeypatch.setattr(records, "_pcg_states",
+                        lambda words: real(words) ^ np.uint64(1))
+    assert main(["reconstruct", "--trials", "2",
+                 "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "permutation" in err, err
+    assert not list(tmp_path.iterdir())
 
 
 def test_fig2d_memory_one_block(tmp_path):

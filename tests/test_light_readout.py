@@ -112,11 +112,14 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("eta", [1.0, 0.84])
     def test_slope_lost_in_floor_rejected(self, eta):
-        # floor + slope == floor: the inverse would only scale rounding
-        with pytest.raises(NoInformationError, match="vanishes"):
-            closed_form_calibration(1e-300, MU_NU, eta)
-        slope, floor = closed_form_calibration(1e-15, MU_NU, eta)
-        assert floor + slope != floor
+        # ulp(floor) > 1e-6 slope: rounding alone would move xi by more
+        # than a part per million (the floor is just below 1, ulp 2^-53)
+        for kappa_sq in (1e-300, 1e-15, 1e-12, 0.9 * 2**-53 * 1e6 / eta):
+            with pytest.raises(NoInformationError, match="vanishes"):
+                closed_form_calibration(kappa_sq, MU_NU, eta)
+        slope, floor = closed_form_calibration(1.1 * 2**-53 * 1e6 / eta,
+                                               MU_NU, eta)
+        assert math.ulp(floor) <= 1e-6 * slope
 
     def test_monte_carlo_round_trip(self):
         # sampled light variances invert back within statistical error

@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from eprsim import records
-from eprsim.errors import StatisticsError, WorkerError
+from eprsim.errors import (
+    InvariantViolationError,
+    StatisticsError,
+    WorkerError,
+)
 from eprsim.light_readout import LossParams, apply_io_lossy
 from eprsim.records import (
     MAX_BINS,
@@ -288,6 +292,93 @@ class TestSynthesisMoments:
         np.testing.assert_allclose(integrate_mode_batch(c_order, mode),
                                    integrate_mode_batch(batch, mode),
                                    rtol=1e-13, atol=1e-13)
+
+
+M64 = 2**64 - 1
+# seed-word rows (initstate high, low, initseq high, low): all zeros, all
+# ones, a carry out of the low word in inc + initstate, one in the final
+# + inc, and one where initseq's top low bit shifts into inc's high word
+HAND_ROWS = [(0, 0, 0, 0), (M64, M64, M64, M64), (0, 1, 0, 2**63 - 1),
+             (0, 0, 0, 2**63 - 1), (5, 7, 0, 2**64 - 1)]
+
+
+class TestInPlaceStreams:
+    SEEDS = np.concatenate([
+        np.random.default_rng(17).integers(0, 2**64, size=1000,
+                                           dtype=np.uint64, endpoint=False),
+        np.array([0, 1, 2**63, 2**64 - 1, 2**64 - 2], dtype=np.uint64)])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (251, 2)])
+    def test_normals_are_default_rngs(self, shape):
+        out = np.empty((len(self.SEEDS), *shape))
+        records._draw_normals(self.SEEDS, out)
+        want = np.stack([np.random.default_rng(int(s)).standard_normal(shape)
+                         for s in self.SEEDS])
+        assert out.tobytes() == want.tobytes()
+
+    def test_vectorised_seeding_is_python_ints(self):
+        def carries(row):  # out of the low word in inc + initstate, + inc
+            s_hi, s_lo, i_hi, i_lo = row
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
+            prod = (inc + (s_hi << 64 | s_lo)) * records._PCG_MULT
+            return ((inc & M64) + s_lo > M64,
+                    (prod & M64) + (inc & M64) > M64)
+        assert carries(HAND_ROWS[2])[0] and carries(HAND_ROWS[3])[1]
+        rows = np.vstack([
+            np.array(HAND_ROWS, dtype=np.uint64),
+            records._seed_words(self.SEEDS)])
+        for row, words in zip(rows, records._pcg_states(rows).tolist()):
+            state, inc = records._pcg_state(row)
+            assert words == [state >> 64, state & M64, inc >> 64, inc & M64]
+
+    def test_pcg_state_is_numpys(self):
+        for s in self.SEEDS[-5:]:
+            want = np.random.PCG64(int(s)).state["state"]
+            words = np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
+            assert records._pcg_state(words) == (want["state"], want["inc"])
+
+    def test_no_state_between_calls(self):
+        # two samplers advanced alternately draw what each draws alone
+        trials, nbins = 2 * TRIAL_BLOCK + 7, 3
+        seeds = (5, 2**63 + 9)
+        alone = [[block.copy() for _, block in
+                  records._draw_blocks(trials, nbins, s)] for s in seeds]
+        mixed = [[], []]
+        for a, b in zip(*(records._draw_blocks(trials, nbins, s)
+                          for s in seeds)):
+            mixed[0].append(a[1].copy())
+            mixed[1].append(b[1].copy())
+        for got, want in zip(mixed, alone):
+            assert b"".join(x.tobytes() for x in got) == \
+                b"".join(x.tobytes() for x in want)
+
+    @pytest.mark.parametrize("found, expected, order", [
+        ((11, 10, 13, 12), (10, 11, 12, 13), [1, 0, 3, 2]),  # native
+        ((10, 11, 12, 13), (10, 11, 12, 13), [0, 1, 2, 3]),  # emulated
+    ], ids=["native", "emulated"])
+    def test_word_order(self, found, expected, order):
+        assert records._word_order(found, expected) == order
+
+    @pytest.mark.parametrize("found, expected", [
+        ((10, 11, 12, 14), (10, 11, 12, 13)),  # a word not seeded
+        ((10, 10, 12, 13), (10, 11, 12, 13)),  # one seeded word twice
+        ((10, 10, 12, 13), (10, 10, 12, 13)),  # order not determined
+        ((10, 11, 12), (10, 11, 12, 13)),
+    ], ids=["foreign", "repeated", "ambiguous", "short"])
+    def test_word_order_refuses_non_permutations(self, found, expected):
+        with pytest.raises(InvariantViolationError, match="permutation"):
+            records._word_order(found, expected)
+
+    def test_seeding_checked_before_any_write(self, monkeypatch):
+        # vectorised seeding that disagrees with the Python-int formula is
+        # refused by the read-back, before a trial's words are written
+        real = records._pcg_states
+        monkeypatch.setattr(records, "_pcg_states",
+                            lambda words: real(words) ^ np.uint64(1 << 40))
+        out = np.full((4, 2, 2), np.nan)
+        with pytest.raises(InvariantViolationError):
+            records._draw_normals(self.SEEDS[:4], out)
+        assert np.isnan(out).all()
 
 
 def four_noise_covariance(loss, dt, nbins, initial_var):

@@ -42,8 +42,6 @@ from .estimation import (
 from .gaussian_dynamics import series_columns, trajectory_to_csv
 from .light_readout import (
     LossParams,
-    apply_detection_loss,
-    apply_io_lossy,
     closed_form_calibration,
     invert_readout,
     readout_kappa_sq,
@@ -235,32 +233,43 @@ def _cmd_populations(args) -> int:
 
 
 def _check_record_options(args) -> None:
-    """ValueError unless ``--probe-ms`` and ``--dt-ms`` are finite and
-    positive."""
-    for flag, value in (("--probe-ms", args.probe_ms),
-                        ("--dt-ms", args.dt_ms)):
+    """ValueError unless --probe-ms, --dt-ms and --handover-ms (if taken)
+    are finite and positive, leave a nonempty window, and --trials >= 1."""
+    flags = {"--probe-ms": args.probe_ms, "--dt-ms": args.dt_ms}
+    if "handover_ms" in args:  # conditional's probe window starts there
+        flags["--handover-ms"] = args.handover_ms
+    for flag, value in flags.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be finite and positive")
+    if "handover_ms" in args and \
+            not args.handover_ms + args.probe_ms > args.handover_ms:
+        raise ValueError("--handover-ms + --probe-ms rounds to --handover-ms")
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+
+
+def _readout_calibration(args, params: ModelParams) -> tuple:
+    """(loss, mu_nu, kappa_sq, slope, floor): the closed-form calibration of
+    the --probe-ms window, after the rates and record options are checked."""
+    loss = LossParams(gamma_s=args.gamma_s, gamma_extra=args.gamma_extra,
+                      eta=params.eta)
+    _check_record_options(args)
+    mu_nu = (params.mu, params.nu)
+    kappa_sq = readout_kappa_sq(loss, mu_nu, args.probe_ms)
+    slope, floor = closed_form_calibration(kappa_sq, mu_nu, loss.eta)
+    return loss, mu_nu, kappa_sq, slope, floor
 
 
 def _cmd_reconstruct(args) -> int:
     params = _load_params(args)
-    loss = LossParams(gamma_s=args.gamma_s, gamma_extra=args.gamma_extra,
-                      eta=params.eta)
-    mu_nu = (params.mu, params.nu)
+    loss, mu_nu, kappa_sq, slope, floor = _readout_calibration(args, params)
     T = args.probe_ms
-    _check_record_options(args)
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    kappa_sq = readout_kappa_sq(loss, mu_nu, T)
-    slope, floor = closed_form_calibration(kappa_sq, mu_nu, params.eta)
     branches = {"css": 1.0, "steady": params.squeeze_sq}
     report = {"kappa_sq": kappa_sq}
     readouts = None  # both branches from one draw per seed
     for k, (label, v) in enumerate(branches.items()):
-        snap = apply_io_lossy((v, v), loss, mu_nu, T)
-        y = [apply_detection_loss(yv, params.eta) for yv in snap.y_out]
-        report[f"xi_{label}"] = invert_readout(y, slope, floor)
+        y = slope * v + floor  # noise-free: the calibration's forward map
+        report[f"xi_{label}"] = invert_readout((y, y), slope, floor)
         report[f"xi_{label}_true"] = v
         if args.trials > 1:
             if readouts is None:
@@ -275,15 +284,10 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_conditional(args) -> int:
     params = _load_params(args)
-    loss = LossParams(gamma_s=args.gamma_s, gamma_extra=args.gamma_extra,
-                      eta=params.eta)
-    mu_nu = (params.mu, params.nu)
+    loss, mu_nu, kappa_sq, slope, floor = _readout_calibration(args, params)
     T, probe = args.handover_ms, args.probe_ms
-    _check_record_options(args)
     grid = _range(args.gm_min, args.gm_max, args.gm_step,
                   "--gm-min/--gm-max/--gm-step")
-    kappa_sq = readout_kappa_sq(loss, mu_nu, probe)
-    slope, floor = closed_form_calibration(kappa_sq, mu_nu, loss.eta)
     # the exact gamma_m scan is checked and run before any draw
     r, = hybrid_readout(args.trials, loss, mu_nu, args.dt_ms, (T, T + probe),
                         args.seed, gamma_m_grid=grid)

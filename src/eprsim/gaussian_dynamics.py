@@ -183,8 +183,13 @@ def _increments(h, g2, rate, partials=False):
     increment, from g2 and the rate at the interval ends (see the module
     docstring).  ``partials`` adds the increment's derivatives with respect
     to (rate_a, rate_b, g2_a, g2_b), the values at each interval's two ends,
-    shape (4, len(h)), taken through the same terms; dR's are h / 2."""
-    dR = 0.5 * h * (rate[:-1] + rate[1:])
+    shape (4, len(h)), taken through the same terms; dR's are h / 2.
+    InvariantViolationError where a dR is not finite."""
+    with np.errstate(over="ignore"):
+        dR = 0.5 * h * (rate[:-1] + rate[1:])
+    if not np.all(np.isfinite(dR)):
+        raise InvariantViolationError("moment rates overflow: their "
+                                      "integral over an interval is not finite")
     inc = np.zeros_like(dR)
     live = dR > 0  # a zero-rate interval leaves x unchanged
     width = -np.expm1(-dR[live])
@@ -241,6 +246,9 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must strictly increase")
     p2, nh = _population_rates(populations, grid)
+    if not np.isfinite(params.d * params.Gamma):  # else inf * (P2 = 0)
+        raise InvariantViolationError("moment rates overflow: d * Gamma is "
+                                      "not finite")
     g2 = relaxation_rate(params, p2)
     rate = g2 + noise.dephasing + noise.pump_noise_rate(nh)
     dR, inc = _increments(np.diff(grid), g2, rate)

@@ -177,12 +177,17 @@ def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(a t_k) for every t_k >= 0 of the nondecreasing ``t``, shape
     (len(t), n, n), by Taylor scaling and squaring (Al-Mohy & Higham 2009)
     batched over _CHUNK_POINTS points at a time; NaN where more than
-    _MAX_SQUARINGS squarings are needed.
+    _MAX_SQUARINGS squarings are needed, InvariantViolationError where
+    ``a``'s 1-norm is not finite.
 
     No eigendecomposition, so defective generators are as exact as any.
     """
     n = a.shape[0]
-    norm = np.abs(a).sum(axis=0).max()  # 1-norm
+    with np.errstate(over="ignore"):
+        norm = np.abs(a).sum(axis=0).max()  # 1-norm
+    if not np.isfinite(norm):
+        raise InvariantViolationError(
+            "population rates overflow: the generator's norm is not finite")
     b = a / norm if norm > 0 else a
     terms = [np.eye(n)]  # B^j / j!
     for j in range(1, _TAYLOR_DEGREE + 1):

@@ -4,10 +4,10 @@ integration and the conditional-variance (hybrid) scheme.
 Records are generated at baseband in the frame rotating at the Larmor
 frequency: each time bin carries the (cos, sin) quadrature pair of S2, one
 independent vacuum mode pair per bin with unit variance.  The record model is
-the differential form of the input-output relations, so mode-functional
-integrals have exactly the first and second moments predicted by the
-closed-form relations in :mod:`eprsim.light_readout` (the aggregated signal
-coefficient telescopes to the continuous kappa for any bin width).
+the differential form of the input-output relations: the aggregated signal
+coefficient telescopes to the continuous kappa for any bin width, so mode
+integrals follow the closed-form map of :mod:`eprsim.light_readout`, whose
+floor is exact only without extra decay (``discrete_calibration`` is).
 
 Per bin of width tau and channel (u couples to cos, v to sin), the physical
 update draws four vacuum normals w, f, g, h:

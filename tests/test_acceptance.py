@@ -27,8 +27,8 @@ from eprsim.gaussian_dynamics import (
 )
 from eprsim.light_readout import (
     LossParams,
-    apply_detection_loss,
-    apply_io_lossy,
+    closed_form_calibration,
+    readout_kappa_sq,
     reconstruct_atomic_variance,
 )
 from eprsim.lindblad_oracle import validate_against_oracle
@@ -95,15 +95,15 @@ def test_criterion_3_round_trip_reconstruction():
         eta = 0.84
         # deterministic variance-level round trip, exact to 1e-12
         loss_det = LossParams(gamma_s=0.19, gamma_extra=0.08)
+        kappa_det = readout_kappa_sq(loss_det, MU_NU, 5.0)
+        slope, floor = closed_form_calibration(kappa_det, MU_NU, eta)
         for v in (1.0, 0.16):
-            snap = apply_io_lossy((v, v), loss_det, MU_NU, 5.0)
-            y = apply_detection_loss(snap.y_out[0], eta)
-            rec = reconstruct_atomic_variance(y, snap.kappa_sq, MU_NU,
-                                              eta=eta)
-            assert rec.value == pytest.approx(v, abs=1e-12)
+            rec = reconstruct_atomic_variance(slope * v + floor, kappa_det,
+                                              MU_NU, eta=eta)
+            assert rec == pytest.approx(v, abs=1e-12)
         # Monte Carlo round trip over simulated records
         loss = LossParams(gamma_s=0.27, gamma_extra=0.0, eta=eta)
-        kappa_sq = apply_io_lossy((1.0, 1.0), loss, MU_NU, 5.0).kappa_sq
+        kappa_sq = readout_kappa_sq(loss, MU_NU, 5.0)
         mode = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
                               direction="falling", window=(0.0, 5.0))
         trials = 10_000
@@ -115,7 +115,7 @@ def test_criterion_3_round_trip_reconstruction():
                                               eta=eta)
             se_y = var_y * math.sqrt(2.0 / (trials - 1))
             se_v = se_y / (eta * kappa_sq)
-            assert rec.value == pytest.approx(v, abs=3.0 * se_v)
+            assert rec == pytest.approx(v, abs=3.0 * se_v)
         assert time.perf_counter() - t0 < 30.0
 
 

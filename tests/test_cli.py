@@ -174,12 +174,17 @@ class TestArtifacts:
         text = (tmp_path / "populations.csv").read_text()
         assert "time_ms" in text
 
-    def test_reconstruct_round_trip_values(self, tmp_path):
-        run(["reconstruct", "--format", "json", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("gamma_extra", ["0", "0.08", "0.3"])
+    @pytest.mark.parametrize("probe_ms", ["1", "5", "20"])
+    def test_reconstruct_round_trip_values(self, probe_ms, gamma_extra,
+                                           tmp_path):
+        assert run(["reconstruct", "--format", "json", "--probe-ms",
+                    probe_ms, "--gamma-extra", gamma_extra,
+                    "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "reconstruct.json").read_text())
         rep = doc["report"]
-        assert rep["xi_css"] == pytest.approx(1.0, abs=1e-10)
-        assert rep["xi_steady"] == pytest.approx(0.16, abs=1e-10)
+        assert rep["xi_css"] == pytest.approx(1.0, abs=1e-12)
+        assert rep["xi_steady"] == pytest.approx(0.16, abs=1e-12)
 
     def test_orientation_stdout(self, capsys):
         assert run(["orientation", "--format", "json",
@@ -444,6 +449,29 @@ _BAD_INPUT = [
     (["reconstruct", "--probe-ms", "1e-14", "--trials", "1"], 3),
     (["reconstruct", "--probe-ms", "1e-12", "--trials", "1"], 3),
     (["conditional", "--probe-ms", "1e-12", "--trials", "2"], 3),
+    # finite rates that overflow; a dict is written as a --params file of
+    # the fig2a defaults with those values
+    (["scenario", "fig2a", "--grid", "0,1,0.5", "--overrides",
+      '{"Gamma_tilde": 1e308}'], 4),
+    (["scenario", "fig2a", "--grid", "0,1,0.5", "--overrides",
+      '{"Gamma_L_out": 1e308}'], 4),
+    (["scenario", "fig2a", "--grid", "0,1,0.5", "--overrides",
+      '{"Gamma_col": 1e308}'], 4),
+    (["scenario", "fig2a", "--grid", "0,1,0.5", "--overrides",
+      '{"d": 1e308, "Gamma": 10}'], 4),
+    (["scenario", "fig2c", "--grid", "0,1,0.5", "--overrides",
+      '{"Gamma_pump": 1e308}'], 4),
+    (["simulate", "--params", {"Gamma_col": 1e308}], 4),
+    (["simulate", "--params", {"Gamma_tilde": 1e308}], 4),
+    (["simulate", "--params", {"d": 1e308, "Gamma": 10}, "--pops",
+      "0.5,0.5,0"], 4),
+    (["reconstruct", "--gamma-s", "1e308", "--gamma-extra", "1e308",
+      "--trials", "1"], 4),
+    (["conditional", "--gamma-s", "1e308", "--gamma-extra", "1e308"], 4),
+    (["conditional", "--handover-ms", "nan"], 2),
+    (["conditional", "--handover-ms", "-1"], 2),
+    (["conditional", "--handover-ms", "0"], 2),
+    (["conditional", "--handover-ms", "1e300"], 2),
 ]
 _BAD_INPUT_IDS = [
     "overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
@@ -457,7 +485,31 @@ _BAD_INPUT_IDS = [
     "probe-negative", "dt-negative", "dt-nan", "conditional-slope-vanishes",
     "reconstruct-slope-vanishes", "probe-slope-vanishes",
     "probe-1e-15-rounding", "probe-1e-14-rounding", "probe-1e-12-rounding",
-    "conditional-probe-rounding"]
+    "conditional-probe-rounding", "tilde-overflow", "loss-overflow",
+    "collision-overflow", "collective-overflow", "pump-overflow",
+    "params-collision-overflow", "params-tilde-overflow",
+    "params-unpolarised-overflow", "reconstruct-decay-overflow",
+    "conditional-decay-overflow", "handover-nan", "handover-negative",
+    "handover-zero", "handover-huge"]
+
+# the cause each of these cases names on its one stderr line
+_BAD_INPUT_CAUSES = {
+    "tilde-overflow": "moment rates overflow",
+    "loss-overflow": "population rates overflow",
+    "collision-overflow": "population rates overflow",
+    "collective-overflow": "d * Gamma",
+    "pump-overflow": "population rates overflow",
+    "params-collision-overflow": "population rates overflow",
+    "params-tilde-overflow": "moment rates overflow",
+    "params-unpolarised-overflow": "d * Gamma",
+    "reconstruct-decay-overflow": "total decay rate",
+    "conditional-decay-overflow": "total decay rate",
+    "handover-inf": "--handover-ms",
+    "handover-nan": "--handover-ms",
+    "handover-negative": "--handover-ms",
+    "handover-zero": "--handover-ms",
+    "handover-huge": "--handover-ms",
+}
 
 _FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
 
@@ -556,6 +608,15 @@ def _input_argv(command, text, where):
     return [command, str(where / "input.csv")]
 
 
+def _params_file(overrides, where):
+    """Path of a --params file under ``where``: the fig2a defaults with
+    ``overrides``."""
+    where.mkdir(parents=True)
+    path = where / "params.json"
+    path.write_text(scenario_params("fig2a").replace(**overrides).to_json())
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def matrix(tmp_path_factory):
     """Exit code and stderr of every exit-code matrix case, keyed
@@ -564,8 +625,10 @@ def matrix(tmp_path_factory):
     base = tmp_path_factory.mktemp("matrix")
     cases = []
     for (argv, _), case in zip(_BAD_INPUT, _BAD_INPUT_IDS):
-        cases.append((f"argv:{case}",
-                      [*argv, "--out", str(base / "argv" / case)]))
+        where = base / "argv" / case
+        argv = [_params_file(a, where) if isinstance(a, dict) else a
+                for a in argv]
+        cases.append((f"argv:{case}", [*argv, "--out", str(where)]))
     for (command, rows), case in zip(_BAD_FILE, _BAD_FILE_IDS):
         argv = _input_argv(command, rows, base / "file" / case)
         extra = ["--free", "d"] if command == "fit" else []
@@ -589,6 +652,17 @@ def test_bad_input_exit_code(argv, code, matrix, request):
     row = matrix[f"argv:{request.node.callspec.id}"]
     assert row["code"] == code, row["stderr"]
     assert "Traceback" not in row["stderr"]
+    assert "Warning" not in row["stderr"]
+
+
+@pytest.mark.parametrize("case, cause", _BAD_INPUT_CAUSES.items(),
+                         ids=list(_BAD_INPUT_CAUSES))
+def test_bad_input_names_its_cause(case, cause, matrix):
+    # refused where the rates or options enter, before any overflow
+    # warning or a message about something else
+    stderr = matrix[f"argv:{case}"]["stderr"]
+    assert cause in stderr
+    assert stderr.count("\n") == 1, stderr
 
 
 @pytest.mark.parametrize("command, rows", _BAD_FILE, ids=_BAD_FILE_IDS)

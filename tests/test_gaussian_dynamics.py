@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,27 @@ class TestPropagateMoments:
         propagate_moments(css_state(), make_params(), NoiseChannels(),
                           np.linspace(0.0, 5.0, 6))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("params, noise, pops, cause", [
+        (make_params(), NoiseChannels(dephasing=1e308), None, "integral"),
+        (make_params(d=1e308, Gamma=10.0), NoiseChannels(), None,
+         "d \\* Gamma"),
+        # P2 = 0 at the start: inf * 0 would be NaN
+        (make_params(d=1e308, Gamma=10.0), NoiseChannels(),
+         (0.5, 0.5, 0.0), "d \\* Gamma")],
+        ids=["dephasing", "collective", "collective-unpolarised"])
+    def test_overflowing_rate_rejected(self, params, noise, pops, cause):
+        # refused before the quadrature turns the rates into NaN, with no
+        # warning
+        grid = np.linspace(0.0, 1.0, 3)
+        if pops is not None:
+            pops = PopulationSeries(times=grid, n44=[pops[0]] * 3,
+                                    n43=[pops[1]] * 3, nh=[pops[2]] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolationError,
+                               match=f"moment rates overflow: .*{cause}"):
+                propagate_moments(css_state(), params, noise, grid, pops)
 
     def test_unphysical_initial_state_rejected(self):
         bad = GaussianState(mean=np.zeros(4), cov=0.5 * np.eye(4))

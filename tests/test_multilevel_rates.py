@@ -249,6 +249,18 @@ class TestExpmGrid:
         assert np.isnan(got[-2:]).all() and np.isfinite(got[:-2]).all()
         assert got.tobytes() == mask_loop_expm_grid(a, t).tobytes()
 
+    @pytest.mark.parametrize("rates", [
+        RateSet(g34=1e308, g43=1e308, g_out=0.027, g_in=0.002),
+        replace(RATES, g_out=1.7e308),
+        replace(RATES, pump=1e308)], ids=["collisions", "loss", "pump"])
+    def test_overflowing_norm_rejected(self, rates):
+        # each rate finite, the generator's 1-norm not: refused before the
+        # scaling divides by it, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolationError, match="norm"):
+                propagate_populations(POP0, rates, [0.0, 0.5, 1.0])
+
     def test_memory_bounded_on_long_grid(self):
         # a million points: the output and the series dominate; whole-grid
         # Taylor powers and squaring copies peaked at 241-253 MB

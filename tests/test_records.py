@@ -16,7 +16,11 @@ from eprsim.errors import (
     StatisticsError,
     WorkerError,
 )
-from eprsim.light_readout import LossParams, apply_io_lossy
+from eprsim.light_readout import (
+    LossParams,
+    closed_form_calibration,
+    readout_kappa_sq,
+)
 from eprsim.records import (
     MAX_BINS,
     MAX_GAIN_POINTS,
@@ -37,6 +41,13 @@ MU_NU = (1.45, 1.05)
 VACUUM = LossParams(gamma_s=0.0, gamma_extra=0.0)
 LOSSY = LossParams(gamma_s=0.19, gamma_extra=0.08)
 LOSSLESS = LossParams(gamma_s=0.27, gamma_extra=0.0)
+
+
+def _closed_form_variance(v0, loss, T):
+    """Readout-mode variance slope * v0 + floor of the closed-form map."""
+    slope, floor = closed_form_calibration(
+        readout_kappa_sq(loss, MU_NU, T), MU_NU, loss.eta)
+    return slope * v0 + floor
 
 
 def vacuum_batch(trials=10_000, duration=5.0, dt=0.1, seed=0):
@@ -149,10 +160,9 @@ class TestSynthesisMoments:
             mode = ModeFunctional(phase="cos", exponent_rate=LOSSLESS.gamma,
                                   direction="falling", window=(0.0, 5.0))
             y = integrate_mode_batch(batch, mode)
-            snap = apply_io_lossy((v0, v0), LOSSLESS, MU_NU, 5.0)
-            se = snap.y_out[0] * math.sqrt(2.0 / (len(y) - 1))
-            assert np.var(y, ddof=1) == pytest.approx(snap.y_out[0],
-                                                      abs=3 * se)
+            ex = _closed_form_variance(v0, LOSSLESS, 5.0)
+            se = ex * math.sqrt(2.0 / (len(y) - 1))
+            assert np.var(y, ddof=1) == pytest.approx(ex, abs=3 * se)
 
     def test_steady_state_squeezes_light(self):
         # entangled atoms push the readout mode below its CSS level
@@ -164,11 +174,10 @@ class TestSynthesisMoments:
                               direction="falling", window=(0.0, 5.0))
         v_css = np.var(integrate_mode_batch(css, mode), ddof=1)
         v_sq = np.var(integrate_mode_batch(sq, mode), ddof=1)
-        snap_css = apply_io_lossy((1.0, 1.0), LOSSLESS, MU_NU, 5.0)
-        snap_sq = apply_io_lossy((0.16, 0.16), LOSSLESS, MU_NU, 5.0)
         assert v_sq < v_css
         assert v_sq / v_css == pytest.approx(
-            snap_sq.y_out[0] / snap_css.y_out[0], rel=0.05)
+            _closed_form_variance(0.16, LOSSLESS, 5.0)
+            / _closed_form_variance(1.0, LOSSLESS, 5.0), rel=0.05)
 
     def test_exact_propagator_matches_monte_carlo(self):
         mode = ModeFunctional(phase="cos", exponent_rate=LOSSY.gamma,
@@ -187,15 +196,15 @@ class TestSynthesisMoments:
         slope, floor = discrete_calibration(LOSSLESS, MU_NU, 0.05, 5.0, mode)
         for v0 in (1.0, 0.16, 4.0):
             ex = slope * v0 + floor
-            snap = apply_io_lossy((v0, v0), LOSSLESS, MU_NU, 5.0)
-            assert ex == pytest.approx(snap.y_out[0], rel=1e-6)
+            assert ex == pytest.approx(
+                _closed_form_variance(v0, LOSSLESS, 5.0), rel=1e-6)
 
     def test_calibration_slope_equals_kappa_sq(self):
         mode = ModeFunctional(phase="cos", exponent_rate=LOSSY.gamma,
                               direction="falling", window=(0.0, 5.0))
         slope, floor = discrete_calibration(LOSSY, MU_NU, 0.05, 5.0, mode)
-        snap = apply_io_lossy((1.0, 1.0), LOSSY, MU_NU, 5.0)
-        assert slope == pytest.approx(snap.kappa_sq, rel=1e-6)
+        assert slope == pytest.approx(readout_kappa_sq(LOSSY, MU_NU, 5.0),
+                                      rel=1e-6)
         assert floor > 0.0
 
     def test_phase_exchange_symmetry(self):

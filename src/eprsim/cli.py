@@ -232,20 +232,27 @@ def _cmd_populations(args) -> int:
     return 0
 
 
-def _check_record_options(args) -> None:
+def _check_record_options(args, gamma: float) -> None:
     """ValueError unless --probe-ms, --dt-ms and --handover-ms (if taken)
-    are finite and positive, leave a nonempty window, and --trials >= 1."""
+    are finite and positive, leave a nonempty window and a finite ``gamma``
+    times record length, and --trials >= 1 (conditional: >= 2)."""
     flags = {"--probe-ms": args.probe_ms, "--dt-ms": args.dt_ms}
-    if "handover_ms" in args:  # conditional's probe window starts there
+    conditional = "handover_ms" in args  # its probe window starts there
+    if conditional:
         flags["--handover-ms"] = args.handover_ms
     for flag, value in flags.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be finite and positive")
-    if "handover_ms" in args and \
+    if conditional and \
             not args.handover_ms + args.probe_ms > args.handover_ms:
         raise ValueError("--handover-ms + --probe-ms rounds to --handover-ms")
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
+    length = args.probe_ms + (args.handover_ms if conditional else 0.0)
+    if not math.isfinite(gamma * length):  # the record's decay exponent
+        raise ValueError("--gamma-s + --gamma-extra times the record length "
+                         "must be finite")
+    if args.trials < (2 if conditional else 1):
+        raise ValueError("--trials must be at least 2 for conditional"
+                         if conditional else "--trials must be at least 1")
 
 
 def _readout_calibration(args, params: ModelParams) -> tuple:
@@ -253,7 +260,7 @@ def _readout_calibration(args, params: ModelParams) -> tuple:
     the --probe-ms window, after the rates and record options are checked."""
     loss = LossParams(gamma_s=args.gamma_s, gamma_extra=args.gamma_extra,
                       eta=params.eta)
-    _check_record_options(args)
+    _check_record_options(args, loss.gamma)
     mu_nu = (params.mu, params.nu)
     kappa_sq = readout_kappa_sq(loss, mu_nu, args.probe_ms)
     slope, floor = closed_form_calibration(kappa_sq, mu_nu, loss.eta)

@@ -7,9 +7,9 @@ Gaussian moment engine: the populations throttle the collective rate and
 supply the multilevel correction to the witness.  Fitting is weighted least
 squares (scipy's trust-region Gauss-Newton) on at most five physical
 parameters with positivity bounds, with the exact Jacobian: forward-mode
-derivatives taken through the same closed forms that give the values
-(``forward_tangents``), from the populations and trajectory that the
-residuals computed at the same point.
+derivatives taken through the same closed forms that give the values, in
+the same pass (``forward_model`` with ``directions``): each residual
+evaluation keeps the tangents for the Jacobian at its point.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import FitFailureError, IdentifiabilityError
 from .gaussian_dynamics import (
     NoiseChannels,
-    moment_tangents,
     propagate_moments,
 )
 from .multilevel_rates import (
@@ -29,7 +28,6 @@ from .multilevel_rates import (
     RateSet,
     multilevel_xi,
     polarization_slope,
-    population_tangents,
     propagate_populations,
     transition_rates,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "CalibrationPoint",
     "FITTABLE",
     "forward_model",
-    "forward_tangents",
     "fit_parameters",
     "calibrate_pn",
     "orientation",
@@ -186,42 +183,39 @@ def _directions(problem: FitProblem) -> np.ndarray:
 
 
 def forward_model(params: ModelParams, initial_pop: PopulationState, times,
-                  pump: bool = False, initial_state=None):
+                  pump: bool = False, initial_state=None, directions=None):
     """Predicted (xi_multilevel, jx_norm) series for a parameter set, with
     the trajectory and population series they come from; the moments start
-    from the GaussianState ``initial_state`` (None: the CSS)."""
+    from the GaussianState ``initial_state`` (None: the CSS).
+
+    ``directions`` (P, 5) over FITTABLE adds the series' derivatives (P,
+    len(times)) along them, (d_xi_multilevel, d_jx_norm), from the same
+    propagations as the values.
+    """
     times = np.asarray(times, dtype=float)
+    d_rates = d_moments = None
+    if directions is not None:
+        directions = np.reshape(directions, (-1, len(FITTABLE)))
+        d_rates = _rate_tangents(directions, pump)
+        # NoiseChannels.from_params: dephasing Gamma_tilde, refill the pump
+        d_moments = np.stack([directions[:, 0], directions[:, 2],
+                              d_rates[:, 4]], axis=1)
     pops = propagate_populations(initial_pop, transition_rates(params, pump),
-                                 times)
+                                 times, d_rates=d_rates)
     noise = NoiseChannels.from_params(params, pump=pump)
     traj = propagate_moments(css_state() if initial_state is None
                              else initial_state, params, noise, times,
-                             populations=pops)
-    xi_ml = multilevel_xi(traj.xi, pops)
+                             populations=pops, d_rates=d_moments,
+                             d_pops=pops.tangents)
+    tangents = None if directions is None else (traj.d_xi, pops.tangents)
+    xi_ml = multilevel_xi(traj.xi, pops, tangents)
     jx_norm = pops.jx_frac / pops.jx_frac[0]
-    return xi_ml, jx_norm, traj, pops
-
-
-def forward_tangents(params: ModelParams, initial_pop: PopulationState,
-                     traj, pops, directions, pump: bool = False):
-    """Derivatives (P, len(times)) of forward_model's (xi_multilevel,
-    jx_norm) along P directions over FITTABLE, shape (P, 5), from the
-    ``traj`` and ``pops`` it returned for ``params``."""
-    directions = np.reshape(directions, (-1, len(FITTABLE)))
-    d_rates = _rate_tangents(directions, pump)
-    d_pops = population_tangents(initial_pop,
-                                 transition_rates(params, pump), pops,
-                                 d_rates)
-    # NoiseChannels.from_params: dephasing Gamma_tilde, pump refill the pump
-    d_d, _, d_tilde, _, _ = directions.T
-    d_xi = moment_tangents(traj, params,
-                           NoiseChannels.from_params(params, pump=pump),
-                           np.stack([d_d, d_tilde, d_rates[:, 4]], axis=1),
-                           d_pops)
-    _, d_xi_ml = multilevel_xi(traj.xi, pops, (d_xi, d_pops))
-    d_jx = 4.0 * d_pops[0] + 3.0 * d_pops[1]  # of jx_frac
-    jx0 = pops.jx_frac[0]
-    return d_xi_ml, (d_jx - pops.jx_frac / jx0 * d_jx[:, :1]) / jx0
+    if tangents is None:
+        return xi_ml, jx_norm, traj, pops
+    xi_ml, d_xi_ml = xi_ml
+    d_jx = 4.0 * pops.tangents[0] + 3.0 * pops.tangents[1]  # of jx_frac
+    return (xi_ml, jx_norm, traj, pops, d_xi_ml,
+            (d_jx - jx_norm * d_jx[:, :1]) / pops.jx_frac[0])
 
 
 def least_squares(*args, **kwargs):
@@ -239,7 +233,8 @@ def fit_parameters(problem: FitProblem) -> FitResult:
     """Weighted least squares over the coupled rate + moment forward model."""
     mask = np.isfinite(problem.jx_norm)  # rows with a measured J_x
     n_obs = problem.times.size + np.count_nonzero(mask)
-    last = {}  # x of the latest residuals -> its (params, traj, pops)
+    last = {}  # x of the latest residuals -> its tangents [d_xi, d_jx]
+    directions = _directions(problem) if problem.free else None
 
     def build(x):
         trial = dict(zip(problem.free, x))
@@ -249,11 +244,11 @@ def fit_parameters(problem: FitProblem) -> FitResult:
 
     def residuals(x):
         p = build(x)
-        xi_m, jx_m, traj, pops = forward_model(p, problem.initial_pop,
-                                               problem.times,
-                                               pump=problem.pump)
+        xi_m, jx_m, _, _, *tangents = forward_model(
+            p, problem.initial_pop, problem.times, pump=problem.pump,
+            directions=directions)
         last.clear()
-        last[x.tobytes()] = p, traj, pops
+        last[x.tobytes()] = tangents
         res = [(xi_m - problem.xi) / problem.xi_err]
         if mask.any():
             res.append((jx_m[mask] - problem.jx_norm[mask])
@@ -268,15 +263,12 @@ def fit_parameters(problem: FitProblem) -> FitResult:
 
     if n_obs < len(problem.free):
         raise ValueError("fewer data points than free parameters")
-    directions = _directions(problem)
 
     def jacobian(x):
         # least_squares asks for the Jacobian at the x it last evaluated
         if x.tobytes() not in last:
             residuals(x)
-        p, traj, pops = last[x.tobytes()]
-        d_xi, d_jx = forward_tangents(p, problem.initial_pop, traj, pops,
-                                      directions, pump=problem.pump)
+        d_xi, d_jx = last[x.tobytes()]
         return np.concatenate([d_xi.T / problem.xi_err[:, None],
                                d_jx[:, mask].T / problem.jx_err[mask, None]])
 

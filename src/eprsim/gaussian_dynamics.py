@@ -38,7 +38,8 @@ x_b = x_a e^-dR + int_{e^-dR}^1 q du, with q = g2 / rate in [0, 1] taken at
 the root s(u) of the quadratic int_s^b rate = -ln u; a fixed Gauss-Legendre
 rule integrates this bounded, smooth q, however stiff the rates.  phi, x >= 0
 and phi + x <= 1 make C a convex mix of physical covariances, hence physical,
-and the witness (linear in C) mixes the witnesses of C0, T and I alike.
+and the witness (linear in C) mixes the witnesses of C0, T and I alike, as
+its rate derivatives mix theirs; the same pass gives those of phi and x.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "relaxation_rate",
     "moment_derivative",
     "propagate_moments",
-    "moment_tangents",
     "series_columns",
     "trajectory_to_csv",
 ]
@@ -124,7 +124,9 @@ class Trajectory:
 
     ``initial`` holds C0 and the means at ``times[0]``; ``target`` is T.
     The witness arrays ``var_x_minus``, ``var_p_plus`` and ``xi`` are
-    aligned with ``times``.
+    aligned with ``times``.  ``d_weights``, the derivatives (d_phi, d_x),
+    each (P, len(times)), along P directions, give the witness's ``d_xi``
+    (None without them).
     """
 
     times: np.ndarray
@@ -133,6 +135,7 @@ class Trajectory:
     initial: GaussianState
     target: np.ndarray
     populations: object = None
+    d_weights: tuple | None = None
 
     def __post_init__(self):
         self.times, self.phi, self.x = (
@@ -147,6 +150,10 @@ class Trajectory:
                             epr_witness(self.target), epr_witness(np.eye(4))])
         weights = np.stack([self.phi, self.x, 1.0 - self.phi - self.x], axis=1)
         self.var_x_minus, self.var_p_plus, self.xi = (weights @ corners).T
+        self.d_xi = None
+        if self.d_weights is not None:  # the witness is linear in them
+            (d_phi, d_x), (xi0, xi_t, xi_css) = self.d_weights, corners[:, 2]
+            self.d_xi = d_phi * (xi0 - xi_css) + d_x * (xi_t - xi_css)
 
     def state(self, k: int) -> GaussianState:
         """GaussianState at ``times[k]``."""
@@ -231,14 +238,21 @@ def _population_rates(populations, times: np.ndarray) -> tuple:
 
 
 def propagate_moments(initial: GaussianState, params: ModelParams,
-                      noise: NoiseChannels, grid,
-                      populations=None) -> Trajectory:
+                      noise: NoiseChannels, grid, populations=None,
+                      d_rates=None, d_pops=None) -> Trajectory:
     """Evolve the moments exactly over ``grid`` (ms, strictly increasing).
 
     ``populations``, a PopulationSeries on ``grid`` itself (ValueError
     otherwise), throttles the collective rate quasi-statically by its
     N2(t) P2(t); see the module docstring.  ``initial`` is checked once,
     when the Trajectory reads its witness.
+
+    ``d_rates`` (P, 3), d(d, dephasing, pump_refill) per direction, adds the
+    weights' derivatives along them, and so the witness's ``d_xi``; ``d_pops``
+    (3, P, len(grid)) are the populations' own, as in
+    ``PopulationSeries.tangents`` (None holds them fixed).  The tangents go
+    through the same dR, Gauss-Legendre terms and phi/x recursion as the
+    values, from one ``_increments`` call.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
@@ -251,9 +265,11 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
                                       "not finite")
     g2 = relaxation_rate(params, p2)
     rate = g2 + noise.dephasing + noise.pump_noise_rate(nh)
-    dR, inc = _increments(np.diff(grid), g2, rate)
+    h = np.diff(grid)
+    dR, inc, *parts = _increments(h, g2, rate, partials=d_rates is not None)
+    decay = np.exp(-dR).tolist()
     phi, x = [1.0], [0.0]
-    for e, dx in zip(np.exp(-dR).tolist(), inc.tolist()):
+    for e, dx in zip(decay, inc.tolist()):
         phi.append(phi[-1] * e)
         x.append(x[-1] * e + dx)
     phi, x = np.array(phi), np.array(x)
@@ -261,49 +277,32 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     if not np.all((phi >= -tol) & (x >= -tol) & (phi + x <= 1.0 + tol)):
         raise InvariantViolationError(
             "moment weights left the simplex phi, x >= 0, phi + x <= 1")
-    target = two_mode_squeezed_cov(params.mu, params.nu)
-    return Trajectory(times=grid, phi=np.clip(phi, 0.0, 1.0),
-                      x=np.clip(x, 0.0, 1.0), initial=initial, target=target,
-                      populations=populations)
-
-
-def moment_tangents(traj: Trajectory, params: ModelParams,
-                    noise: NoiseChannels, d_rates, d_pops=None) -> np.ndarray:
-    """Derivatives (P, len(times)) of ``traj.xi`` along P directions, for
-    ``traj = propagate_moments(initial, params, noise, times, populations)``
-    (ValueError for populations on other times).
-
-    ``d_rates`` (P, 3) holds d(d, dephasing, pump_refill) per direction and
-    ``d_pops`` (3, P, len(times)) the populations' derivatives, as from
-    ``population_tangents`` (None holds them fixed).  The tangents go
-    through dR, the Gauss-Legendre terms and the phi/x recursion.
-    """
-    pops = traj.populations
-    p2, nh = _population_rates(pops, traj.times)
-    d_p2 = d_nh = 0.0
-    if pops is not None and d_pops is not None:
-        d44, d43, d_nh = d_pops
-        d_p2 = np.sign(pops.n44 - pops.n43) * (d44 - d43)
-    dd, d_deph, d_refill = np.reshape(d_rates, (-1, 3)).T[:, :, None]
-    g2 = relaxation_rate(params, p2)
-    rate = g2 + noise.dephasing + noise.pump_noise_rate(nh)
-    d_g2 = params.Gamma * (dd * p2 + params.d * d_p2)
-    d_rate = (d_g2 + d_deph + d_refill * np.maximum(0.0, nh)
-              + noise.pump_refill * (nh > 0) * d_nh)
-    h = np.diff(traj.times)
-    dR, _, parts = _increments(h, g2, rate, partials=True)
-    d_dR = 0.5 * h * (d_rate[:, :-1] + d_rate[:, 1:])
-    d_inc = (parts[0] * d_rate[:, :-1] + parts[1] * d_rate[:, 1:]
-             + parts[2] * d_g2[:, :-1] + parts[3] * d_g2[:, 1:])
-    d_phi = -traj.phi * np.cumsum(np.pad(d_dR, ((0, 0), (1, 0))), axis=1)
-    rows = [[0.0] * len(d_dR)]  # d_x, one list of P per time
-    for e, xk, a, b in zip(np.exp(-dR).tolist(), traj.x.tolist(),
-                           d_dR.T.tolist(), d_inc.T.tolist()):
-        rows.append([(y - xk * da) * e + di
-                     for y, da, di in zip(rows[-1], a, b)])
-    xi0, xi_t, xi_css = (epr_witness(c)[2] for c in (
-        traj.initial.cov, traj.target, np.eye(4)))
-    return d_phi * (xi0 - xi_css) + np.transpose(rows) * (xi_t - xi_css)
+    phi, x = np.clip(phi, 0.0, 1.0), np.clip(x, 0.0, 1.0)
+    d_weights = None
+    if d_rates is not None:
+        d_p2 = d_nh = 0.0
+        if populations is not None and d_pops is not None:
+            d44, d43, d_nh = d_pops
+            d_p2 = np.sign(populations.n44 - populations.n43) * (d44 - d43)
+        dd, d_deph, d_refill = np.reshape(d_rates, (-1, 3)).T[:, :, None]
+        d_g2 = params.Gamma * (dd * p2 + params.d * d_p2)
+        d_rate = (d_g2 + d_deph + d_refill * np.maximum(0.0, nh)
+                  + noise.pump_refill * (nh > 0) * d_nh)
+        ra, rb, ga, gb = parts[0]  # the increments' partials
+        d_dR = 0.5 * h * (d_rate[:, :-1] + d_rate[:, 1:])
+        d_inc = (ra * d_rate[:, :-1] + rb * d_rate[:, 1:]
+                 + ga * d_g2[:, :-1] + gb * d_g2[:, 1:])
+        rows = [[0.0] * len(d_dR)]  # d_x, one list of P per time
+        for e, xk, a, b in zip(decay, x.tolist(), d_dR.T.tolist(),
+                               d_inc.T.tolist()):
+            rows.append([(y - xk * da) * e + di
+                         for y, da, di in zip(rows[-1], a, b)])
+        d_phi = np.zeros((len(d_dR), grid.size))
+        np.cumsum(d_dR, axis=1, out=d_phi[:, 1:])
+        d_weights = (-phi * d_phi, np.transpose(rows))
+    return Trajectory(times=grid, phi=phi, x=x, initial=initial,
+                      target=two_mode_squeezed_cov(params.mu, params.nu),
+                      populations=populations, d_weights=d_weights)
 
 
 def series_columns(times, witness=None, pops=None) -> dict:

@@ -7,7 +7,7 @@ both.  Every quantity is a fraction of the atom number, which cancels from
 all outputs.  All transitions are linear, so the population dynamics is a
 3x3 linear ODE solved exactly by the matrix exponential exp(A t), computed
 in numpy by Taylor scaling and squaring for the whole time grid at once;
-the same routine gives its derivatives with respect to the rates.
+the same call, on Van Loan's block matrix, gives the rate derivatives too.
 Summing pairs of equations recovers the textbook forms
 
     dn2/dt       = -(G_out + 2 G_in) n2 + 2 G_in
@@ -33,7 +33,6 @@ __all__ = [
     "transition_rates",
     "rate_matrix",
     "propagate_populations",
-    "population_tangents",
     "polarization_slope",
     "multilevel_xi",
 ]
@@ -133,12 +132,15 @@ def _generator(g34, g43, g_out, g_in, pump) -> np.ndarray:
 
 @dataclass
 class PopulationSeries:
-    """Population trajectory; arrays are aligned with ``times``."""
+    """Population trajectory; arrays are aligned with ``times``, and
+    ``tangents`` (3, P, len(times)), if any, are the derivatives of (n44,
+    n43, nh) along P directions."""
 
     times: np.ndarray
     n44: np.ndarray
     n43: np.ndarray
     nh: np.ndarray
+    tangents: np.ndarray | None = None
 
     def __post_init__(self):
         self.times, self.n44, self.n43, self.nh = (
@@ -218,54 +220,54 @@ def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def propagate_populations(initial: PopulationState, rates: RateSet,
-                          grid) -> PopulationSeries:
+                          grid, d_rates=None) -> PopulationSeries:
     """Exact propagation of the linear population system over ``grid`` (ms,
-    strictly increasing)."""
+    strictly increasing).
+
+    ``d_rates`` (P, 5), d(g34, g43, g_out, g_in, pump) per direction, adds
+    the series' derivatives along them as its ``tangents``, shape (3, P,
+    len(grid)) for (n44, n43, nh).  The derivative of exp(A t) along E is
+    the upper-right block of exp([[A, E], [0, A]] t) (Van Loan 1978), whose
+    diagonal blocks are exp(A t) itself: one ``_expm_grid`` call on [[A,
+    E_1 .. E_k], [0, diag(A .. A)]] over the directions with E != 0 gives
+    the series and its tangents, each E_i scaled to the 1-norm of A so the
+    scaling step is that of A.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must be a nonempty 1-D array of finite values")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must strictly increase")
     n0 = np.array([initial.n44, initial.n43, initial.nh])
-    sol = (_expm_grid(rate_matrix(rates), grid - grid[0]) @ n0).T
+    a, t = rate_matrix(rates), grid - grid[0]
+    if d_rates is None:
+        sol = (_expm_grid(a, t) @ n0).T
+    else:
+        d_a = np.array([_generator(*d) for d in np.reshape(d_rates, (-1, 5))])
+        norm = np.abs(d_a).sum(axis=1).max(axis=1)  # 1-norm of each E_i
+        live = norm > 0
+        k = np.count_nonzero(live)
+        scale = (np.abs(a).sum(axis=0).max() or 1.0) / norm[live]
+        block = np.zeros((k + 1, 3, k + 1, 3))  # (k + 1)^2 blocks of 3 x 3
+        block[range(k + 1), :, range(k + 1)] = a
+        block[0, :, 1:] = np.moveaxis(d_a[live] * scale[:, None, None], 0, 1)
+        e = _expm_grid(block.reshape(3 * k + 3, -1), t)[:, :3]
+        sol = (e[:, :, :3] @ n0).T
+        d_sol = np.zeros((3, len(d_a), t.size))
+        d_sol[:, live] = np.moveaxis(
+            e[:, :, 3:].reshape(t.size, 3, k, 3) @ n0 / scale, 0, -1)
     if sol.min() < -1e-8:
         raise ModelViolationError(
             f"population went negative ({sol.min():.3e}); rates are unphysical"
         )
     sol = np.clip(sol, 0.0, None)
     sol /= sol.sum(axis=0, keepdims=True)
-    return PopulationSeries(times=grid, n44=sol[0], n43=sol[1], nh=sol[2])
-
-
-def population_tangents(initial: PopulationState, rates: RateSet,
-                        series: PopulationSeries, d_rates) -> np.ndarray:
-    """Derivatives of ``series = propagate_populations(initial, rates,
-    grid)`` along P rate directions, shape (3, P, len(grid)) for (n44, n43,
-    nh).
-
-    ``d_rates`` (P, 5) holds d(g34, g43, g_out, g_in, pump) per direction.
-    The derivative of exp(A t) along E is the upper-right block of
-    exp([[A, E], [0, A]] t) (Van Loan 1978).  The directions with E != 0
-    share one ``_expm_grid`` call on [[A, E_1 .. E_k], [0, diag(A .. A)]],
-    each E_i scaled to the 1-norm of A so the scaling step is that of A.
-    """
-    a = rate_matrix(rates)
-    d_a = np.array([_generator(*d) for d in np.reshape(d_rates, (-1, 5))])
-    norm = np.abs(d_a).sum(axis=1).max(axis=1)  # 1-norm of each E_i
-    live, t = norm > 0, series.times - series.times[0]
-    n0 = np.array([initial.n44, initial.n43, initial.nh])
-    d_sol = np.zeros((3, len(d_a), t.size))
-    if live.any():
-        k = np.count_nonzero(live)
-        scale = (np.abs(a).sum(axis=0).max() or 1.0) / norm[live]
-        block = np.kron(np.eye(k + 1), a)
-        block[:3, 3:] = np.hstack(d_a[live] * scale[:, None, None])
-        e = _expm_grid(block, t)[:, :3, 3:].reshape(t.size, 3, k, 3)
-        d_sol[:, live] = np.moveaxis(e @ n0 / scale, 0, -1)
-    # the propagator's renormalisation, differentiated; the columns of A
-    # sum to zero, so the raw sum is that of n0 at every time
-    sol = np.array([series.n44, series.n43, series.nh])[:, None]
-    return (d_sol - sol * d_sol.sum(axis=0)) / n0.sum()
+    # the renormalisation, differentiated; the columns of A sum to zero, so
+    # the raw sum is that of n0 at every time
+    return PopulationSeries(
+        times=grid, n44=sol[0], n43=sol[1], nh=sol[2],
+        tangents=None if d_rates is None
+        else (d_sol - sol[:, None] * d_sol.sum(axis=0)) / n0.sum())
 
 
 def polarization_slope(initial: PopulationState, rates: RateSet) -> float:
@@ -288,8 +290,8 @@ def multilevel_xi(xi_gauss, pop, tangents=None):
     add excess noise and the denominator renormalises to the shrinking
     two-level subsystem.  Everything is per atom, since the atom number
     cancels.  ``pop`` is a PopulationSeries aligned with ``xi_gauss``.
-    ``tangents``, the derivatives (d_xi_gauss (P, n), d_pop (3, P, n) as
-    from ``population_tangents``) along P directions, makes it return
+    ``tangents``, the derivatives (d_xi_gauss (P, n), d_pop (3, P, n) as in
+    ``PopulationSeries.tangents``) along P directions, makes it return
     (xi, d_xi) with d_xi of shape (P, n).
     """
     if np.any(pop.n2_frac <= 0):

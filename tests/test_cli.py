@@ -472,6 +472,13 @@ _BAD_INPUT = [
     (["conditional", "--handover-ms", "-1"], 2),
     (["conditional", "--handover-ms", "0"], 2),
     (["conditional", "--handover-ms", "1e300"], 2),
+    (["conditional", "--trials", "1"], 2),
+    (["reconstruct", "--gamma-s", "1e308", "--gamma-extra", "0",
+      "--trials", "1"], 2),
+    (["reconstruct", "--gamma-s", "1e308", "--gamma-extra", "0",
+      "--trials", "2"], 2),
+    (["conditional", "--gamma-s", "1e308", "--gamma-extra", "0",
+      "--trials", "2"], 2),
 ]
 _BAD_INPUT_IDS = [
     "overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
@@ -490,7 +497,9 @@ _BAD_INPUT_IDS = [
     "params-collision-overflow", "params-tilde-overflow",
     "params-unpolarised-overflow", "reconstruct-decay-overflow",
     "conditional-decay-overflow", "handover-nan", "handover-negative",
-    "handover-zero", "handover-huge"]
+    "handover-zero", "handover-huge", "conditional-trials-one",
+    "reconstruct-record-decay-overflow", "reconstruct-mc-decay-overflow",
+    "conditional-record-decay-overflow"]
 
 # the cause each of these cases names on its one stderr line
 _BAD_INPUT_CAUSES = {
@@ -509,6 +518,10 @@ _BAD_INPUT_CAUSES = {
     "handover-negative": "--handover-ms",
     "handover-zero": "--handover-ms",
     "handover-huge": "--handover-ms",
+    "conditional-trials-one": "--trials must be at least 2 for conditional",
+    "reconstruct-record-decay-overflow": "--gamma-s + --gamma-extra",
+    "reconstruct-mc-decay-overflow": "--gamma-s + --gamma-extra",
+    "conditional-record-decay-overflow": "--gamma-s + --gamma-extra",
 }
 
 _FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
@@ -698,15 +711,15 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     if argv == ["forward_model"]:
         import numpy as np
-        from eprsim.estimation import forward_model, forward_tangents
+        from eprsim.estimation import forward_model
         from eprsim.multilevel_rates import PopulationState
         from eprsim.scenarios import scenario_params
         params = scenario_params("fig2a").replace(Gamma_pump=0.1)
         pop0 = PopulationState(n44=0.99, n43=0.01, nh=0.0)
         for pump in (False, True):
-            _, _, traj, pops = forward_model(params, pop0, [0.0, 10.0, 20.0],
-                                             pump=pump)
-            forward_tangents(params, pop0, traj, pops, np.eye(5), pump=pump)
+            forward_model(params, pop0, [0.0, 10.0, 20.0], pump=pump)
+            forward_model(params, pop0, [0.0, 10.0, 20.0], pump=pump,
+                          directions=np.eye(5))
         codes.append(0)
     else:
         codes.append(eprsim.cli.main(argv))

@@ -1,9 +1,10 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from eprsim import estimation
+from eprsim import estimation, gaussian_dynamics, multilevel_rates
 from eprsim.errors import FitFailureError, IdentifiabilityError
 from eprsim.estimation import (
     FITTABLE,
@@ -12,7 +13,6 @@ from eprsim.estimation import (
     calibrate_pn,
     fit_parameters,
     forward_model,
-    forward_tangents,
     orientation,
 )
 from eprsim.multilevel_rates import (
@@ -267,22 +267,35 @@ MEMO_SETUPS = {
 
 
 class TestPopulationMemo:
-    """The Jacobian reuses the population series and trajectory that the
-    residuals computed at the same x."""
+    """The Jacobian reads the tangents that the residuals computed at the
+    same x, in the same forward-model pass as the values."""
 
     @pytest.mark.parametrize("setup", MEMO_SETUPS)
     def test_fit_matches_propagating_every_evaluation(self, setup,
                                                       monkeypatch):
         problem = _noisy_problem(**MEMO_SETUPS[setup])
         got = fit_parameters(problem)
+        directions = estimation._directions(problem)
+        mask = np.isfinite(problem.jx_norm)
+        solve = estimation.least_squares
 
-        def referee(params, initial_pop, traj, pops, directions, pump=False):
-            _, _, traj, pops = forward_model(params, initial_pop, traj.times,
-                                             pump)
-            return forward_tangents(params, initial_pop, traj, pops,
-                                    directions, pump=pump)
+        def referee_jac(x):
+            # a fresh forward_model(..., directions=...) at every Jacobian
+            trial = dict(zip(problem.free, x))
+            if problem.slope_obs is not None:
+                trial["Gamma_L_out"] = estimation._resolve_gamma_l_out(
+                    problem, trial)
+            *_, d_xi, d_jx = forward_model(
+                problem.fixed.replace(**trial), problem.initial_pop,
+                problem.times, pump=problem.pump, directions=directions)
+            return np.concatenate([
+                d_xi.T / problem.xi_err[:, None],
+                d_jx[:, mask].T / problem.jx_err[mask, None]])
 
-        monkeypatch.setattr(estimation, "forward_tangents", referee)
+        def referee(fun, x0, jac, **kwargs):
+            return solve(fun, x0, jac=referee_jac, **kwargs)
+
+        monkeypatch.setattr(estimation, "least_squares", referee)
         want = fit_parameters(problem)
         assert got.free == want.free
         assert got.params == want.params
@@ -292,25 +305,44 @@ class TestPopulationMemo:
 
     @pytest.mark.parametrize("setup", MEMO_SETUPS)
     def test_one_propagation_per_evaluation(self, setup, monkeypatch):
-        # one forward model and one propagation per residual evaluation;
-        # the Jacobian runs neither
+        # one forward model, one propagation, one matrix exponential and one
+        # increment pass per residual evaluation; the Jacobian runs none
         problem = _noisy_problem(**MEMO_SETUPS[setup])
-        propagated, evaluated = [], []
+        propagated, evaluated, calls = [], [], Counter()
 
-        def counted_propagation(initial_pop, rates, grid):
+        def counted_propagation(initial_pop, rates, grid, d_rates=None):
             propagated.append(rates)
-            return propagate_populations(initial_pop, rates, grid)
+            return propagate_populations(initial_pop, rates, grid,
+                                         d_rates=d_rates)
 
-        def counted_model(params, initial_pop, times, pump=False):
+        def counted_model(params, initial_pop, times, pump=False,
+                          directions=None):
             evaluated.append(transition_rates(params, pump))
-            return forward_model(params, initial_pop, times, pump)
+            return forward_model(params, initial_pop, times, pump,
+                                 directions=directions)
 
+        for module, name in ((multilevel_rates, "_expm_grid"),
+                             (gaussian_dynamics, "_increments")):
+            def counted(*args, _fn=getattr(module, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(estimation, "propagate_populations",
                             counted_propagation)
         monkeypatch.setattr(estimation, "forward_model", counted_model)
         _, sol = _solve(problem, monkeypatch)
         assert propagated == evaluated
         assert len(evaluated) == sol.nfev and sol.njev > 0
+        assert calls == {"_expm_grid": sol.nfev, "_increments": sol.nfev}
+
+        fun, jac, x0 = _objective(problem, monkeypatch)
+        calls.clear()
+        fun(x0)
+        assert calls == {"_expm_grid": 1, "_increments": 1}
+        calls.clear()
+        jac(x0)
+        assert not calls
 
 
 class _Captured(Exception):
@@ -383,6 +415,32 @@ class TestJacobian:
             scale = np.abs(got[:, k]).max()
             assert scale > 0
             assert np.abs(got[:, k] - want).max() <= 1e-7 * scale, name
+
+    @pytest.mark.parametrize("setup", JACOBIAN_SETUPS)
+    def test_values_independent_of_directions(self, setup):
+        # with directions the populations come from the Van Loan block,
+        # whose diagonal blocks are the plain exponential: rounding apart,
+        # the values are those of a call without them
+        problem = _noisy_problem(**JACOBIAN_SETUPS[setup])
+        args = (problem.fixed, problem.initial_pop, problem.times)
+        plain = forward_model(*args, pump=problem.pump)
+        fused = forward_model(*args, pump=problem.pump,
+                              directions=estimation._directions(problem))
+        for got in fused[4:]:
+            assert got.shape == (len(problem.free), problem.times.size)
+        for want, got in ((plain[0], fused[0]), (plain[1], fused[1]),
+                          (plain[2].xi, fused[2].xi),
+                          *((getattr(plain[3], n), getattr(fused[3], n))
+                            for n in ("n44", "n43", "nh"))):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        # directions that move no rate leave the exponential as it is
+        still = forward_model(*args, pump=problem.pump,
+                              directions=np.eye(5)[[0, 2]])
+        assert still[3].tangents.shape == (3, 2, problem.times.size)
+        assert not still[3].tangents.any()
+        for n in ("n44", "n43", "nh"):
+            assert (getattr(still[3], n).tobytes()
+                    == getattr(plain[3], n).tobytes())
 
     def test_jacobian_at_an_unevaluated_point(self, monkeypatch):
         # asked at an x it has not evaluated, it evaluates it first

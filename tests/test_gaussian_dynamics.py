@@ -9,7 +9,6 @@ from eprsim.gaussian_dynamics import (
     NoiseChannels,
     Trajectory,
     moment_derivative,
-    moment_tangents,
     propagate_moments,
     relaxation_rate,
     trajectory_to_csv,
@@ -359,17 +358,18 @@ class TestPopulationsOnGrid:
         np.linspace(0.0, 20.0, 21)[:-1], np.array([0.0, 20.0])],
         ids=["coarser", "longer", "shorter", "ends"])
     def test_other_times_refused(self, times):
-        # propagate_moments and moment_tangents read the populations the
-        # same way: on the trajectory's own times or not at all
+        # propagate_moments reads the populations the same way with and
+        # without tangents: on the trajectory's own times or not at all
         params = make_params()
         noise = NoiseChannels(dephasing=0.1)
         with pytest.raises(ValueError, match="trajectory's times"):
             propagate_moments(css_state(), params, noise, self.GRID,
                               populations=self.full(times))
-        traj = propagate_moments(css_state(), params, noise, self.GRID)
-        traj.populations = self.full(times)
         with pytest.raises(ValueError, match="trajectory's times"):
-            moment_tangents(traj, params, noise, np.ones((1, 3)))
+            propagate_moments(css_state(), params, noise, self.GRID,
+                              populations=self.full(times),
+                              d_rates=np.ones((1, 3)),
+                              d_pops=np.zeros((3, 1, len(times))))
 
     def test_full_polarisation_is_no_populations(self):
         # p2_tilde = 1 and nh = 0 on the grid: the same bits as None

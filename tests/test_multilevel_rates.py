@@ -210,7 +210,8 @@ def mask_loop_expm_grid(a, t):
 
 
 def _van_loan_block():
-    # the 6x6 generator population_tangents exponentiates
+    # the 6x6 generator propagate_populations exponentiates for one
+    # direction
     block = np.kron(np.eye(2), rate_matrix(PUMPED))
     block[:3, 3:] = rate_matrix(RATES)
     return block

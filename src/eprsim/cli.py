@@ -235,7 +235,9 @@ def _cmd_populations(args) -> int:
 def _check_record_options(args, gamma: float) -> None:
     """ValueError unless --probe-ms, --dt-ms and --handover-ms (if taken)
     are finite and positive, leave a nonempty window and a finite ``gamma``
-    times record length, and --trials >= 1 (conditional: >= 2)."""
+    times record length and --dt-ms times ``gamma`` at most 0.2 (the
+    sampler's aliasing bound, checked whether or not records are drawn), and
+    --trials >= 1 (conditional: >= 2)."""
     flags = {"--probe-ms": args.probe_ms, "--dt-ms": args.dt_ms}
     conditional = "handover_ms" in args  # its probe window starts there
     if conditional:
@@ -250,6 +252,10 @@ def _check_record_options(args, gamma: float) -> None:
     if not math.isfinite(gamma * length):  # the record's decay exponent
         raise ValueError("--gamma-s + --gamma-extra times the record length "
                          "must be finite")
+    if args.dt_ms * gamma > 0.2:
+        raise ValueError(f"--dt-ms {args.dt_ms:g} is too coarse for --gamma-s "
+                         f"+ --gamma-extra = {gamma:g}: their product must "
+                         f"be <= 0.2 (aliasing)")
     if args.trials < (2 if conditional else 1):
         raise ValueError("--trials must be at least 2 for conditional"
                          if conditional else "--trials must be at least 1")

@@ -479,6 +479,13 @@ _BAD_INPUT = [
       "--trials", "2"], 2),
     (["conditional", "--gamma-s", "1e308", "--gamma-extra", "0",
       "--trials", "2"], 2),
+    # --dt-ms 0.1 times a decay rate of 1000: refused with and without
+    # Monte Carlo
+    (["reconstruct", "--gamma-s", "1000", "--gamma-extra", "0",
+      "--trials", "1"], 2),
+    (["reconstruct", "--gamma-s", "1000", "--gamma-extra", "0",
+      "--trials", "2"], 2),
+    (["conditional", "--gamma-s", "1000", "--gamma-extra", "0"], 2),
 ]
 _BAD_INPUT_IDS = [
     "overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
@@ -499,7 +506,8 @@ _BAD_INPUT_IDS = [
     "conditional-decay-overflow", "handover-nan", "handover-negative",
     "handover-zero", "handover-huge", "conditional-trials-one",
     "reconstruct-record-decay-overflow", "reconstruct-mc-decay-overflow",
-    "conditional-record-decay-overflow"]
+    "conditional-record-decay-overflow", "reconstruct-aliasing",
+    "reconstruct-mc-aliasing", "conditional-aliasing"]
 
 # the cause each of these cases names on its one stderr line
 _BAD_INPUT_CAUSES = {
@@ -522,6 +530,9 @@ _BAD_INPUT_CAUSES = {
     "reconstruct-record-decay-overflow": "--gamma-s + --gamma-extra",
     "reconstruct-mc-decay-overflow": "--gamma-s + --gamma-extra",
     "conditional-record-decay-overflow": "--gamma-s + --gamma-extra",
+    "reconstruct-aliasing": "--dt-ms 0.1 is too coarse for --gamma-s",
+    "reconstruct-mc-aliasing": "--dt-ms 0.1 is too coarse for --gamma-s",
+    "conditional-aliasing": "--dt-ms 0.1 is too coarse for --gamma-s",
 }
 
 _FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
@@ -758,6 +769,24 @@ def test_forward_model_loads_no_scipy():
     # the fit's unit of work: populations plus moments and their exact
     # derivatives (the block exponential included), numpy only
     assert _import_probe(["forward_model"])["after"] == []
+
+
+def test_fit_loads_no_scipy(tmp_path):
+    # the fit's solver is numpy only, like its forward model
+    truth = scenario_params("fig2a")
+    grid = np.linspace(0.0, 30.0, 7)
+    xi, jx, _, _ = forward_model(
+        truth, PopulationState(n44=0.99, n43=0.01, nh=0.0), grid)
+    obs = tmp_path / "observed.csv"
+    obs.write_text("t,xi,xi_err,jx_norm,jx_err\n" + "\n".join(
+        f"{t},{x},0.01,{j},0.005" for t, x, j in zip(grid, xi, jx)))
+    start = tmp_path / "start.json"
+    start.write_text(truth.replace(Gamma_tilde=0.12).to_json())
+    probe = _import_probe(["fit", str(obs), "--params", str(start),
+                           "--free", "Gamma_tilde", "--out",
+                           str(tmp_path / "out")])
+    assert probe["codes"] == [0]
+    assert probe["after"] == []
 
 
 def test_one_parser_per_process(tmp_path):

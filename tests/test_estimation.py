@@ -108,7 +108,7 @@ class TestFitParameters:
 
     def test_solver_called_through_module_global(self, monkeypatch):
         # a wrapper bound at eprsim.estimation.least_squares sees every
-        # solve; a function-local scipy import would bypass it
+        # solve; a solver reached by any other name would bypass it
         from eprsim import estimation
         solve, results = estimation.least_squares, []
 
@@ -364,9 +364,10 @@ def _objective(problem, monkeypatch):
     return got["fun"], got["jac"], got["x0"]
 
 
-def _solve(problem, monkeypatch):
-    """The fit and the solver's result."""
-    solve, sols = estimation.least_squares, []
+def _solve(problem, monkeypatch, solve=None):
+    """The fit, or the IdentifiabilityError it raised, and the result of
+    ``solve`` (default: the module's solver)."""
+    solve, sols = solve or estimation.least_squares, []
 
     def kept(*args, **kwargs):
         sols.append(solve(*args, **kwargs))
@@ -374,7 +375,10 @@ def _solve(problem, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(estimation, "least_squares", kept)
-        res = fit_parameters(problem)
+        try:
+            res = fit_parameters(problem)
+        except IdentifiabilityError as exc:
+            res = exc
     return res, sols[0]
 
 
@@ -481,6 +485,103 @@ class TestStop:
         for name in problem.free:
             assert getattr(res_m.params, name) == pytest.approx(
                 getattr(res.params, name), rel=1e-9, abs=0.0)
+
+
+def _referee(fun, x0, jac, **kwargs):
+    """scipy's least_squares, run to its rounding floor."""
+    from scipy.optimize import least_squares
+    return least_squares(fun, x0, jac=jac, **{**kwargs, "ftol": 1e-15,
+                                              "xtol": 1e-15, "gtol": 1e-15})
+
+
+# the pump rate's truth is 0, and this noise pulls its unconstrained optimum
+# below: the fit ends on the lower bound
+_PUMP_AT_BOUND = dict(free=("Gamma_pump", "Gamma_tilde"), pump=True,
+                      initial_pop=_PUMP_POP0, truth=dict(Gamma_pump=0.0),
+                      start=make_params(Gamma_pump=0.1, Gamma_tilde=0.15))
+REFEREE_CASES = {
+    "criterion-8-noise-free": lambda: _criterion_8(False),
+    **{f"memo-{k}": lambda v=v: _noisy_problem(**v)
+       for k, v in MEMO_SETUPS.items()},
+    **{f"jacobian-{k}": lambda v=v: _noisy_problem(**v)
+       for k, v in JACOBIAN_SETUPS.items()},
+    "pump-at-bound": lambda: _noisy_problem(**_PUMP_AT_BOUND),
+}
+
+
+class TestScipyReferee:
+    @pytest.mark.parametrize("case", REFEREE_CASES)
+    def test_matches_scipy(self, case, monkeypatch):
+        # noise-free within 1e-8 relative; noisy within 1e-4 standard
+        # errors, with the covariance within 1e-4 relative
+        problem = REFEREE_CASES[case]()
+        got, sol = _solve(problem, monkeypatch)
+        want, ref = _solve(problem, monkeypatch, solve=_referee)
+        assert sol.success and ref.success
+        assert type(got) is type(want)  # pump-off: both unidentifiable
+        # a column that moves no residual (the pump-off rate) stays at x0
+        live = ref.jac.any(axis=0)
+        assert np.array_equal(sol.x[~live], ref.x[~live])
+        if case.endswith("noise-free"):
+            np.testing.assert_allclose(sol.x, ref.x, rtol=1e-8, atol=0.0)
+        else:
+            info = ref.jac[:, live].T @ ref.jac[:, live]
+            sigma = np.sqrt(np.diag(np.linalg.inv(info)))
+            assert np.all(np.abs(sol.x - ref.x)[live] <= 1e-4 * sigma)
+        if isinstance(want, estimation.FitResult):
+            np.testing.assert_allclose(got.covariance, want.covariance,
+                                       rtol=1e-4, atol=0.0)
+
+    def test_optimum_on_a_bound(self, monkeypatch):
+        # the gradient holds the pump rate at 0, where the fit ends exactly
+        res, sol = _solve(_noisy_problem(**_PUMP_AT_BOUND), monkeypatch)
+        assert sol.success and res.params.Gamma_pump == 0.0
+        assert (sol.jac.T @ sol.fun)[0] > 0.0  # the cost falls below it
+
+
+class TestSolver:
+    def test_spent_budget_raises_with_the_best_iterate(self, monkeypatch):
+        problem = _criterion_8(noisy=True)
+        solve, seen = estimation.least_squares, []
+
+        def short(fun, x0, jac, **kwargs):
+            def kept(x):
+                r = fun(x)
+                seen.append((0.5 * float(r @ r), x.copy()))
+                return r
+            return solve(kept, x0, jac, max_nfev=4, **kwargs)
+
+        monkeypatch.setattr(estimation, "least_squares", short)
+        with pytest.raises(FitFailureError, match="budget") as exc:
+            fit_parameters(problem)
+        assert len(seen) == 4
+        cost, x = min(seen, key=lambda c: c[0])
+        assert cost < seen[0][0]
+        assert exc.value.best == problem.fixed.replace(
+            **dict(zip(problem.free, x)))
+
+    def test_default_budget_is_100_evaluations_per_parameter(self):
+        # r = x^2 halves x at every accepted step; with no tolerance to
+        # meet, only the budget stops it
+        sol = estimation.least_squares(
+            lambda x: x**2, np.array([1.0]), lambda x: np.diag(2.0 * x),
+            bounds=(np.array([-2.0]), np.array([2.0])), ftol=0.0, xtol=0.0,
+            gtol=0.0)
+        assert (sol.nfev, sol.status, sol.success) == (100, 0, False)
+        assert 0.0 < sol.x[0] < 1e-20
+
+    def test_non_finite_trial_rejected(self):
+        # residuals are NaN past x = 2; the unconstrained optimum, 3, lies
+        # there, so the first trials are rejected and the fit ends below 2
+        def fun(x):
+            return np.where(x < 2.0, x - 3.0, np.nan)
+
+        sol = estimation.least_squares(
+            fun, np.array([0.0]), lambda x: np.ones((1, 1)),
+            bounds=(np.array([-10.0]), np.array([10.0])), ftol=1e-10,
+            xtol=1e-10, gtol=1e-5)
+        assert sol.success and np.isfinite(sol.fun).all()
+        assert 1.9 < sol.x[0] < 2.0 and sol.njev < sol.nfev
 
 
 # replicates of criterion 8's noisy fit; the bounds are 4 standard errors

@@ -51,8 +51,9 @@ from .multilevel_rates import (
     propagate_populations,
     transition_rates,
 )
-from .records import hybrid_readout
+from .records import MAX_DT_GAMMA, hybrid_readout
 from .scenarios import (
+    READOUT_DEFAULTS,
     SCENARIO_NAMES,
     inclusive_range,
     run_scenario,
@@ -92,12 +93,14 @@ _SHARED_OPTIONS = {
     "seed": dict(type=_seed, default=0),
     "out": dict(help="output directory (default: stdout)"),
     "grid": dict(default="0,45,0.25", help="time grid t0,t1,dt in ms"),
-    "trials": dict(type=int, default=2000),
+    "pops": dict(default="0.99,0.01,0.0",
+                 help="initial populations n44,n43,nh"),
+    "trials": dict(type=int, default=READOUT_DEFAULTS["trials"]),
     "format": dict(choices=("csv", "json"), default="csv"),
-    "gamma-s": dict(type=float, default=0.19, dest="gamma_s"),
-    "gamma-extra": dict(type=float, default=0.08, dest="gamma_extra"),
-    "probe-ms": dict(type=float, default=5.0, dest="probe_ms"),
-    "dt-ms": dict(type=float, default=0.1, dest="dt_ms"),
+    **{name: dict(type=float, dest=dest, default=READOUT_DEFAULTS[dest])
+       for name, dest in (("gamma-s", "gamma_s"),
+                          ("gamma-extra", "gamma_extra"),
+                          ("probe-ms", "probe_ms"), ("dt-ms", "dt_ms"))},
     "pump": dict(action="store_true",
                  help="add the incoherent pump at rate Gamma_pump; the "
                       "default parameters have Gamma_pump = 0, so this "
@@ -235,9 +238,9 @@ def _cmd_populations(args) -> int:
 def _check_record_options(args, gamma: float) -> None:
     """ValueError unless --probe-ms, --dt-ms and --handover-ms (if taken)
     are finite and positive, leave a nonempty window and a finite ``gamma``
-    times record length and --dt-ms times ``gamma`` at most 0.2 (the
-    sampler's aliasing bound, checked whether or not records are drawn), and
-    --trials >= 1 (conditional: >= 2)."""
+    times record length and --dt-ms times ``gamma`` at most MAX_DT_GAMMA
+    (aliasing, checked whether or not records are drawn), and --trials >= 1
+    (conditional: >= 2)."""
     flags = {"--probe-ms": args.probe_ms, "--dt-ms": args.dt_ms}
     conditional = "handover_ms" in args  # its probe window starts there
     if conditional:
@@ -252,10 +255,10 @@ def _check_record_options(args, gamma: float) -> None:
     if not math.isfinite(gamma * length):  # the record's decay exponent
         raise ValueError("--gamma-s + --gamma-extra times the record length "
                          "must be finite")
-    if args.dt_ms * gamma > 0.2:
+    if args.dt_ms * gamma > MAX_DT_GAMMA:
         raise ValueError(f"--dt-ms {args.dt_ms:g} is too coarse for --gamma-s "
                          f"+ --gamma-extra = {gamma:g}: their product must "
-                         f"be <= 0.2 (aliasing)")
+                         f"be <= {MAX_DT_GAMMA:g} (aliasing)")
     if args.trials < (2 if conditional else 1):
         raise ValueError("--trials must be at least 2 for conditional"
                          if conditional else "--trials must be at least 1")
@@ -341,6 +344,7 @@ def _cmd_fit(args) -> int:
         "cost": result.cost,
         "residual_norm": float(np.linalg.norm(result.residuals)),
         "covariance": result.covariance.tolist(),
+        "at_bound": list(result.at_bound),
     }
     _emit_report(args, "fit", report, result.params, args.seed)
     return 0
@@ -387,16 +391,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", **_SHARED_OPTIONS[name])
 
     p = sub.add_parser("simulate", help="moment-equation trajectory")
-    shared(p, "params", "seed", "out", "grid")
-    p.add_argument("--pops", default="0.99,0.01,0.0",
-                   help="initial populations n44,n43,nh")
-    shared(p, "pump")
+    shared(p, "params", "seed", "out", "grid", "pops", "pump")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("populations", help="three-level rate model")
-    shared(p, "params", "seed", "out", "grid")
-    p.add_argument("--pops", default="0.99,0.01,0.0")
-    shared(p, "pump")
+    shared(p, "params", "seed", "out", "grid", "pops", "pump")
     p.set_defaults(func=_cmd_populations)
 
     p = sub.add_parser("reconstruct", help="readout round trip")
@@ -407,8 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conditional", help="hybrid conditional variance")
     shared(p, "params", "seed", "out", "trials", "format", "gamma-s",
            "gamma-extra")
-    p.add_argument("--handover-ms", type=float, default=20.0,
-                   dest="handover_ms")
+    p.add_argument("--handover-ms", type=float, dest="handover_ms",
+                   default=READOUT_DEFAULTS["handover_ms"])
     shared(p, "probe-ms", "dt-ms")
     p.add_argument("--gm-min", type=float, default=0.1, dest="gm_min")
     p.add_argument("--gm-max", type=float, default=1.5, dest="gm_max")
@@ -425,8 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("observed", help="CSV of t,xi,xi_err,jx_norm,jx_err")
     p.add_argument("--free", nargs="+", default=("d", "Gamma_col",
                                                  "Gamma_tilde"))
-    p.add_argument("--pops", default="0.99,0.01,0.0")
-    shared(p, "pump")
+    shared(p, "pops", "pump")
     p.add_argument("--slope-obs", type=float, dest="slope_obs",
                    help="observed t = 0 polarisation slope (ms^-1); pins "
                         "Gamma_L_out, which then cannot be --free")

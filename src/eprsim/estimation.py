@@ -134,6 +134,7 @@ class FitResult:
     residuals: np.ndarray
     free: tuple
     cost: float
+    at_bound: tuple = ()  # held on a bound: zero covariance rows/columns
 
 
 @dataclass(frozen=True)
@@ -212,17 +213,14 @@ def forward_model(params: ModelParams, initial_pop: PopulationState, times,
     noise = NoiseChannels.from_params(params, pump=pump)
     traj = propagate_moments(css_state() if initial_state is None
                              else initial_state, params, noise, times,
-                             populations=pops, d_rates=d_moments,
-                             d_pops=pops.tangents)
-    tangents = None if directions is None else (traj.d_xi, pops.tangents)
-    xi_ml = multilevel_xi(traj.xi, pops, tangents)
+                             populations=pops, d_rates=d_moments)
+    xi_ml = multilevel_xi(traj.xi, pops, traj.d_xi)
     jx_norm = pops.jx_frac / pops.jx_frac[0]
-    if tangents is None:
+    if directions is None:
         return xi_ml, jx_norm, traj, pops
     xi_ml, d_xi_ml = xi_ml
-    d_jx = 4.0 * pops.tangents[0] + 3.0 * pops.tangents[1]  # of jx_frac
     return (xi_ml, jx_norm, traj, pops, d_xi_ml,
-            (d_jx - jx_norm * d_jx[:, :1]) / pops.jx_frac[0])
+            (pops.d_jx - jx_norm * pops.d_jx[:, :1]) / pops.jx_frac[0])
 
 
 def least_squares(fun, x0, jac, bounds, ftol, xtol, gtol, x_scale=1.0,
@@ -355,18 +353,25 @@ def fit_parameters(problem: FitProblem) -> FitResult:
         raise FitFailureError(f"fit did not converge: {sol.message}",
                               best=build(sol.x))
 
-    jac = sol.jac
-    u, s, vt = np.linalg.svd(jac, full_matrices=False)
-    if s[0] == 0 or s[-1] / s[0] < 1e-10:
-        direction = {name: float(v) for name, v in zip(problem.free, vt[-1])}
-        worst = max(direction, key=lambda k: abs(direction[k]))
-        raise IdentifiabilityError(
-            f"information matrix is singular along a direction dominated by "
-            f"{worst}", direction=direction)
-    cov = (vt.T / s**2) @ vt
-    return FitResult(params=build(sol.x), covariance=cov,
-                     residuals=sol.fun, free=tuple(problem.free),
-                     cost=float(sol.cost))
+    # a parameter within the xtol stop of a bound that the gradient pushes
+    # against is held there, with no variance; the identifiability check
+    # and the covariance are those of the other parameters
+    x, g, free = sol.x, sol.jac.T @ sol.fun, np.array(problem.free, object)
+    near = _XTOL * (_XTOL + np.abs(x))
+    live = ~(((x - lo <= near) & (g > 0)) | ((hi - x <= near) & (g < 0)))
+    cov = np.zeros((x.size, x.size))
+    if live.any():
+        _, s, vt = np.linalg.svd(sol.jac[:, live], full_matrices=False)
+        if s[0] == 0 or s[-1] / s[0] < 1e-10:
+            direction = dict(zip(free[live], vt[-1].tolist()))
+            worst = max(direction, key=lambda k: abs(direction[k]))
+            raise IdentifiabilityError(
+                f"information matrix is singular along a direction dominated "
+                f"by {worst}", direction=direction)
+        cov[np.ix_(live, live)] = (vt.T / s**2) @ vt
+    return FitResult(params=build(x), covariance=cov, residuals=sol.fun,
+                     free=tuple(problem.free), cost=float(sol.cost),
+                     at_bound=tuple(free[~live]))
 
 
 def calibrate_pn(points) -> tuple:

@@ -239,7 +239,7 @@ def _population_rates(populations, times: np.ndarray) -> tuple:
 
 def propagate_moments(initial: GaussianState, params: ModelParams,
                       noise: NoiseChannels, grid, populations=None,
-                      d_rates=None, d_pops=None) -> Trajectory:
+                      d_rates=None) -> Trajectory:
     """Evolve the moments exactly over ``grid`` (ms, strictly increasing).
 
     ``populations``, a PopulationSeries on ``grid`` itself (ValueError
@@ -248,11 +248,10 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     when the Trajectory reads its witness.
 
     ``d_rates`` (P, 3), d(d, dephasing, pump_refill) per direction, adds the
-    weights' derivatives along them, and so the witness's ``d_xi``; ``d_pops``
-    (3, P, len(grid)) are the populations' own, as in
-    ``PopulationSeries.tangents`` (None holds them fixed).  The tangents go
-    through the same dR, Gauss-Legendre terms and phi/x recursion as the
-    values, from one ``_increments`` call.
+    weights' derivatives along them, and so the witness's ``d_xi``; the
+    populations move along the same directions by their ``tangents`` (None
+    holds them fixed).  The tangents go through the same dR, Gauss-Legendre
+    terms and phi/x recursion as the values, from one ``_increments`` call.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
@@ -281,9 +280,8 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     d_weights = None
     if d_rates is not None:
         d_p2 = d_nh = 0.0
-        if populations is not None and d_pops is not None:
-            d44, d43, d_nh = d_pops
-            d_p2 = np.sign(populations.n44 - populations.n43) * (d44 - d43)
+        if populations is not None and populations.tangents is not None:
+            d_p2, d_nh = populations.d_p2_tilde, populations.tangents[2]
         dd, d_deph, d_refill = np.reshape(d_rates, (-1, 3)).T[:, :, None]
         d_g2 = params.Gamma * (dd * p2 + params.d * d_p2)
         d_rate = (d_g2 + d_deph + d_refill * np.maximum(0.0, nh)

@@ -134,7 +134,7 @@ def _generator(g34, g43, g_out, g_in, pump) -> np.ndarray:
 class PopulationSeries:
     """Population trajectory; arrays are aligned with ``times``, and
     ``tangents`` (3, P, len(times)), if any, are the derivatives of (n44,
-    n43, nh) along P directions."""
+    n43, nh) along P directions: d_n2, d_p2_tilde and d_jx follow."""
 
     times: np.ndarray
     n44: np.ndarray
@@ -156,6 +156,10 @@ class PopulationSeries:
                             out=np.zeros_like(self.n2_frac),
                             where=self.n2_frac > 0)
         self.jx_frac = 4.0 * self.n44 + 3.0 * self.n43
+        if self.tangents is not None:
+            d44, d43, _ = self.tangents
+            self.d_n2, self.d_jx = d44 + d43, 4.0 * d44 + 3.0 * d43
+            self.d_p2_tilde = np.sign(self.n44 - self.n43) * (d44 - d43)
 
     def state(self, k: int) -> PopulationState:
         """PopulationState at ``times[k]``."""
@@ -282,7 +286,7 @@ def polarization_slope(initial: PopulationState, rates: RateSet) -> float:
     return float(_JX_WEIGHTS @ rate_matrix(rates) @ n0 / jx0)
 
 
-def multilevel_xi(xi_gauss, pop, tangents=None):
+def multilevel_xi(xi_gauss, pop, d_xi_gauss=None):
     """Multilevel witness xi = (Sigma_J + 14 n43) / (n2 (P2 + 7)) from the
     normalised Gaussian witness.
 
@@ -290,20 +294,19 @@ def multilevel_xi(xi_gauss, pop, tangents=None):
     add excess noise and the denominator renormalises to the shrinking
     two-level subsystem.  Everything is per atom, since the atom number
     cancels.  ``pop`` is a PopulationSeries aligned with ``xi_gauss``.
-    ``tangents``, the derivatives (d_xi_gauss (P, n), d_pop (3, P, n) as in
-    ``PopulationSeries.tangents``) along P directions, makes it return
-    (xi, d_xi) with d_xi of shape (P, n).
+    ``d_xi_gauss`` (P, n), the Gaussian witness's derivatives along the P
+    directions of ``pop.tangents``, makes it return (xi, d_xi) with d_xi of
+    shape (P, n).
     """
     if np.any(pop.n2_frac <= 0):
         raise DegeneratePolarizationError("two-level subsystem is empty")
     sigma_j = 2.0 * pop.jx_frac * xi_gauss
     den = pop.n2_frac * (pop.p2 + 7.0)
     xi = (sigma_j + 14.0 * pop.n43) / den
-    if tangents is None:
+    if d_xi_gauss is None:
         return xi
-    d_xi_gauss, (d44, d43, _) = tangents
     # den = |n44 - n43| + 7 n2
-    d_den = np.sign(pop.n44 - pop.n43) * (d44 - d43) + 7.0 * (d44 + d43)
-    d_num = (2.0 * (4.0 * d44 + 3.0 * d43) * xi_gauss
-             + 2.0 * pop.jx_frac * d_xi_gauss + 14.0 * d43)
+    d_den = pop.d_p2_tilde + 7.0 * pop.d_n2
+    d_num = (2.0 * pop.d_jx * xi_gauss + 2.0 * pop.jx_frac * d_xi_gauss
+             + 14.0 * pop.tangents[1])
     return xi, (d_num - xi * d_den) / den

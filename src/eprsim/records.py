@@ -122,6 +122,8 @@ MAX_TRIAL_BINS = 25_000_000
 # a few trials (measured on a 2-core x86 host), so 2 x 10^4 bins take about
 # 0.2 s; larger batches are bounded by MAX_TRIAL_BINS.
 MAX_BINS = 20_000
+# Largest bin width times decay rate, dt gamma: coarser bins alias the decay
+MAX_DT_GAMMA = 0.2
 # Caps on the exact gamma_m scan, checked before any draw: grid points, and
 # grid points x feed bins.  The scan's backward pass steps through the feed
 # bins in vector operations over the grid, about 25 us per feed bin plus
@@ -211,7 +213,7 @@ def _record_law(loss: LossParams, mu_nu: tuple, duration: float,
 
     ValueError unless ``duration`` and ``dt`` are finite and positive, the
     record has 1..MAX_BINS bins, ``n_trials`` x bins is within
-    MAX_TRIAL_BINS and dt gamma <= 0.2 (aliasing).
+    MAX_TRIAL_BINS and dt gamma <= MAX_DT_GAMMA (aliasing).
     """
     if not (math.isfinite(duration) and math.isfinite(dt) and duration > 0
             and dt > 0 and math.isfinite(duration / dt)):
@@ -226,7 +228,7 @@ def _record_law(loss: LossParams, mu_nu: tuple, duration: float,
     if n_trials * nbins > MAX_TRIAL_BINS:
         raise ValueError(f"{n_trials} trials x {nbins} bins exceeds "
                          f"{MAX_TRIAL_BINS} trial-bins")
-    if dt * loss.gamma > 0.2:
+    if dt * loss.gamma > MAX_DT_GAMMA:
         raise ValueError(
             f"dt={dt} too coarse for gamma={loss.gamma} (aliasing)"
         )

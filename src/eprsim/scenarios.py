@@ -193,34 +193,34 @@ def _run_fig2c(params, grid):
     return report, arts
 
 
-# Hybrid-scheme fixture values.  gamma = 0.27 ms^-1 is the published total
-# decay 1/T2; its split into engineered and extra decay is an assumption.
-_F2D_LOSS = LossParams(gamma_s=0.19, gamma_extra=0.08, eta=0.84)
-_F2D_T = 20.0  # handover time, ms (>= 5/gamma for steady state)
-_F2D_TPROBE = 5.0  # verification window, ms
-_F2D_DT = 0.1  # bin width, ms
+# Hybrid-scheme fixture values (ms^-1, ms), and the defaults of the CLI's
+# readout options of the same names; detection efficiency is the parameters'
+# eta.  Splitting the published total decay 1/T2 = 0.27 ms^-1 into gamma_s
+# and gamma_extra is an assumption; handover >= 5/gamma gives steady state.
+READOUT_DEFAULTS = dict(gamma_s=0.19, gamma_extra=0.08, handover_ms=20.0,
+                        probe_ms=5.0, dt_ms=0.1, trials=2000)
 _F2D_GRID = inclusive_range(0.10, 1.5, 0.05)  # gamma_m scan, ms^-1
-_F2D_TRIALS = 2000  # default record trials
 
 
 def _run_fig2d(params, seed, trials):
-    loss = _F2D_LOSS
+    rd = READOUT_DEFAULTS
+    loss = LossParams(rd["gamma_s"], rd["gamma_extra"], params.eta)
+    probe, dt = rd["probe_ms"], rd["dt_ms"]
     mu_nu = (params.mu, params.nu)
-    window = (_F2D_T, _F2D_T + _F2D_TPROBE)
+    window = (rd["handover_ms"], rd["handover_ms"] + probe)
     # Exact affine calibration of the readout-mode variance against the
     # atomic variance at handover (probe window referred to its own start);
     # both branches and both statistics go through this same inverse.
     probe_mode = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
                                 direction="falling",
-                                window=(0.0, _F2D_TPROBE))
-    slope, floor = discrete_calibration(loss, mu_nu, _F2D_DT, _F2D_TPROBE,
-                                        probe_mode)
+                                window=(0.0, probe))
+    slope, floor = discrete_calibration(loss, mu_nu, dt, probe, probe_mode)
 
     initial_var = {"css": 1.0, "anti_squeezed": 4.0}
     # Common random numbers across the two branches: one draw per seed, and
     # only the initial variance differs, so the branch-to-branch difference
     # isolates the initial-state dependence.
-    readouts = hybrid_readout(trials, loss, mu_nu, _F2D_DT, window, seed,
+    readouts = hybrid_readout(trials, loss, mu_nu, dt, window, seed,
                               initial_vars=tuple(initial_var.values()),
                               gamma_m_grid=_F2D_GRID)
     report = {}
@@ -256,7 +256,8 @@ def _run_fig2d(params, seed, trials):
 def run_scenario(name: str, overrides: dict | None = None, seed: int = 0,
                  grid=None, trials: int | None = None) -> ScenarioResult:
     """Deterministic end-to-end pipeline for a named scenario; ``trials``
-    (default 2000) is fig2d's only and ``grid`` the others' (ValueError)."""
+    (default ``READOUT_DEFAULTS["trials"]``, at least 2 for a variance) is
+    fig2d's only and ``grid`` the others' (ValueError)."""
     if name not in SCENARIO_NAMES:
         raise ValueError(f"unknown scenario {name!r}; "
                          f"choose from {SCENARIO_NAMES}")
@@ -264,6 +265,8 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0,
         raise ValueError("fig2d samples records and takes no time grid")
     if name != "fig2d" and trials is not None:
         raise ValueError(f"{name} samples no records and takes no trials")
+    if name == "fig2d" and trials is not None and trials < 2:
+        raise ValueError("fig2d needs at least 2 trials for a variance")
     params = scenario_params(name)
     if overrides:
         params = params.replace(**overrides)
@@ -271,8 +274,8 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0,
         grid = inclusive_range(0.0, 45.0, 0.25)
     grid = np.asarray(grid, dtype=float)
     if name == "fig2d":  # record Monte Carlo: no time grid
-        report, arts = _run_fig2d(params, seed,
-                                  _F2D_TRIALS if trials is None else trials)
+        report, arts = _run_fig2d(params, seed, READOUT_DEFAULTS["trials"]
+                                  if trials is None else trials)
     else:
         run = {"fig2a": _run_fig2a, "fig2b": _run_fig2b, "fig2c": _run_fig2c}
         report, arts = run[name](params, grid)

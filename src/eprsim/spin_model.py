@@ -52,24 +52,6 @@ SYMPLECTIC_FORM = np.array(
     ]
 )
 
-_JSON_REQUIRED = (
-    "d",
-    "Gamma",
-    "mu",
-    "nu",
-    "Gamma_col",
-    "Gamma_tilde",
-    "Gamma_pump",
-    "Gamma_L_out",
-    "Phi",
-    "Omega",
-    "N",
-    "eta",
-)
-# Calibration scale for gamma_s; the proportionality constant is not fixed by
-# the physics, so it travels with the parameter set but is optional in JSON.
-_JSON_OPTIONAL = ("gamma_s_scale",)
-
 
 def require_finite(**values) -> None:
     """Raise InvariantViolationError unless every value is a finite real."""
@@ -78,15 +60,6 @@ def require_finite(**values) -> None:
                 or not math.isfinite(v)):
             raise InvariantViolationError(
                 f"{name} must be a finite number, got {v!r}")
-
-
-def _check_keys(doc: dict, required=()) -> None:
-    """Reject parameter keys ModelParams does not know (and missing ones)."""
-    known = set(_JSON_REQUIRED + _JSON_OPTIONAL)
-    for what, bad in (("unknown", set(doc) - known),
-                      ("missing", set(required) - set(doc))):
-        if bad:
-            raise ValueError(f"{what} parameter keys: {sorted(bad)}")
 
 
 def bogoliubov_amplitudes(squeeze: float) -> tuple[float, float]:
@@ -121,6 +94,9 @@ class ModelParams:
     Omega: float
     N: float
     eta: float
+    # Calibration scale for gamma_s; the proportionality constant is not
+    # fixed by the physics, so it travels with the parameter set but is
+    # optional in JSON.
     gamma_s_scale: float = 1.0
 
     def __post_init__(self):
@@ -149,8 +125,19 @@ class ModelParams:
         """Steady-state EPR variance (mu - nu)^2 of pure engineered dissipation."""
         return (self.mu - self.nu) ** 2
 
+    @classmethod
+    def _check_keys(cls, doc: dict, required: bool = False) -> None:
+        """Reject keys that name no field (and, if ``required``, missing
+        fields without a default)."""
+        fields = dataclasses.fields(cls)
+        need = {f.name for f in fields if f.default is dataclasses.MISSING}
+        for what, bad in (("unknown", set(doc) - {f.name for f in fields}),
+                          ("missing", need - set(doc) if required else ())):
+            if bad:
+                raise ValueError(f"{what} parameter keys: {sorted(bad)}")
+
     def replace(self, **kwargs) -> "ModelParams":
-        _check_keys(kwargs)
+        self._check_keys(kwargs)
         return dataclasses.replace(self, **kwargs)
 
     def to_json(self) -> str:
@@ -161,7 +148,7 @@ class ModelParams:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("parameter document must be a JSON object")
-        _check_keys(doc, required=_JSON_REQUIRED)
+        cls._check_keys(doc, required=True)
         return cls(**doc)
 
 

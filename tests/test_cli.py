@@ -486,6 +486,8 @@ _BAD_INPUT = [
     (["reconstruct", "--gamma-s", "1000", "--gamma-extra", "0",
       "--trials", "2"], 2),
     (["conditional", "--gamma-s", "1000", "--gamma-extra", "0"], 2),
+    (["scenario", "fig2d", "--trials", "1"], 2),
+    (["scenario", "fig2d", "--trials", "0"], 2),
 ]
 _BAD_INPUT_IDS = [
     "overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
@@ -507,7 +509,8 @@ _BAD_INPUT_IDS = [
     "handover-zero", "handover-huge", "conditional-trials-one",
     "reconstruct-record-decay-overflow", "reconstruct-mc-decay-overflow",
     "conditional-record-decay-overflow", "reconstruct-aliasing",
-    "reconstruct-mc-aliasing", "conditional-aliasing"]
+    "reconstruct-mc-aliasing", "conditional-aliasing",
+    "scenario-fig2d-trials-one", "scenario-fig2d-trials-zero"]
 
 # the cause each of these cases names on its one stderr line
 _BAD_INPUT_CAUSES = {
@@ -533,6 +536,8 @@ _BAD_INPUT_CAUSES = {
     "reconstruct-aliasing": "--dt-ms 0.1 is too coarse for --gamma-s",
     "reconstruct-mc-aliasing": "--dt-ms 0.1 is too coarse for --gamma-s",
     "conditional-aliasing": "--dt-ms 0.1 is too coarse for --gamma-s",
+    "scenario-fig2d-trials-one": "fig2d needs at least 2 trials",
+    "scenario-fig2d-trials-zero": "fig2d needs at least 2 trials",
 }
 
 _FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
@@ -838,6 +843,36 @@ def test_conditional_scan_checked_before_sampling(argv, monkeypatch, tmp_path):
     # an over-long gamma_m scan is refused before any record is drawn
     monkeypatch.setattr("eprsim.records._draw_normals", _no_draws)
     assert main(["conditional", *argv, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("trials", [1, 0, -3])
+def test_fig2d_trial_minimum_checked_first(trials, monkeypatch):
+    # a variance needs two records: refused before the scan or any draw
+    monkeypatch.setattr(scenarios, "hybrid_readout", _no_draws)
+    monkeypatch.setattr(scenarios, "discrete_calibration", _no_draws)
+    with pytest.raises(ValueError, match="fig2d needs at least 2 trials"):
+        scenarios.run_scenario("fig2d", trials=trials)
+
+
+def test_fig2d_honours_eta():
+    # the readout's detection efficiency is the parameter set's eta, and
+    # the calibration slope eta kappa^2 is linear in it
+    default = scenarios.run_scenario("fig2d", trials=2)
+    half = scenarios.run_scenario("fig2d", trials=2,
+                                  overrides={"eta": 0.5})
+    assert default.params.eta == 0.84 and half.params.eta == 0.5
+    assert half.report["calibration_slope"] == pytest.approx(
+        default.report["calibration_slope"] * 0.5 / 0.84, rel=1e-12)
+
+
+def test_readout_defaults_stated_once():
+    # the CLI's readout options default to fig2d's fixture values
+    parser = _build_parser()
+    for argv in (["reconstruct"], ["conditional"]):
+        args = parser.parse_args(argv)
+        for dest, value in scenarios.READOUT_DEFAULTS.items():
+            if dest in args:
+                assert getattr(args, dest) == value, (argv, dest)
 
 
 def test_conditional_fine_scan_over_many_trials(tmp_path):

@@ -539,6 +539,42 @@ class TestScipyReferee:
         assert (sol.jac.T @ sol.fun)[0] > 0.0  # the cost falls below it
 
 
+class TestAtBound:
+    @pytest.mark.parametrize("case, name", [
+        (_PUMP_AT_BOUND, "Gamma_pump"),
+        (JACOBIAN_SETUPS["pump-on"], "Gamma_L_out")],
+        ids=["pump-at-bound", "pump-on"])
+    def test_held_parameter_has_no_variance(self, case, name, monkeypatch):
+        # the fit ends on the lower bound with the gradient pushing below
+        # it: that parameter gets no variance, and the others' covariance
+        # is the inverse information over their own columns
+        problem = _noisy_problem(**case)
+        res, sol = _solve(problem, monkeypatch)
+        k = problem.free.index(name)
+        assert res.at_bound == (name,)
+        assert getattr(res.params, name) == 0.0
+        assert (sol.jac.T @ sol.fun)[k] > 0.0
+        assert not res.covariance[k].any()
+        assert not res.covariance[:, k].any()
+        live = np.arange(len(problem.free)) != k
+        info = sol.jac[:, live].T @ sol.jac[:, live]
+        np.testing.assert_allclose(res.covariance[np.ix_(live, live)],
+                                   np.linalg.inv(info), rtol=1e-8, atol=0.0)
+
+    def test_every_parameter_held(self):
+        # the pump rate alone: nothing is left to have a covariance
+        res = fit_parameters(_noisy_problem(**{**_PUMP_AT_BOUND,
+                                               "free": ("Gamma_pump",)}))
+        assert res.at_bound == ("Gamma_pump",)
+        assert res.params.Gamma_pump == 0.0
+        assert res.covariance.tolist() == [[0.0]]
+
+    def test_interior_fit_holds_nothing(self, monkeypatch):
+        res, _ = _solve(_criterion_8(noisy=True), monkeypatch)
+        assert res.at_bound == ()
+        assert np.all(np.diag(res.covariance) > 0.0)
+
+
 class TestSolver:
     def test_spent_budget_raises_with_the_best_iterate(self, monkeypatch):
         problem = _criterion_8(noisy=True)

@@ -368,8 +368,7 @@ class TestPopulationsOnGrid:
         with pytest.raises(ValueError, match="trajectory's times"):
             propagate_moments(css_state(), params, noise, self.GRID,
                               populations=self.full(times),
-                              d_rates=np.ones((1, 3)),
-                              d_pops=np.zeros((3, 1, len(times))))
+                              d_rates=np.ones((1, 3)))
 
     def test_full_polarisation_is_no_populations(self):
         # p2_tilde = 1 and nh = 0 on the grid: the same bits as None

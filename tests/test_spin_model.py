@@ -63,6 +63,21 @@ class TestModelParams:
         with pytest.raises(ValueError, match="missing"):
             ModelParams.from_json(json.dumps(doc))
 
+    def test_key_messages(self):
+        # the field list is the schema: every field without a default is
+        # required, and each message lists its keys in sorted order
+        doc = json.loads(make_params().to_json())
+        with pytest.raises(ValueError) as exc:
+            ModelParams.from_json(json.dumps({**doc, "zeta": 1, "bogus": 2}))
+        assert str(exc.value) == "unknown parameter keys: ['bogus', 'zeta']"
+        del doc["eta"], doc["d"], doc["gamma_s_scale"]
+        with pytest.raises(ValueError) as exc:
+            ModelParams.from_json(json.dumps(doc))
+        assert str(exc.value) == "missing parameter keys: ['d', 'eta']"
+        with pytest.raises(ValueError) as exc:
+            make_params().replace(bogus=1.0, Gamma_tilde=0.1)
+        assert str(exc.value) == "unknown parameter keys: ['bogus']"
+
     def test_scale_key_optional(self):
         doc = json.loads(make_params().to_json())
         del doc["gamma_s_scale"]

@@ -53,8 +53,10 @@ from .multilevel_rates import (
 )
 from .records import MAX_DT_GAMMA, hybrid_readout
 from .scenarios import (
+    INITIAL_POP,
     READOUT_DEFAULTS,
     SCENARIO_NAMES,
+    TIME_GRID,
     inclusive_range,
     run_scenario,
     scenario_params,
@@ -92,9 +94,10 @@ _SHARED_OPTIONS = {
     "params": dict(help="model parameter JSON file"),
     "seed": dict(type=_seed, default=0),
     "out": dict(help="output directory (default: stdout)"),
-    "grid": dict(default="0,45,0.25", help="time grid t0,t1,dt in ms"),
-    "pops": dict(default="0.99,0.01,0.0",
-                 help="initial populations n44,n43,nh"),
+    "grid": dict(default=",".join(map(repr, TIME_GRID)),
+                 help="time grid t0,t1,dt in ms"),
+    "pops": dict(default=",".join(map(repr, dataclasses.astuple(
+        INITIAL_POP))), help="initial populations n44,n43,nh"),
     "trials": dict(type=int, default=READOUT_DEFAULTS["trials"]),
     "format": dict(choices=("csv", "json"), default="csv"),
     **{name: dict(type=float, dest=dest, default=READOUT_DEFAULTS[dest])
@@ -409,8 +412,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--handover-ms", type=float, dest="handover_ms",
                    default=READOUT_DEFAULTS["handover_ms"])
     shared(p, "probe-ms", "dt-ms")
-    p.add_argument("--gm-min", type=float, default=0.1, dest="gm_min")
-    p.add_argument("--gm-max", type=float, default=1.5, dest="gm_max")
+    p.add_argument("--gm-min", type=float, dest="gm_min",
+                   default=READOUT_DEFAULTS["gm_min"])
+    p.add_argument("--gm-max", type=float, dest="gm_max",
+                   default=READOUT_DEFAULTS["gm_max"])
     p.add_argument("--gm-step", type=float, default=0.01, dest="gm_step")
     p.set_defaults(func=_cmd_conditional)
 

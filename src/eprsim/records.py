@@ -24,10 +24,11 @@ kappa_tau.  The sampler draws the same law in innovations form, one normal
 eps_n per bin and channel: the Kalman/Riccati recursion from P_0 = 0,
 
     S_n = H^2 P_n + R,  K_n = (e1 P_n H + C) / S_n,
-    P_(n+1) = max(0, e1^2 P_n + Q - K_n^2 S_n),
+    P_(n+1) = e1^2 P_n + Q - K_n^2 S_n,
 
-runs once per batch, and each trial steps its predicted state x from
-x_0 = u_0:
+is a Moebius map of P_n, so P_n has a closed form in its two fixed points
+(:func:`_riccati`), built once per batch as arrays; each trial steps its
+predicted state x from x_0 = u_0:
 
     s_n = H x_n + sqrt(S_n) eps_n,  x_(n+1) = e1 x_n + K_n sqrt(S_n) eps_n.
 
@@ -35,30 +36,35 @@ Trial i of a batch uses the seed ``master_seed XOR i`` (master_seed in
 [0, 2^64)) and draws, in this order, its two unit initial values z and its
 (nbins, 2) noise; the initial atomic values are u_0 = sqrt(initial_var) z.
 The draws are those of ``np.random.default_rng(master_seed ^ i)``, bit for
-bit, but no generator is built per trial: one pass over a block's uint32
-seed words computes every trial's ``SeedSequence`` state words (NumPy's
-hash, fixed by its stream-compatibility policy NEP 19), one pass in uint64
-words turns them into PCG64 states by PCG's seeding, and one generator per
-block, its state words overwritten in place for each trial, draws the
-trial's z and noise in one call.  The words' order in the generator's
-memory is read back from one trial set through NumPy's public state setter,
-never assumed.  The tests pin all of it to NumPy's own.
+bit, but no generator is built per trial: one pass over the uint32 seed
+words of many blocks computes every trial's ``SeedSequence`` state words
+(NumPy's hash, fixed by its stream-compatibility policy NEP 19), one pass
+in uint64 words turns them into PCG64 states by PCG's seeding, and one
+generator per process and call, its state words overwritten in place for
+each trial, draws the trial's z and noise in one call; the passes are
+bounded by the block size (SEED_PASS_BYTES), not by the trial count.  The
+words' order in the generator's memory is read back once, from one trial
+set through NumPy's public state setter, never assumed.  The tests pin all
+of it to NumPy's own.
 
 Mode integrals in closed form: a mode integral y = sum_n w_n s_n is
 (w . r) u_0 + sum_m C_m eps_m with C_m = sqrt(S_m) (w_m + K_m b_m),
-r_n = H e1^n and b_(m-1) = H w_m + e1 b_m from the window's last bin down
-(b = 0 there).  One backward pass gives C and rho = w . r for K modes at
-once; :func:`discrete_calibration` is its one-mode case, var(y) =
-rho^2 var(u_0) + C . C.  The referee of the whole law is the four-noise
-update itself, built as a dense linear map in the tests (``TestExactLaw``).
+r_n = H e1^n and b_m = sum_(j>m) H w_j e1^(j-1-m), the backward recursion
+b_(m-1) = H w_m + e1 b_m from the window's last bin down (b = 0 there).
+:func:`_mode_coefficients` takes b for K modes at once as a suffix scan in
+blocks of SCAN_BLOCK bins; :func:`discrete_calibration` is its one-mode
+case, var(y) = rho^2 var(u_0) + C . C.  The referee of the whole law is the
+four-noise update itself, built as a dense linear map in the tests
+(``TestExactLaw``); the bin-by-bin loops are the closed forms' referees.
 
 Gain selection is exact.  Two modes x and y have covariance Sigma_xy =
 rho_x rho_y var(u_0) + C_x . C_y.  For the readout mode r and the rising
-feed mode f(gamma_m) on the record before it, :func:`optimize_gain` runs
-the same backward recursion over the feed bins with one vector across the
-gamma_m grid per quantity, accumulating Sigma_rf and Sigma_ff bin by bin
-without a (bins, points) matrix.  It returns alpha* = Sigma_rf / Sigma_ff
-at the gamma_m that minimises the conditional variance Sigma_rr - alpha*
+feed mode f(gamma_m) on the record before it, the feed envelope is
+geometric, so its b, norm and rho_f are geometric sums per grid point, and
+:func:`optimize_gain` sums Sigma_rf and Sigma_ff over (feed bins, points)
+arrays in blocks of SCAN_BLOCK bins and chunks of points
+(:func:`_feed_sums`).  It returns alpha* = Sigma_rf / Sigma_ff at the
+gamma_m that minimises the conditional variance Sigma_rr - alpha*
 Sigma_rf.  Monte Carlo only evaluates that pair.
 
 :func:`hybrid_readout` never builds a record: it draws TRIAL_BLOCK trials at
@@ -117,25 +123,39 @@ __all__ = [
 # trial-bin (400 MB here); hybrid_readout holds one block of draws per
 # process whatever the trial count.
 MAX_TRIAL_BINS = 25_000_000
-# Cap on bins per batch: the record law and the sampler's innovations
-# recursion, run once per batch, step bin by bin at about 10 us per bin for
-# a few trials (measured on a 2-core x86 host), so 2 x 10^4 bins take about
-# 0.2 s; larger batches are bounded by MAX_TRIAL_BINS.
+# Cap on bins per batch: simulate_batch's innovations recursion steps bin by
+# bin at about 10 us per bin for a few trials (measured on a 2-core x86
+# host), so 2 x 10^4 bins take about 0.2 s; the record law, the mode
+# coefficients and hybrid_readout's other work per batch take about 10 ms
+# there.  Larger batches are bounded by MAX_TRIAL_BINS.
 MAX_BINS = 20_000
 # Largest bin width times decay rate, dt gamma: coarser bins alias the decay
 MAX_DT_GAMMA = 0.2
 # Caps on the exact gamma_m scan, checked before any draw: grid points, and
-# grid points x feed bins.  The scan's backward pass steps through the feed
-# bins in vector operations over the grid, about 25 us per feed bin plus
-# 10 ns per point and feed bin (2-core x86 host), so the largest accepted
-# scans take up to 0.75 s (501 points over 19 950 feed bins).
+# grid points x feed bins.  The scan takes about 0.5 us per feed bin plus
+# 12-16 ns per point and feed bin (2-core x86 host), so the largest
+# accepted scans take up to about 0.16 s (501 points over 19 950 feed bins,
+# or 9800 points over 1020).
 MAX_GAIN_POINTS = 10_000
 MAX_SCAN_POINT_BINS = 10_000_000
+# Bins per block of the suffix scans over the record (mode coefficients and
+# the gamma_m scan): within a block the scans scale by e1^-j, j <= 256,
+# at most e^51 at dt gamma <= MAX_DT_GAMMA
+SCAN_BLOCK = 256
+# Values per (block bins, grid points) array of the gamma_m scan: with its
+# tables and temporaries the largest scans peak at about 4 MB (tracemalloc)
+SCAN_CHUNK = 1 << 16
 # Trials whose draws are made at a time: one block holds (trials, nbins + 1,
 # 2) draws, z and the noise, 16 bytes per trial-bin (2 MB at fig2d's 250
-# bins), and the block's seed words.  It is also hybrid_readout's unit of
-# work per process: blocks are dealt to the processes round robin.
+# bins).  It is also hybrid_readout's unit of work per process: blocks are
+# dealt to the processes round robin.
 TRIAL_BLOCK = 512
+# Bytes per trial that one pass of seed hashing (_seed_words, _pcg_states
+# and the state rows) holds at its peak: about 170 under tracemalloc.  A
+# process hashes the seeds of its blocks in passes of as many blocks as hold
+# at most half a block of draws (at least one block), so memory does not
+# grow with the trial count: 10 blocks (5120 trials) at fig2d's 250 bins.
+SEED_PASS_BYTES = 192
 # Trials per matrix product in a block: OpenBLAS's thread split of a whole
 # block changes the rounding, while 128 trials gave the same bits for 1 to 8
 # threads on its SkylakeX, Haswell and Zen kernels, 50 to 20 000 bins.
@@ -244,16 +264,49 @@ def _record_law(loss: LossParams, mu_nu: tuple, duration: float,
     R = eta * (e1**2 + a2) + 1.0 - eta
     Q = s2**2 * kappa_tau**2 + a2
     C = -math.sqrt(eta) * e1 * s2 * kappa_tau
-    innov_sd = np.empty(nbins)  # sqrt(S_n)
-    gain = np.empty(nbins)  # K_n
-    P = 0.0
-    for n in range(nbins):
-        S = H**2 * P + R
-        K = (e1 * P * H + C) / S
-        gain[n], innov_sd[n] = K, math.sqrt(S)
-        P = max(0.0, e1**2 * P + Q - K**2 * S)
+    # Q R - C^2 as a sum of terms >= 0: exactly 0 without extra decay at
+    # eta = 1, where P_0 = 0 is a fixed point
+    beta = s2**2 * kappa_tau**2 * (eta * a2 + 1.0 - eta) + a2 * R
+    P = _riccati(e1, H, R, e1**2 * R + Q * H**2 - 2.0 * e1 * H * C, beta,
+                 nbins)
+    S = H**2 * P + R
     # bin n's response to a unit initial atomic value
-    return e1, H, gain, innov_sd, H * e1 ** np.arange(nbins)
+    return (e1, H, (e1 * H * P + C) / S, np.sqrt(S),
+            H * e1 ** np.arange(nbins))
+
+
+def _riccati(e1: float, H: float, R: float, alpha: float, beta: float,
+             nbins: int) -> np.ndarray:
+    """P_n, n < nbins, of the record law's Riccati recursion from P_0 = 0,
+    in closed form.
+
+    The step P -> (alpha P + beta) / (H^2 P + R) is a Moebius map.  Its
+    fixed points are p > 0, the discrete algebraic Riccati equation's
+    root, and p' = -beta / (H^2 p), and from P_0 = 0
+
+        P_n = p (1 - k^n) / (1 + q k^n),  q = p / |p'| = H^2 p^2 / beta,
+
+    with k = lambda' / lambda in (0, 1) the ratio of its eigenvalues
+    lambda = H^2 p + R and lambda' = H^2 p' + R (1 - k = H^2 (p - p') /
+    lambda).  beta = 0 keeps P at 0; H = 0 makes the map linear,
+    P_(n+1) = e1^2 P_n + beta / R (alpha = e1^2 R).
+    """
+    n = np.arange(nbins)
+    if beta == 0.0:
+        return np.zeros(nbins)
+    h2, d = H * H, R - alpha
+    if h2 == 0.0:  # H = 0, or H^2 below the smallest double
+        log_k = 2.0 * math.log(e1)
+        if log_k == 0.0:
+            return beta / R * n
+        return beta / R * (np.expm1(n * log_k) / math.expm1(log_k))
+    root = math.sqrt(d * d + 4.0 * h2 * beta)
+    # the positive root of h2 p^2 + d p - beta = 0, without cancellation
+    p = 2.0 * beta / (d + root) if d >= 0.0 else (root - d) / (2.0 * h2)
+    x = n * math.log1p(-(h2 * p + beta / p) / (h2 * p + R))  # n log k
+    # 1 / (1 + q k^n) from logs: q overflows for a subnormal beta
+    log_q = math.log(h2) + 2.0 * math.log(p) - math.log(beta)
+    return p * -np.expm1(x) * np.exp(-np.logaddexp(0.0, x + log_q))
 
 
 # PCG64's 128-bit LCG multiplier, and the mask of its state
@@ -344,34 +397,60 @@ def _word_order(found, expected) -> list:
     return order
 
 
-def _draw_normals(seeds: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out[k]`` with the first standard normals of
-    ``np.random.default_rng(seeds[k])`` for every uint64 seed: one generator
-    per call, its PCG64 state words written in place for each trial.
-
-    PCG64's ``ctypes.state_address`` holds a pointer to its (state, inc)
-    words.  Their order in memory (native or emulated 128-bit integers) is
-    read off the first trial, set through the public ``state`` setter and
-    its words read back, which also checks :func:`_pcg_states` against
-    :func:`_pcg_state`.  InvariantViolationError if they disagree
-    (:func:`_word_order`), before any trial is drawn.
+class _Streams:
+    """The streams of ``np.random.default_rng(seed)`` for many seeds from
+    one generator: a PCG64 whose state words, which its
+    ``ctypes.state_address`` points to, are overwritten in place for each
+    trial.  Their order in memory (native or emulated 128-bit integers) is
+    read back once, from the first seed hashed, set through the public
+    ``state`` setter; this also checks :func:`_pcg_states` against
+    :func:`_pcg_state`.
     """
-    seed_words = _seed_words(seeds)
-    states = _pcg_states(seed_words)
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    state, inc = _pcg_state(seed_words[0])
-    bitgen.state = {"bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
-    words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(
-        bitgen.ctypes.state_address).value)
-    order = _word_order(list(words), states[0].tolist())
-    rows = memoryview(np.ascontiguousarray(states[:, order])).cast("B")
-    mem = memoryview(words).cast("B")
-    for lo, trial in zip(range(0, len(rows), 32), out):
-        mem[:] = rows[lo:lo + 32]
-        rng.standard_normal(out=trial)
+
+    def __init__(self):
+        self._bitgen = np.random.PCG64(0)
+        self._rng = np.random.Generator(self._bitgen)
+        self._words = (ctypes.c_uint64 * 4).from_address(
+            ctypes.c_void_p.from_address(
+                self._bitgen.ctypes.state_address).value)
+        self._order = None
+
+    def rows(self, seeds: np.ndarray) -> memoryview:
+        """The state words of every uint64 seed in memory order, 32 bytes
+        per seed, from one hashing pass.  InvariantViolationError if the
+        words read back disagree (:func:`_word_order`), before any trial is
+        drawn."""
+        seed_words = _seed_words(seeds)
+        states = _pcg_states(seed_words)
+        if self._order is None:
+            state, inc = _pcg_state(seed_words[0])
+            self._bitgen.state = {"bit_generator": "PCG64",
+                                  "state": {"state": state, "inc": inc},
+                                  "has_uint32": 0, "uinteger": 0}
+            self._order = _word_order(list(self._words), states[0].tolist())
+        return memoryview(np.ascontiguousarray(
+            states[:, self._order])).cast("B")
+
+    def draw(self, rows: memoryview, out: np.ndarray) -> None:
+        """Fill ``out[k]`` with the first standard normals of the seed whose
+        state words are ``rows[32 k:32 k + 32]``."""
+        mem = memoryview(self._words).cast("B")
+        for lo, trial in zip(range(0, len(rows), 32), out):
+            mem[:] = rows[lo:lo + 32]
+            self._rng.standard_normal(out=trial)
+
+
+def _draw_normals(seeds: np.ndarray, out: np.ndarray, streams=None,
+                  rows=None) -> None:
+    """Fill ``out[k]`` with the first standard normals of
+    ``np.random.default_rng(seeds[k])`` for every uint64 seed.  ``streams``
+    and ``rows``, its :meth:`_Streams.rows` of ``seeds``, reuse a generator
+    and a hashing pass made for more seeds (:func:`_draw_blocks`); without
+    them both are made here."""
+    if streams is None:
+        streams = _Streams()
+        rows = streams.rows(seeds)
+    streams.draw(rows, out)
 
 
 def _check_draws(n_trials: int, master_seed: int) -> None:
@@ -395,16 +474,28 @@ def _draw_blocks(n_trials: int, nbins: int, master_seed: int,
     """Yield (first trial, draws) per TRIAL_BLOCK trials, for the block
     indices ``blocks`` in order (default: all): draws[k] holds trial
     (first + k)'s z in row 0, then its (nbins, 2) noise.  Every block
-    reuses one buffer."""
+    reuses one buffer and one :class:`_Streams`; the seeds of as many blocks
+    as fit half a block's bytes at SEED_PASS_BYTES per trial (at least one
+    block) are hashed in one pass."""
     noise = np.empty((min(n_trials, TRIAL_BLOCK), nbins + 1, 2))
     if blocks is None:
         blocks = range(-(-n_trials // TRIAL_BLOCK))
-    for b0 in (k * TRIAL_BLOCK for k in blocks):
-        block = noise[:min(TRIAL_BLOCK, n_trials - b0)]
-        _draw_normals(np.uint64(master_seed)
-                      ^ np.arange(b0, b0 + len(block), dtype=np.uint64),
-                      block)
-        yield b0, block
+    blocks = list(blocks)
+    per_pass = max(1, noise[0].nbytes // (2 * SEED_PASS_BYTES))
+    streams = _Streams()
+    for g in range(0, len(blocks), per_pass):
+        firsts = [k * TRIAL_BLOCK for k in blocks[g:g + per_pass]]
+        seeds = np.uint64(master_seed) ^ np.concatenate([
+            np.arange(b0, min(b0 + TRIAL_BLOCK, n_trials), dtype=np.uint64)
+            for b0 in firsts])
+        rows = streams.rows(seeds)
+        lo = 0
+        for b0 in firsts:
+            block = noise[:min(TRIAL_BLOCK, n_trials - b0)]
+            hi = lo + len(block)
+            _draw_normals(seeds[lo:hi], block, streams, rows[32 * lo:32 * hi])
+            lo = hi
+            yield b0, block
 
 
 def simulate_batch(n_trials: int, duration: float, dt: float,
@@ -472,22 +563,36 @@ def conditional_variance(batch: RecordBatch, readout_mode: ModeFunctional,
 def _mode_coefficients(law: tuple, weights: np.ndarray) -> tuple:
     """Mode integrals over the innovations (module docstring): for (n, K)
     ``weights`` on the record's first n bins, (C, rho) with y_k = rho_k u_0
-    + sum_m C[m, k] eps_m, one backward pass for all K modes."""
+    + sum_m C[m, k] eps_m, for all K modes at once.
+
+    b_m = sum_(j>m) H w_j e1^(j-1-m) is a suffix scan in blocks of
+    SCAN_BLOCK bins from the last: within a block starting at bin m0 it is
+    e1^-(m+1-m0) times the suffix sum of H w_j e1^(j-m0), plus e1^(m1-1-m)
+    times b at the block's last bin m1 - 1, carried from the block after.
+    """
     e1, H, gain, innov_sd, response = law
     n = weights.shape[0]
-    b = np.zeros_like(weights)  # b_m = sum_(n>m) H w_n e1^(n-1-m)
-    for m in range(n - 1, 0, -1):
-        b[m - 1] = H * weights[m] + e1 * b[m]
+    powers = e1 ** np.arange(min(n, SCAN_BLOCK) + 1)
+    b = np.empty_like(weights)
+    carry = np.zeros(weights.shape[1])  # b at the block's last bin
+    for m0 in range((n - 1) // SCAN_BLOCK * SCAN_BLOCK, -1, -SCAN_BLOCK):
+        w = weights[m0:m0 + SCAN_BLOCK]
+        size = len(w)
+        tail = np.zeros_like(w)  # suffix sums past each bin of the block
+        np.cumsum((H * w * powers[:size, None])[:0:-1], axis=0,
+                  out=tail[-2::-1])
+        b[m0:m0 + size] = (tail / powers[1:size + 1, None]
+                           + powers[size - 1::-1, None] * carry)
+        carry = H * w[0] + e1 * b[m0]
     coeff = innov_sd[:n, None] * (weights + gain[:n, None] * b)
     return coeff, response[:n] @ weights
 
 
 def _mode_weights(modes, dt: float, nbins: int) -> np.ndarray:
-    """(bins, modes) weights of ``modes`` up to the last bin any of them
-    covers."""
-    spans = [mode.weights(dt, nbins) for mode in modes]
-    weights = np.zeros((max(bins.stop for bins, _ in spans), len(spans)))
-    for k, (bins, w) in enumerate(spans):
+    """(nbins, modes) weights of ``modes`` on the record's bins."""
+    weights = np.zeros((nbins, len(modes)))
+    for k, mode in enumerate(modes):
+        bins, w = mode.weights(dt, nbins)
         weights[bins, k] = w
     return weights
 
@@ -504,44 +609,85 @@ def _check_grid(gamma_m_grid) -> np.ndarray:
     return grid
 
 
+def _power_sums(i, log_hi, log_ratio) -> np.ndarray:
+    """sum_(k<i) a^(i-1-k) b^k = a^(i-1) (1 - r^i) / (1 - r) for every point
+    of the arrays log a = ``log_hi`` and log r = log(b / a) = ``log_ratio``
+    <= 0 (i a^(i-1) where r = 1), as (points,) for a scalar ``i`` and
+    (len(i), points) for an array."""
+    i = np.asarray(i, dtype=float)[..., None]
+    den = np.expm1(log_ratio)
+    flat = den == 0.0
+    ratio = np.where(flat, i, np.expm1(i * log_ratio)
+                     / np.where(flat, 1.0, den))
+    return np.exp((i - 1.0) * log_hi) * ratio
+
+
+def _feed_sums(law: tuple, dt: float, c_read: np.ndarray, nfeed: int,
+               grid: np.ndarray) -> tuple:
+    """(Sigma_rf - rho_r rho_f v, Sigma_ff - rho_f^2 v, rho_f) per gamma_m of
+    ``grid`` for the readout mode's coefficients ``c_read`` and the
+    normalised rising feed mode on the record's first ``nfeed`` bins.
+
+    At distance i = nfeed - 1 - m from the last feed bin the feed envelope
+    is u = d^i, d = e^(-gamma_m dt), before normalisation, and b_m = H T_i
+    with T_i = sum_(k<i) d^(i-1-k) e1^k.  Its norm and rho_f = H T_nfeed
+    are geometric sums.  C_f,m = sqrt(S_m) (u + K_m b_m) is summed against
+    c_read and itself in blocks of SCAN_BLOCK bins: at block offset i0,
+    u = d^i0 d^j and T_(i0+j) = d^j T_i0 + e1^i0 T_j, so one table of d^j
+    and T_j (j < SCAN_BLOCK) per chunk of points serves every block.  Each
+    (bins, points) array holds at most SCAN_CHUNK values, and the sums over
+    bins are einsum's, which does not hand them to BLAS.
+    """
+    e1, H, gain, innov_sd, response = law
+    # feed bins from the last one back
+    sd, skh = innov_sd[nfeed - 1::-1], (innov_sd * gain * H)[nfeed - 1::-1]
+    c_read = c_read[nfeed - 1::-1]
+    log_e1 = math.log(e1)
+    log_d = -grid * dt
+    log_hi = np.maximum(log_d, log_e1)  # log max(d, e1)
+    log_ratio = np.minimum(log_d, log_e1) - log_hi
+    width = min(nfeed, SCAN_BLOCK)
+    j = np.arange(width)
+    s_rf, s_ff = np.zeros(grid.size), np.zeros(grid.size)
+    step = max(1, SCAN_CHUNK // width)
+    for p in (slice(k, k + step) for k in range(0, grid.size, step)):
+        d_j = np.exp(np.multiply.outer(j, log_d[p]))
+        t_j = _power_sums(j, log_hi[p], log_ratio[p])
+        for i0 in range(0, nfeed, SCAN_BLOCK):
+            blk = slice(i0, i0 + SCAN_BLOCK)
+            rows = min(SCAN_BLOCK, nfeed - i0)
+            c = np.multiply.outer(skh[blk], _power_sums(i0, log_hi[p],
+                                                        log_ratio[p]))
+            c += np.multiply.outer(sd[blk], np.exp(i0 * log_d[p]))
+            c *= d_j[:rows]
+            c += t_j[:rows] * (e1**i0 * skh[blk])[:, None]
+            s_rf[p] += np.einsum("i,ij->j", c_read[blk], c)
+            s_ff[p] += np.einsum("ij,ij->j", c, c)
+    scale = 1.0 / np.sqrt(_power_sums(nfeed, 0.0, 2.0 * log_d))
+    return (s_rf * scale, s_ff * scale**2,
+            H * _power_sums(nfeed, log_hi, log_ratio) * scale)
+
+
 def _gain_scan(law: tuple, dt: float, readout_mode: ModeFunctional,
-               grid: np.ndarray):
+               grid: np.ndarray, c_read: np.ndarray, rho_read: float):
     """The exact gamma_m scan of :func:`optimize_gain` on the record
-    ``law``, whose last bin ends ``readout_mode``'s window: one backward
-    pass over the feed bins, which do not depend on the initial variance.
+    ``law``, whose last bin ends ``readout_mode``'s window, given that
+    mode's coefficients ``c_read`` and ``rho_read``
+    (:func:`_mode_coefficients`); the feed sums do not depend on the initial
+    variance (:func:`_feed_sums`).
     Returns pick(v) = (alpha*, gamma_m*, conditional variance) at initial
     atomic variance v.  ValueError for a feed mode that ModeFunctional
-    refuses or a scan over MAX_SCAN_POINT_BINS, before the pass."""
-    e1, H, gain, innov_sd, response = law
+    refuses or a scan over MAX_SCAN_POINT_BINS, before the sums."""
     t0, _ = readout_mode.window
     for gm in (grid.min(), grid.max()):  # the feed modes' own checks
         feed, _ = ModeFunctional(phase=readout_mode.phase, exponent_rate=gm,
                                  direction="rising",
-                                 window=(0.0, t0)).weights(dt, gain.size)
+                                 window=(0.0, t0)).weights(dt, law[2].size)
     if grid.size * feed.stop > MAX_SCAN_POINT_BINS:
         raise ValueError(f"{grid.size} gamma_m points x {feed.stop} feed "
                          f"bins exceeds {MAX_SCAN_POINT_BINS:.4g}")
-    coeff, rho = _mode_coefficients(
-        law, _mode_weights([readout_mode], dt, gain.size))
-    c_read, rho_read = coeff[:, 0], float(rho[0])
-    # feed bins from the last down: the unnormalised envelope u (1 at the
-    # last bin), b and the sums, one grid-long vector each
-    decay = np.exp(-grid * dt)
-    u, b = np.ones(grid.size), np.zeros(grid.size)
-    s_rf, s_ff, norm, rho_feed = (np.zeros(grid.size) for _ in range(4))
-    for m in range(feed.stop - 1, -1, -1):
-        c = innov_sd[m] * (u + gain[m] * b)
-        s_rf += c_read[m] * c
-        s_ff += c * c
-        norm += u * u
-        rho_feed += response[m] * u
-        b = H * u + e1 * b
-        u *= decay
-    scale = 1.0 / np.sqrt(norm)
-    rho_feed *= scale
+    s_rf, s_ff, rho_feed = _feed_sums(law, dt, c_read, feed.stop, grid)
     rho_rf, rho_ff = rho_read * rho_feed, rho_feed**2
-    s_rf *= scale
-    s_ff *= scale**2
     rho_rr, c_rr = rho_read**2, float(c_read @ c_read)
 
     def pick(v: float) -> tuple:
@@ -569,7 +715,10 @@ def optimize_gain(loss: LossParams, mu_nu: tuple, dt: float,
     v = _check_initial_var(initial_var)
     grid = _check_grid(gamma_m_grid)
     law = _record_law(loss, mu_nu, readout_mode.window[1], dt)
-    return _gain_scan(law, dt, readout_mode, grid)(v)
+    coeff, rho = _mode_coefficients(
+        law, _mode_weights([readout_mode], dt, law[2].size))
+    return _gain_scan(law, dt, readout_mode, grid, coeff[:, 0],
+                      float(rho[0]))(v)
 
 
 class HybridReadout(NamedTuple):
@@ -710,8 +859,8 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
     the unconditional variances are computed.  No record is built, and the
     blocks of trials are drawn on every CPU with the same results as on one
     (module docstring).  ValueError for no initial variance or one that is
-    negative or not finite, before any scan or draw; WorkerError if a
-    worker process fails.
+    negative or not finite, and StatisticsError for fewer than two trials,
+    before any scan or draw; WorkerError if a worker process fails.
     """
     initial_vars = tuple(map(_check_initial_var, initial_vars))
     if not initial_vars:
@@ -720,18 +869,22 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
                           direction="falling", window=window)
     grid = None if gamma_m_grid is None else _check_grid(gamma_m_grid)
     _check_draws(n_trials, master_seed)
-    law = _record_law(loss, mu_nu, window[1], dt, n_trials)
-    pairs = []
-    if grid is not None:
-        pick = _gain_scan(law, dt, read, grid)
-        pairs = [pick(v)[:2] for v in initial_vars]
     if n_trials < 2:
         raise StatisticsError("need at least two records for a variance")
-    feeds = [ModeFunctional(phase="cos", exponent_rate=gm,
-                            direction="rising", window=(0.0, window[0]))
-             for _, gm in pairs]
-    coeff, rho = _mode_coefficients(
-        law, _mode_weights([read, *feeds], dt, law[2].size))
+    law = _record_law(loss, mu_nu, window[1], dt, n_trials)
+    nbins = law[2].size
+    coeff, rho = _mode_coefficients(law, _mode_weights([read], dt, nbins))
+    pairs = []
+    if grid is not None:
+        pick = _gain_scan(law, dt, read, grid, coeff[:, 0], float(rho[0]))
+        pairs = [pick(v)[:2] for v in initial_vars]
+        feeds = [ModeFunctional(phase="cos", exponent_rate=gm,
+                                direction="rising", window=(0.0, window[0]))
+                 for _, gm in pairs]
+        feed_coeff, feed_rho = _mode_coefficients(
+            law, _mode_weights(feeds, dt, nbins))
+        coeff = np.hstack([coeff, feed_coeff])
+        rho = np.concatenate([rho, feed_rho])
     # column 2k + channel: mode k (the readout, then each feed mode) on the
     # cos (0) or sin (1) channel; row 2n + channel is that channel's bin n
     n = coeff.shape[0]
@@ -759,7 +912,7 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
 
     out = []
     for j, (count, _, m2) in enumerate(_fold_blocks(
-            n_trials, law[2].size, master_seed, moments, shape)):
+            n_trials, nbins, master_seed, moments, shape)):
         var = tuple(float(x) for x in m2 / (count - 1))
         out.append(HybridReadout(var[:2], var[2:], *pairs[j]) if pairs
                    else HybridReadout(var, None, None, None))

@@ -78,7 +78,10 @@ def scenario_params(name: str) -> ModelParams:
     raise ValueError(f"unknown scenario {name!r}")
 
 
-_INITIAL_POP = PopulationState(n44=0.99, n43=0.01, nh=0.0)  # initial pops
+# Initial populations of every scenario and of the CLI's --pops, and the
+# time grid (t0, t1, dt) in ms of fig2a-fig2c and of the CLI's --grid
+INITIAL_POP = PopulationState(n44=0.99, n43=0.01, nh=0.0)
+TIME_GRID = (0.0, 45.0, 0.25)
 
 # Dark (drive off) dephasing rate; assumption calibrated so the entanglement
 # deficit e-folds in ~2 ms.
@@ -112,7 +115,7 @@ def _sub_unity_window(times, xi):
 
 
 def _run_fig2a(params, grid):
-    xi_ml, _, traj, _ = forward_model(params, _INITIAL_POP, grid)
+    xi_ml, _, traj, _ = forward_model(params, INITIAL_POP, grid)
     window = _sub_unity_window(grid, xi_ml)
     report = {
         "xi_min": float(xi_ml.min()),
@@ -127,10 +130,10 @@ def _run_fig2a(params, grid):
 
 
 def _run_fig2b(params, grid):
-    xi_on = forward_model(params, _INITIAL_POP, grid)[0]
+    xi_on = forward_model(params, INITIAL_POP, grid)[0]
     # Drive off: no engineered dissipation, rate model loses the drive terms.
     dark = params.replace(Gamma=0.0)
-    xi_off = forward_model(dark, _INITIAL_POP, grid)[0]
+    xi_off = forward_model(dark, INITIAL_POP, grid)[0]
     report = {
         "xi_min_drive_on": float(xi_on.min()),
         "xi_min_drive_off": float(xi_off.min()),
@@ -165,9 +168,9 @@ def _deficit_efold_time(times, xi):
 
 
 def _run_fig2c(params, grid):
-    xi_pump, _, traj, pops = forward_model(params, _INITIAL_POP, grid,
+    xi_pump, _, traj, pops = forward_model(params, INITIAL_POP, grid,
                                            pump=True)
-    xi_nopump = forward_model(params, _INITIAL_POP, grid)[0]
+    xi_nopump = forward_model(params, INITIAL_POP, grid)[0]
     w_pump = _sub_unity_window(grid, xi_pump)
     w_nopump = _sub_unity_window(grid, xi_nopump)
     # Inset: stop the drive at the witness minimum and watch the decay.
@@ -197,9 +200,12 @@ def _run_fig2c(params, grid):
 # readout options of the same names; detection efficiency is the parameters'
 # eta.  Splitting the published total decay 1/T2 = 0.27 ms^-1 into gamma_s
 # and gamma_extra is an assumption; handover >= 5/gamma gives steady state.
+# gm_min and gm_max bound the gamma_m scan.
 READOUT_DEFAULTS = dict(gamma_s=0.19, gamma_extra=0.08, handover_ms=20.0,
-                        probe_ms=5.0, dt_ms=0.1, trials=2000)
-_F2D_GRID = inclusive_range(0.10, 1.5, 0.05)  # gamma_m scan, ms^-1
+                        probe_ms=5.0, dt_ms=0.1, trials=2000, gm_min=0.1,
+                        gm_max=1.5)
+_F2D_GRID = inclusive_range(READOUT_DEFAULTS["gm_min"],
+                            READOUT_DEFAULTS["gm_max"], 0.05)  # ms^-1
 
 
 def _run_fig2d(params, seed, trials):
@@ -271,7 +277,7 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0,
     if overrides:
         params = params.replace(**overrides)
     if grid is None:
-        grid = inclusive_range(0.0, 45.0, 0.25)
+        grid = inclusive_range(*TIME_GRID)
     grid = np.asarray(grid, dtype=float)
     if name == "fig2d":  # record Monte Carlo: no time grid
         report, arts = _run_fig2d(params, seed, READOUT_DEFAULTS["trials"]

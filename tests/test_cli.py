@@ -875,6 +875,19 @@ def test_readout_defaults_stated_once():
                 assert getattr(args, dest) == value, (argv, dest)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["populations"], ["fit", "observed.csv"]],
+    ids=["simulate", "populations", "fit"])
+def test_time_defaults_stated_once(argv):
+    # --grid and --pops default to the scenarios' time grid and initial
+    # populations, bit for bit
+    args = _build_parser().parse_args(argv)
+    assert cli._initial_pop(args) == scenarios.INITIAL_POP
+    if "grid" in args:
+        assert _parse_grid(args.grid).tobytes() == inclusive_range(
+            *scenarios.TIME_GRID).tobytes()
+
+
 def test_conditional_fine_scan_over_many_trials(tmp_path):
     # the exact scan does not grow with the trial count: 1401 points over
     # 2 x 10^4 trials, once refused as too many trial-points, is accepted
@@ -905,9 +918,9 @@ def test_branches_share_one_batch(argv, monkeypatch, tmp_path):
     # both initial-variance branches come from one draw per seed
     seeds = []
 
-    def counted(block_seeds, out):
+    def counted(block_seeds, *args):
         seeds.extend(block_seeds.tolist())
-        return draw(block_seeds, out)
+        return draw(block_seeds, *args)
     draw = records._draw_normals
     monkeypatch.setattr("eprsim.records._draw_normals", counted)
     assert main([*argv, "--out", str(tmp_path)]) == 0
@@ -969,10 +982,10 @@ def test_dead_worker_exits_3(monkeypatch, capsys, tmp_path):
     # no child left behind
     caller = os.getpid()
 
-    def draw(seeds, out):
+    def draw(*args):
         if os.getpid() != caller:
             os._exit(5)
-        real_draw(seeds, out)
+        real_draw(*args)
     real_draw = records._draw_normals
     monkeypatch.setattr(records, "_draw_normals", draw)
     monkeypatch.setattr(records, "_worker_count", lambda n_blocks: 2)

@@ -56,14 +56,14 @@ class TestForwardModel:
         from eprsim.multilevel_rates import multilevel_xi
         from eprsim.scenarios import (
             _DARK_DEPHASING,
-            _INITIAL_POP,
+            INITIAL_POP,
             inclusive_range,
             scenario_params,
         )
 
         params = scenario_params("fig2c")
         grid = inclusive_range(0.0, 45.0, 0.25)
-        xi, _, traj, pops = forward_model(params, _INITIAL_POP, grid,
+        xi, _, traj, pops = forward_model(params, INITIAL_POP, grid,
                                           pump=True)
         k = int(np.argmin(xi))
         state0, pop0 = traj.state(k), pops.state(k)

@@ -12,7 +12,8 @@ from eprsim.multilevel_rates import (
     RateSet,
     propagate_populations,
 )
-from eprsim.records import ModeFunctional
+from eprsim.light_readout import LossParams
+from eprsim.records import MAX_DT_GAMMA, ModeFunctional, _record_law
 from eprsim.spin_model import (
     GaussianState,
     ModelParams,
@@ -20,6 +21,7 @@ from eprsim.spin_model import (
     epr_variance,
 )
 
+from test_records import MU_NU, assert_close_at_scale, loop_law
 from test_spin_model import make_params
 
 rates_st = st.floats(min_value=0.0, max_value=0.1)
@@ -121,6 +123,34 @@ class TestModeNormalization:
                               direction=direction, window=(0.0, nbins * dt))
         _, w = mode.weights(dt, nbins)
         assert np.sum(w**2) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRecordLawClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(gamma_s=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+           gamma_extra=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+           eta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.999)),
+           dt=st.floats(1e-3, 1.0),
+           nbins=st.integers(min_value=1, max_value=3000))
+    def test_matches_riccati_loop(self, gamma_s, gamma_extra, eta, dt,
+                                  nbins):
+        # the closed form is the bin-by-bin recursion, and S_n >= R = S_0,
+        # so the predicted variance P_n = (S_n - R) / H^2 stays >= 0.
+        # Without extra decay at eta = 1, P = 0 is an unstable fixed point
+        # (beta = 0): the loop's rounding can leave it and grow, so there
+        # the law is checked against P = 0, its bin 0, instead; beta is kept
+        # from nearly vanishing otherwise (gamma_extra, 1 - eta >= 1e-3)
+        loss = LossParams(gamma_s=gamma_s, gamma_extra=gamma_extra, eta=eta)
+        if loss.gamma * dt > MAX_DT_GAMMA:
+            dt = np.nextafter(MAX_DT_GAMMA / loss.gamma, 0.0)
+        got = _record_law(loss, MU_NU, nbins * dt, dt)
+        want = loop_law(loss, nbins * dt, dt)
+        if gamma_extra == 0.0 and eta == 1.0:
+            want = (want[:2] + tuple(np.full(nbins, x[0]) for x in want[2:4])
+                    + want[4:])
+        for g, w in zip(got[2:], want[2:]):
+            assert_close_at_scale(g, w)
+        assert np.all(got[3] >= got[3][0])
 
 
 class TestParamsSerialization:

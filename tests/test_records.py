@@ -424,7 +424,7 @@ class TestExactLaw:
         # (z, (nbins, 2) noise) to the record
         eye = np.eye(2 + 2 * self.NBINS)
 
-        def basis_draws(seeds, out):
+        def basis_draws(seeds, out, *streams):
             out.reshape(len(seeds), -1)[:] = eye[seeds]
         monkeypatch.setattr(records, "_draw_normals", basis_draws)
         with warnings.catch_warnings():
@@ -548,6 +548,190 @@ class TestCalibration:
             assert time.perf_counter() - start < 0.5
 
 
+def loop_law(loss, duration, dt):
+    """The record law with its Riccati recursion stepped bin by bin from
+    P_0 = 0: the referee of the closed form, (e1, H, K_n, sqrt(S_n),
+    r_n = H e1^n) as ``records._record_law``."""
+    mu, nu = MU_NU
+    eta = loss.eta
+    e2 = np.exp(-2.0 * loss.gamma * dt)
+    e1, kappa_tau, a2 = map(float, (
+        np.exp(-loss.gamma * dt),
+        np.sqrt((1.0 - loss.epsilon_sq) * (1.0 - e2)) / (mu - nu),
+        loss.epsilon_sq * (1.0 - e2)))
+    s2 = (mu - nu) ** 2
+    H = math.sqrt(eta) * kappa_tau
+    R = eta * (e1**2 + a2) + 1.0 - eta
+    Q = s2**2 * kappa_tau**2 + a2
+    C = -math.sqrt(eta) * e1 * s2 * kappa_tau
+    nbins = int(round(duration / dt))
+    innov_sd, gain = np.empty(nbins), np.empty(nbins)
+    P = 0.0
+    for n in range(nbins):
+        S = H**2 * P + R
+        K = (e1 * P * H + C) / S
+        gain[n], innov_sd[n] = K, math.sqrt(S)
+        P = max(0.0, e1**2 * P + Q - K**2 * S)
+    return e1, H, gain, innov_sd, H * e1 ** np.arange(nbins)
+
+
+def loop_mode_coefficients(law, weights):
+    """(C, rho) of ``records._mode_coefficients`` from its backward pass
+    b_(m-1) = H w_m + e1 b_m, bin by bin."""
+    e1, H, gain, innov_sd, response = law
+    b = np.zeros_like(weights)
+    for m in range(len(weights) - 1, 0, -1):
+        b[m - 1] = H * weights[m] + e1 * b[m]
+    n = len(weights)
+    return (innov_sd[:n, None] * (weights + gain[:n, None] * b),
+            response[:n] @ weights)
+
+
+def loop_feed_sums(law, dt, c_read, nfeed, grid):
+    """``records._feed_sums`` from one backward pass over the feed bins,
+    one grid-long vector per quantity."""
+    e1, H, gain, innov_sd, response = law
+    decay = np.exp(-grid * dt)
+    u, b = np.ones(grid.size), np.zeros(grid.size)
+    s_rf, s_ff, norm, rho = (np.zeros(grid.size) for _ in range(4))
+    for m in range(nfeed - 1, -1, -1):
+        c = innov_sd[m] * (u + gain[m] * b)
+        s_rf += c_read[m] * c
+        s_ff += c * c
+        norm += u * u
+        rho += response[m] * u
+        b = H * u + e1 * b
+        u = u * decay
+    scale = 1.0 / np.sqrt(norm)
+    return s_rf * scale, s_ff * scale**2, rho * scale
+
+
+def assert_close_at_scale(got, want, rtol=1e-12):
+    """|got - want| within ``rtol`` of want's largest magnitude: relative
+    to each value, a sum that crosses zero would fail on its rounding."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * np.max(
+        np.abs(want), initial=0.0)
+
+
+# the closed forms' cases: gamma_extra x eta at two bin widths, a maximal
+# record at dt gamma = MAX_DT_GAMMA, and no decay at all (e1 = 1)
+LOOP_CASES = [
+    (LossParams(gamma_s=0.19, gamma_extra=ge, eta=eta), dt, 25.0)
+    for ge in (0.0, 0.08, 0.3) for eta in (1.0, 0.84, 0.5, 0.0)
+    for dt in (0.1, 0.01)
+] + [
+    (LossParams(gamma_s=1.7, gamma_extra=0.3, eta=0.84), 0.1,
+     MAX_BINS * 0.1),
+    (VACUUM, 0.1, 25.0),
+]
+
+
+def _loop_case_id(case):
+    loss, dt, duration = case
+    return (f"gs{loss.gamma_s}-ge{loss.gamma_extra}-eta{loss.eta}-dt{dt}"
+            f"-{int(round(duration / dt))}bins")
+
+
+class TestClosedFormsMatchLoops:
+    """The record law, the mode coefficients and the gamma_m scan in closed
+    form against the bin-by-bin loops they replace."""
+
+    @pytest.mark.parametrize("case", LOOP_CASES, ids=_loop_case_id)
+    def test_record_law(self, case):
+        loss, dt, duration = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = records._record_law(loss, MU_NU, duration, dt)
+        want = loop_law(loss, duration, dt)
+        assert got[:2] == want[:2]
+        for g, w in zip(got[2:], want[2:]):
+            assert_close_at_scale(g, w)
+        # S_n >= R = S_0, so P_n = (S_n - R) / H^2 >= 0
+        assert np.all(got[3] >= got[3][0])
+
+    @pytest.mark.parametrize("case", LOOP_CASES, ids=_loop_case_id)
+    def test_mode_coefficients(self, case):
+        # a readout and a feed mode, and weights of changing sign
+        loss, dt, duration = case
+        law = records._record_law(loss, MU_NU, duration, dt)
+        nbins = law[2].size
+        weights = np.column_stack([
+            records._mode_weights([
+                ModeFunctional(phase="cos", exponent_rate=loss.gamma,
+                               direction="falling",
+                               window=(duration - 5.0, duration)),
+                ModeFunctional(phase="cos", exponent_rate=0.6,
+                               direction="rising",
+                               window=(0.0, duration - 5.0))], dt, nbins),
+            np.random.default_rng(nbins).standard_normal(nbins)])
+        coeff, rho = records._mode_coefficients(law, weights)
+        want_coeff, want_rho = loop_mode_coefficients(law, weights)
+        for k in range(weights.shape[1]):
+            assert_close_at_scale(coeff[:, k], want_coeff[:, k])
+        assert rho.tobytes() == want_rho.tobytes()
+
+    @pytest.mark.parametrize("case", LOOP_CASES, ids=_loop_case_id)
+    def test_gain_scan(self, case):
+        # the scan's sums per point, and its pick, with a point at exactly
+        # gamma_m = gamma
+        loss, dt, duration = case
+        law = records._record_law(loss, MU_NU, duration, dt)
+        read = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
+                              direction="falling",
+                              window=(duration - 5.0, duration))
+        grid = np.append(inclusive_range(0.2, 1.2, 0.1 if
+                                         law[2].size > 5000 else 0.05),
+                         loss.gamma)
+        coeff, rho = records._mode_coefficients(
+            law, records._mode_weights([read], dt, law[2].size))
+        nfeed = int(round((duration - 5.0) / dt))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sums = records._feed_sums(law, dt, coeff[:, 0], nfeed, grid)
+        want = loop_feed_sums(law, dt, coeff[:, 0], nfeed, grid)
+        for got, ref in zip(sums, want):
+            assert_close_at_scale(got, ref)
+        pick = records._gain_scan(law, dt, read, grid, coeff[:, 0],
+                                  float(rho[0]))
+        s_rf, s_ff, rho_f = want
+        for v in (0.0, 1.0, 4.0):
+            sigma_rf = rho[0] * rho_f * v + s_rf
+            alpha = sigma_rf / (rho_f**2 * v + s_ff)
+            cond = rho[0]**2 * v + coeff[:, 0] @ coeff[:, 0] - alpha * sigma_rf
+            k = int(np.argmin(cond))
+            a, gm, best = pick(v)
+            assert gm == grid[k]
+            assert a == pytest.approx(alpha[k], rel=1e-12, abs=1e-15)
+            assert best == pytest.approx(cond[k], rel=1e-12)
+
+    def test_first_of_tied_points_wins(self):
+        # gamma_m* = gamma (at 1.05 ms^-1 before a 5 ms readout) three
+        # times, in two chunks of points, among worse points: the tied
+        # sums are the same bits, so the first of them wins
+        loss, dt = LossParams(gamma_s=0.97, gamma_extra=0.08, eta=0.84), 0.1
+        law = records._record_law(loss, MU_NU, 25.0, dt)
+        read = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
+                              direction="falling", window=(20.0, 25.0))
+        coeff, rho = records._mode_coefficients(
+            law, records._mode_weights([read], dt, law[2].size))
+        step = records.SCAN_CHUNK // 200  # points per chunk at 200 bins
+        ties = [3, step - 1, step + 4]
+        grid = np.linspace(3.0, 4.0, 2 * step)
+        grid[ties] = loss.gamma
+        sums = records._feed_sums(law, dt, coeff[:, 0], 200, grid)
+        for x in sums:
+            assert x[ties[0]] == x[ties[1]] == x[ties[2]]
+        a, gm, best = records._gain_scan(law, dt, read, grid, coeff[:, 0],
+                                         float(rho[0]))(1.0)
+        s_rf, s_ff, rho_f = sums
+        sigma_rf = rho[0] * rho_f + s_rf
+        cond = (rho[0]**2 + coeff[:, 0] @ coeff[:, 0]
+                - sigma_rf**2 / (rho_f**2 + s_ff))
+        assert int(np.argmin(cond)) == ties[0] and gm == loss.gamma
+
+
 class TestConditionalVariance:
     READ = ModeFunctional(phase="cos", exponent_rate=0.27,
                           direction="falling", window=(10.0, 15.0))
@@ -660,7 +844,7 @@ class TestConditionalVariance:
             optimize_gain(LOSSY, MU_NU, 0.1, self.READ, gamma_m_grid=[])
 
 
-def _no_draws(seeds, out):
+def _no_draws(*args):
     raise AssertionError("records drawn")
 
 
@@ -786,10 +970,15 @@ class TestHybridReadout:
             optimize_gain(LOSSY, MU_NU, 0.1, self.READ,
                           gamma_m_grid=self.GRID, initial_var=initial_var)
 
-    def test_one_trial_has_no_variance(self, monkeypatch):
+    @pytest.mark.parametrize("grid", [None, GRID], ids=["no-grid", "grid"])
+    def test_one_trial_has_no_variance(self, grid, monkeypatch):
+        # refused before the record law, the gamma_m scan or any draw
         monkeypatch.setattr(records, "_draw_normals", _no_draws)
+        for name in ("_record_law", "_gain_scan"):
+            monkeypatch.setattr(records, name, _not_called)
         with pytest.raises(StatisticsError):
-            hybrid_readout(1, LOSSY, MU_NU, 0.1, (0.0, 5.0), 2)
+            hybrid_readout(1, LOSSY, MU_NU, 0.1, self.READ.window, 2,
+                           gamma_m_grid=grid)
 
     def test_scan_size_capped_before_integration(self, monkeypatch):
         # a scan over the caps is refused before any draw, whatever the
@@ -910,10 +1099,10 @@ class TestBlockWorkers:
     def test_dead_worker_reported(self, death, status, monkeypatch):
         caller = os.getpid()
 
-        def draw(seeds, out):
+        def draw(*args):
             if os.getpid() != caller:
                 death()
-            real_draw(seeds, out)
+            real_draw(*args)
         real_draw = records._draw_normals
         monkeypatch.setattr(records, "_draw_normals", draw)
         with pytest.raises(WorkerError, match=status):

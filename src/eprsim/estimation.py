@@ -8,8 +8,10 @@ supply the multilevel correction to the witness.  Fitting is weighted least
 squares (``least_squares``, a projected Levenberg-Marquardt in numpy) on at
 most five physical parameters with box bounds, with the exact Jacobian:
 forward-mode derivatives taken through the same closed forms that give the
-values, in the same pass (``forward_model`` with ``directions``): each
-residual evaluation keeps the tangents for the Jacobian at its point.
+values, in the same pass (``forward_model`` with ``directions``).  The
+solver takes one callable that returns the residuals and their Jacobian
+from that one pass, and stops by the module constants ``_FTOL``, ``_XTOL``,
+``_GTOL`` and ``_NFEV_PER_PARAMETER``.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ _M_VALUES = np.arange(-4, 5)
 # stopped 1.4e-5 away, with a covariance 2e-4 off
 _FTOL, _XTOL = 3e-11, 1e-10
 _GTOL = 1e-5
+# least_squares' evaluation budget, per free parameter
+_NFEV_PER_PARAMETER = 100
 # least_squares' message by status
 _STOPS = ("the evaluation budget is spent", "gtol is met", "ftol is met",
           "xtol is met", "ftol and xtol are met")
@@ -72,8 +76,9 @@ class FitProblem:
     ``observed`` is a structured record of aligned 1-D arrays: t (ms), xi,
     xi_err, jx_norm, jx_err; entries of jx_norm may be NaN where only the
     witness was measured (they are skipped).  Times and xi must be finite,
-    and every error that weights a residual finite, > 0 and of finite 1/err^2,
-    with the value it weights finite over it (ValueError).
+    the times strictly increasing, and every error that weights a residual
+    finite, > 0 and of finite 1/err^2, with the value it weights finite over
+    it (ValueError).
     A finite ``slope_obs`` (ms^-1), the measured t = 0 polarisation slope,
     pins Gamma_L_out, which then cannot be free; None leaves it unpinned.
     """
@@ -101,6 +106,8 @@ class FitProblem:
                 raise ValueError(f"{name} must be aligned with times")
         if not np.all(np.isfinite(self.times) & np.isfinite(self.xi)):
             raise ValueError("observed times and xi must be finite")
+        if np.any(self.times[1:] <= self.times[:-1]):
+            raise ValueError("observed times t must strictly increase")
         # xi_err weights every row, jx_err only the rows with a jx_norm
         has_jx = np.isfinite(self.jx_norm)
         for value, name, x, err in (
@@ -223,38 +230,40 @@ def forward_model(params: ModelParams, initial_pop: PopulationState, times,
             (pops.d_jx - jx_norm * pops.d_jx[:, :1]) / pops.jx_frac[0])
 
 
-def least_squares(fun, x0, jac, bounds, ftol, xtol, gtol, x_scale=1.0,
-                  max_nfev=None):
-    """min 0.5 |fun(x)|^2 over the box lo <= x <= hi by projected
+def least_squares(fun, x0, bounds):
+    """min 0.5 |f(x)|^2 over the box lo <= x <= hi by projected
     Levenberg-Marquardt (More, LNM 630 (1978); Madsen, Nielsen & Tingleff,
     Methods for Non-Linear Least Squares Problems (2004), sec. 3.2).
 
-    A step solves (J^T J + mu / x_scale^2) dx = -J^T f over the variables
-    that the gradient does not hold at a bound, and is clipped to the box.
-    mu starts at 1e-6 max diag(J^T J) x_scale^2 and follows the gain ratio;
-    a trial with non-finite residuals is rejected.  The stop is scipy's:
-    status 1, the gradient projected at the active bounds below gtol in
-    the infinity norm; 2, an accepted step lowering the cost by under
-    ftol * cost at a gain ratio above 1/4; 3, a step shorter than
-    xtol * (xtol + |x|); 4, both 2 and 3; 0 (no success), max_nfev
-    evaluations (default: 100 per parameter) spent.  x is the best iterate,
-    and the Jacobian is asked for only at the x evaluated last.
+    ``fun(x)`` returns the residuals f and their Jacobian J at x, from one
+    evaluation.  A step solves (J^T J + mu / s^2) dx = -J^T f, with the
+    step scale s = max(|x0|, 1e-3), over the variables that the gradient
+    does not hold at a bound, and is clipped to the box.  mu starts at
+    1e-6 max diag(J^T J) s^2 and follows the gain ratio; a trial with
+    non-finite residuals is rejected, and an accepted trial's J is the next
+    step's.  The stop is scipy's at this module's constants: status 1, the
+    gradient projected at the active bounds below _GTOL in the infinity
+    norm; 2, an accepted step lowering the cost by under _FTOL * cost at a
+    gain ratio above 1/4; 3, a step shorter than _XTOL * (_XTOL + |x|); 4,
+    both 2 and 3; 0 (no success), _NFEV_PER_PARAMETER evaluations per
+    parameter spent.  x is the best iterate.
 
     ``fit_parameters`` calls it through this module global, so a wrapper
     bound here (perfbench/tracer.py counts ``nfev`` and ``njev`` this way)
-    sees every solve.  The result carries scipy's fields.
+    sees every solve.  The result carries scipy's fields; ``njev`` counts
+    the Jacobians the steps used, the first and one per accepted step.
     """
     lo, hi = bounds
     x = np.array(x0, dtype=float)
-    f, J = fun(x), jac(x)
+    f, J = fun(x)
     cost, nfev, njev, status = 0.5 * float(f @ f), 1, 1, None
-    max_nfev = max_nfev or 100 * x.size
-    scale = np.broadcast_to(np.asarray(x_scale, dtype=float), x.shape)
+    max_nfev = _NFEV_PER_PARAMETER * x.size
+    scale = np.maximum(np.abs(x), 1e-3)
     mu, nu = 1e-6 * float(np.max(np.sum((J * scale) ** 2, axis=0))), 2.0
     while True:
         g = J.T @ f
         free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
-        if np.abs(g[free]).max(initial=0.0) < gtol:
+        if np.abs(g[free]).max(initial=0.0) < _GTOL:
             status = 1
         if status is not None or nfev >= max_nfev:
             break
@@ -266,11 +275,11 @@ def least_squares(fun, x0, jac, bounds, ftol, xtol, gtol, x_scale=1.0,
                                        -g[free])
             x_new = np.clip(x + dx, lo, hi)
             dx = x_new - x
-            f_new = fun(x_new)
+            f_new, J_new = fun(x_new)
             nfev += 1
             cost_new = (0.5 * float(f_new @ f_new)
                         if np.isfinite(f_new).all() else np.inf)
-            short = np.linalg.norm(dx) < xtol * (xtol + np.linalg.norm(x))
+            short = np.linalg.norm(dx) < _XTOL * (_XTOL + np.linalg.norm(x))
             if cost_new < cost:
                 break
             mu, nu = mu * nu, 2.0 * nu
@@ -283,11 +292,10 @@ def least_squares(fun, x0, jac, bounds, ftol, xtol, gtol, x_scale=1.0,
         predicted = -float(g @ dx + 0.5 * dx @ A @ dx)
         ratio = (cost - cost_new) / predicted if predicted > 0 else 0.0
         mu, nu = mu * max(1 / 3, 1 - (2 * min(ratio, 1.0) - 1) ** 3), 2.0
-        fstop = cost - cost_new < ftol * cost and ratio > 0.25
+        fstop = cost - cost_new < _FTOL * cost and ratio > 0.25
         if fstop or short:
             status = 4 if fstop and short else 2 if fstop else 3
-        x, f, cost = x_new, f_new, cost_new
-        J = jac(x)
+        x, f, J, cost = x_new, f_new, J_new, cost_new
         njev += 1
     if status is None:  # the budget is spent
         status = 0
@@ -299,8 +307,8 @@ def least_squares(fun, x0, jac, bounds, ftol, xtol, gtol, x_scale=1.0,
 def fit_parameters(problem: FitProblem) -> FitResult:
     """Weighted least squares over the coupled rate + moment forward model."""
     mask = np.isfinite(problem.jx_norm)  # rows with a measured J_x
-    n_obs = problem.times.size + np.count_nonzero(mask)
-    last = {}  # x of the latest residuals -> its tangents [d_xi, d_jx]
+    observed = np.concatenate([problem.xi, problem.jx_norm[mask]])
+    err = np.concatenate([problem.xi_err, problem.jx_err[mask]])
     directions = _directions(problem) if problem.free else None
 
     def build(x):
@@ -309,46 +317,31 @@ def fit_parameters(problem: FitProblem) -> FitResult:
             trial["Gamma_L_out"] = _resolve_gamma_l_out(problem, trial)
         return problem.fixed.replace(**trial)
 
-    def residuals(x):
-        p = build(x)
+    def evaluate(x):
+        # the residuals and their Jacobian from one forward-model pass; with
+        # nothing free there are no tangents, and J has no columns
         xi_m, jx_m, _, _, *tangents = forward_model(
-            p, problem.initial_pop, problem.times, pump=problem.pump,
+            build(x), problem.initial_pop, problem.times, pump=problem.pump,
             directions=directions)
-        last.clear()
-        last[x.tobytes()] = tangents
-        res = [(xi_m - problem.xi) / problem.xi_err]
-        if mask.any():
-            res.append((jx_m[mask] - problem.jx_norm[mask])
-                       / problem.jx_err[mask])
-        return np.concatenate(res)
+        d_xi, d_jx = tangents or np.empty((2, 0, problem.times.size))
+        return ((np.concatenate([xi_m, jx_m[mask]]) - observed) / err,
+                np.concatenate([d_xi.T, d_jx[:, mask].T]) / err[:, None])
 
     if not problem.free:
-        r = residuals(np.empty(0))
+        r, _ = evaluate(np.empty(0))
         return FitResult(params=build(np.empty(0)),
                          covariance=np.empty((0, 0)), residuals=r,
                          free=(), cost=0.5 * float(r @ r))
 
-    if n_obs < len(problem.free):
+    if observed.size < len(problem.free):
         raise ValueError("fewer data points than free parameters")
-
-    def jacobian(x):
-        # least_squares asks for the Jacobian at the x it last evaluated
-        if x.tobytes() not in last:
-            residuals(x)
-        d_xi, d_jx = last[x.tobytes()]
-        return np.concatenate([d_xi.T / problem.xi_err[:, None],
-                               d_jx[:, mask].T / problem.jx_err[mask, None]])
 
     x0 = np.array([getattr(problem.fixed, name) for name in problem.free])
     lo = np.array([1.0 if n == "d" else 0.0 for n in problem.free])
     hi = np.array([1e4 if n == "d" else 10.0 for n in problem.free])
     x0 = np.clip(x0, lo + 1e-6, hi - 1e-6)
 
-    # exact Jacobian; a stop below the rounding floor would let last-bit
-    # rounding decide where the fit ends
-    sol = least_squares(residuals, x0, jac=jacobian, bounds=(lo, hi),
-                        ftol=_FTOL, xtol=_XTOL, gtol=_GTOL,
-                        x_scale=np.maximum(np.abs(x0), 1e-3))
+    sol = least_squares(evaluate, x0, bounds=(lo, hi))
     if not (sol.success and np.all(np.isfinite(sol.x))):
         raise FitFailureError(f"fit did not converge: {sol.message}",
                               best=build(sol.x))

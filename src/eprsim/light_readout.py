@@ -33,6 +33,7 @@ from .spin_model import require_finite
 __all__ = [
     "LossParams",
     "readout_kappa_sq",
+    "require_information",
     "closed_form_calibration",
     "invert_readout",
     "reconstruct_atomic_variance",
@@ -74,25 +75,31 @@ def readout_kappa_sq(loss: LossParams, mu_nu: tuple, T: float) -> float:
             / (mu - nu) ** 2)
 
 
+def require_information(slope: float, floor: float) -> None:
+    """NoInformationError unless var(y) = slope * var_atomic + floor carries
+    atomic information: slope > 0, and the floor's rounding does not swamp
+    it (ulp(floor) <= 1e-6 slope), or rounding alone would move the
+    inverse, and so xi, by more than a part per million."""
+    if not slope > 0 or math.ulp(floor) > 1e-6 * slope:
+        raise NoInformationError(
+            f"the readout slope {slope:.3g} vanishes against the rounding of "
+            f"the floor {floor:.6g} and carries no atomic information")
+
+
 def closed_form_calibration(kappa_sq: float, mu_nu: tuple,
                             eta: float) -> tuple:
     """(slope, floor) of var(y) = slope * var_atomic + floor in closed form.
 
-    See the module docstring for the derivation.  NoInformationError for kappa^2 = 0, or a slope that the
-    floor's rounding swamps (ulp(floor) > 1e-6 slope): rounding alone would
-    move the inverse, and so xi, by more than a part per million.
+    See the module docstring for the derivation; ``require_information``
+    refuses a slope that carries no atomic information (kappa^2 = 0 among
+    them).
     """
-    if kappa_sq <= 0:
-        raise NoInformationError("kappa^2 = 0 carries no atomic information")
     if eta <= 0 or eta > 1:
         raise ValueError("eta must lie in (0, 1]")
     mu, nu = mu_nu
     floor = eta * (1.0 - kappa_sq * (mu - nu) ** 2) + 1.0 - eta
     slope = eta * kappa_sq
-    if math.ulp(floor) > 1e-6 * slope:
-        raise NoInformationError(
-            f"kappa^2 = {kappa_sq:.3g} vanishes against the rounding of the "
-            f"floor {floor:.6g} and carries no atomic information")
+    require_information(slope, floor)
     return slope, floor
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import EprSimError
 from .estimation import forward_model
 from .gaussian_dynamics import trajectory_to_csv
-from .light_readout import LossParams, invert_readout
+from .light_readout import LossParams, invert_readout, require_information
 from .multilevel_rates import PopulationState
 from .records import (
     ModeFunctional,
@@ -221,6 +221,7 @@ def _run_fig2d(params, seed, trials):
                                 direction="falling",
                                 window=(0.0, probe))
     slope, floor = discrete_calibration(loss, mu_nu, dt, probe, probe_mode)
+    require_information(slope, floor)  # before the scan and any draw
 
     initial_var = {"css": 1.0, "anti_squeezed": 4.0}
     # Common random numbers across the two branches: one draw per seed, and

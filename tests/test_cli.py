@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eprsim import cli, records, scenarios
-from eprsim.cli import _build_parser, _parse_grid, main
+from eprsim.cli import _SHARED_OPTIONS, _build_parser, _parse_grid, main
+from eprsim.errors import NoInformationError
 from eprsim.estimation import forward_model
 from eprsim.multilevel_rates import PopulationState
 from eprsim.scenarios import inclusive_range, scenario_params
@@ -488,6 +489,11 @@ _BAD_INPUT = [
     (["conditional", "--gamma-s", "1000", "--gamma-extra", "0"], 2),
     (["scenario", "fig2d", "--trials", "1"], 2),
     (["scenario", "fig2d", "--trials", "0"], 2),
+    # fig2d's exact calibration at eta = 0 has slope 0; at eta = 1e-300 the
+    # floor's rounding swamps it
+    (["scenario", "fig2d", "--overrides", '{"eta": 0}'], 3),
+    (["scenario", "fig2d", "--overrides", '{"eta": 1e-300}', "--trials",
+      "200"], 3),
 ]
 _BAD_INPUT_IDS = [
     "overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
@@ -510,7 +516,8 @@ _BAD_INPUT_IDS = [
     "reconstruct-record-decay-overflow", "reconstruct-mc-decay-overflow",
     "conditional-record-decay-overflow", "reconstruct-aliasing",
     "reconstruct-mc-aliasing", "conditional-aliasing",
-    "scenario-fig2d-trials-one", "scenario-fig2d-trials-zero"]
+    "scenario-fig2d-trials-one", "scenario-fig2d-trials-zero",
+    "scenario-fig2d-eta-zero", "scenario-fig2d-eta-tiny"]
 
 # the cause each of these cases names on its one stderr line
 _BAD_INPUT_CAUSES = {
@@ -538,6 +545,8 @@ _BAD_INPUT_CAUSES = {
     "conditional-aliasing": "--dt-ms 0.1 is too coarse for --gamma-s",
     "scenario-fig2d-trials-one": "fig2d needs at least 2 trials",
     "scenario-fig2d-trials-zero": "fig2d needs at least 2 trials",
+    "scenario-fig2d-eta-zero": "carries no atomic information",
+    "scenario-fig2d-eta-tiny": "carries no atomic information",
 }
 
 _FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
@@ -578,6 +587,8 @@ _MALFORMED = [
     ("fit", _FIT_HEAD + "0,1,1e-300,1,0.005\n10,0.8,0.01,0.9,0.005\n"),
     ("fit", _FIT_HEAD + "0,1,1e-320,1,0.005\n10,0.8,0.01,0.9,0.005\n"),
     ("fit", _FIT_HEAD + "0,1,0.01,1,0.005\n10,0.8,0.01,0.9,1e-300\n"),
+    ("fit", _FIT_HEAD + "0,1,0.01,1,0.005\n5,0.9,0.01,0.95,0.005\n"
+     "5,0.9,0.01,0.95,0.005\n10,0.8,0.01,0.9,0.005\n"),
     ("orientation", ""),
     ("orientation", "0,0,0,0,0,0,0.008,0.992"),
     ("orientation", "0,0,0,0,0,0,0,0,0.008,0.992"),
@@ -588,8 +599,15 @@ _MALFORMED_IDS = [
     "calibrate-long-row", "calibrate-non-numeric", "fit-empty",
     "fit-header-only", "fit-short-row", "fit-long-row", "fit-non-numeric",
     "fit-unsorted-times", "fit-xi-err-1e-300", "fit-xi-err-1e-320",
-    "fit-jx-err-1e-300", "orientation-empty", "orientation-short",
-    "orientation-long", "orientation-non-numeric"]
+    "fit-jx-err-1e-300", "fit-repeated-times", "orientation-empty",
+    "orientation-short", "orientation-long", "orientation-non-numeric"]
+
+# the cause each of these cases names on its one stderr line: the file's
+# times, not a grid inside the forward model
+_MALFORMED_CAUSES = {
+    "fit-unsorted-times": "observed times t must strictly increase",
+    "fit-repeated-times": "observed times t must strictly increase",
+}
 
 # Runs each case's argv through cli.main in this one interpreter, as a fresh
 # `python -m eprsim.cli` would: each under its own alarm, its own copy of
@@ -690,6 +708,14 @@ def test_bad_input_names_its_cause(case, cause, matrix):
     # refused where the rates or options enter, before any overflow
     # warning or a message about something else
     stderr = matrix[f"argv:{case}"]["stderr"]
+    assert cause in stderr
+    assert stderr.count("\n") == 1, stderr
+
+
+@pytest.mark.parametrize("case, cause", _MALFORMED_CAUSES.items(),
+                         ids=list(_MALFORMED_CAUSES))
+def test_malformed_input_names_its_cause(case, cause, matrix):
+    stderr = matrix[f"malformed:{case}"]["stderr"]
     assert cause in stderr
     assert stderr.count("\n") == 1, stderr
 
@@ -852,6 +878,15 @@ def test_fig2d_trial_minimum_checked_first(trials, monkeypatch):
     monkeypatch.setattr(scenarios, "discrete_calibration", _no_draws)
     with pytest.raises(ValueError, match="fig2d needs at least 2 trials"):
         scenarios.run_scenario("fig2d", trials=trials)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-300])
+def test_fig2d_information_checked_before_sampling(eta, monkeypatch):
+    # a calibration without atomic information is refused before the scan
+    # or any draw
+    monkeypatch.setattr(scenarios, "hybrid_readout", _no_draws)
+    with pytest.raises(NoInformationError, match="no atomic information"):
+        scenarios.run_scenario("fig2d", overrides={"eta": eta}, trials=200)
 
 
 def test_fig2d_honours_eta():

@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,10 +214,12 @@ class TestFitParameters:
         ("times", np.nan), ("times", np.inf), ("xi", np.nan),
         ("xi_err", 0.0), ("xi_err", -0.01), ("xi_err", np.nan),
         ("jx_err", 0.0), ("jx_err", np.inf), ("xi_err", 1e-300),
-        ("xi_err", 1e-320), ("jx_err", 1e-300), ("jx_err", -1e-320)])
+        ("xi_err", 1e-320), ("jx_err", 1e-300), ("jx_err", -1e-320),
+        ("times", 0.0), ("times", -1.0)])
     def test_bad_observed_series_rejected(self, name, value):
-        # a negative error used to fit, a zero one to leak a RuntimeWarning
-        # and a NaN time to fail as a population invariant
+        # a negative error used to fit, a zero one to leak a RuntimeWarning,
+        # a NaN time to fail as a population invariant and a repeated (0.0)
+        # or unsorted (-1.0) one with a message about a grid
         truth = make_params()
         xi, jx, _, _ = forward_model(truth, POP0, GRID)
         obs = dict(times=GRID.copy(), xi=xi, xi_err=np.full_like(xi, 0.01),
@@ -292,8 +295,8 @@ class TestPopulationMemo:
                 d_xi.T / problem.xi_err[:, None],
                 d_jx[:, mask].T / problem.jx_err[mask, None]])
 
-        def referee(fun, x0, jac, **kwargs):
-            return solve(fun, x0, jac=referee_jac, **kwargs)
+        def referee(fun, x0, bounds):
+            return solve(lambda x: (fun(x)[0], referee_jac(x)), x0, bounds)
 
         monkeypatch.setattr(estimation, "least_squares", referee)
         want = fit_parameters(problem)
@@ -306,7 +309,7 @@ class TestPopulationMemo:
     @pytest.mark.parametrize("setup", MEMO_SETUPS)
     def test_one_propagation_per_evaluation(self, setup, monkeypatch):
         # one forward model, one propagation, one matrix exponential and one
-        # increment pass per residual evaluation; the Jacobian runs none
+        # increment pass per evaluation of the residuals and their Jacobian
         problem = _noisy_problem(**MEMO_SETUPS[setup])
         propagated, evaluated, calls = [], [], Counter()
 
@@ -336,13 +339,10 @@ class TestPopulationMemo:
         assert len(evaluated) == sol.nfev and sol.njev > 0
         assert calls == {"_expm_grid": sol.nfev, "_increments": sol.nfev}
 
-        fun, jac, x0 = _objective(problem, monkeypatch)
+        fun, x0 = _objective(problem, monkeypatch)
         calls.clear()
         fun(x0)
         assert calls == {"_expm_grid": 1, "_increments": 1}
-        calls.clear()
-        jac(x0)
-        assert not calls
 
 
 class _Captured(Exception):
@@ -350,18 +350,19 @@ class _Captured(Exception):
 
 
 def _objective(problem, monkeypatch):
-    """(residuals, jacobian, x0) that fit_parameters hands the solver."""
+    """(fun, x0) that fit_parameters hands the solver; fun(x) returns the
+    residuals and their Jacobian."""
     got = {}
 
-    def capture(fun, x0, jac, **kwargs):
-        got.update(fun=fun, jac=jac, x0=x0)
+    def capture(fun, x0, bounds):
+        got.update(fun=fun, x0=x0)
         raise _Captured
 
     with monkeypatch.context() as m:
         m.setattr(estimation, "least_squares", capture)
         with pytest.raises(_Captured):
             fit_parameters(problem)
-    return got["fun"], got["jac"], got["x0"]
+    return got["fun"], got["x0"]
 
 
 def _solve(problem, monkeypatch, solve=None):
@@ -405,13 +406,13 @@ class TestJacobian:
     def test_matches_central_differences(self, setup, grid, monkeypatch):
         problem = _noisy_problem(grid=JACOBIAN_GRIDS[grid],
                                  **JACOBIAN_SETUPS[setup])
-        fun, jac, x0 = _objective(problem, monkeypatch)
-        got = jac(x0)
-        assert got.shape == (fun(x0).size, len(problem.free))
+        fun, x0 = _objective(problem, monkeypatch)
+        r, got = fun(x0)
+        assert got.shape == (r.size, len(problem.free))
         for k, name in enumerate(problem.free):
             step = np.zeros_like(x0)
             step[k] = 1e-5 * x0[k]
-            want = (fun(x0 + step) - fun(x0 - step)) / (2.0 * step[k])
+            want = (fun(x0 + step)[0] - fun(x0 - step)[0]) / (2.0 * step[k])
             if name == "Gamma_pump" and not problem.pump:
                 # the pump-off rate enters nothing, so its column is zero
                 assert not got[:, k].any() and not want.any()
@@ -446,14 +447,6 @@ class TestJacobian:
             assert (getattr(still[3], n).tobytes()
                     == getattr(plain[3], n).tobytes())
 
-    def test_jacobian_at_an_unevaluated_point(self, monkeypatch):
-        # asked at an x it has not evaluated, it evaluates it first
-        fun, jac, x0 = _objective(_noisy_problem(), monkeypatch)
-        x1 = x0 * 1.01
-        want = jac(x1)
-        fun(x0)
-        assert np.array_equal(jac(x1), want)
-
 
 def _criterion_8(noisy):
     """Criterion 8's noise-free (16 points) or noisy (201 points) fit."""
@@ -487,11 +480,13 @@ class TestStop:
                 getattr(res.params, name), rel=1e-9, abs=0.0)
 
 
-def _referee(fun, x0, jac, **kwargs):
-    """scipy's least_squares, run to its rounding floor."""
+def _referee(fun, x0, bounds):
+    """scipy's least_squares at the module solver's step scale, run to its
+    rounding floor."""
     from scipy.optimize import least_squares
-    return least_squares(fun, x0, jac=jac, **{**kwargs, "ftol": 1e-15,
-                                              "xtol": 1e-15, "gtol": 1e-15})
+    return least_squares(lambda x: fun(x)[0], x0, jac=lambda x: fun(x)[1],
+                         bounds=bounds, ftol=1e-15, xtol=1e-15, gtol=1e-15,
+                         x_scale=np.maximum(np.abs(x0), 1e-3))
 
 
 # the pump rate's truth is 0, and this noise pulls its unconstrained optimum
@@ -580,14 +575,16 @@ class TestSolver:
         problem = _criterion_8(noisy=True)
         solve, seen = estimation.least_squares, []
 
-        def short(fun, x0, jac, **kwargs):
+        def short(fun, x0, bounds):
             def kept(x):
-                r = fun(x)
+                r, J = fun(x)
                 seen.append((0.5 * float(r @ r), x.copy()))
-                return r
-            return solve(kept, x0, jac, max_nfev=4, **kwargs)
+                return r, J
+            return solve(kept, x0, bounds)
 
         monkeypatch.setattr(estimation, "least_squares", short)
+        # a budget of 4 evaluations over the 3 free parameters
+        monkeypatch.setattr(estimation, "_NFEV_PER_PARAMETER", Fraction(4, 3))
         with pytest.raises(FitFailureError, match="budget") as exc:
             fit_parameters(problem)
         assert len(seen) == 4
@@ -596,13 +593,15 @@ class TestSolver:
         assert exc.value.best == problem.fixed.replace(
             **dict(zip(problem.free, x)))
 
-    def test_default_budget_is_100_evaluations_per_parameter(self):
+    def test_default_budget_is_100_evaluations_per_parameter(
+            self, monkeypatch):
         # r = x^2 halves x at every accepted step; with no tolerance to
         # meet, only the budget stops it
+        for name in ("_FTOL", "_XTOL", "_GTOL"):
+            monkeypatch.setattr(estimation, name, 0.0)
         sol = estimation.least_squares(
-            lambda x: x**2, np.array([1.0]), lambda x: np.diag(2.0 * x),
-            bounds=(np.array([-2.0]), np.array([2.0])), ftol=0.0, xtol=0.0,
-            gtol=0.0)
+            lambda x: (x**2, np.diag(2.0 * x)), np.array([1.0]),
+            bounds=(np.array([-2.0]), np.array([2.0])))
         assert (sol.nfev, sol.status, sol.success) == (100, 0, False)
         assert 0.0 < sol.x[0] < 1e-20
 
@@ -610,12 +609,11 @@ class TestSolver:
         # residuals are NaN past x = 2; the unconstrained optimum, 3, lies
         # there, so the first trials are rejected and the fit ends below 2
         def fun(x):
-            return np.where(x < 2.0, x - 3.0, np.nan)
+            return np.where(x < 2.0, x - 3.0, np.nan), np.ones((1, 1))
 
         sol = estimation.least_squares(
-            fun, np.array([0.0]), lambda x: np.ones((1, 1)),
-            bounds=(np.array([-10.0]), np.array([10.0])), ftol=1e-10,
-            xtol=1e-10, gtol=1e-5)
+            fun, np.array([0.0]),
+            bounds=(np.array([-10.0]), np.array([10.0])))
         assert sol.success and np.isfinite(sol.fun).all()
         assert 1.9 < sol.x[0] < 2.0 and sol.njev < sol.nfev
 

@@ -5,12 +5,15 @@ must resolve, so a deletion or rename fails here rather than in
 import importlib
 import pkgutil
 import types
+from collections import defaultdict
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eprsim
+from eprsim import estimation
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 MODULES = sorted(f"eprsim.{m.name}" for m in pkgutil.iter_modules(
@@ -37,3 +40,18 @@ def test_tracer_layer_resolves(layer):
     _, modname, path, _ = layer
     mod = importlib.import_module(modname)
     assert reduce(getattr, path.split("."), mod) is not None
+
+
+def test_solve_result_carries_the_tracer_counters():
+    # the tracer reads nfev, njev and success off each solve's result
+    layer, = (l for l in _tracer_layers()
+              if l[0] == "estimation.least_squares")
+    sol = estimation.least_squares(
+        lambda x: (x - 1.0, np.eye(1)), np.array([0.0]),
+        bounds=(np.array([-2.0]), np.array([2.0])))
+    counts = defaultdict(float)
+    layer[3](counts, layer[0], sol, (), {})
+    assert sol.success and sol.njev > 0
+    assert dict(counts) == {f"{layer[0]}.nfev": sol.nfev,
+                            f"{layer[0]}.njev": sol.njev,
+                            f"{layer[0]}.failed": 0}

@@ -13,6 +13,7 @@ import pytest
 from eprsim import records
 from eprsim.errors import (
     InvariantViolationError,
+    NoInformationError,
     StatisticsError,
     WorkerError,
 )
@@ -20,6 +21,7 @@ from eprsim.light_readout import (
     LossParams,
     closed_form_calibration,
     readout_kappa_sq,
+    require_information,
 )
 from eprsim.records import (
     MAX_BINS,
@@ -546,6 +548,19 @@ class TestCalibration:
             with pytest.raises(ValueError, match=match):
                 call()
             assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("loss", LAW_LOSSES[-2:],
+                             ids=["eta-zero", "kappa-zero"])
+    def test_no_information_returned_then_refused(self, loss):
+        # the calibration is the record's law even without information (a
+        # zero slope); fig2d refuses it through require_information
+        mode = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
+                              direction="falling", window=(0.0, 5.0))
+        slope, floor = discrete_calibration(loss, MU_NU, self.DT, 5.0, mode)
+        assert slope == 0.0
+        assert floor == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        with pytest.raises(NoInformationError, match="no atomic"):
+            require_information(slope, floor)
 
 
 def loop_law(loss, duration, dt):

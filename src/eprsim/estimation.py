@@ -16,6 +16,7 @@ from that one pass, and stops by the module constants ``_FTOL``, ``_XTOL``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -180,8 +181,8 @@ def _resolve_gamma_l_out(problem: FitProblem, trial: dict) -> float:
 def _rate_tangents(directions, pump: bool) -> np.ndarray:
     """d(g34, g43, g_out, g_in, pump) of ``transition_rates`` along
     directions over FITTABLE, shape (P, 5)."""
-    _, col, _, l_out, pmp = np.transpose(directions)
-    return np.stack([col, col, col + l_out, col, pmp * pump], axis=1)
+    _, col, _, l_out, pmp = np.asarray(directions).T
+    return np.array([col, col, col + l_out, col, pmp * pump]).T
 
 
 def _directions(problem: FitProblem) -> np.ndarray:
@@ -210,11 +211,11 @@ def forward_model(params: ModelParams, initial_pop: PopulationState, times,
     times = np.asarray(times, dtype=float)
     d_rates = d_moments = None
     if directions is not None:
-        directions = np.reshape(directions, (-1, len(FITTABLE)))
+        directions = np.asarray(directions).reshape(-1, len(FITTABLE))
         d_rates = _rate_tangents(directions, pump)
         # NoiseChannels.from_params: dephasing Gamma_tilde, refill the pump
-        d_moments = np.stack([directions[:, 0], directions[:, 2],
-                              d_rates[:, 4]], axis=1)
+        d_moments = np.array([directions[:, 0], directions[:, 2],
+                              d_rates[:, 4]]).T
     pops = propagate_populations(initial_pop, transition_rates(params, pump),
                                  times, d_rates=d_rates)
     noise = NoiseChannels.from_params(params, pump=pump)
@@ -269,17 +270,18 @@ def least_squares(fun, x0, bounds):
             break
         A = J.T @ J
         while True:
-            dx = np.zeros_like(x)
-            dx[free] = np.linalg.solve(A[np.ix_(free, free)]
+            dx = np.zeros(x.shape)
+            dx[free] = np.linalg.solve(A[free][:, free]
                                        + np.diag(mu / scale[free]**2),
                                        -g[free])
-            x_new = np.clip(x + dx, lo, hi)
+            x_new = (x + dx).clip(lo, hi)
             dx = x_new - x
             f_new, J_new = fun(x_new)
             nfev += 1
             cost_new = (0.5 * float(f_new @ f_new)
                         if np.isfinite(f_new).all() else np.inf)
-            short = np.linalg.norm(dx) < _XTOL * (_XTOL + np.linalg.norm(x))
+            short = (math.sqrt(dx.dot(dx))
+                     < _XTOL * (_XTOL + math.sqrt(x.dot(x))))
             if cost_new < cost:
                 break
             mu, nu = mu * nu, 2.0 * nu

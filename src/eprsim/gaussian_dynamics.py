@@ -44,6 +44,7 @@ its rate derivatives mix theirs; the same pass gives those of phi and x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,22 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# Gauss-Legendre rule on [-1, 1] for the x increment of one interval
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# Gauss-Legendre rule on [-1, 1] for the x increment of one interval:
+# numpy.polynomial.legendre.leggauss(8), written out so that importing the
+# engine does not load numpy.polynomial
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
+
+# The CSS covariance, the third corner of every trajectory, and its witness
+_CSS_COV = np.eye(4)
+_CSS_COV.flags.writeable = False
+_CSS_ROW = epr_witness(_CSS_COV)
 
 
 @dataclass(frozen=True)
@@ -123,10 +138,12 @@ class Trajectory:
     """Moments on ``times`` as C = phi C0 + x T + (1 - phi - x) I.
 
     ``initial`` holds C0 and the means at ``times[0]``; ``target`` is T.
-    The witness arrays ``var_x_minus``, ``var_p_plus`` and ``xi`` are
-    aligned with ``times``.  ``d_weights``, the derivatives (d_phi, d_x),
-    each (P, len(times)), along P directions, give the witness's ``d_xi``
-    (None without them).
+    C0 is validated (``epr_variance``) unless it is exactly the CSS
+    identity with finite means, which is physical as it stands and takes
+    the CSS witness row without validation.  The witness arrays
+    ``var_x_minus``, ``var_p_plus`` and ``xi`` are aligned with ``times``.
+    ``d_weights``, the derivatives (d_phi, d_x), each (P, len(times)),
+    along P directions, give the witness's ``d_xi`` (None without them).
     """
 
     times: np.ndarray
@@ -140,15 +157,22 @@ class Trajectory:
     def __post_init__(self):
         self.times, self.phi, self.x = (
             np.asarray(a, float) for a in (self.times, self.phi, self.x))
-        if np.any(np.diff(self.times) <= 0):
+        if (self.times[1:] - self.times[:-1] <= 0).any():
             raise InvariantViolationError("trajectory times must strictly increase")
         if not self.times.shape == self.phi.shape == self.x.shape:
             raise InvariantViolationError("trajectory series lengths differ")
-        # only C0 is checked; T and the CSS are physical by construction
-        r0 = epr_variance(self.initial)
-        corners = np.array([(r0.var_x_minus, r0.var_p_plus, r0.xi),
-                            epr_witness(self.target), epr_witness(np.eye(4))])
-        weights = np.stack([self.phi, self.x, 1.0 - self.phi - self.x], axis=1)
+        # only C0 is checked, and not when it is the CSS: T and the CSS are
+        # physical by construction
+        c0, m0 = self.initial.cov, self.initial.mean
+        if (c0 == _CSS_COV).all() and np.isfinite(m0).all():
+            row0 = _CSS_ROW
+        else:
+            r0 = epr_variance(self.initial)
+            row0 = r0.var_x_minus, r0.var_p_plus, r0.xi
+        corners = np.array([row0, epr_witness(self.target), _CSS_ROW])
+        weights = np.empty((self.times.size, 3))
+        weights[:, 0], weights[:, 1] = self.phi, self.x
+        weights[:, 2] = 1.0 - self.phi - self.x
         self.var_x_minus, self.var_p_plus, self.xi = (weights @ corners).T
         self.d_xi = None
         if self.d_weights is not None:  # the witness is linear in them
@@ -194,14 +218,14 @@ def _increments(h, g2, rate, partials=False):
     InvariantViolationError where a dR is not finite."""
     with np.errstate(over="ignore"):
         dR = 0.5 * h * (rate[:-1] + rate[1:])
-    if not np.all(np.isfinite(dR)):
+    if not np.isfinite(dR).all():
         raise InvariantViolationError("moment rates overflow: their "
                                       "integral over an interval is not finite")
-    inc = np.zeros_like(dR)
+    inc = np.zeros(dR.shape)
     live = dR > 0  # a zero-rate interval leaves x unchanged
     width = -np.expm1(-dR[live])
     # v = -ln(u) / dR at the rule's nodes u = 1 - width (1 - z) / 2
-    u = -0.5 * np.outer(width, 1.0 - _GL_NODES)
+    u = -0.5 * (width[:, None] * (1.0 - _GL_NODES))
     v = -np.log1p(u) / dR[live, None]
     ga, gb = g2[:-1, None][live], g2[1:, None][live]
     ra, rb = rate[:-1, None][live], rate[1:, None][live]
@@ -232,7 +256,8 @@ def _population_rates(populations, times: np.ndarray) -> tuple:
     (None: 1 and 0); ValueError for populations on other times."""
     if populations is None:
         return np.ones(times.size), np.zeros(times.size)
-    if not np.array_equal(populations.times, times):
+    if not (populations.times.shape == times.shape
+            and (populations.times == times).all()):
         raise ValueError("the populations must be on the trajectory's times")
     return populations.p2_tilde, populations.nh
 
@@ -245,7 +270,7 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     ``populations``, a PopulationSeries on ``grid`` itself (ValueError
     otherwise), throttles the collective rate quasi-statically by its
     N2(t) P2(t); see the module docstring.  ``initial`` is checked once,
-    when the Trajectory reads its witness.
+    when the Trajectory reads its witness, unless it is the CSS.
 
     ``d_rates`` (P, 3), d(d, dephasing, pump_refill) per direction, adds the
     weights' derivatives along them, and so the witness's ``d_xi``; the
@@ -254,17 +279,17 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     terms and phi/x recursion as the values, from one ``_increments`` call.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
         raise ValueError("grid must be a nonempty 1-D array of finite values")
-    if np.any(np.diff(grid) <= 0):
+    h = grid[1:] - grid[:-1]
+    if (h <= 0).any():
         raise ValueError("grid must strictly increase")
     p2, nh = _population_rates(populations, grid)
-    if not np.isfinite(params.d * params.Gamma):  # else inf * (P2 = 0)
+    if not math.isfinite(params.d * params.Gamma):  # else inf * (P2 = 0)
         raise InvariantViolationError("moment rates overflow: d * Gamma is "
                                       "not finite")
     g2 = relaxation_rate(params, p2)
     rate = g2 + noise.dephasing + noise.pump_noise_rate(nh)
-    h = np.diff(grid)
     dR, inc, *parts = _increments(h, g2, rate, partials=d_rates is not None)
     decay = np.exp(-dR).tolist()
     phi, x = [1.0], [0.0]
@@ -273,16 +298,16 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
         x.append(x[-1] * e + dx)
     phi, x = np.array(phi), np.array(x)
     tol = 1e-8  # slack on the simplex: the covariance check's atol
-    if not np.all((phi >= -tol) & (x >= -tol) & (phi + x <= 1.0 + tol)):
+    if not ((phi >= -tol) & (x >= -tol) & (phi + x <= 1.0 + tol)).all():
         raise InvariantViolationError(
             "moment weights left the simplex phi, x >= 0, phi + x <= 1")
-    phi, x = np.clip(phi, 0.0, 1.0), np.clip(x, 0.0, 1.0)
+    phi, x = phi.clip(0.0, 1.0), x.clip(0.0, 1.0)
     d_weights = None
     if d_rates is not None:
         d_p2 = d_nh = 0.0
         if populations is not None and populations.tangents is not None:
             d_p2, d_nh = populations.d_p2_tilde, populations.tangents[2]
-        dd, d_deph, d_refill = np.reshape(d_rates, (-1, 3)).T[:, :, None]
+        dd, d_deph, d_refill = np.asarray(d_rates).reshape(-1, 3).T[:, :, None]
         d_g2 = params.Gamma * (dd * p2 + params.d * d_p2)
         d_rate = (d_g2 + d_deph + d_refill * np.maximum(0.0, nh)
                   + noise.pump_refill * (nh > 0) * d_nh)
@@ -296,8 +321,8 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
             rows.append([(y - xk * da) * e + di
                          for y, da, di in zip(rows[-1], a, b)])
         d_phi = np.zeros((len(d_dR), grid.size))
-        np.cumsum(d_dR, axis=1, out=d_phi[:, 1:])
-        d_weights = (-phi * d_phi, np.transpose(rows))
+        d_dR.cumsum(axis=1, out=d_phi[:, 1:])
+        d_weights = (-phi * d_phi, np.array(rows).T)
     return Trajectory(times=grid, phi=phi, x=x, initial=initial,
                       target=two_mode_squeezed_cov(params.mu, params.nu),
                       populations=populations, d_weights=d_weights)

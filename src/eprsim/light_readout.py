@@ -91,11 +91,11 @@ def closed_form_calibration(kappa_sq: float, mu_nu: tuple,
     """(slope, floor) of var(y) = slope * var_atomic + floor in closed form.
 
     See the module docstring for the derivation; ``require_information``
-    refuses a slope that carries no atomic information (kappa^2 = 0 among
-    them).
+    refuses a slope that carries no atomic information (kappa^2 = 0 and
+    eta = 0 among them).
     """
-    if eta <= 0 or eta > 1:
-        raise ValueError("eta must lie in (0, 1]")
+    if eta < 0 or eta > 1:
+        raise ValueError("eta must lie in [0, 1]")
     mu, nu = mu_nu
     floor = eta * (1.0 - kappa_sq * (mu - nu) ** 2) + 1.0 - eta
     slope = eta * kappa_sq

@@ -49,10 +49,10 @@ _JX_WEIGHTS = np.array([4.0, 3.0, 0.0])
 def _check_populations(n44, n43, nh) -> None:
     """Fractions (scalars or aligned arrays) are finite, >= 0, sum to 1."""
     fr = np.array([n44, n43, nh], dtype=float)
-    if not np.all(np.isfinite(fr) & (fr >= -1e-12)):
+    if not (np.isfinite(fr) & (fr >= -1e-12)).all():
         raise InvariantViolationError(
             "population fractions must be finite and >= 0")
-    if np.any(np.abs(fr.sum(axis=0) - 1.0) > 1e-9):
+    if (np.abs(fr.sum(axis=0) - 1.0) > 1e-9).any():
         raise InvariantViolationError("population fractions must sum to 1")
 
 
@@ -153,7 +153,7 @@ class PopulationSeries:
         self.n2_frac = self.n44 + self.n43
         self.p2_tilde = np.abs(self.n44 - self.n43)
         self.p2 = np.divide(self.p2_tilde, self.n2_frac,
-                            out=np.zeros_like(self.n2_frac),
+                            out=np.zeros(self.n2_frac.shape),
                             where=self.n2_frac > 0)
         self.jx_frac = 4.0 * self.n44 + 3.0 * self.n43
         if self.tangents is not None:
@@ -198,7 +198,7 @@ def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     terms = [np.eye(n)]  # B^j / j!
     for j in range(1, _TAYLOR_DEGREE + 1):
         terms.append(terms[-1] @ b / j)
-    terms = np.reshape(terms, (_TAYLOR_DEGREE + 1, n * n))
+    terms = np.array(terms).reshape(_TAYLOR_DEGREE + 1, n * n)
     tau = t * norm
     # 2 tau = m 2^s with m in [0.5, 1), so tau / 2^s < 1/2
     s = np.maximum(np.frexp(2.0 * tau)[1], 0)
@@ -217,7 +217,7 @@ def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
                   out=chunk.reshape(-1, n * n))
         s_ok = s[c:min(c + _CHUNK_POINTS, n_ok)]
         for i in range(s_ok.max(initial=0)):
-            tail = chunk[np.searchsorted(s_ok, i, side="right"):s_ok.size]
+            tail = chunk[s_ok.searchsorted(i, side="right"):s_ok.size]
             np.matmul(tail, tail, out=tail)
     e[n_ok:] = np.nan
     return e
@@ -238,33 +238,34 @@ def propagate_populations(initial: PopulationState, rates: RateSet,
     scaling step is that of A.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
         raise ValueError("grid must be a nonempty 1-D array of finite values")
-    if np.any(np.diff(grid) <= 0):
+    if (grid[1:] - grid[:-1] <= 0).any():
         raise ValueError("grid must strictly increase")
     n0 = np.array([initial.n44, initial.n43, initial.nh])
     a, t = rate_matrix(rates), grid - grid[0]
     if d_rates is None:
         sol = (_expm_grid(a, t) @ n0).T
     else:
-        d_a = np.array([_generator(*d) for d in np.reshape(d_rates, (-1, 5))])
+        d_a = np.array([_generator(*d)
+                        for d in np.asarray(d_rates).reshape(-1, 5)])
         norm = np.abs(d_a).sum(axis=1).max(axis=1)  # 1-norm of each E_i
         live = norm > 0
         k = np.count_nonzero(live)
         scale = (np.abs(a).sum(axis=0).max() or 1.0) / norm[live]
         block = np.zeros((k + 1, 3, k + 1, 3))  # (k + 1)^2 blocks of 3 x 3
         block[range(k + 1), :, range(k + 1)] = a
-        block[0, :, 1:] = np.moveaxis(d_a[live] * scale[:, None, None], 0, 1)
+        block[0, :, 1:] = (d_a[live] * scale[:, None, None]).transpose(1, 0, 2)
         e = _expm_grid(block.reshape(3 * k + 3, -1), t)[:, :3]
         sol = (e[:, :, :3] @ n0).T
         d_sol = np.zeros((3, len(d_a), t.size))
-        d_sol[:, live] = np.moveaxis(
-            e[:, :, 3:].reshape(t.size, 3, k, 3) @ n0 / scale, 0, -1)
+        d_sol[:, live] = (e[:, :, 3:].reshape(t.size, 3, k, 3) @ n0
+                          / scale).transpose(1, 2, 0)
     if sol.min() < -1e-8:
         raise ModelViolationError(
             f"population went negative ({sol.min():.3e}); rates are unphysical"
         )
-    sol = np.clip(sol, 0.0, None)
+    sol = np.maximum(sol, 0.0)
     sol /= sol.sum(axis=0, keepdims=True)
     # the renormalisation, differentiated; the columns of A sum to zero, so
     # the raw sum is that of n0 at every time
@@ -298,7 +299,7 @@ def multilevel_xi(xi_gauss, pop, d_xi_gauss=None):
     directions of ``pop.tangents``, makes it return (xi, d_xi) with d_xi of
     shape (P, n).
     """
-    if np.any(pop.n2_frac <= 0):
+    if (pop.n2_frac <= 0).any():
         raise DegeneratePolarizationError("two-level subsystem is empty")
     sigma_j = 2.0 * pop.jx_frac * xi_gauss
     den = pop.n2_frac * (pop.p2 + 7.0)

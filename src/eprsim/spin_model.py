@@ -19,6 +19,7 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -56,8 +57,12 @@ SYMPLECTIC_FORM = np.array(
 def require_finite(**values) -> None:
     """Raise InvariantViolationError unless every value is a finite real."""
     for name, v in values.items():
-        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                or not math.isfinite(v)):
+        if type(v) is float:  # the common case skips the slower ABC check
+            ok = math.isfinite(v)
+        else:
+            ok = (not isinstance(v, bool) and isinstance(v, numbers.Real)
+                  and math.isfinite(v))
+        if not ok:
             raise InvariantViolationError(
                 f"{name} must be a finite number, got {v!r}")
 
@@ -126,13 +131,21 @@ class ModelParams:
         return (self.mu - self.nu) ** 2
 
     @classmethod
+    @functools.cache
+    def _field_names(cls) -> tuple:
+        """(every field name, the names without a default), built once."""
+        fields = dataclasses.fields(cls)
+        return (frozenset(f.name for f in fields),
+                frozenset(f.name for f in fields
+                          if f.default is dataclasses.MISSING))
+
+    @classmethod
     def _check_keys(cls, doc: dict, required: bool = False) -> None:
         """Reject keys that name no field (and, if ``required``, missing
         fields without a default)."""
-        fields = dataclasses.fields(cls)
-        need = {f.name for f in fields if f.default is dataclasses.MISSING}
-        for what, bad in (("unknown", set(doc) - {f.name for f in fields}),
-                          ("missing", need - set(doc) if required else ())):
+        names, need = cls._field_names()
+        for what, bad in (("unknown", doc.keys() - names),
+                          ("missing", need - doc.keys() if required else ())):
             if bad:
                 raise ValueError(f"{what} parameter keys: {sorted(bad)}")
 

@@ -494,6 +494,9 @@ _BAD_INPUT = [
     (["scenario", "fig2d", "--overrides", '{"eta": 0}'], 3),
     (["scenario", "fig2d", "--overrides", '{"eta": 1e-300}', "--trials",
       "200"], 3),
+    # the same zero slope on the CLI's readout commands
+    (["conditional", "--params", {"eta": 0.0}, "--trials", "2"], 3),
+    (["reconstruct", "--params", {"eta": 0.0}, "--trials", "2"], 3),
 ]
 _BAD_INPUT_IDS = [
     "overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
@@ -517,7 +520,8 @@ _BAD_INPUT_IDS = [
     "conditional-record-decay-overflow", "reconstruct-aliasing",
     "reconstruct-mc-aliasing", "conditional-aliasing",
     "scenario-fig2d-trials-one", "scenario-fig2d-trials-zero",
-    "scenario-fig2d-eta-zero", "scenario-fig2d-eta-tiny"]
+    "scenario-fig2d-eta-zero", "scenario-fig2d-eta-tiny",
+    "conditional-eta-zero", "reconstruct-eta-zero"]
 
 # the cause each of these cases names on its one stderr line
 _BAD_INPUT_CAUSES = {
@@ -547,6 +551,8 @@ _BAD_INPUT_CAUSES = {
     "scenario-fig2d-trials-zero": "fig2d needs at least 2 trials",
     "scenario-fig2d-eta-zero": "carries no atomic information",
     "scenario-fig2d-eta-tiny": "carries no atomic information",
+    "conditional-eta-zero": "carries no atomic information",
+    "reconstruct-eta-zero": "carries no atomic information",
 }
 
 _FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
@@ -747,7 +753,7 @@ def loaded(*names):
     return sorted(m for m in sys.modules
                   if m in names or m.split(".")[0] in names)
 import eprsim.cli
-at_import = loaded("scipy", "eprsim.lindblad_oracle")
+at_import = loaded("scipy", "eprsim.lindblad_oracle", "numpy.polynomial")
 parsers_at_import = eprsim.cli._build_parser.cache_info().currsize
 codes = []
 for argv in json.loads(sys.argv[1]):
@@ -768,7 +774,8 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps({"at_import": at_import,
                   "parsers_at_import": parsers_at_import, "codes": codes,
                   "parser_builds": eprsim.cli._build_parser.cache_info().misses,
-                  "after": loaded("scipy")}))
+                  "after": loaded("scipy"),
+                  "polynomial_after": loaded("numpy.polynomial")}))
 """
 
 
@@ -776,7 +783,8 @@ def _import_probe(*argvs):
     """Run each argv through ``main`` (``["forward_model"]``: forward model
     calls, with the pump off and on, and their Jacobians over every fittable
     parameter) in one fresh interpreter; returns the probe's report after
-    checking that importing the CLI loads no scipy and builds no parser."""
+    checking that importing the CLI loads neither scipy nor
+    numpy.polynomial and builds no parser."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                            json.dumps(argvs)],
                           env=_fresh_env(), capture_output=True, text=True,
@@ -800,6 +808,16 @@ def test_forward_model_loads_no_scipy():
     # the fit's unit of work: populations plus moments and their exact
     # derivatives (the block exponential included), numpy only
     assert _import_probe(["forward_model"])["after"] == []
+
+
+def test_cli_loads_no_numpy_polynomial(tmp_path):
+    # the moment engine's Gauss-Legendre rule is written out, so neither
+    # the import (every probe checks it) nor a forward model or scenario
+    # run loads numpy.polynomial
+    probe = _import_probe(["forward_model"],
+                          ["scenario", "fig2c", "--out", str(tmp_path)])
+    assert probe["codes"] == [0, 0]
+    assert probe["polynomial_after"] == []
 
 
 def test_fit_loads_no_scipy(tmp_path):

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from eprsim import estimation, gaussian_dynamics, multilevel_rates
-from eprsim.errors import FitFailureError, IdentifiabilityError
+from eprsim.errors import (
+    FitFailureError,
+    IdentifiabilityError,
+    InvariantViolationError,
+)
 from eprsim.estimation import (
     FITTABLE,
     CalibrationPoint,
@@ -22,7 +26,9 @@ from eprsim.multilevel_rates import (
     propagate_populations,
     transition_rates,
 )
+from eprsim.spin_model import GaussianState, two_mode_squeezed_cov
 
+from test_gaussian_dynamics import count_state_checks
 from test_spin_model import make_params
 
 POP0 = PopulationState(n44=0.99, n43=0.01, nh=0.0)
@@ -87,6 +93,34 @@ class TestForwardModel:
         for name in ("n44", "n43", "nh"):
             assert (getattr(got_pops, name).tobytes()
                     == getattr(want_pops, name).tobytes())
+
+
+class TestInitialStateChecks:
+    """A CSS start is physical as it stands and skips the state check; any
+    other initial state is validated once per call."""
+
+    def test_css_start_not_validated(self, monkeypatch):
+        calls = count_state_checks(monkeypatch)
+        forward_model(make_params(), POP0, GRID)
+        forward_model(make_params(), POP0, GRID, directions=np.eye(5))
+        assert calls == Counter()
+
+    def test_initial_state_validated_once_per_call(self, monkeypatch):
+        params = make_params()
+        start = GaussianState(mean=np.zeros(4),
+                              cov=two_mode_squeezed_cov(params.mu, params.nu))
+        calls = count_state_checks(monkeypatch)
+        for k in (1, 2):
+            forward_model(params, POP0, GRID, initial_state=start,
+                          directions=np.eye(5))
+            assert calls == Counter(validate=k, epr_variance=k)
+
+    def test_unphysical_initial_state_refused(self):
+        bad = GaussianState(mean=np.zeros(4), cov=0.5 * np.eye(4))
+        with pytest.raises(InvariantViolationError,
+                           match=r"^symplectic eigenvalue 0\.500000 below the "
+                                 r"Heisenberg bound$"):
+            forward_model(make_params(), POP0, GRID, initial_state=bad)
 
 
 class TestFitParameters:

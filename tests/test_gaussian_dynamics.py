@@ -1,9 +1,11 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from eprsim import gaussian_dynamics as gd
 from eprsim.errors import InvariantViolationError
 from eprsim.gaussian_dynamics import (
     NoiseChannels,
@@ -32,6 +34,41 @@ def analytic_cov(c0, params, noise, t, nh_frac=0.0):
     target = (g2 * two_mode_squeezed_cov(params.mu, params.nu)
               + css * np.eye(4)) / total
     return target + np.exp(-total * t) * (c0 - target)
+
+
+def count_state_checks(monkeypatch) -> Counter:
+    """Count the calls of GaussianState.validate and of the engine's
+    epr_variance from here on."""
+    calls = Counter()
+    validate, variance = GaussianState.validate, gd.epr_variance
+
+    def counted_validate(state):
+        calls["validate"] += 1
+        return validate(state)
+
+    def counted_variance(state):
+        calls["epr_variance"] += 1
+        return variance(state)
+    monkeypatch.setattr(GaussianState, "validate", counted_validate)
+    monkeypatch.setattr(gd, "epr_variance", counted_variance)
+    return calls
+
+
+class TestGaussLegendreRule:
+    def test_literals_within_an_ulp_of_leggauss(self):
+        # written out so that no import loads numpy.polynomial
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        for got, want in ((gd._GL_NODES, nodes), (gd._GL_WEIGHTS, weights)):
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_integrates_monomials_exactly(self, k):
+        # 8 nodes integrate x^k over [-1, 1] exactly for k <= 15, up to the
+        # rounding of eight terms of at most 2 (leggauss's own rule is off
+        # by 1.2e-15 at k = 2)
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert gd._GL_WEIGHTS @ gd._GL_NODES**k == pytest.approx(
+            exact, abs=8 * np.finfo(float).eps)
 
 
 class TestMomentDerivative:
@@ -137,16 +174,35 @@ class TestPropagateMoments:
     def test_initial_state_validated_once(self, monkeypatch):
         # the two-mode-squeezed target and the CSS are physical by
         # construction; only the initial state is checked
-        calls = []
-        check = GaussianState.validate
-
-        def counted(state):
-            calls.append(state)
-            return check(state)
-        monkeypatch.setattr(GaussianState, "validate", counted)
-        propagate_moments(css_state(), make_params(), NoiseChannels(),
+        params = make_params()
+        start = GaussianState(mean=np.zeros(4),
+                              cov=two_mode_squeezed_cov(params.mu, params.nu))
+        calls = count_state_checks(monkeypatch)
+        propagate_moments(start, params, NoiseChannels(),
                           np.linspace(0.0, 5.0, 6))
-        assert len(calls) == 1
+        assert calls == Counter(validate=1, epr_variance=1)
+
+    def test_css_start_not_validated(self, monkeypatch):
+        # the identity covariance with finite means cannot fail the check
+        calls = count_state_checks(monkeypatch)
+        traj = propagate_moments(css_state(), make_params(), NoiseChannels(),
+                                 np.linspace(0.0, 5.0, 6))
+        assert calls == Counter()
+        assert traj.xi[0] == epr_variance(css_state()).xi
+
+    def test_css_row_is_the_validated_witness(self):
+        # the row a CSS start takes is the one validation would give, bit
+        # for bit
+        r = epr_variance(css_state())
+        assert gd._CSS_ROW == (r.var_x_minus, r.var_p_plus, r.xi)
+
+    def test_css_covariance_with_non_finite_mean_refused(self):
+        # only the identity with finite means skips the check
+        start = GaussianState(mean=[math.nan, 0.0, 0.0, 0.0], cov=np.eye(4))
+        with pytest.raises(InvariantViolationError,
+                           match="state means are not finite"):
+            propagate_moments(start, make_params(), NoiseChannels(),
+                              np.linspace(0.0, 5.0, 6))
 
     @pytest.mark.parametrize("params, noise, pops, cause", [
         (make_params(), NoiseChannels(dephasing=1e308), None, "integral"),

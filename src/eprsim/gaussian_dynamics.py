@@ -83,7 +83,7 @@ def __getattr__(name):
 
 # Gauss-Legendre rule on [-1, 1] for the x increment of one interval:
 # numpy.polynomial.legendre.leggauss(8), written out so that importing the
-# engine does not load numpy.polynomial
+# engine does not load numpy.polynomial (which NumPy 1 imports anyway)
 _GL_NODES = np.array([
     -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
     -0.18343464249564978, 0.18343464249564978, 0.525532409916329,

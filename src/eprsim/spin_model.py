@@ -57,12 +57,10 @@ SYMPLECTIC_FORM = np.array(
 def require_finite(**values) -> None:
     """Raise InvariantViolationError unless every value is a finite real."""
     for name, v in values.items():
-        if type(v) is float:  # the common case skips the slower ABC check
-            ok = math.isfinite(v)
-        else:
-            ok = (not isinstance(v, bool) and isinstance(v, numbers.Real)
-                  and math.isfinite(v))
-        if not ok:
+        # an exact float, the common case, skips the slower ABC check
+        if (type(v) is not float and (isinstance(v, bool)
+                                      or not isinstance(v, numbers.Real))
+                or not math.isfinite(v)):
             raise InvariantViolationError(
                 f"{name} must be a finite number, got {v!r}")
 

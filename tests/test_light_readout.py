@@ -88,6 +88,17 @@ class TestClosedFormCalibration:
         assert floor == pytest.approx(
             eta * (e2 + eps_sq * (1.0 - e2)) + 1.0 - eta, rel=1e-14)
 
+    @pytest.mark.parametrize("eta, error, message", [
+        (0.0, NoInformationError, "no atomic information"),
+        (-0.1, ValueError, r"eta must lie in \[0, 1\]"),
+        (1.1, ValueError, r"eta must lie in \[0, 1\]"),
+    ])
+    def test_eta_range(self, eta, error, message):
+        # eta = 0 is in LossParams' range, and its zero slope is refused
+        # by the information rule; outside [0, 1] eta itself is refused
+        with pytest.raises(error, match=message):
+            closed_form_calibration(4.0, MU_NU, eta)
+
 
 def _affine_inverse(y_pair, loss, T, eta):
     """Closed-form constants through the shared (cos, sin) inversion."""

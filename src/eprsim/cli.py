@@ -61,7 +61,7 @@ from .scenarios import (
     run_scenario,
     scenario_params,
 )
-from .spin_model import ModelParams
+from .spin_model import ModelParams, json_object
 
 ARTIFACT_VERSION = 1
 MAX_GRID_POINTS = 1_000_000
@@ -69,7 +69,9 @@ MAX_GRID_POINTS = 1_000_000
 # block, about 0.3 MB for the 7-column time series
 ROWS_PER_BLOCK = 4096
 
-_USAGE_ERRORS = (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError)
+# OSError: a path that cannot be read or written as asked (missing, a
+# directory, an existing file where --out wants a directory)
+_USAGE_ERRORS = (ValueError, KeyError, OSError)
 _NUMERICAL_ERRORS = (FitFailureError, IdentifiabilityError, StatisticsError,
                      NoInformationError, ZeroDivisionError, FloatingPointError)
 _INVARIANT_ERRORS = (InvariantViolationError, ModelViolationError,
@@ -361,9 +363,8 @@ def _cmd_orientation(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    overrides = json.loads(args.overrides) if args.overrides else None
-    if overrides is not None and not isinstance(overrides, dict):
-        raise ValueError("--overrides must be a JSON object")
+    overrides = (json_object(args.overrides, "--overrides")
+                 if args.overrides else None)
     grid = _parse_grid(args.grid) if args.grid else None
     result = run_scenario(args.name, overrides=overrides, seed=args.seed,
                           grid=grid, trials=args.trials)

@@ -34,13 +34,14 @@ predicted state x from x_0 = u_0:
 
 Trial i of a batch uses the seed ``master_seed XOR i`` (master_seed in
 [0, 2^64)) and draws, in this order, its two unit initial values z and its
-(nbins, 2) noise; the initial atomic values are u_0 = sqrt(initial_var) z.
+(nbins, 2) noise (:func:`hybrid_readout`: its (K, 2) mode normals, below);
+the initial atomic values are u_0 = sqrt(initial_var) z.
 The draws are those of ``np.random.default_rng(master_seed ^ i)``, bit for
 bit, but no generator is built per trial: one pass over the uint32 seed
 words of many blocks computes every trial's ``SeedSequence`` state words
 (NumPy's hash, fixed by its stream-compatibility policy NEP 19), one pass
 in uint64 words turns them into PCG64 states by PCG's seeding, and one
-generator per process and call, its state words overwritten in place for
+generator per call, its state words overwritten in place for
 each trial, draws the trial's z and noise in one call; the passes are
 bounded by the block size (SEED_PASS_BYTES), not by the trial count.  The
 words' order in the generator's memory is read back once, from one trial
@@ -67,20 +68,19 @@ arrays in blocks of SCAN_BLOCK bins and chunks of points
 gamma_m that minimises the conditional variance Sigma_rr - alpha*
 Sigma_rf.  Monte Carlo only evaluates that pair.
 
-:func:`hybrid_readout` never builds a record: it draws TRIAL_BLOCK trials at
-a time into one (trials, nbins + 1, 2) block, z in row 0, and multiplies the
-block's noise by the coefficients of the readout and feed modes on both
-channels; each initial variance v adds sqrt(v) z rho and takes the block's
-count, column means and sums of squared deviations.  With W processes (one
-per CPU the caller may run on, at most one per block) the caller computes
-blocks k = 0 (mod W) and each of W - 1 forked workers blocks k = w (mod W),
-sending every block's moments through its own pipe.  The caller merges the
-blocks' moments into running ones in block order (Chan, Golub and
-LeVeque's pairwise update), so the results are the same bits whatever W
-is; each matrix product takes PRODUCT_ROWS trials, so they do not follow
-the BLAS thread count either.  Each process holds one block (16 bytes per
-bin and trial of the block, 2 MB at fig2d's 250 bins) whatever the trial
-count.
+:func:`hybrid_readout` never builds a record, nor draws one normal per bin.
+Every statistic it reports is a sample variance of each trial's mode
+integrals: K modes (the readout, then the feed modes) on two channels.
+Per channel they are rho u_0 + x R, with R the K x K triangular factor of
+the QR of the (nbins, K) coefficients and x K unit normals, which has the
+covariance C^T C = R^T R of the noise's integrals: the same law from 2 + 2K
+normals per trial instead of 2 + 2 nbins.  Trials are drawn MODE_BLOCK at a
+time into one (trials, K + 1, 2) block, z in row 0; the products with R
+are einsum's sums, which make no BLAS call, so the bytes do not follow the
+BLAS thread count.  Each initial variance v adds sqrt(v) z rho, and the
+blocks' counts, means and sums of squared deviations are merged in block
+order (Chan, Golub and LeVeque's pairwise update), so memory is one block
+whatever the trial count.
 
 :func:`simulate_batch` keeps the record-level API: it writes a batch into
 one (2, nbins, trials) float64 buffer, and ``RecordBatch.samples`` is its
@@ -101,7 +101,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolationError, StatisticsError, WorkerError
+from .errors import InvariantViolationError, StatisticsError
 from .light_readout import LossParams
 
 __all__ = [
@@ -115,13 +115,12 @@ __all__ = [
     "hybrid_readout",
 ]
 
-# Cap on trials x bins per batch: drawing takes about 40 ns per trial-bin
-# on one core (2-core x86 host, 250 bins; simulate_batch about 50 ns in
-# all), so this is about 1 s, fig2d at 10^5 trials of 250 bins;
-# hybrid_readout draws its blocks on every CPU, which divides that by up to
-# the CPU count.  simulate_batch's records take 16 bytes per
-# trial-bin (400 MB here); hybrid_readout holds one block of draws per
-# process whatever the trial count.
+# Cap on trials x bins per batch: simulate_batch takes about 50 ns per
+# trial-bin on one core (2-core x86 host, 250 bins), so this is about 1 s,
+# and its records take 16 bytes per trial-bin (400 MB here).
+# hybrid_readout keeps the same cap, although it draws per mode, not per
+# bin: about 2 us per trial whatever the bin count (0.2 s for fig2d's
+# 10^5 trials of 250 bins), holding one MODE_BLOCK of draws.
 MAX_TRIAL_BINS = 25_000_000
 # Cap on bins per batch: simulate_batch's innovations recursion steps bin by
 # bin at about 10 us per bin for a few trials (measured on a 2-core x86
@@ -145,21 +144,23 @@ SCAN_BLOCK = 256
 # Values per (block bins, grid points) array of the gamma_m scan: with its
 # tables and temporaries the largest scans peak at about 4 MB (tracemalloc)
 SCAN_CHUNK = 1 << 16
-# Trials whose draws are made at a time: one block holds (trials, nbins + 1,
-# 2) draws, z and the noise, 16 bytes per trial-bin (2 MB at fig2d's 250
-# bins).  It is also hybrid_readout's unit of work per process: blocks are
-# dealt to the processes round robin.
+# Trials whose records are drawn at a time by simulate_batch: one block
+# holds (trials, nbins + 1, 2) draws, z and the noise, 16 bytes per
+# trial-bin (2 MB at 250 bins).
 TRIAL_BLOCK = 512
+# Trials whose mode-space draws hybrid_readout makes at a time: one block
+# holds (trials, K + 1, 2) draws, 64 bytes per trial for fig2d's K = 3
+# modes; with the seed hashing, the products and the merged columns its
+# peak is about 380 bytes per trial there (1.5 MB under tracemalloc),
+# whatever the trial count.  The seeds are hashed one block at a time.
+MODE_BLOCK = 4096
 # Bytes per trial that one pass of seed hashing (_seed_words, _pcg_states
-# and the state rows) holds at its peak: about 170 under tracemalloc.  A
-# process hashes the seeds of its blocks in passes of as many blocks as hold
-# at most half a block of draws (at least one block), so memory does not
-# grow with the trial count: 10 blocks (5120 trials) at fig2d's 250 bins.
+# and the state rows) holds at its peak: about 170 under tracemalloc.  The
+# seeds are hashed in passes of as many blocks as hold at most half a block
+# of draws (at least one block), so memory does not grow with the trial
+# count: 10 blocks (5120 trials) at 250 bins of records, one block of mode
+# draws.
 SEED_PASS_BYTES = 192
-# Trials per matrix product in a block: OpenBLAS's thread split of a whole
-# block changes the rounding, while 128 trials gave the same bits for 1 to 8
-# threads on its SkylakeX, Haswell and Zen kernels, 50 to 20 000 bins.
-PRODUCT_ROWS = 128
 
 
 @dataclass
@@ -469,33 +470,26 @@ def _check_initial_var(v) -> float:
     return v
 
 
-def _draw_blocks(n_trials: int, nbins: int, master_seed: int,
-                 blocks=None):
-    """Yield (first trial, draws) per TRIAL_BLOCK trials, for the block
-    indices ``blocks`` in order (default: all): draws[k] holds trial
-    (first + k)'s z in row 0, then its (nbins, 2) noise.  Every block
+def _draw_blocks(n_trials: int, rows: int, master_seed: int,
+                 block: int = TRIAL_BLOCK):
+    """Yield (first trial, draws) per ``block`` trials: draws[k] holds trial
+    (first + k)'s z in row 0, then its (rows, 2) normals.  Every block
     reuses one buffer and one :class:`_Streams`; the seeds of as many blocks
     as fit half a block's bytes at SEED_PASS_BYTES per trial (at least one
     block) are hashed in one pass."""
-    noise = np.empty((min(n_trials, TRIAL_BLOCK), nbins + 1, 2))
-    if blocks is None:
-        blocks = range(-(-n_trials // TRIAL_BLOCK))
-    blocks = list(blocks)
-    per_pass = max(1, noise[0].nbytes // (2 * SEED_PASS_BYTES))
+    noise = np.empty((min(n_trials, block), rows + 1, 2))
+    step = block * max(1, noise[0].nbytes // (2 * SEED_PASS_BYTES))
     streams = _Streams()
-    for g in range(0, len(blocks), per_pass):
-        firsts = [k * TRIAL_BLOCK for k in blocks[g:g + per_pass]]
-        seeds = np.uint64(master_seed) ^ np.concatenate([
-            np.arange(b0, min(b0 + TRIAL_BLOCK, n_trials), dtype=np.uint64)
-            for b0 in firsts])
-        rows = streams.rows(seeds)
-        lo = 0
-        for b0 in firsts:
-            block = noise[:min(TRIAL_BLOCK, n_trials - b0)]
-            hi = lo + len(block)
-            _draw_normals(seeds[lo:hi], block, streams, rows[32 * lo:32 * hi])
-            lo = hi
-            yield b0, block
+    for g in range(0, n_trials, step):
+        seeds = np.uint64(master_seed) ^ np.arange(
+            g, min(g + step, n_trials), dtype=np.uint64)
+        words = streams.rows(seeds)
+        for lo in range(0, len(seeds), block):
+            draws = noise[:min(block, len(seeds) - lo)]
+            hi = lo + len(draws)
+            _draw_normals(seeds[lo:hi], draws, streams,
+                          words[32 * lo:32 * hi])
+            yield g + lo, draws
 
 
 def simulate_batch(n_trials: int, duration: float, dt: float,
@@ -731,21 +725,13 @@ class HybridReadout(NamedTuple):
     gamma_m_star: float | None
 
 
-def _block_moments(x: np.ndarray) -> np.ndarray:
-    """[count, column means, column sums of squared deviations] of the rows
-    of ``x``, as one float row."""
-    mean = x.mean(axis=0)
-    dev = x - mean
-    return np.concatenate([[len(x)], mean, np.einsum("ij,ij->j", dev, dev)])
-
-
-def _merge_moments(acc: list, moments: np.ndarray) -> None:
-    """Merge a block's :func:`_block_moments` into acc = [count, column
-    means, column sums of squared deviations] (Chan, Golub and LeVeque's
-    pairwise update)."""
-    cols = (len(moments) - 1) // 2
-    n_b = int(moments[0])
-    mean_b, m2_b = moments[1:cols + 1], moments[cols + 1:]
+def _merge_moments(acc: list, x: np.ndarray) -> None:
+    """Merge the rows of ``x`` into acc = [count, means, sums of squared
+    deviations] over its first axis (Chan, Golub and LeVeque's pairwise
+    update)."""
+    n_b, mean_b = len(x), x.mean(axis=0)
+    dev = x - mean_b
+    m2_b = np.einsum("i...,i...->...", dev, dev)
     n_a, mean_a, m2_a = acc
     n = n_a + n_b
     delta = mean_b - mean_a
@@ -753,94 +739,29 @@ def _merge_moments(acc: list, moments: np.ndarray) -> None:
               m2_a + m2_b + delta**2 * (n_a * n_b / n)]
 
 
-def _worker_count(n_blocks: int) -> int:
-    """Processes that draw ``n_blocks`` blocks: one per CPU this process may
-    run on, at most one per block, and 1 without os.fork or
-    os.sched_getaffinity."""
-    import os
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_blocks)
-
-
-def _fold_blocks(n_trials: int, nbins: int, master_seed: int, reduce,
-                 shape: tuple) -> list:
-    """Merge ``reduce(draws)``, a float64 array of ``shape`` whose rows are
-    :func:`_block_moments`, over the blocks of :func:`_draw_blocks` in block
-    order; returns [count, column means, column sums of squared deviations]
-    per row.
-
-    With W = :func:`_worker_count` processes, the caller reduces blocks
-    k = 0 (mod W) and a forked worker w the blocks k = w (mod W), writing
-    each result's bytes to its own pipe; the caller reads the pipes in block
-    order, so the merge sees the same values whatever W is.  A worker that
-    cannot be forked leaves its blocks to the caller.  WorkerError if a
-    worker ends before sending all its blocks.  On return or on any
-    exception every worker has been reaped (and killed first on an
-    exception); workers leave by os._exit, without flushing stdio.
-    """
-    import os
-    n_blocks = -(-n_trials // TRIAL_BLOCK)
-    n_workers = _worker_count(n_blocks)
-    nbytes = 8 * math.prod(shape)
-    acc = [[0, 0.0, 0.0] for _ in range(shape[0])]
-    workers = {}  # w -> (pid, read end of its pipe)
-    try:
-        for w in range(1, n_workers):
-            r, wr = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(wr)
-                continue
-            if pid == 0:  # the worker: never returns into the caller
-                status = 1
-                try:
-                    os.close(r)
-                    for _, pipe in workers.values():
-                        pipe.close()
-                    for _, block in _draw_blocks(
-                            n_trials, nbins, master_seed,
-                            range(w, n_blocks, n_workers)):
-                        data = memoryview(reduce(block).tobytes())
-                        while data:
-                            data = data[os.write(wr, data):]
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(wr)
-            workers[w] = (pid, open(r, "rb"))
-        own = _draw_blocks(n_trials, nbins, master_seed,
-                           [k for k in range(n_blocks)
-                            if k % n_workers not in workers])
-        for k in range(n_blocks):
-            w = k % n_workers
-            if w not in workers:
-                moments = reduce(next(own)[1])
-            else:
-                data = workers[w][1].read(nbytes)
-                if len(data) < nbytes:
-                    pid, pipe = workers.pop(w)
-                    pipe.close()
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    raise WorkerError(
-                        f"sampler worker {pid} ended "
-                        f"{'with exit status' if code >= 0 else 'by signal'}"
-                        f" {abs(code)} before sending block {k}")
-                moments = np.frombuffer(data).reshape(shape)
-            for a, m in zip(acc, moments):
-                _merge_moments(a, m)
-    except BaseException:
-        import signal
-        for pid, _ in workers.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in workers.values():
-            pipe.close()
-            os.waitpid(pid, 0)
-    return acc
+def _readout_modes(law: tuple, dt: float, read: ModeFunctional, grid,
+                   initial_vars: tuple) -> tuple:
+    """(R, rho, pairs) of :func:`hybrid_readout` on the record ``law``: the
+    modes are ``read`` and, with a ``grid``, the feed mode of each initial
+    variance's exact (alpha*, gamma_m*), listed in ``pairs`` (empty without
+    a grid); rho holds their responses to u_0, and R is the triangular
+    factor of the QR of their (nbins, K) coefficients C, so x R for K unit
+    normals x has the noise's covariance C^T C = R^T R."""
+    nbins = law[2].size
+    coeff, rho = _mode_coefficients(law, _mode_weights([read], dt, nbins))
+    pairs = []
+    if grid is not None:
+        pick = _gain_scan(law, dt, read, grid, coeff[:, 0], float(rho[0]))
+        pairs = [pick(v)[:2] for v in initial_vars]
+        feeds = [ModeFunctional(phase="cos", exponent_rate=gm,
+                                direction="rising",
+                                window=(0.0, read.window[0]))
+                 for _, gm in pairs]
+        feed_coeff, feed_rho = _mode_coefficients(
+            law, _mode_weights(feeds, dt, nbins))
+        coeff = np.hstack([coeff, feed_coeff])
+        rho = np.concatenate([rho, feed_rho])
+    return np.linalg.qr(coeff, mode="r"), rho, pairs
 
 
 def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
@@ -850,17 +771,17 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
     rate ``loss.gamma`` on ``window``, over ``n_trials`` records of
     ``window[1]`` ms in ``dt`` bins: one HybridReadout per initial atomic
     variance in ``initial_vars``, all from the same draws (trial i seeds
-    ``master_seed ^ i``, as in :func:`simulate_batch`).
+    ``master_seed ^ i``).
 
     With a ``gamma_m_grid`` each variance gets its exact (alpha*, gamma_m*)
     (:func:`optimize_gain`'s, from one scan for all variances, checked
-    before any draw), and the conditional
-    variances are those of both channels at that pair; without one only
-    the unconditional variances are computed.  No record is built, and the
-    blocks of trials are drawn on every CPU with the same results as on one
-    (module docstring).  ValueError for no initial variance or one that is
-    negative or not finite, and StatisticsError for fewer than two trials,
-    before any scan or draw; WorkerError if a worker process fails.
+    before any draw), and the conditional variances are those of both
+    channels at that pair; without one only the unconditional variances
+    are computed.  No record is built: each trial draws its mode integrals
+    in mode space, one normal per mode and channel (module docstring).
+    ValueError for no initial variance or one that is negative or not
+    finite, and StatisticsError for fewer than two trials, before any scan
+    or draw.
     """
     initial_vars = tuple(map(_check_initial_var, initial_vars))
     if not initial_vars:
@@ -872,51 +793,27 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
     if n_trials < 2:
         raise StatisticsError("need at least two records for a variance")
     law = _record_law(loss, mu_nu, window[1], dt, n_trials)
-    nbins = law[2].size
-    coeff, rho = _mode_coefficients(law, _mode_weights([read], dt, nbins))
-    pairs = []
-    if grid is not None:
-        pick = _gain_scan(law, dt, read, grid, coeff[:, 0], float(rho[0]))
-        pairs = [pick(v)[:2] for v in initial_vars]
-        feeds = [ModeFunctional(phase="cos", exponent_rate=gm,
-                                direction="rising", window=(0.0, window[0]))
-                 for _, gm in pairs]
-        feed_coeff, feed_rho = _mode_coefficients(
-            law, _mode_weights(feeds, dt, nbins))
-        coeff = np.hstack([coeff, feed_coeff])
-        rho = np.concatenate([rho, feed_rho])
-    # column 2k + channel: mode k (the readout, then each feed mode) on the
-    # cos (0) or sin (1) channel; row 2n + channel is that channel's bin n
-    n = coeff.shape[0]
-    c2 = np.zeros((2 * n, 2 * coeff.shape[1]))
-    c2[0::2, 0::2] = coeff
-    c2[1::2, 1::2] = coeff
-    # per initial variance: count, then means and sums of squared deviations
-    # of the readout (cos, sin) and, with pairs, the conditioned (cos, sin)
-    shape = (len(initial_vars), 1 + 2 * (4 if pairs else 2))
-
-    def moments(block):
-        x = block[:, 1:n + 1].reshape(len(block), -1)
-        y = np.concatenate([x[i:i + PRODUCT_ROWS] @ c2
-                            for i in range(0, len(x), PRODUCT_ROWS)])
-        z = block[:, 0]
-        out = np.empty(shape)
+    r, rho, pairs = _readout_modes(law, dt, read, grid, initial_vars)
+    # per initial variance, the readout's and (with pairs) the conditioned
+    # integrals' count, means and sums of squared deviations per channel
+    acc = [0, 0.0, 0.0]
+    for _, draws in _draw_blocks(n_trials, len(r), master_seed, MODE_BLOCK):
+        y = np.einsum("tmc,mk->tkc", draws[:, 1:], r)
+        z = draws[:, 0]
+        cols = []
         for j, v in enumerate(initial_vars):
             u0 = math.sqrt(v) * z
-            read_y = y[:, :2] + rho[0] * u0
+            read_y = y[:, 0] + rho[0] * u0
+            cols.append(read_y)
             if pairs:
-                feed_y = y[:, 2 * j + 2:2 * j + 4] + rho[j + 1] * u0
-                read_y = np.hstack([read_y, read_y - pairs[j][0] * feed_y])
-            out[j] = _block_moments(read_y)
-        return out
-
-    out = []
-    for j, (count, _, m2) in enumerate(_fold_blocks(
-            n_trials, nbins, master_seed, moments, shape)):
-        var = tuple(float(x) for x in m2 / (count - 1))
-        out.append(HybridReadout(var[:2], var[2:], *pairs[j]) if pairs
-                   else HybridReadout(var, None, None, None))
-    return tuple(out)
+                cols.append(read_y - pairs[j][0] * (y[:, j + 1]
+                                                    + rho[j + 1] * u0))
+        _merge_moments(acc, np.stack(cols, axis=1))
+    var = (acc[2] / (n_trials - 1)).tolist()
+    if not pairs:
+        return tuple(HybridReadout(tuple(v), None, None, None) for v in var)
+    return tuple(HybridReadout(tuple(var[2 * j]), tuple(var[2 * j + 1]),
+                               *pair) for j, pair in enumerate(pairs))
 
 
 def discrete_calibration(loss: LossParams, mu_nu: tuple, dt: float,

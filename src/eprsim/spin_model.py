@@ -41,6 +41,7 @@ __all__ = [
     "two_mode_squeezed_cov",
     "css_state",
     "require_finite",
+    "json_object",
 ]
 
 # Symplectic form for (X_I, P_I, X_II, P_II) with [X, P] = 2i.
@@ -55,14 +56,33 @@ SYMPLECTIC_FORM = np.array(
 
 
 def require_finite(**values) -> None:
-    """Raise InvariantViolationError unless every value is a finite real."""
+    """Raise InvariantViolationError unless every value is a finite real;
+    an integer too large for a float is refused like an infinity."""
     for name, v in values.items():
         # an exact float, the common case, skips the slower ABC check
-        if (type(v) is not float and (isinstance(v, bool)
-                                      or not isinstance(v, numbers.Real))
-                or not math.isfinite(v)):
+        if type(v) is not float and (isinstance(v, bool)
+                                     or not isinstance(v, numbers.Real)):
+            got = repr(v)
+        else:
+            try:
+                got = None if math.isfinite(v) else repr(v)
+            except OverflowError:
+                got = "a number too large for a float"
+        if got is not None:
             raise InvariantViolationError(
-                f"{name} must be a finite number, got {v!r}")
+                f"{name} must be a finite number, got {got}")
+
+
+def json_object(text: str, what: str) -> dict:
+    """``text`` parsed as a JSON object; ValueError naming ``what`` for any
+    other document, one nested too deep to parse included."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deep to parse") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return doc
 
 
 def bogoliubov_amplitudes(squeeze: float) -> tuple[float, float]:
@@ -156,9 +176,7 @@ class ModelParams:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("parameter document must be a JSON object")
+        doc = json_object(text, "parameter document")
         cls._check_keys(doc, required=True)
         return cls(**doc)
 

@@ -406,6 +406,15 @@ def _fresh_env(drop=()):
     return env
 
 
+class _Text(str):
+    """An exit-code matrix argv element that stands for a file of this
+    text."""
+
+
+# an exit-code matrix argv element that stands for an existing directory
+_DIR = object()
+
+
 _BAD_INPUT = [
     (["scenario", "fig2a", "--overrides", '{"Gamma_tilde": NaN}'], 4),
     (["scenario", "fig2a", "--overrides", '{"Gamma_tilde": Infinity}'], 4),
@@ -497,6 +506,14 @@ _BAD_INPUT = [
     # the same zero slope on the CLI's readout commands
     (["conditional", "--params", {"eta": 0.0}, "--trials", "2"], 3),
     (["reconstruct", "--params", {"eta": 0.0}, "--trials", "2"], 3),
+    # an integer too large for a float is refused like an infinity
+    (["scenario", "fig2a", "--overrides", '{"mu": 1%s}' % ("0" * 400)], 4),
+    (["simulate", "--params", {"mu": 10**400}], 4),
+    # paths that cannot be used as asked, and documents too deep to parse
+    (["simulate", "--params", _DIR], 2),
+    (["simulate", "--out", _Text("")], 2),
+    (["scenario", "fig2a", "--overrides", "[" * 100_000], 2),
+    (["simulate", "--params", _Text("[" * 100_000)], 2),
 ]
 _BAD_INPUT_IDS = [
     "overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
@@ -521,7 +538,9 @@ _BAD_INPUT_IDS = [
     "reconstruct-mc-aliasing", "conditional-aliasing",
     "scenario-fig2d-trials-one", "scenario-fig2d-trials-zero",
     "scenario-fig2d-eta-zero", "scenario-fig2d-eta-tiny",
-    "conditional-eta-zero", "reconstruct-eta-zero"]
+    "conditional-eta-zero", "reconstruct-eta-zero", "overrides-huge-int",
+    "params-huge-int", "params-directory", "out-existing-file",
+    "overrides-deep", "params-deep"]
 
 # the cause each of these cases names on its one stderr line
 _BAD_INPUT_CAUSES = {
@@ -553,6 +572,12 @@ _BAD_INPUT_CAUSES = {
     "scenario-fig2d-eta-tiny": "carries no atomic information",
     "conditional-eta-zero": "carries no atomic information",
     "reconstruct-eta-zero": "carries no atomic information",
+    "overrides-huge-int": "mu must be a finite number",
+    "params-huge-int": "mu must be a finite number",
+    "params-directory": "Is a directory",
+    "out-existing-file": "File exists",
+    "overrides-deep": "--overrides is nested too deep",
+    "params-deep": "parameter document is nested too deep",
 }
 
 _FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
@@ -661,12 +686,21 @@ def _input_argv(command, text, where):
     return [command, str(where / "input.csv")]
 
 
-def _params_file(overrides, where):
-    """Path of a --params file under ``where``: the fig2a defaults with
-    ``overrides``."""
-    where.mkdir(parents=True)
-    path = where / "params.json"
-    path.write_text(scenario_params("fig2a").replace(**overrides).to_json())
+def _matrix_arg(arg, where):
+    """An exit-code matrix argv element as passed, resolved under the case's
+    folder ``where``: a dict is a --params file of the fig2a defaults with
+    those values, unchecked (so an unusable value reaches the CLI), a
+    ``_Text`` a file of that text and ``_DIR`` that folder."""
+    if not isinstance(arg, (dict, _Text)) and arg is not _DIR:
+        return arg
+    where.mkdir(parents=True, exist_ok=True)
+    if arg is _DIR:
+        return str(where)
+    path = where / "input"
+    if isinstance(arg, dict):
+        arg = json.dumps({**json.loads(scenario_params("fig2a").to_json()),
+                          **arg}, indent=2, sort_keys=True)
+    path.write_text(arg)
     return str(path)
 
 
@@ -679,9 +713,10 @@ def matrix(tmp_path_factory):
     cases = []
     for (argv, _), case in zip(_BAD_INPUT, _BAD_INPUT_IDS):
         where = base / "argv" / case
-        argv = [_params_file(a, where) if isinstance(a, dict) else a
-                for a in argv]
-        cases.append((f"argv:{case}", [*argv, "--out", str(where)]))
+        argv = [_matrix_arg(a, where) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(where)]
+        cases.append((f"argv:{case}", argv))
     for (command, rows), case in zip(_BAD_FILE, _BAD_FILE_IDS):
         argv = _input_argv(command, rows, base / "file" / case)
         extra = ["--free", "d"] if command == "fit" else []
@@ -990,24 +1025,6 @@ def test_branches_share_one_batch(argv, monkeypatch, tmp_path):
     assert sorted(seeds) == sorted(int(argv[-1]) ^ i for i in range(50))
 
 
-@pytest.mark.parametrize("argv", [
-    ["scenario", "fig2d", "--trials", "2000", "--seed", "3145728"],
-    ["conditional", "--trials", "2000", "--seed", "3145728"],
-    ["reconstruct", "--trials", "2000", "--seed", "7"],
-], ids=["fig2d", "conditional", "reconstruct"])
-def test_artifacts_same_for_any_worker_count(argv, monkeypatch, tmp_path):
-    # four sampler blocks, drawn by one process or dealt to two
-    written = []
-    for workers in (1, 2):
-        monkeypatch.setattr(records, "_worker_count",
-                            lambda n_blocks: workers)
-        out = tmp_path / str(workers)
-        assert main([*argv, "--out", str(out)]) == 0
-        written.append({f.name: f.read_bytes() for f in out.iterdir()})
-    assert written[0] == written[1]
-    assert written[0]
-
-
 _BLAS_PROBE = """
 import sys
 from eprsim.cli import main
@@ -1021,8 +1038,7 @@ for argv in (["scenario", "fig2d", "--trials", "2000", "--seed", "7"],
                     reason="one CPU: OpenBLAS runs one thread by default "
                            "too, so the comparison would be vacuous")
 def test_artifacts_same_for_any_blas_thread_count(tmp_path):
-    # fresh interpreters, since OpenBLAS reads its thread count at load;
-    # 2000 trials are four sampler blocks, three of them full
+    # fresh interpreters, since OpenBLAS reads its thread count at load
     written = []
     for threads in (None, "1"):
         env = _fresh_env(drop=("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
@@ -1040,27 +1056,6 @@ def test_artifacts_same_for_any_blas_thread_count(tmp_path):
     assert written[0] == written[1]
 
 
-def test_dead_worker_exits_3(monkeypatch, capsys, tmp_path):
-    # one line naming the worker's exit status, no traceback, exit 3 and
-    # no child left behind
-    caller = os.getpid()
-
-    def draw(*args):
-        if os.getpid() != caller:
-            os._exit(5)
-        real_draw(*args)
-    real_draw = records._draw_normals
-    monkeypatch.setattr(records, "_draw_normals", draw)
-    monkeypatch.setattr(records, "_worker_count", lambda n_blocks: 2)
-    assert main(["scenario", "fig2d", "--trials", "2000",
-                 "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "exit status 5" in err, err
-    assert "Traceback" not in err
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_state_words_mismatch_exits_4(monkeypatch, capsys, tmp_path):
     # PCG64 state words read back that the seeding does not explain: one
     # line and exit 4, before any trial is drawn
@@ -1075,8 +1070,9 @@ def test_state_words_mismatch_exits_4(monkeypatch, capsys, tmp_path):
 
 
 def test_fig2d_memory_one_block(tmp_path):
-    # no record buffer: the traced peak is about one sampler block of draws
-    # (2 MB at fig2d's 250 bins) and does not grow with the trial count
+    # no record buffer: the traced peak is about one block of mode-space
+    # draws (records.MODE_BLOCK trials) and does not grow with the trial
+    # count
     main(["scenario", "fig2d", "--trials", "20", "--out", str(tmp_path)])
     peaks = []
     for trials in (10_000, 40_000):

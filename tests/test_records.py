@@ -1,8 +1,4 @@
 import math
-import os
-import signal
-import subprocess
-import sys
 import time
 import tracemalloc
 import warnings
@@ -15,7 +11,6 @@ from eprsim.errors import (
     InvariantViolationError,
     NoInformationError,
     StatisticsError,
-    WorkerError,
 )
 from eprsim.light_readout import (
     LossParams,
@@ -871,62 +866,120 @@ class TestHybridReadout:
     READ = TestConditionalVariance.READ
     GRID = np.arange(0.2, 1.2, 0.1)
 
-    def test_matches_scan_and_conditional_variance(self):
-        # the streamed variances are the record path's at the exact pair
-        r, = hybrid_readout(3000, LOSSY, MU_NU, 0.1, self.READ.window, 41,
-                            gamma_m_grid=self.GRID)
-        alpha, gm, _ = optimize_gain(LOSSY, MU_NU, 0.1, self.READ,
-                                     gamma_m_grid=self.GRID)
-        assert (r.alpha_star, r.gamma_m_star) == (alpha, gm)
-        b = simulate_batch(3000, 15.0, 0.1, LOSSY, MU_NU, 41)
-        read, feed = ({ph: ModeFunctional(phase=ph, exponent_rate=rate,
-                                          direction=d, window=w)
-                       for ph in ("cos", "sin")}
-                      for rate, d, w in ((0.27, "falling", (10.0, 15.0)),
-                                         (gm, "rising", (0.0, 10.0))))
-        np.testing.assert_allclose(r.conditional, [
-            conditional_variance(b, read[ph], feed[ph], alpha)
-            for ph in ("cos", "sin")], rtol=1e-12)
-        np.testing.assert_allclose(r.unconditional, [
-            np.var(integrate_mode_batch(b, read[ph]), ddof=1)
-            for ph in ("cos", "sin")], rtol=1e-12)
+    @pytest.mark.parametrize("initial_vars", [(1.0, 4.0), (1.0, 1.0)],
+                             ids=["fig2d", "duplicate-feeds"])
+    def test_mode_factor_keeps_the_gram(self, initial_vars):
+        # R^T R = C^T C for the readout and both feed modes at fig2d's
+        # settings, where both branches pick gamma_m* = 0.6; equal initial
+        # variances make the feed columns equal bit for bit
+        law = records._record_law(LOSSY, MU_NU, 25.0, 0.1)
+        read = ModeFunctional(phase="cos", exponent_rate=LOSSY.gamma,
+                              direction="falling", window=(20.0, 25.0))
+        r, rho, pairs = records._readout_modes(law, 0.1, read, _F2D_GRID,
+                                               initial_vars)
+        assert [round(gm, 2) for _, gm in pairs] == [0.6, 0.6]
+        feeds = [ModeFunctional(phase="cos", exponent_rate=gm,
+                                direction="rising", window=(0.0, 20.0))
+                 for _, gm in pairs]
+        coeff, want_rho = records._mode_coefficients(
+            law, records._mode_weights([read, *feeds], 0.1, law[2].size))
+        assert r.shape == (3, 3) and np.all(np.tril(r, -1) == 0.0)
+        assert_close_at_scale(r.T @ r, coeff.T @ coeff)
+        assert_close_at_scale(rho, want_rho)
 
     @pytest.mark.parametrize("initial_var", [1.0, 4.0])
     @pytest.mark.parametrize("loss", [
         LossParams(gamma_s=0.19, gamma_extra=ge, eta=eta)
-        for eta in (1.0, 0.84) for ge in (0.0, 0.08, 0.3)
+        for ge in (0.0, 0.08, 0.3) for eta in (1.0, 0.84, 0.5, 0.0)
     ], ids=lambda p: f"ge{p.gamma_extra}-eta{p.eta}")
-    def test_streamed_integrals_match_records(self, loss, initial_var,
-                                              monkeypatch):
-        # every trial's readout and conditioned integrals, over two sampler
-        # blocks, are the record path's on the same seeds to 1e-12 of their
-        # spread (rounding of sums taken in another order); the rows are
-        # kept by the process that reduces the block, so one process
-        # reduces them all
-        trials, seed = TRIAL_BLOCK + 40, 7 << 20
-        rows = []
-
-        def keep(x):
-            rows.append(x.copy())
-            return moments(x)
-        moments = records._block_moments
-        monkeypatch.setattr(records, "_block_moments", keep)
-        monkeypatch.setattr(records, "_worker_count", lambda n_blocks: 1)
+    def test_variances_match_record_path(self, loss, initial_var):
+        # the mode-space variances and the record path's (simulate_batch,
+        # integrate_mode_batch) are draws of the same law: each lies within
+        # 5 SE of the exact variance, and they agree within 5 SE of their
+        # difference (the two share each trial's z)
+        trials, seed = 4000, 7 << 20
         r, = hybrid_readout(trials, loss, MU_NU, 0.1, self.READ.window, seed,
                             initial_vars=(initial_var,),
                             gamma_m_grid=self.GRID)
-        got = np.vstack(rows)
+        read = ModeFunctional(phase="cos", exponent_rate=loss.gamma,
+                              direction="falling", window=(10.0, 15.0))
+        alpha, gm, exact_cond = optimize_gain(
+            loss, MU_NU, 0.1, read, gamma_m_grid=self.GRID,
+            initial_var=initial_var)
+        assert (r.alpha_star, r.gamma_m_star) == (alpha, gm)
+        slope, floor = discrete_calibration(loss, MU_NU, 0.1, 15.0, read)
         b = simulate_batch(trials, 15.0, 0.1, loss, MU_NU, seed,
                            initial_var=(initial_var, initial_var))
-        y = [integrate_mode_batch(b, ModeFunctional(
+        y = {(rate, ph): integrate_mode_batch(b, ModeFunctional(
             phase=ph, exponent_rate=rate, direction=d, window=w))
              for rate, d, w in ((loss.gamma, "falling", (10.0, 15.0)),
-                                (r.gamma_m_star, "rising", (0.0, 10.0)))
-             for ph in ("cos", "sin")]
-        want = np.column_stack([y[0], y[1], y[0] - r.alpha_star * y[2],
-                                y[1] - r.alpha_star * y[3]])
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 1e-12 * want.std(axis=0))
+                                (gm, "rising", (0.0, 10.0)))
+             for ph in ("cos", "sin")}
+        for ph, k in (("cos", 0), ("sin", 1)):
+            read_y = y[loss.gamma, ph]
+            for got, want, exact in (
+                    (r.unconditional[k], np.var(read_y, ddof=1),
+                     slope * initial_var + floor),
+                    (r.conditional[k],
+                     np.var(read_y - alpha * y[gm, ph], ddof=1),
+                     exact_cond)):
+                se = exact * math.sqrt(2.0 / (trials - 1))
+                assert abs(got - exact) < 5 * se
+                assert abs(want - exact) < 5 * se
+                assert abs(got - want) < 5 * math.sqrt(2.0) * se
+
+    @pytest.mark.parametrize("window, grid", [((0.0, 5.0), None),
+                                              ((10.0, 15.0), GRID)],
+                             ids=["reconstruct", "conditional"])
+    def test_large_batch_within_error_of_exact(self, window, grid):
+        # 40 000 trials put 5 SE at 3.5 % of each variance: on a window
+        # from t = 0, where the initial variance makes most of the readout's
+        # at v = 4, a tenth too much or too little of it moves the value out
+        trials = 40_000
+        read = ModeFunctional(phase="cos", exponent_rate=LOSSY.gamma,
+                              direction="falling", window=window)
+        readouts = hybrid_readout(trials, LOSSY, MU_NU, 0.1, window,
+                                  11 << 20, initial_vars=(0.0, 1.0, 4.0),
+                                  gamma_m_grid=grid)
+        slope, floor = discrete_calibration(LOSSY, MU_NU, 0.1, window[1],
+                                            read)
+        for v, r in zip((0.0, 1.0, 4.0), readouts):
+            checks = [(r.unconditional, slope * v + floor)]
+            if grid is not None:
+                checks.append((r.conditional, optimize_gain(
+                    LOSSY, MU_NU, 0.1, read, gamma_m_grid=grid,
+                    initial_var=v)[2]))
+            for got, exact in checks:
+                se = exact * math.sqrt(2.0 / (trials - 1))
+                for x in got:
+                    assert abs(x - exact) < 5 * se
+
+    @pytest.mark.parametrize("grid", [None, GRID], ids=["no-grid", "grid"])
+    def test_repeated_calls_same_bytes(self, grid):
+        # over two mode-space blocks, the last one short
+        calls = [hybrid_readout(records.MODE_BLOCK + 40, LOSSY, MU_NU, 0.1,
+                                self.READ.window, 5 << 20,
+                                initial_vars=(1.0, 4.0), gamma_m_grid=grid)
+                 for _ in range(2)]
+        assert calls[0] == calls[1]
+
+    def test_blocks_merge_to_one_pass(self, monkeypatch):
+        # the same trials drawn in blocks of 100 and in one block: trial i
+        # draws from master ^ i whatever the block, and the merged moments
+        # are the one-pass variances up to rounding
+        def readout():
+            return hybrid_readout(1050, LOSSY, MU_NU, 0.1, self.READ.window,
+                                  9 << 20, initial_vars=(1.0, 4.0),
+                                  gamma_m_grid=self.GRID)
+        monkeypatch.setattr(records, "MODE_BLOCK", 100)
+        blocks = readout()
+        monkeypatch.setattr(records, "MODE_BLOCK", 2000)
+        one = readout()
+        for a, b in zip(blocks, one):
+            assert a[2:] == b[2:]
+            np.testing.assert_allclose(a.unconditional + a.conditional,
+                                       b.unconditional + b.conditional,
+                                       rtol=1e-12)
 
     def test_monte_carlo_within_error_of_exact(self):
         # the conditional variances at the exact pair scatter about the
@@ -969,8 +1022,8 @@ class TestHybridReadout:
         ids=["empty", "nan", "inf", "negative"])
     def test_bad_initial_variances_refused_first(self, initial_vars,
                                                  monkeypatch):
-        # before the gamma_m scan, any draw or any worker
-        for name in ("optimize_gain", "_draw_normals", "_worker_count"):
+        # before the gamma_m scan or any draw
+        for name in ("optimize_gain", "_draw_normals"):
             monkeypatch.setattr(records, name, _not_called)
         with pytest.raises(ValueError, match="initial variance"):
             hybrid_readout(2000, LOSSY, MU_NU, 0.1, self.READ.window, 0,
@@ -1032,114 +1085,3 @@ class TestHybridReadout:
             simulate_batch(1, (MAX_BINS + 1) * 1e-3, 1e-3, LOSSY, MU_NU, 0)
         assert simulate_batch(1, MAX_BINS * 1e-3, 1e-3, LOSSY, MU_NU,
                               0).nbins == MAX_BINS
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class Stop(Exception):
-    pass
-
-
-class TestBlockWorkers:
-    """hybrid_readout with its blocks dealt to forked workers."""
-
-    READ = TestConditionalVariance.READ
-    GRID = TestHybridReadout.GRID
-    TRIALS = 3 * TRIAL_BLOCK + 7  # four blocks, the last one short
-
-    def readout(self, monkeypatch, workers, trials=TRIALS, grid=GRID):
-        monkeypatch.setattr(records, "_worker_count",
-                            lambda n_blocks: workers)
-        return hybrid_readout(trials, LOSSY, MU_NU, 0.1, self.READ.window,
-                              5 << 20, initial_vars=(1.0, 4.0),
-                              gamma_m_grid=grid)
-
-    @pytest.mark.parametrize("grid", [None, GRID], ids=["no-grid", "grid"])
-    @pytest.mark.parametrize("trials", [300, TRIAL_BLOCK + 40, TRIALS],
-                             ids=["1-block", "2-blocks", "4-blocks"])
-    def test_same_results_for_any_worker_count(self, trials, grid,
-                                               monkeypatch):
-        one = self.readout(monkeypatch, 1, trials, grid)
-        for workers in (2, 3):
-            assert self.readout(monkeypatch, workers, trials, grid) == one
-        assert_no_children()
-
-    def test_one_worker_forks_nothing(self, monkeypatch):
-        monkeypatch.setattr(os, "fork", _not_called)
-        self.readout(monkeypatch, 1)
-
-    def test_worker_count_follows_affinity(self):
-        cpus = len(os.sched_getaffinity(0))
-        assert records._worker_count(1) == 1
-        assert records._worker_count(1000) == min(cpus, 1000)
-
-    def test_unforked_worker_left_to_caller(self, monkeypatch):
-        # the first fork fails: the caller draws that worker's blocks
-        want = self.readout(monkeypatch, 1)
-        forks = []
-
-        def fork():
-            forks.append(len(forks))
-            if len(forks) == 1:
-                raise OSError("fork refused")
-            return real_fork()
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", fork)
-        assert self.readout(monkeypatch, 3) == want
-        assert forks == [0, 1]
-        assert_no_children()
-
-    def test_workers_reaped_when_caller_raises(self, monkeypatch):
-        # the third merge is block 1's, sent by a worker
-        merges = []
-
-        def merge(acc, moments):
-            merges.append(1)
-            if len(merges) == 3:
-                raise Stop
-            real_merge(acc, moments)
-        real_merge = records._merge_moments
-        monkeypatch.setattr(records, "_merge_moments", merge)
-        with pytest.raises(Stop):
-            self.readout(monkeypatch, 3)
-        assert_no_children()
-
-    @pytest.mark.parametrize("death, status", [
-        (lambda: os._exit(7), "exit status 7"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
-    ], ids=["exit", "killed"])
-    def test_dead_worker_reported(self, death, status, monkeypatch):
-        caller = os.getpid()
-
-        def draw(*args):
-            if os.getpid() != caller:
-                death()
-            real_draw(*args)
-        real_draw = records._draw_normals
-        monkeypatch.setattr(records, "_draw_normals", draw)
-        with pytest.raises(WorkerError, match=status):
-            self.readout(monkeypatch, 2)
-        assert_no_children()
-
-    def test_workers_do_not_flush_inherited_stdio(self):
-        # text buffered in the caller's stdout before the fork is written
-        # once, by the caller
-        script = (
-            "import sys\n"
-            "from eprsim import records\n"
-            "from eprsim.light_readout import LossParams\n"
-            "records._worker_count = lambda n_blocks: 3\n"
-            "sys.stdout.write('buffered')\n"
-            "records.hybrid_readout(2000, LossParams(0.19, 0.08), "
-            "(1.45, 1.05), 0.1, (10.0, 15.0), 1)\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.dirname(os.path.dirname(records.__file__))]
-            + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "buffered"

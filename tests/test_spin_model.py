@@ -84,6 +84,23 @@ class TestModelParams:
         p = ModelParams.from_json(json.dumps(doc))
         assert p.gamma_s_scale == 1.0
 
+    @pytest.mark.parametrize("value, got", [
+        (10**400, "got a number too large for a float"),
+        (-10**400, "got a number too large for a float"),
+        (math.inf, "got inf")], ids=["huge", "-huge", "inf"])
+    def test_unrepresentable_value_refused(self, value, got):
+        # as an invariant violation naming the field, not an OverflowError
+        with pytest.raises(InvariantViolationError, match=f"d must be a "
+                           f"finite number, {got}$"):
+            make_params(d=value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, "is nested too deep to parse"),
+        ("[1]", "must be a JSON object")], ids=["deep", "list"])
+    def test_document_not_an_object_refused(self, text, message):
+        with pytest.raises(ValueError, match=f"parameter document {message}"):
+            ModelParams.from_json(text)
+
     def test_invalid_mu_nu(self):
         with pytest.raises(InvariantViolationError):
             make_params(mu=1.0, nu=1.2)

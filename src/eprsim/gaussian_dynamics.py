@@ -71,10 +71,10 @@ __all__ = [
 
 
 def __getattr__(name):
-    # The engine is closed-form and never calls solve_ivp; the name stays
-    # only because perfbench/tracer.py wraps it as a layer.  It loads on
-    # access, since scipy.integrate alone adds 0.3-0.8 s to start-up.  The
-    # shim goes away with ROADMAP item 2, which retires those metrics.
+    # Never called: the engine is closed-form.  The name stays only because
+    # perfbench/tracer.py wraps it as a layer; it loads on access and needs
+    # scipy, which perfbench and the tests install but the runtime does not.
+    # The shim goes with ROADMAP items 2a/4, which retire those metrics.
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
         return solve_ivp

@@ -579,7 +579,8 @@ def _mode_coefficients(law: tuple, weights: np.ndarray) -> tuple:
                            + powers[size - 1::-1, None] * carry)
         carry = H * w[0] + e1 * b[m0]
     coeff = innov_sd[:n, None] * (weights + gain[:n, None] * b)
-    return coeff, response[:n] @ weights
+    # one dot per contiguous row, so each rho rounds alike for any K
+    return coeff, np.array([response[:n] @ w for w in weights.T.copy()])
 
 
 def _mode_weights(modes, dt: float, nbins: int) -> np.ndarray:

@@ -810,6 +810,15 @@ for argv in json.loads(sys.argv[1]):
             forward_model(params, pop0, [0.0, 10.0, 20.0], pump=pump,
                           directions=np.eye(5))
         codes.append(0)
+    elif argv == ["validate_against_oracle"]:
+        from eprsim.gaussian_dynamics import NoiseChannels
+        from eprsim.lindblad_oracle import validate_against_oracle
+        from eprsim.scenarios import scenario_params
+        p = scenario_params("fig2a")
+        for deph in (0.0, 0.193):
+            validate_against_oracle(p, 0.1 / (p.d * p.Gamma),
+                                    NoiseChannels(dephasing=deph))
+        codes.append(0)
     else:
         codes.append(eprsim.cli.main(argv))
 print(json.dumps({"at_import": at_import,
@@ -824,10 +833,11 @@ print(json.dumps({"at_import": at_import,
 def _import_probe(*argvs):
     """Run each argv through ``main`` (``["forward_model"]``: forward model
     calls, with the pump off and on, and their Jacobians over every fittable
-    parameter) in one fresh interpreter; returns the probe's report after
-    checking that importing the CLI loads no scipy, adds no
-    numpy.polynomial to what ``import numpy`` loads, and builds no
-    parser."""
+    parameter; ``["validate_against_oracle"]``: criterion 2's oracle check
+    at fig2a, without and with dephasing) in one fresh interpreter; returns
+    the probe's report after checking that importing the CLI loads no
+    scipy, adds no numpy.polynomial to what ``import numpy`` loads, and
+    builds no parser."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                            json.dumps(argvs)],
                           env=_fresh_env(), capture_output=True, text=True,
@@ -904,6 +914,36 @@ def test_record_commands_load_no_scipy(argv, tmp_path):
     # span two of the sampler's trial blocks
     probe = _import_probe([*argv, "--out", str(tmp_path)])
     assert probe["codes"] == [0]
+    assert probe["after"] == []
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency: every subcommand, every scenario and
+    # the Lindblad oracle run in one interpreter without loading it
+    truth = scenario_params("fig2a")
+    grid = np.linspace(0.0, 30.0, 7)
+    xi, jx, _, _ = forward_model(
+        truth, PopulationState(n44=0.99, n43=0.01, nh=0.0), grid)
+    obs = tmp_path / "observed.csv"
+    obs.write_text("t,xi,xi_err,jx_norm,jx_err\n" + "\n".join(
+        f"{t},{x},0.01,{j},0.005" for t, x, j in zip(grid, xi, jx)))
+    start = tmp_path / "start.json"
+    start.write_text(truth.replace(Gamma_tilde=0.12).to_json())
+    points = tmp_path / "points.csv"
+    points.write_text("theta,xi0\n0.1,1.02\n0.2,1.09\n0.3,1.2\n0.4,1.37\n")
+    argvs = [["simulate"], ["populations", "--pump"],
+             ["reconstruct", "--trials", "600"],
+             ["conditional", "--trials", "600"],
+             ["calibrate", str(points)],
+             ["fit", str(obs), "--params", str(start), "--free",
+              "Gamma_tilde"],
+             ["orientation", "0,0,0,0,0,0,0,0.008,0.992"],
+             ["scenario", "fig2a"], ["scenario", "fig2b"],
+             ["scenario", "fig2c"], ["scenario", "fig2d", "--trials", "600"]]
+    probe = _import_probe(*[[*argv, "--out", str(tmp_path / str(i))]
+                            for i, argv in enumerate(argvs)],
+                          ["validate_against_oracle"])
+    assert probe["codes"] == [0] * (len(argvs) + 1)
     assert probe["after"] == []
 
 

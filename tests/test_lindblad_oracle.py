@@ -9,6 +9,7 @@ from eprsim.gaussian_dynamics import NoiseChannels, relaxation_rate
 from eprsim.lindblad_oracle import (
     ExactState,
     ensemble_operators,
+    exact_lindblad_step,
     integrate_exact,
     jump_operators,
     validate_against_oracle,
@@ -126,6 +127,29 @@ class TestExactIntegration:
         with pytest.raises(ValueError):
             validate_against_oracle(make_params(), horizon)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_rate_refused(self):
+        # inf * 0 in the operators would warn and then fail a later check
+        params = scenario_params("fig2a").replace(d=1e308, Gamma=10.0)
+        with pytest.raises(InvariantViolationError,
+                           match=r"d \* Gamma is not finite"):
+            validate_against_oracle(params, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("horizon, valid", [
+        (1e6, True), (1e7, False), (1e300, False)])
+    def test_horizon_validity(self, horizon, valid):
+        # the docstring's claim: 20 intervals at fig2a rates stay valid
+        # over 1e6 ms; past that the state check refuses, without warnings
+        times = np.linspace(0.0, horizon, 21)
+        args = (ExactState.css(), scenario_params("fig2a"),
+                NoiseChannels(dephasing=0.0), times)
+        if valid:
+            assert len(integrate_exact(*args)) == 21
+        else:
+            with pytest.raises(InvariantViolationError):
+                integrate_exact(*args)
+
     def test_cost_independent_of_horizon(self):
         t0 = time.perf_counter()
         validate_against_oracle(make_params(), 1e4,
@@ -148,12 +172,66 @@ class TestOracleAgreement:
         assert diff < 1e-6
 
     def test_fig2a_value_unchanged(self):
-        # criterion 2's set-up at fig2a: the value the operators gave when
-        # they were rebuilt by np.kron on every call, bit for bit
+        # criterion 2's set-up at fig2a, bit for bit; within 1e-15 of the
+        # value scipy's per-interval expm gave
         p = scenario_params("fig2a")
         diff = validate_against_oracle(p, 0.1 / (p.d * p.Gamma),
                                        NoiseChannels(dephasing=0.0))
-        assert diff == 0.04630793251586629
+        assert diff == 0.04630793251586618
+        assert abs(diff - 0.04630793251586629) <= 1e-15
 
     def test_zero_horizon(self):
         assert validate_against_oracle(make_params(), 0.0) == 0.0
+
+
+def referee_generator(params, noise):
+    """The Lindblad generator on row-major vec(rho), built in complex
+    arithmetic from the adjoints: L rho L^+ - (L^+ L rho + rho L^+ L) / 2."""
+    eye = np.eye(4)
+    gen = np.zeros((16, 16), dtype=complex)
+    for L in jump_operators(params, noise):
+        LdL = L.conj().T @ L
+        gen += (np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye)
+                - 0.5 * np.kron(eye, LdL.T))
+    return gen
+
+
+# widths 1, 0.5, 2.5, 0.1: out of order, so the batched exponential must
+# sort them and put its results back
+UNSORTED_GRID = [0.0, 1.0, 1.5, 4.0, 4.1]
+REFEREE_CASES = [(make_params(), 0.0), (make_params(), 0.193),
+                 (make_params(d=0.0), 0.193)]
+
+
+class TestScipyReferee:
+    @pytest.mark.parametrize("params, deph", REFEREE_CASES)
+    def test_propagators_match_expm(self, params, deph, monkeypatch):
+        expm = pytest.importorskip("scipy.linalg").expm
+        noise = NoiseChannels(dephasing=deph)
+        seen = []
+
+        def step(state, propagator):
+            seen.append(propagator)
+            return exact_lindblad_step(state, propagator)
+
+        monkeypatch.setattr(lindblad_oracle, "exact_lindblad_step", step)
+        integrate_exact(ExactState.css(), params, noise, UNSORTED_GRID)
+        gen = referee_generator(params, noise)
+        assert len(seen) == len(UNSORTED_GRID) - 1
+        for got, dt in zip(seen, np.diff(UNSORTED_GRID)):
+            want = expm(gen * dt)
+            assert got.dtype == float
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("params, deph", REFEREE_CASES)
+    def test_states_match_scipy_stepping(self, params, deph):
+        expm = pytest.importorskip("scipy.linalg").expm
+        noise = NoiseChannels(dephasing=deph)
+        gen = referee_generator(params, noise)
+        states = integrate_exact(ExactState.css(), params, noise,
+                                 UNSORTED_GRID)
+        rho = ExactState.css().rho
+        for state, dt in zip(states[1:], np.diff(UNSORTED_GRID)):
+            rho = (expm(gen * dt) @ rho.ravel()).reshape(4, 4)
+            rho = 0.5 * (rho + rho.conj().T)
+            np.testing.assert_allclose(state.rho, rho, rtol=0, atol=1e-12)

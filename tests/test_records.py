@@ -587,14 +587,16 @@ def loop_law(loss, duration, dt):
 
 def loop_mode_coefficients(law, weights):
     """(C, rho) of ``records._mode_coefficients`` from its backward pass
-    b_(m-1) = H w_m + e1 b_m, bin by bin."""
+    b_(m-1) = H w_m + e1 b_m, bin by bin; each mode's rho is one dot
+    product with its own contiguous weights."""
     e1, H, gain, innov_sd, response = law
     b = np.zeros_like(weights)
     for m in range(len(weights) - 1, 0, -1):
         b[m - 1] = H * weights[m] + e1 * b[m]
     n = len(weights)
     return (innov_sd[:n, None] * (weights + gain[:n, None] * b),
-            response[:n] @ weights)
+            np.array([response[:n] @ np.ascontiguousarray(weights[:, k])
+                      for k in range(weights.shape[1])]))
 
 
 def loop_feed_sums(law, dt, c_read, nfeed, grid):
@@ -885,7 +887,24 @@ class TestHybridReadout:
             law, records._mode_weights([read, *feeds], 0.1, law[2].size))
         assert r.shape == (3, 3) and np.all(np.tril(r, -1) == 0.0)
         assert_close_at_scale(r.T @ r, coeff.T @ coeff)
-        assert_close_at_scale(rho, want_rho)
+        assert rho.tobytes() == want_rho.tobytes()
+
+    def test_rho_independent_of_mode_count(self):
+        # the readout and five feed modes at fig2d's settings: the first K
+        # of them, K = 1 .. 6, give each mode's rho alone, bit for bit
+        law = records._record_law(LOSSY, MU_NU, 25.0, 0.1)
+        modes = [ModeFunctional(phase="cos", exponent_rate=LOSSY.gamma,
+                                direction="falling", window=(20.0, 25.0))]
+        modes += [ModeFunctional(phase="cos", exponent_rate=gm,
+                                 direction="rising", window=(0.0, 20.0))
+                  for gm in (0.1, 0.35, 0.6, 0.97, 1.5)]
+        weights = records._mode_weights(modes, 0.1, law[2].size)
+        alone = np.concatenate([
+            records._mode_coefficients(law, weights[:, [k]])[1]
+            for k in range(len(modes))])
+        for k in range(1, len(modes) + 1):
+            _, rho = records._mode_coefficients(law, weights[:, :k])
+            assert rho.tobytes() == alone[:k].tobytes()
 
     @pytest.mark.parametrize("initial_var", [1.0, 4.0])
     @pytest.mark.parametrize("loss", [

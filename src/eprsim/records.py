@@ -118,10 +118,13 @@ __all__ = [
 # Cap on trials x bins per batch: simulate_batch takes about 50 ns per
 # trial-bin on one core (2-core x86 host, 250 bins), so this is about 1 s,
 # and its records take 16 bytes per trial-bin (400 MB here).
-# hybrid_readout keeps the same cap, although it draws per mode, not per
-# bin: about 2 us per trial whatever the bin count (0.2 s for fig2d's
-# 10^5 trials of 250 bins), holding one MODE_BLOCK of draws.
 MAX_TRIAL_BINS = 25_000_000
+# Cap on hybrid_readout's trials.  It draws per mode, not per bin: about
+# 1.5-1.7 us per trial whatever the bin count, for the CLI's readouts of
+# 1-3 modes (4 x 10^5 trials of conditional, reconstruct and fig2d at 250
+# bins took 0.55-0.66 s on a 2-core x86 host), so this is about 1 s,
+# holding one MODE_BLOCK of draws whatever the trial count.
+MAX_READOUT_TRIALS = 600_000
 # Cap on bins per batch: simulate_batch's innovations recursion steps bin by
 # bin at about 10 us per bin for a few trials (measured on a 2-core x86
 # host), so 2 x 10^4 bins take about 0.2 s; the record law, the mode
@@ -780,9 +783,9 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
     channels at that pair; without one only the unconditional variances
     are computed.  No record is built: each trial draws its mode integrals
     in mode space, one normal per mode and channel (module docstring).
-    ValueError for no initial variance or one that is negative or not
-    finite, and StatisticsError for fewer than two trials, before any scan
-    or draw.
+    ValueError for no initial variance, one that is negative or not
+    finite, or more than MAX_READOUT_TRIALS trials, and StatisticsError for
+    fewer than two trials, before any scan or draw.
     """
     initial_vars = tuple(map(_check_initial_var, initial_vars))
     if not initial_vars:
@@ -793,7 +796,10 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
     _check_draws(n_trials, master_seed)
     if n_trials < 2:
         raise StatisticsError("need at least two records for a variance")
-    law = _record_law(loss, mu_nu, window[1], dt, n_trials)
+    if n_trials > MAX_READOUT_TRIALS:
+        raise ValueError(f"{n_trials} trials exceeds {MAX_READOUT_TRIALS} "
+                         f"trials per readout")
+    law = _record_law(loss, mu_nu, window[1], dt)
     r, rho, pairs = _readout_modes(law, dt, read, grid, initial_vars)
     # per initial variance, the readout's and (with pairs) the conditioned
     # integrals' count, means and sums of squared deviations per channel

@@ -429,6 +429,10 @@ _BAD_INPUT = [
     (["conditional", "--handover-ms", "inf"], 2),
     (["reconstruct", "--probe-ms", "inf", "--trials", "2"], 2),
     (["conditional", "--trials", "100000000"], 2),
+    # the readout's cap counts trials, not trial-bins: 100001 trials of
+    # 250 bins run, one over MAX_READOUT_TRIALS does not
+    (["conditional", "--trials", "100001"], 0),
+    (["conditional", "--trials", "600001"], 2),
     (["reconstruct", "--dt-ms", "1e-9", "--trials", "2"], 2),
     (["conditional", "--gm-step", "0"], 2),
     (["conditional", "--gm-step", "1e-12"], 2),
@@ -518,7 +522,8 @@ _BAD_INPUT = [
 _BAD_INPUT_IDS = [
     "overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
     "overrides-list", "pops-nan", "pops-inf", "grid-huge", "grid-inf",
-    "grid-nan", "handover-inf", "probe-inf", "trials-huge", "dt-tiny",
+    "grid-nan", "handover-inf", "probe-inf", "trials-huge",
+    "trials-over-trial-bins", "trials-over-readout-cap", "dt-tiny",
     "gm-step-zero", "gm-step-tiny", "overrides-stiff", "gm-scan-huge",
     "bins-huge", "populations-degenerate", "gm-scan-long",
     "orientation-trials", "scenario-params", "simulate-format",
@@ -544,6 +549,8 @@ _BAD_INPUT_IDS = [
 
 # the cause each of these cases names on its one stderr line
 _BAD_INPUT_CAUSES = {
+    "trials-huge": "trials per readout",
+    "trials-over-readout-cap": "600001 trials exceeds 600000",
     "tilde-overflow": "moment rates overflow",
     "loss-overflow": "population rates overflow",
     "collision-overflow": "population rates overflow",

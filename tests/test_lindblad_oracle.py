@@ -93,7 +93,7 @@ class TestSteadyState:
         psi[3] = lam
         psi = psi / np.linalg.norm(psi)
         target = np.outer(psi, psi)
-        np.testing.assert_allclose(states[-1].rho, target, atol=1e-6)
+        np.testing.assert_allclose(states[-1], target, atol=1e-6)
 
 
 class TestExactIntegration:
@@ -111,7 +111,7 @@ class TestExactIntegration:
         states = integrate_exact(ExactState(rho=rho0),
                                  params, NoiseChannels(dephasing=deph),
                                  np.array([0.0, 5.0]))
-        rho = states[-1].rho
+        rho = states[-1]
         np.testing.assert_allclose(np.diag(rho).real, np.diag(rho0),
                                    rtol=0, atol=1e-12)
         assert abs(rho[0, 3] - rho0[0, 3] * np.exp(-deph * 5.0)) < 1e-12
@@ -149,6 +149,17 @@ class TestExactIntegration:
         else:
             with pytest.raises(InvariantViolationError):
                 integrate_exact(*args)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unresolved_interval_refused_as_not_finite(self):
+        # an interval _expm_grid cannot resolve gives NaN states: refused
+        # as such, not as a failed trace or Hermitian check
+        p = scenario_params("fig2a")
+        with pytest.raises(InvariantViolationError, match="not finite"):
+            integrate_exact(ExactState.css(), p, NoiseChannels(dephasing=0.0),
+                            np.linspace(0.0, 1e300, 21))
+        with pytest.raises(InvariantViolationError, match="not finite"):
+            validate_against_oracle(p, 1.0, NoiseChannels(dephasing=1e300))
 
     def test_cost_independent_of_horizon(self):
         t0 = time.perf_counter()
@@ -210,15 +221,20 @@ class TestScipyReferee:
         noise = NoiseChannels(dephasing=deph)
         seen = []
 
-        def step(state, propagator):
-            seen.append(propagator)
-            return exact_lindblad_step(state, propagator)
+        def expm_grid(generator, widths):
+            out = expm_grid.real(generator, widths)
+            seen.append((widths, out))
+            return out
 
-        monkeypatch.setattr(lindblad_oracle, "exact_lindblad_step", step)
+        expm_grid.real = lindblad_oracle._expm_grid
+        monkeypatch.setattr(lindblad_oracle, "_expm_grid", expm_grid)
         integrate_exact(ExactState.css(), params, noise, UNSORTED_GRID)
         gen = referee_generator(params, noise)
-        assert len(seen) == len(UNSORTED_GRID) - 1
-        for got, dt in zip(seen, np.diff(UNSORTED_GRID)):
+        (widths, propagators), = seen
+        # one call over the sorted widths
+        assert np.array_equal(widths, np.sort(np.diff(UNSORTED_GRID)))
+        assert len(propagators) == len(UNSORTED_GRID) - 1
+        for got, dt in zip(propagators, widths):
             want = expm(gen * dt)
             assert got.dtype == float
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -234,4 +250,96 @@ class TestScipyReferee:
         for state, dt in zip(states[1:], np.diff(UNSORTED_GRID)):
             rho = (expm(gen * dt) @ rho.ravel()).reshape(4, 4)
             rho = 0.5 * (rho + rho.conj().T)
-            np.testing.assert_allclose(state.rho, rho, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state, rho, rtol=0, atol=1e-12)
+
+
+def referee_xi(rho):
+    """The witness as a trace of products per operator."""
+    (y1, z1, x1), (y2, z2, x2) = lindblad_oracle._COLLECTIVE
+
+    def var(op):
+        return np.trace(rho @ op @ op).real - np.trace(rho @ op).real ** 2
+
+    return ((var(y1 - y2) + var(z1 + z2))
+            / (abs(np.trace(rho @ x1).real) + abs(np.trace(rho @ x2).real)))
+
+
+def _valid_stack(n):
+    p = scenario_params("fig2a")
+    return integrate_exact(ExactState.css(), p, NoiseChannels(dephasing=0.1),
+                           np.linspace(0.0, 1.0 / (p.d * p.Gamma), n))
+
+
+def _spoil(rho, kind):
+    """``rho`` made to fail exactly one state check, the ``kind`` one."""
+    rho = rho.copy()
+    if kind == "not finite":
+        rho[1, 2] = np.nan
+    elif kind == "trace":
+        rho *= 2.0
+    elif kind == "Hermitian":
+        rho[0, 1] += 1e-3
+    else:
+        rho[...] = np.diag([1.5, -0.5, 0.0, 0.0])
+    return rho
+
+
+class TestStateStack:
+    @pytest.mark.parametrize("params, deph", REFEREE_CASES)
+    def test_stack_is_a_chain_of_steps(self, params, deph):
+        # bit for bit, on the out-of-order grid
+        noise = NoiseChannels(dephasing=deph)
+        rhos = integrate_exact(ExactState.css(), params, noise, UNSORTED_GRID)
+        assert rhos.shape == (len(UNSORTED_GRID), 4, 4)
+        assert rhos.dtype == complex
+        dts = np.diff(UNSORTED_GRID)
+        order = dts.argsort()
+        propagators = lindblad_oracle._expm_grid(
+            lindblad_oracle._generator(jump_operators(params, noise)),
+            dts[order])[order.argsort()]
+        state = ExactState.css()
+        assert np.array_equal(rhos[0], state.rho)
+        for rho, propagator in zip(rhos[1:], propagators):
+            state = exact_lindblad_step(state, propagator)
+            assert np.array_equal(rho, state.rho)
+
+    def test_generator_matches_kron(self):
+        # the same products as np.kron, bit for bit
+        eye = np.eye(4)
+        for params, deph in REFEREE_CASES:
+            ops = jump_operators(params, NoiseChannels(dephasing=deph))
+            want = np.zeros((16, 16))
+            for L in ops:
+                LdL = L.T @ L
+                want += (np.kron(L, L) - 0.5 * np.kron(LdL, eye)
+                         - 0.5 * np.kron(eye, LdL.T))
+            assert np.array_equal(lindblad_oracle._generator(ops), want)
+
+    @pytest.mark.parametrize("params, deph", [
+        (scenario_params("fig2a"), 0.0), *REFEREE_CASES])
+    def test_witness_batch_matches_per_state(self, params, deph):
+        rhos = integrate_exact(ExactState.css(), params,
+                               NoiseChannels(dephasing=deph),
+                               np.linspace(0.0, 5.0, 21))
+        batch = lindblad_oracle._xi_batch(rhos)
+        assert batch.shape == (21,)
+        for rho, xi in zip(rhos, batch):
+            assert abs(xi_exact(ExactState(rho=rho)) - xi) <= 1e-15
+            assert abs(referee_xi(rho) - xi) <= 1e-15
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    @pytest.mark.parametrize("kind, message", [
+        ("not finite", "not finite"), ("trace", "trace drifted"),
+        ("Hermitian", "not Hermitian"), ("PSD", "not PSD")])
+    def test_earliest_bad_state_decides(self, j, kind, message):
+        # states past the bad one fail the first check, as garbage
+        # stepped from it would: the earliest state's message still wins
+        rhos = _valid_stack(7)
+        lindblad_oracle._check_states(rhos)
+        rhos[j] = _spoil(rhos[j], kind)
+        rhos[j + 1:] = np.inf
+        with pytest.raises(InvariantViolationError, match=message):
+            lindblad_oracle._check_states(rhos)
+        with pytest.raises(InvariantViolationError, match=message):
+            ExactState(rho=rhos[j]).validate()

@@ -21,6 +21,7 @@ from eprsim.light_readout import (
 from eprsim.records import (
     MAX_BINS,
     MAX_GAIN_POINTS,
+    MAX_READOUT_TRIALS,
     MAX_TRIAL_BINS,
     TRIAL_BLOCK,
     ModeFunctional,
@@ -1066,6 +1067,24 @@ class TestHybridReadout:
         with pytest.raises(StatisticsError):
             hybrid_readout(1, LOSSY, MU_NU, 0.1, self.READ.window, 2,
                            gamma_m_grid=grid)
+
+    @pytest.mark.parametrize("grid", [None, GRID], ids=["no-grid", "grid"])
+    def test_trial_cap_counts_trials(self, grid, monkeypatch):
+        # the readout draws per mode: its cap is on trials, checked before
+        # the record law, the gamma_m scan or any draw, while
+        # simulate_batch keeps its cap on trial-bins
+        monkeypatch.setattr(records, "_draw_normals", _no_draws)
+        for name in ("_record_law", "_gain_scan"):
+            monkeypatch.setattr(records, name, _not_called)
+        with pytest.raises(ValueError, match="trials per readout"):
+            hybrid_readout(MAX_READOUT_TRIALS + 1, LOSSY, MU_NU, 0.1,
+                           self.READ.window, 2, gamma_m_grid=grid)
+        monkeypatch.undo()
+        monkeypatch.setattr(records, "_draw_normals", _no_draws)
+        assert MAX_READOUT_TRIALS * 250 > MAX_TRIAL_BINS
+        with pytest.raises(ValueError, match="trial-bins"):
+            simulate_batch(MAX_TRIAL_BINS // 250 + 1, 25.0, 0.1, LOSSY,
+                           MU_NU, 0)
 
     def test_scan_size_capped_before_integration(self, monkeypatch):
         # a scan over the caps is refused before any draw, whatever the

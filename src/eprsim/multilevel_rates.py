@@ -182,27 +182,31 @@ _CHUNK_POINTS = 1 << 16
 def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(a t_k) for every t_k >= 0 of the nondecreasing ``t``, shape
     (len(t), n, n), by Taylor scaling and squaring (Al-Mohy & Higham 2009)
-    batched over _CHUNK_POINTS points at a time; NaN where more than
-    _MAX_SQUARINGS squarings are needed, InvariantViolationError where
-    ``a``'s 1-norm is not finite.
+    batched over _CHUNK_POINTS points at a time; NaN, with no overflow
+    warning, where more than _MAX_SQUARINGS squarings are needed or
+    ``a``'s 1-norm times t_k is not finite, InvariantViolationError where
+    that norm is not finite.
 
     No eigendecomposition, so defective generators are as exact as any.
     """
     n = a.shape[0]
     with np.errstate(over="ignore"):
         norm = np.abs(a).sum(axis=0).max()  # 1-norm
-    if not np.isfinite(norm):
-        raise InvariantViolationError(
-            "population rates overflow: the generator's norm is not finite")
+        if not np.isfinite(norm):
+            raise InvariantViolationError(
+                "population rates overflow: the generator's norm is not "
+                "finite")
+        tau = t * norm
+        tau2 = 2.0 * tau
     b = a / norm if norm > 0 else a
     terms = [np.eye(n)]  # B^j / j!
     for j in range(1, _TAYLOR_DEGREE + 1):
         terms.append(terms[-1] @ b / j)
     terms = np.array(terms).reshape(_TAYLOR_DEGREE + 1, n * n)
-    tau = t * norm
-    # 2 tau = m 2^s with m in [0.5, 1), so tau / 2^s < 1/2
-    s = np.maximum(np.frexp(2.0 * tau)[1], 0)
-    ok = s <= _MAX_SQUARINGS
+    # 2 tau = m 2^s with m in [0.5, 1), so tau / 2^s < 1/2; a 2 tau that
+    # overflowed would need more than _MAX_SQUARINGS squarings too
+    s = np.maximum(np.frexp(tau2)[1], 0)
+    ok = (s <= _MAX_SQUARINGS) & np.isfinite(tau2)
     s = np.where(ok, s, 0)
     h = np.where(ok, np.ldexp(tau, -s), 0.0)
     # t is nondecreasing, so s is too: the finite points are a prefix, and

@@ -39,14 +39,24 @@ the initial atomic values are u_0 = sqrt(initial_var) z.
 The draws are those of ``np.random.default_rng(master_seed ^ i)``, bit for
 bit, but no generator is built per trial: one pass over the uint32 seed
 words of many blocks computes every trial's ``SeedSequence`` state words
-(NumPy's hash, fixed by its stream-compatibility policy NEP 19), one pass
-in uint64 words turns them into PCG64 states by PCG's seeding, and one
-generator per call, its state words overwritten in place for
-each trial, draws the trial's z and noise in one call; the passes are
-bounded by the block size (SEED_PASS_BYTES), not by the trial count.  The
-words' order in the generator's memory is read back once, from one trial
-set through NumPy's public state setter, never assumed.  The tests pin all
-of it to NumPy's own.
+(NumPy's hash, fixed by its stream-compatibility policy NEP 19), and one
+pass in uint64 words turns them into PCG64 states by PCG's seeding; the
+passes are bounded by the block size (SEED_PASS_BYTES), not by the trial
+count.  A block's trials are then drawn in lockstep (:func:`_draw_normals`):
+each column steps every trial's 128-bit state at once in uint64 words
+(PCG64's LCG, then its XSL-RR output), and a normal whose uint64 falls on
+the fast path of NumPy's ziggurat (Marsaglia and Tsang 2000) is a 52-bit
+integer times a table entry, exact in IEEE arithmetic.  NumPy does not
+export the tables: they are read back once per process from its own
+generator, by writing states whose next output is a chosen uint64, and a
+layer counts only where the read-back proves the fast path
+(:meth:`_Streams.ziggurat`).  A trial with any draw off that path is
+redrawn whole by one generator whose state words are overwritten in place
+for each trial, as are all trials of a call with so many normals that the
+path would take fewer than half of them (:func:`simulate_batch`'s
+records).  The words' order in the generator's memory is read back once,
+from one trial set through NumPy's public state setter, never assumed.
+The tests pin all of it to NumPy's own.
 
 Mode integrals in closed form: a mode integral y = sum_n w_n s_n is
 (w . r) u_0 + sum_m C_m eps_m with C_m = sqrt(S_m) (w_m + K_m b_m),
@@ -119,11 +129,11 @@ __all__ = [
 # trial-bin on one core (2-core x86 host, 250 bins), so this is about 1 s,
 # and its records take 16 bytes per trial-bin (400 MB here).
 MAX_TRIAL_BINS = 25_000_000
-# Cap on hybrid_readout's trials.  It draws per mode, not per bin: about
-# 1.5-1.7 us per trial whatever the bin count, for the CLI's readouts of
-# 1-3 modes (4 x 10^5 trials of conditional, reconstruct and fig2d at 250
-# bins took 0.55-0.66 s on a 2-core x86 host), so this is about 1 s,
-# holding one MODE_BLOCK of draws whatever the trial count.
+# Cap on hybrid_readout's trials.  It draws per mode, not per bin, in
+# lockstep: about 0.4-0.9 us per trial whatever the bin count, for the CLI's
+# readouts of 1-3 modes (4 x 10^5 trials of reconstruct, conditional and
+# fig2d at 250 bins took 0.15-0.35 s on a 2-core x86 host), so this is
+# under 0.6 s, holding one MODE_BLOCK of draws whatever the trial count.
 MAX_READOUT_TRIALS = 600_000
 # Cap on bins per batch: simulate_batch's innovations recursion steps bin by
 # bin at about 10 us per bin for a few trials (measured on a 2-core x86
@@ -313,9 +323,21 @@ def _riccati(e1: float, H: float, R: float, alpha: float, beta: float,
     return p * -np.expm1(x) * np.exp(-np.logaddexp(0.0, x + log_q))
 
 
-# PCG64's 128-bit LCG multiplier, and the mask of its state
+# PCG64's 128-bit LCG multiplier, its inverse and the mask of its state
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+# the multiplier's 64-bit words and their 32-bit limbs, for _lcg_step
+_M_HI, _M_LO = (np.uint64(c) for c in divmod(_PCG_MULT, 1 << 64))
+_M_LO0, _M_LO1 = np.uint64(_PCG_MULT & 0xFFFFFFFF), np.uint64(
+    _PCG_MULT >> 32 & 0xFFFFFFFF)
+# NumPy's ziggurat draws a normal from one uint64 r: layer r & 0xFF, sign
+# bit 8 and a 52-bit magnitude from bit 9
+_RABS_BITS = 52
+# Trials whose PCG64 outputs the read-back of the ziggurat's tables checks
+# against NumPy's own draws (_Streams.ziggurat), two normals each, from
+# seeds that differ in high bits as well as low ones
+_PROBE_SEEDS = np.uint64(0x9E3779B97F4A7C15) ^ np.arange(512, dtype=np.uint64)
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
@@ -366,24 +388,74 @@ def _pcg_state(words) -> tuple:
     return ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
 
 
+def _lcg_step(x_hi, x_lo, inc_hi, inc_lo) -> tuple:
+    """(high, low) uint64 words of x _PCG_MULT + inc mod 2^128 for the
+    uint64 word arrays of x and inc: the high half of the 64 x 64-bit
+    product of the low words from 32-bit limbs."""
+    w32, m32 = np.uint64(32), np.uint64(0xFFFFFFFF)
+    a0, a1 = x_lo & m32, x_lo >> w32
+    p00, p01, p10 = a0 * _M_LO0, a0 * _M_LO1, a1 * _M_LO0
+    mid = (p00 >> w32) + (p01 & m32) + (p10 & m32)
+    lo_hi = a1 * _M_LO1 + (p01 >> w32) + (p10 >> w32) + (mid >> w32)
+    y_lo = x_lo * _M_LO + inc_lo
+    y_hi = lo_hi + x_lo * _M_HI + x_hi * _M_LO + inc_hi + (y_lo < inc_lo)
+    return y_hi, y_lo
+
+
 def _pcg_states(words: np.ndarray) -> np.ndarray:
     """:func:`_pcg_state` for every row of the (n, 4) uint64 seed words, as
-    (n, 4) uint64 words (state high, low, inc high, low): the 128-bit sums
-    and the product by _PCG_MULT in 64-bit words, the high half of the
-    64 x 64-bit product from 32-bit limbs."""
-    one, w32, w63, m32 = (np.uint64(c) for c in (1, 32, 63, 0xFFFFFFFF))
-    m_hi, m_lo = (np.uint64(c) for c in divmod(_PCG_MULT, 1 << 64))
+    (n, 4) uint64 words (state high, low, inc high, low): the 128-bit sum
+    in 64-bit words, then one :func:`_lcg_step`."""
+    one, w63 = np.uint64(1), np.uint64(63)
     s_hi, s_lo, i_hi, i_lo = words.T
     inc_hi, inc_lo = i_hi << one | i_lo >> w63, i_lo << one | one
     x_lo = inc_lo + s_lo
     x_hi = inc_hi + s_hi + (x_lo < inc_lo)
-    a0, a1, b0, b1 = x_lo & m32, x_lo >> w32, m_lo & m32, m_lo >> w32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> w32) + (p01 & m32) + (p10 & m32)
-    lo_hi = a1 * b1 + (p01 >> w32) + (p10 >> w32) + (mid >> w32)
-    y_lo = x_lo * m_lo + inc_lo
-    y_hi = lo_hi + x_lo * m_hi + x_hi * m_lo + inc_hi + (y_lo < inc_lo)
-    return np.stack([y_hi, y_lo, inc_hi, inc_lo], axis=-1)
+    return np.stack([*_lcg_step(x_hi, x_lo, inc_hi, inc_lo), inc_hi, inc_lo],
+                    axis=-1)
+
+
+def _pcg_preimage(state: int, inc: int) -> int:
+    """The PCG64 state (Python int) that steps to ``state``: (state - inc)
+    _PCG_MULT^-1 mod 2^128.  The state (high 0, low r) outputs r itself,
+    so its pre-image's next output is the uint64 r."""
+    return (state - inc) * _PCG_MULT_INV & _MASK128
+
+
+class _Ziggurat(NamedTuple):
+    """What the lockstep pass knows of NumPy's ziggurat for normals, by the
+    low nine bits (sign bit 8, layer bits 0-7) of the draw's uint64: a
+    draw whose 52-bit magnitude rabs (bits 9-60) is below bound[key] is
+    rabs wi[key] (wi[key] < 0 with the sign bit), from that one uint64."""
+    wi: np.ndarray     # (512,) float64
+    bound: np.ndarray  # (512,) uint64; 0 where no magnitude is certified
+    miss: float        # share of uniform uint64 draws not certified
+
+
+def _lockstep_normals(states: np.ndarray, zig: _Ziggurat,
+                      out: np.ndarray) -> np.ndarray:
+    """Fill each column out[:, j...] (C order) with the normals that the
+    trials' next PCG64 outputs give on the ziggurat's fast path, all trials
+    in lockstep, and return which trials had every draw certified.  Each
+    trial's state is the row (state high, low, inc high, low) of the (n, 4)
+    uint64 ``states``.  NumPy steps the state, then outputs it by XSL-RR,
+    rotr64(high ^ low, high >> 58); the fast path's normal is exact, a
+    52-bit integer times wi rounded once (the sign of a product is its
+    factors')."""
+    w9, w58, w63, w64 = (np.uint64(c) for c in (9, 58, 63, 64))
+    low9, rabs_mask = np.uint64(0x1FF), np.uint64((1 << _RABS_BITS) - 1)
+    hi, lo, inc_hi, inc_lo = states.T
+    fast = np.ones(len(states), bool)
+    for index in np.ndindex(out.shape[1:]):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> w58
+        r = x >> rot | x << (w64 - rot & w63)
+        key = (r & low9).view(np.int64)
+        r >>= w9
+        r &= rabs_mask
+        fast &= r < zig.bound[key]
+        np.multiply(r, zig.wi[key], out=out[(slice(None), *index)])
+    return fast
 
 
 def _word_order(found, expected) -> list:
@@ -408,7 +480,8 @@ class _Streams:
     trial.  Their order in memory (native or emulated 128-bit integers) is
     read back once, from the first seed hashed, set through the public
     ``state`` setter; this also checks :func:`_pcg_states` against
-    :func:`_pcg_state`.
+    :func:`_pcg_state`.  The same generator answers the queries that read
+    NumPy's ziggurat tables back (:meth:`ziggurat`).
     """
 
     def __init__(self):
@@ -443,6 +516,63 @@ class _Streams:
             mem[:] = rows[lo:lo + 32]
             self._rng.standard_normal(out=trial)
 
+    def states(self, rows: memoryview) -> np.ndarray:
+        """The (n, 4) uint64 words (state high, low, inc high, low) of the
+        memory-order ``rows`` of :meth:`rows`."""
+        words = np.frombuffer(rows, np.uint64).reshape(-1, 4)
+        return words[:, np.argsort(self._order)]
+
+    def query(self, r: int, inc: int) -> tuple:
+        """(NumPy's next standard normal, whether it took exactly one
+        output) from the state of increment ``inc`` whose next output is
+        the uint64 ``r``.  Needs the word order (:meth:`rows`)."""
+        logical = [*divmod(_pcg_preimage(r, inc), 1 << 64),
+                   *divmod(inc, 1 << 64)]
+        self._words[:] = [logical[k] for k in self._order]
+        value = self._rng.standard_normal()
+        state = [0] * 4
+        for word, k in zip(self._words, self._order):
+            state[k] = word
+        return value, state[:2] == [0, r]
+
+    def ziggurat(self) -> _Ziggurat:
+        """NumPy's ziggurat tables, read back once per process from this
+        generator (NumPy does not export them).  wi[idx] is the normal of
+        magnitude 1 in layer idx; layer idx >= 1 is certified up to bound
+        = floor(2^52 wi[idx-1] / wi[idx]) only if the magnitude bound - 1
+        draws (bound - 1) wi[idx] from one output: NumPy's fast-path test
+        is rabs < ki[idx], monotone in rabs, so every magnitude below bound
+        is then fast.  Other layers get bound 0.  The certified path must
+        then draw the probe seeds' first normals as NumPy does, or every
+        layer gets bound 0 and every draw goes to the per-trial loop."""
+        global _ZIGGURAT
+        if _ZIGGURAT is not None:
+            return _ZIGGURAT
+        probe = self.rows(_PROBE_SEEDS)  # the word order, if not yet read
+        inc = 1  # any odd increment
+        wi = [self.query(idx | 1 << 9, inc)[0] for idx in range(256)]
+        bound = np.zeros(256, np.uint64)
+        for idx in range(1, 256):
+            ratio = wi[idx - 1] / wi[idx] if wi[idx] > 0 else 0.0
+            b = int(min(ratio, 1.0) * 2.0**_RABS_BITS) if ratio > 0 else 0
+            if b and self.query(idx | b - 1 << 9, inc) == ((b - 1) * wi[idx],
+                                                           True):
+                bound[idx] = b
+        wi = np.array(wi)
+        zig = _Ziggurat(np.concatenate([wi, -wi]), np.tile(bound, 2),
+                        1.0 - bound.sum(dtype=float) / 2.0**(_RABS_BITS + 8))
+        want, got = np.empty((2, len(_PROBE_SEEDS), 2))
+        self.draw(probe, want)
+        fast = _lockstep_normals(self.states(probe), zig, got)
+        if got[fast].tobytes() != want[fast].tobytes():
+            zig = zig._replace(bound=np.zeros(512, np.uint64), miss=1.0)
+        _ZIGGURAT = zig
+        return zig
+
+
+# NumPy's ziggurat tables as read back by _Streams.ziggurat, once per process
+_ZIGGURAT = None
+
 
 def _draw_normals(seeds: np.ndarray, out: np.ndarray, streams=None,
                   rows=None) -> None:
@@ -450,11 +580,27 @@ def _draw_normals(seeds: np.ndarray, out: np.ndarray, streams=None,
     ``np.random.default_rng(seeds[k])`` for every uint64 seed.  ``streams``
     and ``rows``, its :meth:`_Streams.rows` of ``seeds``, reuse a generator
     and a hashing pass made for more seeds (:func:`_draw_blocks`); without
-    them both are made here."""
+    them both are made here.
+
+    When the certified ziggurat path takes at least half the trials
+    (no miss in a trial's columns with probability >= 1/2), every trial's
+    outputs are drawn in lockstep and those on that path converted at
+    once; the trials with a draw off it are redrawn whole by the per-trial
+    loop, from their own state rows.  Otherwise every trial goes to that
+    loop."""
     if streams is None:
         streams = _Streams()
         rows = streams.rows(seeds)
-    streams.draw(rows, out)
+    zig = streams.ziggurat()
+    if (1.0 - zig.miss)**math.prod(out.shape[1:]) < 0.5:
+        streams.draw(rows, out)
+        return
+    redo = np.flatnonzero(~_lockstep_normals(streams.states(rows), zig, out))
+    if redo.size:
+        redone = np.empty((redo.size, *out.shape[1:]))
+        streams.draw(memoryview(np.frombuffer(rows, np.uint64).reshape(
+            -1, 4)[redo]).cast("B"), redone)
+        out[redo] = redone
 
 
 def _check_draws(n_trials: int, master_seed: int) -> None:

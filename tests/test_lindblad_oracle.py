@@ -160,6 +160,9 @@ class TestExactIntegration:
                             np.linspace(0.0, 1e300, 21))
         with pytest.raises(InvariantViolationError, match="not finite"):
             validate_against_oracle(p, 1.0, NoiseChannels(dephasing=1e300))
+        # the generator's norm finite, norm x interval overflows
+        with pytest.raises(InvariantViolationError, match="not finite"):
+            validate_against_oracle(p, 1e200, NoiseChannels(dephasing=1e200))
 
     def test_cost_independent_of_horizon(self):
         t0 = time.perf_counter()

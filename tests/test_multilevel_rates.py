@@ -262,6 +262,17 @@ class TestExpmGrid:
             with pytest.raises(InvariantViolationError, match="norm"):
                 propagate_populations(POP0, rates, [0.0, 0.5, 1.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_width_is_nan(self):
+        # a finite norm whose product with the width overflows: NaN like a
+        # point past _MAX_SQUARINGS, not an overflow warning, and refused
+        rates = RateSet(g34=1e200, g43=1e200, g_out=0.027, g_in=0.002)
+        grid = [0.0, 1e-205, 1e108, 1e200]
+        got = mr._expm_grid(rate_matrix(rates), np.array(grid))
+        assert np.isfinite(got[:2]).all() and np.isnan(got[2:]).all()
+        with pytest.raises(InvariantViolationError, match="finite"):
+            propagate_populations(POP0, rates, grid)
+
     def test_memory_bounded_on_long_grid(self):
         # a million points: the output and the series dominate; whole-grid
         # Taylor powers and squaring copies peaked at 241-253 MB

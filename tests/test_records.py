@@ -309,19 +309,189 @@ HAND_ROWS = [(0, 0, 0, 0), (M64, M64, M64, M64), (0, 1, 0, 2**63 - 1),
              (0, 0, 0, 2**63 - 1), (5, 7, 0, 2**64 - 1)]
 
 
+def ziggurat_tables():
+    """records' ziggurat tables, read back if not yet."""
+    streams = records._Streams()
+    streams.rows(np.zeros(1, np.uint64))
+    return streams.ziggurat()
+
+
+def lockstep_columns(zig):
+    """Most normals per trial for which _draw_normals takes the lockstep
+    pass: the certified path takes at least half the trials."""
+    return math.floor(math.log(0.5) / math.log1p(-zig.miss))
+
+
+def memory_rows(streams, states):
+    """State rows (state, inc) as Python ints in ``streams``' memory order,
+    as _Streams.rows gives them."""
+    words = np.array([[s >> 64, s & M64, i >> 64, i & M64]
+                      for s, i in states], dtype=np.uint64)
+    return memoryview(np.ascontiguousarray(words[:, streams._order])).cast("B")
+
+
+def numpy_from_state(state, inc):
+    """NumPy's own PCG64 Generator set to (state, inc) through the public
+    state setter."""
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+def routed_rows(monkeypatch):
+    """The 32-byte state rows that any _Streams draws through its per-trial
+    loop from now on."""
+    rows, draw = [], records._Streams.draw
+
+    def counted(self, block_rows, out):
+        rows.extend(bytes(block_rows[k:k + 32])
+                    for k in range(0, len(block_rows), 32))
+        return draw(self, block_rows, out)
+    monkeypatch.setattr(records._Streams, "draw", counted)
+    return rows
+
+
+def certified(zig, outputs):
+    """Whether each uint64 output is on the certified fast path."""
+    outputs = np.asarray(outputs, dtype=np.uint64)
+    rabs = outputs >> np.uint64(9) & np.uint64(2**52 - 1)
+    return rabs < zig.bound[(outputs & np.uint64(0x1FF)).astype(np.intp)]
+
+
 class TestInPlaceStreams:
     SEEDS = np.concatenate([
         np.random.default_rng(17).integers(0, 2**64, size=1000,
                                            dtype=np.uint64, endpoint=False),
         np.array([0, 1, 2**63, 2**64 - 1, 2**64 - 2], dtype=np.uint64)])
+    # one block and seven trials more, seeds that differ in high bits
+    BLOCK_SEEDS = (np.arange(records.MODE_BLOCK + 7, dtype=np.uint64)
+                   * np.uint64(0x9E3779B97F4A7C15)) << np.uint64(20)
 
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (251, 2)])
-    def test_normals_are_default_rngs(self, shape):
-        out = np.empty((len(self.SEEDS), *shape))
-        records._draw_normals(self.SEEDS, out)
-        want = np.stack([np.random.default_rng(int(s)).standard_normal(shape)
-                         for s in self.SEEDS])
+    # None: one normal per trial more than lockstep_columns
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (251, 2), (4, 2),
+                                       None])
+    def test_normals_are_default_rngs(self, shape, monkeypatch):
+        zig = ziggurat_tables()
+        if shape is None:
+            shape = (lockstep_columns(zig) + 1, 1)
+        lockstep = math.prod(shape) <= lockstep_columns(zig)
+        routed = routed_rows(monkeypatch)
+        for seeds in (self.SEEDS, self.BLOCK_SEEDS):
+            routed.clear()
+            out = np.empty((len(seeds), *shape))
+            records._draw_normals(seeds, out)
+            want = np.stack([np.random.default_rng(int(s)).standard_normal(
+                shape) for s in seeds])
+            assert out.tobytes() == want.tobytes()
+            # the per-trial loop takes the trials off the certified path,
+            # or all of them past the rule
+            if lockstep:
+                assert 0 < len(routed) < len(seeds) / 2
+            else:
+                assert len(routed) == len(seeds)
+
+    def test_fast_path_edges(self, monkeypatch):
+        # forged states whose first output is each layer's last certified
+        # magnitude and the next one, of both signs: the latter, and
+        # layers 0 and 1 (never certified), go to the per-trial loop
+        zig = ziggurat_tables()
+        bound = zig.bound[:256].tolist()
+        assert bound[0] == bound[1] == 0 and all(bound[2:])
+        assert zig.bound[256:].tolist() == bound
+        inc = 0xDA3E39CB94B95BDB_5851F42D4C957F2D | 1
+        cases = []  # (first output, sent to the loop)
+        for layer, b in enumerate(bound):
+            edges = [(b - 1, False)] if b else [(0, True)]
+            edges += [(b, True)] if b < 2**52 else []
+            cases += [(layer | sign << 8 | rabs << 9, loop)
+                      for rabs, loop in edges for sign in (0, 1)]
+        states = [(records._pcg_preimage(r, inc), inc) for r, _ in cases]
+        for (r, _), (state, _) in zip(cases, states):
+            assert numpy_from_state(state, inc).bit_generator.random_raw() \
+                == r
+        streams = records._Streams()
+        streams.rows(self.SEEDS[:1])
+        rows = memory_rows(streams, states)
+        routed = routed_rows(monkeypatch)
+        out = np.empty((len(cases), 1, 1))
+        records._draw_normals(None, out, streams, rows)
+        want = [numpy_from_state(*s).standard_normal((1, 1)) for s in states]
+        assert out.tobytes() == np.stack(want).tobytes()
+        assert set(routed) == {bytes(rows[32 * k:32 * k + 32])
+                               for k, (_, loop) in enumerate(cases) if loop}
+        assert any(np.signbit(out[k]) for k, (r, loop) in enumerate(cases)
+                   if r & 0x100 and not loop)
+
+    def test_only_last_column_missed(self, monkeypatch):
+        # 8 normals per trial whose eighth output alone is off the
+        # certified path (layer 0, then just past layer 7's bound), and one
+        # whose eighth is the last certified magnitude: the first two go
+        # to the per-trial loop
+        zig = ziggurat_tables()
+        b7 = int(zig.bound[7])
+        lasts = [(5 << 9, True), (7 | b7 << 9, True),
+                 (7 | 1 << 8 | b7 - 1 << 9, False)]
+        states = []
+        for last, loop in lasts:
+            for inc in range(1, 2**20, 2):
+                state = last
+                for _ in range(8):
+                    state = records._pcg_preimage(state, inc)
+                raw = numpy_from_state(state, inc).bit_generator.random_raw(8)
+                if certified(zig, raw[:7]).all():
+                    break
+            assert raw[7] == last
+            assert certified(zig, raw).tolist() == [True] * 7 + [not loop]
+            states.append((state, inc))
+        streams = records._Streams()
+        streams.rows(self.SEEDS[:1])
+        rows = memory_rows(streams, states)
+        routed = routed_rows(monkeypatch)
+        out = np.empty((len(states), 4, 2))
+        records._draw_normals(None, out, streams, rows)
+        want = [numpy_from_state(*s).standard_normal((4, 2)) for s in states]
+        assert out.tobytes() == np.stack(want).tobytes()
+        assert routed == [bytes(rows[:32]), bytes(rows[32:64])]
+
+    @pytest.mark.parametrize("fault", ["layer", "probe"])
+    def test_refused_tables_send_trials_to_loop(self, fault, monkeypatch):
+        # a layer whose bound query fails is not certified; tables that
+        # pass their queries (every normal read back doubled) but not the
+        # probe certify nothing: either way the draws stay NumPy's, and
+        # every trial with such a draw goes to the per-trial loop
+        layer, query = 100, records._Streams.query
+
+        def faulty(self, r, inc):
+            value, once = query(self, r, inc)
+            if fault == "probe":
+                return 2.0 * value, once
+            return value, once and not (r & 0xFF == layer and r >> 9 != 1)
+        monkeypatch.setattr(records, "_ZIGGURAT", None)
+        monkeypatch.setattr(records._Streams, "query", faulty)
+        seeds, shape = self.SEEDS, (4, 2)
+        streams = records._Streams()
+        rows = streams.rows(seeds)
+        zig = streams.ziggurat()
+        routed = routed_rows(monkeypatch)
+        out = np.empty((len(seeds), *shape))
+        records._draw_normals(seeds, out, streams, rows)
+        want = np.stack([np.random.default_rng(int(s)).standard_normal(
+            shape) for s in seeds])
         assert out.tobytes() == want.tobytes()
+        raw = np.stack([np.random.default_rng(int(s)).bit_generator
+                        .random_raw(8) for s in seeds])
+        if fault == "layer":
+            assert zig.bound[[layer, layer + 256]].tolist() == [0, 0]
+            assert zig.bound[[layer - 1, layer + 1]].all()
+            hit = ((raw & np.uint64(0xFF)) == layer).any(axis=1)
+        else:
+            assert not zig.bound.any() and zig.miss == 1.0
+            hit = np.ones(len(seeds), bool)
+        assert hit.sum() > 10
+        assert set(routed) >= {bytes(rows[32 * k:32 * k + 32])
+                               for k in np.flatnonzero(hit)}
 
     def test_vectorised_seeding_is_python_ints(self):
         def carries(row):  # out of the low word in inc + initstate, + inc

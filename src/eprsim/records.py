@@ -50,11 +50,14 @@ integer times a table entry, exact in IEEE arithmetic.  NumPy does not
 export the tables: they are read back once per process from its own
 generator, by writing states whose next output is a chosen uint64, and a
 layer counts only where the read-back proves the fast path
-(:meth:`_Streams.ziggurat`).  A trial with any draw off that path is
-redrawn whole by one generator whose state words are overwritten in place
-for each trial, as are all trials of a call with so many normals that the
-path would take fewer than half of them (:func:`simulate_batch`'s
-records).  The words' order in the generator's memory is read back once,
+(:meth:`_Streams.ziggurat`: a ratio of table entries or a bisection over
+the magnitudes, each checked by queries).  A trial with any draw off that
+path is redrawn whole by one generator whose state words are overwritten in
+place for each trial, as are all trials of a call where the lockstep pass
+and its redraws would cost more than that loop (:func:`_lockstep_pays`, a
+cost model in trials and normals per trial: few trials, or so many normals
+that most trials miss, as :func:`simulate_batch`'s records at 5 bins and
+more do).  The words' order in the generator's memory is read back once,
 from one trial set through NumPy's public state setter, never assumed.
 The tests pin all of it to NumPy's own.
 
@@ -85,20 +88,23 @@ Per channel they are rho u_0 + x R, with R the K x K triangular factor of
 the QR of the (nbins, K) coefficients and x K unit normals, which has the
 covariance C^T C = R^T R of the noise's integrals: the same law from 2 + 2K
 normals per trial instead of 2 + 2 nbins.  Trials are drawn MODE_BLOCK at a
-time into one (trials, K + 1, 2) block, z in row 0; the products with R
-are einsum's sums, which make no BLAS call, so the bytes do not follow the
-BLAS thread count.  Each initial variance v adds sqrt(v) z rho, and the
-blocks' counts, means and sums of squared deviations are merged in block
-order (Chan, Golub and LeVeque's pairwise update), so memory is one block
-whatever the trial count.
+time into one trial-minor (trials, K + 1, 2) block, z in row 0, so each
+normal column is contiguous over the trials; the products with R are sums
+over contiguous rows in a fixed order, einsum's "tmc,mk->tkc" order, with
+no BLAS call, so the bytes do not follow the BLAS thread count
+(:func:`_readout_columns`).  Each initial variance v adds sqrt(v) z rho,
+and the blocks' counts, means and sums of squared deviations are merged in
+block order (Chan, Golub and LeVeque's pairwise update), so memory is one
+block whatever the trial count.
 
 :func:`simulate_batch` keeps the record-level API: it writes a batch into
 one (2, nbins, trials) float64 buffer, and ``RecordBatch.samples`` is its
 (trials, nbins, 2) transposed view, so one channel over a mode's window is a
-(trials, bins) slice whose trial axis is contiguous.  It draws the same
-blocks, writes the scaled noise to bin-major order in the records buffer
-(16 bytes per trial-bin), frees the block and runs the innovations
-recursion once over the whole batch.
+(trials, bins) slice whose trial axis is contiguous.  It draws trial-major
+blocks of TRIAL_BLOCK trials (trial-minor ones read about 5 % slower at
+250 bins, where the loop draws them), writes the scaled noise to bin-major
+order in the records buffer (16 bytes per trial-bin), frees the block and
+runs the innovations recursion once over the whole batch.
 """
 
 from __future__ import annotations
@@ -130,10 +136,10 @@ __all__ = [
 # and its records take 16 bytes per trial-bin (400 MB here).
 MAX_TRIAL_BINS = 25_000_000
 # Cap on hybrid_readout's trials.  It draws per mode, not per bin, in
-# lockstep: about 0.4-0.9 us per trial whatever the bin count, for the CLI's
-# readouts of 1-3 modes (4 x 10^5 trials of reconstruct, conditional and
-# fig2d at 250 bins took 0.15-0.35 s on a 2-core x86 host), so this is
-# under 0.6 s, holding one MODE_BLOCK of draws whatever the trial count.
+# lockstep: about 0.35-0.6 us per trial whatever the bin count, for the
+# CLI's readouts of 1-3 modes (4 x 10^5 trials of reconstruct, conditional
+# and fig2d at 250 bins took 0.14-0.23 s on a 2-core x86 host), so this is
+# under 0.4 s, holding one MODE_BLOCK of draws whatever the trial count.
 MAX_READOUT_TRIALS = 600_000
 # Cap on bins per batch: simulate_batch's innovations recursion steps bin by
 # bin at about 10 us per bin for a few trials (measured on a 2-core x86
@@ -161,11 +167,12 @@ SCAN_CHUNK = 1 << 16
 # holds (trials, nbins + 1, 2) draws, z and the noise, 16 bytes per
 # trial-bin (2 MB at 250 bins).
 TRIAL_BLOCK = 512
-# Trials whose mode-space draws hybrid_readout makes at a time: one block
-# holds (trials, K + 1, 2) draws, 64 bytes per trial for fig2d's K = 3
-# modes; with the seed hashing, the products and the merged columns its
-# peak is about 380 bytes per trial there (1.5 MB under tracemalloc),
-# whatever the trial count.  The seeds are hashed one block at a time.
+# Trials whose mode-space draws hybrid_readout makes at a time: one
+# trial-minor block holds (trials, K + 1, 2) draws, 64 bytes per trial for
+# fig2d's K = 3 modes; with the seed hashing, the products and the merged
+# columns its peak is about 340 bytes per trial there (1.4 MB under
+# tracemalloc), whatever the trial count.  The seeds are hashed one block
+# at a time.
 MODE_BLOCK = 4096
 # Bytes per trial that one pass of seed hashing (_seed_words, _pcg_states
 # and the state rows) holds at its peak: about 170 under tracemalloc.  The
@@ -427,7 +434,7 @@ class _Ziggurat(NamedTuple):
     low nine bits (sign bit 8, layer bits 0-7) of the draw's uint64: a
     draw whose 52-bit magnitude rabs (bits 9-60) is below bound[key] is
     rabs wi[key] (wi[key] < 0 with the sign bit), from that one uint64."""
-    wi: np.ndarray     # (512,) float64
+    wi: np.ndarray     # (512,) float64; NaN where the read-back failed
     bound: np.ndarray  # (512,) uint64; 0 where no magnitude is certified
     miss: float        # share of uniform uint64 draws not certified
 
@@ -538,26 +545,38 @@ class _Streams:
     def ziggurat(self) -> _Ziggurat:
         """NumPy's ziggurat tables, read back once per process from this
         generator (NumPy does not export them).  wi[idx] is the normal of
-        magnitude 1 in layer idx; layer idx >= 1 is certified up to bound
-        = floor(2^52 wi[idx-1] / wi[idx]) only if the magnitude bound - 1
-        draws (bound - 1) wi[idx] from one output: NumPy's fast-path test
-        is rabs < ki[idx], monotone in rabs, so every magnitude below bound
-        is then fast.  Other layers get bound 0.  The certified path must
-        then draw the probe seeds' first normals as NumPy does, or every
-        layer gets bound 0 and every draw goes to the per-trial loop."""
+        magnitude 1 in layer idx, NaN if that query took more than one
+        output.  A magnitude rabs is fast if it draws rabs wi[idx] from one
+        output, and NumPy's fast-path test, rabs < ki[idx], is monotone in
+        rabs, so a layer is certified below any fast magnitude plus one.
+        Its bound is floor(2^52 wi[idx-1] / wi[idx]) if bound - 1 is fast;
+        otherwise, for every layer whose ratio fails so (layer 0 has none),
+        it is the first magnitude that is not fast, found by bisection
+        once magnitude 0 is fast, and 0 if that is not.  The certified path
+        must then draw the probe seeds' first normals as NumPy does, or
+        every layer gets bound 0 and every draw goes to the per-trial
+        loop."""
         global _ZIGGURAT
         if _ZIGGURAT is not None:
             return _ZIGGURAT
         probe = self.rows(_PROBE_SEEDS)  # the word order, if not yet read
         inc = 1  # any odd increment
-        wi = [self.query(idx | 1 << 9, inc)[0] for idx in range(256)]
+        wi = [value if once else math.nan for value, once in
+              (self.query(idx | 1 << 9, inc) for idx in range(256))]
+
+        def fast(idx, rabs):
+            return self.query(idx | rabs << 9, inc) == (rabs * wi[idx], True)
         bound = np.zeros(256, np.uint64)
-        for idx in range(1, 256):
-            ratio = wi[idx - 1] / wi[idx] if wi[idx] > 0 else 0.0
+        for idx in range(256):
+            ratio = wi[idx - 1] / wi[idx] if idx and wi[idx] > 0 else 0.0
             b = int(min(ratio, 1.0) * 2.0**_RABS_BITS) if ratio > 0 else 0
-            if b and self.query(idx | b - 1 << 9, inc) == ((b - 1) * wi[idx],
-                                                           True):
-                bound[idx] = b
+            if not (b and fast(idx, b - 1)):
+                # the first magnitude that is not fast is in [b, hi]
+                b, hi = (1, 1 << _RABS_BITS) if fast(idx, 0) else (0, 0)
+                while b < hi:
+                    mid = (b + hi) // 2
+                    b, hi = (mid + 1, hi) if fast(idx, mid) else (b, mid)
+            bound[idx] = b
         wi = np.array(wi)
         zig = _Ziggurat(np.concatenate([wi, -wi]), np.tile(bound, 2),
                         1.0 - bound.sum(dtype=float) / 2.0**(_RABS_BITS + 8))
@@ -572,6 +591,25 @@ class _Streams:
 
 # NumPy's ziggurat tables as read back by _Streams.ziggurat, once per process
 _ZIGGURAT = None
+# Costs of _draw_normals' two ways to draw (_lockstep_pays), fitted to its
+# timings at 64-4096 trials of 1-42 normals (2-core x86 host, NumPy 2.4):
+# the lockstep pass takes about 25 us per normal column plus 0.025 us per
+# trial and column into a trial-major block (0.016 us trial-minor), the
+# per-trial loop about 0.95 us per trial.  So the loop draws simulate_batch's
+# blocks (TRIAL_BLOCK trials) from 5 bins (12 normals per trial) up, and
+# readout blocks of fewer than 126-312 trials (1-3 modes).
+LOCKSTEP_COLUMN_S = 25e-6
+LOCKSTEP_TRIAL_COLUMN_S = 0.025e-6
+LOOP_TRIAL_S = 0.95e-6
+
+
+def _lockstep_pays(trials: int, columns: int, miss: float) -> bool:
+    """Whether drawing ``trials`` trials of ``columns`` normals each in
+    lockstep, then redrawing those with a draw off the certified path
+    (each with probability 1 - (1 - miss)^columns) by the per-trial loop,
+    costs less than that loop over every trial."""
+    return (columns * (LOCKSTEP_COLUMN_S + trials * LOCKSTEP_TRIAL_COLUMN_S)
+            < trials * LOOP_TRIAL_S * (1.0 - miss)**columns)
 
 
 def _draw_normals(seeds: np.ndarray, out: np.ndarray, streams=None,
@@ -582,25 +620,32 @@ def _draw_normals(seeds: np.ndarray, out: np.ndarray, streams=None,
     and a hashing pass made for more seeds (:func:`_draw_blocks`); without
     them both are made here.
 
-    When the certified ziggurat path takes at least half the trials
-    (no miss in a trial's columns with probability >= 1/2), every trial's
-    outputs are drawn in lockstep and those on that path converted at
-    once; the trials with a draw off it are redrawn whole by the per-trial
-    loop, from their own state rows.  Otherwise every trial goes to that
-    loop."""
+    Where :func:`_lockstep_pays`, every trial's outputs are drawn in
+    lockstep and those on the certified ziggurat path converted at once;
+    the trials with a draw off it are redrawn whole by the per-trial loop,
+    from their own state rows.  Otherwise every trial goes to that loop.
+    The loop draws into a C-contiguous array, ``out`` itself if it is one,
+    so ``out`` may have any layout."""
     if streams is None:
         streams = _Streams()
         rows = streams.rows(seeds)
-    zig = streams.ziggurat()
-    if (1.0 - zig.miss)**math.prod(out.shape[1:]) < 0.5:
+    trials, columns = len(out), math.prod(out.shape[1:])
+    # the tables are read only where lockstep would pay if no draw missed
+    zig = streams.ziggurat() if _lockstep_pays(trials, columns, 0.0) else None
+    redo = slice(None)
+    if zig is not None and _lockstep_pays(trials, columns, zig.miss):
+        redo = np.flatnonzero(~_lockstep_normals(streams.states(rows), zig,
+                                                 out))
+        if not redo.size:
+            return
+        rows = memoryview(np.frombuffer(rows, np.uint64).reshape(-1, 4)[
+            redo]).cast("B")
+    elif out.flags.c_contiguous:
         streams.draw(rows, out)
         return
-    redo = np.flatnonzero(~_lockstep_normals(streams.states(rows), zig, out))
-    if redo.size:
-        redone = np.empty((redo.size, *out.shape[1:]))
-        streams.draw(memoryview(np.frombuffer(rows, np.uint64).reshape(
-            -1, 4)[redo]).cast("B"), redone)
-        out[redo] = redone
+    redone = np.empty((len(rows) // 32, *out.shape[1:]))
+    streams.draw(rows, redone)
+    out[redo] = redone
 
 
 def _check_draws(n_trials: int, master_seed: int) -> None:
@@ -620,13 +665,16 @@ def _check_initial_var(v) -> float:
 
 
 def _draw_blocks(n_trials: int, rows: int, master_seed: int,
-                 block: int = TRIAL_BLOCK):
+                 block: int = TRIAL_BLOCK, trial_minor: bool = False):
     """Yield (first trial, draws) per ``block`` trials: draws[k] holds trial
     (first + k)'s z in row 0, then its (rows, 2) normals.  Every block
-    reuses one buffer and one :class:`_Streams`; the seeds of as many blocks
-    as fit half a block's bytes at SEED_PASS_BYTES per trial (at least one
-    block) are hashed in one pass."""
-    noise = np.empty((min(n_trials, block), rows + 1, 2))
+    reuses one buffer, trial-major or, if ``trial_minor``, a transposed
+    (rows + 1, 2, trials) array, and one :class:`_Streams`; the seeds of as
+    many blocks as fit half a block's bytes at SEED_PASS_BYTES per trial
+    (at least one block) are hashed in one pass."""
+    n = min(n_trials, block)
+    noise = (np.empty((rows + 1, 2, n)).transpose(2, 0, 1) if trial_minor
+             else np.empty((n, rows + 1, 2)))
     step = block * max(1, noise[0].nbytes // (2 * SEED_PASS_BYTES))
     streams = _Streams()
     for g in range(0, n_trials, step):
@@ -889,6 +937,39 @@ def _merge_moments(acc: list, x: np.ndarray) -> None:
               m2_a + m2_b + delta**2 * (n_a * n_b / n)]
 
 
+def _readout_columns(draws: np.ndarray, r: np.ndarray, rho: np.ndarray,
+                     pairs: list, initial_vars: tuple,
+                     out: np.ndarray) -> np.ndarray:
+    """Each trial's readout integrals, then (with ``pairs``) its conditioned
+    ones, per initial variance, written into the C-contiguous (trials,
+    columns, 2) ``out`` and returned, from the trial-minor (trials, K + 1,
+    2) ``draws`` of :func:`_draw_blocks`, z in row 0.
+
+    The mode integrals y_k = sum_m x_m R[m, k] are summed over every m in
+    order from zero, as einsum "tmc,mk->tkc" sums them, one contiguous
+    (2, trials) row at a time."""
+    x = draws.transpose(1, 2, 0)  # (K + 1, 2, trials), rows contiguous
+    k_modes = len(r)
+    y = np.zeros((k_modes, *x.shape[1:]))
+    t = np.empty(x.shape[1:])
+    for k in range(k_modes):
+        for m in range(k_modes):
+            np.multiply(x[1 + m], r[m, k], out=t)
+            y[k] += t
+    width = 1 + bool(pairs)  # columns per initial variance
+    for j, v in enumerate(initial_vars):
+        u0 = math.sqrt(v) * x[0]
+        read_y = out[:, width * j].T
+        np.multiply(u0, rho[0], out=read_y)
+        read_y += y[0]
+        if pairs:
+            np.multiply(u0, rho[j + 1], out=t)
+            t += y[j + 1]
+            t *= pairs[j][0]
+            np.subtract(read_y, t, out=out[:, width * j + 1].T)
+    return out
+
+
 def _readout_modes(law: tuple, dt: float, read: ModeFunctional, grid,
                    initial_vars: tuple) -> tuple:
     """(R, rho, pairs) of :func:`hybrid_readout` on the record ``law``: the
@@ -950,18 +1031,12 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
     # per initial variance, the readout's and (with pairs) the conditioned
     # integrals' count, means and sums of squared deviations per channel
     acc = [0, 0.0, 0.0]
-    for _, draws in _draw_blocks(n_trials, len(r), master_seed, MODE_BLOCK):
-        y = np.einsum("tmc,mk->tkc", draws[:, 1:], r)
-        z = draws[:, 0]
-        cols = []
-        for j, v in enumerate(initial_vars):
-            u0 = math.sqrt(v) * z
-            read_y = y[:, 0] + rho[0] * u0
-            cols.append(read_y)
-            if pairs:
-                cols.append(read_y - pairs[j][0] * (y[:, j + 1]
-                                                    + rho[j + 1] * u0))
-        _merge_moments(acc, np.stack(cols, axis=1))
+    cols = np.empty((min(n_trials, MODE_BLOCK),
+                     len(initial_vars) * (1 + bool(pairs)), 2))
+    for _, draws in _draw_blocks(n_trials, len(r), master_seed, MODE_BLOCK,
+                                 trial_minor=True):
+        _merge_moments(acc, _readout_columns(draws, r, rho, pairs,
+                                             initial_vars, cols[:len(draws)]))
     var = (acc[2] / (n_trials - 1)).tolist()
     if not pairs:
         return tuple(HybridReadout(tuple(v), None, None, None) for v in var)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from eprsim import records
+from eprsim.cli import main
 from eprsim.errors import (
     InvariantViolationError,
     NoInformationError,
@@ -316,10 +318,13 @@ def ziggurat_tables():
     return streams.ziggurat()
 
 
-def lockstep_columns(zig):
+def lockstep_columns(zig, trials):
     """Most normals per trial for which _draw_normals takes the lockstep
-    pass: the certified path takes at least half the trials."""
-    return math.floor(math.log(0.5) / math.log1p(-zig.miss))
+    pass at ``trials`` trials (records._lockstep_pays)."""
+    columns = 0
+    while records._lockstep_pays(trials, columns + 1, zig.miss):
+        columns += 1
+    return columns
 
 
 def memory_rows(streams, states):
@@ -374,16 +379,16 @@ class TestInPlaceStreams:
                                        None])
     def test_normals_are_default_rngs(self, shape, monkeypatch):
         zig = ziggurat_tables()
-        if shape is None:
-            shape = (lockstep_columns(zig) + 1, 1)
-        lockstep = math.prod(shape) <= lockstep_columns(zig)
         routed = routed_rows(monkeypatch)
         for seeds in (self.SEEDS, self.BLOCK_SEEDS):
+            columns = lockstep_columns(zig, len(seeds))
+            trial = shape or (columns + 1, 1)
+            lockstep = math.prod(trial) <= columns
             routed.clear()
-            out = np.empty((len(seeds), *shape))
+            out = np.empty((len(seeds), *trial))
             records._draw_normals(seeds, out)
             want = np.stack([np.random.default_rng(int(s)).standard_normal(
-                shape) for s in seeds])
+                trial) for s in seeds])
             assert out.tobytes() == want.tobytes()
             # the per-trial loop takes the trials off the certified path,
             # or all of them past the rule
@@ -394,11 +399,13 @@ class TestInPlaceStreams:
 
     def test_fast_path_edges(self, monkeypatch):
         # forged states whose first output is each layer's last certified
-        # magnitude and the next one, of both signs: the latter, and
-        # layers 0 and 1 (never certified), go to the per-trial loop
+        # magnitude and the next one, of both signs: the latter, and layer
+        # 1 (NumPy's ki is 0 there), go to the per-trial loop; layer 0 has
+        # no ratio bound and is certified by bisection
         zig = ziggurat_tables()
         bound = zig.bound[:256].tolist()
-        assert bound[0] == bound[1] == 0 and all(bound[2:])
+        assert bound[1] == 0 and all(bound[:1] + bound[2:])
+        assert 0.9 * 2**52 < bound[0] < 2**52
         assert zig.bound[256:].tolist() == bound
         inc = 0xDA3E39CB94B95BDB_5851F42D4C957F2D | 1
         cases = []  # (first output, sent to the loop)
@@ -426,12 +433,12 @@ class TestInPlaceStreams:
 
     def test_only_last_column_missed(self, monkeypatch):
         # 8 normals per trial whose eighth output alone is off the
-        # certified path (layer 0, then just past layer 7's bound), and one
+        # certified path (layer 1, then just past layer 7's bound), and one
         # whose eighth is the last certified magnitude: the first two go
         # to the per-trial loop
         zig = ziggurat_tables()
         b7 = int(zig.bound[7])
-        lasts = [(5 << 9, True), (7 | b7 << 9, True),
+        lasts = [(1 | 5 << 9, True), (7 | b7 << 9, True),
                  (7 | 1 << 8 | b7 - 1 << 9, False)]
         states = []
         for last, loop in lasts:
@@ -449,6 +456,8 @@ class TestInPlaceStreams:
         streams.rows(self.SEEDS[:1])
         rows = memory_rows(streams, states)
         routed = routed_rows(monkeypatch)
+        # three trials alone would go to the loop by cost
+        monkeypatch.setattr(records, "_lockstep_pays", lambda *args: True)
         out = np.empty((len(states), 4, 2))
         records._draw_normals(None, out, streams, rows)
         want = [numpy_from_state(*s).standard_normal((4, 2)) for s in states]
@@ -492,6 +501,110 @@ class TestInPlaceStreams:
         assert hit.sum() > 10
         assert set(routed) >= {bytes(rows[32 * k:32 * k + 32])
                                for k in np.flatnonzero(hit)}
+
+    @pytest.mark.parametrize("fail_from, bound", [(0, 0), (2**40, 2**40)],
+                             ids=["at-zero", "mid-range"])
+    def test_bisection_bound_is_first_failed_query(self, fail_from, bound,
+                                                   monkeypatch):
+        # layer 0 has no ratio bound, so only the bisection certifies it:
+        # its bound is the first magnitude whose query fails, and a query
+        # that fails at magnitude 0 (every one of the layer's but wi's own
+        # at magnitude 1) leaves it at bound 0; the draws stay NumPy's and
+        # trials with a layer-0 draw past the bound go to the per-trial loop
+        query = records._Streams.query
+
+        def faulty(self, r, inc):
+            value, once = query(self, r, inc)
+            rabs = r >> 9
+            return value, once and not (r & 0xFF == 0 and rabs != 1
+                                        and rabs >= fail_from)
+        monkeypatch.setattr(records, "_ZIGGURAT", None)
+        monkeypatch.setattr(records._Streams, "query", faulty)
+        seeds, shape = self.SEEDS, (4, 2)
+        streams = records._Streams()
+        rows = streams.rows(seeds)
+        zig = streams.ziggurat()
+        assert zig.bound[[0, 256]].tolist() == [bound, bound]
+        assert zig.bound[2:256].all() and zig.bound[1] == 0
+        routed = routed_rows(monkeypatch)
+        out = np.empty((len(seeds), *shape))
+        records._draw_normals(seeds, out, streams, rows)
+        want = np.stack([np.random.default_rng(int(s)).standard_normal(
+            shape) for s in seeds])
+        assert out.tobytes() == want.tobytes()
+        raw = np.stack([np.random.default_rng(int(s)).bit_generator
+                        .random_raw(8) for s in seeds])
+        hit = (((raw & np.uint64(0xFF)) == 0)
+               & (raw >> np.uint64(9) & np.uint64(2**52 - 1)
+                  >= np.uint64(bound))).any(axis=1)
+        assert hit.sum() > 10
+        assert set(routed) >= {bytes(rows[32 * k:32 * k + 32])
+                               for k in np.flatnonzero(hit)}
+
+    @pytest.mark.parametrize("trials, columns, lockstep", [
+        (512, 18, False), (64, 4, False), (4096, 8, True)])
+    def test_lockstep_rule_compares_costs(self, trials, columns, lockstep):
+        # TRIAL_BLOCK trials of 8 bins, a 64-trial readout and a full
+        # block of fig2d's readout
+        zig = ziggurat_tables()
+        assert records._lockstep_pays(trials, columns, zig.miss) == lockstep
+
+    def test_tables_unread_where_lockstep_cannot_pay(self, monkeypatch):
+        # 64 trials of 4 normals go to the loop even if no draw missed, so
+        # the tables are not read for them
+        monkeypatch.setattr(records, "_ZIGGURAT", None)
+        monkeypatch.setattr(records._Streams, "ziggurat", _not_called)
+        assert not records._lockstep_pays(64, 4, 0.0)
+        seeds = self.SEEDS[:64]
+        out = np.empty((len(seeds), 2, 2))
+        records._draw_normals(seeds, out)
+        want = np.stack([np.random.default_rng(int(s)).standard_normal(
+            (2, 2)) for s in seeds])
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lockstep", [True, False],
+                             ids=["lockstep", "loop"])
+    def test_any_out_layout(self, lockstep, monkeypatch):
+        # a trial-minor block draws the bytes of a C-contiguous one on
+        # both branches
+        monkeypatch.setattr(records, "_lockstep_pays",
+                            lambda *args: lockstep)
+        seeds = self.BLOCK_SEEDS
+        c_order = np.empty((len(seeds), 4, 2))
+        minor = np.empty((4, 2, len(seeds))).transpose(2, 0, 1)
+        for out in (c_order, minor):
+            records._draw_normals(seeds, out)
+        assert not minor.flags.c_contiguous
+        assert np.ascontiguousarray(minor).tobytes() == c_order.tobytes()
+
+    def test_block_without_a_miss(self, monkeypatch):
+        # lockstep over trials whose draws are all certified: none is
+        # redrawn
+        monkeypatch.setattr(records, "_lockstep_pays", lambda *args: True)
+        zig = ziggurat_tables()
+        seeds = [s for s in self.SEEDS if certified(
+            zig, np.random.default_rng(int(s)).bit_generator.random_raw(4))
+            .all()][:3]
+        routed = routed_rows(monkeypatch)
+        out = np.empty((len(seeds), 2, 2))
+        records._draw_normals(np.array(seeds, np.uint64), out)
+        want = np.stack([np.random.default_rng(int(s)).standard_normal(
+            (2, 2)) for s in seeds])
+        assert len(seeds) == 3 and not routed
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nbins", [2, 4, 8, 16, 20, 250])
+    def test_simulate_batch_same_on_either_branch(self, nbins, monkeypatch):
+        # the records of two blocks, the last one short, with lockstep
+        # forced and with the loop forced
+        records_bytes = []
+        for lockstep in (True, False):
+            monkeypatch.setattr(records, "_lockstep_pays",
+                                lambda *args, v=lockstep: v)
+            records_bytes.append(simulate_batch(
+                TRIAL_BLOCK + 37, nbins * 0.1, 0.1, LOSSY, MU_NU,
+                2**63 + 5).samples.tobytes())
+        assert records_bytes[0] == records_bytes[1]
 
     def test_vectorised_seeding_is_python_ints(self):
         def carries(row):  # out of the low word in inc + initstate, + inc
@@ -1033,6 +1146,71 @@ def _no_draws(*args):
 
 def _not_called(*args, **kwargs):
     raise AssertionError("called")
+
+
+def einsum_columns(draws, r, rho, pairs, initial_vars, out):
+    """records._readout_columns as one einsum and one np.stack: the
+    referee of its fixed-order products and preallocated columns."""
+    y = np.einsum("tmc,mk->tkc", draws[:, 1:], r)
+    z = draws[:, 0]
+    cols = []
+    for j, v in enumerate(initial_vars):
+        u0 = math.sqrt(v) * z
+        read_y = y[:, 0] + rho[0] * u0
+        cols.append(read_y)
+        if pairs:
+            cols.append(read_y - pairs[j][0] * (y[:, j + 1]
+                                                + rho[j + 1] * u0))
+    return np.stack(cols, axis=1)
+
+
+def artifact_digests(runs, out):
+    """sha256 of every artifact that the CLI ``runs`` write under ``out``."""
+    for k, argv in enumerate(runs):
+        assert main([*argv, "--out", str(out / str(k))]) == 0
+    return {f.relative_to(out): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.rglob("*.*"))}
+
+
+class TestReadoutColumns:
+    @pytest.mark.parametrize("n", [1, 2, records.MODE_BLOCK,
+                                   records.MODE_BLOCK + 7])
+    @pytest.mark.parametrize("k_modes", [1, 2, 3])
+    def test_products_are_einsums(self, k_modes, n):
+        # triangular R with zeros above the diagonal too, at scales from
+        # 1e-300 to 1e300, and draws with signed zeros, for which a sum
+        # that does not start from zero would keep a -0
+        # (one feed mode per initial variance, as hybrid_readout has)
+        rng = np.random.default_rng(100 * k_modes + n)
+        initial_vars = (0.0, 4.0)[:k_modes - 1] or (0.0, 1.0, 4.0)
+        for scale in (1e-300, 1.0, 1e300):
+            r = np.triu(rng.standard_normal((k_modes, k_modes))) * scale
+            r[0, k_modes - 1] = 0.0
+            rho = rng.standard_normal(k_modes)
+            pairs = [(float(a), 0.5) for a in
+                     rng.standard_normal(k_modes - 1)]
+            draws = np.empty((k_modes + 1, 2, n)).transpose(2, 0, 1)
+            draws[...] = rng.standard_normal(draws.shape)
+            draws[::3, 1:] = -0.0
+            draws[1::5, 1:] = 0.0
+            cols = len(initial_vars) * (1 + bool(pairs))
+            got = records._readout_columns(draws, r, rho, pairs,
+                                           initial_vars,
+                                           np.empty((n, cols, 2)))
+            want = einsum_columns(draws, r, rho, pairs, initial_vars, None)
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous
+
+    def test_artifacts_unchanged(self, monkeypatch, tmp_path):
+        # fig2d over two blocks, conditional and reconstruct write the
+        # same bytes as under the einsum/stack referee
+        runs = [["scenario", "fig2d", "--trials",
+                 str(records.MODE_BLOCK + 904), "--seed", "5"],
+                ["conditional", "--trials", "700", "--seed", "3145728"],
+                ["reconstruct", "--trials", "300", "--seed", "9"]]
+        new = artifact_digests(runs, tmp_path / "new")
+        monkeypatch.setattr(records, "_readout_columns", einsum_columns)
+        assert artifact_digests(runs, tmp_path / "einsum") == new
 
 
 class TestHybridReadout:

@@ -118,8 +118,8 @@ def _metadata_block(params: ModelParams | None, seed: int | None,
     lines = [f"# artifact_version={ARTIFACT_VERSION}"]
     if seed is not None:
         lines.append(f"# seed={seed}")
-    if params is not None:
-        compact = json.dumps(dataclasses.asdict(params), sort_keys=True,
+    if params is not None:  # its fields are floats: no asdict deep copy
+        compact = json.dumps(vars(params), sort_keys=True,
                              separators=(",", ":"))
         lines.append(f"# params={compact}")
     for k, v in (extra or {}).items():
@@ -190,7 +190,7 @@ def _emit_report(args, name: str, report: dict, params=None, seed=None):
         if seed is not None:
             doc["seed"] = seed
         if params is not None:
-            doc["params"] = dataclasses.asdict(params)
+            doc["params"] = vars(params)  # as in _metadata_block
         with _open(args, name + ".json") as f:
             f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:

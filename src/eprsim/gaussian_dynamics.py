@@ -92,6 +92,11 @@ _GL_WEIGHTS = np.array([
     0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
     0.22238103445337443, 0.10122853629037706])
+# the rule's node terms 1 - z and (1 - z) / 2, and d(rb + rs)/d(ra, rb)'s
+# constant part
+_GL_GAPS = 1.0 - _GL_NODES
+_GL_HALF_GAPS = 0.5 * _GL_GAPS
+_D_RB = np.array([0.0, 1.0])[:, None, None]
 
 # The CSS covariance, the third corner of every trajectory, and its witness
 _CSS_COV = np.eye(4)
@@ -222,32 +227,36 @@ def _increments(h, g2, rate, partials=False):
         raise InvariantViolationError("moment rates overflow: their "
                                       "integral over an interval is not finite")
     inc = np.zeros(dR.shape)
-    live = dR > 0  # a zero-rate interval leaves x unchanged
+    # a zero-rate interval leaves x unchanged; where none has a zero rate,
+    # a slice picks every interval with views instead of masked copies
+    live = dR > 0
+    live = slice(None) if live.all() else live
     width = -np.expm1(-dR[live])
     # v = -ln(u) / dR at the rule's nodes u = 1 - width (1 - z) / 2
-    u = -0.5 * (width[:, None] * (1.0 - _GL_NODES))
+    u = -0.5 * (width[:, None] * _GL_GAPS)
     v = -np.log1p(u) / dR[live, None]
     ga, gb = g2[:-1, None][live], g2[1:, None][live]
     ra, rb = rate[:-1, None][live], rate[1:, None][live]
     # rate(s)^2 = v ra^2 + (1 - v) rb^2 at the root s = b - f (b - a)
-    rs = np.hypot(np.sqrt(v) * ra, np.sqrt(1.0 - v) * rb)
-    f = v * (ra + rb) / (rb + rs)
-    q = (gb + f * (ga - gb)) / rs
-    inc[live] = 0.5 * width * (q @ _GL_WEIGHTS)
+    w = 1.0 - v
+    rs = np.hypot(np.sqrt(v) * ra, np.sqrt(w) * rb)
+    r_ab, rb_rs, g_ab = ra + rb, rb + rs, ga - gb
+    f = v * r_ab / rb_rs
+    q = (gb + f * g_ab) / rs
+    q_sum = q @ _GL_WEIGHTS
+    inc[live] = 0.5 * width * q_sum
     if not partials:
         return dR, inc
     # d/d rate_a and d/d rate_b: each moves dR by h / 2
     d_width = (1.0 - width) * 0.5 * h[live]
-    d_v = (0.5 * (1.0 - _GL_NODES) * d_width[:, None] / (1.0 + u)
+    d_v = (_GL_HALF_GAPS * d_width[:, None] / (1.0 + u)
            - 0.5 * h[live, None] * v) / dR[live, None]
-    d_rs = (0.5 * d_v * (ra**2 - rb**2) + np.array([v * ra, (1.0 - v) * rb])
-            ) / rs
-    d_f = (d_v * (ra + rb) + v
-           - f * (d_rs + np.array([0.0, 1.0])[:, None, None])) / (rb + rs)
-    d_q = [*((d_f * (ga - gb) - q * d_rs) / rs), f / rs, (1.0 - f) / rs]
+    d_rs = (0.5 * d_v * (ra**2 - rb**2) + np.array([v * ra, w * rb])) / rs
+    d_f = (d_v * r_ab + v - f * (d_rs + _D_RB)) / rb_rs
+    d_q = [*((d_f * g_ab - q * d_rs) / rs), f / rs, (1.0 - f) / rs]
     parts = np.zeros((4, h.size))
     parts[:, live] = 0.5 * width * (np.array(d_q) @ _GL_WEIGHTS)
-    parts[:2, live] += 0.5 * d_width * (q @ _GL_WEIGHTS)
+    parts[:2, live] += 0.5 * d_width * q_sum
     return dR, inc, parts
 
 
@@ -291,12 +300,15 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     g2 = relaxation_rate(params, p2)
     rate = g2 + noise.dephasing + noise.pump_noise_rate(nh)
     dR, inc, *parts = _increments(h, g2, rate, partials=d_rates is not None)
-    decay = np.exp(-dR).tolist()
-    phi, x = [1.0], [0.0]
+    decay = np.exp(-dR)
+    # accumulate is a sequential left fold: the recursion's products
+    phi = np.multiply.accumulate(np.concatenate(([1.0], decay)))
+    decay = decay.tolist()
+    xk, x = 0.0, [0.0]
     for e, dx in zip(decay, inc.tolist()):
-        phi.append(phi[-1] * e)
-        x.append(x[-1] * e + dx)
-    phi, x = np.array(phi), np.array(x)
+        xk = xk * e + dx
+        x.append(xk)
+    x = np.array(x)
     tol = 1e-8  # slack on the simplex: the covariance check's atol
     if not ((phi >= -tol) & (x >= -tol) & (phi + x <= 1.0 + tol)).all():
         raise InvariantViolationError(
@@ -315,14 +327,16 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
         d_dR = 0.5 * h * (d_rate[:, :-1] + d_rate[:, 1:])
         d_inc = (ra * d_rate[:, :-1] + rb * d_rate[:, 1:]
                  + ga * d_g2[:, :-1] + gb * d_g2[:, 1:])
-        rows = [[0.0] * len(d_dR)]  # d_x, one list of P per time
-        for e, xk, a, b in zip(decay, x.tolist(), d_dR.T.tolist(),
-                               d_inc.T.tolist()):
-            rows.append([(y - xk * da) * e + di
-                         for y, da, di in zip(rows[-1], a, b)])
+        d_x, xs = np.empty((len(d_dR), grid.size)), x.tolist()
+        for row, a, b in zip(d_x, d_dR.tolist(), d_inc.tolist()):
+            y, col = 0.0, [0.0]  # one direction's d_x recursion
+            for e, xk, da, di in zip(decay, xs, a, b):
+                y = (y - xk * da) * e + di
+                col.append(y)
+            row[:] = col
         d_phi = np.zeros((len(d_dR), grid.size))
         d_dR.cumsum(axis=1, out=d_phi[:, 1:])
-        d_weights = (-phi * d_phi, np.array(rows).T)
+        d_weights = (-phi * d_phi, d_x)
     return Trajectory(times=grid, phi=phi, x=x, initial=initial,
                       target=two_mode_squeezed_cov(params.mu, params.nu),
                       populations=populations, d_weights=d_weights)

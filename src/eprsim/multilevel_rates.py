@@ -151,7 +151,8 @@ class PopulationSeries:
             raise InvariantViolationError("population series lengths differ")
         _check_populations(self.n44, self.n43, self.nh)
         self.n2_frac = self.n44 + self.n43
-        self.p2_tilde = np.abs(self.n44 - self.n43)
+        diff = self.n44 - self.n43
+        self.p2_tilde = np.abs(diff)
         self.p2 = np.divide(self.p2_tilde, self.n2_frac,
                             out=np.zeros(self.n2_frac.shape),
                             where=self.n2_frac > 0)
@@ -159,7 +160,7 @@ class PopulationSeries:
         if self.tangents is not None:
             d44, d43, _ = self.tangents
             self.d_n2, self.d_jx = d44 + d43, 4.0 * d44 + 3.0 * d43
-            self.d_p2_tilde = np.sign(self.n44 - self.n43) * (d44 - d43)
+            self.d_p2_tilde = np.sign(diff) * (d44 - d43)
 
     def state(self, k: int) -> PopulationState:
         """PopulationState at ``times[k]``."""
@@ -257,10 +258,12 @@ def propagate_populations(initial: PopulationState, rates: RateSet,
         live = norm > 0
         k = np.count_nonzero(live)
         scale = (np.abs(a).sum(axis=0).max() or 1.0) / norm[live]
-        block = np.zeros((k + 1, 3, k + 1, 3))  # (k + 1)^2 blocks of 3 x 3
-        block[range(k + 1), :, range(k + 1)] = a
-        block[0, :, 1:] = (d_a[live] * scale[:, None, None]).transpose(1, 0, 2)
-        e = _expm_grid(block.reshape(3 * k + 3, -1), t)[:, :3]
+        block = np.zeros((3 * k + 3, 3 * k + 3))  # (k + 1)^2 blocks of 3 x 3
+        for i in range(0, 3 * k + 3, 3):
+            block[i:i + 3, i:i + 3] = a
+        block[:3, 3:] = (d_a[live] * scale[:, None, None]).transpose(
+            1, 0, 2).reshape(3, -1)
+        e = _expm_grid(block, t)[:, :3]
         sol = (e[:, :, :3] @ n0).T
         d_sol = np.zeros((3, len(d_a), t.size))
         d_sol[:, live] = (e[:, :, 3:].reshape(t.size, 3, k, 3) @ n0

@@ -23,7 +23,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,7 +172,8 @@ class ModelParams:
         return dataclasses.replace(self, **kwargs)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        # every field is a float: its dict needs no asdict deep copy
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":

@@ -1,11 +1,15 @@
 import dataclasses
+import hashlib
+import math
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from eprsim import estimation, gaussian_dynamics, multilevel_rates
+from eprsim.cli import main
 from eprsim.errors import (
     FitFailureError,
     IdentifiabilityError,
@@ -28,7 +32,11 @@ from eprsim.multilevel_rates import (
 )
 from eprsim.spin_model import GaussianState, two_mode_squeezed_cov
 
-from test_gaussian_dynamics import count_state_checks
+from test_gaussian_dynamics import (
+    count_state_checks,
+    list_loop_propagate_moments,
+    mask_increments,
+)
 from test_spin_model import make_params
 
 POP0 = PopulationState(n44=0.99, n43=0.01, nh=0.0)
@@ -650,6 +658,139 @@ class TestSolver:
             bounds=(np.array([-10.0]), np.array([10.0])))
         assert sol.success and np.isfinite(sol.fun).all()
         assert 1.9 < sol.x[0] < 2.0 and sol.njev < sol.nfev
+
+
+def masked_least_squares(fun, x0, bounds):
+    """``estimation.least_squares`` as it was before the unmasked step:
+    every step solves on the boolean-indexed copies of A, g and the scale
+    and scatters the result, also when no variable is held at a bound.
+    Kept as a same-bits referee."""
+    lo, hi = bounds
+    x = np.array(x0, dtype=float)
+    f, J = fun(x)
+    cost, nfev, njev, status = 0.5 * float(f @ f), 1, 1, None
+    max_nfev = estimation._NFEV_PER_PARAMETER * x.size
+    scale = np.maximum(np.abs(x), 1e-3)
+    mu, nu = 1e-6 * float(np.max(np.sum((J * scale) ** 2, axis=0))), 2.0
+    while True:
+        g = J.T @ f
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        if np.abs(g[free]).max(initial=0.0) < estimation._GTOL:
+            status = 1
+        if status is not None or nfev >= max_nfev:
+            break
+        A = J.T @ J
+        while True:
+            dx = np.zeros(x.shape)
+            dx[free] = np.linalg.solve(A[free][:, free]
+                                       + np.diag(mu / scale[free]**2),
+                                       -g[free])
+            x_new = (x + dx).clip(lo, hi)
+            dx = x_new - x
+            f_new, J_new = fun(x_new)
+            nfev += 1
+            cost_new = (0.5 * float(f_new @ f_new)
+                        if np.isfinite(f_new).all() else np.inf)
+            short = (math.sqrt(dx.dot(dx)) < estimation._XTOL
+                     * (estimation._XTOL + math.sqrt(x.dot(x))))
+            if cost_new < cost:
+                break
+            mu, nu = mu * nu, 2.0 * nu
+            if short:
+                status = 3
+            if short or nfev >= max_nfev:
+                break
+        if cost_new >= cost:
+            break
+        predicted = -float(g @ dx + 0.5 * dx @ A @ dx)
+        ratio = (cost - cost_new) / predicted if predicted > 0 else 0.0
+        mu, nu = mu * max(1 / 3, 1 - (2 * min(ratio, 1.0) - 1) ** 3), 2.0
+        fstop = cost - cost_new < estimation._FTOL * cost and ratio > 0.25
+        if fstop or short:
+            status = 4 if fstop and short else 2 if fstop else 3
+        x, f, J, cost = x_new, f_new, J_new, cost_new
+        njev += 1
+    if status is None:
+        status = 0
+    return SimpleNamespace(x=x, fun=f, jac=J, cost=cost, nfev=nfev,
+                           njev=njev, status=status, success=status > 0,
+                           message=estimation._STOPS[status])
+
+
+class TestSameBitsReferees:
+    """The unmasked solver step, the per-direction recursions and the
+    slice-indexed increments change no floating-point operation, so the
+    fits and the artifacts keep their bits."""
+
+    @pytest.mark.parametrize("problem", [
+        lambda: _criterion_8(False), lambda: _criterion_8(True),
+        lambda: _noisy_problem(**_PUMP_AT_BOUND)],
+        ids=["noise-free", "noisy", "held-at-bound"])
+    def test_solver_matches_masked_step(self, problem, monkeypatch):
+        problem = problem()
+        _, sol = _solve(problem, monkeypatch)
+        _, ref = _solve(problem, monkeypatch, solve=masked_least_squares)
+        for name in ("x", "fun", "jac"):
+            got, want = getattr(sol, name), getattr(ref, name)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        for name in ("nfev", "njev", "status", "cost"):
+            assert getattr(sol, name) == getattr(ref, name), name
+
+    def test_artifacts_unchanged(self, monkeypatch, tmp_path):
+        # the CLI writes the same bytes with the referees in place of the
+        # solver step, the moment recursions and the increments
+        truth = make_params()
+        grid = np.linspace(0.0, 40.0, 41)
+        xi, jx, _, _ = forward_model(truth, POP0, grid)
+        rng = np.random.default_rng(5)
+
+        def observed(name, xi, xi_err, jx, jx_err, rows=slice(None)):
+            path = tmp_path / name
+            path.write_text("t,xi,xi_err,jx_norm,jx_err\n" + "".join(
+                ",".join(f"{v:.17g}" for v in row) + "\n"
+                for row in zip(*(np.broadcast_to(c, grid.shape)[rows]
+                                 for c in (grid, xi, xi_err, jx, jx_err)))))
+            return str(path)
+
+        exact = observed("exact.csv", xi, 0.01, jx, 0.005,
+                         slice(None, None, 2))
+        noisy = observed(
+            "noisy.csv", xi * (1.0 + 0.05 * rng.standard_normal(xi.size)),
+            0.05 * xi, jx * (1.0 + 0.05 * rng.standard_normal(jx.size)),
+            0.05 * jx)
+        pumped = truth.replace(Gamma_pump=0.05, Gamma_L_out=0.002)
+        p_xi, p_jx, _, _ = forward_model(pumped, POP0, grid, pump=True)
+        pump_obs = observed("pumped.csv", p_xi, 0.01, p_jx, 0.005)
+        start, p_start = tmp_path / "start.json", tmp_path / "p_start.json"
+        start.write_text(truth.replace(d=40.0, Gamma_col=0.004,
+                                       Gamma_tilde=0.15).to_json())
+        p_start.write_text(pumped.replace(
+            d=40.0, Gamma_col=0.004, Gamma_tilde=0.15, Gamma_pump=0.04,
+            Gamma_L_out=0.003).to_json())
+        three = ["--free", "d", "Gamma_col", "Gamma_tilde"]
+        runs = [["fit", exact, "--params", str(start), *three],
+                ["fit", noisy, "--params", str(start), *three,
+                 "--format", "json"],
+                ["fit", pump_obs, "--params", str(p_start), "--pump",
+                 "--free", *FITTABLE, "--format", "json"],
+                ["simulate", "--params", str(p_start), "--pump"],
+                ["populations", "--grid", "0,100,0.01"],
+                *(["scenario", name] for name in ("fig2a", "fig2b", "fig2c"))]
+
+        def digests(out):
+            for k, argv in enumerate(runs):
+                assert main([*argv, "--out", str(out / str(k))]) == 0
+            return {f.relative_to(out): hashlib.sha256(f.read_bytes())
+                    .hexdigest() for f in sorted(out.rglob("*.*"))}
+        new = digests(tmp_path / "new")
+        assert len(new) == 15
+        monkeypatch.setattr(estimation, "least_squares", masked_least_squares)
+        monkeypatch.setattr(gaussian_dynamics, "_increments", mask_increments)
+        for module in (gaussian_dynamics, estimation):
+            monkeypatch.setattr(module, "propagate_moments",
+                                list_loop_propagate_moments)
+        assert digests(tmp_path / "referees") == new
 
 
 # replicates of criterion 8's noisy fit; the bounds are 4 standard errors

@@ -434,3 +434,169 @@ class TestPopulationsOnGrid:
                                          self.GRID, populations=pops)
                        for pops in (None, self.full(self.GRID)))
         assert plain.xi.tobytes() == full.xi.tobytes()
+
+
+def mask_increments(h, g2, rate, partials=False):
+    """The engine's increments as they were computed before the slice
+    branch: every interval through a boolean mask, the partials' terms
+    formed afresh.  Kept as a same-bits referee."""
+    with np.errstate(over="ignore"):
+        dR = 0.5 * h * (rate[:-1] + rate[1:])
+    if not np.isfinite(dR).all():
+        raise InvariantViolationError("moment rates overflow")
+    inc = np.zeros(dR.shape)
+    live = dR > 0
+    width = -np.expm1(-dR[live])
+    u = -0.5 * (width[:, None] * (1.0 - gd._GL_NODES))
+    v = -np.log1p(u) / dR[live, None]
+    ga, gb = g2[:-1, None][live], g2[1:, None][live]
+    ra, rb = rate[:-1, None][live], rate[1:, None][live]
+    rs = np.hypot(np.sqrt(v) * ra, np.sqrt(1.0 - v) * rb)
+    f = v * (ra + rb) / (rb + rs)
+    q = (gb + f * (ga - gb)) / rs
+    inc[live] = 0.5 * width * (q @ gd._GL_WEIGHTS)
+    if not partials:
+        return dR, inc
+    d_width = (1.0 - width) * 0.5 * h[live]
+    d_v = (0.5 * (1.0 - gd._GL_NODES) * d_width[:, None] / (1.0 + u)
+           - 0.5 * h[live, None] * v) / dR[live, None]
+    d_rs = (0.5 * d_v * (ra**2 - rb**2) + np.array([v * ra, (1.0 - v) * rb])
+            ) / rs
+    d_f = (d_v * (ra + rb) + v
+           - f * (d_rs + np.array([0.0, 1.0])[:, None, None])) / (rb + rs)
+    d_q = [*((d_f * (ga - gb) - q * d_rs) / rs), f / rs, (1.0 - f) / rs]
+    parts = np.zeros((4, h.size))
+    parts[:, live] = 0.5 * width * (np.array(d_q) @ gd._GL_WEIGHTS)
+    parts[:2, live] += 0.5 * d_width * (q @ gd._GL_WEIGHTS)
+    return dR, inc, parts
+
+
+def list_loop_propagate_moments(initial, params, noise, grid,
+                                populations=None, d_rates=None):
+    """propagate_moments as it was before the per-direction recursions: phi
+    and x in one scalar loop, d_x as one list of P values per time, the
+    increments from ``mask_increments``.  Kept as a same-bits referee."""
+    grid = np.asarray(grid, dtype=float)
+    h = grid[1:] - grid[:-1]
+    p2, nh = gd._population_rates(populations, grid)
+    g2 = relaxation_rate(params, p2)
+    rate = g2 + noise.dephasing + noise.pump_noise_rate(nh)
+    dR, inc, *parts = mask_increments(h, g2, rate,
+                                      partials=d_rates is not None)
+    decay = np.exp(-dR).tolist()
+    phi, x = [1.0], [0.0]
+    for e, dx in zip(decay, inc.tolist()):
+        phi.append(phi[-1] * e)
+        x.append(x[-1] * e + dx)
+    phi, x = np.array(phi), np.array(x)
+    phi, x = phi.clip(0.0, 1.0), x.clip(0.0, 1.0)
+    d_weights = None
+    if d_rates is not None:
+        d_p2 = d_nh = 0.0
+        if populations is not None and populations.tangents is not None:
+            d_p2, d_nh = populations.d_p2_tilde, populations.tangents[2]
+        dd, d_deph, d_refill = np.asarray(d_rates).reshape(-1, 3).T[:, :, None]
+        d_g2 = params.Gamma * (dd * p2 + params.d * d_p2)
+        d_rate = (d_g2 + d_deph + d_refill * np.maximum(0.0, nh)
+                  + noise.pump_refill * (nh > 0) * d_nh)
+        ra, rb, ga, gb = parts[0]
+        d_dR = 0.5 * h * (d_rate[:, :-1] + d_rate[:, 1:])
+        d_inc = (ra * d_rate[:, :-1] + rb * d_rate[:, 1:]
+                 + ga * d_g2[:, :-1] + gb * d_g2[:, 1:])
+        rows = [[0.0] * len(d_dR)]
+        for e, xk, a, b in zip(decay, x.tolist(), d_dR.T.tolist(),
+                               d_inc.T.tolist()):
+            rows.append([(y - xk * da) * e + di
+                         for y, da, di in zip(rows[-1], a, b)])
+        d_phi = np.zeros((len(d_dR), grid.size))
+        d_dR.cumsum(axis=1, out=d_phi[:, 1:])
+        d_weights = (-phi * d_phi, np.array(rows).T)
+    return Trajectory(times=grid, phi=phi, x=x, initial=initial,
+                      target=two_mode_squeezed_cov(params.mu, params.nu),
+                      populations=populations, d_weights=d_weights)
+
+
+def same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestSameBitsReferees:
+    """The per-direction recursions, phi by np.multiply.accumulate and the
+    slice-indexed increments make the referees' floating-point operations
+    in the referees' order, so they give the same bits."""
+
+    @staticmethod
+    def setup(pump, n_dirs, n_points, zero_rates):
+        from eprsim.multilevel_rates import (
+            PopulationState,
+            propagate_populations,
+            transition_rates,
+        )
+        rng = np.random.default_rng(7 * n_dirs + n_points + 3 * pump)
+        grid = np.linspace(0.0, 40.0, n_points)
+        if zero_rates:
+            # p2_tilde is 0 on the first two points at least, and the
+            # dephasing and the hidden level are 0, so the first interval
+            # has zero rate (the mask branch)
+            params = make_params(Gamma_tilde=0.0)
+            p2 = np.linspace(0.0, 1.0, grid.size)
+            p2[:max(2, grid.size // 3)] = 0.0
+            tangents = rng.standard_normal((3, n_dirs, grid.size))
+            tangents[:, :, p2 == 0] = 0.0
+            pops = PopulationSeries(times=grid, n44=0.5 + 0.5 * p2,
+                                    n43=0.5 - 0.5 * p2,
+                                    nh=np.zeros(grid.size),
+                                    tangents=tangents)
+            noise = NoiseChannels(pump_refill=0.5 if pump else 0.0)
+        else:
+            params = make_params(Gamma_pump=0.168 if pump else 0.0)
+            pops = propagate_populations(
+                PopulationState(n44=0.8, n43=0.1, nh=0.1),
+                transition_rates(params, pump=pump), grid,
+                d_rates=rng.standard_normal((n_dirs, 5)))
+            noise = NoiseChannels.from_params(params, pump=pump)
+        return params, noise, grid, pops, rng.standard_normal((n_dirs, 3))
+
+    @pytest.mark.parametrize("zero_rates", [False, True],
+                             ids=["slice", "mask"])
+    @pytest.mark.parametrize("n_points", [2, 3, 41, 401])
+    @pytest.mark.parametrize("n_dirs", [1, 2, 3, 5])
+    @pytest.mark.parametrize("pump", [False, True], ids=["no-pump", "pump"])
+    def test_trajectory_matches_list_loop(self, pump, n_dirs, n_points,
+                                          zero_rates):
+        params, noise, grid, pops, d_rates = self.setup(
+            pump, n_dirs, n_points, zero_rates)
+        start = GaussianState(mean=np.zeros(4),
+                              cov=two_mode_squeezed_cov(params.mu, params.nu))
+        for initial in (css_state(), start):
+            got = propagate_moments(initial, params, noise, grid,
+                                    populations=pops, d_rates=d_rates)
+            want = list_loop_propagate_moments(
+                initial, params, noise, grid, populations=pops,
+                d_rates=d_rates)
+            for name in ("phi", "x", "xi", "d_xi"):
+                same_bits(getattr(got, name), getattr(want, name))
+            for g, w in zip(got.d_weights, want.d_weights):
+                same_bits(g, w)
+            assert (got.phi[1] == 1.0) == zero_rates
+            plain = propagate_moments(initial, params, noise, grid,
+                                      populations=pops)
+            same_bits(plain.phi, want.phi)
+            same_bits(plain.x, want.x)
+
+    @pytest.mark.parametrize("zero_rates", [False, True],
+                             ids=["slice", "mask"])
+    @pytest.mark.parametrize("n_points", [2, 3, 41, 401])
+    def test_increments_match_mask_referee(self, n_points, zero_rates):
+        rng = np.random.default_rng(n_points)
+        h = rng.uniform(0.01, 2.0, n_points - 1)
+        rate = rng.uniform(0.0, 5.0, n_points)
+        if zero_rates:
+            rate[: max(2, n_points // 3)] = 0.0
+        g2 = rate * rng.uniform(0.0, 1.0, n_points)
+        for partials in (False, True):
+            got = gd._increments(h, g2, rate, partials=partials)
+            want = mask_increments(h, g2, rate, partials=partials)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                same_bits(g, w)

@@ -217,6 +217,36 @@ def _van_loan_block():
     return block
 
 
+class TestVanLoanBlock:
+    @pytest.mark.parametrize("n_dirs", [1, 3, 5])
+    @pytest.mark.parametrize("pump", [False, True], ids=["no-pump", "pump"])
+    def test_block_is_the_fancy_indexed_one(self, pump, n_dirs,
+                                            monkeypatch):
+        # the block built by slices holds the bits of the (k + 1, 3, k + 1,
+        # 3) array filled by fancy indexing, for every live direction
+        rates = transition_rates(make_params(Gamma_pump=0.168), pump=pump)
+        d_rates = np.random.default_rng(n_dirs).standard_normal((n_dirs, 5))
+        d_rates[0] = 0.0  # a direction that moves no rate is left out
+        blocks, expm_grid = [], mr._expm_grid
+
+        def kept(a, t):
+            blocks.append(a.copy())
+            return expm_grid(a, t)
+        monkeypatch.setattr(mr, "_expm_grid", kept)
+        propagate_populations(POP0, rates, np.linspace(0.0, 40.0, 41),
+                              d_rates=d_rates)
+        a = rate_matrix(rates)
+        d_a = np.array([mr._generator(*d) for d in d_rates])
+        norm = np.abs(d_a).sum(axis=1).max(axis=1)
+        live = norm > 0
+        k = np.count_nonzero(live)
+        scale = np.abs(a).sum(axis=0).max() / norm[live]
+        want = np.zeros((k + 1, 3, k + 1, 3))
+        want[range(k + 1), :, range(k + 1)] = a
+        want[0, :, 1:] = (d_a[live] * scale[:, None, None]).transpose(1, 0, 2)
+        assert blocks[0].tobytes() == want.reshape(3 * k + 3, -1).tobytes()
+
+
 class TestExpmGrid:
     @pytest.mark.parametrize("a", [rate_matrix(PUMPED), _van_loan_block()],
                              ids=["3x3", "6x6"])

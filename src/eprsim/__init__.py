@@ -1,30 +1,37 @@
 """Dissipative entanglement of two atomic ensembles: Gaussian moment
 dynamics, multilevel rate equations, light readout, stochastic measurement
-records and parameter estimation."""
+records and parameter estimation.
+
+The exported names load their module on first access (PEP 562), so
+``import eprsim`` alone imports no engine and no numpy."""
 
 __version__ = "0.1.0"
 
-from .spin_model import (
-    ModelParams,
-    GaussianState,
-    EprReport,
-    bogoliubov_amplitudes,
-    epr_variance,
-    css_state,
-)
-from .gaussian_dynamics import NoiseChannels, Trajectory, propagate_moments
-from .multilevel_rates import PopulationState, RateSet, propagate_populations
-from .light_readout import LossParams, reconstruct_atomic_variance
-from .records import ModeFunctional, conditional_variance, optimize_gain
-from .estimation import FitProblem, fit_parameters, calibrate_pn, orientation
-from .scenarios import run_scenario, scenario_params
+_EXPORTS = {
+    "spin_model": ("ModelParams", "GaussianState", "EprReport",
+                   "bogoliubov_amplitudes", "epr_variance", "css_state"),
+    "gaussian_dynamics": ("NoiseChannels", "Trajectory", "propagate_moments"),
+    "multilevel_rates": ("PopulationState", "RateSet",
+                         "propagate_populations"),
+    "light_readout": ("LossParams", "reconstruct_atomic_variance"),
+    "records": ("ModeFunctional", "conditional_variance", "optimize_gain"),
+    "estimation": ("FitProblem", "fit_parameters", "calibrate_pn",
+                   "orientation"),
+    "scenarios": ("run_scenario", "scenario_params"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ModelParams", "GaussianState", "EprReport", "bogoliubov_amplitudes",
-    "epr_variance", "css_state", "NoiseChannels", "Trajectory",
-    "propagate_moments", "PopulationState", "RateSet",
-    "propagate_populations", "LossParams", "reconstruct_atomic_variance",
-    "ModeFunctional", "conditional_variance", "optimize_gain", "FitProblem",
-    "fit_parameters", "calibrate_pn", "orientation", "run_scenario",
-    "scenario_params",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -5,6 +5,9 @@ fit, orientation, scenario.  Exit codes: 0 success, 2 usage error,
 3 numerical failure, 4 invariant violation.  Every artifact starts with a
 metadata comment block (# key=value) recording the parameters, the seed and
 the artifact version, so identical invocations yield byte-identical files.
+
+Importing this module loads only what the parser needs; each handler
+imports the engines it runs, so a subcommand never loads another's.
 """
 
 from __future__ import annotations
@@ -31,27 +34,11 @@ from .errors import (
     NoInformationError,
     StatisticsError,
 )
-from .estimation import (
-    CalibrationPoint,
-    FitProblem,
-    calibrate_pn,
-    fit_parameters,
-    forward_model,
-    orientation,
-)
-from .gaussian_dynamics import series_columns, trajectory_to_csv
-from .light_readout import (
-    LossParams,
-    closed_form_calibration,
-    invert_readout,
-    readout_kappa_sq,
-)
 from .multilevel_rates import (
     PopulationState,
     propagate_populations,
     transition_rates,
 )
-from .records import MAX_DT_GAMMA, hybrid_readout
 from .scenarios import (
     INITIAL_POP,
     READOUT_DEFAULTS,
@@ -222,6 +209,8 @@ def _initial_pop(args) -> PopulationState:
 
 
 def _cmd_simulate(args) -> int:
+    from .estimation import forward_model
+    from .gaussian_dynamics import trajectory_to_csv
     params = _load_params(args)
     grid = _parse_grid(args.grid)
     traj = forward_model(params, _initial_pop(args), grid, pump=args.pump)[2]
@@ -231,6 +220,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_populations(args) -> int:
+    from .gaussian_dynamics import series_columns
     params = _load_params(args)
     grid = _parse_grid(args.grid)
     rates = transition_rates(params, pump=args.pump)
@@ -246,6 +236,7 @@ def _check_record_options(args, gamma: float) -> None:
     times record length and --dt-ms times ``gamma`` at most MAX_DT_GAMMA
     (aliasing, checked whether or not records are drawn), and --trials >= 1
     (conditional: >= 2)."""
+    from .records import MAX_DT_GAMMA
     flags = {"--probe-ms": args.probe_ms, "--dt-ms": args.dt_ms}
     conditional = "handover_ms" in args  # its probe window starts there
     if conditional:
@@ -272,6 +263,8 @@ def _check_record_options(args, gamma: float) -> None:
 def _readout_calibration(args, params: ModelParams) -> tuple:
     """(loss, mu_nu, kappa_sq, slope, floor): the closed-form calibration of
     the --probe-ms window, after the rates and record options are checked."""
+    from .light_readout import (LossParams, closed_form_calibration,
+                                readout_kappa_sq)
     loss = LossParams(gamma_s=args.gamma_s, gamma_extra=args.gamma_extra,
                       eta=params.eta)
     _check_record_options(args, loss.gamma)
@@ -282,6 +275,8 @@ def _readout_calibration(args, params: ModelParams) -> tuple:
 
 
 def _cmd_reconstruct(args) -> int:
+    from .light_readout import invert_readout
+    from .records import hybrid_readout
     params = _load_params(args)
     loss, mu_nu, kappa_sq, slope, floor = _readout_calibration(args, params)
     T = args.probe_ms
@@ -304,6 +299,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_conditional(args) -> int:
+    from .light_readout import invert_readout
+    from .records import hybrid_readout
     params = _load_params(args)
     loss, mu_nu, kappa_sq, slope, floor = _readout_calibration(args, params)
     T, probe = args.handover_ms, args.probe_ms
@@ -325,6 +322,7 @@ def _cmd_conditional(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from .estimation import CalibrationPoint, calibrate_pn
     rows = _read_rows(args.points, "theta", (2, 3), "theta,xi0[,weight]")
     points = [CalibrationPoint(*r) for r in rows]
     a, b, frac = calibrate_pn(points)
@@ -334,6 +332,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .estimation import FitProblem, fit_parameters
     params = _load_params(args)
     data = np.array(_read_rows(args.observed, "t", (5,),
                                "t,xi,xi_err,jx_norm,jx_err"))
@@ -356,6 +355,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_orientation(args) -> int:
+    from .estimation import orientation
     p = [float(x) for x in args.populations.split(",")]
     o = orientation(p)
     _emit_report(args, "orientation", {"orientation": o})
@@ -381,8 +381,9 @@ def _cmd_scenario(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and reused by every later one.
 
-    Handlers are bound at that build, so tests patch module globals such as
-    ``cli.hybrid_readout``, never ``cli._cmd_*``; no default is mutable."""
+    Handlers are bound at that build, and each imports the engine it runs
+    when called, so tests patch the engine module (``records.hybrid_readout``),
+    never ``cli._cmd_*``; no default is mutable."""
     ap = argparse.ArgumentParser(
         prog="eprsim",
         description="Two-ensemble dissipative entanglement simulator",

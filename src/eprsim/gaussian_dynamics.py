@@ -63,7 +63,6 @@ __all__ = [
     "NoiseChannels",
     "Trajectory",
     "relaxation_rate",
-    "moment_derivative",
     "propagate_moments",
     "series_columns",
     "trajectory_to_csv",
@@ -195,23 +194,6 @@ class Trajectory:
 def relaxation_rate(params: ModelParams, p2_tilde: float = 1.0) -> float:
     """Covariance relaxation rate 2*gamma_c of the engineered dissipation."""
     return params.d * params.Gamma * p2_tilde
-
-
-def moment_derivative(state: GaussianState, params: ModelParams,
-                      noise: NoiseChannels, p2_tilde: float = 1.0,
-                      nh_frac: float = 0.0):
-    """Time derivative (dmean, dcov) of a Gaussian state.
-
-    ``p2_tilde`` = N2 P2 / N throttles the collective rate when the
-    population model is coupled in; 1.0 is the fully polarised two-level
-    limit.  ``nh_frac`` feeds the pump noise channel.
-    """
-    g2 = relaxation_rate(params, p2_tilde)
-    css = noise.dephasing + noise.pump_noise_rate(nh_frac)
-    target = two_mode_squeezed_cov(params.mu, params.nu)
-    dmean = -(0.5 * g2 + 0.5 * css) * state.mean
-    dcov = -g2 * (state.cov - target) - css * (state.cov - np.eye(4))
-    return dmean, dcov
 
 
 def _increments(h, g2, rate, partials=False):

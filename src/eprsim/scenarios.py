@@ -6,7 +6,9 @@ Every number in a fixture is either a published value (comment gives the
 source quantity) or marked "assumption" where the publication leaves it
 open.  A scenario returns a report dict and, per artifact file, named
 columns (arrays, or strings for a label column), so the CLI can write them
-without further knowledge of the physics.
+without further knowledge of the physics.  Each ``_run_fig2*`` imports the
+engines it runs; the module itself loads only the rate model, for
+``INITIAL_POP``.
 """
 
 from __future__ import annotations
@@ -17,15 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EprSimError
-from .estimation import forward_model
-from .gaussian_dynamics import trajectory_to_csv
-from .light_readout import LossParams, invert_readout, require_information
 from .multilevel_rates import PopulationState
-from .records import (
-    ModeFunctional,
-    discrete_calibration,
-    hybrid_readout,
-)
 from .spin_model import ModelParams, bogoliubov_amplitudes
 
 __all__ = [
@@ -115,6 +109,8 @@ def _sub_unity_window(times, xi):
 
 
 def _run_fig2a(params, grid):
+    from .estimation import forward_model
+    from .gaussian_dynamics import trajectory_to_csv
     xi_ml, _, traj, _ = forward_model(params, INITIAL_POP, grid)
     window = _sub_unity_window(grid, xi_ml)
     report = {
@@ -130,6 +126,7 @@ def _run_fig2a(params, grid):
 
 
 def _run_fig2b(params, grid):
+    from .estimation import forward_model
     xi_on = forward_model(params, INITIAL_POP, grid)[0]
     # Drive off: no engineered dissipation, rate model loses the drive terms.
     dark = params.replace(Gamma=0.0)
@@ -148,6 +145,7 @@ def _run_fig2b(params, grid):
 
 def _dark_decay(params, state0, pop0, horizon=8.0, dt=0.05):
     """Drive switched off after generation: relax under dark dephasing."""
+    from .estimation import forward_model
     dark = params.replace(Gamma=0.0, Gamma_tilde=_DARK_DEPHASING)
     grid = inclusive_range(0.0, horizon, dt)
     return grid, forward_model(dark, pop0, grid, initial_state=state0)[0]
@@ -168,6 +166,7 @@ def _deficit_efold_time(times, xi):
 
 
 def _run_fig2c(params, grid):
+    from .estimation import forward_model
     xi_pump, _, traj, pops = forward_model(params, INITIAL_POP, grid,
                                            pump=True)
     xi_nopump = forward_model(params, INITIAL_POP, grid)[0]
@@ -209,6 +208,8 @@ _F2D_GRID = inclusive_range(READOUT_DEFAULTS["gm_min"],
 
 
 def _run_fig2d(params, seed, trials):
+    from .light_readout import LossParams, invert_readout, require_information
+    from .records import ModeFunctional, discrete_calibration, hybrid_readout
     rd = READOUT_DEFAULTS
     loss = LossParams(rd["gamma_s"], rd["gamma_extra"], params.eta)
     probe, dt = rd["probe_ms"], rd["dt_ms"]

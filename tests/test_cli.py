@@ -794,6 +794,9 @@ import json, sys
 def loaded(*names):
     return sorted(m for m in sys.modules
                   if m in names or m.split(".")[0] in names)
+import eprsim
+# the package alone: its exports load on first access
+package_alone = loaded("eprsim", "numpy")
 import numpy
 # NumPy 1 imports numpy.polynomial itself; only NumPy 2 loads it lazily
 numpy_loads_polynomial = "numpy.polynomial" in sys.modules
@@ -803,7 +806,8 @@ if not numpy_loads_polynomial:
 import eprsim.cli
 at_import = loaded(*watched)
 parsers_at_import = eprsim.cli._build_parser.cache_info().currsize
-codes = []
+eprsim_at_import = loaded("eprsim")
+codes, eprsim_after = [], []
 for argv in json.loads(sys.argv[1]):
     if argv == ["forward_model"]:
         import numpy as np
@@ -828,7 +832,10 @@ for argv in json.loads(sys.argv[1]):
         codes.append(0)
     else:
         codes.append(eprsim.cli.main(argv))
-print(json.dumps({"at_import": at_import,
+    eprsim_after.append(loaded("eprsim"))
+print(json.dumps({"package_alone": package_alone, "at_import": at_import,
+                  "eprsim_at_import": eprsim_at_import,
+                  "eprsim_after": eprsim_after,
                   "parsers_at_import": parsers_at_import, "codes": codes,
                   "parser_builds": eprsim.cli._build_parser.cache_info().misses,
                   "after": loaded("scipy"),
@@ -842,8 +849,10 @@ def _import_probe(*argvs):
     calls, with the pump off and on, and their Jacobians over every fittable
     parameter; ``["validate_against_oracle"]``: criterion 2's oracle check
     at fig2a, without and with dephasing) in one fresh interpreter; returns
-    the probe's report after checking that importing the CLI loads no
-    scipy, adds no numpy.polynomial to what ``import numpy`` loads, and
+    the probe's report, with the ``eprsim`` modules loaded after importing
+    the CLI and after each argv, after checking that ``import eprsim``
+    alone loads no submodule and no numpy, and that importing the CLI loads
+    no scipy, adds no numpy.polynomial to what ``import numpy`` loads, and
     builds no parser."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                            json.dumps(argvs)],
@@ -851,6 +860,7 @@ def _import_probe(*argvs):
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["package_alone"] == ["eprsim"]
     assert probe["at_import"] == []
     assert probe["parsers_at_import"] == 0
     return probe
@@ -882,8 +892,9 @@ def test_cli_loads_no_numpy_polynomial(tmp_path):
     assert probe["polynomial_after"] == []
 
 
-def test_fit_loads_no_scipy(tmp_path):
-    # the fit's solver is numpy only, like its forward model
+def _probe_inputs(tmp_path):
+    """{"obs", "start", "points"}: paths of a 7-point fig2a series to fit,
+    a start moved off its Gamma_tilde, and projection-noise points."""
     truth = scenario_params("fig2a")
     grid = np.linspace(0.0, 30.0, 7)
     xi, jx, _, _ = forward_model(
@@ -893,7 +904,16 @@ def test_fit_loads_no_scipy(tmp_path):
         f"{t},{x},0.01,{j},0.005" for t, x, j in zip(grid, xi, jx)))
     start = tmp_path / "start.json"
     start.write_text(truth.replace(Gamma_tilde=0.12).to_json())
-    probe = _import_probe(["fit", str(obs), "--params", str(start),
+    points = tmp_path / "points.csv"
+    points.write_text("theta,xi0\n0.1,1.02\n0.2,1.09\n0.3,1.2\n0.4,1.37\n")
+    return {"obs": obs, "start": start, "points": points}
+
+
+def test_fit_loads_no_scipy(tmp_path):
+    # the fit's solver is numpy only, like its forward model
+    files = _probe_inputs(tmp_path)
+    probe = _import_probe(["fit", str(files["obs"]), "--params",
+                           str(files["start"]),
                            "--free", "Gamma_tilde", "--out",
                            str(tmp_path / "out")])
     assert probe["codes"] == [0]
@@ -927,17 +947,8 @@ def test_record_commands_load_no_scipy(argv, tmp_path):
 def test_runtime_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency: every subcommand, every scenario and
     # the Lindblad oracle run in one interpreter without loading it
-    truth = scenario_params("fig2a")
-    grid = np.linspace(0.0, 30.0, 7)
-    xi, jx, _, _ = forward_model(
-        truth, PopulationState(n44=0.99, n43=0.01, nh=0.0), grid)
-    obs = tmp_path / "observed.csv"
-    obs.write_text("t,xi,xi_err,jx_norm,jx_err\n" + "\n".join(
-        f"{t},{x},0.01,{j},0.005" for t, x, j in zip(grid, xi, jx)))
-    start = tmp_path / "start.json"
-    start.write_text(truth.replace(Gamma_tilde=0.12).to_json())
-    points = tmp_path / "points.csv"
-    points.write_text("theta,xi0\n0.1,1.02\n0.2,1.09\n0.3,1.2\n0.4,1.37\n")
+    files = _probe_inputs(tmp_path)
+    obs, start, points = files["obs"], files["start"], files["points"]
     argvs = [["simulate"], ["populations", "--pump"],
              ["reconstruct", "--trials", "600"],
              ["conditional", "--trials", "600"],
@@ -952,6 +963,55 @@ def test_runtime_loads_no_scipy(tmp_path):
                           ["validate_against_oracle"])
     assert probe["codes"] == [0] * (len(argvs) + 1)
     assert probe["after"] == []
+
+
+# the eprsim modules each command loads: importing the CLI loads what the
+# parser needs, and each handler (and each scenario) the engines it runs
+_CLI_MODULES = ["eprsim", "eprsim.cli", "eprsim.errors",
+                "eprsim.multilevel_rates", "eprsim.scenarios",
+                "eprsim.spin_model"]
+_MOMENTS = ["eprsim.gaussian_dynamics"]
+_FIT = ["eprsim.estimation", *_MOMENTS]
+_READOUT = ["eprsim.light_readout", "eprsim.records"]
+_COMMAND_ENGINES = {
+    "simulate": (["simulate"], _FIT),
+    "populations": (["populations"], _MOMENTS),
+    "reconstruct": (["reconstruct", "--trials", "2"], _READOUT),
+    "conditional": (["conditional", "--trials", "2"], _READOUT),
+    "calibrate": (["calibrate", "{points}"], _FIT),
+    "fit": (["fit", "{obs}", "--params", "{start}", "--free",
+             "Gamma_tilde"], _FIT),
+    "orientation": (["orientation", "0,0,0,0,0,0,0,0.008,0.992"], _FIT),
+    **{name: (["scenario", name], _FIT) for name in ("fig2a", "fig2b",
+                                                      "fig2c")},
+    "fig2d": (["scenario", "fig2d", "--trials", "2"], _READOUT),
+    "validate_against_oracle": (["validate_against_oracle"],
+                                [*_MOMENTS, "eprsim.lindblad_oracle"]),
+}
+
+
+def test_command_table_covers_every_subcommand_and_scenario():
+    action, = (a for a in _build_parser()._actions
+               if isinstance(a.choices, dict))
+    assert {argv[0] for argv, _ in _COMMAND_ENGINES.values()} == {
+        *action.choices, "validate_against_oracle"}
+    assert {argv[1] for argv, _ in _COMMAND_ENGINES.values()
+            if argv[0] == "scenario"} == set(scenarios.SCENARIO_NAMES)
+
+
+@pytest.mark.parametrize("command", _COMMAND_ENGINES)
+def test_command_loads_only_its_engines(command, tmp_path):
+    # a subcommand never compiles or runs another's engine; only the
+    # Lindblad oracle's check loads the oracle
+    argv, engines = _COMMAND_ENGINES[command]
+    files = _probe_inputs(tmp_path)
+    argv = [a.format(**files) for a in argv]
+    if argv != ["validate_against_oracle"]:
+        argv += ["--out", str(tmp_path / "out")]
+    probe = _import_probe(argv)
+    assert probe["codes"] == [0]
+    assert probe["eprsim_at_import"] == _CLI_MODULES
+    assert probe["eprsim_after"] == [sorted({*_CLI_MODULES, *engines})]
 
 
 def test_extreme_horizon_refused_without_warnings(matrix):
@@ -984,8 +1044,8 @@ def test_conditional_scan_checked_before_sampling(argv, monkeypatch, tmp_path):
 @pytest.mark.parametrize("trials", [1, 0, -3])
 def test_fig2d_trial_minimum_checked_first(trials, monkeypatch):
     # a variance needs two records: refused before the scan or any draw
-    monkeypatch.setattr(scenarios, "hybrid_readout", _no_draws)
-    monkeypatch.setattr(scenarios, "discrete_calibration", _no_draws)
+    monkeypatch.setattr(records, "hybrid_readout", _no_draws)
+    monkeypatch.setattr(records, "discrete_calibration", _no_draws)
     with pytest.raises(ValueError, match="fig2d needs at least 2 trials"):
         scenarios.run_scenario("fig2d", trials=trials)
 
@@ -994,7 +1054,7 @@ def test_fig2d_trial_minimum_checked_first(trials, monkeypatch):
 def test_fig2d_information_checked_before_sampling(eta, monkeypatch):
     # a calibration without atomic information is refused before the scan
     # or any draw
-    monkeypatch.setattr(scenarios, "hybrid_readout", _no_draws)
+    monkeypatch.setattr(records, "hybrid_readout", _no_draws)
     with pytest.raises(NoInformationError, match="no atomic information"):
         scenarios.run_scenario("fig2d", overrides={"eta": eta}, trials=200)
 

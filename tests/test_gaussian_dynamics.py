@@ -10,7 +10,6 @@ from eprsim.errors import InvariantViolationError
 from eprsim.gaussian_dynamics import (
     NoiseChannels,
     Trajectory,
-    moment_derivative,
     propagate_moments,
     relaxation_rate,
     trajectory_to_csv,
@@ -69,6 +68,22 @@ class TestGaussLegendreRule:
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         assert gd._GL_WEIGHTS @ gd._GL_NODES**k == pytest.approx(
             exact, abs=8 * np.finfo(float).eps)
+
+
+def moment_derivative(state, params, noise, p2_tilde=1.0, nh_frac=0.0):
+    """Time derivative (dmean, dcov) of a Gaussian state under the moment
+    equations, written out as a referee for the closed-form engine.
+
+    ``p2_tilde`` = N2 P2 / N throttles the collective rate when the
+    population model is coupled in; 1.0 is the fully polarised two-level
+    limit.  ``nh_frac`` feeds the pump noise channel.
+    """
+    g2 = relaxation_rate(params, p2_tilde)
+    css = noise.dephasing + noise.pump_noise_rate(nh_frac)
+    target = two_mode_squeezed_cov(params.mu, params.nu)
+    dmean = -(0.5 * g2 + 0.5 * css) * state.mean
+    dcov = -g2 * (state.cov - target) - css * (state.cov - np.eye(4))
+    return dmean, dcov
 
 
 class TestMomentDerivative:

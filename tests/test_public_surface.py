@@ -4,6 +4,7 @@ must resolve, so a deletion or rename fails here rather than in
 
 import importlib
 import pkgutil
+import sys
 import types
 from collections import defaultdict
 from functools import reduce
@@ -38,6 +39,9 @@ def test_all_names_resolve(modname):
 @pytest.mark.parametrize("layer", _tracer_layers(), ids=lambda l: l[0])
 def test_tracer_layer_resolves(layer):
     _, modname, path, _ = layer
+    if path == "solve_ivp":
+        # gaussian_dynamics.solve_ivp is scipy's, loaded on access
+        pytest.importorskip("scipy.integrate")
     mod = importlib.import_module(modname)
     assert reduce(getattr, path.split("."), mod) is not None
 
@@ -55,3 +59,26 @@ def test_solve_result_carries_the_tracer_counters():
     assert dict(counts) == {f"{layer[0]}.nfev": sol.nfev,
                             f"{layer[0]}.njev": sol.njev,
                             f"{layer[0]}.failed": 0}
+
+
+def test_star_import_binds_the_defining_objects():
+    # the exports load lazily: each binds the object its module defines,
+    # and is then cached on the package
+    namespace = {}
+    exec("from eprsim import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(eprsim.__all__)
+    for name, obj in namespace.items():
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert vars(eprsim)[name] is obj, name
+
+
+def test_dir_lists_the_exports():
+    assert set(eprsim.__all__) <= set(dir(eprsim))
+    assert "__version__" in dir(eprsim)
+
+
+def test_unknown_attribute_is_named():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        eprsim.no_such_name
+    assert not hasattr(eprsim, "no_such_name")

@@ -37,6 +37,7 @@ from .errors import (
 from .multilevel_rates import (
     PopulationState,
     propagate_populations,
+    series_columns,
     transition_rates,
 )
 from .scenarios import (
@@ -220,7 +221,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_populations(args) -> int:
-    from .gaussian_dynamics import series_columns
     params = _load_params(args)
     grid = _parse_grid(args.grid)
     rates = transition_rates(params, pump=args.pump)

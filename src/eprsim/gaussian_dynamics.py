@@ -49,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePolarizationError, InvariantViolationError
+from .errors import InvariantViolationError
+from .multilevel_rates import series_columns
 from .spin_model import (
     GaussianState,
     ModelParams,
@@ -64,7 +65,6 @@ __all__ = [
     "Trajectory",
     "relaxation_rate",
     "propagate_moments",
-    "series_columns",
     "trajectory_to_csv",
 ]
 
@@ -322,26 +322,6 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     return Trajectory(times=grid, phi=phi, x=x, initial=initial,
                       target=two_mode_squeezed_cov(params.mu, params.nu),
                       populations=populations, d_weights=d_weights)
-
-
-def series_columns(times, witness=None, pops=None) -> dict:
-    """The time-series schema as named columns: time_ms, then ``witness``
-    (var_x_minus, var_p_plus, xi; None: empty), then Jx_norm, N2 and P2 of
-    the PopulationSeries ``pops`` interpolated onto ``times`` (None: 1, empty,
-    empty).  Jx_norm is <J_x> over its initial value, which must be positive
-    (DegeneratePolarizationError)."""
-    cols = [times, *(witness or (None, None, None)), np.ones(len(times)),
-            None, None]
-    if pops is not None:
-        jx0 = pops.jx_frac[0]
-        if jx0 <= 0.0:
-            raise DegeneratePolarizationError(
-                "initial mean spin vanishes; Jx_norm is undefined")
-        jx, n2, p2 = (np.interp(times, pops.times, v)
-                      for v in (pops.jx_frac, pops.n2_frac, pops.p2))
-        cols[4:] = [jx / jx0, n2, p2]
-    return dict(zip(("time_ms", "var_x_minus", "var_p_plus", "xi", "Jx_norm",
-                     "N2", "P2"), cols))
 
 
 def trajectory_to_csv(traj: Trajectory) -> dict:

@@ -19,7 +19,8 @@ at the level of first and second moments.
 
 The generator is real and does not depend on time, so each grid interval
 is one exact map vec(rho) <- exp(generator dt) vec(rho), a dense 16 x 16
-exponential whatever its length: one numpy ``_expm_grid`` call gives all.
+exponential whatever its length: one ``_expm_grid`` call (Taylor scaling
+and squaring, batched over the grid in numpy) gives all.
 The states of a grid live in one complex (times, 4, 4) stack: it is
 stepped in place, checked by one vectorised pass (:func:`_check_states`)
 and read by one witness einsum (:func:`_xi_batch`).
@@ -33,7 +34,6 @@ import numpy as np
 
 from .errors import InvariantViolationError
 from .gaussian_dynamics import NoiseChannels, propagate_moments, relaxation_rate
-from .multilevel_rates import _expm_grid
 from .spin_model import ModelParams, css_state
 
 __all__ = [
@@ -161,6 +161,64 @@ def _generator(ops) -> np.ndarray:
         gen += (_kron(L, L) - 0.5 * _kron(LdL, eye)
                 - 0.5 * _kron(eye, LdL.T))
     return gen
+
+
+# Degree of the Taylor polynomial: each point's argument is scaled to
+# ||A t|| <= 1/2, where the remainder is below 0.5^19 / 19! ~ 2e-23
+_TAYLOR_DEGREE = 18
+# Each squaring about doubles the relative rounding error; past 52 of them
+# (2^52 eps ~ 1) the result is noise, so such points come back NaN
+_MAX_SQUARINGS = 52
+# Grid points evaluated at a time, which bounds the Taylor powers and
+# squaring copies held at once; a power of two keeps the BLAS kernel's row
+# groups aligned, so each point rounds as in one whole-grid product
+_CHUNK_POINTS = 1 << 16
+
+
+def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(a t_k) for every t_k >= 0 of the nondecreasing ``t``, shape
+    (len(t), n, n), by Taylor scaling and squaring (Al-Mohy & Higham 2009)
+    batched over _CHUNK_POINTS points at a time; NaN, with no overflow
+    warning, where more than _MAX_SQUARINGS squarings are needed or
+    ``a``'s 1-norm times t_k is not finite, InvariantViolationError where
+    that norm is not finite.
+
+    No eigendecomposition, so defective generators are as exact as any.
+    """
+    n = a.shape[0]
+    with np.errstate(over="ignore"):
+        norm = np.abs(a).sum(axis=0).max()  # 1-norm
+        if not np.isfinite(norm):
+            raise InvariantViolationError("the generator's norm is not finite")
+        tau = t * norm
+        tau2 = 2.0 * tau
+    b = a / norm if norm > 0 else a
+    terms = [np.eye(n)]  # B^j / j!
+    for j in range(1, _TAYLOR_DEGREE + 1):
+        terms.append(terms[-1] @ b / j)
+    terms = np.array(terms).reshape(_TAYLOR_DEGREE + 1, n * n)
+    # 2 tau = m 2^s with m in [0.5, 1), so tau / 2^s < 1/2; a 2 tau that
+    # overflowed would need more than _MAX_SQUARINGS squarings too
+    s = np.maximum(np.frexp(tau2)[1], 0)
+    ok = (s <= _MAX_SQUARINGS) & np.isfinite(tau2)
+    s = np.where(ok, s, 0)
+    h = np.where(ok, np.ldexp(tau, -s), 0.0)
+    # t is nondecreasing, so s is too: the finite points are a prefix, and
+    # those of a chunk squared an (i + 1)-th time a suffix of its part of
+    # that prefix, squared in place
+    n_ok = np.count_nonzero(ok)
+    e = np.empty((t.size, n, n))
+    for c in range(0, t.size, _CHUNK_POINTS):
+        chunk = e[c:c + _CHUNK_POINTS]
+        np.matmul(h[c:c + _CHUNK_POINTS, None]
+                  ** np.arange(_TAYLOR_DEGREE + 1), terms,
+                  out=chunk.reshape(-1, n * n))
+        s_ok = s[c:min(c + _CHUNK_POINTS, n_ok)]
+        for i in range(s_ok.max(initial=0)):
+            tail = chunk[s_ok.searchsorted(i, side="right"):s_ok.size]
+            np.matmul(tail, tail, out=tail)
+    e[n_ok:] = np.nan
+    return e
 
 
 def _step(rho: np.ndarray, propagator: np.ndarray) -> np.ndarray:

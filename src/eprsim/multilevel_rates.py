@@ -4,17 +4,18 @@ slope and the multilevel entanglement formula.
 Atoms live in |4,+/-4> (fraction n44), |4,+/-3> (n43) and a hidden level
 |3,+/-3> (nh); both ensembles are treated symmetrically so one state serves
 both.  Every quantity is a fraction of the atom number, which cancels from
-all outputs.  All transitions are linear, so the population dynamics is a
-3x3 linear ODE solved exactly by the matrix exponential exp(A t), computed
-in numpy by Taylor scaling and squaring for the whole time grid at once;
-the same call, on Van Loan's block matrix, gives the rate derivatives too.
-Summing pairs of equations recovers the textbook forms
+all outputs.  All transitions are linear with constant rates, so summing
+and subtracting pairs of equations gives the textbook forms
 
     dn2/dt       = -(G_out + 2 G_in) n2 + 2 G_in
     dP2_tilde/dt = -(G_34 + G_43 + G_out) P2_tilde + (G_34 - G_43) n2
 
-with n2 = n44 + n43 and P2_tilde = P2 n2.  The optional incoherent pump
-(``RateSet.pump``) refills the hidden level into F=4 and repolarises.
+with n2 = n44 + n43 and P2_tilde = P2 n2, which ``propagate_populations``
+solves in closed form (for n2 and D = n44 - n43): two exponentials and
+their divided differences over the whole time grid at once, and the rate
+derivatives by complex step through the same formulas.  The optional
+incoherent pump (``RateSet.pump``) refills the hidden level into F=4 and
+repolarises.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "PopulationState",
     "RateSet",
     "PopulationSeries",
+    "series_columns",
     "transition_rates",
     "rate_matrix",
     "propagate_populations",
@@ -168,118 +170,130 @@ class PopulationSeries:
                                nh=self.nh[k])
 
 
-# Degree of the Taylor polynomial: each point's argument is scaled to
-# ||A t|| <= 1/2, where the remainder is below 0.5^19 / 19! ~ 2e-23
-_TAYLOR_DEGREE = 18
-# Each squaring about doubles the relative rounding error; past 52 of them
-# (2^52 eps ~ 1) the result is noise, so such points come back NaN
-_MAX_SQUARINGS = 52
-# Grid points evaluated at a time, which bounds the Taylor powers and
-# squaring copies held at once; a power of two keeps the BLAS kernel's row
-# groups aligned, so each point rounds as in one whole-grid product
-_CHUNK_POINTS = 1 << 16
+def series_columns(times, witness=None, pops=None) -> dict:
+    """The time-series schema as named columns: time_ms, then ``witness``
+    (var_x_minus, var_p_plus, xi; None: empty), then Jx_norm, N2 and P2 of
+    the PopulationSeries ``pops`` interpolated onto ``times`` (None: 1, empty,
+    empty).  Jx_norm is <J_x> over its initial value, which must be positive
+    (DegeneratePolarizationError)."""
+    cols = [times, *(witness or (None, None, None)), np.ones(len(times)),
+            None, None]
+    if pops is not None:
+        jx0 = pops.jx_frac[0]
+        if jx0 <= 0.0:
+            raise DegeneratePolarizationError(
+                "initial mean spin vanishes; Jx_norm is undefined")
+        jx, n2, p2 = (np.interp(times, pops.times, v)
+                      for v in (pops.jx_frac, pops.n2_frac, pops.p2))
+        cols[4:] = [jx / jx0, n2, p2]
+    return dict(zip(("time_ms", "var_x_minus", "var_p_plus", "xi", "Jx_norm",
+                     "N2", "P2"), cols))
 
 
-def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(a t_k) for every t_k >= 0 of the nondecreasing ``t``, shape
-    (len(t), n, n), by Taylor scaling and squaring (Al-Mohy & Higham 2009)
-    batched over _CHUNK_POINTS points at a time; NaN, with no overflow
-    warning, where more than _MAX_SQUARINGS squarings are needed or
-    ``a``'s 1-norm times t_k is not finite, InvariantViolationError where
-    that norm is not finite.
+# Step of the complex-step tangents (Squire & Trapp, SIAM Rev. 40 (1998)
+# 110): rates + i h d carry the derivative along d in their imaginary part,
+# computed without a difference that cancels; the O(h^2) error is far below
+# rounding
+_STEP = 2.0**-80
 
-    No eigendecomposition, so defective generators are as exact as any.
+
+def _divided(x, y, e_x, e_y, t):
+    """(e^{-x t} - e^{-y t}) / (y - x) over ``t`` for the scalar rates x
+    and y, given e_x = e^{-x t} and e_y = e^{-y t}: e^{-x t} (-expm1(-(y -
+    x) t)) / (y - x) from the rate of smaller real part, so no difference of
+    exponentials cancels, and t e^{-x t} where the two coincide, so
+    defective generators are exact."""
+    if y.real < x.real:
+        x, y, e_x = y, x, e_y
+    if x == y:
+        return t * e_x
+    return np.expm1((x - y) * t) * e_x / (x - y)
+
+
+def _closed_form(n0, t, g34, g43, g_out, g_in, pump):
+    """(n44, n43, nh) at the times ``t`` >= 0 from ``n0`` for scalar rates:
+    floats, or complex for a complex step.
+
+    With total = n0's sum, n2 = n44 + n43 and D = n44 - n43 obey
+
+        n2' = -a n2 + q total            a = g_out + q, q = 2 g_in + pump
+        D'  = -lam D + k n2 + (2 b - 1) pump nh
+                                         lam = g34 + g43 + g_out + pump
+                                         k = g34 - g43 + pump
+
+    (b = _PUMP_BRANCHING, nh = total - n2), so n2 relaxes at rate a, moving
+    ``shift`` = n2(0) - n2(inf) = total g_out / a - nh(0) into the hidden
+    level, and D is e^{-lam t} and divided differences of e^{-a t},
+    e^{-lam t} and 1.  Where a = 0, g_out = 0 and nothing moves.
     """
-    n = a.shape[0]
-    with np.errstate(over="ignore"):
-        norm = np.abs(a).sum(axis=0).max()  # 1-norm
-        if not np.isfinite(norm):
-            raise InvariantViolationError(
-                "population rates overflow: the generator's norm is not "
-                "finite")
-        tau = t * norm
-        tau2 = 2.0 * tau
-    b = a / norm if norm > 0 else a
-    terms = [np.eye(n)]  # B^j / j!
-    for j in range(1, _TAYLOR_DEGREE + 1):
-        terms.append(terms[-1] @ b / j)
-    terms = np.array(terms).reshape(_TAYLOR_DEGREE + 1, n * n)
-    # 2 tau = m 2^s with m in [0.5, 1), so tau / 2^s < 1/2; a 2 tau that
-    # overflowed would need more than _MAX_SQUARINGS squarings too
-    s = np.maximum(np.frexp(tau2)[1], 0)
-    ok = (s <= _MAX_SQUARINGS) & np.isfinite(tau2)
-    s = np.where(ok, s, 0)
-    h = np.where(ok, np.ldexp(tau, -s), 0.0)
-    # t is nondecreasing, so s is too: the finite points are a prefix, and
-    # those of a chunk squared an (i + 1)-th time a suffix of its part of
-    # that prefix, squared in place
-    n_ok = np.count_nonzero(ok)
-    e = np.empty((t.size, n, n))
-    for c in range(0, t.size, _CHUNK_POINTS):
-        chunk = e[c:c + _CHUNK_POINTS]
-        np.matmul(h[c:c + _CHUNK_POINTS, None]
-                  ** np.arange(_TAYLOR_DEGREE + 1), terms,
-                  out=chunk.reshape(-1, n * n))
-        s_ok = s[c:min(c + _CHUNK_POINTS, n_ok)]
-        for i in range(s_ok.max(initial=0)):
-            tail = chunk[s_ok.searchsorted(i, side="right"):s_ok.size]
-            np.matmul(tail, tail, out=tail)
-    e[n_ok:] = np.nan
-    return e
+    n44, n43, nh = n0
+    n2_0, d_0 = n44 + n43, n44 - n43
+    total = n2_0 + nh
+    a, lam = g_out + 2.0 * g_in + pump, g34 + g43 + g_out + pump
+    c = (2.0 * _PUMP_BRANCHING - 1.0) * pump
+    kc = g34 - g43 + pump - c
+    # a complex a is 0 only along a direction that keeps g_out = 0 too, if
+    # it keeps every rate >= 0
+    shift = total * g_out / a - nh if a else 0.0
+    e_a, e_lam = np.exp(-a * t), np.exp(-lam * t)
+    moved = (1.0 - e_a) * shift
+    source = kc * (n2_0 - shift) + c * total  # D's drive as t -> inf
+    d = (d_0 * e_lam + source * _divided(0.0, lam, 1.0, e_lam, t)
+         + kc * shift * _divided(a, lam, e_a, e_lam, t))
+    n2 = n2_0 - moved
+    return 0.5 * (n2 + d), 0.5 * (n2 - d), nh + moved
 
 
 def propagate_populations(initial: PopulationState, rates: RateSet,
                           grid, d_rates=None) -> PopulationSeries:
     """Exact propagation of the linear population system over ``grid`` (ms,
-    strictly increasing).
+    strictly increasing), in closed form (``_closed_form``): exact at every
+    finite horizon, the steady state included.
 
     ``d_rates`` (P, 5), d(g34, g43, g_out, g_in, pump) per direction, adds
     the series' derivatives along them as its ``tangents``, shape (3, P,
-    len(grid)) for (n44, n43, nh).  The derivative of exp(A t) along E is
-    the upper-right block of exp([[A, E], [0, A]] t) (Van Loan 1978), whose
-    diagonal blocks are exp(A t) itself: one ``_expm_grid`` call on [[A,
-    E_1 .. E_k], [0, diag(A .. A)]] over the directions with E != 0 gives
-    the series and its tangents, each E_i scaled to the 1-norm of A so the
-    scaling step is that of A.
+    len(grid)) for (n44, n43, nh).  They come from the same closed form by
+    complex step (``_STEP``) over the directions that move a rate; the
+    values come from its real rates alone, so they do not depend on
+    ``d_rates``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
         raise ValueError("grid must be a nonempty 1-D array of finite values")
     if (grid[1:] - grid[:-1] <= 0).any():
         raise ValueError("grid must strictly increase")
-    n0 = np.array([initial.n44, initial.n43, initial.nh])
-    a, t = rate_matrix(rates), grid - grid[0]
-    if d_rates is None:
-        sol = (_expm_grid(a, t) @ n0).T
-    else:
-        d_a = np.array([_generator(*d)
-                        for d in np.asarray(d_rates).reshape(-1, 5)])
-        norm = np.abs(d_a).sum(axis=1).max(axis=1)  # 1-norm of each E_i
-        live = norm > 0
-        k = np.count_nonzero(live)
-        scale = (np.abs(a).sum(axis=0).max() or 1.0) / norm[live]
-        block = np.zeros((3 * k + 3, 3 * k + 3))  # (k + 1)^2 blocks of 3 x 3
-        for i in range(0, 3 * k + 3, 3):
-            block[i:i + 3, i:i + 3] = a
-        block[:3, 3:] = (d_a[live] * scale[:, None, None]).transpose(
-            1, 0, 2).reshape(3, -1)
-        e = _expm_grid(block, t)[:, :3]
-        sol = (e[:, :, :3] @ n0).T
-        d_sol = np.zeros((3, len(d_a), t.size))
-        d_sol[:, live] = (e[:, :, 3:].reshape(t.size, 3, k, 3) @ n0
-                          / scale).transpose(1, 2, 0)
+    r = (rates.g34, rates.g43, rates.g_out, rates.g_in, rates.pump)
+    n0 = (initial.n44, initial.n43, initial.nh)
+    t = grid - grid[0]
+    with np.errstate(over="ignore"):
+        # rate_matrix's 1-norm, its largest absolute column sum; finite, it
+        # bounds a, lam and the closed form's coefficients
+        norm = 2.0 * max(r[1] + r[2], r[0] + r[2] + r[4], 2.0 * r[3] + r[4])
+        if not np.isfinite(norm):
+            raise InvariantViolationError(
+                "population rates overflow: the generator's norm is not "
+                "finite")
+        sol = np.array(_closed_form(n0, t, *r))
+        if d_rates is not None:
+            d_rates = np.asarray(d_rates, dtype=float).reshape(-1, 5)
+            d_sol = np.zeros((3, len(d_rates), t.size))
+            for p, d in enumerate(d_rates):
+                if d.any():  # a direction that moves no rate has none
+                    z = [complex(x, _STEP * dx) for x, dx in zip(r, d)]
+                    d_sol[:, p] = np.array(_closed_form(n0, t, *z)).imag
+            d_sol /= _STEP
     if sol.min() < -1e-8:
         raise ModelViolationError(
             f"population went negative ({sol.min():.3e}); rates are unphysical"
         )
     sol = np.maximum(sol, 0.0)
     sol /= sol.sum(axis=0, keepdims=True)
-    # the renormalisation, differentiated; the columns of A sum to zero, so
-    # the raw sum is that of n0 at every time
+    # the renormalisation, differentiated; what leaves n2 enters nh, so the
+    # raw sum is that of n0 at every time
     return PopulationSeries(
         times=grid, n44=sol[0], n43=sol[1], nh=sol[2],
         tangents=None if d_rates is None
-        else (d_sol - sol[:, None] * d_sol.sum(axis=0)) / n0.sum())
+        else (d_sol - sol[:, None] * d_sol.sum(axis=0)) / sum(n0))
 
 
 def polarization_slope(initial: PopulationState, rates: RateSet) -> float:

@@ -16,8 +16,10 @@ from eprsim import cli, records, scenarios
 from eprsim.cli import _SHARED_OPTIONS, _build_parser, _parse_grid, main
 from eprsim.errors import NoInformationError
 from eprsim.estimation import forward_model
-from eprsim.multilevel_rates import PopulationState
+from eprsim.multilevel_rates import PopulationState, transition_rates
 from eprsim.scenarios import inclusive_range, scenario_params
+
+from test_multilevel_rates import steady_state
 
 
 def run(argv):
@@ -739,7 +741,9 @@ def matrix(tmp_path_factory):
                           input=json.dumps(cases), env=_fresh_env(),
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    rows = json.loads(proc.stdout)
+    rows["extreme-horizon"]["csv"] = str(base / "populations.csv")
+    return rows
 
 
 @pytest.mark.parametrize("argv, code", _BAD_INPUT, ids=_BAD_INPUT_IDS)
@@ -975,7 +979,7 @@ _FIT = ["eprsim.estimation", *_MOMENTS]
 _READOUT = ["eprsim.light_readout", "eprsim.records"]
 _COMMAND_ENGINES = {
     "simulate": (["simulate"], _FIT),
-    "populations": (["populations"], _MOMENTS),
+    "populations": (["populations"], []),
     "reconstruct": (["reconstruct", "--trials", "2"], _READOUT),
     "conditional": (["conditional", "--trials", "2"], _READOUT),
     "calibrate": (["calibrate", "{points}"], _FIT),
@@ -1014,13 +1018,20 @@ def test_command_loads_only_its_engines(command, tmp_path):
     assert probe["eprsim_after"] == [sorted({*_CLI_MODULES, *engines})]
 
 
-def test_extreme_horizon_refused_without_warnings(matrix):
-    # more squarings than rounding allows: the points are NaN, and the
-    # population check refuses them (exit 4) without overflow warnings
+def test_extreme_horizon_reaches_steady_state_without_warnings(matrix):
+    # the populations are closed forms, exact at any finite horizon: past
+    # t = 0 every point of 0-1e300 ms is the steady state, reached without
+    # overflow warnings
     row = matrix["extreme-horizon"]
-    assert row["code"] == 4, row["stderr"]
-    assert "population fractions must be finite" in row["stderr"]
+    assert row["code"] == 0, row["stderr"]
     assert "Warning" not in row["stderr"]
+    lines = Path(row["csv"]).read_text().splitlines()
+    n2, p2 = np.array([line.split(",")[-2:] for line in lines[5:]],
+                      dtype=float).T
+    assert len(n2) == 10
+    n2_inf, d_inf = steady_state(transition_rates(scenario_params("fig2a")))
+    assert np.abs(n2 - n2_inf).max() <= 1e-15
+    assert np.abs(p2 * n2 - d_inf).max() <= 1e-15
 
 
 def _no_draws(*args, **kwargs):

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tracemalloc
 import warnings
@@ -8,12 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
+from eprsim import lindblad_oracle as lo
 from eprsim import multilevel_rates as mr
-from eprsim.cli import main
 from eprsim.errors import DegeneratePolarizationError, InvariantViolationError
-from eprsim.gaussian_dynamics import series_columns
+from eprsim.gaussian_dynamics import NoiseChannels
+from eprsim.lindblad_oracle import (
+    ExactState,
+    integrate_exact,
+    validate_against_oracle,
+)
 from eprsim.multilevel_rates import (
     PopulationSeries,
     PopulationState,
@@ -22,6 +25,7 @@ from eprsim.multilevel_rates import (
     polarization_slope,
     propagate_populations,
     rate_matrix,
+    series_columns,
     transition_rates,
 )
 from eprsim.scenarios import inclusive_range, scenario_params
@@ -31,6 +35,23 @@ from test_spin_model import make_params
 POP0 = PopulationState(n44=0.99, n43=0.01, nh=0.0)
 RATES = RateSet(g34=0.005, g43=0.0042, g_out=0.027, g_in=0.002)
 PUMPED = replace(RATES, pump=0.168)
+
+
+def steady_state(rates):
+    """(n2, D = n44 - n43) as t -> inf from fractions summing to 1, at the
+    equal pump split: n2 = (2 g_in + pump) / a with a = g_out + 2 g_in +
+    pump, and D = k n2 / lam with k = g34 - g43 + pump and lam = g34 + g43
+    + g_out + pump."""
+    a = rates.g_out + 2.0 * rates.g_in + rates.pump
+    lam = rates.g34 + rates.g43 + rates.g_out + rates.pump
+    n2 = (2.0 * rates.g_in + rates.pump) / a
+    return n2, (rates.g34 - rates.g43 + rates.pump) * n2 / lam
+
+
+def _random_rates(seed):
+    rng = np.random.default_rng(seed)
+    return RateSet(*rng.uniform(0.0, 1.0, 4),
+                   pump=rng.uniform(0.0, 1.0) if seed % 2 else 0.0)
 
 
 def one_point(n44, n43, nh):
@@ -77,6 +98,7 @@ class TestRateMatrix:
 class TestPropagation:
     def test_matches_expm_oracle(self):
         # independent propagation through the matrix exponential
+        expm = pytest.importorskip("scipy.linalg").expm
         grid = np.linspace(0.0, 40.0, 17)
         series = propagate_populations(POP0, RATES, grid)
         a = rate_matrix(RATES)
@@ -91,6 +113,7 @@ class TestPropagation:
     def test_matches_scipy_on_scenario_grids(self, name, pump):
         # the scenarios' own generators and 0-45 ms grid, against the
         # independent scipy matrix exponential
+        expm = pytest.importorskip("scipy.linalg").expm
         rates = transition_rates(scenario_params(name), pump=pump)
         grid = np.arange(0.0, 45.125, 0.25)
         s = propagate_populations(POP0, rates, grid)
@@ -103,12 +126,9 @@ class TestPropagation:
                              ids=["short", "long"])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_scipy_on_random_generators(self, seed, horizon, atol):
-        # every column of exp(A t), out to t ||A||_1 = horizon; the long
-        # horizon takes about 11 squarings, the short one tests the Taylor
-        # polynomial itself
-        rng = np.random.default_rng(seed)
-        rates = RateSet(*rng.uniform(0.0, 1.0, 4),
-                        pump=rng.uniform(0.0, 1.0) if seed % 2 else 0.0)
+        # every column of exp(A t), out to t ||A||_1 = horizon
+        expm = pytest.importorskip("scipy.linalg").expm
+        rates = _random_rates(seed)
         a = rate_matrix(rates)
         grid = np.linspace(0.0, horizon / np.abs(a).sum(axis=0).max(), 41)
         ref = expm(a * grid[:, None, None])
@@ -133,13 +153,15 @@ class TestPropagation:
         with pytest.raises(ValueError, match="strictly increase"):
             propagate_populations(POP0, RATES, np.array(grid))
 
-    def test_unrepresentable_horizon_is_nan(self):
-        # past the squaring cap the points are NaN, which the population
-        # check refuses; no overflow on the way
+    def test_extreme_horizon_is_steady_state(self):
+        # the closed form holds at any finite horizon: 1e300 ms is the
+        # steady state, with no overflow on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvariantViolationError, match="finite"):
-                propagate_populations(POP0, RATES, np.array([0.0, 1e300]))
+            s = propagate_populations(POP0, RATES, np.array([0.0, 1e300]))
+        n2_inf, d_inf = steady_state(RATES)
+        assert abs(s.n2_frac[-1] - n2_inf) <= 1e-15
+        assert abs(s.n44[-1] - s.n43[-1] - d_inf) <= 1e-15
 
     def test_defective_generator(self):
         # the pump alone: double eigenvalue -p with a single eigenvector;
@@ -185,6 +207,93 @@ class TestPropagation:
             propagate_populations(POP0, RATES, np.array(grid))
 
 
+def van_loan_propagate_populations(initial, rates, grid, d_rates):
+    """The propagation by matrix exponential, the referee of the closed
+    form: the derivative of exp(A t) along E is the upper-right block of
+    exp([[A, E], [0, A]] t) (Van Loan 1978), so one ``_expm_grid`` call on
+    [[A, E_1 .. E_k], [0, diag(A .. A)]] over the directions with E != 0
+    gives the series and its tangents, each E_i scaled to the 1-norm of A so
+    the scaling step is that of A."""
+    grid = np.asarray(grid, dtype=float)
+    n0 = np.array([initial.n44, initial.n43, initial.nh])
+    a, t = rate_matrix(rates), grid - grid[0]
+    d_a = np.array([mr._generator(*d)
+                    for d in np.asarray(d_rates).reshape(-1, 5)])
+    norm = np.abs(d_a).sum(axis=1).max(axis=1)  # 1-norm of each E_i
+    live = norm > 0
+    k = np.count_nonzero(live)
+    scale = (np.abs(a).sum(axis=0).max() or 1.0) / norm[live]
+    block = np.zeros((3 * k + 3, 3 * k + 3))  # (k + 1)^2 blocks of 3 x 3
+    for i in range(0, 3 * k + 3, 3):
+        block[i:i + 3, i:i + 3] = a
+    block[:3, 3:] = (d_a[live] * scale[:, None, None]).transpose(
+        1, 0, 2).reshape(3, -1)
+    e = lo._expm_grid(block, t)[:, :3]
+    sol = (e[:, :, :3] @ n0).T
+    d_sol = np.zeros((3, len(d_a), t.size))
+    d_sol[:, live] = (e[:, :, 3:].reshape(t.size, 3, k, 3) @ n0
+                      / scale).transpose(1, 2, 0)
+    sol = np.maximum(sol, 0.0)
+    sol /= sol.sum(axis=0, keepdims=True)
+    return PopulationSeries(
+        times=grid, n44=sol[0], n43=sol[1], nh=sol[2],
+        tangents=(d_sol - sol[:, None] * d_sol.sum(axis=0)) / n0.sum())
+
+
+# a = g_out + 2 g_in + pump and lam = g34 + g43 + g_out + pump, the rates of
+# n2 and of D = n44 - n43; dyadic rates make a == lam exactly
+DEGENERATE_RATES = {
+    "a-zero": RateSet(g34=0.005, g43=0.0042, g_out=0.0, g_in=0.0),
+    "a-equals-lam": RateSet(g34=0.25, g43=0.125, g_out=0.5, g_in=0.1875),
+    "a-equals-lam-pump": RateSet(g34=0.25, g43=0.125, g_out=0.5,
+                                 g_in=0.1875, pump=0.0625),
+    "all-zero": RateSet(0.0, 0.0, 0.0, 0.0),
+    "pump-only": RateSet(0.0, 0.0, 0.0, 0.0, pump=0.168),
+}
+REFEREE_RATES = {
+    **{f"{name}{'-pump' * pump}": transition_rates(
+        scenario_params(name), pump=pump)
+       for name in ("fig2a", "fig2b", "fig2c") for pump in (False, True)},
+    **{f"random-{seed}": _random_rates(seed) for seed in range(6)},
+    **DEGENERATE_RATES,
+}
+
+
+class TestVanLoanReferee:
+    @pytest.mark.parametrize("horizon", [3.0, 30.0, 1e3],
+                             ids=["short", "mid", "long"])
+    @pytest.mark.parametrize("pops", [(0.99, 0.01, 0.0), (0.2, 0.3, 0.5)],
+                             ids=["pop0", "hidden"])
+    @pytest.mark.parametrize("rates", REFEREE_RATES)
+    def test_closed_form_matches_van_loan(self, rates, pops, horizon):
+        # values within 1e-14 and each direction's tangents within 1e-12 of
+        # its largest, from t = 0 to t ||A||_1 = horizon (t = horizon where
+        # A = 0); the directions: each rate, one that moves none and
+        # random ones
+        rates, pop0 = REFEREE_RATES[rates], PopulationState(*pops)
+        norm = np.abs(rate_matrix(rates)).sum(axis=0).max() or 1.0
+        grid = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 40)]) \
+            * horizon / norm
+        d_rates = np.vstack([np.eye(5), np.zeros(5),
+                             np.random.default_rng(7).standard_normal((3, 5))])
+        got = propagate_populations(pop0, rates, grid, d_rates=d_rates)
+        want = van_loan_propagate_populations(pop0, rates, grid, d_rates)
+        drift = 0.0
+        if rates.g_out == rates.g_in == rates.pump == 0.0:
+            # a = 0 conserves n2, which the closed form holds to the bit;
+            # the referee's squarings (11 at t ||A||_1 = 1e3) drift it, by
+            # 1.4e-13 from the hidden start, and that drift is the referee's
+            assert (got.n2_frac == got.n2_frac[0]).all()
+            drift = np.abs(want.n2_frac - want.n2_frac[0]).max()
+        for n in ("n44", "n43", "nh"):
+            np.testing.assert_allclose(getattr(got, n), getattr(want, n),
+                                       rtol=0, atol=1e-14 + drift)
+        assert not got.tangents[:, 5].any()
+        for p in range(len(d_rates)):
+            err = np.abs(got.tangents[:, p] - want.tangents[:, p]).max()
+            assert err <= 1e-12 * np.abs(want.tangents[:, p]).max(), p
+
+
 def mask_loop_expm_grid(a, t):
     """_expm_grid with its squarings done through boolean masks, one copy
     of the squared points per squaring: the referee of the in-place
@@ -193,15 +302,15 @@ def mask_loop_expm_grid(a, t):
     norm = np.abs(a).sum(axis=0).max()
     b = a / norm if norm > 0 else a
     terms = [np.eye(n)]
-    for j in range(1, mr._TAYLOR_DEGREE + 1):
+    for j in range(1, lo._TAYLOR_DEGREE + 1):
         terms.append(terms[-1] @ b / j)
     tau = t * norm
     s = np.maximum(np.frexp(2.0 * tau)[1], 0)
-    ok = s <= mr._MAX_SQUARINGS
+    ok = s <= lo._MAX_SQUARINGS
     s = np.where(ok, s, 0)
     h = np.where(ok, np.ldexp(tau, -s), 0.0)
-    e = (h[:, None] ** np.arange(mr._TAYLOR_DEGREE + 1)
-         @ np.reshape(terms, (mr._TAYLOR_DEGREE + 1, n * n))).reshape(-1, n, n)
+    e = (h[:, None] ** np.arange(lo._TAYLOR_DEGREE + 1)
+         @ np.reshape(terms, (lo._TAYLOR_DEGREE + 1, n * n))).reshape(-1, n, n)
     for i in range(s.max()):
         sq = s > i
         e[sq] = e[sq] @ e[sq]
@@ -210,8 +319,8 @@ def mask_loop_expm_grid(a, t):
 
 
 def _van_loan_block():
-    # the 6x6 generator propagate_populations exponentiates for one
-    # direction
+    # the 6x6 generator van_loan_propagate_populations exponentiates for
+    # one direction
     block = np.kron(np.eye(2), rate_matrix(PUMPED))
     block[:3, 3:] = rate_matrix(RATES)
     return block
@@ -222,19 +331,20 @@ class TestVanLoanBlock:
     @pytest.mark.parametrize("pump", [False, True], ids=["no-pump", "pump"])
     def test_block_is_the_fancy_indexed_one(self, pump, n_dirs,
                                             monkeypatch):
-        # the block built by slices holds the bits of the (k + 1, 3, k + 1,
-        # 3) array filled by fancy indexing, for every live direction
+        # the referee's block, built by slices, holds the bits of the (k +
+        # 1, 3, k + 1, 3) array filled by fancy indexing, for every live
+        # direction
         rates = transition_rates(make_params(Gamma_pump=0.168), pump=pump)
         d_rates = np.random.default_rng(n_dirs).standard_normal((n_dirs, 5))
         d_rates[0] = 0.0  # a direction that moves no rate is left out
-        blocks, expm_grid = [], mr._expm_grid
+        blocks, expm_grid = [], lo._expm_grid
 
         def kept(a, t):
             blocks.append(a.copy())
             return expm_grid(a, t)
-        monkeypatch.setattr(mr, "_expm_grid", kept)
-        propagate_populations(POP0, rates, np.linspace(0.0, 40.0, 41),
-                              d_rates=d_rates)
+        monkeypatch.setattr(lo, "_expm_grid", kept)
+        van_loan_propagate_populations(POP0, rates,
+                                       np.linspace(0.0, 40.0, 41), d_rates)
         a = rate_matrix(rates)
         d_a = np.array([mr._generator(*d) for d in d_rates])
         norm = np.abs(d_a).sum(axis=1).max(axis=1)
@@ -248,6 +358,8 @@ class TestVanLoanBlock:
 
 
 class TestExpmGrid:
+    # lindblad_oracle._expm_grid, on the population generators and a Van
+    # Loan block of them
     @pytest.mark.parametrize("a", [rate_matrix(PUMPED), _van_loan_block()],
                              ids=["3x3", "6x6"])
     @pytest.mark.parametrize("squarings", range(6))
@@ -256,7 +368,7 @@ class TestExpmGrid:
         # 2 tau just below 2^squarings at the last point
         t = np.linspace(0.0, (2.0**squarings - 0.01) / (2.0 * norm), 37)
         assert np.frexp(2.0 * t[-1] * norm)[1] == squarings
-        assert mr._expm_grid(a, t).tobytes() == \
+        assert lo._expm_grid(a, t).tobytes() == \
             mask_loop_expm_grid(a, t).tobytes()
 
     def test_nan_tail_matches_mask_loop(self):
@@ -264,7 +376,7 @@ class TestExpmGrid:
         # need from 0 to 50 squarings
         a = rate_matrix(PUMPED)
         t = np.concatenate([np.geomspace(1e-3, 1e15, 60), [1e300, 1e301]])
-        got = mr._expm_grid(a, t)
+        got = lo._expm_grid(a, t)
         assert np.isnan(got[-2:]).all() and np.isfinite(got[:-2]).all()
         assert got.tobytes() == mask_loop_expm_grid(a, t).tobytes()
 
@@ -275,8 +387,8 @@ class TestExpmGrid:
         # the NaN tail ends the second, and the bits are the whole grid's
         t = np.concatenate([[0.0], np.geomspace(1e-3, 1e15, 60),
                             [1e300, 1e301]])
-        monkeypatch.setattr(mr, "_CHUNK_POINTS", 32)
-        got = mr._expm_grid(a, t)
+        monkeypatch.setattr(lo, "_CHUNK_POINTS", 32)
+        got = lo._expm_grid(a, t)
         assert np.isnan(got[-2:]).all() and np.isfinite(got[:-2]).all()
         assert got.tobytes() == mask_loop_expm_grid(a, t).tobytes()
 
@@ -293,15 +405,18 @@ class TestExpmGrid:
                 propagate_populations(POP0, rates, [0.0, 0.5, 1.0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_width_is_nan(self):
+    def test_overflowing_width_nan_in_expm_grid_steady_in_populations(self):
         # a finite norm whose product with the width overflows: NaN like a
-        # point past _MAX_SQUARINGS, not an overflow warning, and refused
+        # point past _MAX_SQUARINGS, not an overflow warning; the closed
+        # form reads the steady state there
         rates = RateSet(g34=1e200, g43=1e200, g_out=0.027, g_in=0.002)
         grid = [0.0, 1e-205, 1e108, 1e200]
-        got = mr._expm_grid(rate_matrix(rates), np.array(grid))
+        got = lo._expm_grid(rate_matrix(rates), np.array(grid))
         assert np.isfinite(got[:2]).all() and np.isnan(got[2:]).all()
-        with pytest.raises(InvariantViolationError, match="finite"):
-            propagate_populations(POP0, rates, grid)
+        s = propagate_populations(POP0, rates, grid)
+        n2_inf, d_inf = steady_state(rates)
+        assert np.abs(s.n2_frac[2:] - n2_inf).max() <= 1e-15
+        assert np.abs(s.n44[2:] - s.n43[2:] - d_inf).max() <= 1e-15
 
     def test_memory_bounded_on_long_grid(self):
         # a million points: the output and the series dominate; whole-grid
@@ -317,20 +432,23 @@ class TestExpmGrid:
         assert np.isfinite(series.n44).all()
         assert peak < 160e6
 
-    def test_artifacts_unchanged(self, monkeypatch, tmp_path):
-        # populations and fig2a-fig2c write the same bytes as under the
-        # mask loop
-        runs = [["populations", "--grid", "0,100,0.01"],
-                *(["scenario", name] for name in ("fig2a", "fig2b", "fig2c"))]
+    def test_artifacts_unchanged(self, monkeypatch):
+        # the Lindblad oracle's check and its state stack hold the same
+        # bytes as under the mask loop; no population artifact uses it
+        times = np.cumsum([0.0, 0.5, 3.0, 0.01, 40.0, 7.5, 1e3])
 
-        def digests(out):
-            for k, argv in enumerate(runs):
-                assert main([*argv, "--out", str(out / str(k))]) == 0
-            return {f.relative_to(out): hashlib.sha256(f.read_bytes())
-                    .hexdigest() for f in sorted(out.rglob("*.*"))}
-        new = digests(tmp_path / "new")
-        monkeypatch.setattr(mr, "_expm_grid", mask_loop_expm_grid)
-        assert digests(tmp_path / "mask") == new
+        def oracle():
+            out = []
+            for name, deph in (("fig2a", 0.0), ("fig2c", 0.02)):
+                params = scenario_params(name)
+                noise = NoiseChannels(dephasing=deph)
+                out.append(validate_against_oracle(params, 2.0, noise))
+                out.append(integrate_exact(ExactState.css(), params, noise,
+                                           times).tobytes())
+            return out
+        new = oracle()
+        monkeypatch.setattr(lo, "_expm_grid", mask_loop_expm_grid)
+        assert oracle() == new
 
 
 class TestSlopes:

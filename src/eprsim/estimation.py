@@ -6,12 +6,11 @@ The forward model couples the three-level population dynamics to the
 Gaussian moment engine: the populations throttle the collective rate and
 supply the multilevel correction to the witness.  Fitting is weighted least
 squares (``least_squares``, a projected Levenberg-Marquardt in numpy) on at
-most five physical parameters with box bounds, with the exact Jacobian:
-forward-mode derivatives taken through the same closed forms that give the
-values, in the same pass (``forward_model`` with ``directions``).  The
-solver takes one callable that returns the residuals and their Jacobian
-from that one pass, and stops by the module constants ``_FTOL``, ``_XTOL``,
-``_GTOL`` and ``_NFEV_PER_PARAMETER``.
+most five physical parameters with box bounds, with the exact Jacobian: one
+complex step of the forward model's own kernels (``forward_model`` with
+``directions``).  The solver takes one callable that returns the residuals
+and their Jacobian from one such evaluation, and stops by the module
+constants ``_FTOL``, ``_XTOL``, ``_GTOL`` and ``_NFEV_PER_PARAMETER``.
 """
 
 from __future__ import annotations
@@ -25,11 +24,16 @@ import numpy as np
 from .errors import FitFailureError, IdentifiabilityError
 from .gaussian_dynamics import (
     NoiseChannels,
+    _mix,
+    _weights,
     propagate_moments,
 )
 from .multilevel_rates import (
     PopulationState,
     RateSet,
+    _closed_form,
+    _fractions,
+    _renormalised,
     multilevel_xi,
     polarization_slope,
     propagate_populations,
@@ -68,6 +72,11 @@ _NFEV_PER_PARAMETER = 100
 # least_squares' message by status
 _STOPS = ("the evaluation budget is spent", "gtol is met", "ftol is met",
           "xtol is met", "ftol and xtol are met")
+# Step of the complex-step derivative (Squire & Trapp, SIAM Rev. 40 (1998)
+# 110; Martins, Sturdza & Alonso, ACM TOMS 29 (2003) 245): parameters + i h
+# d carry the derivative along d in their imaginary part, computed without a
+# difference that cancels; the O(h^2) error is far below rounding
+_STEP = 2.0**-80
 
 
 @dataclass(frozen=True)
@@ -178,11 +187,13 @@ def _resolve_gamma_l_out(problem: FitProblem, trial: dict) -> float:
     return gl
 
 
-def _rate_tangents(directions, pump: bool) -> np.ndarray:
-    """d(g34, g43, g_out, g_in, pump) of ``transition_rates`` along
-    directions over FITTABLE, shape (P, 5)."""
-    _, col, _, l_out, pmp = np.asarray(directions).T
-    return np.array([col, col, col + l_out, col, pmp * pump]).T
+def _tangents(directions, pump: bool) -> np.ndarray:
+    """d(g34, g43, g_out, g_in, pump) of ``transition_rates``, then d(d,
+    dephasing, pump_refill) of ``NoiseChannels.from_params``, along the P
+    directions over FITTABLE, shape (P, 8)."""
+    d, col, tilde, l_out, pmp = np.reshape(directions, (-1, 5)).T
+    return np.array([col, col, col + l_out, col, pmp * pump, d, tilde,
+                     pmp * pump]).T
 
 
 def _directions(problem: FitProblem) -> np.ndarray:
@@ -192,10 +203,16 @@ def _directions(problem: FitProblem) -> np.ndarray:
     eye = np.eye(len(FITTABLE))
     rows = eye[[FITTABLE.index(name) for name in problem.free]]
     if problem.slope_obs is not None:
-        for row, d in zip(rows, _rate_tangents(rows, problem.pump)):
+        for row, d in zip(rows, _tangents(rows, problem.pump)):
             row[3] = polarization_slope(
-                problem.initial_pop, RateSet(*d[:2], 0.0, *d[3:])) - row[1]
+                problem.initial_pop, RateSet(*d[:2], 0.0, *d[3:5])) - row[1]
     return rows
+
+
+def _observed(xi_gauss, pops):
+    """(xi_multilevel, jx_norm) along the last axis from the Gaussian
+    witness and the populations, or from their complex steps."""
+    return multilevel_xi(xi_gauss, pops), pops.jx_frac / pops.jx_frac[..., :1]
 
 
 def forward_model(params: ModelParams, initial_pop: PopulationState, times,
@@ -205,30 +222,51 @@ def forward_model(params: ModelParams, initial_pop: PopulationState, times,
     from the GaussianState ``initial_state`` (None: the CSS).
 
     ``directions`` (P, 5) over FITTABLE adds the series' derivatives (P,
-    len(times)) along them, (d_xi_multilevel, d_jx_norm), from the same
-    propagations as the values.
+    len(times)) along them, (d_xi_multilevel, d_jx_norm), by
+    ``_complex_step``; the values do not depend on them.
     """
     times = np.asarray(times, dtype=float)
-    d_rates = d_moments = None
-    if directions is not None:
-        directions = np.asarray(directions).reshape(-1, len(FITTABLE))
-        d_rates = _rate_tangents(directions, pump)
-        # NoiseChannels.from_params: dephasing Gamma_tilde, refill the pump
-        d_moments = np.array([directions[:, 0], directions[:, 2],
-                              d_rates[:, 4]]).T
     pops = propagate_populations(initial_pop, transition_rates(params, pump),
-                                 times, d_rates=d_rates)
+                                 times)
     noise = NoiseChannels.from_params(params, pump=pump)
     traj = propagate_moments(css_state() if initial_state is None
                              else initial_state, params, noise, times,
-                             populations=pops, d_rates=d_moments)
-    xi_ml = multilevel_xi(traj.xi, pops, traj.d_xi)
-    jx_norm = pops.jx_frac / pops.jx_frac[0]
+                             populations=pops)
+    values = (*_observed(traj.xi, pops), traj, pops)
     if directions is None:
-        return xi_ml, jx_norm, traj, pops
-    xi_ml, d_xi_ml = xi_ml
-    return (xi_ml, jx_norm, traj, pops, d_xi_ml,
-            (pops.d_jx - jx_norm * pops.d_jx[:, :1]) / pops.jx_frac[0])
+        return values
+    return values + _complex_step(params, initial_pop, pump, traj, directions)
+
+
+def _complex_step(params, initial_pop, pump, traj, directions):
+    """(d_xi_multilevel, d_jx_norm) along ``directions`` at ``traj``: the
+    forward model's kernels with ``_tangents`` moved by i _STEP, the moments
+    for all directions at once as (P, 1) columns.  |n44 - n43| and nh's clip
+    at 0 go by the sign of the real value; the rounding-level clips pass the
+    tangents through."""
+    rates = transition_rates(params, pump)
+    z = (np.array([rates.g34, rates.g43, rates.g_out, rates.g_in, rates.pump,
+                   params.d, params.Gamma_tilde, rates.pump])
+         + 1j * _STEP * _tangents(directions, pump))
+    # the closed form takes scalar rates, one direction at a time; one that
+    # moves no population rate keeps the values' populations
+    n0 = (initial_pop.n44, initial_pop.n43, initial_pop.nh)
+    t, values = traj.times - traj.times[0], traj.populations
+    sol = np.zeros((3, len(z), t.size), complex)
+    sol += np.array([values.n44, values.n43, values.nh])[:, None]
+    for p in np.flatnonzero(z[:, :5].imag.any(axis=1)):
+        sol[:, p] = _renormalised(np.array(_closed_form(n0, t,
+                                                        *z[p, :5].tolist())))
+    n44, n43, nh = sol
+    d, dephasing, refill = z[:, 5:].T[:, :, None]
+    diff = n44 - n43
+    pops = SimpleNamespace(n43=n43, p2_tilde=diff * np.sign(diff.real))
+    pops.n2_frac, pops.p2, pops.jx_frac = _fractions(n44, n43,
+                                                     pops.p2_tilde)
+    phi, x = _weights(traj.times[1:] - traj.times[:-1], d * params.Gamma,
+                      dephasing, pops.p2_tilde, refill * (nh * (nh.real > 0)))
+    xi = _mix(phi, x, traj.corners[:, 2])
+    return tuple(v.imag / _STEP for v in _observed(xi, pops))
 
 
 def least_squares(fun, x0, bounds):

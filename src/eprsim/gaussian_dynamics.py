@@ -38,8 +38,8 @@ x_b = x_a e^-dR + int_{e^-dR}^1 q du, with q = g2 / rate in [0, 1] taken at
 the root s(u) of the quadratic int_s^b rate = -ln u; a fixed Gauss-Legendre
 rule integrates this bounded, smooth q, however stiff the rates.  phi, x >= 0
 and phi + x <= 1 make C a convex mix of physical covariances, hence physical,
-and the witness (linear in C) mixes the witnesses of C0, T and I alike, as
-its rate derivatives mix theirs; the same pass gives those of phi and x.
+and the witness (linear in C) mixes the witnesses of C0, T and I alike.
+These kernels also take complex rates, as ``estimation``'s complex step.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError
-from .multilevel_rates import series_columns
+from .multilevel_rates import _checked_grid, series_columns
 from .spin_model import (
     GaussianState,
     ModelParams,
@@ -91,11 +91,8 @@ _GL_WEIGHTS = np.array([
     0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
     0.22238103445337443, 0.10122853629037706])
-# the rule's node terms 1 - z and (1 - z) / 2, and d(rb + rs)/d(ra, rb)'s
-# constant part
-_GL_GAPS = 1.0 - _GL_NODES
-_GL_HALF_GAPS = 0.5 * _GL_GAPS
-_D_RB = np.array([0.0, 1.0])[:, None, None]
+# u - 1 = width * _GL_SHIFTS at the rule's nodes, exact in binary
+_GL_SHIFTS = -0.5 * (1.0 - _GL_NODES)
 
 # The CSS covariance, the third corner of every trajectory, and its witness
 _CSS_COV = np.eye(4)
@@ -145,9 +142,8 @@ class Trajectory:
     C0 is validated (``epr_variance``) unless it is exactly the CSS
     identity with finite means, which is physical as it stands and takes
     the CSS witness row without validation.  The witness arrays
-    ``var_x_minus``, ``var_p_plus`` and ``xi`` are aligned with ``times``.
-    ``d_weights``, the derivatives (d_phi, d_x), each (P, len(times)),
-    along P directions, give the witness's ``d_xi`` (None without them).
+    ``var_x_minus``, ``var_p_plus`` and ``xi`` are aligned with ``times``;
+    ``corners`` holds the witness rows of C0, T and the CSS.
     """
 
     times: np.ndarray
@@ -156,7 +152,6 @@ class Trajectory:
     initial: GaussianState
     target: np.ndarray
     populations: object = None
-    d_weights: tuple | None = None
 
     def __post_init__(self):
         self.times, self.phi, self.x = (
@@ -173,15 +168,9 @@ class Trajectory:
         else:
             r0 = epr_variance(self.initial)
             row0 = r0.var_x_minus, r0.var_p_plus, r0.xi
-        corners = np.array([row0, epr_witness(self.target), _CSS_ROW])
-        weights = np.empty((self.times.size, 3))
-        weights[:, 0], weights[:, 1] = self.phi, self.x
-        weights[:, 2] = 1.0 - self.phi - self.x
-        self.var_x_minus, self.var_p_plus, self.xi = (weights @ corners).T
-        self.d_xi = None
-        if self.d_weights is not None:  # the witness is linear in them
-            (d_phi, d_x), (xi0, xi_t, xi_css) = self.d_weights, corners[:, 2]
-            self.d_xi = d_phi * (xi0 - xi_css) + d_x * (xi_t - xi_css)
+        self.corners = np.array([row0, epr_witness(self.target), _CSS_ROW])
+        self.var_x_minus, self.var_p_plus, self.xi = _mix(
+            self.phi, self.x, self.corners).T
 
     def state(self, k: int) -> GaussianState:
         """GaussianState at ``times[k]``."""
@@ -191,55 +180,93 @@ class Trajectory:
                              + (1.0 - p - x) * np.eye(4))
 
 
+def _mix(phi, x, corners):
+    """The witness rows of C = phi C0 + x T + (1 - phi - x) I, one per entry
+    of ``phi`` and ``x``, from ``corners``, the rows of C0, T and I."""
+    weights = np.empty(phi.shape + (3,), phi.dtype)
+    weights[..., 0], weights[..., 1] = phi, x
+    weights[..., 2] = 1.0 - phi - x
+    return weights @ corners
+
+
 def relaxation_rate(params: ModelParams, p2_tilde: float = 1.0) -> float:
     """Covariance relaxation rate 2*gamma_c of the engineered dissipation."""
     return params.d * params.Gamma * p2_tilde
 
 
-def _increments(h, g2, rate, partials=False):
+def _analytic(f, df):
+    """The ufunc ``f`` taking complex steps x + i y to first order, f(x) +
+    i y df(x, f(x)): f's complex step to rounding, at a fraction of the
+    cost of NumPy's complex sqrt and log1p, whose log1p also takes its real
+    part as log|1 + z| and so loses relative accuracy near z = 0."""
+    def stepped(z):
+        if not np.iscomplexobj(z):
+            return f(z)
+        out = np.empty_like(z)
+        f(z.real, out=out.real)
+        np.multiply(z.imag, df(z.real, out.real), out=out.imag)
+        return out
+    return stepped
+
+
+_log1p = _analytic(np.log1p, lambda x, fx: 1.0 / (1.0 + x))
+_sqrt = _analytic(np.sqrt, lambda x, fx: 0.5 / fx)
+
+
+def _hypot(a, b):
+    """np.hypot, and for complex a, b its first-order extension, which
+    keeps hypot's value bits and overflow safety."""
+    if not np.iscomplexobj(a):
+        return np.hypot(a, b)
+    r = np.hypot(a.real, b.real)
+    return r + 1j * ((a.real * a.imag + b.real * b.imag) / r)
+
+
+def _increments(h, g2, rate):
     """Per interval of widths ``h``: dR, the integral of the rate, and the x
-    increment, from g2 and the rate at the interval ends (see the module
-    docstring).  ``partials`` adds the increment's derivatives with respect
-    to (rate_a, rate_b, g2_a, g2_b), the values at each interval's two ends,
-    shape (4, len(h)), taken through the same terms; dR's are h / 2.
-    InvariantViolationError where a dR is not finite."""
+    increment, from g2 and the rate at the interval ends along the last axis
+    (module docstring).  InvariantViolationError where a dR is not finite."""
     with np.errstate(over="ignore"):
-        dR = 0.5 * h * (rate[:-1] + rate[1:])
+        dR = 0.5 * h * (rate[..., :-1] + rate[..., 1:])
     if not np.isfinite(dR).all():
         raise InvariantViolationError("moment rates overflow: their "
                                       "integral over an interval is not finite")
-    inc = np.zeros(dR.shape)
+    inc = np.zeros(dR.shape, dR.dtype)
     # a zero-rate interval leaves x unchanged; where none has a zero rate,
     # a slice picks every interval with views instead of masked copies
-    live = dR > 0
+    live = dR.real > 0
     live = slice(None) if live.all() else live
     width = -np.expm1(-dR[live])
     # v = -ln(u) / dR at the rule's nodes u = 1 - width (1 - z) / 2
-    u = -0.5 * (width[:, None] * _GL_GAPS)
-    v = -np.log1p(u) / dR[live, None]
-    ga, gb = g2[:-1, None][live], g2[1:, None][live]
-    ra, rb = rate[:-1, None][live], rate[1:, None][live]
+    v = _log1p(width[..., None] * _GL_SHIFTS) / -dR[live][..., None]
+    ga, gb = g2[..., :-1, None][live], g2[..., 1:, None][live]
+    ra, rb = rate[..., :-1, None][live], rate[..., 1:, None][live]
     # rate(s)^2 = v ra^2 + (1 - v) rb^2 at the root s = b - f (b - a)
-    w = 1.0 - v
-    rs = np.hypot(np.sqrt(v) * ra, np.sqrt(w) * rb)
-    r_ab, rb_rs, g_ab = ra + rb, rb + rs, ga - gb
-    f = v * r_ab / rb_rs
-    q = (gb + f * g_ab) / rs
-    q_sum = q @ _GL_WEIGHTS
-    inc[live] = 0.5 * width * q_sum
-    if not partials:
-        return dR, inc
-    # d/d rate_a and d/d rate_b: each moves dR by h / 2
-    d_width = (1.0 - width) * 0.5 * h[live]
-    d_v = (_GL_HALF_GAPS * d_width[:, None] / (1.0 + u)
-           - 0.5 * h[live, None] * v) / dR[live, None]
-    d_rs = (0.5 * d_v * (ra**2 - rb**2) + np.array([v * ra, w * rb])) / rs
-    d_f = (d_v * r_ab + v - f * (d_rs + _D_RB)) / rb_rs
-    d_q = [*((d_f * g_ab - q * d_rs) / rs), f / rs, (1.0 - f) / rs]
-    parts = np.zeros((4, h.size))
-    parts[:, live] = 0.5 * width * (np.array(d_q) @ _GL_WEIGHTS)
-    parts[:2, live] += 0.5 * d_width * q_sum
-    return dR, inc, parts
+    rs = _hypot(_sqrt(v) * ra, _sqrt(1.0 - v) * rb)
+    f = v * (ra + rb) / (rb + rs)
+    q = (gb + f * (ga - gb)) / rs
+    inc[live] = 0.5 * width * (q @ _GL_WEIGHTS)
+    return dR, inc
+
+
+def _weights(h, d_gamma, dephasing, p2_tilde, pump_noise):
+    """phi and x on steps ``h`` along the last axis (module docstring) for
+    g2 = d_gamma p2_tilde and the rate g2 + dephasing + pump_noise."""
+    g2 = d_gamma * p2_tilde
+    dR, inc = _increments(h, g2, g2 + dephasing + pump_noise)
+    decay = np.exp(-dR)
+    # accumulate is a sequential left fold: the recursion's products
+    phi = np.multiply.accumulate(np.concatenate(
+        (np.ones(dR.shape[:-1] + (1,)), decay), axis=-1), axis=-1)
+    x = []
+    for es, ds in zip(np.atleast_2d(decay).tolist(),
+                      np.atleast_2d(inc).tolist()):
+        xk, row = 0.0, [0.0]  # x's recursion, one row at a time
+        for e, dx in zip(es, ds):
+            xk = xk * e + dx
+            row.append(xk)
+        x.append(row)
+    return phi, np.array(x).reshape(phi.shape)
 
 
 def _population_rates(populations, times: np.ndarray) -> tuple:
@@ -254,74 +281,31 @@ def _population_rates(populations, times: np.ndarray) -> tuple:
 
 
 def propagate_moments(initial: GaussianState, params: ModelParams,
-                      noise: NoiseChannels, grid, populations=None,
-                      d_rates=None) -> Trajectory:
+                      noise: NoiseChannels, grid, populations=None
+                      ) -> Trajectory:
     """Evolve the moments exactly over ``grid`` (ms, strictly increasing).
 
     ``populations``, a PopulationSeries on ``grid`` itself (ValueError
     otherwise), throttles the collective rate quasi-statically by its
     N2(t) P2(t); see the module docstring.  ``initial`` is checked once,
     when the Trajectory reads its witness, unless it is the CSS.
-
-    ``d_rates`` (P, 3), d(d, dephasing, pump_refill) per direction, adds the
-    weights' derivatives along them, and so the witness's ``d_xi``; the
-    populations move along the same directions by their ``tangents`` (None
-    holds them fixed).  The tangents go through the same dR, Gauss-Legendre
-    terms and phi/x recursion as the values, from one ``_increments`` call.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
-        raise ValueError("grid must be a nonempty 1-D array of finite values")
-    h = grid[1:] - grid[:-1]
-    if (h <= 0).any():
-        raise ValueError("grid must strictly increase")
+    grid = _checked_grid(grid)
     p2, nh = _population_rates(populations, grid)
-    if not math.isfinite(params.d * params.Gamma):  # else inf * (P2 = 0)
+    d_gamma = relaxation_rate(params)
+    if not math.isfinite(d_gamma):  # else inf * (P2 = 0)
         raise InvariantViolationError("moment rates overflow: d * Gamma is "
                                       "not finite")
-    g2 = relaxation_rate(params, p2)
-    rate = g2 + noise.dephasing + noise.pump_noise_rate(nh)
-    dR, inc, *parts = _increments(h, g2, rate, partials=d_rates is not None)
-    decay = np.exp(-dR)
-    # accumulate is a sequential left fold: the recursion's products
-    phi = np.multiply.accumulate(np.concatenate(([1.0], decay)))
-    decay = decay.tolist()
-    xk, x = 0.0, [0.0]
-    for e, dx in zip(decay, inc.tolist()):
-        xk = xk * e + dx
-        x.append(xk)
-    x = np.array(x)
+    phi, x = _weights(grid[1:] - grid[:-1], d_gamma, noise.dephasing, p2,
+                      noise.pump_noise_rate(nh))
     tol = 1e-8  # slack on the simplex: the covariance check's atol
     if not ((phi >= -tol) & (x >= -tol) & (phi + x <= 1.0 + tol)).all():
         raise InvariantViolationError(
             "moment weights left the simplex phi, x >= 0, phi + x <= 1")
-    phi, x = phi.clip(0.0, 1.0), x.clip(0.0, 1.0)
-    d_weights = None
-    if d_rates is not None:
-        d_p2 = d_nh = 0.0
-        if populations is not None and populations.tangents is not None:
-            d_p2, d_nh = populations.d_p2_tilde, populations.tangents[2]
-        dd, d_deph, d_refill = np.asarray(d_rates).reshape(-1, 3).T[:, :, None]
-        d_g2 = params.Gamma * (dd * p2 + params.d * d_p2)
-        d_rate = (d_g2 + d_deph + d_refill * np.maximum(0.0, nh)
-                  + noise.pump_refill * (nh > 0) * d_nh)
-        ra, rb, ga, gb = parts[0]  # the increments' partials
-        d_dR = 0.5 * h * (d_rate[:, :-1] + d_rate[:, 1:])
-        d_inc = (ra * d_rate[:, :-1] + rb * d_rate[:, 1:]
-                 + ga * d_g2[:, :-1] + gb * d_g2[:, 1:])
-        d_x, xs = np.empty((len(d_dR), grid.size)), x.tolist()
-        for row, a, b in zip(d_x, d_dR.tolist(), d_inc.tolist()):
-            y, col = 0.0, [0.0]  # one direction's d_x recursion
-            for e, xk, da, di in zip(decay, xs, a, b):
-                y = (y - xk * da) * e + di
-                col.append(y)
-            row[:] = col
-        d_phi = np.zeros((len(d_dR), grid.size))
-        d_dR.cumsum(axis=1, out=d_phi[:, 1:])
-        d_weights = (-phi * d_phi, d_x)
-    return Trajectory(times=grid, phi=phi, x=x, initial=initial,
+    return Trajectory(times=grid, phi=phi.clip(0.0, 1.0),
+                      x=x.clip(0.0, 1.0), initial=initial,
                       target=two_mode_squeezed_cov(params.mu, params.nu),
-                      populations=populations, d_weights=d_weights)
+                      populations=populations)
 
 
 def trajectory_to_csv(traj: Trajectory) -> dict:

@@ -12,10 +12,10 @@ and subtracting pairs of equations gives the textbook forms
 
 with n2 = n44 + n43 and P2_tilde = P2 n2, which ``propagate_populations``
 solves in closed form (for n2 and D = n44 - n43): two exponentials and
-their divided differences over the whole time grid at once, and the rate
-derivatives by complex step through the same formulas.  The optional
-incoherent pump (``RateSet.pump``) refills the hidden level into F=4 and
-repolarises.
+their divided differences over the whole time grid at once.  The closed
+form also takes complex rates, and the renormalisation complex fractions,
+which is how ``estimation`` differentiates them.  The optional incoherent
+pump (``RateSet.pump``) refills the hidden level into F=4 and repolarises.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ def rate_matrix(rates: RateSet) -> np.ndarray:
 
 
 def _generator(g34, g43, g_out, g_in, pump) -> np.ndarray:
-    """``rate_matrix`` of plain numbers: linear in them, so a rate tangent
-    (any sign) gives the generator's tangent."""
+    """``rate_matrix`` of plain numbers, with no check on them."""
     a = np.array(
         [
             [-(g43 + g_out), g34, g_in],
@@ -134,15 +133,12 @@ def _generator(g34, g43, g_out, g_in, pump) -> np.ndarray:
 
 @dataclass
 class PopulationSeries:
-    """Population trajectory; arrays are aligned with ``times``, and
-    ``tangents`` (3, P, len(times)), if any, are the derivatives of (n44,
-    n43, nh) along P directions: d_n2, d_p2_tilde and d_jx follow."""
+    """Population trajectory; arrays are aligned with ``times``."""
 
     times: np.ndarray
     n44: np.ndarray
     n43: np.ndarray
     nh: np.ndarray
-    tangents: np.ndarray | None = None
 
     def __post_init__(self):
         self.times, self.n44, self.n43, self.nh = (
@@ -152,17 +148,9 @@ class PopulationSeries:
                 == self.nh.shape:
             raise InvariantViolationError("population series lengths differ")
         _check_populations(self.n44, self.n43, self.nh)
-        self.n2_frac = self.n44 + self.n43
-        diff = self.n44 - self.n43
-        self.p2_tilde = np.abs(diff)
-        self.p2 = np.divide(self.p2_tilde, self.n2_frac,
-                            out=np.zeros(self.n2_frac.shape),
-                            where=self.n2_frac > 0)
-        self.jx_frac = 4.0 * self.n44 + 3.0 * self.n43
-        if self.tangents is not None:
-            d44, d43, _ = self.tangents
-            self.d_n2, self.d_jx = d44 + d43, 4.0 * d44 + 3.0 * d43
-            self.d_p2_tilde = np.sign(diff) * (d44 - d43)
+        self.p2_tilde = np.abs(self.n44 - self.n43)
+        self.n2_frac, self.p2, self.jx_frac = _fractions(
+            self.n44, self.n43, self.p2_tilde)
 
     def state(self, k: int) -> PopulationState:
         """PopulationState at ``times[k]``."""
@@ -170,31 +158,42 @@ class PopulationSeries:
                                nh=self.nh[k])
 
 
+def _fractions(n44, n43, p2_tilde):
+    """n2, P2 (0 where n2 = 0) and <J_x>/N of fractions, real or complex."""
+    n2 = n44 + n43
+    p2 = np.divide(p2_tilde, n2, out=np.zeros(n2.shape, n2.dtype),
+                   where=n2.real > 0)
+    return n2, p2, 4.0 * n44 + 3.0 * n43
+
+
 def series_columns(times, witness=None, pops=None) -> dict:
     """The time-series schema as named columns: time_ms, then ``witness``
     (var_x_minus, var_p_plus, xi; None: empty), then Jx_norm, N2 and P2 of
-    the PopulationSeries ``pops`` interpolated onto ``times`` (None: 1, empty,
-    empty).  Jx_norm is <J_x> over its initial value, which must be positive
-    (DegeneratePolarizationError)."""
+    the PopulationSeries ``pops``, which must be on ``times`` (ValueError;
+    None: 1, empty, empty).  Jx_norm is <J_x> over its initial value, which
+    must be positive (DegeneratePolarizationError)."""
     cols = [times, *(witness or (None, None, None)), np.ones(len(times)),
             None, None]
     if pops is not None:
+        if not np.array_equal(pops.times, times):
+            raise ValueError("the populations must be on the series' times")
         jx0 = pops.jx_frac[0]
         if jx0 <= 0.0:
             raise DegeneratePolarizationError(
                 "initial mean spin vanishes; Jx_norm is undefined")
-        jx, n2, p2 = (np.interp(times, pops.times, v)
-                      for v in (pops.jx_frac, pops.n2_frac, pops.p2))
-        cols[4:] = [jx / jx0, n2, p2]
+        cols[4:] = [pops.jx_frac / jx0, pops.n2_frac, pops.p2]
     return dict(zip(("time_ms", "var_x_minus", "var_p_plus", "xi", "Jx_norm",
                      "N2", "P2"), cols))
 
 
-# Step of the complex-step tangents (Squire & Trapp, SIAM Rev. 40 (1998)
-# 110): rates + i h d carry the derivative along d in their imaginary part,
-# computed without a difference that cancels; the O(h^2) error is far below
-# rounding
-_STEP = 2.0**-80
+def _checked_grid(grid) -> np.ndarray:
+    """``grid`` as floats; ValueError unless 1-D, nonempty, finite, rising."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
+        raise ValueError("grid must be a nonempty 1-D array of finite values")
+    if (grid[1:] - grid[:-1] <= 0).any():
+        raise ValueError("grid must strictly increase")
+    return grid
 
 
 def _divided(x, y, e_x, e_y, t):
@@ -244,26 +243,18 @@ def _closed_form(n0, t, g34, g43, g_out, g_in, pump):
     return 0.5 * (n2 + d), 0.5 * (n2 - d), nh + moved
 
 
+def _renormalised(sol):
+    """Level fractions ``sol`` (3, ...) scaled to sum to 1 at every time."""
+    return sol / sol.sum(axis=0, keepdims=True)
+
+
 def propagate_populations(initial: PopulationState, rates: RateSet,
-                          grid, d_rates=None) -> PopulationSeries:
+                          grid) -> PopulationSeries:
     """Exact propagation of the linear population system over ``grid`` (ms,
     strictly increasing), in closed form (``_closed_form``): exact at every
-    finite horizon, the steady state included.
-
-    ``d_rates`` (P, 5), d(g34, g43, g_out, g_in, pump) per direction, adds
-    the series' derivatives along them as its ``tangents``, shape (3, P,
-    len(grid)) for (n44, n43, nh).  They come from the same closed form by
-    complex step (``_STEP``) over the directions that move a rate; the
-    values come from its real rates alone, so they do not depend on
-    ``d_rates``.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
-        raise ValueError("grid must be a nonempty 1-D array of finite values")
-    if (grid[1:] - grid[:-1] <= 0).any():
-        raise ValueError("grid must strictly increase")
+    finite horizon, the steady state included."""
+    grid = _checked_grid(grid)
     r = (rates.g34, rates.g43, rates.g_out, rates.g_in, rates.pump)
-    n0 = (initial.n44, initial.n43, initial.nh)
     t = grid - grid[0]
     with np.errstate(over="ignore"):
         # rate_matrix's 1-norm, its largest absolute column sum; finite, it
@@ -273,27 +264,14 @@ def propagate_populations(initial: PopulationState, rates: RateSet,
             raise InvariantViolationError(
                 "population rates overflow: the generator's norm is not "
                 "finite")
-        sol = np.array(_closed_form(n0, t, *r))
-        if d_rates is not None:
-            d_rates = np.asarray(d_rates, dtype=float).reshape(-1, 5)
-            d_sol = np.zeros((3, len(d_rates), t.size))
-            for p, d in enumerate(d_rates):
-                if d.any():  # a direction that moves no rate has none
-                    z = [complex(x, _STEP * dx) for x, dx in zip(r, d)]
-                    d_sol[:, p] = np.array(_closed_form(n0, t, *z)).imag
-            d_sol /= _STEP
+        sol = np.array(_closed_form((initial.n44, initial.n43, initial.nh),
+                                    t, *r))
     if sol.min() < -1e-8:
         raise ModelViolationError(
             f"population went negative ({sol.min():.3e}); rates are unphysical"
         )
-    sol = np.maximum(sol, 0.0)
-    sol /= sol.sum(axis=0, keepdims=True)
-    # the renormalisation, differentiated; what leaves n2 enters nh, so the
-    # raw sum is that of n0 at every time
-    return PopulationSeries(
-        times=grid, n44=sol[0], n43=sol[1], nh=sol[2],
-        tangents=None if d_rates is None
-        else (d_sol - sol[:, None] * d_sol.sum(axis=0)) / sum(n0))
+    sol = _renormalised(np.maximum(sol, 0.0))
+    return PopulationSeries(times=grid, n44=sol[0], n43=sol[1], nh=sol[2])
 
 
 def polarization_slope(initial: PopulationState, rates: RateSet) -> float:
@@ -308,27 +286,18 @@ def polarization_slope(initial: PopulationState, rates: RateSet) -> float:
     return float(_JX_WEIGHTS @ rate_matrix(rates) @ n0 / jx0)
 
 
-def multilevel_xi(xi_gauss, pop, d_xi_gauss=None):
+def multilevel_xi(xi_gauss, pop):
     """Multilevel witness xi = (Sigma_J + 14 n43) / (n2 (P2 + 7)) from the
     normalised Gaussian witness.
 
     Sigma_J = 2 <J_x> xi_gauss is the EPR spin variance; the |4,+/-3> atoms
     add excess noise and the denominator renormalises to the shrinking
     two-level subsystem.  Everything is per atom, since the atom number
-    cancels.  ``pop`` is a PopulationSeries aligned with ``xi_gauss``.
-    ``d_xi_gauss`` (P, n), the Gaussian witness's derivatives along the P
-    directions of ``pop.tangents``, makes it return (xi, d_xi) with d_xi of
-    shape (P, n).
+    cancels.  ``pop`` is a PopulationSeries aligned with ``xi_gauss``, or
+    its complex step.
     """
     if (pop.n2_frac <= 0).any():
         raise DegeneratePolarizationError("two-level subsystem is empty")
     sigma_j = 2.0 * pop.jx_frac * xi_gauss
     den = pop.n2_frac * (pop.p2 + 7.0)
-    xi = (sigma_j + 14.0 * pop.n43) / den
-    if d_xi_gauss is None:
-        return xi
-    # den = |n44 - n43| + 7 n2
-    d_den = pop.d_p2_tilde + 7.0 * pop.d_n2
-    d_num = (2.0 * pop.d_jx * xi_gauss + 2.0 * pop.jx_frac * d_xi_gauss
-             + 14.0 * pop.tangents[1])
-    return xi, (d_num - xi * d_den) / den
+    return (sigma_j + 14.0 * pop.n43) / den

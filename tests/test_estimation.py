@@ -8,7 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from eprsim import estimation, gaussian_dynamics, lindblad_oracle
+from eprsim import (
+    estimation,
+    gaussian_dynamics,
+    lindblad_oracle,
+    multilevel_rates,
+)
 from eprsim.cli import main
 from eprsim.errors import (
     FitFailureError,
@@ -24,19 +29,22 @@ from eprsim.estimation import (
     forward_model,
     orientation,
 )
+from eprsim.gaussian_dynamics import NoiseChannels
 from eprsim.multilevel_rates import (
     PopulationState,
+    multilevel_xi,
     polarization_slope,
     propagate_populations,
     transition_rates,
 )
-from eprsim.spin_model import GaussianState, two_mode_squeezed_cov
+from eprsim.spin_model import GaussianState, css_state, two_mode_squeezed_cov
 
 from test_gaussian_dynamics import (
     count_state_checks,
     list_loop_propagate_moments,
     mask_increments,
 )
+from test_multilevel_rates import van_loan_propagate_populations
 from test_spin_model import make_params
 
 POP0 = PopulationState(n44=0.99, n43=0.01, nh=0.0)
@@ -350,16 +358,17 @@ class TestPopulationMemo:
 
     @pytest.mark.parametrize("setup", MEMO_SETUPS)
     def test_one_propagation_per_evaluation(self, setup, monkeypatch):
-        # one forward model, one closed-form propagation (no matrix
-        # exponential) and one increment pass per evaluation of the
-        # residuals and their Jacobian
+        # one forward model per evaluation of the residuals and their
+        # Jacobian: one increment pass real for the values and one complex
+        # for the tangents of every direction, and the closed form (no
+        # matrix exponential) once real and once complex per direction that
+        # moves a population rate
         problem = _noisy_problem(**MEMO_SETUPS[setup])
         propagated, evaluated, calls = [], [], Counter()
 
-        def counted_propagation(initial_pop, rates, grid, d_rates=None):
+        def counted_propagation(initial_pop, rates, grid):
             propagated.append(rates)
-            return propagate_populations(initial_pop, rates, grid,
-                                         d_rates=d_rates)
+            return propagate_populations(initial_pop, rates, grid)
 
         def counted_model(params, initial_pop, times, pump=False,
                           directions=None):
@@ -367,11 +376,15 @@ class TestPopulationMemo:
             return forward_model(params, initial_pop, times, pump,
                                  directions=directions)
 
-        for module, name in ((lindblad_oracle, "_expm_grid"),
-                             (gaussian_dynamics, "_increments")):
+        # the real closed form is looked up in multilevel_rates, the
+        # complex one in estimation
+        for module, name, arg in ((lindblad_oracle, "_expm_grid", 0),
+                                  (gaussian_dynamics, "_increments", 2),
+                                  (multilevel_rates, "_closed_form", 2),
+                                  (estimation, "_closed_form", 2)):
             def counted(*args, _fn=getattr(module, name), _name=name,
-                        **kwargs):
-                calls[_name] += 1
+                        _arg=arg, **kwargs):
+                calls[_name, np.iscomplexobj(args[_arg])] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(estimation, "propagate_populations",
@@ -380,13 +393,18 @@ class TestPopulationMemo:
         _, sol = _solve(problem, monkeypatch)
         assert propagated == evaluated
         assert len(evaluated) == sol.nfev and sol.njev > 0
-        assert calls == {"_increments": sol.nfev}  # no _expm_grid call
+        moving = estimation._tangents(estimation._directions(problem),
+                                      problem.pump)[:, :5].any(axis=1)
+        passes = {("_increments", False): 1, ("_increments", True): 1,
+                  ("_closed_form", False): 1,
+                  ("_closed_form", True): np.count_nonzero(moving)}
+        assert calls == {key: n * sol.nfev for key, n in passes.items()}
 
         fun, x0 = _objective(problem, monkeypatch)
         calls.clear()
         propagated.clear()
         fun(x0)
-        assert len(propagated) == 1 and calls == {"_increments": 1}
+        assert len(propagated) == 1 and calls == passes
 
 
 class _Captured(Exception):
@@ -444,6 +462,31 @@ JACOBIAN_GRIDS = {"16-points": np.linspace(0.0, 30.0, 16),
                   "201-points": np.linspace(0.0, 40.0, 201)}
 
 
+def fused_forward_model(params, initial_pop, times, pump, directions):
+    """(d_xi_multilevel, d_jx_norm) along ``directions`` as forward_model
+    took them before the complex step: the population tangents from the
+    Van Loan referee, the witness's by the chain rule through the list-loop
+    referee, and the multilevel and J_x quotients differentiated by hand."""
+    d, col, tilde, l_out, pmp = np.asarray(directions, dtype=float).T
+    d_rates = np.array([col, col, col + l_out, col, pmp * pump]).T
+    pops = van_loan_propagate_populations(
+        initial_pop, transition_rates(params, pump), times, d_rates)
+    traj = list_loop_propagate_moments(
+        css_state(), params, NoiseChannels.from_params(params, pump=pump),
+        times, populations=pops, pop_tangents=pops.tangents,
+        d_rates=np.array([d, tilde, pmp * pump]).T)
+    d44, d43, _ = pops.tangents
+    d_n2, d_jx = d44 + d43, 4.0 * d44 + 3.0 * d43
+    d_p2_tilde = np.sign(pops.n44 - pops.n43) * (d44 - d43)
+    # xi = (2 jx xi_gauss + 14 n43) / den, den = |n44 - n43| + 7 n2
+    xi = multilevel_xi(traj.xi, pops)
+    d_num = 2.0 * d_jx * traj.xi + 2.0 * pops.jx_frac * traj.d_xi + 14.0 * d43
+    d_xi = (d_num - xi * (d_p2_tilde + 7.0 * d_n2)) \
+        / (pops.n2_frac * (pops.p2 + 7.0))
+    jx_norm = pops.jx_frac / pops.jx_frac[0]
+    return d_xi, (d_jx - jx_norm * d_jx[:, :1]) / pops.jx_frac[0]
+
+
 class TestJacobian:
     @pytest.mark.parametrize("grid", JACOBIAN_GRIDS)
     @pytest.mark.parametrize("setup", JACOBIAN_SETUPS)
@@ -465,11 +508,36 @@ class TestJacobian:
             assert scale > 0
             assert np.abs(got[:, k] - want).max() <= 1e-7 * scale, name
 
+    @pytest.mark.parametrize("grid", JACOBIAN_GRIDS)
+    @pytest.mark.parametrize("setup", JACOBIAN_SETUPS)
+    def test_matches_fused_referee(self, setup, grid):
+        # each direction's tangents within 1e-13 of their largest: the
+        # fit's directions (the slope-constrained ones included), each unit
+        # direction and random ones with a zero row
+        problem = _noisy_problem(grid=JACOBIAN_GRIDS[grid],
+                                 **JACOBIAN_SETUPS[setup])
+        args = (problem.fixed, problem.initial_pop, problem.times,
+                problem.pump)
+        random = np.random.default_rng(problem.times.size).standard_normal(
+            (4, 5))
+        random[1] = 0.0
+        for directions in (estimation._directions(problem), np.eye(5),
+                           random):
+            got = forward_model(*args, directions=directions)[4:]
+            want = fused_forward_model(*args, directions)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == (len(directions),
+                                              problem.times.size)
+                for p in range(len(directions)):
+                    scale = np.abs(w[p]).max()
+                    assert np.abs(g[p] - w[p]).max() <= 1e-13 * scale, p
+        assert not got[0][1].any() and not got[1][1].any()
+
     @pytest.mark.parametrize("setup", JACOBIAN_SETUPS)
     def test_values_independent_of_directions(self, setup):
-        # with directions the populations come from the Van Loan block,
-        # whose diagonal blocks are the plain exponential: rounding apart,
-        # the values are those of a call without them
+        # the values come from the real pass alone, and the directions only
+        # from a separate complex step: the values have the same bytes
+        # with and without them
         problem = _noisy_problem(**JACOBIAN_SETUPS[setup])
         args = (problem.fixed, problem.initial_pop, problem.times)
         plain = forward_model(*args, pump=problem.pump)
@@ -478,18 +546,20 @@ class TestJacobian:
         for got in fused[4:]:
             assert got.shape == (len(problem.free), problem.times.size)
         for want, got in ((plain[0], fused[0]), (plain[1], fused[1]),
-                          (plain[2].xi, fused[2].xi),
+                          *((getattr(plain[2], n), getattr(fused[2], n))
+                            for n in ("phi", "x", "xi")),
                           *((getattr(plain[3], n), getattr(fused[3], n))
                             for n in ("n44", "n43", "nh"))):
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-        # directions that move no rate leave the exponential as it is
-        still = forward_model(*args, pump=problem.pump,
-                              directions=np.eye(5)[[0, 2]])
-        assert still[3].tangents.shape == (3, 2, problem.times.size)
-        assert not still[3].tangents.any()
-        for n in ("n44", "n43", "nh"):
-            assert (getattr(still[3], n).tobytes()
-                    == getattr(plain[3], n).tobytes())
+            assert got.tobytes() == want.tobytes()
+        # directions that move no rate have zero tangents: the zero one,
+        # and Gamma_pump's without the pump
+        idle = np.zeros((2, 5))
+        idle[1, 4] = not problem.pump
+        still = forward_model(*args, pump=problem.pump, directions=idle)
+        for got in still[4:]:
+            assert got.shape == (2, problem.times.size) and not got.any()
+        for want, got in zip(plain[:2], still[:2]):
+            assert got.tobytes() == want.tobytes()
 
 
 def _criterion_8(noisy):
@@ -527,7 +597,7 @@ class TestStop:
 def _referee(fun, x0, bounds):
     """scipy's least_squares at the module solver's step scale, run to its
     rounding floor."""
-    from scipy.optimize import least_squares
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
     return least_squares(lambda x: fun(x)[0], x0, jac=lambda x: fun(x)[1],
                          bounds=bounds, ftol=1e-15, xtol=1e-15, gtol=1e-15,
                          x_scale=np.maximum(np.abs(x0), 1e-3))
@@ -741,7 +811,7 @@ class TestSameBitsReferees:
 
     def test_artifacts_unchanged(self, monkeypatch, tmp_path):
         # the CLI writes the same bytes with the referees in place of the
-        # solver step, the moment recursions and the increments
+        # solver step, the moment recursions and the values' increments
         truth = make_params()
         grid = np.linspace(0.0, 40.0, 41)
         xi, jx, _, _ = forward_model(truth, POP0, grid)
@@ -788,7 +858,15 @@ class TestSameBitsReferees:
         new = digests(tmp_path / "new")
         assert len(new) == 15
         monkeypatch.setattr(estimation, "least_squares", masked_least_squares)
-        monkeypatch.setattr(gaussian_dynamics, "_increments", mask_increments)
+        increments = gaussian_dynamics._increments
+
+        def real_increments(h, g2, rate):
+            # the referee takes the values' increments; the fit's complex
+            # step keeps the engine's
+            return (increments if np.iscomplexobj(rate)
+                    else mask_increments)(h, g2, rate)
+        monkeypatch.setattr(gaussian_dynamics, "_increments",
+                            real_increments)
         for module in (gaussian_dynamics, estimation):
             monkeypatch.setattr(module, "propagate_moments",
                                 list_loop_propagate_moments)

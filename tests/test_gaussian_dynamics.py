@@ -7,6 +7,7 @@ import pytest
 
 from eprsim import gaussian_dynamics as gd
 from eprsim.errors import InvariantViolationError
+from eprsim.estimation import _STEP
 from eprsim.gaussian_dynamics import (
     NoiseChannels,
     Trajectory,
@@ -295,7 +296,7 @@ class TestTimeVaryingRates:
         # pumped populations make both p2_tilde(t) and nh(t) vary; the
         # reference integrates moment_derivative on the full mean and
         # covariance
-        from scipy.integrate import solve_ivp
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
         from eprsim.multilevel_rates import (
             PopulationState,
@@ -344,7 +345,7 @@ class TestExactEngine:
         # p2_tilde and nh both varying on the moment grid; the rates are
         # linear between grid points, so a tight DOP853 solve of the
         # (phi, x) ODE per interval is the reference
-        from scipy.integrate import solve_ivp
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
         from eprsim.multilevel_rates import (
             PopulationState,
@@ -429,17 +430,13 @@ class TestPopulationsOnGrid:
         np.linspace(0.0, 20.0, 21)[:-1], np.array([0.0, 20.0])],
         ids=["coarser", "longer", "shorter", "ends"])
     def test_other_times_refused(self, times):
-        # propagate_moments reads the populations the same way with and
-        # without tangents: on the trajectory's own times or not at all
+        # propagate_moments reads the populations on the trajectory's own
+        # times or not at all
         params = make_params()
         noise = NoiseChannels(dephasing=0.1)
         with pytest.raises(ValueError, match="trajectory's times"):
             propagate_moments(css_state(), params, noise, self.GRID,
                               populations=self.full(times))
-        with pytest.raises(ValueError, match="trajectory's times"):
-            propagate_moments(css_state(), params, noise, self.GRID,
-                              populations=self.full(times),
-                              d_rates=np.ones((1, 3)))
 
     def test_full_polarisation_is_no_populations(self):
         # p2_tilde = 1 and nh = 0 on the grid: the same bits as None
@@ -487,10 +484,16 @@ def mask_increments(h, g2, rate, partials=False):
 
 
 def list_loop_propagate_moments(initial, params, noise, grid,
-                                populations=None, d_rates=None):
+                                populations=None, d_rates=None,
+                                pop_tangents=None):
     """propagate_moments as it was before the per-direction recursions: phi
-    and x in one scalar loop, d_x as one list of P values per time, the
-    increments from ``mask_increments``.  Kept as a same-bits referee."""
+    and x in one scalar loop, the increments from ``mask_increments``.
+    ``d_rates`` (P, 3), d(d, dephasing, pump_refill) per direction, with
+    the populations' ``pop_tangents`` (3, P, len(grid)) along the same
+    directions (None: fixed), adds the witness's ``d_xi`` (P, len(grid)) by
+    the chain rule through the increments' partials, d_x as one list of P
+    values per time.  Kept as a same-bits referee of the values and as the
+    referee of the tangents."""
     grid = np.asarray(grid, dtype=float)
     h = grid[1:] - grid[:-1]
     p2, nh = gd._population_rates(populations, grid)
@@ -505,11 +508,14 @@ def list_loop_propagate_moments(initial, params, noise, grid,
         x.append(x[-1] * e + dx)
     phi, x = np.array(phi), np.array(x)
     phi, x = phi.clip(0.0, 1.0), x.clip(0.0, 1.0)
-    d_weights = None
+    traj = Trajectory(times=grid, phi=phi, x=x, initial=initial,
+                      target=two_mode_squeezed_cov(params.mu, params.nu),
+                      populations=populations)
     if d_rates is not None:
         d_p2 = d_nh = 0.0
-        if populations is not None and populations.tangents is not None:
-            d_p2, d_nh = populations.d_p2_tilde, populations.tangents[2]
+        if pop_tangents is not None:
+            d44, d43, d_nh = pop_tangents
+            d_p2 = np.sign(populations.n44 - populations.n43) * (d44 - d43)
         dd, d_deph, d_refill = np.asarray(d_rates).reshape(-1, 3).T[:, :, None]
         d_g2 = params.Gamma * (dd * p2 + params.d * d_p2)
         d_rate = (d_g2 + d_deph + d_refill * np.maximum(0.0, nh)
@@ -525,10 +531,11 @@ def list_loop_propagate_moments(initial, params, noise, grid,
                          for y, da, di in zip(rows[-1], a, b)])
         d_phi = np.zeros((len(d_dR), grid.size))
         d_dR.cumsum(axis=1, out=d_phi[:, 1:])
-        d_weights = (-phi * d_phi, np.array(rows).T)
-    return Trajectory(times=grid, phi=phi, x=x, initial=initial,
-                      target=two_mode_squeezed_cov(params.mu, params.nu),
-                      populations=populations, d_weights=d_weights)
+        # the witness is linear in the weights
+        xi0, xi_t, xi_css = traj.corners[:, 2]
+        traj.d_xi = (-phi * d_phi * (xi0 - xi_css)
+                     + np.array(rows).T * (xi_t - xi_css))
+    return traj
 
 
 def same_bits(got, want):
@@ -560,17 +567,17 @@ class TestSameBitsReferees:
             tangents[:, :, p2 == 0] = 0.0
             pops = PopulationSeries(times=grid, n44=0.5 + 0.5 * p2,
                                     n43=0.5 - 0.5 * p2,
-                                    nh=np.zeros(grid.size),
-                                    tangents=tangents)
+                                    nh=np.zeros(grid.size))
             noise = NoiseChannels(pump_refill=0.5 if pump else 0.0)
         else:
             params = make_params(Gamma_pump=0.168 if pump else 0.0)
             pops = propagate_populations(
                 PopulationState(n44=0.8, n43=0.1, nh=0.1),
-                transition_rates(params, pump=pump), grid,
-                d_rates=rng.standard_normal((n_dirs, 5)))
+                transition_rates(params, pump=pump), grid)
+            tangents = rng.standard_normal((3, n_dirs, grid.size))
             noise = NoiseChannels.from_params(params, pump=pump)
-        return params, noise, grid, pops, rng.standard_normal((n_dirs, 3))
+        return (params, noise, grid, pops, tangents,
+                rng.standard_normal((n_dirs, 3)))
 
     @pytest.mark.parametrize("zero_rates", [False, True],
                              ids=["slice", "mask"])
@@ -579,20 +586,17 @@ class TestSameBitsReferees:
     @pytest.mark.parametrize("pump", [False, True], ids=["no-pump", "pump"])
     def test_trajectory_matches_list_loop(self, pump, n_dirs, n_points,
                                           zero_rates):
-        params, noise, grid, pops, d_rates = self.setup(
+        params, noise, grid, pops, *_ = self.setup(
             pump, n_dirs, n_points, zero_rates)
         start = GaussianState(mean=np.zeros(4),
                               cov=two_mode_squeezed_cov(params.mu, params.nu))
         for initial in (css_state(), start):
             got = propagate_moments(initial, params, noise, grid,
-                                    populations=pops, d_rates=d_rates)
+                                    populations=pops)
             want = list_loop_propagate_moments(
-                initial, params, noise, grid, populations=pops,
-                d_rates=d_rates)
-            for name in ("phi", "x", "xi", "d_xi"):
+                initial, params, noise, grid, populations=pops)
+            for name in ("phi", "x", "xi"):
                 same_bits(getattr(got, name), getattr(want, name))
-            for g, w in zip(got.d_weights, want.d_weights):
-                same_bits(g, w)
             assert (got.phi[1] == 1.0) == zero_rates
             plain = propagate_moments(initial, params, noise, grid,
                                       populations=pops)
@@ -609,9 +613,68 @@ class TestSameBitsReferees:
         if zero_rates:
             rate[: max(2, n_points // 3)] = 0.0
         g2 = rate * rng.uniform(0.0, 1.0, n_points)
-        for partials in (False, True):
-            got = gd._increments(h, g2, rate, partials=partials)
-            want = mask_increments(h, g2, rate, partials=partials)
-            assert len(got) == len(want)
+        got = gd._increments(h, g2, rate)
+        want = mask_increments(h, g2, rate)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same_bits(g, w)
+
+    @pytest.mark.parametrize("zero_rates", [False, True],
+                             ids=["slice", "mask"])
+    @pytest.mark.parametrize("n_points", [2, 3, 41, 401])
+    @pytest.mark.parametrize("n_dirs", [1, 2, 3, 5])
+    @pytest.mark.parametrize("pump", [False, True], ids=["no-pump", "pump"])
+    def test_complex_step_matches_list_loop(self, pump, n_dirs, n_points,
+                                            zero_rates):
+        # the tangents as the fit takes them, one complex step through the
+        # increments, the phi/x recursion and the witness mix, with the
+        # populations moved along their tangents: each direction's within
+        # 1e-13 of its largest of the referee's chain rule
+        params, noise, grid, pops, tangents, d_rates = self.setup(
+            pump, n_dirs, n_points, zero_rates)
+        d44, d43, d_nh = 1j * _STEP * tangents
+        diff = pops.n44 - pops.n43 + (d44 - d43)
+        nh = pops.nh + d_nh
+        d, dephasing, refill = (
+            np.array([params.d, noise.dephasing, noise.pump_refill])
+            + 1j * _STEP * d_rates).T[:, :, None]
+        start = GaussianState(mean=np.zeros(4),
+                              cov=two_mode_squeezed_cov(params.mu, params.nu))
+        for initial in (css_state(), start):
+            want = list_loop_propagate_moments(
+                initial, params, noise, grid, populations=pops,
+                d_rates=d_rates, pop_tangents=tangents).d_xi
+            phi, x = gd._weights(grid[1:] - grid[:-1], d * params.Gamma,
+                                 dephasing, diff * np.sign(diff.real),
+                                 refill * (nh * (nh.real > 0)))
+            corners = propagate_moments(initial, params, noise, grid,
+                                        populations=pops).corners
+            got = gd._mix(phi, x, corners[:, 2]).imag / _STEP
+            assert got.shape == want.shape == (n_dirs, n_points)
             for g, w in zip(got, want):
-                same_bits(g, w)
+                assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+    @pytest.mark.parametrize("zero_rates", [False, True],
+                             ids=["slice", "mask"])
+    @pytest.mark.parametrize("n_points", [2, 3, 41, 401])
+    def test_increments_complex_step_matches_partials(self, n_points,
+                                                      zero_rates):
+        # the increments at complex rates against the referee's partials:
+        # each a zero-rate interval's is 0
+        rng = np.random.default_rng(n_points)
+        h = rng.uniform(0.01, 2.0, n_points - 1)
+        rate = rng.uniform(0.0, 5.0, n_points)
+        if zero_rates:
+            rate[: max(2, n_points // 3)] = 0.0
+        g2 = rate * rng.uniform(0.0, 1.0, n_points)
+        d_rate, d_g2 = rng.standard_normal((2, n_points))
+        dR, inc = gd._increments(h, g2 + 1j * _STEP * d_g2,
+                                 rate + 1j * _STEP * d_rate)
+        _, _, (ra, rb, ga, gb) = mask_increments(h, g2, rate, partials=True)
+        want = (ra * d_rate[:-1] + rb * d_rate[1:] + ga * d_g2[:-1]
+                + gb * d_g2[1:])
+        assert np.abs(inc.imag / _STEP - want).max() \
+            <= 1e-13 * np.abs(want).max()
+        np.testing.assert_allclose(dR.imag / _STEP,
+                                   0.5 * h * (d_rate[:-1] + d_rate[1:]),
+                                   rtol=1e-15, atol=0.0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from eprsim import lindblad_oracle as lo
 from eprsim import multilevel_rates as mr
 from eprsim.errors import DegeneratePolarizationError, InvariantViolationError
+from eprsim.estimation import _STEP
 from eprsim.gaussian_dynamics import NoiseChannels
 from eprsim.lindblad_oracle import (
     ExactState,
@@ -212,8 +213,9 @@ def van_loan_propagate_populations(initial, rates, grid, d_rates):
     form: the derivative of exp(A t) along E is the upper-right block of
     exp([[A, E], [0, A]] t) (Van Loan 1978), so one ``_expm_grid`` call on
     [[A, E_1 .. E_k], [0, diag(A .. A)]] over the directions with E != 0
-    gives the series and its tangents, each E_i scaled to the 1-norm of A so
-    the scaling step is that of A."""
+    gives the series and, as its ``tangents`` (3, P, len(grid)), the
+    derivatives of (n44, n43, nh) along the P directions ``d_rates``, each
+    E_i scaled to the 1-norm of A so the scaling step is that of A."""
     grid = np.asarray(grid, dtype=float)
     n0 = np.array([initial.n44, initial.n43, initial.nh])
     a, t = rate_matrix(rates), grid - grid[0]
@@ -235,9 +237,9 @@ def van_loan_propagate_populations(initial, rates, grid, d_rates):
                       / scale).transpose(1, 2, 0)
     sol = np.maximum(sol, 0.0)
     sol /= sol.sum(axis=0, keepdims=True)
-    return PopulationSeries(
-        times=grid, n44=sol[0], n43=sol[1], nh=sol[2],
-        tangents=(d_sol - sol[:, None] * d_sol.sum(axis=0)) / n0.sum())
+    series = PopulationSeries(times=grid, n44=sol[0], n43=sol[1], nh=sol[2])
+    series.tangents = (d_sol - sol[:, None] * d_sol.sum(axis=0)) / n0.sum()
+    return series
 
 
 # a = g_out + 2 g_in + pump and lam = g34 + g43 + g_out + pump, the rates of
@@ -260,24 +262,28 @@ REFEREE_RATES = {
 
 
 class TestVanLoanReferee:
+    D_RATES = np.vstack([np.eye(5), np.zeros(5),
+                         np.random.default_rng(7).standard_normal((3, 5))])
+
+    @staticmethod
+    def grid(rates, horizon):
+        norm = np.abs(rate_matrix(rates)).sum(axis=0).max() or 1.0
+        return np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 40)]) \
+            * horizon / norm
+
     @pytest.mark.parametrize("horizon", [3.0, 30.0, 1e3],
                              ids=["short", "mid", "long"])
     @pytest.mark.parametrize("pops", [(0.99, 0.01, 0.0), (0.2, 0.3, 0.5)],
                              ids=["pop0", "hidden"])
     @pytest.mark.parametrize("rates", REFEREE_RATES)
     def test_closed_form_matches_van_loan(self, rates, pops, horizon):
-        # values within 1e-14 and each direction's tangents within 1e-12 of
-        # its largest, from t = 0 to t ||A||_1 = horizon (t = horizon where
-        # A = 0); the directions: each rate, one that moves none and
-        # random ones
+        # values within 1e-14, from t = 0 to t ||A||_1 = horizon (t =
+        # horizon where A = 0)
         rates, pop0 = REFEREE_RATES[rates], PopulationState(*pops)
-        norm = np.abs(rate_matrix(rates)).sum(axis=0).max() or 1.0
-        grid = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 40)]) \
-            * horizon / norm
-        d_rates = np.vstack([np.eye(5), np.zeros(5),
-                             np.random.default_rng(7).standard_normal((3, 5))])
-        got = propagate_populations(pop0, rates, grid, d_rates=d_rates)
-        want = van_loan_propagate_populations(pop0, rates, grid, d_rates)
+        grid = self.grid(rates, horizon)
+        got = propagate_populations(pop0, rates, grid)
+        want = van_loan_propagate_populations(pop0, rates, grid,
+                                              self.D_RATES)
         drift = 0.0
         if rates.g_out == rates.g_in == rates.pump == 0.0:
             # a = 0 conserves n2, which the closed form holds to the bit;
@@ -288,10 +294,31 @@ class TestVanLoanReferee:
         for n in ("n44", "n43", "nh"):
             np.testing.assert_allclose(getattr(got, n), getattr(want, n),
                                        rtol=0, atol=1e-14 + drift)
-        assert not got.tangents[:, 5].any()
-        for p in range(len(d_rates)):
-            err = np.abs(got.tangents[:, p] - want.tangents[:, p]).max()
-            assert err <= 1e-12 * np.abs(want.tangents[:, p]).max(), p
+
+    @pytest.mark.parametrize("horizon", [3.0, 30.0, 1e3],
+                             ids=["short", "mid", "long"])
+    @pytest.mark.parametrize("pops", [(0.99, 0.01, 0.0), (0.2, 0.3, 0.5)],
+                             ids=["pop0", "hidden"])
+    @pytest.mark.parametrize("rates", REFEREE_RATES)
+    def test_complex_step_matches_van_loan(self, rates, pops, horizon):
+        # the tangents as the fit takes them, one complex step through the
+        # closed form and the renormalisation: each direction's within
+        # 1e-12 of its largest, along each rate, one that moves none and
+        # random ones
+        rates = REFEREE_RATES[rates]
+        grid = self.grid(rates, horizon)
+        want = van_loan_propagate_populations(
+            PopulationState(*pops), rates, grid, self.D_RATES).tangents
+        r = np.array([rates.g34, rates.g43, rates.g_out, rates.g_in,
+                      rates.pump])
+        got = mr._renormalised(np.array([
+            mr._closed_form(pops, grid - grid[0], *z)
+            for z in (r + 1j * _STEP * self.D_RATES).tolist()]).swapaxes(
+                0, 1)).imag / _STEP
+        assert not got[:, 5].any()
+        for p in range(len(self.D_RATES)):
+            err = np.abs(got[:, p] - want[:, p]).max()
+            assert err <= 1e-12 * np.abs(want[:, p]).max(), p
 
 
 def mask_loop_expm_grid(a, t):
@@ -509,6 +536,30 @@ class TestCsv:
                                   RATES, np.linspace(0.0, 5.0, 3))
         with pytest.raises(DegeneratePolarizationError):
             series_columns(s.times, pops=s)
+
+    @pytest.mark.parametrize("pump", [False, True], ids=["no-pump", "pump"])
+    @pytest.mark.parametrize("name", ["fig2a", "fig2c"])
+    def test_columns_are_the_series_own(self, name, pump):
+        # the columns read the series on its own times: the bits of the
+        # interpolation onto those times that they used to go through
+        s = propagate_populations(
+            PopulationState(n44=0.8, n43=0.1, nh=0.1),
+            transition_rates(scenario_params(name), pump=pump),
+            inclusive_range(0.0, 60.0, 0.05))
+        cols = series_columns(s.times, pops=s)
+        for key, v, scale in (("Jx_norm", s.jx_frac, s.jx_frac[0]),
+                              ("N2", s.n2_frac, 1.0), ("P2", s.p2, 1.0)):
+            want = np.interp(s.times, s.times, v) / scale
+            assert cols[key].tobytes() == want.tobytes(), key
+
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.0, 5.0, 6), np.linspace(0.0, 5.0, 11)[:-1],
+        np.linspace(0.0, 6.0, 11)], ids=["coarser", "shorter", "stretched"])
+    def test_other_times_refused(self, times):
+        # a series on other times is refused, not cut or interpolated
+        s = propagate_populations(POP0, RATES, np.linspace(0.0, 5.0, 11))
+        with pytest.raises(ValueError, match="series' times"):
+            series_columns(times, pops=s)
 
 
 class TestSeriesArrays:

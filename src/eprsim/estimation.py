@@ -4,13 +4,15 @@ distribution.
 
 The forward model couples the three-level population dynamics to the
 Gaussian moment engine: the populations throttle the collective rate and
-supply the multilevel correction to the witness.  Fitting is weighted least
-squares (``least_squares``, a projected Levenberg-Marquardt in numpy) on at
-most five physical parameters with box bounds, with the exact Jacobian: one
-complex step of the forward model's own kernels (``forward_model`` with
-``directions``).  The solver takes one callable that returns the residuals
-and their Jacobian from one such evaluation, and stops by the module
-constants ``_FTOL``, ``_XTOL``, ``_GTOL`` and ``_NFEV_PER_PARAMETER``.
+supply the multilevel correction to the witness.  ``_ForwardModel`` sets it
+up once for a grid, a start and the tangent directions; each evaluation
+then does only the parameters' work and checks, and returns arrays.
+Fitting is weighted least squares (``least_squares``, a projected
+Levenberg-Marquardt in numpy) on at most five physical parameters with box
+bounds, over one set-up per fit, with the exact Jacobian from one complex
+step of the model's own kernels in the same evaluation as the residuals;
+the solver stops by ``_FTOL``, ``_XTOL``, ``_GTOL`` and
+``_NFEV_PER_PARAMETER``.
 """
 
 from __future__ import annotations
@@ -24,22 +26,28 @@ import numpy as np
 from .errors import FitFailureError, IdentifiabilityError
 from .gaussian_dynamics import (
     NoiseChannels,
+    Trajectory,
     _mix,
+    _moments,
+    _start_row,
     _weights,
-    propagate_moments,
+    _witness,
 )
 from .multilevel_rates import (
+    PopulationSeries,
     PopulationState,
     RateSet,
+    _checked_grid,
     _closed_form,
-    _fractions,
+    _levels,
+    _populations,
     _renormalised,
+    _unchecked,
     multilevel_xi,
     polarization_slope,
-    propagate_populations,
     transition_rates,
 )
-from .spin_model import ModelParams, css_state
+from .spin_model import ModelParams, css_state, two_mode_squeezed_cov
 
 __all__ = [
     "FitProblem",
@@ -187,13 +195,18 @@ def _resolve_gamma_l_out(problem: FitProblem, trial: dict) -> float:
     return gl
 
 
+# the derivatives of _tangents' columns by each of FITTABLE (rows)
+_TANGENT_MAP = np.array([[0, 0, 0, 0, 0, 1, 0, 0], [1, 1, 1, 1, 0, 0, 0, 0],
+                         [0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 1, 0, 0, 0, 0, 0],
+                         [0, 0, 0, 0, 1, 0, 0, 1]], dtype=float)
+
+
 def _tangents(directions, pump: bool) -> np.ndarray:
     """d(g34, g43, g_out, g_in, pump) of ``transition_rates``, then d(d,
     dephasing, pump_refill) of ``NoiseChannels.from_params``, along the P
-    directions over FITTABLE, shape (P, 8)."""
-    d, col, tilde, l_out, pmp = np.reshape(directions, (-1, 5)).T
-    return np.array([col, col, col + l_out, col, pmp * pump, d, tilde,
-                     pmp * pump]).T
+    directions over FITTABLE, shape (P, 8); Gamma_pump moves only a pump."""
+    k = 5 if pump else 4
+    return np.reshape(directions, (-1, 5))[:, :k] @ _TANGENT_MAP[:k]
 
 
 def _directions(problem: FitProblem) -> np.ndarray:
@@ -215,6 +228,60 @@ def _observed(xi_gauss, pops):
     return multilevel_xi(xi_gauss, pops), pops.jx_frac / pops.jx_frac[..., :1]
 
 
+class _ForwardModel:
+    """``forward_model``'s set-up, made once for the inputs a fit fixes: the
+    grid is checked, the start's witness row read (``_start_row``) and the
+    ``directions`` scaled into the complex step's moves.  A call evaluates
+    the model at a ModelParams, with every check that depends on it."""
+
+    def __init__(self, initial_pop: PopulationState, times, pump=False,
+                 initial_state=None, directions=None):
+        self.times = _checked_grid(times)
+        self.t, self.h = self.times - self.times[0], np.diff(self.times)
+        self.n0 = (initial_pop.n44, initial_pop.n43, initial_pop.nh)
+        self.pump, self.steps = pump, None
+        self.initial = css_state() if initial_state is None else initial_state
+        self.row0 = _start_row(self.initial)
+        if directions is not None:
+            self.steps = 1j * (_STEP * _tangents(directions, pump))
+            self.moving = np.flatnonzero(self.steps[:, :5].imag.any(axis=1))
+
+    def __call__(self, params: ModelParams):
+        """(xi_multilevel, jx_norm, pops, moments), the last two holding the
+        arrays of the PopulationSeries and the Trajectory; with directions,
+        then (d_xi_multilevel, d_jx_norm) (P, len(times))."""
+        rates = transition_rates(params, self.pump)
+        r = (rates.g34, rates.g43, rates.g_out, rates.g_in, rates.pump)
+        n44, n43, nh = sol = _populations(self.n0, self.t, r)
+        pops = SimpleNamespace(**_levels(n44, n43, nh, np.abs(n44 - n43)))
+        phi, x = _moments(self.h, params, NoiseChannels.from_params(
+            params, pump=self.pump), pops.p2_tilde, pops.nh)
+        moments = _witness(phi, x, self.row0,
+                           two_mode_squeezed_cov(params.mu, params.nu))
+        values = (*_observed(moments["xi"], pops), pops, moments)
+        if self.steps is None:
+            return values
+        # the same kernels at the rates, d, dephasing and refill moved by
+        # ``steps``: the closed form per direction that moves a population
+        # rate, the moments for all directions at once as (P, 1) columns;
+        # |n44 - n43| and nh's clip at 0 go by the sign of the real value,
+        # and the rounding-level clips pass the tangents through
+        z = np.array([*r, params.d, params.Gamma_tilde, r[4]]) + self.steps
+        moved = sol[:, None] + np.zeros((len(z), 1), complex)
+        for p in self.moving:
+            moved[:, p] = _renormalised(np.array(_closed_form(
+                self.n0, self.t, *z[p, :5].tolist())))
+        n44, n43, nh = moved
+        d, dephasing, refill = z[:, 5:].T[:, :, None]
+        diff = n44 - n43
+        pops = SimpleNamespace(**_levels(n44, n43, nh,
+                                         diff * np.sign(diff.real)))
+        phi, x = _weights(self.h, d * params.Gamma, dephasing, pops.p2_tilde,
+                          refill * (nh * (nh.real > 0)))
+        xi = _mix(phi, x, moments["corners"][:, 2])
+        return values + tuple(v.imag / _STEP for v in _observed(xi, pops))
+
+
 def forward_model(params: ModelParams, initial_pop: PopulationState, times,
                   pump: bool = False, initial_state=None, directions=None):
     """Predicted (xi_multilevel, jx_norm) series for a parameter set, with
@@ -222,51 +289,15 @@ def forward_model(params: ModelParams, initial_pop: PopulationState, times,
     from the GaussianState ``initial_state`` (None: the CSS).
 
     ``directions`` (P, 5) over FITTABLE adds the series' derivatives (P,
-    len(times)) along them, (d_xi_multilevel, d_jx_norm), by
-    ``_complex_step``; the values do not depend on them.
+    len(times)) along them, (d_xi_multilevel, d_jx_norm), by one complex
+    step; the values do not depend on them.
     """
-    times = np.asarray(times, dtype=float)
-    pops = propagate_populations(initial_pop, transition_rates(params, pump),
-                                 times)
-    noise = NoiseChannels.from_params(params, pump=pump)
-    traj = propagate_moments(css_state() if initial_state is None
-                             else initial_state, params, noise, times,
-                             populations=pops)
-    values = (*_observed(traj.xi, pops), traj, pops)
-    if directions is None:
-        return values
-    return values + _complex_step(params, initial_pop, pump, traj, directions)
-
-
-def _complex_step(params, initial_pop, pump, traj, directions):
-    """(d_xi_multilevel, d_jx_norm) along ``directions`` at ``traj``: the
-    forward model's kernels with ``_tangents`` moved by i _STEP, the moments
-    for all directions at once as (P, 1) columns.  |n44 - n43| and nh's clip
-    at 0 go by the sign of the real value; the rounding-level clips pass the
-    tangents through."""
-    rates = transition_rates(params, pump)
-    z = (np.array([rates.g34, rates.g43, rates.g_out, rates.g_in, rates.pump,
-                   params.d, params.Gamma_tilde, rates.pump])
-         + 1j * _STEP * _tangents(directions, pump))
-    # the closed form takes scalar rates, one direction at a time; one that
-    # moves no population rate keeps the values' populations
-    n0 = (initial_pop.n44, initial_pop.n43, initial_pop.nh)
-    t, values = traj.times - traj.times[0], traj.populations
-    sol = np.zeros((3, len(z), t.size), complex)
-    sol += np.array([values.n44, values.n43, values.nh])[:, None]
-    for p in np.flatnonzero(z[:, :5].imag.any(axis=1)):
-        sol[:, p] = _renormalised(np.array(_closed_form(n0, t,
-                                                        *z[p, :5].tolist())))
-    n44, n43, nh = sol
-    d, dephasing, refill = z[:, 5:].T[:, :, None]
-    diff = n44 - n43
-    pops = SimpleNamespace(n43=n43, p2_tilde=diff * np.sign(diff.real))
-    pops.n2_frac, pops.p2, pops.jx_frac = _fractions(n44, n43,
-                                                     pops.p2_tilde)
-    phi, x = _weights(traj.times[1:] - traj.times[:-1], d * params.Gamma,
-                      dephasing, pops.p2_tilde, refill * (nh * (nh.real > 0)))
-    xi = _mix(phi, x, traj.corners[:, 2])
-    return tuple(v.imag / _STEP for v in _observed(xi, pops))
+    model = _ForwardModel(initial_pop, times, pump, initial_state, directions)
+    xi, jx, pops, moments, *tangents = model(params)
+    pops = _unchecked(PopulationSeries, times=model.times, **vars(pops))
+    traj = _unchecked(Trajectory, times=model.times, initial=model.initial,
+                      populations=pops, **moments)
+    return (xi, jx, traj, pops, *tangents)
 
 
 def least_squares(fun, x0, bounds):
@@ -360,20 +391,21 @@ def fit_parameters(problem: FitProblem) -> FitResult:
     mask = np.isfinite(problem.jx_norm)  # rows with a measured J_x
     observed = np.concatenate([problem.xi, problem.jx_norm[mask]])
     err = np.concatenate([problem.xi_err, problem.jx_err[mask]])
-    directions = _directions(problem) if problem.free else None
+    model = _ForwardModel(problem.initial_pop, problem.times, problem.pump,
+                          directions=_directions(problem) if problem.free
+                          else None)
 
     def build(x):
-        trial = dict(zip(problem.free, x))
+        # floats, not the solver's NumPy scalars, which warn on overflow
+        trial = dict(zip(problem.free, x.tolist()))
         if problem.slope_obs is not None:
             trial["Gamma_L_out"] = _resolve_gamma_l_out(problem, trial)
         return problem.fixed.replace(**trial)
 
     def evaluate(x):
-        # the residuals and their Jacobian from one forward-model pass; with
-        # nothing free there are no tangents, and J has no columns
-        xi_m, jx_m, _, _, *tangents = forward_model(
-            build(x), problem.initial_pop, problem.times, pump=problem.pump,
-            directions=directions)
+        # the residuals and their Jacobian from one evaluation; with nothing
+        # free there are no tangents, and J has no columns
+        xi_m, jx_m, _, _, *tangents = model(build(x))
         d_xi, d_jx = tangents or np.empty((2, 0, problem.times.size))
         return ((np.concatenate([xi_m, jx_m[mask]]) - observed) / err,
                 np.concatenate([d_xi.T, d_jx[:, mask].T]) / err[:, None])

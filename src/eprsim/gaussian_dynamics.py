@@ -119,8 +119,9 @@ class NoiseChannels:
         if self.dephasing < 0 or self.pump_refill < 0:
             raise InvariantViolationError("noise rates must be >= 0")
 
-    def pump_noise_rate(self, nh_frac) -> float:
-        """Quadrature-noise rate of the incoherent pump.
+    def pump_noise_rate(self, nh_frac) -> np.ndarray:
+        """Quadrature-noise rate of the incoherent pump, shaped like
+        ``nh_frac`` (a NumPy scalar for a scalar).
 
         Refilled atoms re-enter the collective mode in a random spin state,
         so the noise injection scales with the refill flux, i.e. with the
@@ -160,17 +161,8 @@ class Trajectory:
             raise InvariantViolationError("trajectory times must strictly increase")
         if not self.times.shape == self.phi.shape == self.x.shape:
             raise InvariantViolationError("trajectory series lengths differ")
-        # only C0 is checked, and not when it is the CSS: T and the CSS are
-        # physical by construction
-        c0, m0 = self.initial.cov, self.initial.mean
-        if (c0 == _CSS_COV).all() and np.isfinite(m0).all():
-            row0 = _CSS_ROW
-        else:
-            r0 = epr_variance(self.initial)
-            row0 = r0.var_x_minus, r0.var_p_plus, r0.xi
-        self.corners = np.array([row0, epr_witness(self.target), _CSS_ROW])
-        self.var_x_minus, self.var_p_plus, self.xi = _mix(
-            self.phi, self.x, self.corners).T
+        vars(self).update(_witness(self.phi, self.x,
+                                   _start_row(self.initial), self.target))
 
     def state(self, k: int) -> GaussianState:
         """GaussianState at ``times[k]``."""
@@ -178,6 +170,23 @@ class Trajectory:
         return GaussianState(mean=np.sqrt(p) * self.initial.mean,
                              cov=p * self.initial.cov + x * self.target
                              + (1.0 - p - x) * np.eye(4))
+
+
+def _start_row(initial: GaussianState) -> tuple:
+    """C0's witness row, validated unless C0 is the CSS (class docstring)."""
+    if (initial.cov == _CSS_COV).all() and np.isfinite(initial.mean).all():
+        return _CSS_ROW
+    r0 = epr_variance(initial)
+    return r0.var_x_minus, r0.var_p_plus, r0.xi
+
+
+def _witness(phi, x, row0, target) -> dict:
+    """A Trajectory's arrays but its times from the weights, C0's witness
+    row ``row0`` and T = ``target``: the corners and their mix."""
+    corners = np.array([row0, epr_witness(target), _CSS_ROW])
+    rows = _mix(phi, x, corners)
+    return dict(phi=phi, x=x, target=target, corners=corners,
+                var_x_minus=rows[:, 0], var_p_plus=rows[:, 1], xi=rows[:, 2])
 
 
 def _mix(phi, x, corners):
@@ -214,12 +223,12 @@ _sqrt = _analytic(np.sqrt, lambda x, fx: 0.5 / fx)
 
 
 def _hypot(a, b):
-    """np.hypot, and for complex a, b its first-order extension, which
-    keeps hypot's value bits and overflow safety."""
+    """np.hypot, and for complex a, b its first-order extension: hypot's
+    value bits, and a tangent that overflows only where hypot would."""
     if not np.iscomplexobj(a):
         return np.hypot(a, b)
     r = np.hypot(a.real, b.real)
-    return r + 1j * ((a.real * a.imag + b.real * b.imag) / r)
+    return r + 1j * (a.imag * (a.real / r) + b.imag * (b.real / r))
 
 
 def _increments(h, g2, rate):
@@ -280,6 +289,23 @@ def _population_rates(populations, times: np.ndarray) -> tuple:
     return populations.p2_tilde, populations.nh
 
 
+def _moments(h, params: ModelParams, noise: NoiseChannels, p2_tilde, nh):
+    """phi and x on the steps ``h`` for the populations' p2_tilde and nh,
+    clipped to [0, 1]; refused where d * Gamma overflows or they leave the
+    simplex."""
+    d_gamma = relaxation_rate(params)
+    if not math.isfinite(d_gamma):  # else inf * (P2 = 0)
+        raise InvariantViolationError("moment rates overflow: d * Gamma is "
+                                      "not finite")
+    phi, x = _weights(h, d_gamma, noise.dephasing, p2_tilde,
+                      noise.pump_noise_rate(nh))
+    tol = 1e-8  # slack on the simplex: the covariance check's atol
+    if not ((phi >= -tol) & (x >= -tol) & (phi + x <= 1.0 + tol)).all():
+        raise InvariantViolationError(
+            "moment weights left the simplex phi, x >= 0, phi + x <= 1")
+    return phi.clip(0.0, 1.0), x.clip(0.0, 1.0)
+
+
 def propagate_moments(initial: GaussianState, params: ModelParams,
                       noise: NoiseChannels, grid, populations=None
                       ) -> Trajectory:
@@ -291,19 +317,9 @@ def propagate_moments(initial: GaussianState, params: ModelParams,
     when the Trajectory reads its witness, unless it is the CSS.
     """
     grid = _checked_grid(grid)
-    p2, nh = _population_rates(populations, grid)
-    d_gamma = relaxation_rate(params)
-    if not math.isfinite(d_gamma):  # else inf * (P2 = 0)
-        raise InvariantViolationError("moment rates overflow: d * Gamma is "
-                                      "not finite")
-    phi, x = _weights(grid[1:] - grid[:-1], d_gamma, noise.dephasing, p2,
-                      noise.pump_noise_rate(nh))
-    tol = 1e-8  # slack on the simplex: the covariance check's atol
-    if not ((phi >= -tol) & (x >= -tol) & (phi + x <= 1.0 + tol)).all():
-        raise InvariantViolationError(
-            "moment weights left the simplex phi, x >= 0, phi + x <= 1")
-    return Trajectory(times=grid, phi=phi.clip(0.0, 1.0),
-                      x=x.clip(0.0, 1.0), initial=initial,
+    phi, x = _moments(grid[1:] - grid[:-1], params, noise,
+                      *_population_rates(populations, grid))
+    return Trajectory(times=grid, phi=phi, x=x, initial=initial,
                       target=two_mode_squeezed_cov(params.mu, params.nu),
                       populations=populations)
 

@@ -148,9 +148,8 @@ class PopulationSeries:
                 == self.nh.shape:
             raise InvariantViolationError("population series lengths differ")
         _check_populations(self.n44, self.n43, self.nh)
-        self.p2_tilde = np.abs(self.n44 - self.n43)
-        self.n2_frac, self.p2, self.jx_frac = _fractions(
-            self.n44, self.n43, self.p2_tilde)
+        vars(self).update(_levels(self.n44, self.n43, self.nh,
+                                  np.abs(self.n44 - self.n43)))
 
     def state(self, k: int) -> PopulationState:
         """PopulationState at ``times[k]``."""
@@ -158,12 +157,22 @@ class PopulationSeries:
                                nh=self.nh[k])
 
 
-def _fractions(n44, n43, p2_tilde):
-    """n2, P2 (0 where n2 = 0) and <J_x>/N of fractions, real or complex."""
+def _levels(n44, n43, nh, p2_tilde) -> dict:
+    """A PopulationSeries' arrays but its times from the fractions and
+    p2_tilde = |n44 - n43|, real or complex; P2 is 0 where n2 = 0."""
     n2 = n44 + n43
     p2 = np.divide(p2_tilde, n2, out=np.zeros(n2.shape, n2.dtype),
                    where=n2.real > 0)
-    return n2, p2, 4.0 * n44 + 3.0 * n43
+    return dict(n44=n44, n43=n43, nh=nh, p2_tilde=p2_tilde, n2_frac=n2,
+                p2=p2, jx_frac=4.0 * n44 + 3.0 * n43)
+
+
+def _unchecked(cls, **fields):
+    """The dataclass ``cls`` holding ``fields`` as they are, without its
+    __post_init__: for arrays that were checked where they were computed."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 def series_columns(times, witness=None, pops=None) -> dict:
@@ -248,14 +257,11 @@ def _renormalised(sol):
     return sol / sol.sum(axis=0, keepdims=True)
 
 
-def propagate_populations(initial: PopulationState, rates: RateSet,
-                          grid) -> PopulationSeries:
-    """Exact propagation of the linear population system over ``grid`` (ms,
-    strictly increasing), in closed form (``_closed_form``): exact at every
-    finite horizon, the steady state included."""
-    grid = _checked_grid(grid)
-    r = (rates.g34, rates.g43, rates.g_out, rates.g_in, rates.pump)
-    t = grid - grid[0]
+def _populations(n0, t, r) -> np.ndarray:
+    """(n44, n43, nh), shape (3, len(t)), at ``t`` >= 0 from ``n0`` under
+    the rates ``r`` (``RateSet``'s order): the closed form, clipped at 0,
+    renormalised and checked; refused where the rates overflow or a
+    fraction goes negative."""
     with np.errstate(over="ignore"):
         # rate_matrix's 1-norm, its largest absolute column sum; finite, it
         # bounds a, lam and the closed form's coefficients
@@ -264,14 +270,27 @@ def propagate_populations(initial: PopulationState, rates: RateSet,
             raise InvariantViolationError(
                 "population rates overflow: the generator's norm is not "
                 "finite")
-        sol = np.array(_closed_form((initial.n44, initial.n43, initial.nh),
-                                    t, *r))
+        sol = np.array(_closed_form(n0, t, *r))
     if sol.min() < -1e-8:
         raise ModelViolationError(
             f"population went negative ({sol.min():.3e}); rates are unphysical"
         )
     sol = _renormalised(np.maximum(sol, 0.0))
-    return PopulationSeries(times=grid, n44=sol[0], n43=sol[1], nh=sol[2])
+    _check_populations(*sol)
+    return sol
+
+
+def propagate_populations(initial: PopulationState, rates: RateSet,
+                          grid) -> PopulationSeries:
+    """Exact propagation of the linear population system over ``grid`` (ms,
+    strictly increasing), in closed form (``_closed_form``): exact at every
+    finite horizon, the steady state included."""
+    grid = _checked_grid(grid)
+    n44, n43, nh = _populations(
+        (initial.n44, initial.n43, initial.nh), grid - grid[0],
+        (rates.g34, rates.g43, rates.g_out, rates.g_in, rates.pump))
+    return _unchecked(PopulationSeries, times=grid,
+                      **_levels(n44, n43, nh, np.abs(n44 - n43)))
 
 
 def polarization_slope(initial: PopulationState, rates: RateSet) -> float:

@@ -417,6 +417,9 @@ class _Text(str):
 _DIR = object()
 
 
+_FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
+_FIT_ROWS = _FIT_HEAD + "0,1,0.01,1,0.005\n10,0.8,0.01,0.9,0.005\n"
+
 _BAD_INPUT = [
     (["scenario", "fig2a", "--overrides", '{"Gamma_tilde": NaN}'], 4),
     (["scenario", "fig2a", "--overrides", '{"Gamma_tilde": Infinity}'], 4),
@@ -520,6 +523,14 @@ _BAD_INPUT = [
     (["simulate", "--out", _Text("")], 2),
     (["scenario", "fig2a", "--overrides", "[" * 100_000], 2),
     (["simulate", "--params", _Text("[" * 100_000)], 2),
+    # rates so large that the fit's tangents (Gamma above ~1e166) or its
+    # d * Gamma overflowed, with warnings, before the fit's own exit
+    (["fit", _Text(_FIT_ROWS), "--params", {"Gamma": 1e170}, "--free", "d"],
+     3),
+    (["fit", _Text(_FIT_ROWS), "--params", {"Gamma": 1e300}, "--free", "d"],
+     3),
+    (["fit", _Text(_FIT_ROWS), "--params", {"Gamma": 5e306}, "--free", "d"],
+     4),
 ]
 _BAD_INPUT_IDS = [
     "overrides-nan", "overrides-inf", "overrides-str", "overrides-key",
@@ -547,7 +558,8 @@ _BAD_INPUT_IDS = [
     "scenario-fig2d-eta-zero", "scenario-fig2d-eta-tiny",
     "conditional-eta-zero", "reconstruct-eta-zero", "overrides-huge-int",
     "params-huge-int", "params-directory", "out-existing-file",
-    "overrides-deep", "params-deep"]
+    "overrides-deep", "params-deep", "fit-tangent-overflow-1e170",
+    "fit-tangent-overflow-1e300", "fit-collective-overflow"]
 
 # the cause each of these cases names on its one stderr line
 _BAD_INPUT_CAUSES = {
@@ -587,9 +599,10 @@ _BAD_INPUT_CAUSES = {
     "out-existing-file": "File exists",
     "overrides-deep": "--overrides is nested too deep",
     "params-deep": "parameter document is nested too deep",
+    "fit-tangent-overflow-1e170": "information matrix is singular",
+    "fit-tangent-overflow-1e300": "information matrix is singular",
+    "fit-collective-overflow": "d * Gamma",
 }
-
-_FIT_HEAD = "t,xi,xi_err,jx_norm,jx_err\n"
 
 _BAD_FILE = [
     ("calibrate", "theta,xi0\n1,nan\n2,2.016\n4,4.064\n"),
@@ -699,13 +712,14 @@ def _matrix_arg(arg, where):
     """An exit-code matrix argv element as passed, resolved under the case's
     folder ``where``: a dict is a --params file of the fig2a defaults with
     those values, unchecked (so an unusable value reaches the CLI), a
-    ``_Text`` a file of that text and ``_DIR`` that folder."""
+    ``_Text`` a file of that text (the two under different names) and
+    ``_DIR`` that folder."""
     if not isinstance(arg, (dict, _Text)) and arg is not _DIR:
         return arg
     where.mkdir(parents=True, exist_ok=True)
     if arg is _DIR:
         return str(where)
-    path = where / "input"
+    path = where / ("params" if isinstance(arg, dict) else "input")
     if isinstance(arg, dict):
         arg = json.dumps({**json.loads(scenario_params("fig2a").to_json()),
                           **arg}, indent=2, sort_keys=True)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -41,8 +42,8 @@ from eprsim.spin_model import GaussianState, css_state, two_mode_squeezed_cov
 
 from test_gaussian_dynamics import (
     count_state_checks,
+    list_loop_moments,
     list_loop_propagate_moments,
-    mask_increments,
 )
 from test_multilevel_rates import van_loan_propagate_populations
 from test_spin_model import make_params
@@ -358,23 +359,30 @@ class TestPopulationMemo:
 
     @pytest.mark.parametrize("setup", MEMO_SETUPS)
     def test_one_propagation_per_evaluation(self, setup, monkeypatch):
-        # one forward model per evaluation of the residuals and their
-        # Jacobian: one increment pass real for the values and one complex
-        # for the tangents of every direction, and the closed form (no
-        # matrix exponential) once real and once complex per direction that
-        # moves a population rate
+        # one forward-model set-up per fit and one evaluation of it per
+        # evaluation of the residuals and their Jacobian: one propagation of
+        # the populations at the evaluation's rates, one increment pass real
+        # for the values and one complex for the tangents of every
+        # direction, and the closed form (no matrix exponential) once real
+        # and once complex per direction that moves a population rate
         problem = _noisy_problem(**MEMO_SETUPS[setup])
-        propagated, evaluated, calls = [], [], Counter()
+        set_up, propagated, evaluated, calls = [], [], [], Counter()
+        populations = estimation._populations
 
-        def counted_propagation(initial_pop, rates, grid):
-            propagated.append(rates)
-            return propagate_populations(initial_pop, rates, grid)
+        class CountedModel(estimation._ForwardModel):
+            def __init__(self, *args, **kwargs):
+                set_up.append(args)
+                super().__init__(*args, **kwargs)
 
-        def counted_model(params, initial_pop, times, pump=False,
-                          directions=None):
-            evaluated.append(transition_rates(params, pump))
-            return forward_model(params, initial_pop, times, pump,
-                                 directions=directions)
+            def __call__(self, params):
+                rates = transition_rates(params, self.pump)
+                evaluated.append((rates.g34, rates.g43, rates.g_out,
+                                  rates.g_in, rates.pump))
+                return super().__call__(params)
+
+        def counted_populations(n0, t, r):
+            propagated.append(r)
+            return populations(n0, t, r)
 
         # the real closed form is looked up in multilevel_rates, the
         # complex one in estimation
@@ -387,10 +395,10 @@ class TestPopulationMemo:
                 calls[_name, np.iscomplexobj(args[_arg])] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        monkeypatch.setattr(estimation, "propagate_populations",
-                            counted_propagation)
-        monkeypatch.setattr(estimation, "forward_model", counted_model)
+        monkeypatch.setattr(estimation, "_populations", counted_populations)
+        monkeypatch.setattr(estimation, "_ForwardModel", CountedModel)
         _, sol = _solve(problem, monkeypatch)
+        assert len(set_up) == 1
         assert propagated == evaluated
         assert len(evaluated) == sol.nfev and sol.njev > 0
         moving = estimation._tangents(estimation._directions(problem),
@@ -402,9 +410,51 @@ class TestPopulationMemo:
 
         fun, x0 = _objective(problem, monkeypatch)
         calls.clear()
+        set_up.clear()
         propagated.clear()
         fun(x0)
-        assert len(propagated) == 1 and calls == passes
+        assert not set_up and len(propagated) == 1 and calls == passes
+
+
+class TestSetUp:
+    """The fit sets its forward model up once; every check that depends on
+    the parameters still runs at each evaluation, as in forward_model."""
+
+    def test_grid_checked_once_per_fit(self, monkeypatch):
+        problem, calls = _criterion_8(noisy=True), []
+        checked = multilevel_rates._checked_grid
+
+        def counted(grid):
+            calls.append(grid)
+            return checked(grid)
+        for module in (multilevel_rates, gaussian_dynamics, estimation):
+            monkeypatch.setattr(module, "_checked_grid", counted)
+        _, sol = _solve(problem, monkeypatch)
+        assert sol.nfev > 1 and len(calls) == 1
+
+    def test_overflowing_fixed_rate_refused_as_by_forward_model(self):
+        # d * Gamma overflows at the start's d = 55: the fit refuses it with
+        # forward_model's error, and no overflow warning comes first
+        problem = _noisy_problem(free=("d",), start=make_params(Gamma=5e306))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolationError) as fit_error:
+                fit_parameters(problem)
+            with pytest.raises(InvariantViolationError) as model_error:
+                forward_model(problem.fixed, problem.initial_pop,
+                              problem.times, directions=np.eye(5)[:1])
+        assert str(fit_error.value) == str(model_error.value) \
+            == "moment rates overflow: d * Gamma is not finite"
+
+    @pytest.mark.parametrize("gamma", [1e170, 1e300])
+    def test_tangents_finite_at_extreme_rates(self, gamma):
+        # the hypot extension's tangent overflowed past Gamma ~ 1e166,
+        # though hypot itself does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            *_, d_xi, d_jx = forward_model(make_params(Gamma=gamma), POP0,
+                                           GRID, directions=np.eye(5))
+        assert np.isfinite(d_xi).all() and np.isfinite(d_jx).all()
 
 
 class _Captured(Exception):
@@ -811,7 +861,8 @@ class TestSameBitsReferees:
 
     def test_artifacts_unchanged(self, monkeypatch, tmp_path):
         # the CLI writes the same bytes with the referees in place of the
-        # solver step, the moment recursions and the values' increments
+        # solver step and of the moments core (the values' increments and
+        # recursions)
         truth = make_params()
         grid = np.linspace(0.0, 40.0, 41)
         xi, jx, _, _ = forward_model(truth, POP0, grid)
@@ -858,18 +909,10 @@ class TestSameBitsReferees:
         new = digests(tmp_path / "new")
         assert len(new) == 15
         monkeypatch.setattr(estimation, "least_squares", masked_least_squares)
-        increments = gaussian_dynamics._increments
-
-        def real_increments(h, g2, rate):
-            # the referee takes the values' increments; the fit's complex
-            # step keeps the engine's
-            return (increments if np.iscomplexobj(rate)
-                    else mask_increments)(h, g2, rate)
-        monkeypatch.setattr(gaussian_dynamics, "_increments",
-                            real_increments)
+        # every real phi and x, the fit's included, comes from the moments
+        # core; the fit's complex step keeps the engine's increments
         for module in (gaussian_dynamics, estimation):
-            monkeypatch.setattr(module, "propagate_moments",
-                                list_loop_propagate_moments)
+            monkeypatch.setattr(module, "_moments", list_loop_moments)
         assert digests(tmp_path / "referees") == new
 
 

@@ -591,12 +591,12 @@ class TestSameBitsReferees:
     @pytest.mark.parametrize("zero_rates", [False, True],
                              ids=["slice", "mask"])
     @pytest.mark.parametrize("n_points", [2, 3, 41, 401])
+    @pytest.mark.parametrize("n_dirs", [1, 2, 3, 5])
     @pytest.mark.parametrize("pump", [False, True], ids=["no-pump", "pump"])
-    def test_trajectory_matches_list_loop(self, pump, n_points, zero_rates):
-        # setup's populations and parameters do not depend on its number
-        # of directions, which only sizes the random tangents
+    def test_trajectory_matches_list_loop(self, pump, n_dirs, n_points,
+                                          zero_rates):
         params, noise, grid, pops, *_ = self.setup(
-            pump, 1, n_points, zero_rates)
+            pump, n_dirs, n_points, zero_rates)
         start = GaussianState(mean=np.zeros(4),
                               cov=two_mode_squeezed_cov(params.mu, params.nu))
         for initial in (css_state(), start):

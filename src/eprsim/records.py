@@ -36,30 +36,19 @@ Trial i of a batch uses the seed ``master_seed XOR i`` (master_seed in
 [0, 2^64)) and draws, in this order, its two unit initial values z and its
 (nbins, 2) noise (:func:`hybrid_readout`: its (K, 2) mode normals, below);
 the initial atomic values are u_0 = sqrt(initial_var) z.
-The draws are those of ``np.random.default_rng(master_seed ^ i)``, bit for
-bit, but no generator is built per trial: one pass over the uint32 seed
-words of many blocks computes every trial's ``SeedSequence`` state words
-(NumPy's hash, fixed by its stream-compatibility policy NEP 19), and one
-pass in uint64 words turns them into PCG64 states by PCG's seeding; the
-passes are bounded by the block size (SEED_PASS_BYTES), not by the trial
-count.  A block's trials are then drawn in lockstep (:func:`_draw_normals`):
-each column steps every trial's 128-bit state at once in uint64 words
-(PCG64's LCG, then its XSL-RR output), and a normal whose uint64 falls on
-the fast path of NumPy's ziggurat (Marsaglia and Tsang 2000) is a 52-bit
-integer times a table entry, exact in IEEE arithmetic.  NumPy does not
-export the tables: they are read back once per process from its own
-generator, by writing states whose next output is a chosen uint64, and a
-layer counts only where the read-back proves the fast path
-(:meth:`_Streams.ziggurat`: a ratio of table entries or a bisection over
-the magnitudes, each checked by queries).  A trial with any draw off that
-path is redrawn whole by one generator whose state words are overwritten in
-place for each trial, as are all trials of a call where the lockstep pass
-and its redraws would cost more than that loop (:func:`_lockstep_pays`, a
-cost model in trials and normals per trial: few trials, or so many normals
-that most trials miss, as :func:`simulate_batch`'s records at 5 bins and
-more do).  The words' order in the generator's memory is read back once,
-from one trial set through NumPy's public state setter, never assumed.
-The tests pin all of it to NumPy's own.
+Its normals are a fixed function of its seed s and the draw's index, from a
+counter-based SplitMix64 stream (Steele, Lea and Flood, OOPSLA 2014): with
+mix the SplitMix64 finaliser and gamma = 0x9E3779B97F4A7C15, the stream's
+key is k = mix(s), its word j is mix(k + (j + 1) gamma) mod 2^64, and the
+top 53 bits m of a word give a uniform.  Row r of a trial (z in row 0, then its
+noise's (cos, sin) rows) is the Box-Muller pair of words 2r and 2r + 1,
+sqrt(-2 log u) (cos theta, sin theta) with u = (m_2r + 1) 2^-53 in (0, 1]
+and theta = 2 pi m_(2r+1) 2^-53 (:func:`_normals`).  No state is kept: a
+block's words are uint64 arithmetic over all its trials at once, and a
+trial draws the same normals whatever the block or the trial count.  The
+draws repeat byte for byte; they are not NumPy's ``default_rng`` stream,
+and their bytes across hosts are not promised (the words are, but log, cos
+and sin may round otherwise under another libm or SIMD path).
 
 Mode integrals in closed form: a mode integral y = sum_n w_n s_n is
 (w . r) u_0 + sum_m C_m eps_m with C_m = sqrt(S_m) (w_m + K_m b_m),
@@ -100,16 +89,14 @@ block whatever the trial count.
 :func:`simulate_batch` keeps the record-level API: it writes a batch into
 one (2, nbins, trials) float64 buffer, and ``RecordBatch.samples`` is its
 (trials, nbins, 2) transposed view, so one channel over a mode's window is a
-(trials, bins) slice whose trial axis is contiguous.  It draws trial-major
-blocks of TRIAL_BLOCK trials (trial-minor ones read about 5 % slower at
-250 bins, where the loop draws them), writes the scaled noise to bin-major
-order in the records buffer (16 bytes per trial-bin), frees the block and
-runs the innovations recursion once over the whole batch.
+(trials, bins) slice whose trial axis is contiguous.  It draws blocks of
+TRIAL_BLOCK trials, trial-minor like the readout's, writes the scaled noise
+to bin-major order in the records buffer (16 bytes per trial-bin), frees
+the block and runs the innovations recursion once over the whole batch.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import operator
 from dataclasses import dataclass
@@ -117,7 +104,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolationError, StatisticsError
+from .errors import StatisticsError
 from .light_readout import LossParams
 
 __all__ = [
@@ -131,15 +118,15 @@ __all__ = [
     "hybrid_readout",
 ]
 
-# Cap on trials x bins per batch: simulate_batch takes about 50 ns per
-# trial-bin on one core (2-core x86 host, 250 bins), so this is about 1 s,
+# Cap on trials x bins per batch: simulate_batch takes about 90 ns per
+# trial-bin on one core (2-core x86 host, 250 bins), so this is about 2 s,
 # and its records take 16 bytes per trial-bin (400 MB here).
 MAX_TRIAL_BINS = 25_000_000
-# Cap on hybrid_readout's trials.  It draws per mode, not per bin, in
-# lockstep: about 0.35-0.6 us per trial whatever the bin count, for the
-# CLI's readouts of 1-3 modes (4 x 10^5 trials of reconstruct, conditional
-# and fig2d at 250 bins took 0.14-0.23 s on a 2-core x86 host), so this is
-# under 0.4 s, holding one MODE_BLOCK of draws whatever the trial count.
+# Cap on hybrid_readout's trials.  It draws per mode, not per bin: about
+# 0.17-0.31 us per trial whatever the bin count, for the CLI's readouts of
+# 1-3 modes (4 x 10^5 trials of reconstruct, conditional and fig2d at 250
+# bins took 0.07-0.13 s on a 2-core x86 host), so this is under 0.2 s,
+# holding one MODE_BLOCK of draws whatever the trial count.
 MAX_READOUT_TRIALS = 600_000
 # Cap on bins per batch: simulate_batch's innovations recursion steps bin by
 # bin at about 10 us per bin for a few trials (measured on a 2-core x86
@@ -165,22 +152,15 @@ SCAN_BLOCK = 256
 SCAN_CHUNK = 1 << 16
 # Trials whose records are drawn at a time by simulate_batch: one block
 # holds (trials, nbins + 1, 2) draws, z and the noise, 16 bytes per
-# trial-bin (2 MB at 250 bins).
+# trial-bin (2 MB at 250 bins); drawing it holds about 32 bytes per
+# trial-bin more at its peak, the stream's words and their floats.
 TRIAL_BLOCK = 512
 # Trials whose mode-space draws hybrid_readout makes at a time: one
 # trial-minor block holds (trials, K + 1, 2) draws, 64 bytes per trial for
-# fig2d's K = 3 modes; with the seed hashing, the products and the merged
-# columns its peak is about 340 bytes per trial there (1.4 MB under
-# tracemalloc), whatever the trial count.  The seeds are hashed one block
-# at a time.
+# fig2d's K = 3 modes; with the stream's words, the products and the
+# merged columns its peak is about 270 bytes per trial there (1.1 MB under
+# tracemalloc), whatever the trial count.
 MODE_BLOCK = 4096
-# Bytes per trial that one pass of seed hashing (_seed_words, _pcg_states
-# and the state rows) holds at its peak: about 170 under tracemalloc.  The
-# seeds are hashed in passes of as many blocks as hold at most half a block
-# of draws (at least one block), so memory does not grow with the trial
-# count: 10 blocks (5120 trials) at 250 bins of records, one block of mode
-# draws.
-SEED_PASS_BYTES = 192
 
 
 @dataclass
@@ -330,322 +310,48 @@ def _riccati(e1: float, H: float, R: float, alpha: float, beta: float,
     return p * -np.expm1(x) * np.exp(-np.logaddexp(0.0, x + log_q))
 
 
-# PCG64's 128-bit LCG multiplier, its inverse and the mask of its state
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
-# the multiplier's 64-bit words and their 32-bit limbs, for _lcg_step
-_M_HI, _M_LO = (np.uint64(c) for c in divmod(_PCG_MULT, 1 << 64))
-_M_LO0, _M_LO1 = np.uint64(_PCG_MULT & 0xFFFFFFFF), np.uint64(
-    _PCG_MULT >> 32 & 0xFFFFFFFF)
-# NumPy's ziggurat draws a normal from one uint64 r: layer r & 0xFF, sign
-# bit 8 and a 52-bit magnitude from bit 9
-_RABS_BITS = 52
-# Trials whose PCG64 outputs the read-back of the ziggurat's tables checks
-# against NumPy's own draws (_Streams.ziggurat), two normals each, from
-# seeds that differ in high bits as well as low ones
-_PROBE_SEEDS = np.uint64(0x9E3779B97F4A7C15) ^ np.arange(512, dtype=np.uint64)
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the stream's increment,
+# the golden gamma, and its finaliser's multipliers (Stafford's Mix13)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-def _seed_words(seeds: np.ndarray) -> np.ndarray:
-    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for every
-    seed s of the uint64 array ``seeds``, as a (seeds, 4) uint64 array.
-
-    NumPy's pool-4 hash (fixed by its stream-compatibility policy, NEP 19)
-    over all seeds at once: the entropy is the seed's low and high 32-bit
-    words (a missing high word hashes like a zero one).
-    """
-    m32 = 0xFFFFFFFF
-    hash_a = 0x43B0D7E5
-
-    def hashmix(v):
-        nonlocal hash_a
-        v = v ^ np.uint32(hash_a)
-        hash_a = hash_a * 0x931E8875 & m32
-        v = v * np.uint32(hash_a)
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
-        return r ^ r >> 16
-
-    zero = np.zeros(seeds.shape, np.uint32)
-    pool = [hashmix(w) for w in ((seeds & m32).astype(np.uint32),
-                                (seeds >> 32).astype(np.uint32), zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hash_b = 0x8B51F9DD
-    words = []
-    for k in range(8):
-        v = pool[k % 4] ^ np.uint32(hash_b)
-        hash_b = hash_b * 0x58F38DED & m32
-        v = v * np.uint32(hash_b)
-        words.append(v ^ v >> 16)
-    words = np.stack(words, axis=-1).astype(np.uint64)
-    return words[..., ::2] | words[..., 1::2] << 32  # little-endian pairs
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser of the uint64 array ``z``, in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _pcg_state(words) -> tuple:
-    """PCG64 (state, inc) as Python ints from one row of seed words
-    (initstate high, low, initseq high, low): PCG's "setseq" seeding."""
-    s_hi, s_lo, i_hi, i_lo = map(int, words)
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    return ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+def _normals(seeds: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out[k]``, (rows, 2) standard normals in any layout, from the
+    stream of the uint64 seed ``seeds[k]`` (module docstring): row r is the
+    Box-Muller pair of the stream's words 2r and 2r + 1.
 
-
-def _lcg_step(x_hi, x_lo, inc_hi, inc_lo) -> tuple:
-    """(high, low) uint64 words of x _PCG_MULT + inc mod 2^128 for the
-    uint64 word arrays of x and inc: the high half of the 64 x 64-bit
-    product of the low words from 32-bit limbs."""
-    w32, m32 = np.uint64(32), np.uint64(0xFFFFFFFF)
-    a0, a1 = x_lo & m32, x_lo >> w32
-    p00, p01, p10 = a0 * _M_LO0, a0 * _M_LO1, a1 * _M_LO0
-    mid = (p00 >> w32) + (p01 & m32) + (p10 & m32)
-    lo_hi = a1 * _M_LO1 + (p01 >> w32) + (p10 >> w32) + (mid >> w32)
-    y_lo = x_lo * _M_LO + inc_lo
-    y_hi = lo_hi + x_lo * _M_HI + x_hi * _M_LO + inc_hi + (y_lo < inc_lo)
-    return y_hi, y_lo
-
-
-def _pcg_states(words: np.ndarray) -> np.ndarray:
-    """:func:`_pcg_state` for every row of the (n, 4) uint64 seed words, as
-    (n, 4) uint64 words (state high, low, inc high, low): the 128-bit sum
-    in 64-bit words, then one :func:`_lcg_step`."""
-    one, w63 = np.uint64(1), np.uint64(63)
-    s_hi, s_lo, i_hi, i_lo = words.T
-    inc_hi, inc_lo = i_hi << one | i_lo >> w63, i_lo << one | one
-    x_lo = inc_lo + s_lo
-    x_hi = inc_hi + s_hi + (x_lo < inc_lo)
-    return np.stack([*_lcg_step(x_hi, x_lo, inc_hi, inc_lo), inc_hi, inc_lo],
-                    axis=-1)
-
-
-def _pcg_preimage(state: int, inc: int) -> int:
-    """The PCG64 state (Python int) that steps to ``state``: (state - inc)
-    _PCG_MULT^-1 mod 2^128.  The state (high 0, low r) outputs r itself,
-    so its pre-image's next output is the uint64 r."""
-    return (state - inc) * _PCG_MULT_INV & _MASK128
-
-
-class _Ziggurat(NamedTuple):
-    """What the lockstep pass knows of NumPy's ziggurat for normals, by the
-    low nine bits (sign bit 8, layer bits 0-7) of the draw's uint64: a
-    draw whose 52-bit magnitude rabs (bits 9-60) is below bound[key] is
-    rabs wi[key] (wi[key] < 0 with the sign bit), from that one uint64."""
-    wi: np.ndarray     # (512,) float64; NaN where the read-back failed
-    bound: np.ndarray  # (512,) uint64; 0 where no magnitude is certified
-    miss: float        # share of uniform uint64 draws not certified
-
-
-def _lockstep_normals(states: np.ndarray, zig: _Ziggurat,
-                      out: np.ndarray) -> np.ndarray:
-    """Fill each column out[:, j...] (C order) with the normals that the
-    trials' next PCG64 outputs give on the ziggurat's fast path, all trials
-    in lockstep, and return which trials had every draw certified.  Each
-    trial's state is the row (state high, low, inc high, low) of the (n, 4)
-    uint64 ``states``.  NumPy steps the state, then outputs it by XSL-RR,
-    rotr64(high ^ low, high >> 58); the fast path's normal is exact, a
-    52-bit integer times wi rounded once (the sign of a product is its
-    factors')."""
-    w9, w58, w63, w64 = (np.uint64(c) for c in (9, 58, 63, 64))
-    low9, rabs_mask = np.uint64(0x1FF), np.uint64((1 << _RABS_BITS) - 1)
-    hi, lo, inc_hi, inc_lo = states.T
-    fast = np.ones(len(states), bool)
-    for index in np.ndindex(out.shape[1:]):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> w58
-        r = x >> rot | x << (w64 - rot & w63)
-        key = (r & low9).view(np.int64)
-        r >>= w9
-        r &= rabs_mask
-        fast &= r < zig.bound[key]
-        np.multiply(r, zig.wi[key], out=out[(slice(None), *index)])
-    return fast
-
-
-def _word_order(found, expected) -> list:
-    """Positions of the words ``found`` in ``expected``: order[j] is the
-    index of expected's word found at j.  InvariantViolationError unless
-    ``found`` is exactly a permutation of four pairwise distinct
-    ``expected`` words (a trial's words repeat one another with
-    probability about 2^-62; their order cannot be read off them)."""
-    expected = list(expected)
-    order = [expected.index(w) if w in expected else -1 for w in found]
-    if sorted(order) != [0, 1, 2, 3]:
-        raise InvariantViolationError(
-            "PCG64 state words read back are not a permutation of the "
-            "seeded ones: NumPy's PCG64 state layout is not the one assumed")
-    return order
-
-
-class _Streams:
-    """The streams of ``np.random.default_rng(seed)`` for many seeds from
-    one generator: a PCG64 whose state words, which its
-    ``ctypes.state_address`` points to, are overwritten in place for each
-    trial.  Their order in memory (native or emulated 128-bit integers) is
-    read back once, from the first seed hashed, set through the public
-    ``state`` setter; this also checks :func:`_pcg_states` against
-    :func:`_pcg_state`.  The same generator answers the queries that read
-    NumPy's ziggurat tables back (:meth:`ziggurat`).
-    """
-
-    def __init__(self):
-        self._bitgen = np.random.PCG64(0)
-        self._rng = np.random.Generator(self._bitgen)
-        self._words = (ctypes.c_uint64 * 4).from_address(
-            ctypes.c_void_p.from_address(
-                self._bitgen.ctypes.state_address).value)
-        self._order = None
-
-    def rows(self, seeds: np.ndarray) -> memoryview:
-        """The state words of every uint64 seed in memory order, 32 bytes
-        per seed, from one hashing pass.  InvariantViolationError if the
-        words read back disagree (:func:`_word_order`), before any trial is
-        drawn."""
-        seed_words = _seed_words(seeds)
-        states = _pcg_states(seed_words)
-        if self._order is None:
-            state, inc = _pcg_state(seed_words[0])
-            self._bitgen.state = {"bit_generator": "PCG64",
-                                  "state": {"state": state, "inc": inc},
-                                  "has_uint32": 0, "uinteger": 0}
-            self._order = _word_order(list(self._words), states[0].tolist())
-        return memoryview(np.ascontiguousarray(
-            states[:, self._order])).cast("B")
-
-    def draw(self, rows: memoryview, out: np.ndarray) -> None:
-        """Fill ``out[k]`` with the first standard normals of the seed whose
-        state words are ``rows[32 k:32 k + 32]``."""
-        mem = memoryview(self._words).cast("B")
-        for lo, trial in zip(range(0, len(rows), 32), out):
-            mem[:] = rows[lo:lo + 32]
-            self._rng.standard_normal(out=trial)
-
-    def states(self, rows: memoryview) -> np.ndarray:
-        """The (n, 4) uint64 words (state high, low, inc high, low) of the
-        memory-order ``rows`` of :meth:`rows`."""
-        words = np.frombuffer(rows, np.uint64).reshape(-1, 4)
-        return words[:, np.argsort(self._order)]
-
-    def query(self, r: int, inc: int) -> tuple:
-        """(NumPy's next standard normal, whether it took exactly one
-        output) from the state of increment ``inc`` whose next output is
-        the uint64 ``r``.  Needs the word order (:meth:`rows`)."""
-        logical = [*divmod(_pcg_preimage(r, inc), 1 << 64),
-                   *divmod(inc, 1 << 64)]
-        self._words[:] = [logical[k] for k in self._order]
-        value = self._rng.standard_normal()
-        state = [0] * 4
-        for word, k in zip(self._words, self._order):
-            state[k] = word
-        return value, state[:2] == [0, r]
-
-    def ziggurat(self) -> _Ziggurat:
-        """NumPy's ziggurat tables, read back once per process from this
-        generator (NumPy does not export them).  wi[idx] is the normal of
-        magnitude 1 in layer idx, NaN if that query took more than one
-        output.  A magnitude rabs is fast if it draws rabs wi[idx] from one
-        output, and NumPy's fast-path test, rabs < ki[idx], is monotone in
-        rabs, so a layer is certified below any fast magnitude plus one.
-        Its bound is floor(2^52 wi[idx-1] / wi[idx]) if bound - 1 is fast;
-        otherwise, for every layer whose ratio fails so (layer 0 has none),
-        it is the first magnitude that is not fast, found by bisection
-        once magnitude 0 is fast, and 0 if that is not.  The certified path
-        must then draw the probe seeds' first normals as NumPy does, or
-        every layer gets bound 0 and every draw goes to the per-trial
-        loop."""
-        global _ZIGGURAT
-        if _ZIGGURAT is not None:
-            return _ZIGGURAT
-        probe = self.rows(_PROBE_SEEDS)  # the word order, if not yet read
-        inc = 1  # any odd increment
-        wi = [value if once else math.nan for value, once in
-              (self.query(idx | 1 << 9, inc) for idx in range(256))]
-
-        def fast(idx, rabs):
-            return self.query(idx | rabs << 9, inc) == (rabs * wi[idx], True)
-        bound = np.zeros(256, np.uint64)
-        for idx in range(256):
-            ratio = wi[idx - 1] / wi[idx] if idx and wi[idx] > 0 else 0.0
-            b = int(min(ratio, 1.0) * 2.0**_RABS_BITS) if ratio > 0 else 0
-            if not (b and fast(idx, b - 1)):
-                # the first magnitude that is not fast is in [b, hi]
-                b, hi = (1, 1 << _RABS_BITS) if fast(idx, 0) else (0, 0)
-                while b < hi:
-                    mid = (b + hi) // 2
-                    b, hi = (mid + 1, hi) if fast(idx, mid) else (b, mid)
-            bound[idx] = b
-        wi = np.array(wi)
-        zig = _Ziggurat(np.concatenate([wi, -wi]), np.tile(bound, 2),
-                        1.0 - bound.sum(dtype=float) / 2.0**(_RABS_BITS + 8))
-        want, got = np.empty((2, len(_PROBE_SEEDS), 2))
-        self.draw(probe, want)
-        fast = _lockstep_normals(self.states(probe), zig, got)
-        if got[fast].tobytes() != want[fast].tobytes():
-            zig = zig._replace(bound=np.zeros(512, np.uint64), miss=1.0)
-        _ZIGGURAT = zig
-        return zig
-
-
-# NumPy's ziggurat tables as read back by _Streams.ziggurat, once per process
-_ZIGGURAT = None
-# Costs of _draw_normals' two ways to draw (_lockstep_pays), fitted to its
-# timings at 64-4096 trials of 1-42 normals (2-core x86 host, NumPy 2.4):
-# the lockstep pass takes about 25 us per normal column plus 0.025 us per
-# trial and column into a trial-major block (0.016 us trial-minor), the
-# per-trial loop about 0.95 us per trial.  So the loop draws simulate_batch's
-# blocks (TRIAL_BLOCK trials) from 5 bins (12 normals per trial) up, and
-# readout blocks of fewer than 126-312 trials (1-3 modes).
-LOCKSTEP_COLUMN_S = 25e-6
-LOCKSTEP_TRIAL_COLUMN_S = 0.025e-6
-LOOP_TRIAL_S = 0.95e-6
-
-
-def _lockstep_pays(trials: int, columns: int, miss: float) -> bool:
-    """Whether drawing ``trials`` trials of ``columns`` normals each in
-    lockstep, then redrawing those with a draw off the certified path
-    (each with probability 1 - (1 - miss)^columns) by the per-trial loop,
-    costs less than that loop over every trial."""
-    return (columns * (LOCKSTEP_COLUMN_S + trials * LOCKSTEP_TRIAL_COLUMN_S)
-            < trials * LOOP_TRIAL_S * (1.0 - miss)**columns)
-
-
-def _draw_normals(seeds: np.ndarray, out: np.ndarray, streams=None,
-                  rows=None) -> None:
-    """Fill ``out[k]`` with the first standard normals of
-    ``np.random.default_rng(seeds[k])`` for every uint64 seed.  ``streams``
-    and ``rows``, its :meth:`_Streams.rows` of ``seeds``, reuse a generator
-    and a hashing pass made for more seeds (:func:`_draw_blocks`); without
-    them both are made here.
-
-    Where :func:`_lockstep_pays`, every trial's outputs are drawn in
-    lockstep and those on the certified ziggurat path converted at once;
-    the trials with a draw off it are redrawn whole by the per-trial loop,
-    from their own state rows.  Otherwise every trial goes to that loop.
-    The loop draws into a C-contiguous array, ``out`` itself if it is one,
-    so ``out`` may have any layout."""
-    if streams is None:
-        streams = _Streams()
-        rows = streams.rows(seeds)
-    trials, columns = len(out), math.prod(out.shape[1:])
-    # the tables are read only where lockstep would pay if no draw missed
-    zig = streams.ziggurat() if _lockstep_pays(trials, columns, 0.0) else None
-    redo = slice(None)
-    if zig is not None and _lockstep_pays(trials, columns, zig.miss):
-        redo = np.flatnonzero(~_lockstep_normals(streams.states(rows), zig,
-                                                 out))
-        if not redo.size:
-            return
-        rows = memoryview(np.frombuffer(rows, np.uint64).reshape(-1, 4)[
-            redo]).cast("B")
-    elif out.flags.c_contiguous:
-        streams.draw(rows, out)
-        return
-    redone = np.empty((len(rows) // 32, *out.shape[1:]))
-    streams.draw(rows, redone)
-    out[redo] = redone
+    The words are built as a (2, rows, trials) array, so the radii and the
+    angles are each one contiguous array and every element of the log, cos
+    and sin takes the same code path whatever the trial count."""
+    rows = out.shape[1]
+    steps = _GAMMA * np.arange(1, 2 * rows + 1, dtype=np.uint64)
+    words = np.empty((2, rows, len(seeds)), np.uint64)
+    np.add(steps.reshape(rows, 2).T[..., None],
+           _mix(np.array(seeds, np.uint64)), out=words)
+    _mix(words)
+    words >>= np.uint64(11)  # the top 53 bits
+    radius, angle = words.astype(float)
+    del words
+    radius += 1.0  # u in (0, 1]: the log is finite
+    radius *= 2.0**-53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= math.tau * 2.0**-53
+    np.multiply(radius, np.cos(angle), out=out[:, :, 0].T)
+    np.sin(angle, out=angle)
+    np.multiply(radius, angle, out=out[:, :, 1].T)
 
 
 def _check_draws(n_trials: int, master_seed: int) -> None:
@@ -665,28 +371,17 @@ def _check_initial_var(v) -> float:
 
 
 def _draw_blocks(n_trials: int, rows: int, master_seed: int,
-                 block: int = TRIAL_BLOCK, trial_minor: bool = False):
+                 block: int = TRIAL_BLOCK):
     """Yield (first trial, draws) per ``block`` trials: draws[k] holds trial
     (first + k)'s z in row 0, then its (rows, 2) normals.  Every block
-    reuses one buffer, trial-major or, if ``trial_minor``, a transposed
-    (rows + 1, 2, trials) array, and one :class:`_Streams`; the seeds of as
-    many blocks as fit half a block's bytes at SEED_PASS_BYTES per trial
-    (at least one block) are hashed in one pass."""
-    n = min(n_trials, block)
-    noise = (np.empty((rows + 1, 2, n)).transpose(2, 0, 1) if trial_minor
-             else np.empty((n, rows + 1, 2)))
-    step = block * max(1, noise[0].nbytes // (2 * SEED_PASS_BYTES))
-    streams = _Streams()
-    for g in range(0, n_trials, step):
-        seeds = np.uint64(master_seed) ^ np.arange(
-            g, min(g + step, n_trials), dtype=np.uint64)
-        words = streams.rows(seeds)
-        for lo in range(0, len(seeds), block):
-            draws = noise[:min(block, len(seeds) - lo)]
-            hi = lo + len(draws)
-            _draw_normals(seeds[lo:hi], draws, streams,
-                          words[32 * lo:32 * hi])
-            yield g + lo, draws
+    reuses one trial-minor buffer, a transposed (rows + 1, 2, trials)
+    array, so each normal's column is contiguous over the trials."""
+    noise = np.empty((rows + 1, 2, min(n_trials, block))).transpose(2, 0, 1)
+    for lo in range(0, n_trials, block):
+        draws = noise[:min(block, n_trials - lo)]
+        _normals(np.uint64(master_seed) ^ np.arange(
+            lo, lo + len(draws), dtype=np.uint64), draws)
+        yield lo, draws
 
 
 def simulate_batch(n_trials: int, duration: float, dt: float,
@@ -1033,8 +728,7 @@ def hybrid_readout(n_trials: int, loss: LossParams, mu_nu: tuple, dt: float,
     acc = [0, 0.0, 0.0]
     cols = np.empty((min(n_trials, MODE_BLOCK),
                      len(initial_vars) * (1 + bool(pairs)), 2))
-    for _, draws in _draw_blocks(n_trials, len(r), master_seed, MODE_BLOCK,
-                                 trial_minor=True):
+    for _, draws in _draw_blocks(n_trials, len(r), master_seed, MODE_BLOCK):
         _merge_moments(acc, _readout_columns(draws, r, rho, pairs,
                                              initial_vars, cols[:len(draws)]))
     var = (acc[2] / (n_trials - 1)).tolist()

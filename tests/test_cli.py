@@ -1062,7 +1062,7 @@ def _no_draws(*args, **kwargs):
 ], ids=["points", "scan-work", "scan-envelopes"])
 def test_conditional_scan_checked_before_sampling(argv, monkeypatch, tmp_path):
     # an over-long gamma_m scan is refused before any record is drawn
-    monkeypatch.setattr("eprsim.records._draw_normals", _no_draws)
+    monkeypatch.setattr("eprsim.records._normals", _no_draws)
     assert main(["conditional", *argv, "--out", str(tmp_path)]) == 2
 
 
@@ -1151,8 +1151,8 @@ def test_branches_share_one_batch(argv, monkeypatch, tmp_path):
     def counted(block_seeds, *args):
         seeds.extend(block_seeds.tolist())
         return draw(block_seeds, *args)
-    draw = records._draw_normals
-    monkeypatch.setattr("eprsim.records._draw_normals", counted)
+    draw = records._normals
+    monkeypatch.setattr("eprsim.records._normals", counted)
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert sorted(seeds) == sorted(int(argv[-1]) ^ i for i in range(50))
 
@@ -1186,19 +1186,6 @@ def test_artifacts_same_for_any_blas_thread_count(tmp_path):
     assert sorted(written[0]) == ["conditional.csv", "fig2d_report.csv",
                                   "hybrid_summary.csv"]
     assert written[0] == written[1]
-
-
-def test_state_words_mismatch_exits_4(monkeypatch, capsys, tmp_path):
-    # PCG64 state words read back that the seeding does not explain: one
-    # line and exit 4, before any trial is drawn
-    real = records._pcg_states
-    monkeypatch.setattr(records, "_pcg_states",
-                        lambda words: real(words) ^ np.uint64(1))
-    assert main(["reconstruct", "--trials", "2",
-                 "--out", str(tmp_path)]) == 4
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "permutation" in err, err
-    assert not list(tmp_path.iterdir())
 
 
 def test_fig2d_memory_one_block(tmp_path):

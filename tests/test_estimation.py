@@ -769,6 +769,49 @@ class TestSolver:
         assert (sol.nfev, sol.status, sol.success) == (100, 0, False)
         assert 0.0 < sol.x[0] < 1e-20
 
+    @staticmethod
+    def _kink(x):
+        # r = |x| + 1 with the subgradient 1 at x = 0: every step from 0
+        # raises the cost, so only the rejection loop runs
+        return np.abs(x) + 1.0, np.where(x >= 0.0, 1.0, -1.0)[:, None]
+
+    def test_rejected_steps_stop_at_xtol(self):
+        # mu grows until the step is shorter than xtol: status 3 at x0
+        sol = estimation.least_squares(
+            self._kink, np.array([0.0]),
+            bounds=(np.array([-10.0]), np.array([10.0])))
+        assert (sol.status, sol.success, sol.njev) == (3, True, 1)
+        assert sol.x.tolist() == [0.0] and sol.cost == 0.5
+        assert 2 < sol.nfev < estimation._NFEV_PER_PARAMETER
+
+    def test_budget_spent_in_rejection_loop(self, monkeypatch):
+        # three evaluations, two of them rejected trials: status 0
+        monkeypatch.setattr(estimation, "_NFEV_PER_PARAMETER", 3)
+        sol = estimation.least_squares(
+            self._kink, np.array([0.0]),
+            bounds=(np.array([-10.0]), np.array([10.0])))
+        assert (sol.status, sol.success, sol.nfev) == (0, False, 3)
+        assert sol.x.tolist() == [0.0]
+        # and the fit reports it: every trial step of a real fit rejected
+        # (non-finite residuals) until its budget of 3 x 3 is spent
+        problem = _criterion_8(noisy=True)
+        solve, seen = estimation.least_squares, []
+
+        def rejecting(fun, x0, bounds):
+            def kept(x):
+                r, J = fun(x)
+                seen.append(x.copy())
+                return (r if len(seen) == 1 else np.full_like(r, np.nan)), J
+            return solve(kept, x0, bounds)
+
+        monkeypatch.setattr(estimation, "least_squares", rejecting)
+        with pytest.raises(FitFailureError,
+                           match="the evaluation budget is spent") as exc:
+            fit_parameters(problem)
+        assert len(seen) == 3 * len(problem.free)
+        assert exc.value.best == problem.fixed.replace(
+            **dict(zip(problem.free, seen[0])))
+
     def test_non_finite_trial_rejected(self):
         # residuals are NaN past x = 2; the unconstrained optimum, 3, lies
         # there, so the first trials are rejected and the fit ends below 2

@@ -10,7 +10,6 @@ import pytest
 from eprsim import records
 from eprsim.cli import main
 from eprsim.errors import (
-    InvariantViolationError,
     NoInformationError,
     StatisticsError,
 )
@@ -56,17 +55,16 @@ def vacuum_batch(trials=10_000, duration=5.0, dt=0.1, seed=0):
 
 def reference_batch(trials, duration, dt, loss, master,
                     initial_var=(1.0, 1.0)):
-    """The sampler with one ``default_rng(master ^ i)`` per trial i, each
-    drawing its two initial normals z, then its (nbins, 2) noise:
+    """The sampler with one ``records._normals`` call per trial i, seed
+    master ^ i, drawing its two initial normals z in row 0, then its
+    (nbins, 2) noise, and the innovations recursion bin by bin:
     (samples (trials, nbins, 2), z (trials, 2))."""
     e1, H, gain, innov_sd, _ = records._record_law(loss, MU_NU, duration,
                                                     dt, trials)
-    noise = np.empty((trials, gain.size, 2))
-    z = np.empty((trials, 2))
+    draws = np.empty((trials, gain.size + 1, 2))
     for i in range(trials):
-        rng = np.random.default_rng((master ^ i) & (2**64 - 1))
-        z[i] = rng.standard_normal(2)
-        rng.standard_normal(out=noise[i])
+        records._normals(np.array([master ^ i], np.uint64), draws[i:i + 1])
+    z, noise = draws[:, 0], draws[:, 1:]
     out = noise.transpose(2, 1, 0) * innov_sd[:, None]
     x = z.T * np.sqrt(np.asarray(initial_var, dtype=float))[:, None]
     for n in range(gain.size):
@@ -248,7 +246,8 @@ class TestSynthesisMoments:
         (40, 2**64 - 1), (TRIAL_BLOCK + 2, 2**40 + 5),
     ])
     def test_streams_pinned_to_numpy(self, trials, seed):
-        # every record and initial draw is the per-trial default_rng's
+        # every record and initial draw is the one-trial stream's, drawn
+        # and recursed trial by trial
         batch = simulate_batch(trials, 3.0, 0.1, LOSSY, MU_NU, seed,
                                initial_var=(0.5, 2.0))
         samples, z = reference_batch(trials, 3.0, 0.1, LOSSY, seed,
@@ -259,13 +258,6 @@ class TestSynthesisMoments:
                                 records._draw_blocks(trials, batch.nbins,
                                                      seed)])
         assert drawn.tobytes() == z.tobytes()
-
-    def test_seed_words_are_numpys(self):
-        seeds = np.random.default_rng(3).integers(
-            0, 2**64, size=1000, dtype=np.uint64, endpoint=False)
-        want = [np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
-                for s in seeds]
-        np.testing.assert_array_equal(records._seed_words(seeds), want)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_out_of_range_rejected(self, seed):
@@ -304,65 +296,21 @@ class TestSynthesisMoments:
 
 
 M64 = 2**64 - 1
-# seed-word rows (initstate high, low, initseq high, low): all zeros, all
-# ones, a carry out of the low word in inc + initstate, one in the final
-# + inc, and one where initseq's top low bit shifts into inc's high word
-HAND_ROWS = [(0, 0, 0, 0), (M64, M64, M64, M64), (0, 1, 0, 2**63 - 1),
-             (0, 0, 0, 2**63 - 1), (5, 7, 0, 2**64 - 1)]
+GAMMA = 0x9E3779B97F4A7C15
 
 
-def ziggurat_tables():
-    """records' ziggurat tables, read back if not yet."""
-    streams = records._Streams()
-    streams.rows(np.zeros(1, np.uint64))
-    return streams.ziggurat()
+def splitmix(z):
+    """SplitMix64's finaliser of the Python int ``z`` (mod 2^64)."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & M64
+    return z ^ z >> 31
 
 
-def lockstep_columns(zig, trials):
-    """Most normals per trial for which _draw_normals takes the lockstep
-    pass at ``trials`` trials (records._lockstep_pays)."""
-    columns = 0
-    while records._lockstep_pays(trials, columns + 1, zig.miss):
-        columns += 1
-    return columns
-
-
-def memory_rows(streams, states):
-    """State rows (state, inc) as Python ints in ``streams``' memory order,
-    as _Streams.rows gives them."""
-    words = np.array([[s >> 64, s & M64, i >> 64, i & M64]
-                      for s, i in states], dtype=np.uint64)
-    return memoryview(np.ascontiguousarray(words[:, streams._order])).cast("B")
-
-
-def numpy_from_state(state, inc):
-    """NumPy's own PCG64 Generator set to (state, inc) through the public
-    state setter."""
-    bitgen = np.random.PCG64()
-    bitgen.state = {"bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
-    return np.random.Generator(bitgen)
-
-
-def routed_rows(monkeypatch):
-    """The 32-byte state rows that any _Streams draws through its per-trial
-    loop from now on."""
-    rows, draw = [], records._Streams.draw
-
-    def counted(self, block_rows, out):
-        rows.extend(bytes(block_rows[k:k + 32])
-                    for k in range(0, len(block_rows), 32))
-        return draw(self, block_rows, out)
-    monkeypatch.setattr(records._Streams, "draw", counted)
-    return rows
-
-
-def certified(zig, outputs):
-    """Whether each uint64 output is on the certified fast path."""
-    outputs = np.asarray(outputs, dtype=np.uint64)
-    rabs = outputs >> np.uint64(9) & np.uint64(2**52 - 1)
-    return rabs < zig.bound[(outputs & np.uint64(0x1FF)).astype(np.intp)]
+def referee_words(seed, count):
+    """The first ``count`` words of the seed's stream as Python ints: key
+    mix(seed), word j mix(key + (j + 1) gamma), all mod 2^64."""
+    key = splitmix(seed)
+    return [splitmix(key + (j + 1) * GAMMA & M64) for j in range(count)]
 
 
 class TestInPlaceStreams:
@@ -374,258 +322,102 @@ class TestInPlaceStreams:
     BLOCK_SEEDS = (np.arange(records.MODE_BLOCK + 7, dtype=np.uint64)
                    * np.uint64(0x9E3779B97F4A7C15)) << np.uint64(20)
 
-    # None: one normal per trial more than lockstep_columns
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (251, 2), (4, 2),
-                                       None])
-    def test_normals_are_default_rngs(self, shape, monkeypatch):
-        zig = ziggurat_tables()
-        routed = routed_rows(monkeypatch)
-        for seeds in (self.SEEDS, self.BLOCK_SEEDS):
-            columns = lockstep_columns(zig, len(seeds))
-            trial = shape or (columns + 1, 1)
-            lockstep = math.prod(trial) <= columns
-            routed.clear()
-            out = np.empty((len(seeds), *trial))
-            records._draw_normals(seeds, out)
-            want = np.stack([np.random.default_rng(int(s)).standard_normal(
-                trial) for s in seeds])
-            assert out.tobytes() == want.tobytes()
-            # the per-trial loop takes the trials off the certified path,
-            # or all of them past the rule
-            if lockstep:
-                assert 0 < len(routed) < len(seeds) / 2
-            else:
-                assert len(routed) == len(seeds)
+    def test_mix_is_integer_referees(self):
+        # every input wraps mod 2^64 in the multiplies: the edges, the
+        # seeds and values whose shifted xor carries into the top bits
+        z = np.concatenate([self.SEEDS, self.SEEDS * np.uint64(GAMMA),
+                            np.uint64(1) << np.arange(64, dtype=np.uint64)])
+        got = records._mix(z.copy())
+        assert got.tolist() == [splitmix(int(v)) for v in z]
 
-    def test_fast_path_edges(self, monkeypatch):
-        # forged states whose first output is each layer's last certified
-        # magnitude and the next one, of both signs: the latter, and layer
-        # 1 (NumPy's ki is 0 there), go to the per-trial loop; layer 0 has
-        # no ratio bound and is certified by bisection
-        zig = ziggurat_tables()
-        bound = zig.bound[:256].tolist()
-        assert bound[1] == 0 and all(bound[:1] + bound[2:])
-        assert 0.9 * 2**52 < bound[0] < 2**52
-        assert zig.bound[256:].tolist() == bound
-        inc = 0xDA3E39CB94B95BDB_5851F42D4C957F2D | 1
-        cases = []  # (first output, sent to the loop)
-        for layer, b in enumerate(bound):
-            edges = [(b - 1, False)] if b else [(0, True)]
-            edges += [(b, True)] if b < 2**52 else []
-            cases += [(layer | sign << 8 | rabs << 9, loop)
-                      for rabs, loop in edges for sign in (0, 1)]
-        states = [(records._pcg_preimage(r, inc), inc) for r, _ in cases]
-        for (r, _), (state, _) in zip(cases, states):
-            assert numpy_from_state(state, inc).bit_generator.random_raw() \
-                == r
-        streams = records._Streams()
-        streams.rows(self.SEEDS[:1])
-        rows = memory_rows(streams, states)
-        routed = routed_rows(monkeypatch)
-        out = np.empty((len(cases), 1, 1))
-        records._draw_normals(None, out, streams, rows)
-        want = [numpy_from_state(*s).standard_normal((1, 1)) for s in states]
-        assert out.tobytes() == np.stack(want).tobytes()
-        assert set(routed) == {bytes(rows[32 * k:32 * k + 32])
-                               for k, (_, loop) in enumerate(cases) if loop}
-        assert any(np.signbit(out[k]) for k, (r, loop) in enumerate(cases)
-                   if r & 0x100 and not loop)
+    @pytest.mark.parametrize("rows", [1, 4, 31])
+    def test_words_are_integer_referees(self, rows):
+        # the top 53 bits of each referee word, made normals by the
+        # documented Box-Muller transform on contiguous arrays: the same
+        # bytes; and within rounding of the transform in Python floats
+        seeds = self.SEEDS
+        top = np.array([referee_words(int(s), 2 * rows) for s in seeds],
+                       dtype=np.uint64) >> np.uint64(11)
+        u = (top[:, 0::2].astype(float) + 1.0) * 2.0**-53
+        theta = top[:, 1::2].astype(float) * (math.tau * 2.0**-53)
+        radius = np.sqrt(-2.0 * np.log(np.ascontiguousarray(u)))
+        theta = np.ascontiguousarray(theta)
+        want = np.stack([radius * np.cos(theta), radius * np.sin(theta)],
+                        axis=-1)
+        got = np.empty((len(seeds), rows, 2))
+        records._normals(seeds, got)
+        assert got.tobytes() == want.tobytes()
+        exact = [[(math.sqrt(-2.0 * math.log(a)) * math.cos(t),
+                   math.sqrt(-2.0 * math.log(a)) * math.sin(t))
+                  for a, t in zip(ua, ta)] for ua, ta in
+                 zip(u.tolist(), theta.tolist())]
+        np.testing.assert_allclose(got, exact, rtol=1e-13, atol=1e-14)
 
-    def test_only_last_column_missed(self, monkeypatch):
-        # 8 normals per trial whose eighth output alone is off the
-        # certified path (layer 1, then just past layer 7's bound), and one
-        # whose eighth is the last certified magnitude: the first two go
-        # to the per-trial loop
-        zig = ziggurat_tables()
-        b7 = int(zig.bound[7])
-        lasts = [(1 | 5 << 9, True), (7 | b7 << 9, True),
-                 (7 | 1 << 8 | b7 - 1 << 9, False)]
-        states = []
-        for last, loop in lasts:
-            for inc in range(1, 2**20, 2):
-                state = last
-                for _ in range(8):
-                    state = records._pcg_preimage(state, inc)
-                raw = numpy_from_state(state, inc).bit_generator.random_raw(8)
-                if certified(zig, raw[:7]).all():
-                    break
-            assert raw[7] == last
-            assert certified(zig, raw).tolist() == [True] * 7 + [not loop]
-            states.append((state, inc))
-        streams = records._Streams()
-        streams.rows(self.SEEDS[:1])
-        rows = memory_rows(streams, states)
-        routed = routed_rows(monkeypatch)
-        # three trials alone would go to the loop by cost
-        monkeypatch.setattr(records, "_lockstep_pays", lambda *args: True)
-        out = np.empty((len(states), 4, 2))
-        records._draw_normals(None, out, streams, rows)
-        want = [numpy_from_state(*s).standard_normal((4, 2)) for s in states]
-        assert out.tobytes() == np.stack(want).tobytes()
-        assert routed == [bytes(rows[:32]), bytes(rows[32:64])]
+    def test_normals_are_standard(self):
+        # 10^6 normals, 8 per trial as fig2d draws them: the moments, the
+        # tails and each draw position's variance within 5 SE of the
+        # standard normal's, and a Box-Muller pair uncorrelated
+        k, trials = 5.0, 125_000
+        out = np.empty((trials, 4, 2))
+        records._normals(np.uint64(2**40 + 3) ^ np.arange(
+            trials, dtype=np.uint64), out)
+        x = out.ravel()
+        n = x.size
+        assert abs(x.mean()) < k / math.sqrt(n)
+        assert abs(x.var() - 1.0) < k * math.sqrt(2.0 / n)
+        assert abs(np.mean(x**4) - 3.0) < k * math.sqrt(96.0 / n)
+        for t in (1.0, 2.0, 3.0, 4.0):
+            p = math.erfc(t / math.sqrt(2.0))  # P(|x| > t)
+            assert abs(np.mean(np.abs(x) > t) - p) < k * math.sqrt(
+                p * (1.0 - p) / n)
+        columns = out.reshape(trials, -1)
+        for col in columns.T:
+            assert abs(col.var() - 1.0) < k * math.sqrt(2.0 / trials)
+        for row in range(4):
+            c, s = out[:, row].T
+            assert abs(np.mean(c * s)) < k / math.sqrt(trials)
 
-    @pytest.mark.parametrize("fault", ["layer", "probe"])
-    def test_refused_tables_send_trials_to_loop(self, fault, monkeypatch):
-        # a layer whose bound query fails is not certified; tables that
-        # pass their queries (every normal read back doubled) but not the
-        # probe certify nothing: either way the draws stay NumPy's, and
-        # every trial with such a draw goes to the per-trial loop
-        layer, query = 100, records._Streams.query
+    @pytest.mark.parametrize("master", [0, 2**63 + 2**20, 2**64 - 1])
+    def test_neighbouring_trials_uncorrelated(self, master):
+        # trials i and i + 1 (seeds master ^ i): each draw position's
+        # correlation within 5 SE of zero
+        trials = 100_001
+        out = np.empty((trials, 4, 2))
+        records._normals(np.uint64(master) ^ np.arange(
+            trials, dtype=np.uint64), out)
+        columns = out.reshape(trials, -1)
+        for col in columns.T:
+            r = np.corrcoef(col[:-1], col[1:])[0, 1]
+            assert abs(r) < 5.0 / math.sqrt(trials - 1)
 
-        def faulty(self, r, inc):
-            value, once = query(self, r, inc)
-            if fault == "probe":
-                return 2.0 * value, once
-            return value, once and not (r & 0xFF == layer and r >> 9 != 1)
-        monkeypatch.setattr(records, "_ZIGGURAT", None)
-        monkeypatch.setattr(records._Streams, "query", faulty)
-        seeds, shape = self.SEEDS, (4, 2)
-        streams = records._Streams()
-        rows = streams.rows(seeds)
-        zig = streams.ziggurat()
-        routed = routed_rows(monkeypatch)
-        out = np.empty((len(seeds), *shape))
-        records._draw_normals(seeds, out, streams, rows)
-        want = np.stack([np.random.default_rng(int(s)).standard_normal(
-            shape) for s in seeds])
-        assert out.tobytes() == want.tobytes()
-        raw = np.stack([np.random.default_rng(int(s)).bit_generator
-                        .random_raw(8) for s in seeds])
-        if fault == "layer":
-            assert zig.bound[[layer, layer + 256]].tolist() == [0, 0]
-            assert zig.bound[[layer - 1, layer + 1]].all()
-            hit = ((raw & np.uint64(0xFF)) == layer).any(axis=1)
-        else:
-            assert not zig.bound.any() and zig.miss == 1.0
-            hit = np.ones(len(seeds), bool)
-        assert hit.sum() > 10
-        assert set(routed) >= {bytes(rows[32 * k:32 * k + 32])
-                               for k in np.flatnonzero(hit)}
+    @pytest.mark.parametrize("rows", [1, 4, 12])
+    def test_draws_independent_of_block_and_count(self, rows):
+        # MODE_BLOCK - 7 and + 7 trials in blocks of MODE_BLOCK, TRIAL_BLOCK
+        # and 100, and single trials: each trial draws the same bytes
+        master = 2**63 + 9
+        runs = [np.concatenate([block.copy() for _, block in
+                                records._draw_blocks(trials, rows - 1,
+                                                     master, size)])
+                for trials in (records.MODE_BLOCK - 7,
+                               records.MODE_BLOCK + 7)
+                for size in (records.MODE_BLOCK, TRIAL_BLOCK, 100)]
+        common = records.MODE_BLOCK - 7
+        for run in runs[1:]:
+            assert run[:common].tobytes() == runs[0].tobytes()
+        for i in (0, 99, 100, common - 1, common + 6):
+            one = np.empty((1, rows, 2))
+            records._normals(np.array([master ^ i], np.uint64), one)
+            assert one.tobytes() == runs[-1][i:i + 1].tobytes()
 
-    @pytest.mark.parametrize("fail_from, bound", [(0, 0), (2**40, 2**40)],
-                             ids=["at-zero", "mid-range"])
-    def test_bisection_bound_is_first_failed_query(self, fail_from, bound,
-                                                   monkeypatch):
-        # layer 0 has no ratio bound, so only the bisection certifies it:
-        # its bound is the first magnitude whose query fails, and a query
-        # that fails at magnitude 0 (every one of the layer's but wi's own
-        # at magnitude 1) leaves it at bound 0; the draws stay NumPy's and
-        # trials with a layer-0 draw past the bound go to the per-trial loop
-        query = records._Streams.query
-
-        def faulty(self, r, inc):
-            value, once = query(self, r, inc)
-            rabs = r >> 9
-            return value, once and not (r & 0xFF == 0 and rabs != 1
-                                        and rabs >= fail_from)
-        monkeypatch.setattr(records, "_ZIGGURAT", None)
-        monkeypatch.setattr(records._Streams, "query", faulty)
-        seeds, shape = self.SEEDS, (4, 2)
-        streams = records._Streams()
-        rows = streams.rows(seeds)
-        zig = streams.ziggurat()
-        assert zig.bound[[0, 256]].tolist() == [bound, bound]
-        assert zig.bound[2:256].all() and zig.bound[1] == 0
-        routed = routed_rows(monkeypatch)
-        out = np.empty((len(seeds), *shape))
-        records._draw_normals(seeds, out, streams, rows)
-        want = np.stack([np.random.default_rng(int(s)).standard_normal(
-            shape) for s in seeds])
-        assert out.tobytes() == want.tobytes()
-        raw = np.stack([np.random.default_rng(int(s)).bit_generator
-                        .random_raw(8) for s in seeds])
-        hit = (((raw & np.uint64(0xFF)) == 0)
-               & (raw >> np.uint64(9) & np.uint64(2**52 - 1)
-                  >= np.uint64(bound))).any(axis=1)
-        assert hit.sum() > 10
-        assert set(routed) >= {bytes(rows[32 * k:32 * k + 32])
-                               for k in np.flatnonzero(hit)}
-
-    @pytest.mark.parametrize("trials, columns, lockstep", [
-        (512, 18, False), (64, 4, False), (4096, 8, True)])
-    def test_lockstep_rule_compares_costs(self, trials, columns, lockstep):
-        # TRIAL_BLOCK trials of 8 bins, a 64-trial readout and a full
-        # block of fig2d's readout
-        zig = ziggurat_tables()
-        assert records._lockstep_pays(trials, columns, zig.miss) == lockstep
-
-    def test_tables_unread_where_lockstep_cannot_pay(self, monkeypatch):
-        # 64 trials of 4 normals go to the loop even if no draw missed, so
-        # the tables are not read for them
-        monkeypatch.setattr(records, "_ZIGGURAT", None)
-        monkeypatch.setattr(records._Streams, "ziggurat", _not_called)
-        assert not records._lockstep_pays(64, 4, 0.0)
-        seeds = self.SEEDS[:64]
-        out = np.empty((len(seeds), 2, 2))
-        records._draw_normals(seeds, out)
-        want = np.stack([np.random.default_rng(int(s)).standard_normal(
-            (2, 2)) for s in seeds])
-        assert out.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("lockstep", [True, False],
-                             ids=["lockstep", "loop"])
-    def test_any_out_layout(self, lockstep, monkeypatch):
-        # a trial-minor block draws the bytes of a C-contiguous one on
-        # both branches
-        monkeypatch.setattr(records, "_lockstep_pays",
-                            lambda *args: lockstep)
+    def test_any_out_layout(self):
+        # a trial-minor block draws the bytes of a C-contiguous one
         seeds = self.BLOCK_SEEDS
         c_order = np.empty((len(seeds), 4, 2))
         minor = np.empty((4, 2, len(seeds))).transpose(2, 0, 1)
         for out in (c_order, minor):
-            records._draw_normals(seeds, out)
+            records._normals(seeds, out)
         assert not minor.flags.c_contiguous
         assert np.ascontiguousarray(minor).tobytes() == c_order.tobytes()
-
-    def test_block_without_a_miss(self, monkeypatch):
-        # lockstep over trials whose draws are all certified: none is
-        # redrawn
-        monkeypatch.setattr(records, "_lockstep_pays", lambda *args: True)
-        zig = ziggurat_tables()
-        seeds = [s for s in self.SEEDS if certified(
-            zig, np.random.default_rng(int(s)).bit_generator.random_raw(4))
-            .all()][:3]
-        routed = routed_rows(monkeypatch)
-        out = np.empty((len(seeds), 2, 2))
-        records._draw_normals(np.array(seeds, np.uint64), out)
-        want = np.stack([np.random.default_rng(int(s)).standard_normal(
-            (2, 2)) for s in seeds])
-        assert len(seeds) == 3 and not routed
-        assert out.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("nbins", [2, 4, 8, 16, 20, 250])
-    def test_simulate_batch_same_on_either_branch(self, nbins, monkeypatch):
-        # the records of two blocks, the last one short, with lockstep
-        # forced and with the loop forced
-        records_bytes = []
-        for lockstep in (True, False):
-            monkeypatch.setattr(records, "_lockstep_pays",
-                                lambda *args, v=lockstep: v)
-            records_bytes.append(simulate_batch(
-                TRIAL_BLOCK + 37, nbins * 0.1, 0.1, LOSSY, MU_NU,
-                2**63 + 5).samples.tobytes())
-        assert records_bytes[0] == records_bytes[1]
-
-    def test_vectorised_seeding_is_python_ints(self):
-        def carries(row):  # out of the low word in inc + initstate, + inc
-            s_hi, s_lo, i_hi, i_lo = row
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
-            prod = (inc + (s_hi << 64 | s_lo)) * records._PCG_MULT
-            return ((inc & M64) + s_lo > M64,
-                    (prod & M64) + (inc & M64) > M64)
-        assert carries(HAND_ROWS[2])[0] and carries(HAND_ROWS[3])[1]
-        rows = np.vstack([
-            np.array(HAND_ROWS, dtype=np.uint64),
-            records._seed_words(self.SEEDS)])
-        for row, words in zip(rows, records._pcg_states(rows).tolist()):
-            state, inc = records._pcg_state(row)
-            assert words == [state >> 64, state & M64, inc >> 64, inc & M64]
-
-    def test_pcg_state_is_numpys(self):
-        for s in self.SEEDS[-5:]:
-            want = np.random.PCG64(int(s)).state["state"]
-            words = np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
-            assert records._pcg_state(words) == (want["state"], want["inc"])
 
     def test_no_state_between_calls(self):
         # two samplers advanced alternately draw what each draws alone
@@ -641,34 +433,6 @@ class TestInPlaceStreams:
         for got, want in zip(mixed, alone):
             assert b"".join(x.tobytes() for x in got) == \
                 b"".join(x.tobytes() for x in want)
-
-    @pytest.mark.parametrize("found, expected, order", [
-        ((11, 10, 13, 12), (10, 11, 12, 13), [1, 0, 3, 2]),  # native
-        ((10, 11, 12, 13), (10, 11, 12, 13), [0, 1, 2, 3]),  # emulated
-    ], ids=["native", "emulated"])
-    def test_word_order(self, found, expected, order):
-        assert records._word_order(found, expected) == order
-
-    @pytest.mark.parametrize("found, expected", [
-        ((10, 11, 12, 14), (10, 11, 12, 13)),  # a word not seeded
-        ((10, 10, 12, 13), (10, 11, 12, 13)),  # one seeded word twice
-        ((10, 10, 12, 13), (10, 10, 12, 13)),  # order not determined
-        ((10, 11, 12), (10, 11, 12, 13)),
-    ], ids=["foreign", "repeated", "ambiguous", "short"])
-    def test_word_order_refuses_non_permutations(self, found, expected):
-        with pytest.raises(InvariantViolationError, match="permutation"):
-            records._word_order(found, expected)
-
-    def test_seeding_checked_before_any_write(self, monkeypatch):
-        # vectorised seeding that disagrees with the Python-int formula is
-        # refused by the read-back, before a trial's words are written
-        real = records._pcg_states
-        monkeypatch.setattr(records, "_pcg_states",
-                            lambda words: real(words) ^ np.uint64(1 << 40))
-        out = np.full((4, 2, 2), np.nan)
-        with pytest.raises(InvariantViolationError):
-            records._draw_normals(self.SEEDS[:4], out)
-        assert np.isnan(out).all()
 
 
 def four_noise_covariance(loss, dt, nbins, initial_var):
@@ -705,9 +469,9 @@ class TestExactLaw:
         # (z, (nbins, 2) noise) to the record
         eye = np.eye(2 + 2 * self.NBINS)
 
-        def basis_draws(seeds, out, *streams):
-            out.reshape(len(seeds), -1)[:] = eye[seeds]
-        monkeypatch.setattr(records, "_draw_normals", basis_draws)
+        def basis_draws(seeds, out):
+            out[...] = eye[seeds].reshape(out.shape)
+        monkeypatch.setattr(records, "_normals", basis_draws)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             batch = simulate_batch(len(eye), self.NBINS * self.DT, self.DT,
@@ -1391,7 +1155,7 @@ class TestHybridReadout:
     def test_bad_initial_variances_refused_first(self, initial_vars,
                                                  monkeypatch):
         # before the gamma_m scan or any draw
-        for name in ("optimize_gain", "_draw_normals"):
+        for name in ("optimize_gain", "_normals"):
             monkeypatch.setattr(records, name, _not_called)
         with pytest.raises(ValueError, match="initial variance"):
             hybrid_readout(2000, LOSSY, MU_NU, 0.1, self.READ.window, 0,
@@ -1409,7 +1173,7 @@ class TestHybridReadout:
     @pytest.mark.parametrize("grid", [None, GRID], ids=["no-grid", "grid"])
     def test_one_trial_has_no_variance(self, grid, monkeypatch):
         # refused before the record law, the gamma_m scan or any draw
-        monkeypatch.setattr(records, "_draw_normals", _no_draws)
+        monkeypatch.setattr(records, "_normals", _no_draws)
         for name in ("_record_law", "_gain_scan"):
             monkeypatch.setattr(records, name, _not_called)
         with pytest.raises(StatisticsError):
@@ -1421,14 +1185,14 @@ class TestHybridReadout:
         # the readout draws per mode: its cap is on trials, checked before
         # the record law, the gamma_m scan or any draw, while
         # simulate_batch keeps its cap on trial-bins
-        monkeypatch.setattr(records, "_draw_normals", _no_draws)
+        monkeypatch.setattr(records, "_normals", _no_draws)
         for name in ("_record_law", "_gain_scan"):
             monkeypatch.setattr(records, name, _not_called)
         with pytest.raises(ValueError, match="trials per readout"):
             hybrid_readout(MAX_READOUT_TRIALS + 1, LOSSY, MU_NU, 0.1,
                            self.READ.window, 2, gamma_m_grid=grid)
         monkeypatch.undo()
-        monkeypatch.setattr(records, "_draw_normals", _no_draws)
+        monkeypatch.setattr(records, "_normals", _no_draws)
         assert MAX_READOUT_TRIALS * 250 > MAX_TRIAL_BINS
         with pytest.raises(ValueError, match="trial-bins"):
             simulate_batch(MAX_TRIAL_BINS // 250 + 1, 25.0, 0.1, LOSSY,
@@ -1437,7 +1201,7 @@ class TestHybridReadout:
     def test_scan_size_capped_before_integration(self, monkeypatch):
         # a scan over the caps is refused before any draw, whatever the
         # trial count
-        monkeypatch.setattr(records, "_draw_normals", _no_draws)
+        monkeypatch.setattr(records, "_normals", _no_draws)
         with pytest.raises(ValueError, match="gamma_m points"):
             hybrid_readout(MAX_TRIAL_BINS // 150, LOSSY, MU_NU, 0.1,
                            self.READ.window, 0,

@@ -330,7 +330,7 @@ class TestInPlaceStreams:
         got = records._mix(z.copy())
         assert got.tolist() == [splitmix(int(v)) for v in z]
 
-    @pytest.mark.parametrize("rows", [1, 4, 31])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 31, 64])
     def test_words_are_integer_referees(self, rows):
         # the top 53 bits of each referee word, made normals by the
         # documented Box-Muller transform on contiguous arrays: the same
@@ -353,13 +353,14 @@ class TestInPlaceStreams:
                  zip(u.tolist(), theta.tolist())]
         np.testing.assert_allclose(got, exact, rtol=1e-13, atol=1e-14)
 
-    def test_normals_are_standard(self):
+    @pytest.mark.parametrize("master", [2**40 + 3, 0, 2**64 - 1])
+    def test_normals_are_standard(self, master):
         # 10^6 normals, 8 per trial as fig2d draws them: the moments, the
         # tails and each draw position's variance within 5 SE of the
         # standard normal's, and a Box-Muller pair uncorrelated
         k, trials = 5.0, 125_000
         out = np.empty((trials, 4, 2))
-        records._normals(np.uint64(2**40 + 3) ^ np.arange(
+        records._normals(np.uint64(master) ^ np.arange(
             trials, dtype=np.uint64), out)
         x = out.ravel()
         n = x.size
@@ -390,6 +391,38 @@ class TestInPlaceStreams:
             r = np.corrcoef(col[:-1], col[1:])[0, 1]
             assert abs(r) < 5.0 / math.sqrt(trials - 1)
 
+    @pytest.mark.parametrize("bit", [0, 1, 12, 31, 32, 63])
+    def test_one_seed_bit_apart_uncorrelated(self, bit):
+        # streams whose seeds differ in one bit: each draw position's
+        # correlation within 5 SE of zero
+        trials = 100_000
+        seeds = np.uint64(2**40 + 3) ^ np.arange(trials, dtype=np.uint64)
+        a, b = np.empty((2, trials, 4, 2))
+        records._normals(seeds, a)
+        records._normals(seeds ^ np.uint64(1 << bit), b)
+        for x, y in zip(a.reshape(trials, -1).T, b.reshape(trials, -1).T):
+            r = np.corrcoef(x, y)[0, 1]
+            assert abs(r) < 5.0 / math.sqrt(trials)
+
+    @pytest.mark.parametrize("fill, want", [
+        (0, (math.sqrt(106.0 * math.log(2.0)), 0.0)),  # u = 2^-53
+        (M64, (0.0, 0.0)),  # u = 1
+    ], ids=["smallest-u", "largest-u"])
+    def test_extreme_words_finite(self, fill, want, monkeypatch):
+        # the uniform's ends: the log stays finite, and the radius is at
+        # most sqrt(-2 ln 2^-53)
+        def constant(z):
+            z[...] = fill
+            return z
+        monkeypatch.setattr(records, "_mix", constant)
+        out = np.empty((3, 2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records._normals(np.arange(3, dtype=np.uint64), out)
+        np.testing.assert_allclose(out.reshape(-1, 2),
+                                   np.broadcast_to(want, (6, 2)),
+                                   rtol=1e-15, atol=1e-15)
+
     @pytest.mark.parametrize("rows", [1, 4, 12])
     def test_draws_independent_of_block_and_count(self, rows):
         # MODE_BLOCK - 7 and + 7 trials in blocks of MODE_BLOCK, TRIAL_BLOCK
@@ -408,6 +441,33 @@ class TestInPlaceStreams:
             one = np.empty((1, rows, 2))
             records._normals(np.array([master ^ i], np.uint64), one)
             assert one.tobytes() == runs[-1][i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("nbins", [2, 4, 8, 16, 20, 250])
+    def test_simulate_batch_same_in_any_block(self, nbins, monkeypatch):
+        # the records of two blocks, the last one short, and of six blocks
+        # of 100 trials
+        real = records._draw_blocks
+        records_bytes = []
+        for size in (TRIAL_BLOCK, 100):
+            monkeypatch.setattr(
+                records, "_draw_blocks",
+                lambda n, rows, master, block=None, size=size:
+                real(n, rows, master, size))
+            records_bytes.append(simulate_batch(
+                TRIAL_BLOCK + 37, nbins * 0.1, 0.1, LOSSY, MU_NU,
+                2**63 + 5).samples.tobytes())
+        assert records_bytes[0] == records_bytes[1]
+
+    @pytest.mark.parametrize("bit", [1, 2, 4])
+    def test_low_seed_bits_permute_trials(self, bit):
+        # trial i uses master ^ i, so a seed that differs from another
+        # only below the trial count redraws the same trials in another
+        # order
+        master = 2**63 + 40
+        a = simulate_batch(8, 1.0, 0.1, LOSSY, MU_NU, master)
+        b = simulate_batch(8, 1.0, 0.1, LOSSY, MU_NU, master ^ bit)
+        assert b.samples.tobytes() == \
+            a.samples[np.arange(8) ^ bit].tobytes()
 
     def test_any_out_layout(self):
         # a trial-minor block draws the bytes of a C-contiguous one
